@@ -277,6 +277,17 @@ def _plots(agg: list[dict], cells: list[dict], cfg: ExperimentConfig,
     return paths
 
 
+def _env_workers(value: str) -> int:
+    """Parse INVEX_THREADS: a positive integer, or a ValueError naming it."""
+    try:
+        workers = int(value)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"INVEX_THREADS must be a positive integer, got {value!r}")
+    return workers
+
+
 def run_sweep(cfg: ExperimentConfig, workers: int | None = None) -> dict:
     """Execute the sweep; returns paths and the in-memory row list."""
     outdir = Path(cfg.output_dir)
@@ -287,7 +298,7 @@ def run_sweep(cfg: ExperimentConfig, workers: int | None = None) -> dict:
 
     if workers is None:
         env = os.environ.get("INVEX_THREADS")
-        workers = int(env) if env else (os.cpu_count() or 1)
+        workers = _env_workers(env) if env else (os.cpu_count() or 1)
     workers = max(1, min(workers, len(tasks)))
 
     if workers == 1:

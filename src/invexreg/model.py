@@ -210,10 +210,11 @@ def sample_losses(X: np.ndarray, y: np.ndarray, V: np.ndarray) -> np.ndarray:
 
     Expands to x_i^T V11 x_i - 2 y_i x_i^T v + y_i^2 V_corner where V11 is
     the leading p x p block and v the first p entries of the last column.
+    The quadratic term is one matrix product, ((X V11) * X) summed by row.
     """
     V11 = V[:-1, :-1]
     v = V[:-1, -1]
-    quad = np.einsum("ij,jk,ik->i", X, V11, X)
+    quad = ((X @ V11) * X).sum(axis=1)
     return quad - 2.0 * y * (X @ v) + (y * y) * V[-1, -1]
 
 

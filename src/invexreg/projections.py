@@ -62,13 +62,16 @@ def project_b(v: np.ndarray, bset: BFeasibleSet) -> np.ndarray:
 
 
 def project_psd_corner(Mtx: np.ndarray, iters: int = 200, tol: float = 1e-9) -> Vartheta:
-    """Feasibility repair onto {V PSD, V[-1,-1] = 1} by alternating projections.
+    """Feasibility repair onto {V PSD, V[-1,-1] = 1}.
 
-    Symmetrizes the input, then alternates eigenvalue clipping with pinning
-    the corner entry until the remaining eigenvalue violation is within tol
-    (or iters is exhausted).  Alternating projections stall sublinearly when
-    the limit touches the cone boundary tangentially, so any leftover
-    violation eps is removed exactly by the feasible map
+    Symmetrizes the input and pins the corner entry, then tests feasibility
+    with a Cholesky factorization of S + tol I.  When that succeeds (minimum
+    eigenvalue above -tol) S is returned as is, with no eigendecomposition.
+    Only when it fails does the repair run: alternate eigenvalue clipping
+    with pinning the corner until the remaining eigenvalue violation is
+    within tol (or iters is exhausted).  Alternating projections stall
+    sublinearly when the limit touches the cone boundary tangentially, so
+    any leftover violation eps is removed exactly by the feasible map
     S -> (S + eps I) / (1 + eps), which keeps the corner at 1.  The result
     is a feasibility operator, not the exact joint projection.
     """
@@ -79,6 +82,12 @@ def project_psd_corner(Mtx: np.ndarray, iters: int = 200, tol: float = 1e-9) -> 
         raise ValueError("non-finite input to project_psd_corner")
     S = 0.5 * (S + S.T)
     S[-1, -1] = 1.0
+    try:
+        np.linalg.cholesky(S + tol * np.eye(S.shape[0]))
+    except np.linalg.LinAlgError:
+        pass
+    else:
+        return Vartheta(S)
     w0 = None
     for _ in range(max(1, iters)):
         w, U = np.linalg.eigh(S)

@@ -123,49 +123,35 @@ def grad_vartheta(b: np.ndarray, data: Dataset) -> np.ndarray:
     return 0.5 * (G + G.T)
 
 
-def _top_m(losses: np.ndarray, m: int) -> np.ndarray:
-    """Indices of the m smallest losses, ties resolved by smallest index."""
-    order = np.argsort(losses, kind="stable")
-    return np.sort(order[:m])
+def _select(losses: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """b-step on given lifted losses: (weights, top-m indices).
+
+    The m smallest losses get weight one, ties resolved by smallest index;
+    any further strictly negative losses (possible only through PSD
+    tolerance slack) also get weight one since the sum constraint is
+    one-sided.  The indices are the top-m set alone, sorted.
+    """
+    sel = np.sort(np.argsort(losses, kind="stable")[:m])
+    b = np.zeros(losses.size)
+    b[sel] = 1.0
+    b[losses < 0.0] = 1.0
+    return b, sel
 
 
 def b_step(vartheta: Vartheta, data: Dataset, m: int) -> np.ndarray:
     """Exact minimizer of sum_i b_i <A_i, V> over the weight polytope.
 
-    The m smallest lifted losses get weight one; any further strictly
-    negative losses (possible only through PSD tolerance slack) also get
-    weight one since the sum constraint is one-sided.
+    The weights follow `_select`'s rule: the m smallest lifted losses plus
+    any strictly negative ones.
     """
     if m > data.n:
         raise InfeasibleM(f"m={m} exceeds n={data.n}")
-    losses = sample_losses(data.X, data.y, vartheta.V)
-    b = np.zeros(data.n)
-    b[_top_m(losses, m)] = 1.0
-    b[losses < 0.0] = 1.0
-    return b
+    return _select(sample_losses(data.X, data.y, vartheta.V), m)[0]
 
 
 def _initial_eta(G: np.ndarray, lam: float) -> float:
     gmax = float(np.linalg.eigvalsh(G)[-1]) if G.size else 1.0
     return 1.0 / (gmax + lam + 1e-12)
-
-
-def _psd_renormalize(Z: np.ndarray, tol: float = 1e-9) -> np.ndarray | None:
-    """Alternative feasibility repair: clip to the PSD cone, then restore the
-    corner multiplicatively.  Exact in one pass; lands on the right ray for
-    far-from-feasible inputs where alternating projections drift.  Returns
-    None when the clipped corner is too small to renormalize.
-    """
-    S = 0.5 * (Z + Z.T)
-    w, U = np.linalg.eigh(S)
-    S = (U * np.maximum(w, 0.0)) @ U.T
-    c = S[-1, -1]
-    if not c > tol:
-        return None
-    S = S / c
-    S = 0.5 * (S + S.T)
-    S[-1, -1] = 1.0
-    return S
 
 
 def solve_invex(data: Dataset, cfg: SolverConfig) -> SolveResult:
@@ -184,10 +170,7 @@ def solve_invex(data: Dataset, cfg: SolverConfig) -> SolveResult:
     V = lift_parameter(theta0).V
 
     losses = sample_losses(X, y, V)
-    sel = _top_m(losses, cfg.m)
-    b = np.zeros(data.n)
-    b[sel] = 1.0
-    b[losses < 0.0] = 1.0
+    b, sel = _select(losses, cfg.m)
 
     def full_obj(bvec, Vm, lvec=None):
         lvec = sample_losses(X, y, Vm) if lvec is None else lvec
@@ -217,15 +200,19 @@ def solve_invex(data: Dataset, cfg: SolverConfig) -> SolveResult:
 
         def best_repair(step, pocs):
             """Feasible candidates from one prox step: corner renormalization
-            of the PSD clip (one eigendecomposition), plus the alternating
-            repair when `pocs` (shares the clip, so it starts near the cone).
-            Returns None when no candidate exists (renormalization-only call
-            on a matrix whose clipped corner vanishes).
+            of the PSD clip, plus the alternating repair when `pocs` (shares
+            the clip, so it starts near the cone and its Cholesky check
+            passes without a second eigendecomposition).  The clip is rebuilt
+            from the positive eigenpairs only.  Returns None when no
+            candidate exists (renormalization-only call on a matrix whose
+            clipped corner vanishes).
             """
             Z = prox_entrywise_l1(V - step * G, step * lam)
             S = 0.5 * (Z + Z.T)
             w, U = np.linalg.eigh(S)
-            P = (U * np.maximum(w, 0.0)) @ U.T
+            pos = w > 0.0
+            Up = U[:, pos]
+            P = (Up * w[pos]) @ Up.T
             cands = []
             c = P[-1, -1]
             if c > cfg.psd_tol:
@@ -269,10 +256,7 @@ def solve_invex(data: Dataset, cfg: SolverConfig) -> SolveResult:
                 break
 
         losses = sample_losses(X, y, V)
-        sel = _top_m(losses, cfg.m)
-        b = np.zeros(data.n)
-        b[sel] = 1.0
-        b[losses < 0.0] = 1.0
+        b, sel = _select(losses, cfg.m)
         new_obj = full_obj(b, V, losses)
         if not np.isfinite(new_obj):
             raise NonFinite("objective diverged")

@@ -108,6 +108,13 @@ def test_run_sweep_records_cell_failures(tmp_path):
     assert all(r["error"] == "ResampleExhausted" for r in out["rows"])
 
 
+@pytest.mark.parametrize("bad", ["two", "0", "-3", "1.5"])
+def test_run_sweep_rejects_bad_invex_threads(tmp_path, monkeypatch, bad):
+    monkeypatch.setenv("INVEX_THREADS", bad)
+    with pytest.raises(ValueError, match=f"INVEX_THREADS.*{bad}"):
+        run_sweep(tiny_cfg(tmp_path))
+
+
 def _cli(*args):
     return subprocess.run([sys.executable, "-m", "invexreg.cli", *args],
                           capture_output=True, text=True)

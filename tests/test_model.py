@@ -143,13 +143,15 @@ def test_objective_linear_in_b():
 
 def test_sample_losses_matches_lifted_inner_products():
     rng = np.random.default_rng(23)
-    data = _tiny_dataset(rng, n=7, p=4)
-    V = lift_parameter(rng.standard_normal(4)).V
-    V = V + 0.1 * np.eye(5)  # non-rank-1, general corner handling
-    got = sample_losses(data.X, data.y, V)
-    for i in range(7):
-        direct = float((lift_sample(data.X[i], data.y[i]).A * V).sum())
-        assert abs(got[i] - direct) <= 1e-10 * max(1.0, abs(direct))
+    for n, p in ((7, 4), (60, 50)):
+        data = _tiny_dataset(rng, n=n, p=p)
+        V = lift_parameter(rng.standard_normal(p)).V
+        W = rng.standard_normal((p + 1, 3))
+        V = V + 0.1 * np.eye(p + 1) + 0.05 * W @ W.T  # non-rank-1, general corner
+        got = sample_losses(data.X, data.y, V)
+        for i in range(n):
+            direct = float((lift_sample(data.X[i], data.y[i]).A * V).sum())
+            assert abs(got[i] - direct) <= 1e-10 * max(1.0, abs(direct))
 
 
 def test_vartheta_check():

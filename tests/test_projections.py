@@ -102,6 +102,29 @@ def test_psd_corner_already_feasible():
     assert np.abs(V - V0).max() <= 1e-9
 
 
+def test_psd_corner_feasible_input_skips_eigh(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        calls.append(1)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    rng = np.random.default_rng(6)
+    W = rng.standard_normal((6, 3))
+    V0 = W @ W.T
+    V0 /= V0[-1, -1]  # PSD, rank 3, corner exactly 1
+    V = project_psd_corner(V0).V
+    assert np.array_equal(V, 0.5 * (V0 + V0.T))
+    assert calls == []
+    S = rng.standard_normal((6, 6))
+    V = project_psd_corner(S + S.T).V  # indefinite: the repair still runs
+    assert calls
+    assert V[-1, -1] == 1.0
+    assert np.linalg.eigvalsh(V)[0] >= -1e-9
+
+
 def test_psd_corner_negative_identity():
     V = project_psd_corner(-np.eye(2)).V
     assert np.allclose(V, [[0.0, 0.0], [0.0, 1.0]])

@@ -4,6 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from invexreg import solver
 from invexreg.datagen import GenSpec, generate
 from invexreg.model import (CLEAN, Dataset, GroundTruthConfig, lift_parameter,
                             lift_sample, objective, sample_losses)
@@ -234,3 +235,23 @@ def test_objective_trace_matches_objective_function():
     res = solve_invex(data, cfg)
     recomputed = objective(res.b_hat, res.vartheta_hat, data, cfg.lam)
     assert abs(recomputed - res.objective_trace[-1]) <= 1e-9 * max(1.0, recomputed)
+
+
+def test_solve_invex_one_eigh_per_prox_step(monkeypatch):
+    counts = {"eigh": 0, "prox": 0}
+    eigh, prox = np.linalg.eigh, solver.prox_entrywise_l1
+
+    def counting_eigh(a, *args, **kwargs):
+        counts["eigh"] += 1
+        return eigh(a, *args, **kwargs)
+
+    def counting_prox(M, tau):
+        counts["prox"] += 1
+        return prox(M, tau)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(solver, "prox_entrywise_l1", counting_prox)
+    data = tiny_instance(2)
+    solve_invex(data, SolverConfig(m=4, lam=0.05, max_outer=10))
+    assert counts["prox"] > 0
+    assert counts["eigh"] <= counts["prox"]
