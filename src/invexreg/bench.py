@@ -289,16 +289,21 @@ def _env_workers(value: str) -> int:
 
 
 def run_sweep(cfg: ExperimentConfig, workers: int | None = None) -> dict:
-    """Execute the sweep; returns paths and the in-memory row list."""
+    """Execute the sweep; returns paths and the in-memory row list.
+
+    `workers` must be a positive integer; None reads INVEX_THREADS, else
+    the CPU count.
+    """
+    if workers is None:
+        env = os.environ.get("INVEX_THREADS")
+        workers = _env_workers(env) if env else (os.cpu_count() or 1)
+    elif workers < 1:
+        raise ValueError(f"workers must be a positive integer, got {workers!r}")
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     cells = cfg.cells()
     tasks = [(cfg, cell, seed, method)
              for cell in cells for seed in cfg.seeds for method in cfg.methods]
-
-    if workers is None:
-        env = os.environ.get("INVEX_THREADS")
-        workers = _env_workers(env) if env else (os.cpu_count() or 1)
     workers = max(1, min(workers, len(tasks)))
 
     if workers == 1:

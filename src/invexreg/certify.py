@@ -16,7 +16,7 @@ import numpy as np
 
 from .model import CLEAN, Dataset, Vartheta, lift_parameter, sample_losses
 from .projections import BFeasibleSet, project_b
-from .solver import _recover_subgradient
+from .solver import _as_rows, _recover_subgradient
 
 __all__ = [
     "EmptySupport",
@@ -138,15 +138,6 @@ class AssumptionReport:
 
     def to_json(self, **kwargs) -> str:
         return json.dumps(self.to_dict(), **kwargs)
-
-
-def _as_rows(selection: np.ndarray, n: int) -> np.ndarray:
-    sel = np.asarray(selection)
-    if sel.dtype == bool:
-        return np.flatnonzero(sel)
-    if sel.ndim == 1 and sel.size == n and np.all((sel == 0) | (sel == 1)):
-        return np.flatnonzero(sel > 0.5)
-    return np.asarray(sel, dtype=int)
 
 
 def _sum_lifted(X_sub: np.ndarray, y: np.ndarray, rows: np.ndarray) -> np.ndarray:

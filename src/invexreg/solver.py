@@ -6,6 +6,18 @@ V is driven by proximal gradient steps followed by a feasibility repair
 onto the PSD-with-corner set.  A post-repair objective re-check keeps the
 trace monotone.  The reported parameter estimate always comes from re-
 fitting on the final selection.
+
+Two rules keep the V step from paying for candidates that cannot move the
+iterate, without changing what it returns:
+
+- Within an outer round the far-step probe runs only until it first fails
+  to beat the current objective.  Its step is at least 1e6, so with G fixed
+  its renormalized point depends on V only through O(1/step) terms, and the
+  objective it must beat only falls within a round.
+- A PSD clip P whose corner c is at most 1 pins to sym(P) + (1 - c) e e^T,
+  which is PSD by construction, so it is taken as is with no Cholesky test
+  (the bits `project_psd_corner` returns once that test passes).  Only
+  c > 1, where pinning lowers the corner, goes through the repair.
 """
 
 from __future__ import annotations
@@ -149,6 +161,17 @@ def b_step(vartheta: Vartheta, data: Dataset, m: int) -> np.ndarray:
     return _select(sample_losses(data.X, data.y, vartheta.V), m)[0]
 
 
+def _pin_corner(P: np.ndarray, iters: int, tol: float) -> np.ndarray:
+    """Feasible corner-pinned point from a PSD clip P: pinned directly when
+    its corner is at most 1 (see the module docstring), otherwise, or when P
+    is not finite (which raises there), through `project_psd_corner`."""
+    if P[-1, -1] <= 1.0 and np.isfinite(P).all():
+        Q = 0.5 * (P + P.T)
+        Q[-1, -1] = 1.0
+        return Q
+    return project_psd_corner(P, iters, tol).V
+
+
 def _initial_eta(G: np.ndarray, lam: float) -> float:
     gmax = float(np.linalg.eigvalsh(G)[-1]) if G.size else 1.0
     return 1.0 / (gmax + lam + 1e-12)
@@ -200,12 +223,13 @@ def solve_invex(data: Dataset, cfg: SolverConfig) -> SolveResult:
 
         def best_repair(step, pocs):
             """Feasible candidates from one prox step: corner renormalization
-            of the PSD clip, plus the alternating repair when `pocs` (shares
-            the clip, so it starts near the cone and its Cholesky check
-            passes without a second eigendecomposition).  The clip is rebuilt
-            from the positive eigenpairs only.  Returns None when no
-            candidate exists (renormalization-only call on a matrix whose
-            clipped corner vanishes).
+            of the PSD clip, plus the corner-pinned clip when `pocs`.  The
+            clip is rebuilt from the positive eigenpairs only.  Pinning a
+            clipped corner c <= 1 adds (1 - c) e e^T and stays PSD, so it
+            needs no Cholesky test; only c > 1 runs the alternating repair
+            (`_pin_corner`).  Returns None when no candidate exists
+            (renormalization-only call on a matrix whose clipped corner
+            vanishes).
             """
             Z = prox_entrywise_l1(V - step * G, step * lam)
             S = 0.5 * (Z + Z.T)
@@ -221,12 +245,13 @@ def solve_invex(data: Dataset, cfg: SolverConfig) -> SolveResult:
                 R[-1, -1] = 1.0
                 cands.append((score(R), R))
             if pocs:
-                Q = project_psd_corner(P, cfg.psd_iters, cfg.psd_tol).V
+                Q = _pin_corner(P, cfg.psd_iters, cfg.psd_tol)
                 cands.append((score(Q), Q))
             if not cands:
                 return None
             return min(cands, key=lambda t: t[0])
 
+        probe_live = True
         for _ in range(cfg.max_inner):
             step = eta
             accepted = None
@@ -241,11 +266,13 @@ def solve_invex(data: Dataset, cfg: SolverConfig) -> SolveResult:
                     break
             # far-step probe (cheap repair only): with a singular smooth part
             # the minimizer sits along the gradient's null ray, which only an
-            # effectively infinite step can reach
-            probe = best_repair(1e6 * max(eta, 1.0), pocs=False)
-            if probe is not None and probe[0] < cur and \
-                    (accepted is None or probe[0] < accepted[0]):
-                accepted = (probe[0], probe[1], eta)
+            # effectively infinite step can reach.  Once it loses it is not
+            # tried again this round (see the module docstring).
+            if probe_live:
+                probe = best_repair(1e6 * max(eta, 1.0), pocs=False)
+                probe_live = probe is not None and probe[0] < cur
+                if probe_live and (accepted is None or probe[0] < accepted[0]):
+                    accepted = (probe[0], probe[1], eta)
             if accepted is None:
                 break
             improvement = cur - accepted[0]
@@ -327,11 +354,33 @@ def _recover_subgradient(theta, g, lam):
     return w, clip_count
 
 
+def _as_rows(selection: np.ndarray, n: int) -> np.ndarray:
+    """Row indices of a selection given as a 0/1 mask or as indices.
+
+    Bool and float arrays are masks: 1-d, length n, entries 0 or 1.
+    Integer arrays are row indices in [0, n).  Anything else raises, so an
+    index array is never read as a mask or the other way round.
+    """
+    sel = np.asarray(selection)
+    if sel.dtype == bool or np.issubdtype(sel.dtype, np.floating):
+        if sel.shape != (n,) or not np.all((sel == 0) | (sel == 1)):
+            raise ValueError(f"a {sel.dtype} selection must be a 0/1 mask of "
+                             f"length {n}, got shape {sel.shape}")
+        return np.flatnonzero(sel)
+    if np.issubdtype(sel.dtype, np.integer) and sel.ndim == 1:
+        if sel.size and (sel.min() < 0 or sel.max() >= n):
+            raise ValueError(f"selection indices must lie in [0, {n})")
+        return sel.astype(int)
+    raise ValueError(f"selection must be a 0/1 mask or 1-d integer indices, "
+                     f"got dtype {sel.dtype} and shape {sel.shape}")
+
+
 def refit(data: Dataset, selection: np.ndarray, lam: float,
           support: np.ndarray | None = None, theta0: np.ndarray | None = None,
           max_iter: int = 20000, tol: float = 1e-8) -> np.ndarray:
     """Penalized least squares on the selected rows.
 
+    The selection is a 0/1 mask or row indices, as `_as_rows` reads it.
     Minimizes sum_selected (y_i - <X_i, theta>)^2 + lam (||theta||_1 + 1)^2
     by FISTA with the exact prox of the squared-plus-linear L1 penalty.
     With `support`, the regression runs on those columns only and the
@@ -339,14 +388,7 @@ def refit(data: Dataset, selection: np.ndarray, lam: float,
     stationarity residual (with the subgradient recovered as in the dual
     construction) is below tol * problem scale.
     """
-    selection = np.asarray(selection)
-    if selection.dtype == bool:
-        rows = np.flatnonzero(selection)
-    elif selection.ndim == 1 and selection.size == data.n and \
-            np.all((selection == 0) | (selection == 1)):
-        rows = np.flatnonzero(selection > 0.5)
-    else:
-        rows = np.asarray(selection, dtype=int)
+    rows = _as_rows(selection, data.n)
     if rows.size < 1:
         raise ValueError("selection must contain at least one sample")
     Xs = data.X[rows]

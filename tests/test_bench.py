@@ -115,6 +115,14 @@ def test_run_sweep_rejects_bad_invex_threads(tmp_path, monkeypatch, bad):
         run_sweep(tiny_cfg(tmp_path))
 
 
+@pytest.mark.parametrize("bad", [0, -4])
+def test_run_sweep_rejects_bad_worker_count(tmp_path, bad):
+    cfg = tiny_cfg(tmp_path)
+    with pytest.raises(ValueError, match=f"workers.*{bad}"):
+        run_sweep(cfg, workers=bad)
+    assert not (tmp_path / "out").exists()
+
+
 def _cli(*args):
     return subprocess.run([sys.executable, "-m", "invexreg.cli", *args],
                           capture_output=True, text=True)
@@ -133,6 +141,14 @@ def test_cli_usage_and_errors(tmp_path):
              "--lam", "1.0", "--cap", "3", "--out", str(tmp_path / "o.json"))
     assert r.returncode == 2
     assert "CombinatorialBlowup" in r.stderr
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"p": 6, "k": 2, "clean_count_rule": 24,
+                               "C_values": [0.4], "seeds": [0],
+                               "methods": ["lasso"],
+                               "output_dir": str(tmp_path / "sw")}))
+    r = _cli("sweep", "--config", str(cfg), "--workers", "-4")
+    assert r.returncode == 2
+    assert "workers must be a positive integer, got -4" in r.stderr
 
 
 def test_cli_pipeline(tmp_path):

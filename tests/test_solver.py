@@ -1,10 +1,12 @@
 import json
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from invexreg import solver
+from invexreg.bench import ExperimentConfig, lambda_from_m
 from invexreg.datagen import GenSpec, generate
 from invexreg.model import (CLEAN, Dataset, GroundTruthConfig, lift_parameter,
                             lift_sample, objective, sample_losses)
@@ -166,6 +168,28 @@ def test_refit_support_restriction_zero_pads():
     assert got[1] == 0.0 and got[3] == 0.0
 
 
+def two_row_dataset():
+    return Dataset(X=np.array([[1.0], [2.0]]), y=np.array([1.0, 50.0]),
+                   labels=np.array([CLEAN] * 2), r=2)
+
+
+def test_refit_index_array_is_not_a_mask():
+    data = two_row_dataset()
+    both = refit(data, np.array([True, True]), 0.1)
+    assert np.array_equal(refit(data, np.array([0, 1]), 0.1), both)
+    assert np.array_equal(refit(data, np.ones(2), 0.1), both)
+    assert not np.array_equal(refit(data, np.array([1]), 0.1), both)
+
+
+@pytest.mark.parametrize("bad", [np.array([1.0]), np.array([0.0, 2.0]),
+                                 np.array([True]), np.array([0, 2]),
+                                 np.array([-1]), np.zeros((2, 2), dtype=int),
+                                 np.array(["0", "1"])])
+def test_refit_rejects_malformed_selection(bad):
+    with pytest.raises(ValueError, match="selection"):
+        refit(two_row_dataset(), bad, 0.1)
+
+
 def test_solve_exactly_determined_noiseless():
     rng = np.random.default_rng(15)
     theta = np.array([0.7, -0.3])
@@ -255,3 +279,104 @@ def test_solve_invex_one_eigh_per_prox_step(monkeypatch):
     solve_invex(data, SolverConfig(m=4, lam=0.05, max_outer=10))
     assert counts["prox"] > 0
     assert counts["eigh"] <= counts["prox"]
+
+
+def test_far_step_probe_stops_after_losing_and_corners_skip_repair(monkeypatch):
+    """On this instance the far-step probe never beats the current objective
+    and every clipped corner is at most 1: the probe runs once per outer
+    round, and every corner-pinned candidate is PSD with corner exactly 1
+    without a call to project_psd_corner."""
+    probes, pinned, repairs = [], [], []
+    grad, prox, pin = solver.grad_vartheta, solver.prox_entrywise_l1, solver._pin_corner
+    repair = solver.project_psd_corner
+
+    def counting_grad(b, data):
+        probes.append(0)  # one gradient per outer round
+        return grad(b, data)
+
+    def counting_prox(M, tau):
+        if tau >= 1e6:  # lam = 1, so tau is the step; probe steps are >= 1e6
+            probes[-1] += 1
+        return prox(M, tau)
+
+    def recording_pin(P, iters, tol):
+        pinned.append(pin(P, iters, tol))
+        return pinned[-1]
+
+    def counting_repair(*args):
+        repairs.append(args)
+        return repair(*args)
+
+    monkeypatch.setattr(solver, "grad_vartheta", counting_grad)
+    monkeypatch.setattr(solver, "prox_entrywise_l1", counting_prox)
+    monkeypatch.setattr(solver, "_pin_corner", recording_pin)
+    monkeypatch.setattr(solver, "project_psd_corner", counting_repair)
+    res = solve_invex(tiny_instance(2), SolverConfig(m=4, lam=1.0))
+    assert res.outer_iters > 1
+    assert probes == [1] * res.outer_iters
+    assert repairs == []
+    assert len(pinned) > res.outer_iters
+    for Q in pinned:
+        assert Q[-1, -1] == 1.0
+        assert np.array_equal(Q, Q.T)
+        assert np.linalg.eigvalsh(Q)[0] >= -1e-9
+
+
+def test_pin_corner_repairs_corner_above_one(monkeypatch):
+    repair = solver.project_psd_corner
+    calls = []
+
+    def counting_repair(P, iters, tol):
+        calls.append(P[-1, -1])
+        return repair(P, iters, tol)
+
+    monkeypatch.setattr(solver, "project_psd_corner", counting_repair)
+    rng = np.random.default_rng(21)
+    B = rng.standard_normal((5, 5))
+    P = B @ B.T
+    P *= 3.0 / P[-1, -1]
+    Q = solver._pin_corner(P, 200, 1e-9)
+    assert calls == [P[-1, -1]] and P[-1, -1] > 1.0
+    assert np.array_equal(Q, repair(P, 200, 1e-9).V)
+    assert Q[-1, -1] == 1.0 and np.linalg.eigvalsh(Q)[0] >= -1e-9
+    # inside a solve, exactly the clipped corners above 1 reach the repair
+    calls.clear()
+    corners = []
+    pin = solver._pin_corner
+
+    def recording_pin(P, iters, tol):
+        corners.append(P[-1, -1])
+        return pin(P, iters, tol)
+
+    monkeypatch.setattr(solver, "_pin_corner", recording_pin)
+    solve_invex(tiny_instance(8), SolverConfig(m=4, lam=1.0))
+    assert len(calls) > 0
+    assert calls == [c for c in corners if c > 1.0]
+
+
+def test_pin_corner_rejects_non_finite():
+    P = 0.5 * np.eye(3)
+    P[0, 1] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        solver._pin_corner(P, 200, 1e-9)
+
+
+def test_solve_invex_pinned_output_fig2_p50_m484_seed0():
+    """Pins solve_invex on one fig2_p50 cell.  The expected values in
+    tests/data were recorded from an earlier commit (named in the file); a
+    change that claims to keep the solver's output must keep them."""
+    root = Path(__file__).resolve().parent
+    want = json.loads((root / "data" / "solve_pin_fig2_p50_m484_seed0.json").read_text())
+    cfg = ExperimentConfig.from_json(root.parent / want["config"])
+    cell = next(c for c in cfg.cells() if c["m"] == want["m"])
+    gt = GroundTruthConfig(p=cfg.p, k=cfg.k, M=cfg.m_budget, sigma_e=cfg.sigma_e)
+    data = generate(GenSpec(ground_truth=gt, r=cell["r"],
+                            n_outliers=cell["n_outliers"], seed=want["seed"],
+                            max_resamples=cfg.max_resamples, rho_min=cfg.rho_min))
+    res = solve_invex(data, SolverConfig(
+        m=want["m"], lam=lambda_from_m(want["m"], cfg.p, cfg.c_lambda),
+        tol_obj=cfg.tol_obj, max_outer=cfg.max_outer, seed=want["seed"]))
+    assert res.selection.tolist() == want["selection"]
+    assert res.outer_iters == want["outer_iters"]
+    assert len(res.objective_trace) == want["trace_len"]
+    assert np.abs(res.theta_hat - np.array(want["theta_hat"])).max() <= 1e-12
