@@ -7,9 +7,18 @@ onto the PSD-with-corner set.  A post-repair objective re-check keeps the
 trace monotone.  The reported parameter estimate always comes from re-
 fitting on the final selection.
 
-Two rules keep the V step from paying for candidates that cannot move the
-iterate, without changing what it returns:
+Three rules keep the V step from paying for work that cannot move the
+iterate.  The first may drop eigenvalues below a roundoff bound relative to
+the largest entry of the clipped matrix, but never changes whether a
+renormalized candidate exists; the other two change no bit of what the
+solver returns.
 
+- The PSD clip of each prox step is rank one in practice (the lift of theta
+  is [theta; 1][theta; 1]^T), so `_psd_clip` finds the top eigenpair by a
+  Rayleigh-quotient iteration warm-started from the previous clip's
+  eigenvector and certifies with one Cholesky factorization that no other
+  eigenvalue exceeds that bound.  Only an uncertified matrix, or one
+  smaller than 20 x 20, where `eigh` is cheaper, pays for a full `eigh`.
 - Within an outer round the far-step probe runs only until it first fails
   to beat the current objective.  Its step is at least 1e6, so with G fixed
   its renormalized point depends on V only through O(1/step) terms, and the
@@ -23,6 +32,7 @@ iterate, without changing what it returns:
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -49,7 +59,8 @@ class InfeasibleM(ValueError):
 
 
 class NonFinite(RuntimeError):
-    """Objective became non-finite; the step size configuration is bad."""
+    """Objective or V-step matrix became non-finite; the step size
+    configuration is bad."""
 
 
 @dataclass(frozen=True)
@@ -172,6 +183,76 @@ def _pin_corner(P: np.ndarray, iters: int, tol: float) -> np.ndarray:
     return project_psd_corner(P, iters, tol).V
 
 
+# Below this size one eigh costs less than the kernel's solves and
+# factorization (measured crossover: p+1 between 20 and 24).
+_PSD_CLIP_MIN_DIM = 20
+
+
+def _eigh_clip(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    w, U = np.linalg.eigh(S)
+    pos = w > 0.0
+    Up = U[:, pos]
+    return (Up * w[pos]) @ Up.T, U[:, -1]
+
+
+def _psd_clip(S: np.ndarray, u: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """PSD clip of a symmetric S, and a top eigenvector of S for the next call.
+
+    The clip is sum over positive eigenpairs of w v v^T.  `u` is a unit
+    warm start for the top eigenvector.  Up to four Rayleigh-quotient steps
+    refine it until ||S u - mu u|| <= 1e-12 max|S|, with mu = u^T S u.  The
+    clip is mu u u^T once a Cholesky factorization of
+    2 mu u u^T - S + delta I succeeds, with delta = 1e-13 (p+1) max|S|:
+    then every vector orthogonal to u has Rayleigh quotient below delta, so
+    every other eigenvalue is below delta (Courant-Fischer) and the mass
+    the clip drops has a corner below delta, up to the roundoff left in u.
+    The certificate is tried only when mu > 0 and the corner
+    c = mu u[-1]^2 is farther than (p+1) delta from `tol`, so that the
+    dropped mass cannot decide whether the clip's corner exceeds `tol`
+    (whether a renormalized candidate exists).
+
+    Anything else (a matrix smaller than `_PSD_CLIP_MIN_DIM`, mu <= 0, a
+    corner near `tol`, a singular or non-finite solve, no convergence, a
+    failed certificate) clips from the positive eigenpairs of `eigh`.
+    """
+    scale = float(np.abs(S).max())
+    if not np.isfinite(scale):
+        raise NonFinite("non-finite matrix in the V step")
+    n = S.shape[0]
+    if n < _PSD_CLIP_MIN_DIM:
+        return _eigh_clip(S)
+    delta = 1e-13 * n * scale
+    A = S.copy()
+    shifted = A.reshape(-1)[:: n + 1]  # view: the diagonal of A = S - mu I
+    for k in range(5):
+        Su = S @ u
+        mu = float(u @ Su)
+        r = Su - mu * u
+        if math.sqrt(r @ r) <= 1e-12 * scale:
+            if mu <= 0.0 or abs(mu * u[-1] ** 2 - tol) <= n * delta:
+                break
+            P = mu * np.outer(u, u)
+            T = 2.0 * P - S
+            T.reshape(-1)[:: n + 1] += delta
+            try:
+                np.linalg.cholesky(T)
+            except np.linalg.LinAlgError:
+                break
+            return P, u
+        if k == 4:
+            break
+        np.subtract(S.diagonal(), mu, out=shifted)
+        try:
+            x = np.linalg.solve(A, u)
+        except np.linalg.LinAlgError:
+            break
+        xx = float(x @ x)
+        if not 0.0 < xx < math.inf:  # also false for nan
+            break
+        u = x / math.sqrt(xx)
+    return _eigh_clip(S)
+
+
 def _initial_eta(G: np.ndarray, lam: float) -> float:
     gmax = float(np.linalg.eigvalsh(G)[-1]) if G.size else 1.0
     return 1.0 / (gmax + lam + 1e-12)
@@ -204,6 +285,8 @@ def solve_invex(data: Dataset, cfg: SolverConfig) -> SolveResult:
         raise NonFinite("objective not finite at initialization")
     trace = [obj]
 
+    u_top = np.zeros(data.p + 1)  # warm start of _psd_clip: V = e e^T at theta = 0
+    u_top[-1] = 1.0
     eta = None
     converged = False
     outer = 0
@@ -224,19 +307,19 @@ def solve_invex(data: Dataset, cfg: SolverConfig) -> SolveResult:
         def best_repair(step, pocs):
             """Feasible candidates from one prox step: corner renormalization
             of the PSD clip, plus the corner-pinned clip when `pocs`.  The
-            clip is rebuilt from the positive eigenpairs only.  Pinning a
-            clipped corner c <= 1 adds (1 - c) e e^T and stays PSD, so it
-            needs no Cholesky test; only c > 1 runs the alternating repair
-            (`_pin_corner`).  Returns None when no candidate exists
-            (renormalization-only call on a matrix whose clipped corner
-            vanishes).
+            clip comes from `_psd_clip`: mu u u^T once a Cholesky test
+            certifies that the top eigenpair (mu, u) is the only eigenpair
+            above a roundoff bound, else the positive eigenpairs of `eigh`;
+            u warm-starts the next clip.  A non-finite prox output raises
+            NonFinite there.  Pinning a clipped corner c <= 1 adds
+            (1 - c) e e^T and stays PSD, so it needs no Cholesky test; only
+            c > 1 runs the alternating repair (`_pin_corner`).
+            Returns None when no candidate exists (renormalization-only call
+            on a matrix whose clipped corner vanishes).
             """
+            nonlocal u_top
             Z = prox_entrywise_l1(V - step * G, step * lam)
-            S = 0.5 * (Z + Z.T)
-            w, U = np.linalg.eigh(S)
-            pos = w > 0.0
-            Up = U[:, pos]
-            P = (Up * w[pos]) @ Up.T
+            P, u_top = _psd_clip(0.5 * (Z + Z.T), u_top, cfg.psd_tol)
             cands = []
             c = P[-1, -1]
             if c > cfg.psd_tol:

@@ -349,7 +349,7 @@ def test_pin_corner_repairs_corner_above_one(monkeypatch):
         return pin(P, iters, tol)
 
     monkeypatch.setattr(solver, "_pin_corner", recording_pin)
-    solve_invex(tiny_instance(8), SolverConfig(m=4, lam=1.0))
+    solve_invex(tiny_instance(8), SolverConfig(m=4, lam=0.05))  # corners up to 1.05
     assert len(calls) > 0
     assert calls == [c for c in corners if c > 1.0]
 
@@ -361,12 +361,12 @@ def test_pin_corner_rejects_non_finite():
         solver._pin_corner(P, 200, 1e-9)
 
 
-def test_solve_invex_pinned_output_fig2_p50_m484_seed0():
+def _check_solve_pin(name):
     """Pins solve_invex on one fig2_p50 cell.  The expected values in
-    tests/data were recorded from an earlier commit (named in the file); a
-    change that claims to keep the solver's output must keep them."""
+    tests/data/<name> were recorded from an earlier commit (named in the
+    file); a change that claims to keep the solver's output must keep them."""
     root = Path(__file__).resolve().parent
-    want = json.loads((root / "data" / "solve_pin_fig2_p50_m484_seed0.json").read_text())
+    want = json.loads((root / "data" / name).read_text())
     cfg = ExperimentConfig.from_json(root.parent / want["config"])
     cell = next(c for c in cfg.cells() if c["m"] == want["m"])
     gt = GroundTruthConfig(p=cfg.p, k=cfg.k, M=cfg.m_budget, sigma_e=cfg.sigma_e)
@@ -380,3 +380,113 @@ def test_solve_invex_pinned_output_fig2_p50_m484_seed0():
     assert res.outer_iters == want["outer_iters"]
     assert len(res.objective_trace) == want["trace_len"]
     assert np.abs(res.theta_hat - np.array(want["theta_hat"])).max() <= 1e-12
+
+
+def test_solve_invex_pinned_output_fig2_p50_m484_seed0():
+    _check_solve_pin("solve_pin_fig2_p50_m484_seed0.json")  # converges in 16 rounds
+
+
+def test_solve_invex_pinned_output_fig2_p50_m122_seed0():
+    _check_solve_pin("solve_pin_fig2_p50_m122_seed0.json")  # churns for 54 rounds
+
+
+def _eigh_clip(S):
+    w, U = np.linalg.eigh(S)
+    Up = U[:, w > 0.0]
+    return (Up * w[w > 0.0]) @ Up.T, U[:, -1]
+
+
+def _sym_with_spectrum(rng, w):
+    Q, _ = np.linalg.qr(rng.standard_normal((w.size, w.size)))
+    S = (Q * w) @ Q.T
+    return 0.5 * (S + S.T), Q
+
+
+def test_psd_clip_rank_one_needs_no_eigh(monkeypatch):
+    def failing_eigh(*args, **kwargs):
+        raise AssertionError("eigh called")
+
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        w = np.concatenate([-rng.uniform(0.01, 2.0, 50), [rng.uniform(0.5, 5.0)]])
+        S, Q = _sym_with_spectrum(rng, w)
+        want, top = _eigh_clip(S)
+        u0 = Q[:, -1] + 0.05 * rng.standard_normal(51)
+        with monkeypatch.context() as mp:
+            mp.setattr(np.linalg, "eigh", failing_eigh)
+            P, u = solver._psd_clip(S, u0 / np.linalg.norm(u0), 1e-9)
+        assert np.abs(P - want).max() <= 1e-12 * np.linalg.norm(S, 2)
+        assert abs(abs(u @ top) - 1.0) <= 1e-12
+
+
+def test_psd_clip_two_positive_falls_back_to_eigh():
+    rng = np.random.default_rng(32)
+    S, Q = _sym_with_spectrum(rng, np.concatenate([-rng.uniform(0.1, 1.0, 22), [0.3, 2.0]]))
+    P, u = solver._psd_clip(S, Q[:, -1], 1e-9)
+    want, top = _eigh_clip(S)
+    assert np.array_equal(P, want)
+    assert np.array_equal(u, top)
+
+
+def test_psd_clip_negative_semidefinite_is_zero():
+    rng = np.random.default_rng(33)
+    S, Q = _sym_with_spectrum(rng, -rng.uniform(0.1, 1.0, 24))
+    P, _ = solver._psd_clip(S, Q[:, 0], 1e-9)
+    assert np.array_equal(P, np.zeros_like(S))
+
+
+@pytest.mark.parametrize("top", [-1e6, 1e6])
+def test_psd_clip_keeps_positive_mass_above_tol(top):
+    # the eigenvalue 1e-7 lies below the certificate's roundoff bound delta
+    # (2.4e-6 here), yet its clip has a corner above tol, so dropping it
+    # would lose the renormalized candidate; the kernel falls back to eigh
+    # and keeps it whether the warm-started top eigenvalue is negative or
+    # positive
+    S = np.diag([top] + [-1.0] * 22 + [1e-7])
+    P, _ = solver._psd_clip(S, np.eye(24)[0], 1e-9)
+    assert P[-1, -1] > 1e-9
+    assert np.array_equal(P, _eigh_clip(S)[0])
+
+
+def test_psd_clip_orthogonal_warm_start():
+    rng = np.random.default_rng(34)
+    S, Q = _sym_with_spectrum(rng, np.concatenate([-rng.uniform(0.05, 2.0, 23), [3.0]]))
+    P, u = solver._psd_clip(S, Q[:, 2], 1e-9)  # orthogonal to the top eigenvector
+    want, top = _eigh_clip(S)
+    assert np.abs(P - want).max() <= 1e-12 * np.linalg.norm(S, 2)
+    assert abs(abs(u @ top) - 1.0) <= 1e-12
+
+
+def test_psd_clip_small_matrix_is_eigh_clip():
+    # below _PSD_CLIP_MIN_DIM the kernel returns the eigh clip bit for bit
+    rng = np.random.default_rng(35)
+    S, Q = _sym_with_spectrum(rng, np.array([-1.0, -0.5, -0.2, -0.1, 2.0]))
+    P, u = solver._psd_clip(S, Q[:, -1], 1e-9)
+    want, top = _eigh_clip(S)
+    assert np.array_equal(P, want)
+    assert np.array_equal(u, top)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_psd_clip_rejects_non_finite(bad):
+    S = -np.eye(4)
+    S[1, 2] = S[2, 1] = bad
+    with pytest.raises(solver.NonFinite):
+        solver._psd_clip(S, np.eye(4)[-1], 1e-9)
+
+
+def test_solve_invex_non_finite_prox_output_raises(monkeypatch):
+    prox = solver.prox_entrywise_l1
+    calls = []
+
+    def poisoned_prox(M, tau):
+        Z = prox(M, tau)
+        if not calls:
+            Z[0, 0] = np.inf
+        calls.append(tau)
+        return Z
+
+    monkeypatch.setattr(solver, "prox_entrywise_l1", poisoned_prox)
+    with pytest.raises(solver.NonFinite):
+        solve_invex(tiny_instance(2), SolverConfig(m=4, lam=1.0))
+    assert len(calls) == 1
