@@ -172,7 +172,7 @@ def run_trial(cfg: ExperimentConfig, cell: dict, seed: int, method: str) -> tupl
         lam = lambda_from_m(m, cfg.p, cfg.c_lambda)
         if method == "invex":
             scfg = SolverConfig(m=m, lam=lam, tol_obj=cfg.tol_obj,
-                                max_outer=cfg.max_outer, seed=seed)
+                                max_outer=cfg.max_outer)
             res = solve_invex(data, scfg)
             theta = res.theta_hat
             row["mistakes_frac"] = clean_recovery_mistakes(res.b_rounded, data.labels, m)

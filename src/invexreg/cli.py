@@ -61,7 +61,6 @@ def _build_parser() -> _Parser:
     s.add_argument("--step-rule", choices=["backtracking", "fixed"],
                    default="backtracking")
     s.add_argument("--eta", type=float, default=None)
-    s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out", required=True)
 
     c = sub.add_parser("certify", help="build duals and evaluate KKT residuals")
@@ -117,7 +116,7 @@ def _cmd_solve(args) -> int:
         lam = lambda_from_m(args.m, data.p, args.c_lambda)
     cfg = SolverConfig(m=args.m, lam=lam, max_outer=args.max_outer,
                        max_inner=args.max_inner, tol_obj=args.tol_obj,
-                       step_rule=args.step_rule, eta=args.eta, seed=args.seed)
+                       step_rule=args.step_rule, eta=args.eta)
     res = solve_invex(data, cfg)
     _write_json(args.out, res.to_dict())
     print(f"wrote {args.out} (converged={res.converged}, "

@@ -76,7 +76,6 @@ class SolverConfig:
     tol_obj: float = 1e-8
     psd_iters: int = 200
     psd_tol: float = 1e-9
-    seed: int = 0
     theta_init: np.ndarray | None = None  # None = zeros
     refit_max_iter: int = 20000
     refit_tol: float = 1e-8
@@ -121,7 +120,7 @@ class SolveResult:
                 "max_inner": cfg.max_inner, "step_rule": cfg.step_rule,
                 "eta": cfg.eta, "beta": cfg.beta, "armijo_c": cfg.armijo_c,
                 "tol_obj": cfg.tol_obj, "psd_iters": cfg.psd_iters,
-                "psd_tol": cfg.psd_tol, "seed": cfg.seed,
+                "psd_tol": cfg.psd_tol,
             },
         }
 

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from invexreg.baselines import (BaselineConfig, adaptive_huber_lasso, lasso,
-                                trimmed_lasso)
+from invexreg.baselines import (BaselineConfig, _fista_lasso, adaptive_huber_lasso,
+                                lasso, trimmed_lasso)
 from invexreg.datagen import GenSpec, generate
 from invexreg.model import CLEAN, OUTLIER, Dataset, GroundTruthConfig
 
@@ -14,11 +14,15 @@ def clean_data(rng, n=30, p=4, theta=None, sigma_e=0.1):
     return Dataset(X=X, y=y, labels=np.array([CLEAN] * n), theta_star=theta, r=n)
 
 
-def _lasso_cd(X, y, lam, iters=20000, tol=1e-12):
-    """Independent coordinate-descent solver for sum r^2 + lam ||theta||_1."""
+def _lasso_cd(X, y, lam, iters=20000, tol=1e-12, sample_weights=None,
+              weights=None):
+    """Independent coordinate-descent solver for
+    sum_i w_i r_i^2 + lam sum_j weights_j |theta_j| (w and weights default to one)."""
     n, p = X.shape
+    sw = np.ones(n) if sample_weights is None else np.asarray(sample_weights, float)
+    lam_j = lam * (np.ones(p) if weights is None else np.asarray(weights, float))
     theta = np.zeros(p)
-    col_sq = (X * X).sum(axis=0)
+    col_sq = (sw[:, None] * X * X).sum(axis=0)
     r = y.copy()
     for _ in range(iters):
         delta = 0.0
@@ -26,8 +30,8 @@ def _lasso_cd(X, y, lam, iters=20000, tol=1e-12):
             if col_sq[j] == 0.0:
                 continue
             old = theta[j]
-            rho = X[:, j] @ r + col_sq[j] * old
-            new = np.sign(rho) * max(abs(rho) - lam / 2.0, 0.0) / col_sq[j]
+            rho = (sw * X[:, j]) @ r + col_sq[j] * old
+            new = np.sign(rho) * max(abs(rho) - lam_j[j] / 2.0, 0.0) / col_sq[j]
             if new != old:
                 r += X[:, j] * (old - new)
                 theta[j] = new
@@ -162,3 +166,75 @@ def test_baseline_config_validation():
         BaselineConfig(huber_delta=0.0)
     with pytest.raises(ValueError):
         BaselineConfig(trim_count=-1)
+    for kwargs, field in (({"max_iters": 0}, "max_iters"),
+                          ({"max_iters": -3}, "max_iters"),
+                          ({"tol": 0.0}, "tol"),
+                          ({"tol": -1.0}, "tol"),
+                          ({"tol": float("nan")}, "tol"),
+                          ({"tol": float("inf")}, "tol"),
+                          ({"lam": float("nan")}, "lam"),
+                          ({"lam": float("inf")}, "lam")):
+        with pytest.raises(ValueError, match=field):
+            BaselineConfig(**kwargs)
+
+
+@pytest.mark.parametrize("n,p", [(40, 6), (8, 15)])
+def test_fista_weighted_matches_weighted_coordinate_descent(n, p):
+    """The Gram-form loop with sample and coordinate weights solves the same
+    problem as an independent weighted coordinate descent, for n > p and n < p."""
+    rng = np.random.default_rng(12 + p)
+    X = rng.standard_normal((n, p))
+    theta = np.zeros(p)
+    theta[:3] = [1.5, -1.0, 0.5]
+    y = X @ theta + 0.1 * rng.standard_normal(n)
+    sw = rng.uniform(0.2, 2.0, n)
+    cw = rng.uniform(0.5, 2.0, p)
+    lam = 0.8
+    th_f = _fista_lasso(X, y, lam, weights=cw, sample_weights=sw)
+    th_c = _lasso_cd(X, y, lam, sample_weights=sw, weights=cw)
+    assert np.count_nonzero(th_c) > 0
+    assert np.abs(th_f - th_c).max() <= 1e-8
+
+
+def test_baselines_make_no_svd_call(monkeypatch):
+    def no_svd(*args, **kwargs):
+        raise AssertionError("numpy.linalg.svd called")
+
+    # norm(X, 2) looks svd up in numpy's private linalg module
+    private = getattr(np.linalg, "_linalg", None) or np.linalg.linalg
+    for module in (np.linalg, private):
+        monkeypatch.setattr(module, "svd", no_svd)
+    data = generate(GenSpec(
+        ground_truth=GroundTruthConfig(p=5, k=2, M=2.2, sigma_e=0.1),
+        r=25, n_outliers=8, seed=11))
+    cfg = BaselineConfig(lam=0.6, trim_count=8)
+    lasso(data, cfg)
+    adaptive_huber_lasso(data, cfg)
+    trimmed_lasso(data, cfg)
+
+
+@pytest.mark.parametrize("where", ["y", "X"])
+@pytest.mark.parametrize("method", ["lasso", "adahuber", "trimmed"])
+def test_baselines_reject_non_finite_data(method, where):
+    rng = np.random.default_rng(13)
+    data = clean_data(rng)
+    X, y = data.X.copy(), data.y.copy()
+    if where == "y":
+        y[3] = np.nan
+    else:
+        X[2, 1] = np.inf
+    bad = Dataset(X=X, y=y, labels=data.labels, theta_star=data.theta_star, r=data.r)
+    cfg = BaselineConfig(lam=0.5, trim_count=3)
+    run = {"lasso": lasso, "adahuber": adaptive_huber_lasso,
+           "trimmed": trimmed_lasso}[method]
+    with pytest.raises(ValueError, match=f"^{where} must be finite"):
+        run(bad, cfg)
+
+
+def test_fista_rejects_non_finite_sample_weights():
+    rng = np.random.default_rng(14)
+    data = clean_data(rng)
+    sw = np.ones(data.n)
+    sw[0] = np.nan
+    with pytest.raises(ValueError, match="sample weights must be finite"):
+        _fista_lasso(data.X, data.y, 0.5, sample_weights=sw)

@@ -375,7 +375,7 @@ def _check_solve_pin(name):
                             max_resamples=cfg.max_resamples, rho_min=cfg.rho_min))
     res = solve_invex(data, SolverConfig(
         m=want["m"], lam=lambda_from_m(want["m"], cfg.p, cfg.c_lambda),
-        tol_obj=cfg.tol_obj, max_outer=cfg.max_outer, seed=want["seed"]))
+        tol_obj=cfg.tol_obj, max_outer=cfg.max_outer))
     assert res.selection.tolist() == want["selection"]
     assert res.outer_iters == want["outer_iters"]
     assert len(res.objective_trace) == want["trace_len"]
