@@ -11,6 +11,14 @@ once, so an iteration costs a p x p matvec instead of two n x p ones, and
 the step 1/L comes from the top eigenvalue of H (L = 2 lambda_max(H))
 instead of an SVD of the n x p design (the covariance update of Friedman,
 Hastie & Tibshirani 2010, applied to Beck & Teboulle's FISTA).
+
+`_fista_lasso` starts from theta = 0 unless it is given a start point
+`theta0`.  The lasso method and the stage-0 fit of the adaptive Huber lasso
+start cold; every later IRLS pass of the adaptive Huber lasso, and every
+trimmed round after the first, starts from the theta of the previous solve,
+which differs from the new problem's solution only through a small change
+in the sample weights or the kept set (the warm starts of pathwise solvers,
+Friedman, Hastie & Tibshirani 2010).
 """
 
 from __future__ import annotations
@@ -37,8 +45,9 @@ class BaselineConfig:
     def __post_init__(self):
         if not (np.isfinite(self.lam) and self.lam >= 0):
             raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
-        if self.huber_delta is not None and self.huber_delta <= 0:
-            raise ValueError("huber_delta must be positive")
+        if self.huber_delta is not None and not (np.isfinite(self.huber_delta)
+                                                 and self.huber_delta > 0):
+            raise ValueError(f"huber_delta must be finite and > 0, got {self.huber_delta}")
         if self.trim_count < 0:
             raise ValueError("trim_count must be >= 0")
         if self.max_iters < 1:
@@ -48,21 +57,28 @@ class BaselineConfig:
 
 
 def _fista_lasso(X, y, lam, weights=None, max_iters=5000, tol=1e-10,
-                 sample_weights=None):
+                 sample_weights=None, theta0=None):
     """min sum w_i (y_i - <X_i, theta>)^2 + sum_j lam_j |theta_j|.
 
     lam_j = lam * weights_j (weights default to one).  Plain FISTA with
-    adaptive restart from theta = 0; the stopping rule is the subgradient
-    residual, checked every 10 iterations against tol * (1 + lam).  The
-    loop runs on the Gram form: with W = diag(w), H = X^T W X and
-    b = X^T W y are formed once, the gradient is 2 (H theta - b) and the
-    step is 1/L with L = 2 * eigvalsh(H)[-1].  An all-zero design (L <= 0)
-    returns zeros.  Non-finite X, y or sample weights raise ValueError.
+    adaptive restart from theta0 (default zeros); the stopping rule is the
+    subgradient residual, checked every 10 iterations against
+    tol * (1 + lam).  The loop runs on the Gram form: with W = diag(w),
+    H = X^T W X and b = X^T W y are formed once, the gradient is
+    2 (H theta - b) and the step is 1/L with L = 2 * eigvalsh(H)[-1].  An
+    all-zero design (L <= 0) returns zeros.  Non-finite X, y, sample
+    weights, coordinate weights or theta0, negative coordinate weights and
+    a theta0 that is not of length p raise ValueError.
     """
     p = X.shape[1]
-    for name, arr in (("X", X), ("y", y), ("sample weights", sample_weights)):
+    for name, arr in (("X", X), ("y", y), ("sample weights", sample_weights),
+                      ("weights", weights), ("theta0", theta0)):
         if arr is not None and not np.all(np.isfinite(arr)):
             raise ValueError(f"{name} must be finite")
+    if weights is not None and np.any(np.asarray(weights) < 0):
+        raise ValueError("weights must be >= 0")
+    if theta0 is not None and np.shape(theta0) != (p,):
+        raise ValueError(f"theta0 must have shape ({p},), got {np.shape(theta0)}")
     if sample_weights is not None:
         sw = np.sqrt(sample_weights)
         X = X * sw[:, None]
@@ -74,7 +90,7 @@ def _fista_lasso(X, y, lam, weights=None, max_iters=5000, tol=1e-10,
     if L <= 0:
         return np.zeros(p)
     step = 1.0 / L
-    theta = np.zeros(p)
+    theta = np.zeros(p) if theta0 is None else np.array(theta0, dtype=float)
     z = theta.copy()
     t_acc = 1.0
     for it in range(max_iters):
@@ -139,7 +155,7 @@ def adaptive_huber_lasso(data: Dataset, cfg: BaselineConfig) -> np.ndarray:
             w = _huber_weights(y - X @ th, delta)
             th_new = _fista_lasso(X, y, cfg.lam, weights=coord_weights,
                                   max_iters=cfg.max_iters, tol=cfg.tol,
-                                  sample_weights=w)
+                                  sample_weights=w, theta0=th)
             if np.linalg.norm(th_new - th) <= 1e-9 * (1.0 + np.linalg.norm(th)):
                 return th_new
             th = th_new
@@ -178,11 +194,11 @@ def trimmed_lasso(data: Dataset, cfg: BaselineConfig) -> tuple[np.ndarray, np.nd
     kept = np.ones(n, dtype=bool)
     if cfg.trim_count == 0:
         return lasso(data, cfg), kept
-    theta = np.zeros(data.p)
+    theta = None  # the first round starts cold, later ones from the last theta
     seen = []
     for _ in range(cfg.max_iters):
         theta = _fista_lasso(data.X[kept], data.y[kept], cfg.lam,
-                             max_iters=cfg.max_iters, tol=cfg.tol)
+                             max_iters=cfg.max_iters, tol=cfg.tol, theta0=theta)
         resid = np.abs(data.y - data.X @ theta)
         order = np.argsort(resid, kind="stable")
         new_kept = np.zeros(n, dtype=bool)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from invexreg import baselines
 from invexreg.baselines import (BaselineConfig, _fista_lasso, adaptive_huber_lasso,
                                 lasso, trimmed_lasso)
 from invexreg.datagen import GenSpec, generate
@@ -173,15 +174,14 @@ def test_baseline_config_validation():
                           ({"tol": float("nan")}, "tol"),
                           ({"tol": float("inf")}, "tol"),
                           ({"lam": float("nan")}, "lam"),
-                          ({"lam": float("inf")}, "lam")):
+                          ({"lam": float("inf")}, "lam"),
+                          ({"huber_delta": float("nan")}, "huber_delta"),
+                          ({"huber_delta": float("inf")}, "huber_delta")):
         with pytest.raises(ValueError, match=field):
             BaselineConfig(**kwargs)
 
 
-@pytest.mark.parametrize("n,p", [(40, 6), (8, 15)])
-def test_fista_weighted_matches_weighted_coordinate_descent(n, p):
-    """The Gram-form loop with sample and coordinate weights solves the same
-    problem as an independent weighted coordinate descent, for n > p and n < p."""
+def weighted_problem(n, p):
     rng = np.random.default_rng(12 + p)
     X = rng.standard_normal((n, p))
     theta = np.zeros(p)
@@ -189,11 +189,86 @@ def test_fista_weighted_matches_weighted_coordinate_descent(n, p):
     y = X @ theta + 0.1 * rng.standard_normal(n)
     sw = rng.uniform(0.2, 2.0, n)
     cw = rng.uniform(0.5, 2.0, p)
+    return rng, X, y, sw, cw
+
+
+@pytest.mark.parametrize("n,p", [(40, 6), (8, 15)])
+def test_fista_weighted_matches_weighted_coordinate_descent(n, p):
+    """The Gram-form loop with sample and coordinate weights solves the same
+    problem as an independent weighted coordinate descent, for n > p and n < p."""
+    _, X, y, sw, cw = weighted_problem(n, p)
     lam = 0.8
     th_f = _fista_lasso(X, y, lam, weights=cw, sample_weights=sw)
     th_c = _lasso_cd(X, y, lam, sample_weights=sw, weights=cw)
     assert np.count_nonzero(th_c) > 0
     assert np.abs(th_f - th_c).max() <= 1e-8
+
+
+@pytest.mark.parametrize("n,p", [(40, 6), (8, 15)])
+def test_fista_from_random_start_matches_coordinate_descent(n, p):
+    """A start point changes where FISTA begins, not the minimizer it reaches."""
+    rng, X, y, sw, cw = weighted_problem(n, p)
+    lam = 0.8
+    theta0 = 3.0 * rng.standard_normal(p)
+    th_f = _fista_lasso(X, y, lam, weights=cw, sample_weights=sw, theta0=theta0)
+    th_c = _lasso_cd(X, y, lam, sample_weights=sw, weights=cw)
+    assert np.count_nonzero(th_c) > 0
+    assert np.abs(th_f - th_c).max() <= 1e-8
+
+
+def test_fista_started_at_its_solution_stays_there():
+    """One iteration from the cold-start solution moves it by at most a step
+    times the stopping residual, tol * (1 + lam) / L."""
+    _, X, y, sw, cw = weighted_problem(40, 6)
+    lam, tol = 0.8, 1e-8
+    theta = _fista_lasso(X, y, lam, weights=cw, sample_weights=sw, tol=tol)
+    again = _fista_lasso(X, y, lam, weights=cw, sample_weights=sw, tol=tol,
+                         max_iters=1, theta0=theta)
+    Xw = X * np.sqrt(sw)[:, None]
+    L = 2.0 * np.linalg.eigvalsh(Xw.T @ Xw)[-1]
+    assert np.count_nonzero(theta) > 0
+    assert np.abs(again - theta).max() <= tol * (1.0 + lam) / L + 1e-14
+
+
+@pytest.mark.parametrize("method", ["adahuber", "trimmed"])
+def test_repeated_solves_start_from_the_previous_theta(monkeypatch, method):
+    """The first lasso solve starts cold; every later one (each adahuber IRLS
+    pass after stage 0, each trimmed round after the first) starts from the
+    theta the previous solve returned."""
+    data = generate(GenSpec(
+        ground_truth=GroundTruthConfig(p=8, k=3, M=2.2, sigma_e=0.1),
+        r=40, n_outliers=20, seed=15))
+    cfg = BaselineConfig(lam=0.6, trim_count=20)
+    calls = []
+
+    def recording(*args, **kwargs):
+        theta = _fista_lasso(*args, **kwargs)
+        calls.append((kwargs.get("theta0"), theta))
+        return theta
+
+    monkeypatch.setattr(baselines, "_fista_lasso", recording)
+    if method == "adahuber":
+        adaptive_huber_lasso(data, cfg)
+    else:
+        trimmed_lasso(data, cfg)
+    assert len(calls) >= 3
+    assert calls[0][0] is None
+    for (_, previous), (start, _) in zip(calls, calls[1:]):
+        assert start is not None and np.array_equal(start, previous)
+
+
+@pytest.mark.parametrize("kwargs,match", [
+    ({"theta0": np.zeros(3)}, "theta0 must have shape"),
+    ({"theta0": np.zeros((4, 1))}, "theta0 must have shape"),
+    ({"theta0": np.array([0.0, np.nan, 0.0, 0.0])}, "theta0 must be finite"),
+    ({"weights": np.array([1.0, np.nan, 1.0, 1.0])}, "^weights must be finite"),
+    ({"weights": np.array([1.0, -1.0, 1.0, 1.0])}, "^weights must be >= 0"),
+])
+def test_fista_validates_start_point_and_coordinate_weights(kwargs, match):
+    rng = np.random.default_rng(16)
+    data = clean_data(rng)
+    with pytest.raises(ValueError, match=match):
+        _fista_lasso(data.X, data.y, 0.5, **kwargs)
 
 
 def test_baselines_make_no_svd_call(monkeypatch):

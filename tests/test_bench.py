@@ -100,6 +100,20 @@ def test_run_sweep_outputs_and_determinism(tmp_path):
     assert (tmp_path / "a" / "timings.csv").exists()
 
 
+def test_run_sweep_baselines_deterministic_across_workers(tmp_path):
+    """The baselines' warm-started lasso solves give the same bytes whether
+    the trials run in-process or on a pool, at a size where every method
+    runs many FISTA solves."""
+    kw = dict(p=20, k=3, clean_count_rule=100, C_values=(0.6, 1.0),
+              methods=("lasso", "adahuber", "trimmed"), seeds=(0, 1))
+    run_sweep(tiny_cfg(tmp_path, output_dir=str(tmp_path / "a"), **kw), workers=1)
+    out = run_sweep(tiny_cfg(tmp_path, output_dir=str(tmp_path / "b"), **kw), workers=2)
+    assert len(out["rows"]) == 2 * 2 * 3
+    assert all(not r["error"] for r in out["rows"])
+    for name in ("results.csv", "aggregate.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
 def test_run_sweep_records_cell_failures(tmp_path):
     # impossible margin makes generation fail; the row carries the error tag
     cfg = tiny_cfg(tmp_path, rho_min=1e9, max_resamples=2,
