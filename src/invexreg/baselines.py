@@ -5,12 +5,12 @@ The adaptive and trimmed variants approximate the published methods they
 stand in for (documented as *-proxy in benchmark output); they exist as
 comparison curves, not reference implementations.
 
-All three solve their weighted lasso problems with one FISTA loop,
-`_fista_lasso`, in Gram form: each call forms H = X^T W X and b = X^T W y
-once, so an iteration costs a p x p matvec instead of two n x p ones, and
-the step 1/L comes from the top eigenvalue of H (L = 2 lambda_max(H))
-instead of an SVD of the n x p design (the covariance update of Friedman,
-Hastie & Tibshirani 2010, applied to Beck & Teboulle's FISTA).
+All three solve their weighted lasso problems with `_fista_lasso`, which
+passes the soft threshold to the FISTA loop the refit also runs,
+`solver._fista`.  Each call forms H = X^T W X and b = X^T W y once, so an
+iteration costs a p x p matvec instead of two n x p ones, and the step
+comes from the top eigenvalue of H instead of an SVD of the n x p design
+(the covariance update of Friedman, Hastie & Tibshirani 2010).
 
 `_fista_lasso` starts from theta = 0 unless it is given a start point
 `theta0`.  The lasso method and the stage-0 fit of the adaptive Huber lasso
@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Dataset
+from .solver import _check_finite, _fista
 
 __all__ = ["BaselineConfig", "lasso", "adaptive_huber_lasso", "trimmed_lasso"]
 
@@ -60,21 +61,15 @@ def _fista_lasso(X, y, lam, weights=None, max_iters=5000, tol=1e-10,
                  sample_weights=None, theta0=None):
     """min sum w_i (y_i - <X_i, theta>)^2 + sum_j lam_j |theta_j|.
 
-    lam_j = lam * weights_j (weights default to one).  Plain FISTA with
-    adaptive restart from theta0 (default zeros); the stopping rule is the
-    subgradient residual, checked every 10 iterations against
-    tol * (1 + lam).  The loop runs on the Gram form: with W = diag(w),
-    H = X^T W X and b = X^T W y are formed once, the gradient is
-    2 (H theta - b) and the step is 1/L with L = 2 * eigvalsh(H)[-1].  An
-    all-zero design (L <= 0) returns zeros.  Non-finite X, y, sample
+    lam_j = lam * weights_j (weights default to one).  `solver._fista` from
+    theta0 (default zeros) on H = X^T W X, W = diag(w); it stops when the
+    subgradient residual is below tol * (1 + lam).  Non-finite X, y, sample
     weights, coordinate weights or theta0, negative coordinate weights and
     a theta0 that is not of length p raise ValueError.
     """
     p = X.shape[1]
-    for name, arr in (("X", X), ("y", y), ("sample weights", sample_weights),
-                      ("weights", weights), ("theta0", theta0)):
-        if arr is not None and not np.all(np.isfinite(arr)):
-            raise ValueError(f"{name} must be finite")
+    _check_finite(("X", X), ("y", y), ("sample weights", sample_weights),
+                  ("weights", weights), ("theta0", theta0))
     if weights is not None and np.any(np.asarray(weights) < 0):
         raise ValueError("weights must be >= 0")
     if theta0 is not None and np.shape(theta0) != (p,):
@@ -83,37 +78,19 @@ def _fista_lasso(X, y, lam, weights=None, max_iters=5000, tol=1e-10,
         sw = np.sqrt(sample_weights)
         X = X * sw[:, None]
         y = y * sw
-    H = X.T @ X
-    b = X.T @ y
     lam_j = np.full(p, lam) if weights is None else lam * np.asarray(weights, float)
-    L = 2.0 * float(np.linalg.eigvalsh(H)[-1])
-    if L <= 0:
-        return np.zeros(p)
-    step = 1.0 / L
+
+    def soft_threshold(v, step):
+        return np.sign(v) * np.maximum(np.abs(v) - step * lam_j, 0.0)
+
+    def converged(theta, g):
+        resid = np.where(theta != 0.0,
+                         np.abs(g + lam_j * np.sign(theta)),
+                         np.maximum(np.abs(g) - lam_j, 0.0))
+        return resid.max(initial=0.0) <= tol * (1.0 + lam)
+
     theta = np.zeros(p) if theta0 is None else np.array(theta0, dtype=float)
-    z = theta.copy()
-    t_acc = 1.0
-    for it in range(max_iters):
-        g = 2.0 * (H @ z - b)
-        w = z - step * g
-        theta_new = np.sign(w) * np.maximum(np.abs(w) - step * lam_j, 0.0)
-        if np.dot(z - theta_new, theta_new - theta) > 0:  # restart
-            z = theta.copy()
-            t_acc = 1.0
-            g = 2.0 * (H @ z - b)
-            w = z - step * g
-            theta_new = np.sign(w) * np.maximum(np.abs(w) - step * lam_j, 0.0)
-        t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_acc * t_acc))
-        z = theta_new + ((t_acc - 1.0) / t_new) * (theta_new - theta)
-        theta, t_acc = theta_new, t_new
-        if it % 10 == 0:
-            g = 2.0 * (H @ theta - b)
-            resid = np.where(theta != 0.0,
-                             np.abs(g + lam_j * np.sign(theta)),
-                             np.maximum(np.abs(g) - lam_j, 0.0))
-            if resid.max(initial=0.0) <= tol * (1.0 + lam):
-                break
-    return theta
+    return _fista(X.T @ X, X.T @ y, theta, soft_threshold, converged, max_iters)
 
 
 def lasso(data: Dataset, cfg: BaselineConfig) -> np.ndarray:

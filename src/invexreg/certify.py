@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CLEAN, Dataset, Vartheta, lift_parameter, sample_losses
+from .model import CLEAN, Dataset, Vartheta, lift_parameter, lifted_gram, sample_losses
 from .projections import BFeasibleSet, project_b
 from .solver import _as_rows, _recover_subgradient
 
@@ -140,23 +140,6 @@ class AssumptionReport:
         return json.dumps(self.to_dict(), **kwargs)
 
 
-def _sum_lifted(X_sub: np.ndarray, y: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """sum over rows of the restricted lifted matrices, assembled blockwise.
-
-    Shared by the dual construction and the residual evaluation so the
-    matrix-stationarity identity cancels exactly in floating point.
-    """
-    Xs = X_sub[rows]
-    ys = y[rows]
-    k = Xs.shape[1]
-    S = np.empty((k + 1, k + 1))
-    S[:k, :k] = Xs.T @ Xs
-    S[:k, k] = -(Xs.T @ ys)
-    S[k, :k] = S[:k, k]
-    S[k, k] = ys @ ys
-    return S
-
-
 def build_duals(data: Dataset, selection: np.ndarray, theta_under: np.ndarray,
                 lam: float, support: np.ndarray, tol: float = 1e-8) -> DualCertificate:
     """Closed-form dual variables for a candidate (selection, parameter) pair.
@@ -166,20 +149,20 @@ def build_duals(data: Dataset, selection: np.ndarray, theta_under: np.ndarray,
     absorb the per-sample slack; the matrix dual is defined to cancel the
     matrix-stationarity condition identically.
     """
-    support = np.asarray(support, dtype=int)
+    support = _as_rows(support, data.p)
     if support.size == 0 and lam > 0:
         raise EmptySupport("empty support with an active regularizer")
     theta_under = np.asarray(theta_under, dtype=float)
     if theta_under.shape != (support.size,):
         raise ValueError("theta_under must match the support size")
     rows = _as_rows(selection, data.n)
+    b = np.zeros(data.n)
+    b[rows] = 1.0
+    unsel_mask = b == 0.0
 
     X_sub = data.X[:, support]
     vu = lift_parameter(theta_under).V
     losses = sample_losses(X_sub, data.y, vu)
-
-    unsel_mask = np.ones(data.n, dtype=bool)
-    unsel_mask[rows] = False
     lo = float(losses[rows].max()) if rows.size else 0.0
     hi = float(losses[unsel_mask].min()) if unsel_mask.any() else np.inf
     interval_ok = lo <= hi + tol
@@ -194,7 +177,8 @@ def build_duals(data: Dataset, selection: np.ndarray, theta_under: np.ndarray,
     omega, clip_count = _recover_subgradient(theta_under, g_support, lam)
     zeta = np.outer(np.concatenate([omega, [1.0]]), np.concatenate([omega, [1.0]]))
 
-    S_A = _sum_lifted(X_sub, data.y, rows)
+    # the same call as in kkt_residuals, so matrix stationarity cancels exactly
+    S_A = lifted_gram(X_sub, data.y, b)
     mu_corner = -float(((S_A + lam * zeta) * vu).sum())
     Lambda = S_A + lam * zeta
     Lambda[-1, -1] += mu_corner
@@ -227,7 +211,7 @@ def kkt_residuals(cert: DualCertificate, data: Dataset, selection: np.ndarray,
 
     stationarity_b = np.abs(losses - cert.beta + cert.gamma - cert.nu)
 
-    S_A = _sum_lifted(X_sub, data.y, rows)
+    S_A = lifted_gram(X_sub, data.y, b)
     mu = np.zeros_like(cert.Lambda)
     mu[-1, -1] = cert.mu_corner
     stationarity_vartheta = np.linalg.norm(S_A + lam * cert.zeta - cert.Lambda + mu)
@@ -373,18 +357,11 @@ def invexity_gap(data: Dataset, b: np.ndarray, V: np.ndarray,
     feasible domain.
     """
     X, y = data.X, data.y
-    p = data.p
     lv, lvb = sample_losses(X, y, V), sample_losses(X, y, Vb)
     xi = lv / lvb
     eta_b = xi * (b - bb)
     dV = V - Vb
-    Gb = np.empty((p + 1, p + 1))   # sum_i bb_i A_i, blockwise
-    Xw = X * bb[:, None]
-    Gb[:p, :p] = Xw.T @ X
-    by = bb * y
-    Gb[:p, p] = -(X.T @ by)
-    Gb[p, :p] = Gb[:p, p]
-    Gb[p, p] = by @ y
+    Gb = lifted_gram(X, y, bb)
     bilinear = float(b @ lv - bb @ lvb - eta_b @ lvb - (dV * Gb).sum())
     grad_pen = Gb + lam * np.sign(Vb)
     gap = float(b @ lv + lam * np.abs(V).sum()

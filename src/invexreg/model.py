@@ -31,6 +31,7 @@ __all__ = [
     "lift_parameter",
     "extract_theta",
     "sample_losses",
+    "lifted_gram",
     "objective",
     "save_dataset",
     "load_dataset",
@@ -216,6 +217,21 @@ def sample_losses(X: np.ndarray, y: np.ndarray, V: np.ndarray) -> np.ndarray:
     v = V[:-1, -1]
     quad = ((X @ V11) * X).sum(axis=1)
     return quad - 2.0 * y * (X @ v) + (y * y) * V[-1, -1]
+
+
+def lifted_gram(X: np.ndarray, y: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_i b_i A_i, assembled blockwise and symmetrized exactly: the
+    adjoint of `sample_losses`, <lifted_gram(X, y, b), V> = b @ sample_losses(X, y, V)."""
+    b = np.asarray(b, dtype=float)
+    p = X.shape[1]
+    G = np.empty((p + 1, p + 1))
+    Xw = X * b[:, None]
+    G[:p, :p] = Xw.T @ X
+    by = b * y
+    G[:p, p] = -(X.T @ by)
+    G[p, :p] = G[:p, p]
+    G[p, p] = by @ y
+    return 0.5 * (G + G.T)
 
 
 def objective(b: np.ndarray, vartheta: Vartheta, data: Dataset, lam: float) -> float:

@@ -7,6 +7,11 @@ onto the PSD-with-corner set.  A post-repair objective re-check keeps the
 trace monotone.  The reported parameter estimate always comes from re-
 fitting on the final selection.
 
+The refit and the baselines' lasso solves share one FISTA loop, `_fista`,
+on the Gram form; they differ only in the prox and the stopping residual
+they pass.  The V gradient sum_i b_i A_i is `model.lifted_gram`, which the
+dual certificate also uses.
+
 Three rules keep the V step from paying for work that cannot move the
 iterate.  The first may drop eigenvalues below a roundoff bound relative to
 the largest entry of the clipped matrix, but never changes whether a
@@ -38,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Dataset, Vartheta, extract_theta, lift_parameter, sample_losses
+from .model import Dataset, Vartheta, extract_theta, lift_parameter, lifted_gram, sample_losses
 from .projections import project_psd_corner, prox_entrywise_l1
 
 __all__ = [
@@ -76,9 +81,6 @@ class SolverConfig:
     tol_obj: float = 1e-8
     psd_iters: int = 200
     psd_tol: float = 1e-9
-    theta_init: np.ndarray | None = None  # None = zeros
-    refit_max_iter: int = 20000
-    refit_tol: float = 1e-8
 
     def __post_init__(self):
         if self.lam < 0:
@@ -129,20 +131,10 @@ class SolveResult:
 
 
 def grad_vartheta(b: np.ndarray, data: Dataset) -> np.ndarray:
-    """Gradient of the smooth part in V: sum_i b_i A_i, assembled blockwise."""
-    b = np.asarray(b, dtype=float)
+    """Gradient of the smooth part in V: sum_i b_i A_i (`lifted_gram`)."""
     if not np.all(np.isfinite(b)):
         raise ValueError("non-finite b")
-    X, y = data.X, data.y
-    p = data.p
-    G = np.empty((p + 1, p + 1))
-    Xw = X * b[:, None]
-    G[:p, :p] = Xw.T @ X
-    by = b * y
-    G[:p, p] = -(X.T @ by)
-    G[p, :p] = G[:p, p]
-    G[p, p] = by @ y
-    return 0.5 * (G + G.T)
+    return lifted_gram(data.X, data.y, b)
 
 
 def _select(losses: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -269,8 +261,7 @@ def solve_invex(data: Dataset, cfg: SolverConfig) -> SolveResult:
     lam = cfg.lam
     X, y = data.X, data.y
 
-    theta0 = np.zeros(data.p) if cfg.theta_init is None else np.asarray(cfg.theta_init, float)
-    V = lift_parameter(theta0).V
+    V = lift_parameter(np.zeros(data.p)).V
 
     losses = sample_losses(X, y, V)
     b, sel = _select(losses, cfg.m)
@@ -378,8 +369,7 @@ def solve_invex(data: Dataset, cfg: SolverConfig) -> SolveResult:
 
     b_rounded = np.zeros(data.n)
     b_rounded[sel] = 1.0
-    theta_hat = refit(data, b_rounded, lam,
-                      max_iter=cfg.refit_max_iter, tol=cfg.refit_tol)
+    theta_hat = refit(data, b_rounded, lam)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         _, rank1_gap = extract_theta(Vartheta(V))
@@ -457,6 +447,43 @@ def _as_rows(selection: np.ndarray, n: int) -> np.ndarray:
                      f"got dtype {sel.dtype} and shape {sel.shape}")
 
 
+def _check_finite(*named) -> None:
+    """Raise ValueError naming the first (name, value) pair, in order, with a
+    non-finite entry; None values are skipped."""
+    for name, arr in named:
+        if arr is not None and not np.all(np.isfinite(arr)):
+            raise ValueError(f"{name} must be finite")
+
+
+def _fista(H, c, theta, prox, converged, max_iters):
+    """FISTA with adaptive restart (Beck & Teboulle 2009) on the Gram form
+    theta^T H theta - 2 c^T theta + penalty, H = X^T X, c = X^T y (Friedman,
+    Hastie & Tibshirani 2010): the gradient is 2 (H z - c) and the step 1/L
+    with L = 2 * eigvalsh(H)[-1].  `prox(v, step)` is the prox of
+    step * penalty.  From `theta`, stops when `converged(theta, gradient)`,
+    checked every 10 iterations, is true.  L <= 0 or an empty H returns zeros.
+    """
+    L = 2.0 * float(np.linalg.eigvalsh(H)[-1]) if H.size else 0.0
+    if L <= 0:
+        return np.zeros(c.size)
+    step = 1.0 / L
+    z = theta.copy()
+    t_acc = 1.0
+    for it in range(max_iters):
+        theta_new = prox(z - step * (2.0 * (H @ z - c)), step)
+        # adaptive restart keeps FISTA monotone enough for the residual check
+        if np.dot(z - theta_new, theta_new - theta) > 0:
+            z = theta.copy()
+            t_acc = 1.0
+            theta_new = prox(z - step * (2.0 * (H @ z - c)), step)
+        t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_acc * t_acc))
+        z = theta_new + ((t_acc - 1.0) / t_new) * (theta_new - theta)
+        theta, t_acc = theta_new, t_new
+        if it % 10 == 0 and converged(theta, 2.0 * (H @ theta - c)):
+            break
+    return theta
+
+
 def refit(data: Dataset, selection: np.ndarray, lam: float,
           support: np.ndarray | None = None, theta0: np.ndarray | None = None,
           max_iter: int = 20000, tol: float = 1e-8) -> np.ndarray:
@@ -464,50 +491,33 @@ def refit(data: Dataset, selection: np.ndarray, lam: float,
 
     The selection is a 0/1 mask or row indices, as `_as_rows` reads it.
     Minimizes sum_selected (y_i - <X_i, theta>)^2 + lam (||theta||_1 + 1)^2
-    by FISTA with the exact prox of the squared-plus-linear L1 penalty.
-    With `support`, the regression runs on those columns only and the
-    result is zero-padded back to length p.  Iterates until the
-    stationarity residual (with the subgradient recovered as in the dual
-    construction) is below tol * problem scale.
+    by `_fista` with the exact prox of the squared-plus-linear L1 penalty.
+    With `support` (columns, read like the selection), the regression runs
+    on those columns only and is zero-padded back to length p.  Stops when
+    the stationarity residual (subgradient recovered as in the dual
+    construction) is below the absolute tol.  Non-finite X or y on the
+    selected rows and columns, theta0 or lam raise ValueError.
     """
     rows = _as_rows(selection, data.n)
     if rows.size < 1:
         raise ValueError("selection must contain at least one sample")
-    Xs = data.X[rows]
+    cols = np.arange(data.p) if support is None else _as_rows(support, data.p)
+    Xs = data.X[rows][:, cols]
     ys = data.y[rows]
-    cols = np.arange(data.p) if support is None else np.asarray(support, dtype=int)
-    Xs = Xs[:, cols]
-
-    d = cols.size
-    theta = np.zeros(d) if theta0 is None else np.asarray(theta0, dtype=float).copy()
-    if theta.shape != (d,):
+    _check_finite(("X", Xs), ("y", ys), ("theta0", theta0), ("lam", lam))
+    theta = np.zeros(cols.size) if theta0 is None else np.asarray(theta0, dtype=float)
+    if theta.shape != (cols.size,):
         raise ValueError("theta0 has wrong length")
 
-    L = 2.0 * float(np.linalg.norm(Xs, 2)) ** 2
-    if L <= 0.0:  # all-zero design: data term is constant in theta
-        return np.zeros(data.p)
-    step = 1.0 / L
+    def converged(theta, g):
+        w, _ = _recover_subgradient(theta, 0.5 * g, lam)
+        # absolute: the dual construction needs this scale
+        resid = 0.5 * g + lam * (np.abs(theta).sum() + 1.0) * w
+        return np.abs(resid).max(initial=0.0) <= tol
 
-    z = theta.copy()
-    t_acc = 1.0
-    for it in range(max_iter):
-        g = 2.0 * (Xs.T @ (Xs @ z - ys))
-        theta_new = prox_l1_plus_one_squared(z - step * g, step * lam)
-        # adaptive restart keeps FISTA monotone enough for the residual check
-        if np.dot(z - theta_new, theta_new - theta) > 0:
-            z = theta.copy()
-            t_acc = 1.0
-            g = 2.0 * (Xs.T @ (Xs @ z - ys))
-            theta_new = prox_l1_plus_one_squared(z - step * g, step * lam)
-        t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_acc * t_acc))
-        z = theta_new + ((t_acc - 1.0) / t_new) * (theta_new - theta)
-        theta, t_acc = theta_new, t_new
-        if it % 10 == 0 or it == max_iter - 1:
-            gt = Xs.T @ (Xs @ theta - ys)
-            w, _ = _recover_subgradient(theta, gt, lam)
-            resid = np.abs(gt + lam * (np.abs(theta).sum() + 1.0) * w).max() if d else 0.0
-            if resid <= tol:  # absolute: the dual construction needs this scale
-                break
+    theta = _fista(Xs.T @ Xs, Xs.T @ ys, theta,
+                   lambda v, step: prox_l1_plus_one_squared(v, step * lam),
+                   converged, max_iter)
     out = np.zeros(data.p)
     out[cols] = theta
     return out

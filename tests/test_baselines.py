@@ -6,6 +6,7 @@ from invexreg.baselines import (BaselineConfig, _fista_lasso, adaptive_huber_las
                                 lasso, trimmed_lasso)
 from invexreg.datagen import GenSpec, generate
 from invexreg.model import CLEAN, OUTLIER, Dataset, GroundTruthConfig
+from invexreg.solver import refit
 
 
 def clean_data(rng, n=30, p=4, theta=None, sigma_e=0.1):
@@ -286,6 +287,7 @@ def test_baselines_make_no_svd_call(monkeypatch):
     lasso(data, cfg)
     adaptive_huber_lasso(data, cfg)
     trimmed_lasso(data, cfg)
+    refit(data, np.arange(data.n), 0.6)
 
 
 @pytest.mark.parametrize("where", ["y", "X"])

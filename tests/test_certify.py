@@ -101,6 +101,13 @@ def test_empty_support_raises():
         build_duals(data, np.ones(data.n), np.array([]), 1.0, np.array([], dtype=int))
 
 
+@pytest.mark.parametrize("support", [np.array([-1]), np.array([0, 4])])
+def test_build_duals_rejects_support_outside_the_columns(support):
+    data = tiny_instance(2)
+    with pytest.raises(ValueError, match=r"must lie in \[0, 4\)"):
+        build_duals(data, np.ones(data.n), np.zeros(support.size), 1.0, support)
+
+
 def test_assumption_check_identity_covariance():
     rng = np.random.default_rng(3)
     X = rng.standard_normal((10000, 10))

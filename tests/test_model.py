@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from invexreg.model import (CLEAN, OUTLIER, Dataset, Vartheta, extract_theta,
-                            lift_parameter, lift_sample, load_dataset,
-                            objective, sample_losses, save_dataset,
-                            squared_loss)
+                            lift_parameter, lift_sample, lifted_gram,
+                            load_dataset, objective, sample_losses,
+                            save_dataset, squared_loss)
 
 
 def random_triple(rng, p):
@@ -152,6 +152,26 @@ def test_sample_losses_matches_lifted_inner_products():
         for i in range(n):
             direct = float((lift_sample(data.X[i], data.y[i]).A * V).sum())
             assert abs(got[i] - direct) <= 1e-10 * max(1.0, abs(direct))
+
+
+@pytest.mark.parametrize("weights", ["fractional", "mask"])
+def test_lifted_gram_is_symmetric_adjoint_of_sample_losses(weights):
+    rng = np.random.default_rng(20)
+    X = rng.standard_normal((40, 7))
+    y = 3.0 * rng.standard_normal(40)
+    if weights == "fractional":
+        b = rng.uniform(0.0, 1.0, 40)
+    else:  # a 0/1 mask on a column subset, as the dual certificate uses it
+        b = (rng.uniform(size=40) < 0.6).astype(float)
+        X = X[:, [1, 4, 5]]
+    G = lifted_gram(X, y, b)
+    assert np.array_equal(G, G.T)
+    for _ in range(5):
+        W = rng.standard_normal((X.shape[1] + 1,) * 2)
+        V = W + W.T
+        lhs = float((G * V).sum())
+        rhs = float(b @ sample_losses(X, y, V))
+        assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
 
 
 def test_vartheta_check():

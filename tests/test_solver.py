@@ -190,6 +190,47 @@ def test_refit_rejects_malformed_selection(bad):
         refit(two_row_dataset(), bad, 0.1)
 
 
+@pytest.mark.parametrize("where", ["X", "y", "theta0", "lam"])
+def test_refit_rejects_non_finite_input(where):
+    rng = np.random.default_rng(17)
+    data = all_clean_dataset(rng, 30, 5, np.array([1.0, -0.5, 0.0, 0.25, 0.0]))
+    X, y = data.X.copy(), data.y.copy()
+    theta0, lam = np.zeros(5), 0.5
+    if where == "X":
+        X[2, 1] = np.inf
+    elif where == "y":
+        y[3] = np.nan
+    elif where == "theta0":
+        theta0[4] = np.nan
+    else:
+        lam = np.inf
+    bad = Dataset(X=X, y=y, labels=data.labels, r=data.r)
+    with pytest.raises(ValueError, match=f"^{where} must be finite"):
+        refit(bad, np.ones(data.n), lam, theta0=theta0)
+
+
+def test_refit_checks_only_the_selected_rows_and_columns():
+    rng = np.random.default_rng(18)
+    data = all_clean_dataset(rng, 12, 3, np.array([0.5, 0.0, -1.0]))
+    X, y = data.X.copy(), data.y.copy()
+    X[0, 0] = np.inf   # unselected row
+    X[5, 1] = np.nan   # column outside the support
+    y[0] = np.nan
+    bad = Dataset(X=X, y=y, labels=data.labels, r=data.r)
+    rows = np.arange(1, data.n)
+    got = refit(bad, rows, 0.3, support=np.array([0, 2]))
+    want = refit(data, rows, 0.3, support=np.array([0, 2]))
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("support", [np.array([-1]), np.array([0, 3])])
+def test_refit_rejects_support_outside_the_columns(support):
+    rng = np.random.default_rng(19)
+    data = all_clean_dataset(rng, 10, 3, np.array([1.0, 0.0, -0.5]))
+    with pytest.raises(ValueError, match=r"must lie in \[0, 3\)"):
+        refit(data, np.ones(data.n), 0.1, support=support)
+
+
 def test_solve_exactly_determined_noiseless():
     rng = np.random.default_rng(15)
     theta = np.array([0.7, -0.3])
