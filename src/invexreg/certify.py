@@ -5,6 +5,10 @@ the dual variables in closed form, evaluate every KKT residual for the
 support-compacted relaxation, inspect the spectrum of the matrix dual, and
 run the finite-sample assumption and strict-dual-feasibility diagnostics.
 The certificate is a numerical check on one instance, not a proof.
+
+Supports are column indices, read like selections by `solver._as_rows`, so
+a negative or out-of-range column raises ValueError instead of wrapping
+round or failing with an IndexError.
 """
 
 from __future__ import annotations
@@ -199,7 +203,7 @@ def kkt_residuals(cert: DualCertificate, data: Dataset, selection: np.ndarray,
     """Evaluate every KKT residual for the support-compacted relaxation."""
     k1 = vartheta_under.V.shape[0]
     support = (np.arange(k1 - 1) if support is None
-               else np.asarray(support, dtype=int))
+               else _as_rows(support, data.p))
     rows = _as_rows(selection, data.n)
     b = np.zeros(data.n)
     b[rows] = 1.0
@@ -253,7 +257,7 @@ def assumption_check(data: Dataset, support: np.ndarray,
     by configuration (defaults match identity covariance); estimates from
     data are diagnostic only.
     """
-    support = np.asarray(support, dtype=int)
+    support = _as_rows(support, data.p)
     if support.size == 0:
         raise EmptySupport("assumption check needs a nonempty support")
     if selection is None:
@@ -309,7 +313,7 @@ def strict_dual_feasibility(data: Dataset, selection: np.ndarray,
         raise ValueError("strict dual feasibility needs the generating parameter")
     if lam <= 0:
         raise ValueError("lam must be positive")
-    support = np.asarray(support, dtype=int)
+    support = _as_rows(support, data.p)
     comp = np.setdiff1d(np.arange(data.p), support)
     rows = _as_rows(selection, data.n)
     m = rows.size

@@ -315,3 +315,123 @@ def test_fista_rejects_non_finite_sample_weights():
     sw[0] = np.nan
     with pytest.raises(ValueError, match="sample weights must be finite"):
         _fista_lasso(data.X, data.y, 0.5, sample_weights=sw)
+
+
+def stop_residual(X, y, lam, theta, weights=None, sample_weights=None):
+    """The largest subgradient residual of theta, computed on the Gram form
+    exactly as `_fista_lasso` computes it."""
+    if sample_weights is not None:
+        sw = np.sqrt(sample_weights)
+        X, y = X * sw[:, None], y * sw
+    lam_j = np.full(X.shape[1], lam) if weights is None else lam * np.asarray(weights)
+    g = 2.0 * (X.T @ X @ theta - X.T @ y)
+    resid = np.where(theta != 0.0, np.abs(g + lam_j * np.sign(theta)),
+                     np.maximum(np.abs(g) - lam_j, 0.0))
+    return resid.max(initial=0.0)
+
+
+@pytest.fixture
+def fista_calls(monkeypatch):
+    """Count the runs of the FISTA loop made through `baselines._fista`."""
+    calls = []
+    real = baselines._fista
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(baselines, "_fista", counting)
+    return calls
+
+
+@pytest.mark.parametrize("n,p", [(40, 6), (8, 15)])
+def test_warm_start_with_opposite_signs_matches_coordinate_descent(n, p):
+    """Every guessed sign is wrong: the corrections or the FISTA fallback
+    still reach the minimizer."""
+    _, X, y, sw, cw = weighted_problem(n, p)
+    lam = 0.8
+    th_c = _lasso_cd(X, y, lam, sample_weights=sw, weights=cw)
+    theta0 = -np.sign(th_c) - 0.5 * (th_c == 0)
+    th_f = _fista_lasso(X, y, lam, weights=cw, sample_weights=sw, theta0=theta0)
+    assert np.count_nonzero(th_c) > 0
+    assert np.abs(th_f - th_c).max() <= 1e-8
+
+
+def test_warm_start_missing_nonzeros_adds_them_without_fista(fista_calls):
+    """A start whose zeros hide true nonzeros reaches the minimizer by adding
+    the coordinates that violate the stop rule, with no FISTA run."""
+    _, X, y, sw, cw = weighted_problem(40, 6)
+    lam, tol = 0.8, 1e-10
+    th_c = _lasso_cd(X, y, lam, sample_weights=sw, weights=cw)
+    support = np.flatnonzero(th_c)
+    assert support.size >= 2
+    theta0 = th_c.copy()
+    theta0[support[1:]] = 0.0
+    th_f = _fista_lasso(X, y, lam, weights=cw, sample_weights=sw, tol=tol,
+                        theta0=theta0)
+    assert not fista_calls
+    assert np.abs(th_f - th_c).max() <= 1e-8
+    assert stop_residual(X, y, lam, th_f, cw, sw) <= tol * (1.0 + lam)
+
+
+def test_warm_start_on_singular_support_falls_back_to_fista(fista_calls):
+    """Duplicated columns make H_AA singular; the call runs FISTA and still
+    returns a finite theta that passes the stop rule.  Integer entries keep
+    the Gram exact, so H_AA is singular to the last bit."""
+    rng = np.random.default_rng(17)
+    X = rng.integers(-3, 4, size=(30, 3)).astype(float)
+    X[:, 1] = X[:, 0]
+    y = X @ np.array([1.0, 1.0, -0.5]) + 0.05 * rng.standard_normal(30)
+    lam, tol = 0.5, 1e-10
+    theta = _fista_lasso(X, y, lam, tol=tol, theta0=np.array([1.0, 1.0, 0.0]))
+    assert len(fista_calls) == 1
+    assert np.all(np.isfinite(theta))
+    assert stop_residual(X, y, lam, theta) <= tol * (1.0 + lam)
+
+
+@pytest.mark.parametrize("method", ["adahuber", "trimmed"])
+def test_warm_solves_mostly_skip_fista_and_pass_the_stop_rule(monkeypatch,
+                                                              fista_calls, method):
+    """Warm-started solves run FISTA less often than they are made, and every
+    theta returned, by either path, meets the stop rule."""
+    data = generate(GenSpec(
+        ground_truth=GroundTruthConfig(p=8, k=3, M=2.2, sigma_e=0.1),
+        r=40, n_outliers=20, seed=15))
+    cfg = BaselineConfig(lam=0.6, trim_count=20)
+    solves = []
+
+    def recording(X, y, lam, **kwargs):
+        fista_before = len(fista_calls)
+        theta = _fista_lasso(X, y, lam, **kwargs)
+        solves.append((X, y, lam, kwargs, theta, len(fista_calls) - fista_before))
+        return theta
+
+    monkeypatch.setattr(baselines, "_fista_lasso", recording)
+    if method == "adahuber":
+        adaptive_huber_lasso(data, cfg)
+    else:
+        trimmed_lasso(data, cfg)
+    warm = [s for s in solves if s[3].get("theta0") is not None]
+    assert len(warm) >= 2
+    assert sum(s[5] for s in warm) < len(warm)
+    for X, y, lam, kwargs, theta, _ in solves:
+        assert stop_residual(X, y, lam, theta, kwargs.get("weights"),
+                             kwargs.get("sample_weights")) <= cfg.tol * (1.0 + lam)
+
+
+def test_adahuber_warns_when_an_irls_stage_hits_its_pass_cap():
+    data = generate(GenSpec(
+        ground_truth=GroundTruthConfig(p=8, k=3, M=2.2, sigma_e=0.1),
+        r=40, n_outliers=20, seed=15))
+    with pytest.warns(UserWarning, match="did not converge in 50 passes"):
+        theta = adaptive_huber_lasso(data, BaselineConfig(lam=0.6, huber_delta=0.01))
+    assert np.all(np.isfinite(theta))
+
+
+def test_adahuber_warns_when_the_huber_scale_hits_its_round_cap():
+    data = generate(GenSpec(
+        ground_truth=GroundTruthConfig(p=5, k=2, M=2.2, sigma_e=0.1),
+        r=25, n_outliers=8, seed=11))
+    with pytest.warns(UserWarning, match="scale did not settle in 12 rounds"):
+        theta = adaptive_huber_lasso(data, BaselineConfig(lam=0.6))
+    assert np.all(np.isfinite(theta))

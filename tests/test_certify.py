@@ -108,6 +108,25 @@ def test_build_duals_rejects_support_outside_the_columns(support):
         build_duals(data, np.ones(data.n), np.zeros(support.size), 1.0, support)
 
 
+@pytest.mark.parametrize("support", [np.array([-1]), np.array([0, 4])])
+@pytest.mark.parametrize("check", ["kkt_residuals", "assumption_check",
+                                   "strict_dual_feasibility"])
+def test_diagnostics_reject_support_outside_the_columns(check, support):
+    """A negative column must not wrap round to column p - 1, and a column
+    past p must fail with the range, not a bare IndexError."""
+    data = tiny_instance(2)
+    sel = np.ones(data.n)
+    with pytest.raises(ValueError, match=r"must lie in \[0, 4\)"):
+        if check == "kkt_residuals":
+            cert = build_duals(data, sel, np.zeros(1), 1.0, np.array([0]))
+            kkt_residuals(cert, data, sel, lift_parameter(np.zeros(support.size)),
+                          1.0, support=support)
+        elif check == "assumption_check":
+            assumption_check(data, support)
+        else:
+            strict_dual_feasibility(data, sel, np.zeros(support.size), 1.0, support)
+
+
 def test_assumption_check_identity_covariance():
     rng = np.random.default_rng(3)
     X = rng.standard_normal((10000, 10))
