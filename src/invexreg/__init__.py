@@ -3,7 +3,8 @@
 The squared loss of each sample is rewritten as a linear functional of a
 PSD-constrained lifted matrix, selection weights pick the clean samples,
 and a primal-dual witness construction certifies optimality of the result
-numerically.  See the README for the CLI and the benchmark sweeps.
+numerically.  Run `invexreg --help` for the command-line interface, and see
+benchmarks/README.md for the benchmark harness and its workloads.
 """
 
 from .baselines import BaselineConfig, adaptive_huber_lasso, lasso, trimmed_lasso

@@ -45,7 +45,6 @@ __all__ = ["BaselineConfig", "lasso", "adaptive_huber_lasso", "trimmed_lasso"]
 
 @dataclass(frozen=True)
 class BaselineConfig:
-    method: str = "lasso"            # lasso | adahuber | trimmed
     lam: float = 1.0
     huber_delta: float | None = None  # None = 1.345 x MAD scale of stage-0 residuals
     trim_count: int = 0

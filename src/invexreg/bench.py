@@ -67,7 +67,6 @@ class ExperimentConfig:
     seeds: tuple = (0, 1, 2, 3, 4)
     sigma_e: float = 0.1
     M: float | None = None                   # default 1.1 * k
-    kappa: float = 0.5
     alpha1: float = 1.0
     rho_min: float = 0.0
     max_resamples: int = 200
@@ -126,19 +125,10 @@ class ExperimentConfig:
     def from_json(cls, path: str | Path) -> "ExperimentConfig":
         with open(path) as fh:
             raw = json.load(fh)
-        kwargs = {}
-        for f in cls.__dataclass_fields__:
-            if f in raw:
-                kwargs[f] = raw[f]
         extra = set(raw) - set(cls.__dataclass_fields__)
         if extra:
             raise ValueError(f"unknown config keys: {sorted(extra)}")
-        for key in ("C_values", "seeds", "methods"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
-        if "outlier_rule" in kwargs and kwargs["outlier_rule"] != "half":
-            kwargs["outlier_rule"] = tuple(kwargs["outlier_rule"])
-        return cls(**kwargs)
+        return cls(**raw)
 
 
 def _certify_trial(data: Dataset, sel_mask: np.ndarray, lam: float) -> bool:
@@ -180,12 +170,11 @@ def run_trial(cfg: ExperimentConfig, cell: dict, seed: int, method: str) -> tupl
             row["delta_m"] = theory_delta_m(cfg.m_budget, lam, cfg.k, cfg.alpha1, m)
             row["kkt_feasible"] = _certify_trial(data, res.b_rounded, lam)
         elif method == "lasso":
-            theta = lasso(data, BaselineConfig(method="lasso", lam=lam))
+            theta = lasso(data, BaselineConfig(lam=lam))
         elif method == "adahuber":
-            theta = adaptive_huber_lasso(data, BaselineConfig(method="adahuber", lam=lam))
+            theta = adaptive_huber_lasso(data, BaselineConfig(lam=lam))
         elif method == "trimmed":
-            bcfg = BaselineConfig(method="trimmed", lam=lam,
-                                  trim_count=cell["n_outliers"])
+            bcfg = BaselineConfig(lam=lam, trim_count=cell["n_outliers"])
             theta, _ = trimmed_lasso(data, bcfg)
         else:
             raise ValueError(f"unknown method {method}")

@@ -13,7 +13,6 @@ round or failing with an IndexError.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,24 +68,6 @@ class DualCertificate:
     feasible: bool
     omega_clip_count: int = 0
 
-    def to_dict(self) -> dict:
-        lo, hi = self.nu_interval
-        return {
-            "nu": self.nu,
-            "nu_interval": [lo, None if np.isinf(hi) else hi],
-            "beta": self.beta.tolist(),
-            "gamma": self.gamma.tolist(),
-            "Lambda": self.Lambda.tolist(),
-            "mu_corner": self.mu_corner,
-            "zeta": self.zeta.tolist(),
-            "omega": self.omega.tolist(),
-            "feasible": self.feasible,
-            "omega_clip_count": self.omega_clip_count,
-        }
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
-
 
 @dataclass(eq=False)
 class KKTReport:
@@ -97,20 +78,6 @@ class KKTReport:
     nullvec_residual: float
     second_eig: float
     primal_feas_ok: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "stationarity_b_max": self.stationarity_b_max,
-            "stationarity_vartheta_norm": self.stationarity_vartheta_norm,
-            "comp_slack_max": self.comp_slack_max,
-            "dual_feas_min_eig": self.dual_feas_min_eig,
-            "nullvec_residual": self.nullvec_residual,
-            "second_eig": self.second_eig,
-            "primal_feas_ok": self.primal_feas_ok,
-        }
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
 
 
 @dataclass(eq=False)
@@ -125,23 +92,6 @@ class AssumptionReport:
     pass_min_eig: bool
     pass_max_eig: bool
     pass_incoherence: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "support": self.support.tolist(),
-            "min_eig_SS": self.min_eig_SS,
-            "max_eig_SS": self.max_eig_SS,
-            "incoherence": self.incoherence,
-            "kappa_implied": self.kappa_implied,
-            "alpha1": self.alpha1,
-            "alpha2": self.alpha2,
-            "pass_min_eig": self.pass_min_eig,
-            "pass_max_eig": self.pass_max_eig,
-            "pass_incoherence": self.pass_incoherence,
-        }
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
 
 
 def build_duals(data: Dataset, selection: np.ndarray, theta_under: np.ndarray,

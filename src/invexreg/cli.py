@@ -9,6 +9,7 @@ property suites).  Exit codes: 0 success, 1 usage error, 2 runtime error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -19,7 +20,7 @@ from . import certify as cert_mod
 from .bench import ExperimentConfig, lambda_from_m, run_sweep
 from .datagen import GenSpec, generate
 from .model import (GroundTruthConfig, lift_parameter, lift_sample,
-                    load_dataset, save_dataset, squared_loss)
+                    load_dataset, save_dataset, squared_loss, to_jsonable)
 from .oracle import enumerate_best_subset
 from .projections import BFeasibleSet, project_b, project_psd_corner
 from .solver import SolverConfig, refit, solve_invex
@@ -56,7 +57,6 @@ def _build_parser() -> _Parser:
     s.add_argument("--c-lambda", type=float, default=0.05,
                    help="used as c*sqrt(m ln p) when --lam is not given")
     s.add_argument("--max-outer", type=int, default=200)
-    s.add_argument("--max-inner", type=int, default=25)
     s.add_argument("--tol-obj", type=float, default=1e-8)
     s.add_argument("--step-rule", choices=["backtracking", "fixed"],
                    default="backtracking")
@@ -91,9 +91,10 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _write_json(path: str, payload: dict) -> None:
+def _write_json(path: str, payload) -> None:
+    """Write `to_jsonable(payload)`; a non-finite float is written as null."""
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(to_jsonable(payload), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -115,10 +116,9 @@ def _cmd_solve(args) -> int:
     if lam is None:
         lam = lambda_from_m(args.m, data.p, args.c_lambda)
     cfg = SolverConfig(m=args.m, lam=lam, max_outer=args.max_outer,
-                       max_inner=args.max_inner, tol_obj=args.tol_obj,
-                       step_rule=args.step_rule, eta=args.eta)
+                       tol_obj=args.tol_obj, step_rule=args.step_rule, eta=args.eta)
     res = solve_invex(data, cfg)
-    _write_json(args.out, res.to_dict())
+    _write_json(args.out, res)
     print(f"wrote {args.out} (converged={res.converged}, "
           f"outer={res.outer_iters}, rank1_gap={res.rank1_gap:.3g})")
     return 0
@@ -140,8 +140,8 @@ def _cmd_certify(args) -> int:
     assumption = cert_mod.assumption_check(data, support, selection=sel,
                                            alpha1=args.alpha1, alpha2=args.alpha2,
                                            kappa=args.kappa)
-    payload = {"dual_certificate": cert.to_dict(), "kkt_report": rep.to_dict(),
-               "assumption_report": assumption.to_dict()}
+    payload = {"dual_certificate": cert, "kkt_report": rep,
+               "assumption_report": assumption}
     try:
         wbar, ok = cert_mod.strict_dual_feasibility(data, sel, th_S, lam,
                                                     support, kappa=args.kappa)
@@ -159,7 +159,7 @@ def _cmd_oracle(args) -> int:
     data = load_dataset(args.data)
     res = enumerate_best_subset(data, args.m, args.lam, cap=args.cap,
                                 keep_table=args.table)
-    _write_json(args.out, res.to_dict())
+    _write_json(args.out, res)
     print(f"wrote {args.out} (J*={list(res.J_star)}, objective={res.objective:.6g})")
     return 0
 
@@ -167,9 +167,7 @@ def _cmd_oracle(args) -> int:
 def _cmd_sweep(args) -> int:
     cfg = ExperimentConfig.from_json(args.config)
     if args.out is not None:
-        cfg = ExperimentConfig(**{**{f: getattr(cfg, f)
-                                     for f in cfg.__dataclass_fields__},
-                                  "output_dir": args.out})
+        cfg = dataclasses.replace(cfg, output_dir=args.out)
     out = run_sweep(cfg, workers=args.workers)
     n_err = sum(1 for row in out["rows"] if row["error"])
     print(f"wrote {out['results_csv']} ({len(out['rows'])} rows, {n_err} errors)")

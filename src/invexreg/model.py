@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +34,7 @@ __all__ = [
     "sample_losses",
     "lifted_gram",
     "objective",
+    "to_jsonable",
     "save_dataset",
     "load_dataset",
 ]
@@ -239,6 +241,26 @@ def objective(b: np.ndarray, vartheta: Vartheta, data: Dataset, lam: float) -> f
     b = np.asarray(b, dtype=float)
     losses = sample_losses(data.X, data.y, vartheta.V)
     return float(b @ losses + lam * np.abs(vartheta.V).sum())
+
+
+def to_jsonable(obj):
+    """A JSON-safe copy of a result for `json.dump(..., allow_nan=False)`.
+
+    A dataclass becomes a dict of its fields and a dict is copied; an
+    ndarray, tuple or list becomes a list; a non-finite float becomes None,
+    since JSON has no inf or nan.  The rules apply recursively.
+    """
+    if is_dataclass(obj):
+        return {f.name: to_jsonable(getattr(obj, f.name)) for f in fields(obj)}
+    if isinstance(obj, dict):
+        return {k: to_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, (tuple, list)):
+        return [to_jsonable(v) for v in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
 
 
 # ---------------------------------------------------------------------------

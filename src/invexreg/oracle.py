@@ -7,7 +7,6 @@ true discrete-continuous optimum.  A test fixture, not a production path.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -15,7 +14,7 @@ from math import comb
 import numpy as np
 
 from .model import Dataset
-from .solver import refit
+from .solver import _as_rows, refit
 
 __all__ = ["CombinatorialBlowup", "OracleResult", "enumerate_best_subset",
            "subset_objective", "grid_search_theta"]
@@ -32,39 +31,29 @@ class OracleResult:
     objective: float
     per_subset_objectives: list[tuple[tuple[int, ...], float]] | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "J_star": list(self.J_star),
-            "theta_under": self.theta_under.tolist(),
-            "objective": self.objective,
-            "per_subset_objectives": None if self.per_subset_objectives is None
-            else [[list(J), v] for J, v in self.per_subset_objectives],
-        }
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
-
 
 def subset_objective(data: Dataset, rows: np.ndarray, theta: np.ndarray,
                      lam: float) -> float:
-    """sum over rows of squared residual plus lam (||theta||_1 + 1)^2."""
-    rows = np.asarray(rows, dtype=int)
+    """sum over rows of squared residual plus lam (||theta||_1 + 1)^2.
+
+    The rows are a 0/1 mask or row indices, as `solver._as_rows` reads them.
+    """
+    rows = _as_rows(rows, data.n)
     res = data.y[rows] - data.X[rows] @ theta
     return float(res @ res + lam * (np.abs(theta).sum() + 1.0) ** 2)
 
 
 def _multistart_refit(data, rows, lam, support, rng):
     """Three starts (zero, least squares, perturbed LS) against prox stalls."""
-    cols = np.arange(data.p) if support is None else np.asarray(support, dtype=int)
-    Xs = data.X[np.asarray(rows, dtype=int)][:, cols]
-    ys = data.y[np.asarray(rows, dtype=int)]
+    cols = np.arange(data.p) if support is None else _as_rows(support, data.p)
+    Xs = data.X[rows][:, cols]
+    ys = data.y[rows]
     theta_ls, *_ = np.linalg.lstsq(Xs, ys, rcond=None)
     starts = [np.zeros(cols.size), theta_ls,
               theta_ls + 0.1 * rng.standard_normal(cols.size)]
     best_theta, best_obj = None, np.inf
     for t0 in starts:
-        theta = refit(data, np.asarray(rows, dtype=int), lam, support=support,
-                      theta0=t0, tol=1e-10)
+        theta = refit(data, rows, lam, support=support, theta0=t0, tol=1e-10)
         obj = subset_objective(data, rows, theta, lam)
         if obj < best_obj:
             best_theta, best_obj = theta, obj
@@ -111,7 +100,7 @@ def grid_search_theta(data: Dataset, rows: np.ndarray, lam: float,
     """
     if data.p > 2:
         raise ValueError("grid oracle only supports p <= 2")
-    rows = np.asarray(rows, dtype=int)
+    rows = _as_rows(rows, data.n)
     grid = np.arange(-radius, radius + step, step)
     if data.p == 1:
         TH = grid[None, :]

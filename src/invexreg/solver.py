@@ -36,7 +36,6 @@ solver returns.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -73,14 +72,9 @@ class SolverConfig:
     m: int
     lam: float
     max_outer: int = 200
-    max_inner: int = 25
     step_rule: str = "backtracking"   # "backtracking" or "fixed"
     eta: float | None = None          # required for step_rule="fixed"
-    beta: float = 0.5
-    armijo_c: float = 1e-4
     tol_obj: float = 1e-8
-    psd_iters: int = 200
-    psd_tol: float = 1e-9
 
     def __post_init__(self):
         if self.lam < 0:
@@ -106,28 +100,6 @@ class SolveResult:
     @property
     def selection(self) -> np.ndarray:
         return np.flatnonzero(self.b_rounded > 0.5)
-
-    def to_dict(self) -> dict:
-        cfg = self.config
-        return {
-            "b_hat": self.b_hat.tolist(),
-            "b_rounded": self.b_rounded.astype(int).tolist(),
-            "theta_hat": self.theta_hat.tolist(),
-            "rank1_gap": self.rank1_gap,
-            "objective_trace": self.objective_trace,
-            "outer_iters": self.outer_iters,
-            "converged": self.converged,
-            "config": None if cfg is None else {
-                "m": cfg.m, "lam": cfg.lam, "max_outer": cfg.max_outer,
-                "max_inner": cfg.max_inner, "step_rule": cfg.step_rule,
-                "eta": cfg.eta, "beta": cfg.beta, "armijo_c": cfg.armijo_c,
-                "tol_obj": cfg.tol_obj, "psd_iters": cfg.psd_iters,
-                "psd_tol": cfg.psd_tol,
-            },
-        }
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
 
 
 def grad_vartheta(b: np.ndarray, data: Dataset) -> np.ndarray:
@@ -163,7 +135,15 @@ def b_step(vartheta: Vartheta, data: Dataset, m: int) -> np.ndarray:
     return _select(sample_losses(data.X, data.y, vartheta.V), m)[0]
 
 
-def _pin_corner(P: np.ndarray, iters: int, tol: float) -> np.ndarray:
+# The V step's line search and clip tolerance are constants, not SolverConfig
+# fields, because no caller needs other values.
+_MAX_INNER = 25    # accepted prox steps per outer round
+_BETA = 0.5        # backtracking shrink factor
+_ARMIJO_C = 1e-4   # sufficient-decrease fraction of the Armijo test
+_PSD_TOL = 1e-9    # clipped corner at or below which renormalization is skipped
+
+
+def _pin_corner(P: np.ndarray) -> np.ndarray:
     """Feasible corner-pinned point from a PSD clip P: pinned directly when
     its corner is at most 1 (see the module docstring), otherwise, or when P
     is not finite (which raises there), through `project_psd_corner`."""
@@ -171,7 +151,7 @@ def _pin_corner(P: np.ndarray, iters: int, tol: float) -> np.ndarray:
         Q = 0.5 * (P + P.T)
         Q[-1, -1] = 1.0
         return Q
-    return project_psd_corner(P, iters, tol).V
+    return project_psd_corner(P).V
 
 
 # Below this size one eigh costs less than the kernel's solves and
@@ -266,8 +246,7 @@ def solve_invex(data: Dataset, cfg: SolverConfig) -> SolveResult:
     losses = sample_losses(X, y, V)
     b, sel = _select(losses, cfg.m)
 
-    def full_obj(bvec, Vm, lvec=None):
-        lvec = sample_losses(X, y, Vm) if lvec is None else lvec
+    def full_obj(bvec, Vm, lvec):
         return float(bvec @ lvec + lam * np.abs(Vm).sum())
 
     obj = full_obj(b, V, losses)
@@ -309,32 +288,32 @@ def solve_invex(data: Dataset, cfg: SolverConfig) -> SolveResult:
             """
             nonlocal u_top
             Z = prox_entrywise_l1(V - step * G, step * lam)
-            P, u_top = _psd_clip(0.5 * (Z + Z.T), u_top, cfg.psd_tol)
+            P, u_top = _psd_clip(0.5 * (Z + Z.T), u_top, _PSD_TOL)
             cands = []
             c = P[-1, -1]
-            if c > cfg.psd_tol:
+            if c > _PSD_TOL:
                 R = P / c
                 R = 0.5 * (R + R.T)
                 R[-1, -1] = 1.0
                 cands.append((score(R), R))
             if pocs:
-                Q = _pin_corner(P, cfg.psd_iters, cfg.psd_tol)
+                Q = _pin_corner(P)
                 cands.append((score(Q), Q))
             if not cands:
                 return None
             return min(cands, key=lambda t: t[0])
 
         probe_live = True
-        for _ in range(cfg.max_inner):
+        for _ in range(_MAX_INNER):
             step = eta
             accepted = None
             for _ in range(60):
                 cand, Vn = best_repair(step, pocs=True)
                 nd = float(((Vn - V) ** 2).sum())
-                if cand <= cur - cfg.armijo_c * nd / max(step, 1e-300):
+                if cand <= cur - _ARMIJO_C * nd / max(step, 1e-300):
                     accepted = (cand, Vn, step)
                     break
-                step *= cfg.beta
+                step *= _BETA
                 if step < 1e-18 * max(eta, 1.0):
                     break
             # far-step probe (cheap repair only): with a singular smooth part

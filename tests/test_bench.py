@@ -187,6 +187,7 @@ def test_cli_pipeline(tmp_path):
     res = json.loads((tmp_path / "res.json").read_text())
     sel = [i for i, b in enumerate(res["b_rounded"]) if b == 1]
     assert sel == orc["J_star"]
+    assert set(res["config"]) == {"m", "lam", "max_outer", "step_rule", "eta", "tol_obj"}
 
 
 def test_cli_selftest(tmp_path):

@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -8,7 +11,8 @@ from invexreg.certify import (AllZeroColumn, EmptySupport, RejectionExhausted,
                               _curvature_gap)
 from invexreg.datagen import GenSpec, generate
 from invexreg.model import (CLEAN, OUTLIER, Dataset, GroundTruthConfig,
-                            lift_parameter, sample_losses)
+                            lift_parameter, sample_losses, to_jsonable)
+from invexreg.oracle import enumerate_best_subset
 from invexreg.projections import BFeasibleSet, project_b
 from invexreg.solver import SolverConfig, refit, solve_invex
 
@@ -251,7 +255,36 @@ def test_nonconvexity_all_zero_column():
 def test_reports_serialize():
     data = tiny_instance(9)
     res, support, th_S, cert, rep = solve_and_certify(data, 1.18, 4)
-    assert "nu" in cert.to_json()
-    assert "second_eig" in rep.to_json()
+    assert "nu" in json.dumps(to_jsonable(cert))
+    assert "second_eig" in json.dumps(to_jsonable(rep))
     arep = assumption_check(data, support, selection=res.b_rounded)
-    assert "incoherence" in arep.to_json()
+    assert "incoherence" in json.dumps(to_jsonable(arep))
+
+
+@pytest.fixture(scope="module")
+def results():
+    """One of each result type written by the CLI, on one tiny instance."""
+    data = tiny_instance(9)
+    res, support, th_S, cert, rep = solve_and_certify(data, 1.18, 4)
+    return {"SolveResult": res, "DualCertificate": cert, "KKTReport": rep,
+            "AssumptionReport": assumption_check(data, support,
+                                                 selection=res.b_rounded),
+            "OracleResult": enumerate_best_subset(data, 4, 1.18, keep_table=True)}
+
+
+@pytest.mark.parametrize("name", ["SolveResult", "DualCertificate", "KKTReport",
+                                  "AssumptionReport", "OracleResult"])
+def test_results_serialize_field_by_field(results, name):
+    x = results[name]
+    assert type(x).__name__ == name
+    payload = json.loads(json.dumps(to_jsonable(x), allow_nan=False))
+    assert set(payload) == {f.name for f in dataclasses.fields(x)}
+
+
+def test_non_finite_floats_serialize_as_null(results):
+    rep = dataclasses.replace(results["KKTReport"], second_eig=np.inf)
+    cert = results["DualCertificate"]
+    cert = dataclasses.replace(cert, nu_interval=(cert.nu_interval[0], np.inf))
+    assert to_jsonable(rep)["second_eig"] is None
+    assert to_jsonable(cert)["nu_interval"] == [cert.nu_interval[0], None]
+    json.dumps([to_jsonable(rep), to_jsonable(cert)], allow_nan=False)

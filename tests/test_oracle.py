@@ -1,8 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from invexreg.datagen import GenSpec, generate
-from invexreg.model import CLEAN, OUTLIER, Dataset, GroundTruthConfig
+from invexreg.model import CLEAN, OUTLIER, Dataset, GroundTruthConfig, to_jsonable
 from invexreg.oracle import (CombinatorialBlowup, enumerate_best_subset,
                              grid_search_theta, subset_objective)
 from invexreg.solver import SolverConfig, refit, solve_invex
@@ -109,5 +111,43 @@ def test_grid_oracle_rejects_large_p():
 def test_oracle_json():
     data = tiny_instance(7)
     res = enumerate_best_subset(data, 4, 1.0)
-    payload = res.to_json()
+    payload = json.dumps(to_jsonable(res))
     assert "J_star" in payload and "objective" in payload
+
+
+def _p2_instance():
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((6, 2))
+    y = X @ np.array([0.8, -0.4]) + 0.05 * rng.standard_normal(6)
+    return Dataset(X=X, y=y, labels=np.array([CLEAN] * 6), r=6)
+
+
+# each reads its rows argument the way refit and the certificate do
+_ROW_READERS = {
+    "subset_objective":
+        lambda data, rows: subset_objective(data, rows, np.array([0.5, -0.5]), 0.7),
+    "grid_search_theta":
+        lambda data, rows: grid_search_theta(data, rows, 0.7, radius=1.0, step=0.01)[1],
+}
+
+
+@pytest.mark.parametrize("reader", sorted(_ROW_READERS))
+def test_oracle_reads_a_mask_as_the_rows_it_selects(reader):
+    data = _p2_instance()
+    mask = np.array([1.0, 0.0, 1.0, 1.0, 0.0, 1.0])
+    call = _ROW_READERS[reader]
+    assert call(data, mask) == call(data, np.flatnonzero(mask))
+
+
+@pytest.mark.parametrize("rows", [[-1], [6], [0, 0.5, 1, 0, 0, 0]])
+@pytest.mark.parametrize("reader", sorted(_ROW_READERS))
+def test_oracle_rejects_rows_outside_the_samples(reader, rows):
+    with pytest.raises(ValueError, match="selection"):
+        _ROW_READERS[reader](_p2_instance(), np.array(rows))
+
+
+@pytest.mark.parametrize("support", [[7], [-1]])
+def test_enumerate_rejects_support_outside_the_columns(support):
+    data = tiny_instance(1)
+    with pytest.raises(ValueError, match="selection"):
+        enumerate_best_subset(data, 4, 1.18, support=np.array(support))

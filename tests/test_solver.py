@@ -9,7 +9,7 @@ from invexreg import solver
 from invexreg.bench import ExperimentConfig, lambda_from_m
 from invexreg.datagen import GenSpec, generate
 from invexreg.model import (CLEAN, Dataset, GroundTruthConfig, lift_parameter,
-                            lift_sample, objective, sample_losses)
+                            lift_sample, objective, sample_losses, to_jsonable)
 from invexreg.solver import (InfeasibleM, SolverConfig, b_step, grad_vartheta,
                              prox_l1_plus_one_squared, refit, solve_invex)
 
@@ -288,7 +288,7 @@ def test_solver_config_validation():
 def test_result_json_round_trip():
     data = tiny_instance(3)
     res = solve_invex(data, SolverConfig(m=4, lam=1.0))
-    payload = json.loads(res.to_json())
+    payload = json.loads(json.dumps(to_jsonable(res)))
     assert payload["config"]["m"] == 4
     assert len(payload["b_rounded"]) == data.n
     assert payload["objective_trace"][0] >= payload["objective_trace"][-1]
@@ -340,8 +340,8 @@ def test_far_step_probe_stops_after_losing_and_corners_skip_repair(monkeypatch):
             probes[-1] += 1
         return prox(M, tau)
 
-    def recording_pin(P, iters, tol):
-        pinned.append(pin(P, iters, tol))
+    def recording_pin(P):
+        pinned.append(pin(P))
         return pinned[-1]
 
     def counting_repair(*args):
@@ -367,27 +367,27 @@ def test_pin_corner_repairs_corner_above_one(monkeypatch):
     repair = solver.project_psd_corner
     calls = []
 
-    def counting_repair(P, iters, tol):
+    def counting_repair(P):
         calls.append(P[-1, -1])
-        return repair(P, iters, tol)
+        return repair(P)
 
     monkeypatch.setattr(solver, "project_psd_corner", counting_repair)
     rng = np.random.default_rng(21)
     B = rng.standard_normal((5, 5))
     P = B @ B.T
     P *= 3.0 / P[-1, -1]
-    Q = solver._pin_corner(P, 200, 1e-9)
+    Q = solver._pin_corner(P)
     assert calls == [P[-1, -1]] and P[-1, -1] > 1.0
-    assert np.array_equal(Q, repair(P, 200, 1e-9).V)
+    assert np.array_equal(Q, repair(P).V)
     assert Q[-1, -1] == 1.0 and np.linalg.eigvalsh(Q)[0] >= -1e-9
     # inside a solve, exactly the clipped corners above 1 reach the repair
     calls.clear()
     corners = []
     pin = solver._pin_corner
 
-    def recording_pin(P, iters, tol):
+    def recording_pin(P):
         corners.append(P[-1, -1])
-        return pin(P, iters, tol)
+        return pin(P)
 
     monkeypatch.setattr(solver, "_pin_corner", recording_pin)
     solve_invex(tiny_instance(8), SolverConfig(m=4, lam=0.05))  # corners up to 1.05
@@ -399,7 +399,7 @@ def test_pin_corner_rejects_non_finite():
     P = 0.5 * np.eye(3)
     P[0, 1] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
-        solver._pin_corner(P, 200, 1e-9)
+        solver._pin_corner(P)
 
 
 def _check_solve_pin(name):
