@@ -103,7 +103,7 @@ def build_duals(data: Dataset, selection: np.ndarray, theta_under: np.ndarray,
     absorb the per-sample slack; the matrix dual is defined to cancel the
     matrix-stationarity condition identically.
     """
-    support = _as_rows(support, data.p)
+    support = _as_rows(support, data.p, "support")
     if support.size == 0 and lam > 0:
         raise EmptySupport("empty support with an active regularizer")
     theta_under = np.asarray(theta_under, dtype=float)
@@ -153,7 +153,7 @@ def kkt_residuals(cert: DualCertificate, data: Dataset, selection: np.ndarray,
     """Evaluate every KKT residual for the support-compacted relaxation."""
     k1 = vartheta_under.V.shape[0]
     support = (np.arange(k1 - 1) if support is None
-               else _as_rows(support, data.p))
+               else _as_rows(support, data.p, "support"))
     rows = _as_rows(selection, data.n)
     b = np.zeros(data.n)
     b[rows] = 1.0
@@ -207,7 +207,7 @@ def assumption_check(data: Dataset, support: np.ndarray,
     by configuration (defaults match identity covariance); estimates from
     data are diagnostic only.
     """
-    support = _as_rows(support, data.p)
+    support = _as_rows(support, data.p, "support")
     if support.size == 0:
         raise EmptySupport("assumption check needs a nonempty support")
     if selection is None:
@@ -263,7 +263,7 @@ def strict_dual_feasibility(data: Dataset, selection: np.ndarray,
         raise ValueError("strict dual feasibility needs the generating parameter")
     if lam <= 0:
         raise ValueError("lam must be positive")
-    support = _as_rows(support, data.p)
+    support = _as_rows(support, data.p, "support")
     comp = np.setdiff1d(np.arange(data.p), support)
     rows = _as_rows(selection, data.n)
     m = rows.size

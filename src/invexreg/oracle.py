@@ -45,7 +45,7 @@ def subset_objective(data: Dataset, rows: np.ndarray, theta: np.ndarray,
 
 def _multistart_refit(data, rows, lam, support, rng):
     """Three starts (zero, least squares, perturbed LS) against prox stalls."""
-    cols = np.arange(data.p) if support is None else _as_rows(support, data.p)
+    cols = np.arange(data.p) if support is None else _as_rows(support, data.p, "support")
     Xs = data.X[rows][:, cols]
     ys = data.y[rows]
     theta_ls, *_ = np.linalg.lstsq(Xs, ys, rcond=None)

@@ -405,24 +405,25 @@ def _recover_subgradient(theta, g, lam):
     return w, clip_count
 
 
-def _as_rows(selection: np.ndarray, n: int) -> np.ndarray:
-    """Row indices of a selection given as a 0/1 mask or as indices.
+def _as_rows(selection: np.ndarray, n: int, name: str = "selection") -> np.ndarray:
+    """Indices of a selection given as a 0/1 mask or as indices.
 
     Bool and float arrays are masks: 1-d, length n, entries 0 or 1.
-    Integer arrays are row indices in [0, n).  Anything else raises, so an
-    index array is never read as a mask or the other way round.
+    Integer arrays are indices in [0, n).  Anything else raises, so an
+    index array is never read as a mask or the other way round.  Errors
+    call the input `name`: "selection" for rows, "support" for columns.
     """
     sel = np.asarray(selection)
     if sel.dtype == bool or np.issubdtype(sel.dtype, np.floating):
         if sel.shape != (n,) or not np.all((sel == 0) | (sel == 1)):
-            raise ValueError(f"a {sel.dtype} selection must be a 0/1 mask of "
+            raise ValueError(f"a {sel.dtype} {name} must be a 0/1 mask of "
                              f"length {n}, got shape {sel.shape}")
         return np.flatnonzero(sel)
     if np.issubdtype(sel.dtype, np.integer) and sel.ndim == 1:
         if sel.size and (sel.min() < 0 or sel.max() >= n):
-            raise ValueError(f"selection indices must lie in [0, {n})")
+            raise ValueError(f"{name} indices must lie in [0, {n})")
         return sel.astype(int)
-    raise ValueError(f"selection must be a 0/1 mask or 1-d integer indices, "
+    raise ValueError(f"{name} must be a 0/1 mask or 1-d integer indices, "
                      f"got dtype {sel.dtype} and shape {sel.shape}")
 
 
@@ -480,7 +481,7 @@ def refit(data: Dataset, selection: np.ndarray, lam: float,
     rows = _as_rows(selection, data.n)
     if rows.size < 1:
         raise ValueError("selection must contain at least one sample")
-    cols = np.arange(data.p) if support is None else _as_rows(support, data.p)
+    cols = np.arange(data.p) if support is None else _as_rows(support, data.p, "support")
     Xs = data.X[rows][:, cols]
     ys = data.y[rows]
     _check_finite(("X", Xs), ("y", ys), ("theta0", theta0), ("lam", lam))

@@ -1,9 +1,14 @@
+import json
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from invexreg import baselines
-from invexreg.baselines import (BaselineConfig, _fista_lasso, adaptive_huber_lasso,
-                                lasso, trimmed_lasso)
+from invexreg.baselines import (BaselineConfig, _fista_lasso, _gram, _weighted_gram,
+                                adaptive_huber_lasso, lasso, trimmed_lasso)
+from invexreg.bench import ExperimentConfig, lambda_from_m
 from invexreg.datagen import GenSpec, generate
 from invexreg.model import CLEAN, OUTLIER, Dataset, GroundTruthConfig
 from invexreg.solver import refit
@@ -315,6 +320,124 @@ def test_fista_rejects_non_finite_sample_weights():
     sw[0] = np.nan
     with pytest.raises(ValueError, match="sample weights must be finite"):
         _fista_lasso(data.X, data.y, 0.5, sample_weights=sw)
+
+
+@pytest.mark.parametrize("sw", [-np.ones(30), np.r_[np.ones(29), -1e-3]])
+def test_fista_rejects_negative_sample_weights(sw):
+    """A negative weight raises before any Gram is formed, with no sqrt
+    warning and no eigenvalue failure on the way."""
+    rng = np.random.default_rng(14)
+    data = clean_data(rng)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^sample weights must be >= 0"):
+            _fista_lasso(data.X, data.y, 0.1, sample_weights=sw)
+
+
+@pytest.mark.parametrize("kind", ["fractional", "zero_one", "spanning_one", "ones"])
+def test_weighted_gram_matches_direct_product(kind):
+    """The Gram downdated from X^T X over the rows with w != 1 equals
+    X^T W X formed from every row, and is exactly symmetric; with all
+    weights 1 it is X^T X itself."""
+    rng = np.random.default_rng(18)
+    n, p = 60, 7
+    X = rng.standard_normal((n, p))
+    y = rng.standard_normal(n)
+    w = np.ones(n)
+    if kind == "fractional":
+        rows = rng.random(n) < 0.4
+        w[rows] = rng.uniform(0.05, 1.0, rows.sum())
+    elif kind == "zero_one":
+        w[rng.random(n) < 0.3] = 0.0
+    elif kind == "spanning_one":
+        w = rng.uniform(0.2, 2.0, n)
+    gram = _gram(X, y)
+    H, c = _weighted_gram(X, y, gram, w)
+    H_direct, c_direct = X.T @ (w[:, None] * X), X.T @ (w * y)
+    assert np.array_equal(H, H.T)
+    assert np.abs(H - H_direct).max() <= 1e-12 * np.abs(H_direct).max()
+    assert np.abs(c - c_direct).max() <= 1e-12 * np.abs(c_direct).max()
+    if kind == "ones":
+        assert np.array_equal(H, X.T @ X) and np.array_equal(c, X.T @ y)
+
+
+def test_trimmed_first_round_is_lasso(monkeypatch):
+    """The first trimmed round drops no row, so it solves on X^T X itself and
+    returns the lasso estimate bit for bit."""
+    data = generate(GenSpec(
+        ground_truth=GroundTruthConfig(p=8, k=3, M=2.2, sigma_e=0.1),
+        r=40, n_outliers=20, seed=15))
+    cfg = BaselineConfig(lam=0.6, trim_count=20)
+    thetas = []
+
+    def recording(*args, **kwargs):
+        thetas.append(_fista_lasso(*args, **kwargs))
+        return thetas[-1]
+
+    monkeypatch.setattr(baselines, "_fista_lasso", recording)
+    trimmed_lasso(data, cfg)
+    assert len(thetas) >= 2
+    assert np.array_equal(thetas[0], lasso(data, cfg))
+
+
+def test_warm_adahuber_passes_multiply_only_the_downweighted_rows(monkeypatch):
+    """Each warm IRLS pass downdates X^T X over exactly the rows with a Huber
+    weight below 1, and the cold stage-0 fit multiplies no row."""
+    data = generate(GenSpec(
+        ground_truth=GroundTruthConfig(p=8, k=3, M=2.2, sigma_e=0.1),
+        r=40, n_outliers=20, seed=15))
+    downdated = []
+    passes = []
+    real_downdate = baselines._downdate
+
+    def spy_downdate(H, c, X_D, y_D, d):
+        downdated.append(X_D)
+        return real_downdate(H, c, X_D, y_D, d)
+
+    def recording(X, y, lam, **kwargs):
+        before = len(downdated)
+        theta = _fista_lasso(X, y, lam, **kwargs)
+        passes.append((kwargs.get("sample_weights"), downdated[before:]))
+        return theta
+
+    monkeypatch.setattr(baselines, "_downdate", spy_downdate)
+    monkeypatch.setattr(baselines, "_fista_lasso", recording)
+    adaptive_huber_lasso(data, BaselineConfig(lam=0.6))
+    assert passes[0] == (None, [])
+    partial = 0
+    for w, rows in passes[1:]:
+        below = w < 1.0
+        assert np.all(w <= 1.0)
+        assert len(rows) == int(below.any())
+        if rows:
+            assert np.array_equal(rows[0], data.X[below])
+            partial += below.sum() < data.n
+    assert partial > 0
+
+
+def test_baselines_pinned_output_fig2_p100_seed0():
+    """Pins the three baselines on the largest-m fig2_p100 cell, data seed 0.
+    The expected values in tests/data were recorded from an earlier commit
+    (named in the file); a change that claims to keep the baselines' output
+    must keep them, and the lasso bit for bit."""
+    root = Path(__file__).resolve().parent
+    want = json.loads((root / "data" / "baseline_pin_fig2_p100_seed0.json").read_text())
+    cfg = ExperimentConfig.from_json(root.parent / want["config"])
+    cell = next(c for c in cfg.cells() if c["m"] == want["m"])
+    gt = GroundTruthConfig(p=cfg.p, k=cfg.k, M=cfg.m_budget, sigma_e=cfg.sigma_e)
+    data = generate(GenSpec(ground_truth=gt, r=cell["r"],
+                            n_outliers=cell["n_outliers"], seed=want["seed"],
+                            max_resamples=cfg.max_resamples, rho_min=cfg.rho_min))
+    lam = lambda_from_m(want["m"], cfg.p, cfg.c_lambda)
+    assert np.array_equal(lasso(data, BaselineConfig(lam=lam)), np.array(want["lasso"]))
+    got = {"adahuber": adaptive_huber_lasso(data, BaselineConfig(lam=lam))}
+    got["trimmed"], kept = trimmed_lasso(
+        data, BaselineConfig(lam=lam, trim_count=cell["n_outliers"]))
+    assert np.flatnonzero(kept).tolist() == want["trimmed_kept"]
+    for method, theta in got.items():
+        pinned = np.array(want[method])
+        assert np.array_equal(np.flatnonzero(theta), np.flatnonzero(pinned))
+        assert np.abs(theta - pinned).max() <= 1e-12
 
 
 def stop_residual(X, y, lam, theta, weights=None, sample_weights=None):

@@ -149,5 +149,5 @@ def test_oracle_rejects_rows_outside_the_samples(reader, rows):
 @pytest.mark.parametrize("support", [[7], [-1]])
 def test_enumerate_rejects_support_outside_the_columns(support):
     data = tiny_instance(1)
-    with pytest.raises(ValueError, match="selection"):
+    with pytest.raises(ValueError, match="support"):
         enumerate_best_subset(data, 4, 1.18, support=np.array(support))

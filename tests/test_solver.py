@@ -190,6 +190,16 @@ def test_refit_rejects_malformed_selection(bad):
         refit(two_row_dataset(), bad, 0.1)
 
 
+@pytest.mark.parametrize("support,match", [
+    (np.array([1]), r"^support indices must lie in \[0, 1\)"),
+    (np.array([1.0, 0.0]), "^a float64 support must be a 0/1 mask of length 1"),
+    (np.array(["0"]), "^support must be a 0/1 mask or 1-d integer indices"),
+])
+def test_refit_names_a_malformed_support(support, match):
+    with pytest.raises(ValueError, match=match):
+        refit(two_row_dataset(), np.array([0, 1]), 0.1, support=support)
+
+
 @pytest.mark.parametrize("where", ["X", "y", "theta0", "lam"])
 def test_refit_rejects_non_finite_input(where):
     rng = np.random.default_rng(17)
