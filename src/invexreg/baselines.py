@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Dataset
-from .solver import _check_finite, _fista
+from .solver import _check_finite, _check_int, _fista
 
 __all__ = ["BaselineConfig", "lasso", "adaptive_huber_lasso", "trimmed_lasso"]
 
@@ -54,27 +54,17 @@ __all__ = ["BaselineConfig", "lasso", "adaptive_huber_lasso", "trimmed_lasso"]
 @dataclass(frozen=True)
 class BaselineConfig:
     lam: float = 1.0
-    huber_delta: float | None = None  # None = 1.345 x MAD scale of stage-0 residuals
-    trim_count: int = 0
-    max_iters: int = 5000
-    tol: float = 1e-10
+    trim_count: int = 0   # samples `trimmed_lasso` drops each round
 
     def __post_init__(self):
         if not (np.isfinite(self.lam) and self.lam >= 0):
             raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
-        if self.huber_delta is not None and not (np.isfinite(self.huber_delta)
-                                                 and self.huber_delta > 0):
-            raise ValueError(f"huber_delta must be finite and > 0, got {self.huber_delta}")
-        if self.trim_count < 0:
-            raise ValueError("trim_count must be >= 0")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not (np.isfinite(self.tol) and self.tol > 0):
-            raise ValueError(f"tol must be finite and > 0, got {self.tol}")
+        _check_int("trim_count", self.trim_count, 0)
 
 
 # Sign-pattern corrections a warm start may make before it falls back to FISTA.
 _SIGN_CORRECTIONS = 3
+_TRIM_ROUNDS = 5000   # rounds `trimmed_lasso` runs before it warns
 
 
 def _gram(X, y):
@@ -211,8 +201,7 @@ def _sign_pattern_solve(H, c, lam_j, theta0, residual, bound):
 
 def lasso(data: Dataset, cfg: BaselineConfig) -> np.ndarray:
     """Standard lasso on all samples: sum of squared residuals + lam * ||theta||_1."""
-    return _fista_lasso(data.X, data.y, cfg.lam,
-                        max_iters=cfg.max_iters, tol=cfg.tol)
+    return _fista_lasso(data.X, data.y, cfg.lam)
 
 
 def _huber_weights(resid, delta):
@@ -233,25 +222,22 @@ def adaptive_huber_lasso(data: Dataset, cfg: BaselineConfig) -> np.ndarray:
 
     Stage 1 minimizes the Huber loss of the residuals plus lam ||theta||_1
     by iteratively reweighted least squares wrapped around the weighted
-    lasso solve.  When no huber_delta is configured, the residual scale
-    (and with it delta = 1.345 x MAD) is re-estimated after each pass: the
-    plain stage-0 fit can be wrecked by gross outliers, and the iteration
-    contracts the scale back to the clean residuals.  Stage 2 re-solves
-    with coordinate penalties lam / |theta_j| from the stage-1 estimate
-    (capped at 1e6).  A Huber stage that has not settled after 50 passes,
+    lasso solve.  The residual scale (and with it delta = 1.345 x MAD) is
+    re-estimated after each pass: the plain stage-0 fit can be wrecked by
+    gross outliers, and the iteration contracts the scale back to the clean
+    residuals.  Stage 2 re-solves with coordinate penalties lam / |theta_j|
+    from the stage-1 estimate (capped at 1e6).  A Huber stage that has not settled after 50 passes,
     or a scale that has not settled after 12 rounds, warns and goes on with
     the last iterate, as `trimmed_lasso` does.
     """
     X, y = data.X, data.y
     gram = _gram(X, y)
-    theta = _fista_lasso(X, y, cfg.lam, max_iters=cfg.max_iters, tol=cfg.tol,
-                         gram=gram)
+    theta = _fista_lasso(X, y, cfg.lam, gram=gram)
 
     def huber_stage(th, delta, coord_weights):
         for _ in range(50):
             w = _huber_weights(y - X @ th, delta)
             th_new = _fista_lasso(X, y, cfg.lam, weights=coord_weights,
-                                  max_iters=cfg.max_iters, tol=cfg.tol,
                                   sample_weights=w, theta0=th, gram=gram)
             if np.linalg.norm(th_new - th) <= 1e-9 * (1.0 + np.linalg.norm(th)):
                 return th_new
@@ -260,22 +246,18 @@ def adaptive_huber_lasso(data: Dataset, cfg: BaselineConfig) -> np.ndarray:
                       "in 50 passes; using the last iterate", stacklevel=3)
         return th
 
-    if cfg.huber_delta is not None:
-        delta = cfg.huber_delta
-        theta1 = huber_stage(theta, delta, None)
-    else:
-        delta = None
-        theta1 = theta
-        for _ in range(12):
-            d_new = 1.345 * max(_mad_scale(y - X @ theta1), 1e-8)
-            theta1 = huber_stage(theta1, d_new, None)
-            if delta is not None and abs(d_new - delta) <= 1e-3 * delta:
-                delta = d_new
-                break
+    delta = None
+    theta1 = theta
+    for _ in range(12):
+        d_new = 1.345 * max(_mad_scale(y - X @ theta1), 1e-8)
+        theta1 = huber_stage(theta1, d_new, None)
+        if delta is not None and abs(d_new - delta) <= 1e-3 * delta:
             delta = d_new
-        else:
-            warnings.warn("adaptive Huber lasso: the Huber scale did not settle "
-                          "in 12 rounds; using the last one", stacklevel=2)
+            break
+        delta = d_new
+    else:
+        warnings.warn("adaptive Huber lasso: the Huber scale did not settle "
+                      "in 12 rounds; using the last one", stacklevel=2)
 
     inv = 1.0 / np.maximum(np.abs(theta1), 1e-12)
     coord_weights = np.minimum(inv, 1e6)
@@ -286,7 +268,7 @@ def trimmed_lasso(data: Dataset, cfg: BaselineConfig) -> tuple[np.ndarray, np.nd
     """Alternate lasso fits with dropping the largest-residual samples.
 
     Keeps n - trim_count samples each round; stops at a fixed point of the
-    kept set or after max_iters rounds.  A cycling kept set triggers a
+    kept set or after `_TRIM_ROUNDS` rounds.  A cycling kept set triggers a
     warning and returns the last iterate.
     """
     n = data.n
@@ -299,9 +281,8 @@ def trimmed_lasso(data: Dataset, cfg: BaselineConfig) -> tuple[np.ndarray, np.nd
     gram = _gram(data.X, data.y)
     theta = None  # the first round starts cold, later ones from the last theta
     seen = []
-    for _ in range(cfg.max_iters):
-        theta = _fista_lasso(data.X, data.y, cfg.lam, max_iters=cfg.max_iters,
-                             tol=cfg.tol, sample_weights=kept.astype(float),
+    for _ in range(_TRIM_ROUNDS):
+        theta = _fista_lasso(data.X, data.y, cfg.lam, sample_weights=kept.astype(float),
                              theta0=theta, gram=gram)
         resid = np.abs(data.y - data.X @ theta)
         order = np.argsort(resid, kind="stable")

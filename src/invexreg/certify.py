@@ -325,20 +325,18 @@ def invexity_gap(data: Dataset, b: np.ndarray, V: np.ndarray,
 
 
 def invexity_witness(data: Dataset, trials: int, seed: int = 0,
-                     lam: float = 1.0, m: int | None = None,
-                     denom_floor: float = 0.05,
                      max_rejects: int = 500) -> tuple[float, float]:
     """Sample feasible pairs and evaluate the invexity gap numerically.
 
-    Returns (min gap, max |bilinear part|) over the trials.  Matrices with
-    any lifted loss below denom_floor are rejected since the displacement
-    kernel divides by those losses.
+    Returns (min gap, max |bilinear part|) over the trials, at lam = 1 and
+    weights b with sum b >= n // 2 + 1.  Matrices with any lifted loss
+    below 0.05 are rejected since the displacement kernel divides by those
+    losses.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     n, p = data.n, data.p
-    m_eff = (n // 2 + 1) if m is None else m
-    bset = BFeasibleSet(n, min(m_eff, n))
+    bset = BFeasibleSet(n, n // 2 + 1)
     rng = np.random.default_rng(seed)
     X, y = data.X, data.y
 
@@ -352,17 +350,16 @@ def invexity_witness(data: Dataset, trials: int, seed: int = 0,
             Q = rng.standard_normal((p + 1, 2))
             W = W + rng.uniform(0.0, 0.5) * (Q @ Q.T)
             V = W / W[-1, -1]
-            if sample_losses(X, y, V).min() >= denom_floor:
+            if sample_losses(X, y, V).min() >= 0.05:
                 return V
         raise RejectionExhausted(
-            f"no feasible lifted matrix with losses >= {denom_floor} "
-            f"after {max_rejects} draws")
+            f"no feasible lifted matrix with losses >= 0.05 after {max_rejects} draws")
 
     min_gap = np.inf
     bilinear_max = 0.0
     for _ in range(trials):
         gap, bilinear = invexity_gap(data, sample_b(), sample_vartheta(),
-                                     sample_b(), sample_vartheta(), lam=lam)
+                                     sample_b(), sample_vartheta(), lam=1.0)
         min_gap = min(min_gap, gap)
         bilinear_max = max(bilinear_max, abs(bilinear))
     return min_gap, bilinear_max

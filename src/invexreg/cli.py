@@ -58,9 +58,6 @@ def _build_parser() -> _Parser:
                    help="used as c*sqrt(m ln p) when --lam is not given")
     s.add_argument("--max-outer", type=int, default=200)
     s.add_argument("--tol-obj", type=float, default=1e-8)
-    s.add_argument("--step-rule", choices=["backtracking", "fixed"],
-                   default="backtracking")
-    s.add_argument("--eta", type=float, default=None)
     s.add_argument("--out", required=True)
 
     c = sub.add_parser("certify", help="build duals and evaluate KKT residuals")
@@ -113,10 +110,10 @@ def _cmd_gen(args) -> int:
 def _cmd_solve(args) -> int:
     data = load_dataset(args.data)
     lam = args.lam
-    if lam is None:
+    if lam is None and args.m > 0:  # SolverConfig reports a bad m
         lam = lambda_from_m(args.m, data.p, args.c_lambda)
     cfg = SolverConfig(m=args.m, lam=lam, max_outer=args.max_outer,
-                       tol_obj=args.tol_obj, step_rule=args.step_rule, eta=args.eta)
+                       tol_obj=args.tol_obj)
     res = solve_invex(data, cfg)
     _write_json(args.out, res)
     print(f"wrote {args.out} (converged={res.converged}, "

@@ -186,12 +186,15 @@ def lift_parameter(theta: np.ndarray) -> Vartheta:
     return Vartheta(np.outer(z, z))
 
 
-def extract_theta(vartheta: Vartheta, rank_tol: float = 1e-3) -> tuple[np.ndarray, float]:
+_RANK1_WARN = 1e-3   # rank1_gap above which extract_theta warns
+
+
+def extract_theta(vartheta: Vartheta) -> tuple[np.ndarray, float]:
     """Read theta off the last column of V and report the rank-1 defect.
 
     Returns (theta, rank1_gap) where rank1_gap = lambda_2 / lambda_1 of V
     (eigenvalues sorted descending).  Exact under rank-1 structure because
-    the corner entry is pinned to 1.  Warns when the gap exceeds rank_tol.
+    the corner entry is pinned to 1.  Warns when the gap exceeds _RANK1_WARN.
     """
     V = vartheta.V
     theta = V[:-1, -1].copy()
@@ -200,9 +203,9 @@ def extract_theta(vartheta: Vartheta, rank_tol: float = 1e-3) -> tuple[np.ndarra
     if lam1 <= 0:
         raise ValueError("degenerate lifted matrix: leading eigenvalue is not positive")
     rank1_gap = float(max(lam2, 0.0) / lam1)
-    if rank1_gap > rank_tol:
+    if rank1_gap > _RANK1_WARN:
         warnings.warn(
-            f"lifted matrix is far from rank one (gap {rank1_gap:.3g} > {rank_tol:.3g})",
+            f"lifted matrix is far from rank one (gap {rank1_gap:.3g} > {_RANK1_WARN:.3g})",
             stacklevel=2,
         )
     return theta, rank1_gap

@@ -63,8 +63,7 @@ def _multistart_refit(data, rows, lam, support, rng):
 def enumerate_best_subset(data: Dataset, m: int, lam: float,
                           support: np.ndarray | None = None,
                           cap: int = 100_000,
-                          keep_table: bool = False,
-                          seed: int = 0) -> OracleResult:
+                          keep_table: bool = False) -> OracleResult:
     """Solve the subset-selection regression exactly by enumeration.
 
     Ties in the objective resolve to the lexicographically smallest subset
@@ -76,7 +75,7 @@ def enumerate_best_subset(data: Dataset, m: int, lam: float,
     total = comb(n, m)
     if total > cap:
         raise CombinatorialBlowup(f"C({n},{m}) = {total} exceeds cap {cap}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     best = None
     table = [] if keep_table else None
     for J in combinations(range(n), m):

@@ -61,19 +61,24 @@ def project_b(v: np.ndarray, bset: BFeasibleSet) -> np.ndarray:
     return np.ones_like(v)  # beyond the last breakpoint everything saturates
 
 
-def project_psd_corner(Mtx: np.ndarray, iters: int = 200, tol: float = 1e-9) -> Vartheta:
+_REPAIR_ROUNDS = 200   # rounds of the alternating repair
+_REPAIR_TOL = 1e-9     # eigenvalue violation the repair accepts
+
+
+def project_psd_corner(Mtx: np.ndarray) -> Vartheta:
     """Feasibility repair onto {V PSD, V[-1,-1] = 1}.
 
     Symmetrizes the input and pins the corner entry, then tests feasibility
-    with a Cholesky factorization of S + tol I.  When that succeeds (minimum
-    eigenvalue above -tol) S is returned as is, with no eigendecomposition.
-    Only when it fails does the repair run: alternate eigenvalue clipping
-    with pinning the corner until the remaining eigenvalue violation is
-    within tol (or iters is exhausted).  Alternating projections stall
-    sublinearly when the limit touches the cone boundary tangentially, so
-    any leftover violation eps is removed exactly by the feasible map
-    S -> (S + eps I) / (1 + eps), which keeps the corner at 1.  The result
-    is a feasibility operator, not the exact joint projection.
+    with a Cholesky factorization of S + tol I, tol = `_REPAIR_TOL`.  When
+    that succeeds (minimum eigenvalue above -tol) S is returned as is, with
+    no eigendecomposition.  Only when it fails does the repair run:
+    alternate eigenvalue clipping with pinning the corner until the
+    remaining eigenvalue violation is within tol (or `_REPAIR_ROUNDS` run
+    out).  Alternating projections stall sublinearly when the limit touches
+    the cone boundary tangentially, so any leftover violation eps is
+    removed exactly by the feasible map S -> (S + eps I) / (1 + eps), which
+    keeps the corner at 1.  The result is a feasibility operator, not the
+    exact joint projection.
     """
     S = np.asarray(Mtx, dtype=float)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
@@ -83,16 +88,16 @@ def project_psd_corner(Mtx: np.ndarray, iters: int = 200, tol: float = 1e-9) -> 
     S = 0.5 * (S + S.T)
     S[-1, -1] = 1.0
     try:
-        np.linalg.cholesky(S + tol * np.eye(S.shape[0]))
+        np.linalg.cholesky(S + _REPAIR_TOL * np.eye(S.shape[0]))
     except np.linalg.LinAlgError:
         pass
     else:
         return Vartheta(S)
     w0 = None
-    for _ in range(max(1, iters)):
+    for _ in range(_REPAIR_ROUNDS):
         w, U = np.linalg.eigh(S)
         w0 = w[0]
-        if w0 >= -tol:
+        if w0 >= -_REPAIR_TOL:
             break
         S = (U * np.maximum(w, 0.0)) @ U.T
         S = 0.5 * (S + S.T)

@@ -63,26 +63,34 @@ class InfeasibleM(ValueError):
 
 
 class NonFinite(RuntimeError):
-    """Objective or V-step matrix became non-finite; the step size
-    configuration is bad."""
+    """Objective or V-step matrix became non-finite."""
+
+
+def _check_int(name: str, value, low: int) -> None:
+    """Raise ValueError naming `name` unless value is an integer (not a bool)
+    of at least `low`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """m and max_outer are integers >= 1, lam and tol_obj finite and >= 0,
+    or ValueError names the field.  The V step's step size is not settable:
+    it starts at the 1/L bound and adapts by backtracking."""
+
     m: int
     lam: float
     max_outer: int = 200
-    step_rule: str = "backtracking"   # "backtracking" or "fixed"
-    eta: float | None = None          # required for step_rule="fixed"
     tol_obj: float = 1e-8
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("lam must be >= 0")
-        if self.step_rule not in ("backtracking", "fixed"):
-            raise ValueError(f"unknown step_rule {self.step_rule!r}")
-        if self.step_rule == "fixed" and (self.eta is None or self.eta <= 0):
-            raise ValueError("fixed step rule needs a positive eta")
+        _check_int("m", self.m, 1)
+        _check_int("max_outer", self.max_outer, 1)
+        for name in ("lam", "tol_obj"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
 
 @dataclass(eq=False)
@@ -261,8 +269,8 @@ def solve_invex(data: Dataset, cfg: SolverConfig) -> SolveResult:
     outer = 0
     for outer in range(1, cfg.max_outer + 1):
         G = grad_vartheta(b, data)
-        if eta is None or cfg.step_rule == "fixed":
-            eta = cfg.eta if cfg.step_rule == "fixed" else _initial_eta(G, lam)
+        if eta is None:
+            eta = _initial_eta(G, lam)
         # inside the block the smooth part is <G, V>, so the objective is
         # O(p^2) per candidate instead of O(n p^2)
         cur = float((G * V).sum() + lam * np.abs(V).sum())
@@ -329,8 +337,7 @@ def solve_invex(data: Dataset, cfg: SolverConfig) -> SolveResult:
                 break
             improvement = cur - accepted[0]
             cur, V = accepted[0], accepted[1]
-            if cfg.step_rule == "backtracking":
-                eta = min(accepted[2] * 2.0, 1e12)
+            eta = min(accepted[2] * 2.0, 1e12)
             if improvement <= 0.1 * cfg.tol_obj * max(abs(cur), 1.0):
                 break
 
@@ -464,9 +471,12 @@ def _fista(H, c, theta, prox, converged, max_iters):
     return theta
 
 
+_REFIT_MAX_ITERS = 20000
+
+
 def refit(data: Dataset, selection: np.ndarray, lam: float,
           support: np.ndarray | None = None, theta0: np.ndarray | None = None,
-          max_iter: int = 20000, tol: float = 1e-8) -> np.ndarray:
+          tol: float = 1e-8) -> np.ndarray:
     """Penalized least squares on the selected rows.
 
     The selection is a 0/1 mask or row indices, as `_as_rows` reads it.
@@ -475,8 +485,9 @@ def refit(data: Dataset, selection: np.ndarray, lam: float,
     With `support` (columns, read like the selection), the regression runs
     on those columns only and is zero-padded back to length p.  Stops when
     the stationarity residual (subgradient recovered as in the dual
-    construction) is below the absolute tol.  Non-finite X or y on the
-    selected rows and columns, theta0 or lam raise ValueError.
+    construction) is below the absolute tol, or after `_REFIT_MAX_ITERS`
+    iterations.  Non-finite X or y on the selected rows and columns, theta0
+    or lam raise ValueError.
     """
     rows = _as_rows(selection, data.n)
     if rows.size < 1:
@@ -497,7 +508,7 @@ def refit(data: Dataset, selection: np.ndarray, lam: float,
 
     theta = _fista(Xs.T @ Xs, Xs.T @ ys, theta,
                    lambda v, step: prox_l1_plus_one_squared(v, step * lam),
-                   converged, max_iter)
+                   converged, _REFIT_MAX_ITERS)
     out = np.zeros(data.p)
     out[cols] = theta
     return out

@@ -155,6 +155,19 @@ def test_cli_usage_and_errors(tmp_path):
              "--lam", "1.0", "--cap", "3", "--out", str(tmp_path / "o.json"))
     assert r.returncode == 2
     assert "CombinatorialBlowup" in r.stderr
+    # a bad SolverConfig field is a runtime error that names the field, with
+    # or without --lam (without it, lam is derived from m)
+    for lam_args in ((), ("--lam", "1.0")):
+        r = _cli("solve", "--data", str(tmp_path / "ds"), "--m", "-3", *lam_args,
+                 "--out", str(tmp_path / "s.json"))
+        assert r.returncode == 2
+        assert "m must be an integer >= 1, got -3" in r.stderr
+    # the V step's step size is not settable
+    for flag in (("--step-rule", "fixed"), ("--eta", "0.001")):
+        r = _cli("solve", "--data", str(tmp_path / "ds"), "--m", "4", *flag,
+                 "--out", str(tmp_path / "s.json"))
+        assert r.returncode == 1
+        assert "unrecognized arguments" in r.stderr
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"p": 6, "k": 2, "clean_count_rule": 24,
                                "C_values": [0.4], "seeds": [0],
@@ -187,7 +200,15 @@ def test_cli_pipeline(tmp_path):
     res = json.loads((tmp_path / "res.json").read_text())
     sel = [i for i, b in enumerate(res["b_rounded"]) if b == 1]
     assert sel == orc["J_star"]
-    assert set(res["config"]) == {"m", "lam", "max_outer", "step_rule", "eta", "tol_obj"}
+    assert set(res["config"]) == {"m", "lam", "max_outer", "tol_obj"}
+    # certify reads only config.lam, so a result written when SolverConfig
+    # also had step_rule and eta still certifies, to the same bytes
+    res["config"].update(step_rule="backtracking", eta=None)
+    (tmp_path / "old.json").write_text(json.dumps(res))
+    r = _cli("certify", "--data", ds, "--result", str(tmp_path / "old.json"),
+             "--out", str(tmp_path / "cert_old.json"))
+    assert r.returncode == 0, r.stderr
+    assert (tmp_path / "cert_old.json").read_bytes() == (tmp_path / "cert.json").read_bytes()
 
 
 def test_cli_selftest(tmp_path):

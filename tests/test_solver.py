@@ -273,13 +273,6 @@ def test_solve_monotone_trace_and_feasible_iterates():
         assert np.linalg.eigvalsh(V)[0] >= -2e-9
 
 
-def test_solve_fixed_step_rule():
-    data = tiny_instance(1)
-    res = solve_invex(data, SolverConfig(m=4, lam=1.0, step_rule="fixed", eta=1e-3))
-    trace = np.asarray(res.objective_trace)
-    assert np.all(np.diff(trace) <= 1e-12)
-
-
 def test_solve_infeasible_m():
     data = tiny_instance(2)
     with pytest.raises(InfeasibleM):
@@ -289,10 +282,27 @@ def test_solve_infeasible_m():
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(m=2, lam=-1.0)
-    with pytest.raises(ValueError):
-        SolverConfig(m=2, lam=0.0, step_rule="fixed")
-    with pytest.raises(ValueError):
-        SolverConfig(m=2, lam=0.0, step_rule="nope")
+    SolverConfig(m=np.int64(4), lam=np.float64(0.1), max_outer=np.int32(3), tol_obj=0.0)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("m", -3), ("m", 0), ("m", 2.5), ("m", 3.0), ("m", True),
+    ("max_outer", 0), ("max_outer", -1), ("max_outer", 10.0), ("max_outer", False),
+    ("tol_obj", float("nan")), ("tol_obj", float("inf")), ("tol_obj", -1e-8),
+    ("lam", float("nan")), ("lam", float("inf")), ("lam", -float("inf")),
+])
+def test_solver_config_rejects_a_bad_field_by_name(field, value):
+    kwargs = {"m": 4, "lam": 0.1, field: value}
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        SolverConfig(**kwargs)
+
+
+def test_far_step_probe_reaches_the_null_ray_minimum():
+    """At lam = 0 the smooth part is singular and the minimum, 0 here, lies
+    along the gradient's null ray; only the far-step probe reaches it.  The
+    backtracking steps alone stall at an objective of about 4.13."""
+    res = solve_invex(tiny_instance(4), SolverConfig(m=4, lam=0.0))
+    assert res.objective_trace[-1] <= 1e-9
 
 
 def test_result_json_round_trip():
