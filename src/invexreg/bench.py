@@ -6,7 +6,8 @@ Trials are independent (seed x cell x method) and run on a process pool
 capped by the INVEX_THREADS environment variable; results are reduced in a
 fixed (cell, seed, method) order so output bytes do not depend on
 scheduling.  Wall-clock timings go to a separate timings.csv because the
-result files are byte-reproducible.
+result files are byte-reproducible.  `certify_at_true_support` is the one
+certificate recipe, for the `kkt_feasible` column and `invexreg certify`.
 """
 
 from __future__ import annotations
@@ -31,13 +32,16 @@ from .solver import SolverConfig, refit, solve_invex
 from .svgplot import write_line_plot
 
 __all__ = ["ExperimentConfig", "run_sweep", "clean_count_theory", "m_from_C",
-           "lambda_from_m", "RESULT_COLUMNS"]
+           "lambda_from_m", "certify_at_true_support", "RESULT_COLUMNS"]
 
 RESULT_COLUMNS = ["method", "p", "k", "m", "r", "n_outliers", "seed",
                   "mistakes_frac", "jaccard", "norm_error", "delta_m",
                   "rank1_gap", "kkt_feasible", "error"]
 
 METHODS = ("invex", "lasso", "adahuber", "trimmed")
+
+_TOL_OBJ = 1e-6    # the sweep's invex stopping rule
+_MAX_OUTER = 150
 
 
 def clean_count_theory(p: int) -> int:
@@ -66,12 +70,8 @@ class ExperimentConfig:
     methods: tuple = METHODS
     seeds: tuple = (0, 1, 2, 3, 4)
     sigma_e: float = 0.1
-    M: float | None = None                   # default 1.1 * k
-    alpha1: float = 1.0
     rho_min: float = 0.0
     max_resamples: int = 200
-    tol_obj: float = 1e-6
-    max_outer: int = 150
     output_dir: str = "sweep_out"
 
     def __post_init__(self):
@@ -91,7 +91,7 @@ class ExperimentConfig:
 
     @property
     def m_budget(self) -> float:
-        return self.M if self.M is not None else 1.1 * self.k
+        return 1.1 * self.k
 
     @property
     def r(self) -> int:
@@ -131,18 +131,21 @@ class ExperimentConfig:
         return cls(**raw)
 
 
-def _certify_trial(data: Dataset, sel_mask: np.ndarray, lam: float) -> bool:
-    """Full certificate verdict on the solver's selection at the true support."""
+def certify_at_true_support(data: Dataset, selection: np.ndarray, lam: float) -> tuple:
+    """Oracle-mode primal-dual witness: refit on the support of theta*, duals,
+    KKT residuals.  kkt_feasible needs feasible duals, a positive second
+    eigenvalue and a PSD matrix dual (>= -1e-8) with null-vector residual
+    <= 1e-6.  Returns (support, th_S, cert, report, kkt_feasible)."""
+    if data.theta_star is None:
+        raise ValueError("certification needs theta_star in the dataset sidecar")
     support = np.flatnonzero(np.abs(data.theta_star) > 0)
-    if support.size == 0:
-        return False
-    th_S = refit(data, sel_mask, lam, support=support, tol=1e-10)[support]
-    cert = build_duals(data, sel_mask, th_S, lam, support)
-    rep = kkt_residuals(cert, data, sel_mask, lift_parameter(th_S), lam,
-                        support=support)
-    return bool(cert.feasible and rep.second_eig > 0
-                and rep.dual_feas_min_eig >= -1e-8
-                and rep.nullvec_residual <= 1e-6)
+    th_S = refit(data, selection, lam, support=support, tol=1e-10)[support]
+    cert = build_duals(data, selection, th_S, lam, support)
+    rep = kkt_residuals(cert, data, selection, lift_parameter(th_S), lam, support)
+    kkt_feasible = bool(cert.feasible and rep.second_eig > 0
+                        and rep.dual_feas_min_eig >= -1e-8
+                        and rep.nullvec_residual <= 1e-6)
+    return support, th_S, cert, rep, kkt_feasible
 
 
 def run_trial(cfg: ExperimentConfig, cell: dict, seed: int, method: str) -> tuple[dict, float]:
@@ -151,24 +154,21 @@ def run_trial(cfg: ExperimentConfig, cell: dict, seed: int, method: str) -> tupl
     gt = GroundTruthConfig(p=cfg.p, k=cfg.k, M=cfg.m_budget, sigma_e=cfg.sigma_e)
     spec = GenSpec(ground_truth=gt, r=cell["r"], n_outliers=cell["n_outliers"],
                    seed=seed, max_resamples=cfg.max_resamples, rho_min=cfg.rho_min)
-    row = {"method": method, "p": cfg.p, "k": cfg.k, "m": cell["m"],
-           "r": cell["r"], "n_outliers": cell["n_outliers"], "seed": seed,
-           "mistakes_frac": None, "jaccard": None, "norm_error": None,
-           "delta_m": None, "rank1_gap": None, "kkt_feasible": None,
-           "error": ""}
+    row = dict.fromkeys(RESULT_COLUMNS)
+    row.update(method=method, p=cfg.p, k=cfg.k, m=cell["m"], r=cell["r"],
+               n_outliers=cell["n_outliers"], seed=seed, error="")
     try:
         data = generate(spec)
         m = cell["m"]
         lam = lambda_from_m(m, cfg.p, cfg.c_lambda)
         if method == "invex":
-            scfg = SolverConfig(m=m, lam=lam, tol_obj=cfg.tol_obj,
-                                max_outer=cfg.max_outer)
+            scfg = SolverConfig(m=m, lam=lam, tol_obj=_TOL_OBJ, max_outer=_MAX_OUTER)
             res = solve_invex(data, scfg)
             theta = res.theta_hat
             row["mistakes_frac"] = clean_recovery_mistakes(res.b_rounded, data.labels, m)
             row["rank1_gap"] = res.rank1_gap
-            row["delta_m"] = theory_delta_m(cfg.m_budget, lam, cfg.k, cfg.alpha1, m)
-            row["kkt_feasible"] = _certify_trial(data, res.b_rounded, lam)
+            row["delta_m"] = theory_delta_m(cfg.m_budget, lam, cfg.k, 1.0, m)
+            row["kkt_feasible"] = certify_at_true_support(data, res.b_rounded, lam)[-1]
         elif method == "lasso":
             theta = lasso(data, BaselineConfig(lam=lam))
         elif method == "adahuber":
@@ -183,10 +183,6 @@ def run_trial(cfg: ExperimentConfig, cell: dict, seed: int, method: str) -> tupl
     except Exception as exc:  # record, never abort the sweep
         row["error"] = type(exc).__name__
     return row, time.perf_counter() - t0
-
-
-def _run_trial_star(args):
-    return run_trial(*args)
 
 
 def _fmt(v) -> str:
@@ -207,6 +203,12 @@ def _write_csv(path: Path, columns: list[str], rows: list[dict]) -> None:
             w.writerow([_fmt(row.get(c)) for c in columns])
 
 
+_AGG_KEYS = ("mistakes_frac", "jaccard", "norm_error", "delta_m", "rank1_gap")
+AGG_COLUMNS = ["method", "p", "k", "m", "r", "n_outliers", "x", "n_seeds",
+               *(f"{key}_{stat}" for key in _AGG_KEYS for stat in ("mean", "std")),
+               "kkt_feasible_frac"]
+
+
 def _aggregate(rows: list[dict], cells: list[dict], cfg: ExperimentConfig) -> list[dict]:
     agg = []
     for cell in cells:
@@ -217,8 +219,7 @@ def _aggregate(rows: list[dict], cells: list[dict], cfg: ExperimentConfig) -> li
             entry = {"method": method, "p": cfg.p, "k": cfg.k, "m": cell["m"],
                      "r": cell["r"], "n_outliers": cell["n_outliers"],
                      "x": cell["x"], "n_seeds": len(sub)}
-            for key in ("mistakes_frac", "jaccard", "norm_error", "delta_m",
-                        "rank1_gap"):
+            for key in _AGG_KEYS:
                 vals = [r[key] for r in sub if r[key] is not None]
                 entry[f"{key}_mean"] = float(np.mean(vals)) if vals else None
                 entry[f"{key}_std"] = float(np.std(vals)) if vals else None
@@ -226,13 +227,6 @@ def _aggregate(rows: list[dict], cells: list[dict], cfg: ExperimentConfig) -> li
             entry["kkt_feasible_frac"] = float(np.mean(flags)) if flags else None
             agg.append(entry)
     return agg
-
-
-AGG_COLUMNS = ["method", "p", "k", "m", "r", "n_outliers", "x", "n_seeds",
-               "mistakes_frac_mean", "mistakes_frac_std", "jaccard_mean",
-               "jaccard_std", "norm_error_mean", "norm_error_std",
-               "delta_m_mean", "delta_m_std", "rank1_gap_mean", "rank1_gap_std",
-               "kkt_feasible_frac"]
 
 
 def _plots(agg: list[dict], cells: list[dict], cfg: ExperimentConfig,
@@ -296,10 +290,10 @@ def run_sweep(cfg: ExperimentConfig, workers: int | None = None) -> dict:
     workers = max(1, min(workers, len(tasks)))
 
     if workers == 1:
-        outcomes = [_run_trial_star(t) for t in tasks]
+        outcomes = [run_trial(*t) for t in tasks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_run_trial_star, tasks, chunksize=1))
+            outcomes = list(pool.map(run_trial, *zip(*tasks), chunksize=1))
 
     rows = [row for row, _ in outcomes]
     timings = [{"method": row["method"], "m": row["m"],

@@ -4,7 +4,8 @@ Given a primal candidate (selection + support-restricted parameter), build
 the dual variables in closed form, evaluate every KKT residual for the
 support-compacted relaxation, inspect the spectrum of the matrix dual, and
 run the finite-sample assumption and strict-dual-feasibility diagnostics.
-The certificate is a numerical check on one instance, not a proof.
+The certificate is a numerical check on one instance, not a proof; the
+one verdict built from it is `bench.certify_at_true_support`.
 
 Supports are column indices, read like selections by `solver._as_rows`, so
 a negative or out-of-range column raises ValueError instead of wrapping
@@ -37,6 +38,8 @@ __all__ = [
     "invexity_witness",
     "nonconvexity_witness",
 ]
+
+_TOL = 1e-8   # slack allowed on every dual and primal feasibility inequality
 
 
 class EmptySupport(ValueError):
@@ -95,7 +98,7 @@ class AssumptionReport:
 
 
 def build_duals(data: Dataset, selection: np.ndarray, theta_under: np.ndarray,
-                lam: float, support: np.ndarray, tol: float = 1e-8) -> DualCertificate:
+                lam: float, support: np.ndarray) -> DualCertificate:
     """Closed-form dual variables for a candidate (selection, parameter) pair.
 
     The scalar dual sits at the midpoint of its feasibility interval
@@ -119,7 +122,7 @@ def build_duals(data: Dataset, selection: np.ndarray, theta_under: np.ndarray,
     losses = sample_losses(X_sub, data.y, vu)
     lo = float(losses[rows].max()) if rows.size else 0.0
     hi = float(losses[unsel_mask].min()) if unsel_mask.any() else np.inf
-    interval_ok = lo <= hi + tol
+    interval_ok = lo <= hi + _TOL
     nu = 0.5 * (lo + hi) if np.isfinite(hi) else lo
 
     beta = np.zeros(data.n)
@@ -137,8 +140,8 @@ def build_duals(data: Dataset, selection: np.ndarray, theta_under: np.ndarray,
     Lambda = S_A + lam * zeta
     Lambda[-1, -1] += mu_corner
 
-    feasible = bool(interval_ok and beta.min(initial=0.0) >= -tol
-                    and gamma.min(initial=0.0) >= -tol and nu >= -tol)
+    feasible = bool(interval_ok and beta.min(initial=0.0) >= -_TOL
+                    and gamma.min(initial=0.0) >= -_TOL and nu >= -_TOL)
     return DualCertificate(
         nu=nu, nu_interval=(lo, hi), beta=beta, gamma=gamma, Lambda=Lambda,
         mu_corner=mu_corner, zeta=zeta, omega=omega, feasible=feasible,
@@ -148,12 +151,13 @@ def build_duals(data: Dataset, selection: np.ndarray, theta_under: np.ndarray,
 
 def kkt_residuals(cert: DualCertificate, data: Dataset, selection: np.ndarray,
                   vartheta_under: Vartheta, lam: float,
-                  support: np.ndarray | None = None,
-                  tol: float = 1e-8) -> KKTReport:
+                  support: np.ndarray) -> KKTReport:
     """Evaluate every KKT residual for the support-compacted relaxation."""
-    k1 = vartheta_under.V.shape[0]
-    support = (np.arange(k1 - 1) if support is None
-               else _as_rows(support, data.p, "support"))
+    support = _as_rows(support, data.p, "support")
+    k1 = support.size + 1
+    if vartheta_under.V.shape != (k1, k1):
+        raise ValueError(f"vartheta_under must be {k1} x {k1} for a support of "
+                         f"size {support.size}, got {vartheta_under.V.shape}")
     rows = _as_rows(selection, data.n)
     b = np.zeros(data.n)
     b[rows] = 1.0
@@ -180,9 +184,9 @@ def kkt_residuals(cert: DualCertificate, data: Dataset, selection: np.ndarray,
     nullvec_residual = float(np.linalg.norm(cert.Lambda @ nullvec))
 
     primal_ok = bool(
-        np.linalg.eigvalsh(vu)[0] >= -tol
-        and abs(vu[-1, -1] - 1.0) <= tol
-        and b.sum() >= m - tol
+        np.linalg.eigvalsh(vu)[0] >= -_TOL
+        and abs(vu[-1, -1] - 1.0) <= _TOL
+        and b.sum() >= m - _TOL
         and b.min(initial=0.0) >= 0.0 and b.max(initial=0.0) <= 1.0
     )
     return KKTReport(
@@ -227,11 +231,7 @@ def assumption_check(data: Dataset, support: np.ndarray,
     if comp.size == 0:
         incoherence = 0.0
     else:
-        cond = np.linalg.cond(SS)
-        if not np.isfinite(cond) or cond > 1e12:
-            raise SingularSubmatrix(
-                f"on-support covariance block is singular (cond={cond:.3g})")
-        B = np.linalg.solve(SS.T, Sigma_hat[np.ix_(comp, support)].T).T
+        B = _solve_on_support(SS.T, Sigma_hat[np.ix_(comp, support)].T).T
         incoherence = float(np.abs(B).sum(axis=1).max())
 
     return AssumptionReport(
@@ -248,14 +248,24 @@ def assumption_check(data: Dataset, support: np.ndarray,
     )
 
 
+def _solve_on_support(SS: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """solve(SS, rhs) for an on-support covariance block, or SingularSubmatrix
+    when its condition number is not finite or exceeds 1e12."""
+    cond = np.linalg.cond(SS)
+    if not np.isfinite(cond) or cond > 1e12:
+        raise SingularSubmatrix(
+            f"on-support covariance block is singular (cond={cond:.3g})")
+    return np.linalg.solve(SS, rhs)
+
+
 def strict_dual_feasibility(data: Dataset, selection: np.ndarray,
-                            theta_hat: np.ndarray, lam: float,
+                            th_S: np.ndarray, lam: float,
                             support: np.ndarray,
                             kappa: float = 0.5) -> tuple[float, bool]:
     """Off-support subgradient bound from the stationarity split.
 
     Computes the off-support subgradient implied by the selected rows'
-    stationarity system (noise terms taken against the generating
+    stationarity system at th_S (noise terms taken against the generating
     parameter) and passes when its sup norm stays below 1 - kappa/4.
     Requires the dataset's generating parameter and lam > 0.
     """
@@ -267,13 +277,9 @@ def strict_dual_feasibility(data: Dataset, selection: np.ndarray,
     comp = np.setdiff1d(np.arange(data.p), support)
     rows = _as_rows(selection, data.n)
     m = rows.size
-    theta_hat = np.asarray(theta_hat, dtype=float)
-    if theta_hat.shape == (data.p,):
-        th_S = theta_hat[support]
-    elif theta_hat.shape == (support.size,):
-        th_S = theta_hat
-    else:
-        raise ValueError("theta_hat must be full length or support-restricted")
+    th_S = np.asarray(th_S, dtype=float)
+    if th_S.shape != (support.size,):
+        raise ValueError("th_S must match the support size")
 
     Xr = data.X[rows]
     Xt = Xr[:, support]          # on-support columns
@@ -281,10 +287,6 @@ def strict_dual_feasibility(data: Dataset, selection: np.ndarray,
     e = data.y[rows] - Xr @ data.theta_star
 
     Sigma_SS = (Xt.T @ Xt) / m
-    cond = np.linalg.cond(Sigma_SS)
-    if not np.isfinite(cond) or cond > 1e12:
-        raise SingularSubmatrix(
-            f"on-support covariance block is singular (cond={cond:.3g})")
     Sigma_cS = (Xb.T @ Xt) / m
 
     g_support = Xt.T @ (Xt @ th_S - data.y[rows])
@@ -293,7 +295,7 @@ def strict_dual_feasibility(data: Dataset, selection: np.ndarray,
     c = (lam / m) * (1.0 + s1)
 
     inner = (Xt.T @ e) / m - c * omega_t
-    rhs = -Sigma_cS @ np.linalg.solve(Sigma_SS, inner) + (Xb.T @ e) / m
+    rhs = -Sigma_cS @ _solve_on_support(Sigma_SS, inner) + (Xb.T @ e) / m
     omega_bar = rhs / c
     omega_bar_inf = float(np.abs(omega_bar).max(initial=0.0))
     return omega_bar_inf, bool(omega_bar_inf <= 1.0 - 0.25 * kappa)

@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Subcommands: gen (dataset to files), solve (dataset -> result JSON),
-certify (dataset + result -> KKT/assumption reports), oracle (tiny-instance
-enumeration), sweep (experiment config -> CSVs/SVGs), selftest (quick
-property suites).  Exit codes: 0 success, 1 usage error, 2 runtime error.
+certify (dataset + result -> KKT/assumption reports -> verdict, the sweep's
+kkt_feasible), oracle (tiny-instance enumeration), sweep (experiment config
+-> CSVs/SVGs), selftest (quick property suites).  Exit codes: 0 success,
+1 usage error, 2 runtime error.
 """
 
 from __future__ import annotations
@@ -17,13 +18,13 @@ from pathlib import Path
 import numpy as np
 
 from . import certify as cert_mod
-from .bench import ExperimentConfig, lambda_from_m, run_sweep
+from .bench import ExperimentConfig, certify_at_true_support, lambda_from_m, run_sweep
 from .datagen import GenSpec, generate
 from .model import (GroundTruthConfig, lift_parameter, lift_sample,
                     load_dataset, save_dataset, squared_loss, to_jsonable)
 from .oracle import enumerate_best_subset
 from .projections import BFeasibleSet, project_b, project_psd_corner
-from .solver import SolverConfig, refit, solve_invex
+from .solver import SolverConfig, solve_invex
 
 
 class _Parser(argparse.ArgumentParser):
@@ -127,18 +128,12 @@ def _cmd_certify(args) -> int:
         result = json.load(fh)
     sel = np.asarray(result["b_rounded"], dtype=float)
     lam = float(result["config"]["lam"])
-    if data.theta_star is None:
-        raise ValueError("certification needs theta_star in the dataset sidecar")
-    support = np.flatnonzero(np.abs(data.theta_star) > 0)
-    th_S = refit(data, sel, lam, support=support, tol=1e-10)[support]
-    cert = cert_mod.build_duals(data, sel, th_S, lam, support)
-    rep = cert_mod.kkt_residuals(cert, data, sel, lift_parameter(th_S), lam,
-                                 support=support)
+    support, th_S, cert, rep, kkt_feasible = certify_at_true_support(data, sel, lam)
     assumption = cert_mod.assumption_check(data, support, selection=sel,
                                            alpha1=args.alpha1, alpha2=args.alpha2,
                                            kappa=args.kappa)
     payload = {"dual_certificate": cert, "kkt_report": rep,
-               "assumption_report": assumption}
+               "assumption_report": assumption, "kkt_feasible": kkt_feasible}
     try:
         wbar, ok = cert_mod.strict_dual_feasibility(data, sel, th_S, lam,
                                                     support, kappa=args.kappa)
@@ -147,7 +142,7 @@ def _cmd_certify(args) -> int:
     except (cert_mod.SingularSubmatrix, ValueError) as exc:
         payload["strict_dual"] = {"error": str(exc)}
     _write_json(args.out, payload)
-    print(f"wrote {args.out} (feasible={cert.feasible}, "
+    print(f"wrote {args.out} (kkt_feasible={kkt_feasible}, "
           f"second_eig={rep.second_eig:.3g})")
     return 0
 

@@ -1,12 +1,17 @@
+import importlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from invexreg.bench import (ExperimentConfig, RESULT_COLUMNS, clean_count_theory,
-                            lambda_from_m, m_from_C, run_sweep)
+from invexreg.bench import (ExperimentConfig, RESULT_COLUMNS, certify_at_true_support,
+                            clean_count_theory, lambda_from_m, m_from_C, run_sweep)
+from invexreg.datagen import GenSpec, generate
+from invexreg.model import GroundTruthConfig, load_dataset, save_dataset
+from invexreg.solver import SolverConfig, solve_invex
 
 
 def test_count_rules():
@@ -70,6 +75,12 @@ def test_config_json_round_trip(tmp_path):
     path.write_text(json.dumps({"p": 6, "bogus_key": 1}))
     with pytest.raises(ValueError):
         ExperimentConfig.from_json(path)
+    # the sweep's solver budget, L1 budget and alpha1 are not settable
+    for key, value in (("M", 4.4), ("alpha1", 1.0), ("tol_obj", 1e-6),
+                       ("max_outer", 150.0)):
+        path.write_text(json.dumps({"p": 6, key: value}))
+        with pytest.raises(ValueError, match=f"unknown config keys: \\['{key}'\\]"):
+            ExperimentConfig.from_json(path)
 
 
 def test_run_sweep_outputs_and_determinism(tmp_path):
@@ -209,6 +220,41 @@ def test_cli_pipeline(tmp_path):
              "--out", str(tmp_path / "cert_old.json"))
     assert r.returncode == 0, r.stderr
     assert (tmp_path / "cert_old.json").read_bytes() == (tmp_path / "cert.json").read_bytes()
+
+
+@pytest.mark.parametrize("pick", ["solver", "worst_outlier"])
+def test_cli_certify_verdict_is_the_sweep_verdict(tmp_path, pick):
+    """`invexreg certify` writes the verdict the sweep's kkt_feasible column
+    takes from the same recipe, passing or failing."""
+    gt = GroundTruthConfig(p=4, k=2, M=2.2, sigma_e=0.05)
+    save_dataset(generate(GenSpec(ground_truth=gt, r=4, n_outliers=4, seed=0,
+                                  rho_min=5.0, max_resamples=500)), tmp_path / "ds")
+    data = load_dataset(tmp_path / "ds")
+    lam = 1.18
+    if pick == "solver":
+        sel = solve_invex(data, SolverConfig(m=4, lam=lam)).b_rounded
+    else:  # three clean rows and the worst outlier: the nu-interval is empty
+        sel = np.zeros(data.n)
+        sel[np.flatnonzero(data.clean_mask)[:3]] = 1.0
+        sel[np.argmax((data.y - data.X @ data.theta_star) ** 2)] = 1.0
+    (tmp_path / "res.json").write_text(json.dumps(
+        {"b_rounded": sel.tolist(), "config": {"lam": lam}}))
+    r = _cli("certify", "--data", str(tmp_path / "ds"), "--result",
+             str(tmp_path / "res.json"), "--out", str(tmp_path / "cert.json"))
+    assert r.returncode == 0, r.stderr
+    verdict = json.loads((tmp_path / "cert.json").read_text())["kkt_feasible"]
+    assert verdict is certify_at_true_support(data, sel, lam)[-1]
+    assert verdict is (pick == "solver")
+
+
+def test_benchmark_trace_targets_resolve(monkeypatch):
+    """Every name the benchmark's traced run wraps is still a callable where
+    it looks it up, so a refactor cannot break `--trace 1` unseen."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "benchmarks"))
+    workloads = importlib.import_module("workloads")
+    assert workloads.TRACE_TARGETS
+    for t in workloads.TRACE_TARGETS:
+        assert callable(getattr(importlib.import_module(t.module), t.attr, None)), t
 
 
 def test_cli_selftest(tmp_path):

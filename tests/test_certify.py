@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from invexreg.bench import certify_at_true_support
 from invexreg.certify import (AllZeroColumn, EmptySupport, RejectionExhausted,
                               SingularSubmatrix, assumption_check, build_duals,
                               invexity_gap, invexity_witness, kkt_residuals,
@@ -26,11 +27,7 @@ def tiny_instance(seed, sigma_e=0.05):
 
 def solve_and_certify(data, lam, m):
     res = solve_invex(data, SolverConfig(m=m, lam=lam))
-    support = np.flatnonzero(np.abs(data.theta_star) > 0)
-    th_S = refit(data, res.b_rounded, lam, support=support, tol=1e-10)[support]
-    cert = build_duals(data, res.b_rounded, th_S, lam, support)
-    rep = kkt_residuals(cert, data, res.b_rounded, lift_parameter(th_S), lam,
-                        support=support)
+    support, th_S, cert, rep, _ = certify_at_true_support(data, res.b_rounded, lam)
     return res, support, th_S, cert, rep
 
 
@@ -129,6 +126,29 @@ def test_diagnostics_reject_support_outside_the_columns(check, support):
             assumption_check(data, support)
         else:
             strict_dual_feasibility(data, sel, np.zeros(support.size), 1.0, support)
+
+
+def test_kkt_residuals_checks_the_support_and_the_lifted_size():
+    """The residuals are taken on the certificate's support, never on
+    columns 0..|S|-1, and a lifted parameter of the wrong size is named."""
+    data = tiny_instance(0)
+    res, support, th_S, cert, _ = solve_and_certify(data, 1.18, 4)
+    assert support.tolist() == [2, 3]
+    with pytest.raises(TypeError, match="support"):
+        kkt_residuals(cert, data, res.b_rounded, lift_parameter(th_S), 1.18)
+    for theta in (np.zeros(support.size + 1), np.zeros(support.size - 1)):
+        with pytest.raises(ValueError, match="vartheta_under must be 3 x 3"):
+            kkt_residuals(cert, data, res.b_rounded, lift_parameter(theta), 1.18,
+                          support)
+
+
+def test_strict_dual_needs_the_support_restricted_parameter():
+    data = tiny_instance(0)
+    res, support, th_S, _, _ = solve_and_certify(data, 1.18, 4)
+    theta = np.zeros(data.p)
+    theta[support] = th_S
+    with pytest.raises(ValueError, match="th_S must match the support size"):
+        strict_dual_feasibility(data, res.b_rounded, theta, 1.18, support)
 
 
 def test_assumption_check_identity_covariance():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from invexreg import solver
-from invexreg.bench import ExperimentConfig, lambda_from_m
+from invexreg.bench import _MAX_OUTER, _TOL_OBJ, ExperimentConfig, lambda_from_m
 from invexreg.datagen import GenSpec, generate
 from invexreg.model import (CLEAN, Dataset, GroundTruthConfig, lift_parameter,
                             lift_sample, objective, sample_losses, to_jsonable)
@@ -436,7 +436,7 @@ def _check_solve_pin(name):
                             max_resamples=cfg.max_resamples, rho_min=cfg.rho_min))
     res = solve_invex(data, SolverConfig(
         m=want["m"], lam=lambda_from_m(want["m"], cfg.p, cfg.c_lambda),
-        tol_obj=cfg.tol_obj, max_outer=cfg.max_outer))
+        tol_obj=_TOL_OBJ, max_outer=_MAX_OUTER))
     assert res.selection.tolist() == want["selection"]
     assert res.outer_iters == want["outer_iters"]
     assert len(res.objective_trace) == want["trace_len"]
