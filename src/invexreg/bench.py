@@ -28,7 +28,7 @@ from .certify import build_duals, kkt_residuals
 from .datagen import GenSpec, generate
 from .metrics import clean_recovery_mistakes, norm_error, support_jaccard, theory_delta_m
 from .model import Dataset, GroundTruthConfig, lift_parameter
-from .solver import SolverConfig, refit, solve_invex
+from .solver import SolverConfig, _check_int, _check_nonneg, refit, solve_invex
 from .svgplot import write_line_plot
 
 __all__ = ["ExperimentConfig", "run_sweep", "clean_count_theory", "m_from_C",
@@ -61,6 +61,9 @@ def lambda_from_m(m: int, p: int, c_lambda: float) -> float:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """p >= 2, k >= 1 and max_resamples >= 0 are integers, c_lambda, sigma_e
+    and rho_min finite reals >= 0, or ValueError names the field."""
+
     p: int = 50
     k: int = 4
     clean_count_rule: str | int = "theory"   # "theory" or explicit r
@@ -75,6 +78,10 @@ class ExperimentConfig:
     output_dir: str = "sweep_out"
 
     def __post_init__(self):
+        for name, low in (("p", 2), ("k", 1), ("max_resamples", 0)):
+            _check_int(name, getattr(self, name), low)
+        for name in ("c_lambda", "sigma_e", "rho_min"):
+            _check_nonneg(name, getattr(self, name))
         if not self.seeds:
             raise ValueError("need at least one seed")
         unknown = set(self.methods) - set(METHODS)
@@ -166,7 +173,8 @@ def run_trial(cfg: ExperimentConfig, cell: dict, seed: int, method: str) -> tupl
             res = solve_invex(data, scfg)
             theta = res.theta_hat
             row["mistakes_frac"] = clean_recovery_mistakes(res.b_rounded, data.labels, m)
-            row["rank1_gap"] = res.rank1_gap
+            # roundoff below 12 decimals varies with the BLAS thread count
+            row["rank1_gap"] = round(res.rank1_gap, 12)
             row["delta_m"] = theory_delta_m(cfg.m_budget, lam, cfg.k, 1.0, m)
             row["kkt_feasible"] = certify_at_true_support(data, res.b_rounded, lam)[-1]
         elif method == "lasso":

@@ -117,4 +117,4 @@ def prox_entrywise_l1(Mtx: np.ndarray, tau: float) -> np.ndarray:
     if tau < 0:
         raise ValueError("tau must be >= 0")
     M = np.asarray(Mtx, dtype=float)
-    return np.sign(M) * np.maximum(np.abs(M) - tau, 0.0)
+    return M - np.clip(M, -tau, tau)

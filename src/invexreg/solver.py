@@ -12,26 +12,32 @@ on the Gram form; they differ only in the prox and the stopping residual
 they pass.  The V gradient sum_i b_i A_i is `model.lifted_gram`, which the
 dual certificate also uses.
 
-Three rules keep the V step from paying for work that cannot move the
+Four rules keep the V step from paying for work that cannot move the
 iterate.  The first may drop eigenvalues below a roundoff bound relative to
 the largest entry of the clipped matrix, but never changes whether a
-renormalized candidate exists; the other two change no bit of what the
-solver returns.
+renormalized candidate exists; the others move the objective by roundoff.
 
 - The PSD clip of each prox step is rank one in practice (the lift of theta
   is [theta; 1][theta; 1]^T), so `_psd_clip` finds the top eigenpair by a
   Rayleigh-quotient iteration warm-started from the previous clip's
   eigenvector and certifies with one Cholesky factorization that no other
-  eigenvalue exceeds that bound.  Only an uncertified matrix, or one
-  smaller than 20 x 20, where `eigh` is cheaper, pays for a full `eigh`.
+  eigenvalue exceeds that bound.  The top eigenvalue dominates, so one
+  power step S u / ||S u|| first (when u^T S u > 0) lets the iteration stop
+  after one LU solve, not two.  Only an uncertified matrix, or one smaller
+  than 20 x 20, where `eigh` is cheaper, pays for a full `eigh`.
 - Within an outer round the far-step probe runs only until it first fails
   to beat the current objective.  Its step is at least 1e6, so with G fixed
   its renormalized point depends on V only through O(1/step) terms, and the
   objective it must beat only falls within a round.
-- A PSD clip P whose corner c is at most 1 pins to sym(P) + (1 - c) e e^T,
+- A PSD clip P whose corner c is at most 1 pins to P + (1 - c) e e^T,
   which is PSD by construction, so it is taken as is with no Cholesky test
   (the bits `project_psd_corner` returns once that test passes).  Only
   c > 1, where pinning lowers the corner, goes through the repair.
+- G, V, the soft threshold of V - t G, mu u u^T and its multiples are
+  exactly symmetric, and `_eigh_clip` symmetrizes once, so nothing else
+  is.  F(M) = <G, M> + lam ||M||_1 is positively homogeneous and the clip's
+  corner c is nonnegative, so only the clip P is scored: P / c scores
+  F(P) / c, and pinning c <= 1 scores F(P) + (1 - c)(G[-1, -1] + lam).
 """
 
 from __future__ import annotations
@@ -73,6 +79,12 @@ def _check_int(name: str, value, low: int) -> None:
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
+def _check_nonneg(name: str, value) -> None:
+    """Raise ValueError naming `name` unless value is a finite number >= 0."""
+    if not (isinstance(value, (int, float)) and math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """m and max_outer are integers >= 1, lam and tol_obj finite and >= 0,
@@ -87,10 +99,8 @@ class SolverConfig:
     def __post_init__(self):
         _check_int("m", self.m, 1)
         _check_int("max_outer", self.max_outer, 1)
-        for name in ("lam", "tol_obj"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+        _check_nonneg("lam", self.lam)
+        _check_nonneg("tol_obj", self.tol_obj)
 
 
 @dataclass(eq=False)
@@ -152,11 +162,11 @@ _PSD_TOL = 1e-9    # clipped corner at or below which renormalization is skipped
 
 
 def _pin_corner(P: np.ndarray) -> np.ndarray:
-    """Feasible corner-pinned point from a PSD clip P: pinned directly when
-    its corner is at most 1 (see the module docstring), otherwise, or when P
-    is not finite (which raises there), through `project_psd_corner`."""
+    """Feasible corner-pinned point from a symmetric PSD clip P: pinned
+    directly when its corner is at most 1 (see the module docstring), else,
+    or when P is not finite (which raises there), by `project_psd_corner`."""
     if P[-1, -1] <= 1.0 and np.isfinite(P).all():
-        Q = 0.5 * (P + P.T)
+        Q = P.copy()
         Q[-1, -1] = 1.0
         return Q
     return project_psd_corner(P).V
@@ -171,15 +181,17 @@ def _eigh_clip(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     w, U = np.linalg.eigh(S)
     pos = w > 0.0
     Up = U[:, pos]
-    return (Up * w[pos]) @ Up.T, U[:, -1]
+    P = (Up * w[pos]) @ Up.T
+    return 0.5 * (P + P.T), U[:, -1]
 
 
 def _psd_clip(S: np.ndarray, u: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """PSD clip of a symmetric S, and a top eigenvector of S for the next call.
 
-    The clip is sum over positive eigenpairs of w v v^T.  `u` is a unit
-    warm start for the top eigenvector.  Up to four Rayleigh-quotient steps
-    refine it until ||S u - mu u|| <= 1e-12 max|S|, with mu = u^T S u.  The
+    The clip is sum over positive eigenpairs of w v v^T, exactly symmetric.
+    `u` is a unit warm start for the top eigenvector.  One power step (when
+    u^T S u > 0), then up to four Rayleigh-quotient steps refine it until
+    ||S u - mu u|| <= 1e-12 max|S|, with mu = u^T S u.  The
     clip is mu u u^T once a Cholesky factorization of
     2 mu u u^T - S + delta I succeeds, with delta = 1e-13 (p+1) max|S|:
     then every vector orthogonal to u has Rayleigh quotient below delta, so
@@ -201,6 +213,9 @@ def _psd_clip(S: np.ndarray, u: np.ndarray, tol: float) -> tuple[np.ndarray, np.
     if n < _PSD_CLIP_MIN_DIM:
         return _eigh_clip(S)
     delta = 1e-13 * n * scale
+    Su = S @ u
+    if u @ Su > 0.0:
+        u = Su / math.sqrt(Su @ Su)
     A = S.copy()
     shifted = A.reshape(-1)[:: n + 1]  # view: the diagonal of A = S - mu I
     for k in range(5):
@@ -273,13 +288,13 @@ def solve_invex(data: Dataset, cfg: SolverConfig) -> SolveResult:
             eta = _initial_eta(G, lam)
         # inside the block the smooth part is <G, V>, so the objective is
         # O(p^2) per candidate instead of O(n p^2)
-        cur = float((G * V).sum() + lam * np.abs(V).sum())
-
         def score(M):
-            v = float((G * M).sum() + lam * np.abs(M).sum())
+            v = float(np.vdot(G, M) + lam * np.abs(M).sum())
             if not np.isfinite(v):
                 raise NonFinite("objective diverged in the V step")
             return v
+
+        cur = score(V)
 
         def best_repair(step, pocs):
             """Feasible candidates from one prox step: corner renormalization
@@ -290,23 +305,23 @@ def solve_invex(data: Dataset, cfg: SolverConfig) -> SolveResult:
             u warm-starts the next clip.  A non-finite prox output raises
             NonFinite there.  Pinning a clipped corner c <= 1 adds
             (1 - c) e e^T and stays PSD, so it needs no Cholesky test; only
-            c > 1 runs the alternating repair (`_pin_corner`).
+            c > 1 runs the alternating repair (`_pin_corner`).  Only P and a
+            repaired pin are scored (see the module docstring).
             Returns None when no candidate exists (renormalization-only call
             on a matrix whose clipped corner vanishes).
             """
             nonlocal u_top
-            Z = prox_entrywise_l1(V - step * G, step * lam)
-            P, u_top = _psd_clip(0.5 * (Z + Z.T), u_top, _PSD_TOL)
+            Z = prox_entrywise_l1(V - step * G, step * lam)  # exactly symmetric
+            P, u_top = _psd_clip(Z, u_top, _PSD_TOL)
             cands = []
             c = P[-1, -1]
+            fP = score(P)
             if c > _PSD_TOL:
-                R = P / c
-                R = 0.5 * (R + R.T)
-                R[-1, -1] = 1.0
-                cands.append((score(R), R))
+                cands.append((fP / c, P / c))  # corner c / c == 1
             if pocs:
                 Q = _pin_corner(P)
-                cands.append((score(Q), Q))
+                fQ = fP + (1.0 - c) * (G[-1, -1] + lam) if c <= 1.0 else score(Q)
+                cands.append((fQ, Q))
             if not cands:
                 return None
             return min(cands, key=lambda t: t[0])
@@ -317,7 +332,8 @@ def solve_invex(data: Dataset, cfg: SolverConfig) -> SolveResult:
             accepted = None
             for _ in range(60):
                 cand, Vn = best_repair(step, pocs=True)
-                nd = float(((Vn - V) ** 2).sum())
+                D = Vn - V
+                nd = float(np.vdot(D, D))
                 if cand <= cur - _ARMIJO_C * nd / max(step, 1e-300):
                     accepted = (cand, Vn, step)
                     break

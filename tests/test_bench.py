@@ -1,5 +1,8 @@
+import dataclasses
 import importlib
 import json
+import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from invexreg import bench
 from invexreg.bench import (ExperimentConfig, RESULT_COLUMNS, certify_at_true_support,
                             clean_count_theory, lambda_from_m, m_from_C, run_sweep)
 from invexreg.datagen import GenSpec, generate
@@ -62,6 +66,35 @@ def test_config_validation(tmp_path):
         tiny_cfg(tmp_path, methods=("nope",))
     with pytest.raises(ValueError):
         tiny_cfg(tmp_path, outlier_rule=(1.5,))
+
+
+@pytest.mark.parametrize("field, value, match", [
+    ("p", 6.0, "p must be an integer >= 2, got 6.0"),
+    ("p", 1, "p must be an integer >= 2, got 1"),
+    ("k", 2.0, "k must be an integer >= 1, got 2.0"),
+    ("k", True, "k must be an integer >= 1, got True"),
+    ("max_resamples", 500.0, "max_resamples must be an integer >= 0, got 500.0"),
+    ("max_resamples", -1, "max_resamples must be an integer >= 0, got -1"),
+    ("c_lambda", -0.1, "c_lambda must be finite and >= 0, got -0.1"),
+    ("c_lambda", "0.05", "c_lambda must be finite and >= 0, got '0.05'"),
+    ("sigma_e", math.nan, "sigma_e must be finite and >= 0, got nan"),
+    ("rho_min", math.inf, "rho_min must be finite and >= 0, got inf"),
+])
+def test_config_rejects_a_bad_numeric_field_by_name(tmp_path, field, value, match):
+    with pytest.raises(ValueError, match=re.escape(match)):
+        tiny_cfg(tmp_path, **{field: value})
+
+
+def test_cli_sweep_rejects_a_float_count(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"p": 6, "k": 2, "clean_count_rule": 24,
+                               "C_values": [0.4], "seeds": [0], "methods": ["lasso"],
+                               "max_resamples": 500.0,
+                               "output_dir": str(tmp_path / "sw")}))
+    r = _cli("sweep", "--config", str(cfg), "--workers", "1")
+    assert r.returncode == 2
+    assert "max_resamples must be an integer >= 0, got 500.0" in r.stderr
+    assert not (tmp_path / "sw").exists()
 
 
 def test_config_json_round_trip(tmp_path):
@@ -131,6 +164,27 @@ def test_run_sweep_records_cell_failures(tmp_path):
                    output_dir=str(tmp_path / "fail"))
     out = run_sweep(cfg, workers=1)
     assert all(r["error"] == "ResampleExhausted" for r in out["rows"])
+
+
+def test_rank1_gap_bytes_ignore_roundoff_below_1e12(tmp_path, monkeypatch):
+    """A gap that moves by 1e-15, as it does with the BLAS thread count,
+    writes the same results.csv and aggregate.csv bytes."""
+    cfg = tiny_cfg(tmp_path, methods=("invex",), seeds=(0,), C_values=(0.8,))
+    solve = bench.solve_invex
+    outs = []
+    for gap in (0.0123456789, 0.0123456789 + 1e-15, 2.8e-16, 3.6e-16):
+        def fixed_gap(data, scfg, gap=gap):
+            res = solve(data, scfg)
+            res.rank1_gap = gap
+            return res
+
+        monkeypatch.setattr(bench, "solve_invex", fixed_gap)
+        outdir = tmp_path / f"gap{len(outs)}"
+        run_sweep(dataclasses.replace(cfg, output_dir=str(outdir)), workers=1)
+        outs.append(tuple((outdir / name).read_bytes()
+                          for name in ("results.csv", "aggregate.csv")))
+    assert outs[0] == outs[1] and outs[2] == outs[3]
+    assert outs[0] != outs[2]
 
 
 @pytest.mark.parametrize("bad", ["two", "0", "-3", "1.5"])

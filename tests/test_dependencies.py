@@ -23,3 +23,77 @@ def test_package_imports_only_stdlib_and_numpy():
                 continue
             outside += [(path.name, n) for n in names if n.split(".")[0] not in allowed]
     assert outside == []
+
+
+def _private(dotted: str) -> bool:
+    """A dotted name passes through a private module or attribute: a part
+    that starts with '_' and is not a dunder such as __version__."""
+    return any(part.startswith("_") and not (part.startswith("__") and part.endswith("__"))
+               for part in dotted.split("."))
+
+
+def _numpy_names(tree: ast.AST) -> tuple[list[str], dict[str, str]]:
+    """(imported numpy names, local name -> the numpy name it is bound to)."""
+    imported, bound = [], {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "numpy":
+                    imported.append(alias.name)
+                    if alias.asname:
+                        bound[alias.asname] = alias.name
+                    else:
+                        bound["numpy"] = "numpy"
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module \
+                and node.module.split(".")[0] == "numpy":
+            for alias in node.names:
+                imported.append(f"{node.module}.{alias.name}")
+                bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    return imported, bound
+
+
+def _attribute_chains(tree: ast.AST, bound: dict[str, str]) -> list[str]:
+    """Every attribute chain rooted at a numpy-bound name, as a dotted numpy name."""
+    chains = []
+    for node in ast.walk(tree):
+        parts = []
+        while isinstance(node, ast.Attribute):
+            parts.append(node.attr)
+            node = node.value
+        if parts and isinstance(node, ast.Name) and node.id in bound:
+            chains.append(".".join([bound[node.id], *reversed(parts)]))
+    return chains
+
+
+def test_package_uses_no_private_numpy_api():
+    """Private numpy modules such as numpy.linalg._umath_linalg change without
+    notice between releases; neither an import nor an attribute chain may
+    reach one."""
+    paths = sorted(SRC.glob("*.py"))
+    assert paths
+    private = []
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported, bound = _numpy_names(tree)
+        private += [(path.name, name) for name in imported + _attribute_chains(tree, bound)
+                    if _private(name)]
+    assert private == []
+
+
+def test_private_numpy_guard_catches_imports_and_chains():
+    snippets = {
+        "import numpy.linalg._umath_linalg": True,
+        "import numpy._core as c": True,
+        "from numpy.linalg import _umath_linalg": True,
+        "from numpy.linalg._umath_linalg import solve": True,
+        "import numpy as np\nnp.linalg._umath_linalg.solve(a, b)": True,
+        "import numpy\nnumpy._core.multiarray": True,
+        "from numpy import linalg as la\nla._umath_linalg": True,
+        "import numpy as np\nnp.linalg.solve(a, b)\nnp.__version__": False,
+        "import numpy as np\nx._private\nnp.linalg.eigh": False,
+    }
+    for source, want in snippets.items():
+        tree = ast.parse(source)
+        imported, bound = _numpy_names(tree)
+        got = any(_private(n) for n in imported + _attribute_chains(tree, bound))
+        assert got == want, source

@@ -423,13 +423,15 @@ def test_pin_corner_rejects_non_finite():
 
 
 def _check_solve_pin(name):
-    """Pins solve_invex on one fig2_p50 cell.  The expected values in
-    tests/data/<name> were recorded from an earlier commit (named in the
-    file); a change that claims to keep the solver's output must keep them."""
+    """Pins solve_invex on one sweep cell, matched by m and, when the file
+    names it, n_outliers.  The expected values in tests/data/<name> were
+    recorded from an earlier commit (named in the file); a change that
+    claims to keep the solver's output must keep them."""
     root = Path(__file__).resolve().parent
     want = json.loads((root / "data" / name).read_text())
     cfg = ExperimentConfig.from_json(root.parent / want["config"])
-    cell = next(c for c in cfg.cells() if c["m"] == want["m"])
+    cell = next(c for c in cfg.cells() if c["m"] == want["m"]
+                and c["n_outliers"] == want.get("n_outliers", c["n_outliers"]))
     gt = GroundTruthConfig(p=cfg.p, k=cfg.k, M=cfg.m_budget, sigma_e=cfg.sigma_e)
     data = generate(GenSpec(ground_truth=gt, r=cell["r"],
                             n_outliers=cell["n_outliers"], seed=want["seed"],
@@ -451,10 +453,15 @@ def test_solve_invex_pinned_output_fig2_p50_m122_seed0():
     _check_solve_pin("solve_pin_fig2_p50_m122_seed0.json")  # churns for 54 rounds
 
 
+def test_solve_invex_pinned_output_proportions_p30_x045_seed0():
+    _check_solve_pin("solve_pin_proportions_p30_x045_seed0.json")  # 22 rounds, m=366
+
+
 def _eigh_clip(S):
     w, U = np.linalg.eigh(S)
     Up = U[:, w > 0.0]
-    return (Up * w[w > 0.0]) @ Up.T, U[:, -1]
+    P = (Up * w[w > 0.0]) @ Up.T
+    return 0.5 * (P + P.T), U[:, -1]
 
 
 def _sym_with_spectrum(rng, w):
@@ -478,6 +485,70 @@ def test_psd_clip_rank_one_needs_no_eigh(monkeypatch):
             P, u = solver._psd_clip(S, u0 / np.linalg.norm(u0), 1e-9)
         assert np.abs(P - want).max() <= 1e-12 * np.linalg.norm(S, 2)
         assert abs(abs(u @ top) - 1.0) <= 1e-12
+
+
+def test_psd_clip_power_step_leaves_one_solve(monkeypatch):
+    # top eigenvalue 4, the others negative and at most 0.08 in size (ratio
+    # 0.02), and a warm start whose residual is about 1e-3 max|S|: after the
+    # power step one Rayleigh-quotient step meets the 1e-12 stop, where the
+    # warm start alone needs two; no eigh runs
+    rng = np.random.default_rng(36)
+    w = np.concatenate([-rng.uniform(0.001, 0.08, 50), [4.0]])
+    S, Q = _sym_with_spectrum(rng, w)
+    d = rng.standard_normal(51)
+    d -= (d @ Q[:, -1]) * Q[:, -1]
+    u0 = Q[:, -1] + 2.5e-4 * np.abs(S).max() * d / np.linalg.norm(d)
+    u0 /= np.linalg.norm(u0)
+    mu0 = u0 @ S @ u0
+    assert 5e-4 <= np.linalg.norm(S @ u0 - mu0 * u0) / np.abs(S).max() <= 2e-3
+    solves = []
+    solve = np.linalg.solve
+
+    def counting_solve(*args, **kwargs):
+        solves.append(0)
+        return solve(*args, **kwargs)
+
+    def failing_eigh(*args, **kwargs):
+        raise AssertionError("eigh called")
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+    P, u = solver._psd_clip(S, u0, 1e-9)
+    assert len(solves) == 1
+    assert np.abs(P - 4.0 * np.outer(Q[:, -1], Q[:, -1])).max() <= 1e-12 * 4.0
+    assert abs(abs(u @ Q[:, -1]) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("clip", ["rank_one", "eigh"])
+def test_candidate_scores_follow_from_the_clip_score(clip):
+    # F(M) = <G, M> + lam ||M||_1 is positively homogeneous and the clip's
+    # corner c is nonnegative: F(P / c) = F(P) / c, and pinning a corner
+    # c <= 1 to 1 adds (1 - c)(G[-1, -1] + lam)
+    rng = np.random.default_rng(37)
+    n, lam = 24, 0.3
+    B = rng.standard_normal((n, n))
+    G = B @ B.T
+    if clip == "rank_one":
+        z = rng.standard_normal(n)
+        z /= np.linalg.norm(z)
+        P = 0.7 * np.outer(z, z)
+    else:
+        S, _ = _sym_with_spectrum(rng, np.concatenate([-rng.uniform(0.1, 1.0, n - 3),
+                                                       [0.2, 0.5, 0.9]]))
+        P, _ = solver._eigh_clip(S)
+        assert np.array_equal(P, P.T)
+    c = P[-1, -1]
+    assert 0.0 < c < 1.0
+
+    def F(M):
+        return float((G * M).sum() + lam * np.abs(M).sum())
+
+    fP = F(P)
+    assert (P / c)[-1, -1] == 1.0
+    assert abs(F(P / c) - fP / c) <= 1e-12 * abs(fP / c)
+    Q = solver._pin_corner(P)
+    want = fP + (1.0 - c) * (G[-1, -1] + lam)
+    assert abs(F(Q) - want) <= 1e-12 * abs(want)
 
 
 def test_psd_clip_two_positive_falls_back_to_eigh():
