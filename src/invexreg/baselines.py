@@ -45,8 +45,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Dataset
-from .solver import _check_finite, _check_int, _fista
+from .model import Dataset, _check_finite, _check_int, _check_nonneg
+from .solver import _fista
 
 __all__ = ["BaselineConfig", "lasso", "adaptive_huber_lasso", "trimmed_lasso"]
 
@@ -57,8 +57,7 @@ class BaselineConfig:
     trim_count: int = 0   # samples `trimmed_lasso` drops each round
 
     def __post_init__(self):
-        if not (np.isfinite(self.lam) and self.lam >= 0):
-            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
+        _check_nonneg("lam", self.lam)
         _check_int("trim_count", self.trim_count, 0)
 
 
@@ -276,8 +275,6 @@ def trimmed_lasso(data: Dataset, cfg: BaselineConfig) -> tuple[np.ndarray, np.nd
         raise ValueError("trim_count must be < n")
     keep_size = n - cfg.trim_count
     kept = np.ones(n, dtype=bool)
-    if cfg.trim_count == 0:
-        return lasso(data, cfg), kept
     gram = _gram(data.X, data.y)
     theta = None  # the first round starts cold, later ones from the last theta
     seen = []

@@ -18,7 +18,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -27,8 +27,8 @@ from .baselines import BaselineConfig, adaptive_huber_lasso, lasso, trimmed_lass
 from .certify import build_duals, kkt_residuals
 from .datagen import GenSpec, generate
 from .metrics import clean_recovery_mistakes, norm_error, support_jaccard, theory_delta_m
-from .model import Dataset, GroundTruthConfig, lift_parameter
-from .solver import SolverConfig, _check_int, _check_nonneg, refit, solve_invex
+from .model import Dataset, GroundTruthConfig, _check_int, _check_nonneg, lift_parameter
+from .solver import SolverConfig, refit, solve_invex
 from .svgplot import write_line_plot
 
 __all__ = ["ExperimentConfig", "run_sweep", "clean_count_theory", "m_from_C",
@@ -61,8 +61,9 @@ def lambda_from_m(m: int, p: int, c_lambda: float) -> float:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """p >= 2, k >= 1 and max_resamples >= 0 are integers, c_lambda, sigma_e
-    and rho_min finite reals >= 0, or ValueError names the field."""
+    """p >= 2, k >= 1, max_resamples >= 0 and each seed >= 0 are integers,
+    clean_count_rule is "theory" or an integer >= 1, and c_lambda, sigma_e
+    and rho_min are finite reals >= 0, or ValueError names the field."""
 
     p: int = 50
     k: int = 4
@@ -84,6 +85,10 @@ class ExperimentConfig:
             _check_nonneg(name, getattr(self, name))
         if not self.seeds:
             raise ValueError("need at least one seed")
+        for seed in self.seeds:
+            _check_int("seeds", seed, 0)
+        if self.clean_count_rule != "theory":
+            _check_int("clean_count_rule", self.clean_count_rule, 1)
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise ValueError(f"unknown methods: {sorted(unknown)}")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CLEAN, Dataset, Vartheta, lift_parameter, lifted_gram, sample_losses
+from .model import CLEAN, Dataset, lift_parameter, lifted_gram, sample_losses
 from .projections import BFeasibleSet, project_b
 from .solver import _as_rows, _recover_subgradient
 
@@ -118,7 +118,7 @@ def build_duals(data: Dataset, selection: np.ndarray, theta_under: np.ndarray,
     unsel_mask = b == 0.0
 
     X_sub = data.X[:, support]
-    vu = lift_parameter(theta_under).V
+    vu = lift_parameter(theta_under)
     losses = sample_losses(X_sub, data.y, vu)
     lo = float(losses[rows].max()) if rows.size else 0.0
     hi = float(losses[unsel_mask].min()) if unsel_mask.any() else np.inf
@@ -150,22 +150,26 @@ def build_duals(data: Dataset, selection: np.ndarray, theta_under: np.ndarray,
 
 
 def kkt_residuals(cert: DualCertificate, data: Dataset, selection: np.ndarray,
-                  vartheta_under: Vartheta, lam: float,
+                  vartheta_under: np.ndarray, lam: float,
                   support: np.ndarray) -> KKTReport:
-    """Evaluate every KKT residual for the support-compacted relaxation."""
+    """Evaluate every KKT residual for the support-compacted relaxation.
+
+    vartheta_under is the (|S|+1) x (|S|+1) lifted array of the candidate,
+    `lift_parameter(theta_under)`; `primal_feas_ok` checks it against the
+    feasible set of `model` (PSD with corner 1) to within `_TOL`.
+    """
     support = _as_rows(support, data.p, "support")
     k1 = support.size + 1
-    if vartheta_under.V.shape != (k1, k1):
+    if vartheta_under.shape != (k1, k1):
         raise ValueError(f"vartheta_under must be {k1} x {k1} for a support of "
-                         f"size {support.size}, got {vartheta_under.V.shape}")
+                         f"size {support.size}, got {vartheta_under.shape}")
     rows = _as_rows(selection, data.n)
     b = np.zeros(data.n)
     b[rows] = 1.0
     m = rows.size
 
     X_sub = data.X[:, support]
-    vu = vartheta_under.V
-    losses = sample_losses(X_sub, data.y, vu)
+    losses = sample_losses(X_sub, data.y, vartheta_under)
 
     stationarity_b = np.abs(losses - cert.beta + cert.gamma - cert.nu)
 
@@ -174,18 +178,18 @@ def kkt_residuals(cert: DualCertificate, data: Dataset, selection: np.ndarray,
     mu[-1, -1] = cert.mu_corner
     stationarity_vartheta = np.linalg.norm(S_A + lam * cert.zeta - cert.Lambda + mu)
 
-    comp = [abs(float((cert.Lambda * vu).sum())),
+    comp = [abs(float((cert.Lambda * vartheta_under).sum())),
             abs(cert.nu * (m - b.sum())),
             float(np.abs(cert.beta * b).max(initial=0.0)),
             float(np.abs(cert.gamma * (b - 1.0)).max(initial=0.0))]
 
     eigs = np.linalg.eigvalsh(cert.Lambda)
-    nullvec = np.concatenate([vu[:-1, -1], [1.0]])
+    nullvec = np.concatenate([vartheta_under[:-1, -1], [1.0]])
     nullvec_residual = float(np.linalg.norm(cert.Lambda @ nullvec))
 
     primal_ok = bool(
-        np.linalg.eigvalsh(vu)[0] >= -_TOL
-        and abs(vu[-1, -1] - 1.0) <= _TOL
+        np.linalg.eigvalsh(vartheta_under)[0] >= -_TOL
+        and abs(vartheta_under[-1, -1] - 1.0) <= _TOL
         and b.sum() >= m - _TOL
         and b.min(initial=0.0) >= 0.0 and b.max(initial=0.0) <= 1.0
     )
@@ -348,9 +352,8 @@ def invexity_witness(data: Dataset, trials: int, seed: int = 0,
     def sample_vartheta():
         for _ in range(max_rejects):
             theta = rng.standard_normal(p)
-            W = lift_parameter(theta).V
             Q = rng.standard_normal((p + 1, 2))
-            W = W + rng.uniform(0.0, 0.5) * (Q @ Q.T)
+            W = lift_parameter(theta) + rng.uniform(0.0, 0.5) * (Q @ Q.T)
             V = W / W[-1, -1]
             if sample_losses(X, y, V).min() >= 0.05:
                 return V

@@ -13,7 +13,6 @@ import argparse
 import dataclasses
 import json
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -184,7 +183,7 @@ def _cmd_selftest(args) -> int:
         yv = float(rng.standard_normal())
         th = rng.standard_normal(p)
         f = squared_loss(x, yv, th)
-        lifted = float((lift_sample(x, yv).A * lift_parameter(th).V).sum())
+        lifted = float((lift_sample(x, yv) * lift_parameter(th)).sum())
         worst = max(worst, abs(lifted - f) / max(1.0, f))
     check("lifting identity", worst <= 1e-10)
 
@@ -203,8 +202,8 @@ def _cmd_selftest(args) -> int:
         q = int(rng.integers(1, 10))
         S = rng.standard_normal((q + 1, q + 1))
         V = project_psd_corner(S + S.T)
-        lo = float(np.linalg.eigvalsh(V.V)[0])
-        ok = lo >= -1e-9 and V.V[-1, -1] == 1.0
+        lo = float(np.linalg.eigvalsh(V)[0])
+        ok = lo >= -1e-9 and V[-1, -1] == 1.0
         worst = max(worst, 0.0 if ok else 1.0)
     check("psd-with-corner repair feasibility", worst == 0.0)
 

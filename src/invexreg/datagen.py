@@ -7,11 +7,12 @@ enforces this by resampling offending outliers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CLEAN, OUTLIER, Dataset, GroundTruthConfig
+from .model import (CLEAN, OUTLIER, Dataset, GroundTruthConfig, _check_finite, _check_int,
+                    _check_nonneg)
 
 __all__ = [
     "GenSpec",
@@ -30,6 +31,10 @@ class ResampleExhausted(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class GenSpec:
+    """r >= 1, n_outliers, seed and max_resamples >= 0 are integers, rho_min
+    finite and >= 0, and each outlier range a finite (lo, hi) with lo <= hi,
+    or ValueError names the field."""
+
     ground_truth: GroundTruthConfig
     r: int
     n_outliers: int
@@ -42,13 +47,15 @@ class GenSpec:
     rho_min: float = 0.0
 
     def __post_init__(self):
-        if self.r < 1:
-            raise ValueError("need at least one clean sample")
-        if self.n_outliers < 0:
-            raise ValueError("n_outliers must be >= 0")
-        for lo, hi in (self.outlier_predictor_range, self.outlier_response_range):
+        _check_int("r", self.r, 1)
+        for name in ("n_outliers", "seed", "max_resamples"):
+            _check_int(name, getattr(self, name), 0)
+        _check_nonneg("rho_min", self.rho_min)
+        for name in ("outlier_predictor_range", "outlier_response_range"):
+            lo, hi = getattr(self, name)
+            _check_finite((name, (lo, hi)))
             if hi < lo:
-                raise ValueError("empty interval")
+                raise ValueError(f"{name} is an empty interval")
 
 
 def _rngs(spec: GenSpec) -> dict[str, np.random.Generator]:
@@ -160,8 +167,8 @@ def generate(spec: GenSpec) -> Dataset:
     perm = rngs["shuffle"].permutation(spec.r + spec.n_outliers)
     X, y, labels = X[perm], y[perm], labels[perm]
 
-    meta = {"p": gt.p, "k": gt.k, "M": gt.M, "sigma": gt.sigma,
-            "sigma_e": gt.sigma_e, "seed": spec.seed, "theta_rescaled": rescaled}
+    meta = {"p": gt.p, "k": gt.k, "M": gt.M, "sigma_e": gt.sigma_e,
+            "seed": spec.seed, "theta_rescaled": rescaled}
     data = Dataset(X=X, y=y, labels=labels, theta_star=theta_star, r=spec.r,
                    meta=meta)
     rho = rho_gap(data, theta_star)

@@ -1,9 +1,13 @@
 """Core domain types and the lifting algebra.
 
 The squared loss of a sample becomes a linear functional of a lifted
-(p+1)x(p+1) matrix variable: f(x, y, theta) = <A, V> with A built from
-(x, y) and V = [theta; 1][theta; 1]^T.  Everything downstream (solver,
-duals, oracle) works in this lifted coordinate system.
+(p+1)x(p+1) matrix variable: f(x, y, theta) = <A, V> with A = z z^T,
+z = [x; -y], and V = [theta; 1][theta; 1]^T.  Everything downstream
+(solver, duals, oracle) works in this lifted coordinate system.
+
+Lifted matrices are plain (p+1)x(p+1) float arrays.  A feasible V is
+symmetric PSD with V[-1, -1] == 1; `projections.project_psd_corner` is the
+map that enforces this, and `lift_parameter` gives its rank-one points.
 """
 
 from __future__ import annotations
@@ -25,8 +29,6 @@ __all__ = [
     "OUTLIER",
     "Dataset",
     "GroundTruthConfig",
-    "LiftedSample",
-    "Vartheta",
     "squared_loss",
     "lift_sample",
     "lift_parameter",
@@ -40,27 +42,49 @@ __all__ = [
 ]
 
 
+def _check_int(name: str, value, low: int) -> None:
+    """Raise ValueError naming `name` unless value is an integer (not a bool)
+    of at least `low`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def _check_nonneg(name: str, value) -> None:
+    """Raise ValueError naming `name` unless value is a finite number (not a
+    bool) >= 0."""
+    if isinstance(value, bool) or not (isinstance(value, (int, float, np.integer, np.floating))
+                                       and math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+
+
+def _check_finite(*named) -> None:
+    """Raise ValueError naming the first (name, value) pair, in order, with a
+    non-finite entry; None values are skipped."""
+    for name, arr in named:
+        if arr is not None and not np.all(np.isfinite(arr)):
+            raise ValueError(f"{name} must be finite")
+
+
 @dataclass(frozen=True, eq=False)
 class GroundTruthConfig:
     """Parameters of the clean generative model.
 
-    sigma is the sub-Gaussian scale of the standardized predictors and only
-    feeds theory-scale formulas; the sampled predictor law is Gaussian with
-    covariance Sigma (identity when Sigma is None).
+    k >= 1 and p >= k are integers, M and sigma_e finite and >= 0.
+    The predictor law is Gaussian with covariance Sigma (identity when
+    Sigma is None).
     """
 
     p: int
     k: int
     M: float
-    sigma: float = 1.0
     sigma_e: float = 0.1
     Sigma: np.ndarray | None = None  # None means identity
 
     def __post_init__(self):
-        if not (0 < self.k <= self.p):
-            raise ValueError(f"need 0 < k <= p, got k={self.k}, p={self.p}")
-        if self.M < 0:
-            raise ValueError("M must be >= 0")
+        _check_int("k", self.k, 1)
+        _check_int("p", self.p, self.k)
+        _check_nonneg("M", self.M)
+        _check_nonneg("sigma_e", self.sigma_e)
         if self.Sigma is not None:
             S = np.asarray(self.Sigma, dtype=float)
             if S.shape != (self.p, self.p):
@@ -117,47 +141,6 @@ class Dataset:
         return self.labels == OUTLIER
 
 
-@dataclass(frozen=True, eq=False)
-class LiftedSample:
-    """One sample encoded as the symmetric rank-1 matrix A = z z^T, z = [x; -y]."""
-
-    A: np.ndarray
-
-    def __post_init__(self):
-        A = np.asarray(self.A, dtype=float)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise ValueError("A must be square")
-        object.__setattr__(self, "A", A)
-
-
-@dataclass(frozen=True, eq=False)
-class Vartheta:
-    """Lifted decision matrix: symmetric PSD with bottom-right entry fixed to 1."""
-
-    V: np.ndarray
-
-    def __post_init__(self):
-        V = np.asarray(self.V, dtype=float)
-        if V.ndim != 2 or V.shape[0] != V.shape[1]:
-            raise ValueError("V must be square")
-        object.__setattr__(self, "V", V)
-
-    @property
-    def p(self) -> int:
-        return self.V.shape[0] - 1
-
-    def check(self, tol_psd: float = 1e-8) -> None:
-        """Raise if the PSD-with-corner invariants are violated beyond tol."""
-        corner = self.V[-1, -1]
-        if abs(corner - 1.0) > tol_psd:
-            raise ValueError(f"corner entry must be 1, got {corner}")
-        if not np.allclose(self.V, self.V.T, atol=1e-9):
-            raise ValueError("V must be symmetric")
-        lo = np.linalg.eigvalsh(self.V)[0]
-        if lo < -tol_psd:
-            raise ValueError(f"min eigenvalue {lo} below -{tol_psd}")
-
-
 def squared_loss(x: np.ndarray, y: float, theta: np.ndarray) -> float:
     """(y - <x, theta>)^2 for a single sample."""
     x = np.asarray(x, dtype=float)
@@ -168,35 +151,34 @@ def squared_loss(x: np.ndarray, y: float, theta: np.ndarray) -> float:
     return float(r * r)
 
 
-def lift_sample(x: np.ndarray, y: float) -> LiftedSample:
+def lift_sample(x: np.ndarray, y: float) -> np.ndarray:
     """Build A = [[x x^T, -x y], [-y x^T, y^2]] = z z^T with z = [x; -y]."""
     x = np.asarray(x, dtype=float)
     if not (np.all(np.isfinite(x)) and np.isfinite(y)):
         raise ValueError("non-finite input to lift_sample")
     z = np.concatenate([x, [-float(y)]])
-    return LiftedSample(np.outer(z, z))
+    return np.outer(z, z)
 
 
-def lift_parameter(theta: np.ndarray) -> Vartheta:
+def lift_parameter(theta: np.ndarray) -> np.ndarray:
     """Rank-1 feasible point [theta; 1][theta; 1]^T."""
     theta = np.asarray(theta, dtype=float)
     if not np.all(np.isfinite(theta)):
         raise ValueError("non-finite input to lift_parameter")
     z = np.concatenate([theta, [1.0]])
-    return Vartheta(np.outer(z, z))
+    return np.outer(z, z)
 
 
 _RANK1_WARN = 1e-3   # rank1_gap above which extract_theta warns
 
 
-def extract_theta(vartheta: Vartheta) -> tuple[np.ndarray, float]:
+def extract_theta(V: np.ndarray) -> tuple[np.ndarray, float]:
     """Read theta off the last column of V and report the rank-1 defect.
 
     Returns (theta, rank1_gap) where rank1_gap = lambda_2 / lambda_1 of V
     (eigenvalues sorted descending).  Exact under rank-1 structure because
     the corner entry is pinned to 1.  Warns when the gap exceeds _RANK1_WARN.
     """
-    V = vartheta.V
     theta = V[:-1, -1].copy()
     w = np.linalg.eigvalsh(V)  # ascending
     lam1, lam2 = w[-1], w[-2]
@@ -239,11 +221,10 @@ def lifted_gram(X: np.ndarray, y: np.ndarray, b: np.ndarray) -> np.ndarray:
     return 0.5 * (G + G.T)
 
 
-def objective(b: np.ndarray, vartheta: Vartheta, data: Dataset, lam: float) -> float:
+def objective(b: np.ndarray, V: np.ndarray, data: Dataset, lam: float) -> float:
     """sum_i b_i <A_i, V> + lam * ||V||_1 (entrywise, corner included)."""
     b = np.asarray(b, dtype=float)
-    losses = sample_losses(data.X, data.y, vartheta.V)
-    return float(b @ losses + lam * np.abs(vartheta.V).sum())
+    return float(b @ sample_losses(data.X, data.y, V) + lam * np.abs(V).sum())
 
 
 def to_jsonable(obj):
@@ -269,7 +250,7 @@ def to_jsonable(obj):
 # ---------------------------------------------------------------------------
 # Dataset serialization: CSV with header y,x1,...,xp,label plus a JSON sidecar.
 
-_META_KEYS = ("p", "k", "M", "sigma", "sigma_e", "seed")
+_META_KEYS = ("p", "k", "M", "sigma_e", "seed")
 
 
 def save_dataset(data: Dataset, prefix: str | Path) -> tuple[Path, Path]:

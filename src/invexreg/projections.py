@@ -3,6 +3,8 @@
 Three pieces: projection onto the box-with-minimum-sum polytope for the
 selection weights, an alternating-projection feasibility operator for the
 PSD-with-fixed-corner matrix set, and the entrywise soft-threshold prox.
+Matrices are plain float arrays; `project_psd_corner` returns one that is
+feasible in the sense of `model`: symmetric PSD with V[-1, -1] == 1.
 """
 
 from __future__ import annotations
@@ -10,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .model import Vartheta
 
 __all__ = ["BFeasibleSet", "project_b", "project_psd_corner", "prox_entrywise_l1"]
 
@@ -65,7 +65,7 @@ _REPAIR_ROUNDS = 200   # rounds of the alternating repair
 _REPAIR_TOL = 1e-9     # eigenvalue violation the repair accepts
 
 
-def project_psd_corner(Mtx: np.ndarray) -> Vartheta:
+def project_psd_corner(Mtx: np.ndarray) -> np.ndarray:
     """Feasibility repair onto {V PSD, V[-1,-1] = 1}.
 
     Symmetrizes the input and pins the corner entry, then tests feasibility
@@ -89,10 +89,9 @@ def project_psd_corner(Mtx: np.ndarray) -> Vartheta:
     S[-1, -1] = 1.0
     try:
         np.linalg.cholesky(S + _REPAIR_TOL * np.eye(S.shape[0]))
+        return S
     except np.linalg.LinAlgError:
         pass
-    else:
-        return Vartheta(S)
     w0 = None
     for _ in range(_REPAIR_ROUNDS):
         w, U = np.linalg.eigh(S)
@@ -109,7 +108,7 @@ def project_psd_corner(Mtx: np.ndarray) -> Vartheta:
         eps = -w0
         S = (S + eps * np.eye(S.shape[0])) / (1.0 + eps)
         S[-1, -1] = 1.0
-    return Vartheta(S)
+    return S
 
 
 def prox_entrywise_l1(Mtx: np.ndarray, tau: float) -> np.ndarray:

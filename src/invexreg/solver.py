@@ -48,7 +48,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Dataset, Vartheta, extract_theta, lift_parameter, lifted_gram, sample_losses
+from .model import (Dataset, _check_finite, _check_int, _check_nonneg, extract_theta,
+                    lift_parameter, lifted_gram, sample_losses)
 from .projections import project_psd_corner, prox_entrywise_l1
 
 __all__ = [
@@ -70,19 +71,6 @@ class InfeasibleM(ValueError):
 
 class NonFinite(RuntimeError):
     """Objective or V-step matrix became non-finite."""
-
-
-def _check_int(name: str, value, low: int) -> None:
-    """Raise ValueError naming `name` unless value is an integer (not a bool)
-    of at least `low`."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
-        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-
-
-def _check_nonneg(name: str, value) -> None:
-    """Raise ValueError naming `name` unless value is a finite number >= 0."""
-    if not (isinstance(value, (int, float)) and math.isfinite(value) and value >= 0):
-        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -107,7 +95,7 @@ class SolverConfig:
 class SolveResult:
     b_hat: np.ndarray
     b_rounded: np.ndarray
-    vartheta_hat: Vartheta
+    vartheta_hat: np.ndarray
     theta_hat: np.ndarray
     rank1_gap: float
     objective_trace: list[float]
@@ -142,7 +130,7 @@ def _select(losses: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     return b, sel
 
 
-def b_step(vartheta: Vartheta, data: Dataset, m: int) -> np.ndarray:
+def b_step(V: np.ndarray, data: Dataset, m: int) -> np.ndarray:
     """Exact minimizer of sum_i b_i <A_i, V> over the weight polytope.
 
     The weights follow `_select`'s rule: the m smallest lifted losses plus
@@ -150,7 +138,7 @@ def b_step(vartheta: Vartheta, data: Dataset, m: int) -> np.ndarray:
     """
     if m > data.n:
         raise InfeasibleM(f"m={m} exceeds n={data.n}")
-    return _select(sample_losses(data.X, data.y, vartheta.V), m)[0]
+    return _select(sample_losses(data.X, data.y, V), m)[0]
 
 
 # The V step's line search and clip tolerance are constants, not SolverConfig
@@ -169,7 +157,7 @@ def _pin_corner(P: np.ndarray) -> np.ndarray:
         Q = P.copy()
         Q[-1, -1] = 1.0
         return Q
-    return project_psd_corner(P).V
+    return project_psd_corner(P)
 
 
 # Below this size one eigh costs less than the kernel's solves and
@@ -264,7 +252,7 @@ def solve_invex(data: Dataset, cfg: SolverConfig) -> SolveResult:
     lam = cfg.lam
     X, y = data.X, data.y
 
-    V = lift_parameter(np.zeros(data.p)).V
+    V = lift_parameter(np.zeros(data.p))
 
     losses = sample_losses(X, y, V)
     b, sel = _select(losses, cfg.m)
@@ -374,9 +362,9 @@ def solve_invex(data: Dataset, cfg: SolverConfig) -> SolveResult:
     theta_hat = refit(data, b_rounded, lam)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        _, rank1_gap = extract_theta(Vartheta(V))
+        _, rank1_gap = extract_theta(V)
     return SolveResult(
-        b_hat=b, b_rounded=b_rounded, vartheta_hat=Vartheta(V),
+        b_hat=b, b_rounded=b_rounded, vartheta_hat=V,
         theta_hat=theta_hat, rank1_gap=rank1_gap, objective_trace=trace,
         outer_iters=outer, converged=converged, config=cfg,
     )
@@ -448,14 +436,6 @@ def _as_rows(selection: np.ndarray, n: int, name: str = "selection") -> np.ndarr
         return sel.astype(int)
     raise ValueError(f"{name} must be a 0/1 mask or 1-d integer indices, "
                      f"got dtype {sel.dtype} and shape {sel.shape}")
-
-
-def _check_finite(*named) -> None:
-    """Raise ValueError naming the first (name, value) pair, in order, with a
-    non-finite entry; None values are skipped."""
-    for name, arr in named:
-        if arr is not None and not np.all(np.isfinite(arr)):
-            raise ValueError(f"{name} must be finite")
 
 
 def _fista(H, c, theta, prox, converged, max_iters):

@@ -55,7 +55,7 @@ def test_acceptance_01_lifting_identity():
             y = float(rng.standard_normal())
             theta = rng.standard_normal(p)
             f = squared_loss(x, y, theta)
-            lifted = float((lift_sample(x, y).A * lift_parameter(theta).V).sum())
+            lifted = float((lift_sample(x, y) * lift_parameter(theta)).sum())
             worst = max(worst, abs(lifted - f) / max(1.0, f))
     dt = time.time() - t0
     report(1, "lifting identity (1000+ random triples, p in {1,5,50})",
@@ -126,10 +126,10 @@ def test_acceptance_04_projection_correctness():
         q = int(rng.integers(1, 21))
         S = rng.standard_normal((q + 1, q + 1))
         V = project_psd_corner(S + S.T)
-        worst_eig = min(worst_eig, float(np.linalg.eigvalsh(V.V)[0]))
-        worst_corner = max(worst_corner, abs(V.V[-1, -1] - 1.0))
-        V2 = project_psd_corner(V.V)
-        worst_idem = max(worst_idem, float(np.abs(V2.V - V.V).max()))
+        worst_eig = min(worst_eig, float(np.linalg.eigvalsh(V)[0]))
+        worst_corner = max(worst_corner, abs(V[-1, -1] - 1.0))
+        V2 = project_psd_corner(V)
+        worst_idem = max(worst_idem, float(np.abs(V2 - V).max()))
     dt = time.time() - t0
     ok = (worst_b <= 1e-8 and worst_eig >= -1e-9 and worst_corner == 0.0
           and worst_idem <= 2e-9 and dt < 30.0)

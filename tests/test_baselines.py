@@ -165,13 +165,14 @@ def test_baseline_config_validation():
     # must fail here, not after a full lasso round on a slice index
     for kwargs, field in (({"lam": float("nan")}, "lam"),
                           ({"lam": float("inf")}, "lam"),
+                          ({"lam": True}, "lam"),
                           ({"trim_count": 3.0}, "trim_count"),
                           ({"trim_count": 2.5}, "trim_count"),
                           ({"trim_count": True}, "trim_count"),
                           ({"trim_count": "3"}, "trim_count")):
         with pytest.raises(ValueError, match=field):
             BaselineConfig(**kwargs)
-    BaselineConfig(trim_count=np.int64(3))
+    BaselineConfig(lam=np.int64(1), trim_count=np.int64(3))
 
 
 def weighted_problem(n, p):

@@ -77,8 +77,16 @@ def test_config_validation(tmp_path):
     ("max_resamples", -1, "max_resamples must be an integer >= 0, got -1"),
     ("c_lambda", -0.1, "c_lambda must be finite and >= 0, got -0.1"),
     ("c_lambda", "0.05", "c_lambda must be finite and >= 0, got '0.05'"),
+    ("c_lambda", True, "c_lambda must be finite and >= 0, got True"),
     ("sigma_e", math.nan, "sigma_e must be finite and >= 0, got nan"),
     ("rho_min", math.inf, "rho_min must be finite and >= 0, got inf"),
+    ("seeds", (0.5, 1.9), "seeds must be an integer >= 0, got 0.5"),
+    ("seeds", (True, 2), "seeds must be an integer >= 0, got True"),
+    ("seeds", (0, -1), "seeds must be an integer >= 0, got -1"),
+    ("clean_count_rule", 24.7, "clean_count_rule must be an integer >= 1, got 24.7"),
+    ("clean_count_rule", True, "clean_count_rule must be an integer >= 1, got True"),
+    ("clean_count_rule", 0, "clean_count_rule must be an integer >= 1, got 0"),
+    ("clean_count_rule", "24", "clean_count_rule must be an integer >= 1, got '24'"),
 ])
 def test_config_rejects_a_bad_numeric_field_by_name(tmp_path, field, value, match):
     with pytest.raises(ValueError, match=re.escape(match)):
@@ -266,6 +274,9 @@ def test_cli_pipeline(tmp_path):
     sel = [i for i, b in enumerate(res["b_rounded"]) if b == 1]
     assert sel == orc["J_star"]
     assert set(res["config"]) == {"m", "lam", "max_outer", "tol_obj"}
+    # the lifted matrix is written as a nested list, corner pinned to 1
+    V = np.asarray(res["vartheta_hat"])
+    assert V.shape == (5, 5) and V[-1, -1] == 1.0
     # certify reads only config.lam, so a result written when SolverConfig
     # also had step_rule and eta still certifies, to the same bytes
     res["config"].update(step_rule="backtracking", eta=None)

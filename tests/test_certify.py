@@ -49,7 +49,7 @@ def test_duals_noiseless_all_clean_selection():
     lo, hi = cert.nu_interval
     assert abs(lo) <= 1e-12  # every selected loss vanishes (up to fp noise)
     out_losses = sample_losses(data.X[5:, support], data.y[5:],
-                               lift_parameter(theta[support]).V)
+                               lift_parameter(theta[support]))
     assert abs(hi - out_losses.min()) <= 1e-12
     assert cert.feasible
     assert cert.beta.min() >= 0 and cert.gamma.min() >= 0
@@ -235,7 +235,7 @@ def test_invexity_gap_zero_for_equal_pair():
     data = tiny_instance(6)
     rng = np.random.default_rng(8)
     b = project_b(rng.uniform(0, 1, data.n), BFeasibleSet(data.n, 4))
-    V = lift_parameter(rng.standard_normal(data.p)).V + 0.1 * np.eye(data.p + 1)
+    V = lift_parameter(rng.standard_normal(data.p)) + 0.1 * np.eye(data.p + 1)
     V = V / V[-1, -1]
     gap, bilinear = invexity_gap(data, b, V, b.copy(), V.copy())
     assert gap == 0.0 and bilinear == 0.0

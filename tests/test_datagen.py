@@ -1,9 +1,15 @@
+import json
+import math
+import re
+
 import numpy as np
 import pytest
 
+from invexreg.cli import main
 from invexreg.datagen import (GenSpec, ResampleExhausted, gen_clean,
                               gen_outliers, gen_theta_star, generate, rho_gap)
-from invexreg.model import CLEAN, OUTLIER, Dataset, GroundTruthConfig
+from invexreg.model import (CLEAN, OUTLIER, Dataset, GroundTruthConfig, load_dataset,
+                            save_dataset)
 
 
 def make_spec(p=10, k=3, r=40, n_out=20, seed=0, sigma_e=0.1, M=None, **kw):
@@ -162,3 +168,55 @@ def test_genspec_validation():
         make_spec(r=0)
     with pytest.raises(ValueError):
         make_spec(outlier_response_range=(1.0, 0.0))
+
+
+@pytest.mark.parametrize("kw, match", [
+    ({"p": 4.0}, "p must be an integer >= 2, got 4.0"),
+    ({"k": 2.0}, "k must be an integer >= 1, got 2.0"),
+    ({"k": True}, "k must be an integer >= 1, got True"),
+    ({"k": 5}, "p must be an integer >= 5, got 4"),
+    ({"M": math.nan}, "M must be finite and >= 0, got nan"),
+    ({"M": -1.0}, "M must be finite and >= 0, got -1.0"),
+    ({"sigma_e": math.nan}, "sigma_e must be finite and >= 0, got nan"),
+    ({"sigma_e": -0.1}, "sigma_e must be finite and >= 0, got -0.1"),
+])
+def test_ground_truth_rejects_a_bad_field_by_name(kw, match):
+    with pytest.raises(ValueError, match=re.escape(match)):
+        GroundTruthConfig(**{"p": 4, "k": 2, "M": 2.2, **kw})
+
+
+@pytest.mark.parametrize("kw, match", [
+    ({"r": 2.5}, "r must be an integer >= 1, got 2.5"),
+    ({"n_out": -1}, "n_outliers must be an integer >= 0, got -1"),
+    ({"n_out": 3.0}, "n_outliers must be an integer >= 0, got 3.0"),
+    ({"seed": -1}, "seed must be an integer >= 0, got -1"),
+    ({"max_resamples": 10.0}, "max_resamples must be an integer >= 0, got 10.0"),
+    ({"rho_min": -3}, "rho_min must be finite and >= 0, got -3"),
+    ({"rho_min": math.nan}, "rho_min must be finite and >= 0, got nan"),
+    ({"outlier_response_range": (0.0, math.nan)}, "outlier_response_range must be finite"),
+    ({"outlier_predictor_range": (-math.inf, 1.0)}, "outlier_predictor_range must be finite"),
+    ({"outlier_response_range": (1.0, 0.0)}, "outlier_response_range is an empty interval"),
+])
+def test_genspec_rejects_a_bad_field_by_name(kw, match):
+    with pytest.raises(ValueError, match=re.escape(match)):
+        make_spec(**kw)
+
+
+def test_cli_gen_rejects_nan_inputs(tmp_path, capsys):
+    code = main(["gen", "--p", "5", "--k", "2", "--r", "20", "--outliers", "5",
+                 "--sigma-e", "nan", "--rho-min", "nan", "--out", str(tmp_path / "d")])
+    assert code == 2
+    assert "sigma_e must be finite and >= 0, got nan" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sidecar_has_no_sigma_and_old_sidecars_load(tmp_path):
+    data = generate(make_spec(seed=3))
+    _, json_path = save_dataset(data, tmp_path / "ds")
+    meta = json.loads(json_path.read_text())
+    assert "sigma" not in meta and meta["sigma_e"] == 0.1
+    meta["sigma"] = 1.0  # a sidecar written while GroundTruthConfig had sigma
+    json_path.write_text(json.dumps(meta))
+    back = load_dataset(tmp_path / "ds")
+    assert np.array_equal(back.X, data.X) and np.array_equal(back.y, data.y)
+    assert "sigma" not in back.meta

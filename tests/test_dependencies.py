@@ -2,8 +2,11 @@
 library (scipy is often installed alongside, but is not declared)."""
 
 import ast
+import importlib
 import sys
 from pathlib import Path
+
+import invexreg
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "invexreg"
 
@@ -23,6 +26,29 @@ def test_package_imports_only_stdlib_and_numpy():
                 continue
             outside += [(path.name, n) for n in names if n.split(".")[0] not in allowed]
     assert outside == []
+
+
+def test_every_exported_name_resolves():
+    modules = [invexreg] + [importlib.import_module(f"invexreg.{path.stem}")
+                            for path in sorted(SRC.glob("*.py")) if path.stem != "__init__"]
+    missing = [(mod.__name__, name) for mod in modules
+               for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+    assert missing == []
+
+
+def test_model_and_projections_import_nothing_from_the_package():
+    """Every other module imports `model`, so it must stay a leaf; the
+    projections are pure numpy."""
+    for name in ("model.py", "projections.py"):
+        path = SRC / name
+        inside = []
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level > 0 or (node.module or "").split(".")[0] == "invexreg"):
+                inside.append(node.module)
+            elif isinstance(node, ast.Import):
+                inside += [a.name for a in node.names if a.name.split(".")[0] == "invexreg"]
+        assert inside == [], name
 
 
 def _private(dotted: str) -> bool:

@@ -3,10 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from invexreg.model import (CLEAN, OUTLIER, Dataset, Vartheta, extract_theta,
-                            lift_parameter, lift_sample, lifted_gram,
-                            load_dataset, objective, sample_losses,
-                            save_dataset, squared_loss)
+from invexreg.model import (CLEAN, OUTLIER, Dataset, extract_theta, lift_parameter,
+                            lift_sample, lifted_gram, load_dataset, objective,
+                            sample_losses, save_dataset, squared_loss)
 
 
 def random_triple(rng, p):
@@ -30,21 +29,21 @@ def test_lifting_identity(p, seed):
     rng = np.random.default_rng(seed)
     x, y, theta = random_triple(rng, p)
     f = squared_loss(x, y, theta)
-    lifted = float((lift_sample(x, y).A * lift_parameter(theta).V).sum())
+    lifted = float((lift_sample(x, y) * lift_parameter(theta)).sum())
     assert abs(lifted - f) <= 1e-10 * max(1.0, f)
 
 
 def test_lift_sample_blocks():
-    A = lift_sample(np.zeros(2), 0.0).A
+    A = lift_sample(np.zeros(2), 0.0)
     assert np.all(A == 0.0)
-    A = lift_sample(np.array([1.0]), 2.0).A
+    A = lift_sample(np.array([1.0]), 2.0)
     assert np.allclose(A, [[1.0, -2.0], [-2.0, 4.0]])
 
 
 def test_lift_sample_rank_one():
     rng = np.random.default_rng(3)
     x, y, _ = random_triple(rng, 6)
-    A = lift_sample(x, y).A
+    A = lift_sample(x, y)
     assert np.allclose(A, A.T)
     w = np.linalg.eigvalsh(A)
     assert np.count_nonzero(np.abs(w) > 1e-10) <= 1
@@ -56,16 +55,16 @@ def test_lift_sample_rejects_nonfinite():
 
 
 def test_lift_parameter_examples():
-    V = lift_parameter(np.zeros(3)).V
+    V = lift_parameter(np.zeros(3))
     assert V[-1, -1] == 1.0 and np.count_nonzero(V) == 1
-    V = lift_parameter(np.array([1.0, 0.0])).V
+    V = lift_parameter(np.array([1.0, 0.0]))
     assert np.allclose(V, [[1, 0, 1], [0, 0, 0], [1, 0, 1]])
 
 
 def test_lift_parameter_spectrum():
     rng = np.random.default_rng(5)
     theta = rng.standard_normal(7)
-    w = np.linalg.eigvalsh(lift_parameter(theta).V)
+    w = np.linalg.eigvalsh(lift_parameter(theta))
     z2 = float(theta @ theta) + 1.0
     assert abs(w[-1] - z2) <= 1e-10 * z2
     assert np.abs(w[:-1]).max() <= 1e-10 * z2
@@ -78,20 +77,20 @@ def test_extract_theta_round_trip():
     assert np.allclose(out, theta, atol=1e-12)
     assert gap <= 1e-14
     # composing back reproduces the matrix
-    assert np.abs(lift_parameter(out).V - lift_parameter(theta).V).max() <= 1e-12
+    assert np.abs(lift_parameter(out) - lift_parameter(theta)).max() <= 1e-12
 
 
 def test_extract_theta_identity_matrix_warns():
     V = np.eye(3)
     with pytest.warns(UserWarning):
-        theta, gap = extract_theta(Vartheta(V))
+        theta, gap = extract_theta(V)
     assert np.allclose(theta, 0.0)
     assert gap == 1.0
 
 
 def test_extract_theta_degenerate():
     with pytest.raises(ValueError):
-        extract_theta(Vartheta(np.zeros((3, 3))))
+        extract_theta(np.zeros((3, 3)))
 
 
 def _tiny_dataset(rng, n=5, p=3):
@@ -116,7 +115,7 @@ def test_objective_matches_samplewise_recomputation():
     b = rng.uniform(0, 1, size=5)
     lam = 0.37
     manual = sum(b[i] * squared_loss(data.X[i], data.y[i], theta)
-                 for i in range(5)) + lam * np.abs(V.V).sum()
+                 for i in range(5)) + lam * np.abs(V).sum()
     assert abs(objective(b, V, data, lam) - manual) <= 1e-10 * max(1.0, abs(manual))
 
 
@@ -145,12 +144,12 @@ def test_sample_losses_matches_lifted_inner_products():
     rng = np.random.default_rng(23)
     for n, p in ((7, 4), (60, 50)):
         data = _tiny_dataset(rng, n=n, p=p)
-        V = lift_parameter(rng.standard_normal(p)).V
+        V = lift_parameter(rng.standard_normal(p))
         W = rng.standard_normal((p + 1, 3))
         V = V + 0.1 * np.eye(p + 1) + 0.05 * W @ W.T  # non-rank-1, general corner
         got = sample_losses(data.X, data.y, V)
         for i in range(n):
-            direct = float((lift_sample(data.X[i], data.y[i]).A * V).sum())
+            direct = float((lift_sample(data.X[i], data.y[i]) * V).sum())
             assert abs(got[i] - direct) <= 1e-10 * max(1.0, abs(direct))
 
 
@@ -174,14 +173,6 @@ def test_lifted_gram_is_symmetric_adjoint_of_sample_losses(weights):
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
 
 
-def test_vartheta_check():
-    lift_parameter(np.array([1.0, 2.0])).check()
-    with pytest.raises(ValueError):
-        Vartheta(np.diag([1.0, -1.0, 1.0])).check()
-    with pytest.raises(ValueError):
-        Vartheta(2.0 * np.eye(3)).check()  # corner != 1
-
-
 def test_dataset_invariants():
     with pytest.raises(ValueError):
         Dataset(X=np.zeros((3, 2)), y=np.zeros(4), labels=np.array(["clean"] * 3))
@@ -197,8 +188,7 @@ def test_dataset_csv_round_trip(tmp_path):
     labels = np.array([CLEAN, OUTLIER, CLEAN, CLEAN, OUTLIER, CLEAN])
     data = Dataset(X=X, y=y, labels=labels, theta_star=rng.standard_normal(3),
                    r=4, rho=0.25,
-                   meta={"p": 3, "k": 2, "M": 2.2, "sigma": 1.0,
-                         "sigma_e": 0.1, "seed": 29})
+                   meta={"p": 3, "k": 2, "M": 2.2, "sigma_e": 0.1, "seed": 29})
     save_dataset(data, tmp_path / "ds")
     back = load_dataset(tmp_path / "ds")
     assert np.array_equal(back.X, data.X)          # repr round-trips floats

@@ -98,7 +98,7 @@ def test_psd_corner_already_feasible():
     rng = np.random.default_rng(3)
     z = np.concatenate([rng.standard_normal(4), [1.0]])
     V0 = np.outer(z, z)
-    V = project_psd_corner(V0).V
+    V = project_psd_corner(V0)
     assert np.abs(V - V0).max() <= 1e-9
 
 
@@ -115,18 +115,18 @@ def test_psd_corner_feasible_input_skips_eigh(monkeypatch):
     W = rng.standard_normal((6, 3))
     V0 = W @ W.T
     V0 /= V0[-1, -1]  # PSD, rank 3, corner exactly 1
-    V = project_psd_corner(V0).V
+    V = project_psd_corner(V0)
     assert np.array_equal(V, 0.5 * (V0 + V0.T))
     assert calls == []
     S = rng.standard_normal((6, 6))
-    V = project_psd_corner(S + S.T).V  # indefinite: the repair still runs
+    V = project_psd_corner(S + S.T)  # indefinite: the repair still runs
     assert calls
     assert V[-1, -1] == 1.0
     assert np.linalg.eigvalsh(V)[0] >= -1e-9
 
 
 def test_psd_corner_negative_identity():
-    V = project_psd_corner(-np.eye(2)).V
+    V = project_psd_corner(-np.eye(2))
     assert np.allclose(V, [[0.0, 0.0], [0.0, 1.0]])
 
 
@@ -136,10 +136,10 @@ def test_psd_corner_feasibility_and_idempotence():
         q = int(rng.integers(1, 15))
         S = rng.standard_normal((q + 1, q + 1))
         V = project_psd_corner(S + S.T)
-        assert V.V[-1, -1] == 1.0
-        assert np.linalg.eigvalsh(V.V)[0] >= -1e-9
-        V2 = project_psd_corner(V.V)
-        assert np.abs(V2.V - V.V).max() <= 2e-9
+        assert V[-1, -1] == 1.0
+        assert np.linalg.eigvalsh(V)[0] >= -1e-9
+        V2 = project_psd_corner(V)
+        assert np.abs(V2 - V).max() <= 2e-9
 
 
 def test_psd_corner_rejects_nonfinite():

@@ -32,7 +32,7 @@ def test_grad_vartheta_zero_and_single():
     assert np.all(grad_vartheta(np.zeros(data.n), data) == 0.0)
     e0 = np.zeros(data.n)
     e0[0] = 1.0
-    A0 = lift_sample(data.X[0], data.y[0]).A
+    A0 = lift_sample(data.X[0], data.y[0])
     assert np.abs(grad_vartheta(e0, data) - A0).max() <= 1e-12
 
 
@@ -40,7 +40,7 @@ def test_grad_vartheta_finite_differences():
     rng = np.random.default_rng(1)
     data = tiny_instance(1)
     b = rng.uniform(0, 1, data.n)
-    V = lift_parameter(rng.standard_normal(data.p)).V
+    V = lift_parameter(rng.standard_normal(data.p))
     G = grad_vartheta(b, data)
     h = 1e-6
     for _ in range(12):
@@ -77,7 +77,7 @@ def test_b_step_matches_vertex_enumeration():
         data = tiny_instance(seed)
         V = Vr = lift_parameter(rng.standard_normal(data.p))
         m = int(rng.integers(1, data.n + 1))
-        losses = sample_losses(data.X, data.y, V.V)
+        losses = sample_losses(data.X, data.y, V)
         got = b_step(V, data, m) @ losses
         best = np.inf
         for size in range(m, data.n + 1):
@@ -268,7 +268,7 @@ def test_solve_monotone_trace_and_feasible_iterates():
         assert np.all(np.diff(trace) <= 1e-12)
         assert res.b_rounded.sum() == 4
         assert set(np.unique(res.b_rounded)) <= {0.0, 1.0}
-        V = res.vartheta_hat.V
+        V = res.vartheta_hat
         assert V[-1, -1] == 1.0
         assert np.linalg.eigvalsh(V)[0] >= -2e-9
 
@@ -398,7 +398,7 @@ def test_pin_corner_repairs_corner_above_one(monkeypatch):
     P *= 3.0 / P[-1, -1]
     Q = solver._pin_corner(P)
     assert calls == [P[-1, -1]] and P[-1, -1] > 1.0
-    assert np.array_equal(Q, repair(P).V)
+    assert np.array_equal(Q, repair(P))
     assert Q[-1, -1] == 1.0 and np.linalg.eigvalsh(Q)[0] >= -1e-9
     # inside a solve, exactly the clipped corners above 1 reach the repair
     calls.clear()
