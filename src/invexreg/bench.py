@@ -17,7 +17,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -305,6 +304,8 @@ def run_sweep(cfg: ExperimentConfig, workers: int | None = None) -> dict:
     if workers == 1:
         outcomes = [run_trial(*t) for t in tasks]
     else:
+        # imported here: only a pool needs multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(run_trial, *zip(*tasks), chunksize=1))
 

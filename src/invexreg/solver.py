@@ -1,21 +1,40 @@
 """Solver for the lifted relaxation and the selected-subset refit.
 
-The relaxation is minimized by block steps: the selection weights b have a
-closed-form minimizer for fixed V (pick the m smallest lifted losses), and
-V is driven by proximal gradient steps followed by a feasibility repair
-onto the PSD-with-corner set.  A post-repair objective re-check keeps the
-trace monotone.  The reported parameter estimate always comes from re-
-fitting on the final selection.
+The relaxation is minimized by block steps.  The selection weights b have a
+closed-form minimizer for fixed V (pick the m smallest lifted losses).  For
+fixed b the V block, minimize <G, V> + lam ||V||_1 over PSD V with
+V[-1, -1] = 1 and G = sum_i b_i A_i, is convex, and each outer round first
+solves it exactly (Burer & Monteiro 2003, a rank-one factor; the alternation
+is then the C-step of Rousseeuw & Van Driessen 2006).  `refit` on the rows b
+weights, warm-started from V[:-1, -1], gives theta; at V* = z z^T with
+z = [theta; 1] the block objective is the refit's objective.  With w the
+refit's subgradient of ||theta||_1, s = [w; 1] and mu = (G z)[-1] + lam s^T z,
+the dual Lambda = G + lam s s^T - mu e e^T certifies V* when it is PSD:
+Lambda z = 0 is the refit's stationarity and s s^T lies in the
+subdifferential of ||V*||_1, so Lambda PSD is the block's KKT condition.
+
+It is PSD up to the refit's tolerance: M = G + lam s s^T is PSD and
+M z = mu e, so (z^T M x)^2 <= (z^T M z)(x^T M x) reads mu x[-1]^2 <= x^T M x,
+which is Lambda = M - mu e e^T PSD, even when M is singular (m < p + 1).
+The check can fail only through the
+refit's tolerance or iteration cap, and only then does the round run the
+lifted fallback below.  A certified V* replaces V when it scores lower;
+otherwise V is already optimal to the refit's tolerance and the round takes
+no step.  An objective re-check after the b-step keeps the trace monotone.
+The reported parameter estimate always comes from refitting on the final
+selection.
 
 The refit and the baselines' lasso solves share one FISTA loop, `_fista`,
 on the Gram form; they differ only in the prox and the stopping residual
 they pass.  The V gradient sum_i b_i A_i is `model.lifted_gram`, which the
 dual certificate also uses.
 
-Four rules keep the V step from paying for work that cannot move the
-iterate.  The first may drop eigenvalues below a roundoff bound relative to
-the largest entry of the clipped matrix, but never changes whether a
-renormalized candidate exists; the others move the objective by roundoff.
+The fallback round, `_lifted_round`, drives V by proximal gradient steps
+followed by a feasibility repair onto the PSD-with-corner set.  Four rules
+keep it from paying for work that cannot move the iterate.  The first may
+drop eigenvalues below a roundoff bound relative to the largest entry of
+the clipped matrix, but never changes whether a renormalized candidate
+exists; the others move the objective by roundoff.
 
 - The PSD clip of each prox step is rank one in practice (the lift of theta
   is [theta; 1][theta; 1]^T), so `_psd_clip` finds the top eigenpair by a
@@ -101,6 +120,7 @@ class SolveResult:
     objective_trace: list[float]
     outer_iters: int
     converged: bool
+    v_step_fallbacks: int   # outer rounds whose dual check failed: lifted rounds
     config: SolverConfig | None = None
 
     @property
@@ -240,8 +260,118 @@ def _initial_eta(G: np.ndarray, lam: float) -> float:
     return 1.0 / (gmax + lam + 1e-12)
 
 
+def _block_objective(G: np.ndarray, M: np.ndarray, lam: float) -> float:
+    """F(M) = <G, M> + lam ||M||_1, the V block's objective at fixed b; it
+    costs O(p^2) where the sample form costs O(n p^2)."""
+    v = float(np.vdot(G, M) + lam * np.abs(M).sum())
+    if not np.isfinite(v):
+        raise NonFinite("objective diverged in the V step")
+    return v
+
+
+def _rank_one_dual(G: np.ndarray, theta: np.ndarray, lam: float) -> np.ndarray:
+    """The V block's matrix dual Lambda = G + lam s s^T - mu e e^T at
+    V* = z z^T, z = [theta; 1] (see the module docstring)."""
+    z = np.append(theta, 1.0)
+    Gz = G @ z
+    w, _ = _recover_subgradient(theta, Gz[:-1], lam)
+    s = np.append(w, 1.0)
+    Lam = G + lam * np.outer(s, s)
+    Lam[-1, -1] -= Gz[-1] + lam * (s @ z)
+    return Lam
+
+
+_DUAL_PSD_TOL = 1e-9   # min eig(Lambda) >= -tol max|Lambda| certifies V*
+
+
+def _exact_v_step(data: Dataset, b: np.ndarray, G: np.ndarray, theta0: np.ndarray,
+                  lam: float) -> np.ndarray | None:
+    """theta of the rank-one minimizer of the V block at fixed b, refit on
+    the rows b weights from theta0, or None when its dual is not PSD."""
+    theta = refit(data, b, lam, theta0=theta0)
+    Lam = _rank_one_dual(G, theta, lam)
+    if np.linalg.eigvalsh(Lam)[0] < -_DUAL_PSD_TOL * np.abs(Lam).max():
+        return None
+    return theta
+
+
+def _lifted_round(G: np.ndarray, V: np.ndarray, lam: float, eta: float,
+                  u_top: np.ndarray, tol_obj: float) -> tuple[np.ndarray, float, np.ndarray]:
+    """The fallback V step: up to `_MAX_INNER` accepted proximal projected-
+    gradient steps on the block from V, each backtracked from `eta` by an
+    Armijo test, plus the far-step probe.  Returns (V, the next round's
+    eta, the next clip's warm start)."""
+    def score(M):
+        return _block_objective(G, M, lam)
+
+    cur = score(V)
+
+    def best_repair(step, pocs):
+        """Feasible candidates from one prox step: corner renormalization
+        of the PSD clip, plus the corner-pinned clip when `pocs`.  The
+        clip comes from `_psd_clip`: mu u u^T once a Cholesky test
+        certifies that the top eigenpair (mu, u) is the only eigenpair
+        above a roundoff bound, else the positive eigenpairs of `eigh`;
+        u warm-starts the next clip.  A non-finite prox output raises
+        NonFinite there.  Pinning a clipped corner c <= 1 adds
+        (1 - c) e e^T and stays PSD, so it needs no Cholesky test; only
+        c > 1 runs the alternating repair (`_pin_corner`).  Only P and a
+        repaired pin are scored (see the module docstring).
+        Returns None when no candidate exists (renormalization-only call
+        on a matrix whose clipped corner vanishes).
+        """
+        nonlocal u_top
+        Z = prox_entrywise_l1(V - step * G, step * lam)  # exactly symmetric
+        P, u_top = _psd_clip(Z, u_top, _PSD_TOL)
+        cands = []
+        c = P[-1, -1]
+        fP = score(P)
+        if c > _PSD_TOL:
+            cands.append((fP / c, P / c))  # corner c / c == 1
+        if pocs:
+            Q = _pin_corner(P)
+            fQ = fP + (1.0 - c) * (G[-1, -1] + lam) if c <= 1.0 else score(Q)
+            cands.append((fQ, Q))
+        if not cands:
+            return None
+        return min(cands, key=lambda t: t[0])
+
+    probe_live = True
+    for _ in range(_MAX_INNER):
+        step = eta
+        accepted = None
+        for _ in range(60):
+            cand, Vn = best_repair(step, pocs=True)
+            D = Vn - V
+            nd = float(np.vdot(D, D))
+            if cand <= cur - _ARMIJO_C * nd / max(step, 1e-300):
+                accepted = (cand, Vn, step)
+                break
+            step *= _BETA
+            if step < 1e-18 * max(eta, 1.0):
+                break
+        # far-step probe (cheap repair only): with a singular smooth part
+        # the minimizer sits along the gradient's null ray, which only an
+        # effectively infinite step can reach.  Once it loses it is not
+        # tried again this round (see the module docstring).
+        if probe_live:
+            probe = best_repair(1e6 * max(eta, 1.0), pocs=False)
+            probe_live = probe is not None and probe[0] < cur
+            if probe_live and (accepted is None or probe[0] < accepted[0]):
+                accepted = (probe[0], probe[1], eta)
+        if accepted is None:
+            break
+        improvement = cur - accepted[0]
+        cur, V = accepted[0], accepted[1]
+        eta = min(accepted[2] * 2.0, 1e12)
+        if improvement <= 0.1 * tol_obj * max(abs(cur), 1.0):
+            break
+    return V, eta, u_top
+
+
 def solve_invex(data: Dataset, cfg: SolverConfig) -> SolveResult:
-    """Alternate the exact b-step with proximal projected-gradient V steps.
+    """Alternate the exact b-step with V steps: the exact rank-one step, or
+    the lifted round when its dual check fails.
 
     Stops when the relative objective decrease over an outer round falls
     below tol_obj.  The rounded selection is the final b-step's top-m set
@@ -268,82 +398,23 @@ def solve_invex(data: Dataset, cfg: SolverConfig) -> SolveResult:
     u_top = np.zeros(data.p + 1)  # warm start of _psd_clip: V = e e^T at theta = 0
     u_top[-1] = 1.0
     eta = None
+    fallbacks = 0
     converged = False
     outer = 0
     for outer in range(1, cfg.max_outer + 1):
         G = grad_vartheta(b, data)
-        if eta is None:
-            eta = _initial_eta(G, lam)
-        # inside the block the smooth part is <G, V>, so the objective is
-        # O(p^2) per candidate instead of O(n p^2)
-        def score(M):
-            v = float(np.vdot(G, M) + lam * np.abs(M).sum())
-            if not np.isfinite(v):
-                raise NonFinite("objective diverged in the V step")
-            return v
-
-        cur = score(V)
-
-        def best_repair(step, pocs):
-            """Feasible candidates from one prox step: corner renormalization
-            of the PSD clip, plus the corner-pinned clip when `pocs`.  The
-            clip comes from `_psd_clip`: mu u u^T once a Cholesky test
-            certifies that the top eigenpair (mu, u) is the only eigenpair
-            above a roundoff bound, else the positive eigenpairs of `eigh`;
-            u warm-starts the next clip.  A non-finite prox output raises
-            NonFinite there.  Pinning a clipped corner c <= 1 adds
-            (1 - c) e e^T and stays PSD, so it needs no Cholesky test; only
-            c > 1 runs the alternating repair (`_pin_corner`).  Only P and a
-            repaired pin are scored (see the module docstring).
-            Returns None when no candidate exists (renormalization-only call
-            on a matrix whose clipped corner vanishes).
-            """
-            nonlocal u_top
-            Z = prox_entrywise_l1(V - step * G, step * lam)  # exactly symmetric
-            P, u_top = _psd_clip(Z, u_top, _PSD_TOL)
-            cands = []
-            c = P[-1, -1]
-            fP = score(P)
-            if c > _PSD_TOL:
-                cands.append((fP / c, P / c))  # corner c / c == 1
-            if pocs:
-                Q = _pin_corner(P)
-                fQ = fP + (1.0 - c) * (G[-1, -1] + lam) if c <= 1.0 else score(Q)
-                cands.append((fQ, Q))
-            if not cands:
-                return None
-            return min(cands, key=lambda t: t[0])
-
-        probe_live = True
-        for _ in range(_MAX_INNER):
-            step = eta
-            accepted = None
-            for _ in range(60):
-                cand, Vn = best_repair(step, pocs=True)
-                D = Vn - V
-                nd = float(np.vdot(D, D))
-                if cand <= cur - _ARMIJO_C * nd / max(step, 1e-300):
-                    accepted = (cand, Vn, step)
-                    break
-                step *= _BETA
-                if step < 1e-18 * max(eta, 1.0):
-                    break
-            # far-step probe (cheap repair only): with a singular smooth part
-            # the minimizer sits along the gradient's null ray, which only an
-            # effectively infinite step can reach.  Once it loses it is not
-            # tried again this round (see the module docstring).
-            if probe_live:
-                probe = best_repair(1e6 * max(eta, 1.0), pocs=False)
-                probe_live = probe is not None and probe[0] < cur
-                if probe_live and (accepted is None or probe[0] < accepted[0]):
-                    accepted = (probe[0], probe[1], eta)
-            if accepted is None:
-                break
-            improvement = cur - accepted[0]
-            cur, V = accepted[0], accepted[1]
-            eta = min(accepted[2] * 2.0, 1e12)
-            if improvement <= 0.1 * cfg.tol_obj * max(abs(cur), 1.0):
-                break
+        theta = _exact_v_step(data, b, G, V[:-1, -1], lam)
+        if theta is not None:
+            # certified: V* minimizes the block, so a V that scores no
+            # higher is already optimal to the refit's tolerance
+            Vs = lift_parameter(theta)
+            if _block_objective(G, Vs, lam) < _block_objective(G, V, lam):
+                V = Vs
+        else:
+            fallbacks += 1
+            if eta is None:
+                eta = _initial_eta(G, lam)
+            V, eta, u_top = _lifted_round(G, V, lam, eta, u_top, cfg.tol_obj)
 
         losses = sample_losses(X, y, V)
         b, sel = _select(losses, cfg.m)
@@ -366,7 +437,8 @@ def solve_invex(data: Dataset, cfg: SolverConfig) -> SolveResult:
     return SolveResult(
         b_hat=b, b_rounded=b_rounded, vartheta_hat=V,
         theta_hat=theta_hat, rank1_gap=rank1_gap, objective_trace=trace,
-        outer_iters=outer, converged=converged, config=cfg,
+        outer_iters=outer, converged=converged, v_step_fallbacks=fallbacks,
+        config=cfg,
     )
 
 

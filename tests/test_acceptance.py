@@ -8,10 +8,8 @@ import time
 from itertools import product
 
 import numpy as np
-import pytest
 
-from invexreg.bench import (ExperimentConfig, clean_count_theory, lambda_from_m,
-                            m_from_C, run_sweep)
+from invexreg.bench import ExperimentConfig, run_sweep
 from invexreg.certify import (assumption_check, build_duals, invexity_witness,
                               kkt_residuals, nonconvexity_witness,
                               strict_dual_feasibility)

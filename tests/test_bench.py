@@ -166,6 +166,18 @@ def test_run_sweep_baselines_deterministic_across_workers(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+def test_run_sweep_invex_deterministic_across_workers(tmp_path):
+    """Invex trials give the same bytes in-process and on a pool."""
+    kw = dict(p=20, k=3, clean_count_rule=100, C_values=(0.6, 1.0),
+              methods=("invex", "lasso"), seeds=(0, 1))
+    run_sweep(tiny_cfg(tmp_path, output_dir=str(tmp_path / "a"), **kw), workers=1)
+    out = run_sweep(tiny_cfg(tmp_path, output_dir=str(tmp_path / "b"), **kw), workers=2)
+    assert len(out["rows"]) == 2 * 2 * 2
+    assert all(not r["error"] for r in out["rows"])
+    for name in ("results.csv", "aggregate.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
 def test_run_sweep_records_cell_failures(tmp_path):
     # impossible margin makes generation fail; the row carries the error tag
     cfg = tiny_cfg(tmp_path, rho_min=1e9, max_resamples=2,

@@ -3,6 +3,7 @@ library (scipy is often installed alongside, but is not declared)."""
 
 import ast
 import importlib
+import subprocess
 import sys
 from pathlib import Path
 
@@ -34,6 +35,17 @@ def test_every_exported_name_resolves():
     missing = [(mod.__name__, name) for mod in modules
                for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
     assert missing == []
+
+
+def test_importing_the_package_loads_no_process_pool():
+    """Only a sweep on more than one worker needs a process pool, so
+    `run_sweep` imports it there and the package import stays lighter."""
+    code = ("import sys, invexreg; print(sorted(m for m in sys.modules if m in "
+            "('multiprocessing', 'concurrent.futures.process') "
+            "or m.startswith('multiprocessing.')))")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"
 
 
 def test_model_and_projections_import_nothing_from_the_package():

@@ -14,6 +14,12 @@ from invexreg.solver import (InfeasibleM, SolverConfig, b_step, grad_vartheta,
                              prox_l1_plus_one_squared, refit, solve_invex)
 
 
+@pytest.fixture
+def lifted_only(monkeypatch):
+    """The exact V step declines, so every outer round runs the lifted round."""
+    monkeypatch.setattr(solver, "_exact_v_step", lambda *args: None)
+
+
 def all_clean_dataset(rng, n, p, theta, sigma_e=0.0):
     X = rng.standard_normal((n, p))
     y = X @ theta + sigma_e * rng.standard_normal(n)
@@ -312,6 +318,7 @@ def test_result_json_round_trip():
     assert payload["config"]["m"] == 4
     assert len(payload["b_rounded"]) == data.n
     assert payload["objective_trace"][0] >= payload["objective_trace"][-1]
+    assert payload["v_step_fallbacks"] == 0
 
 
 def test_objective_trace_matches_objective_function():
@@ -322,7 +329,7 @@ def test_objective_trace_matches_objective_function():
     assert abs(recomputed - res.objective_trace[-1]) <= 1e-9 * max(1.0, recomputed)
 
 
-def test_solve_invex_one_eigh_per_prox_step(monkeypatch):
+def test_solve_invex_one_eigh_per_prox_step(monkeypatch, lifted_only):
     counts = {"eigh": 0, "prox": 0}
     eigh, prox = np.linalg.eigh, solver.prox_entrywise_l1
 
@@ -342,7 +349,7 @@ def test_solve_invex_one_eigh_per_prox_step(monkeypatch):
     assert counts["eigh"] <= counts["prox"]
 
 
-def test_far_step_probe_stops_after_losing_and_corners_skip_repair(monkeypatch):
+def test_far_step_probe_stops_after_losing_and_corners_skip_repair(monkeypatch, lifted_only):
     """On this instance the far-step probe never beats the current objective
     and every clipped corner is at most 1: the probe runs once per outer
     round, and every corner-pinned candidate is PSD with corner exactly 1
@@ -383,7 +390,7 @@ def test_far_step_probe_stops_after_losing_and_corners_skip_repair(monkeypatch):
         assert np.linalg.eigvalsh(Q)[0] >= -1e-9
 
 
-def test_pin_corner_repairs_corner_above_one(monkeypatch):
+def test_pin_corner_repairs_corner_above_one(monkeypatch, lifted_only):
     repair = solver.project_psd_corner
     calls = []
 
@@ -441,20 +448,90 @@ def _check_solve_pin(name):
         tol_obj=_TOL_OBJ, max_outer=_MAX_OUTER))
     assert res.selection.tolist() == want["selection"]
     assert res.outer_iters == want["outer_iters"]
+    if "v_step_fallbacks" in want:
+        assert res.v_step_fallbacks == want["v_step_fallbacks"]
     assert len(res.objective_trace) == want["trace_len"]
     assert np.abs(res.theta_hat - np.array(want["theta_hat"])).max() <= 1e-12
 
 
-def test_solve_invex_pinned_output_fig2_p50_m484_seed0():
+def test_solve_invex_pinned_output_fig2_p50_m484_seed0(lifted_only):
     _check_solve_pin("solve_pin_fig2_p50_m484_seed0.json")  # converges in 16 rounds
 
 
-def test_solve_invex_pinned_output_fig2_p50_m122_seed0():
+def test_solve_invex_pinned_output_fig2_p50_m122_seed0(lifted_only):
     _check_solve_pin("solve_pin_fig2_p50_m122_seed0.json")  # churns for 54 rounds
 
 
-def test_solve_invex_pinned_output_proportions_p30_x045_seed0():
+def test_solve_invex_pinned_output_proportions_p30_x045_seed0(lifted_only):
     _check_solve_pin("solve_pin_proportions_p30_x045_seed0.json")  # 22 rounds, m=366
+
+
+def test_solve_invex_pinned_output_fig2_p50_m306_seed0():
+    _check_solve_pin("solve_pin_fig2_p50_m306_seed0.json")  # exact V steps, no fallback
+
+
+def mid_instance(seed):
+    gt = GroundTruthConfig(p=20, k=3, M=3.3, sigma_e=0.1)
+    return generate(GenSpec(ground_truth=gt, r=60, n_outliers=30, seed=seed,
+                            rho_min=1.0, max_resamples=500))
+
+
+@pytest.mark.parametrize("m", [40, 12])  # m >= p + 1, and m < p + 1 (G singular)
+def test_exact_v_step_is_certified_and_beats_a_lifted_round(m):
+    data = mid_instance(5)
+    lam = 0.05 * np.sqrt(m * np.log(data.p))
+    V = lift_parameter(np.zeros(data.p))
+    b = b_step(V, data, m)
+    G = grad_vartheta(b, data)
+    if m < data.p + 1:
+        assert np.linalg.matrix_rank(G) < data.p + 1
+    theta = solver._exact_v_step(data, b, G, V[:-1, -1], lam)
+    assert theta is not None and np.any(theta != 0.0)
+    Lam = solver._rank_one_dual(G, theta, lam)
+    z = np.append(theta, 1.0)
+    assert np.linalg.eigvalsh(Lam)[0] >= -1e-9 * np.abs(Lam).max()
+    assert np.abs(Lam @ z).max() <= 1e-6
+    u0 = np.eye(data.p + 1)[-1]
+    Vl, _, _ = solver._lifted_round(G, V, lam, solver._initial_eta(G, lam), u0, 1e-6)
+    exact = solver._block_objective(G, lift_parameter(theta), lam)
+    assert exact <= solver._block_objective(G, Vl, lam)
+    assert exact < solver._block_objective(G, V, lam)
+
+
+def test_failed_dual_check_runs_the_lifted_round_and_is_counted(monkeypatch):
+    data = mid_instance(3)
+    cfg = SolverConfig(m=40, lam=0.5 * np.sqrt(40 * np.log(20)), tol_obj=1e-6)
+    res = solve_invex(data, cfg)
+    assert res.v_step_fallbacks == 0
+    dual, prox = solver._rank_one_dual, solver.prox_entrywise_l1
+    duals, proxes = [], []
+
+    def failing_in_round_1(G, theta, lam):
+        duals.append(0)
+        Lam = dual(G, theta, lam)
+        if len(duals) == 1:
+            Lam[0, 0] = -1.0  # a negative diagonal entry: not PSD
+        return Lam
+
+    def counting_prox(M, tau):
+        proxes.append(len(duals))
+        return prox(M, tau)
+
+    monkeypatch.setattr(solver, "_rank_one_dual", failing_in_round_1)
+    monkeypatch.setattr(solver, "prox_entrywise_l1", counting_prox)
+    res = solve_invex(data, cfg)
+    assert res.outer_iters > 1
+    assert res.v_step_fallbacks == 1
+    assert proxes and set(proxes) == {1}  # prox steps in round 1 only
+    assert np.all(np.diff(res.objective_trace) <= 0.0)
+    # a check that fails in every round gives the lifted solve, bit for bit
+    monkeypatch.setattr(solver, "_rank_one_dual", lambda G, theta, lam: -np.eye(G.shape[0]))
+    failed = solve_invex(data, cfg)
+    monkeypatch.setattr(solver, "_exact_v_step", lambda *args: None)
+    lifted = solve_invex(data, cfg)
+    assert failed.v_step_fallbacks == failed.outer_iters == lifted.v_step_fallbacks
+    assert failed.objective_trace == lifted.objective_trace
+    assert np.array_equal(failed.theta_hat, lifted.theta_hat)
 
 
 def _eigh_clip(S):
@@ -607,7 +684,7 @@ def test_psd_clip_rejects_non_finite(bad):
         solver._psd_clip(S, np.eye(4)[-1], 1e-9)
 
 
-def test_solve_invex_non_finite_prox_output_raises(monkeypatch):
+def test_solve_invex_non_finite_prox_output_raises(monkeypatch, lifted_only):
     prox = solver.prox_entrywise_l1
     calls = []
 
