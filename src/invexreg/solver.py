@@ -5,24 +5,25 @@ closed-form minimizer for fixed V (pick the m smallest lifted losses).  For
 fixed b the V block, minimize <G, V> + lam ||V||_1 over PSD V with
 V[-1, -1] = 1 and G = sum_i b_i A_i, is convex, and each outer round first
 solves it exactly (Burer & Monteiro 2003, a rank-one factor; the alternation
-is then the C-step of Rousseeuw & Van Driessen 2006).  `refit` on the rows b
-weights, warm-started from V[:-1, -1], gives theta; at V* = z z^T with
-z = [theta; 1] the block objective is the refit's objective.  With w the
-refit's subgradient of ||theta||_1, s = [w; 1] and mu = (G z)[-1] + lam s^T z,
-the dual Lambda = G + lam s s^T - mu e e^T certifies V* when it is PSD:
-Lambda z = 0 is the refit's stationarity and s s^T lies in the
-subdifferential of ||V*||_1, so Lambda PSD is the block's KKT condition.
+is then the C-step of Rousseeuw & Van Driessen 2006).  The refit's solve on
+G's blocks (the Gram form of the rows b weights), warm-started from
+V[:-1, -1], gives theta; at V* = z z^T with z = [theta; 1] the block
+objective is the refit's objective.  With w the refit's subgradient of
+||theta||_1, s = [w; 1] and mu = (G z)[-1] + lam s^T z, the dual
+Lambda = G + lam s s^T - mu e e^T certifies V* when it is PSD: Lambda z = 0
+is the refit's stationarity and s s^T lies in the subdifferential of
+||V*||_1, so Lambda PSD is the block's KKT condition.
 
 It is PSD up to the refit's tolerance: M = G + lam s s^T is PSD and
 M z = mu e, so (z^T M x)^2 <= (z^T M z)(x^T M x) reads mu x[-1]^2 <= x^T M x,
 which is Lambda = M - mu e e^T PSD, even when M is singular (m < p + 1).
-The check can fail only through the
-refit's tolerance or iteration cap, and only then does the round run the
-lifted fallback below.  A certified V* replaces V when it scores lower;
-otherwise V is already optimal to the refit's tolerance and the round takes
-no step.  An objective re-check after the b-step keeps the trace monotone.
-The reported parameter estimate always comes from refitting on the final
-selection.
+The check can fail only through the refit's tolerance or iteration cap,
+and only then does the round run the lifted fallback below.  A certified
+V* replaces V when it scores lower; otherwise V is already optimal to the
+refit's tolerance and the round takes no step.  An objective re-check
+after the b-step keeps the trace monotone.  The reported parameter
+estimate always comes from refitting on the final selection, warm-started
+from the last exact step's theta.
 
 The refit and the baselines' lasso solves share one FISTA loop, `_fista`,
 on the Gram form; they differ only in the prox and the stopping residual
@@ -284,11 +285,12 @@ def _rank_one_dual(G: np.ndarray, theta: np.ndarray, lam: float) -> np.ndarray:
 _DUAL_PSD_TOL = 1e-9   # min eig(Lambda) >= -tol max|Lambda| certifies V*
 
 
-def _exact_v_step(data: Dataset, b: np.ndarray, G: np.ndarray, theta0: np.ndarray,
-                  lam: float) -> np.ndarray | None:
-    """theta of the rank-one minimizer of the V block at fixed b, refit on
-    the rows b weights from theta0, or None when its dual is not PSD."""
-    theta = refit(data, b, lam, theta0=theta0)
+def _exact_v_step(G: np.ndarray, theta0: np.ndarray, lam: float) -> np.ndarray | None:
+    """theta of the rank-one minimizer of the V block <G, V> + lam ||V||_1,
+    or None when its dual is not PSD.  The refit runs from theta0 on G's
+    blocks: with 0/1 weights b, G[:-1, :-1] = X_b^T X_b and
+    -G[:-1, -1] = X_b^T y_b, so block and refit are one problem."""
+    theta = _refit_gram(G[:-1, :-1], -G[:-1, -1], theta0, lam)
     Lam = _rank_one_dual(G, theta, lam)
     if np.linalg.eigvalsh(Lam)[0] < -_DUAL_PSD_TOL * np.abs(Lam).max():
         return None
@@ -403,7 +405,7 @@ def solve_invex(data: Dataset, cfg: SolverConfig) -> SolveResult:
     outer = 0
     for outer in range(1, cfg.max_outer + 1):
         G = grad_vartheta(b, data)
-        theta = _exact_v_step(data, b, G, V[:-1, -1], lam)
+        theta = _exact_v_step(G, V[:-1, -1], lam)
         if theta is not None:
             # certified: V* minimizes the block, so a V that scores no
             # higher is already optimal to the refit's tolerance
@@ -430,7 +432,8 @@ def solve_invex(data: Dataset, cfg: SolverConfig) -> SolveResult:
 
     b_rounded = np.zeros(data.n)
     b_rounded[sel] = 1.0
-    theta_hat = refit(data, b_rounded, lam)
+    # warm from the last exact step's theta, which usually solved this refit
+    theta_hat = refit(data, b_rounded, lam, theta0=theta)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         _, rank1_gap = extract_theta(V)
@@ -542,6 +545,21 @@ def _fista(H, c, theta, prox, converged, max_iters):
 _REFIT_MAX_ITERS = 20000
 
 
+def _refit_gram(H: np.ndarray, c: np.ndarray, theta: np.ndarray, lam: float,
+                tol: float = 1e-8) -> np.ndarray:
+    """`refit`'s solve on the Gram form: minimizes theta^T H theta
+    - 2 c^T theta + lam (||theta||_1 + 1)^2 by `_fista` from theta, until
+    the stationarity residual is below the absolute tol."""
+    def converged(theta, g):
+        w, _ = _recover_subgradient(theta, 0.5 * g, lam)
+        # absolute: the dual construction needs this scale
+        resid = 0.5 * g + lam * (np.abs(theta).sum() + 1.0) * w
+        return np.abs(resid).max(initial=0.0) <= tol
+
+    return _fista(H, c, theta, lambda v, step: prox_l1_plus_one_squared(v, step * lam),
+                  converged, _REFIT_MAX_ITERS)
+
+
 def refit(data: Dataset, selection: np.ndarray, lam: float,
           support: np.ndarray | None = None, theta0: np.ndarray | None = None,
           tol: float = 1e-8) -> np.ndarray:
@@ -568,15 +586,7 @@ def refit(data: Dataset, selection: np.ndarray, lam: float,
     if theta.shape != (cols.size,):
         raise ValueError("theta0 has wrong length")
 
-    def converged(theta, g):
-        w, _ = _recover_subgradient(theta, 0.5 * g, lam)
-        # absolute: the dual construction needs this scale
-        resid = 0.5 * g + lam * (np.abs(theta).sum() + 1.0) * w
-        return np.abs(resid).max(initial=0.0) <= tol
-
-    theta = _fista(Xs.T @ Xs, Xs.T @ ys, theta,
-                   lambda v, step: prox_l1_plus_one_squared(v, step * lam),
-                   converged, _REFIT_MAX_ITERS)
+    theta = _refit_gram(Xs.T @ Xs, Xs.T @ ys, theta, lam, tol)
     out = np.zeros(data.p)
     out[cols] = theta
     return out

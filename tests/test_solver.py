@@ -303,12 +303,20 @@ def test_solver_config_rejects_a_bad_field_by_name(field, value):
         SolverConfig(**kwargs)
 
 
-def test_far_step_probe_reaches_the_null_ray_minimum():
+def test_far_step_probe_reaches_the_null_ray_minimum(lifted_only):
     """At lam = 0 the smooth part is singular and the minimum, 0 here, lies
     along the gradient's null ray; only the far-step probe reaches it.  The
     backtracking steps alone stall at an objective of about 4.13."""
     res = solve_invex(tiny_instance(4), SolverConfig(m=4, lam=0.0))
     assert res.objective_trace[-1] <= 1e-9
+
+
+def test_exact_v_step_reaches_the_lam0_minimum():
+    """The same singular instance on the default path: the exact step's
+    refit interpolates the m = p selected rows, so no probe is needed."""
+    res = solve_invex(tiny_instance(4), SolverConfig(m=4, lam=0.0))
+    assert res.objective_trace[-1] <= 1e-9
+    assert res.v_step_fallbacks == 0
 
 
 def test_result_json_round_trip():
@@ -485,7 +493,7 @@ def test_exact_v_step_is_certified_and_beats_a_lifted_round(m):
     G = grad_vartheta(b, data)
     if m < data.p + 1:
         assert np.linalg.matrix_rank(G) < data.p + 1
-    theta = solver._exact_v_step(data, b, G, V[:-1, -1], lam)
+    theta = solver._exact_v_step(G, V[:-1, -1], lam)
     assert theta is not None and np.any(theta != 0.0)
     Lam = solver._rank_one_dual(G, theta, lam)
     z = np.append(theta, 1.0)
