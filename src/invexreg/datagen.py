@@ -11,8 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (CLEAN, OUTLIER, Dataset, GroundTruthConfig, _check_finite, _check_int,
-                    _check_nonneg)
+from .model import CLEAN, OUTLIER, Dataset, GroundTruthConfig, _check_int, _check_nonneg
 
 __all__ = [
     "GenSpec",
@@ -29,17 +28,19 @@ class ResampleExhausted(RuntimeError):
     """Could not satisfy the outlier loss-gap margin within max_resamples."""
 
 
+# outliers draw each predictor and the response uniformly on these ranges
+_OUTLIER_PREDICTOR_RANGE = (0.0, 1.0)
+_OUTLIER_RESPONSE_RANGE = (0.0, 5.0)
+
+
 @dataclass(frozen=True, eq=False)
 class GenSpec:
-    """r >= 1, n_outliers, seed and max_resamples >= 0 are integers, rho_min
-    finite and >= 0, and each outlier range a finite (lo, hi) with lo <= hi,
-    or ValueError names the field."""
+    """r >= 1, n_outliers, seed and max_resamples >= 0 are integers and
+    rho_min is finite and >= 0, or ValueError names the field."""
 
     ground_truth: GroundTruthConfig
     r: int
     n_outliers: int
-    outlier_predictor_range: tuple[float, float] = (0.0, 1.0)
-    outlier_response_range: tuple[float, float] = (0.0, 5.0)
     seed: int = 0
     max_resamples: int = 100
     # extra margin required on the realized loss gap; 0 keeps plain strict
@@ -51,11 +52,6 @@ class GenSpec:
         for name in ("n_outliers", "seed", "max_resamples"):
             _check_int(name, getattr(self, name), 0)
         _check_nonneg("rho_min", self.rho_min)
-        for name in ("outlier_predictor_range", "outlier_response_range"):
-            lo, hi = getattr(self, name)
-            _check_finite((name, (lo, hi)))
-            if hi < lo:
-                raise ValueError(f"{name} is an empty interval")
 
 
 def _rngs(spec: GenSpec) -> dict[str, np.random.Generator]:
@@ -90,12 +86,7 @@ def gen_theta_star(spec: GenSpec) -> np.ndarray:
 
 
 def _draw_clean(rng, gt: GroundTruthConfig, count: int, theta_star: np.ndarray):
-    if gt.Sigma is None:
-        X = rng.standard_normal((count, gt.p))
-    else:
-        L = np.linalg.cholesky(np.asarray(gt.Sigma, dtype=float)
-                               + 1e-12 * np.eye(gt.p))
-        X = rng.standard_normal((count, gt.p)) @ L.T
+    X = rng.standard_normal((count, gt.p))
     e = rng.normal(0.0, gt.sigma_e, size=count) if gt.sigma_e > 0 else np.zeros(count)
     y = X @ theta_star + e
     return X, y
@@ -110,15 +101,15 @@ def gen_clean(spec: GenSpec, theta_star: np.ndarray) -> tuple[np.ndarray, np.nda
 
 
 def _draw_outliers(rng, spec: GenSpec, count: int):
-    plo, phi = spec.outlier_predictor_range
-    rlo, rhi = spec.outlier_response_range
+    plo, phi = _OUTLIER_PREDICTOR_RANGE
+    rlo, rhi = _OUTLIER_RESPONSE_RANGE
     X = rng.uniform(plo, phi, size=(count, spec.ground_truth.p))
     y = rng.uniform(rlo, rhi, size=count)
     return X, y
 
 
 def gen_outliers(spec: GenSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Predictors and responses drawn i.i.d. uniform on the configured ranges."""
+    """Predictors and responses drawn i.i.d. uniform on the outlier ranges."""
     rng = _rngs(spec)["outliers"]
     return _draw_outliers(rng, spec, spec.n_outliers)
 

@@ -70,29 +70,19 @@ class GroundTruthConfig:
     """Parameters of the clean generative model.
 
     k >= 1 and p >= k are integers, M and sigma_e finite and >= 0.
-    The predictor law is Gaussian with covariance Sigma (identity when
-    Sigma is None).
+    The predictors are standard Gaussian.
     """
 
     p: int
     k: int
     M: float
     sigma_e: float = 0.1
-    Sigma: np.ndarray | None = None  # None means identity
 
     def __post_init__(self):
         _check_int("k", self.k, 1)
         _check_int("p", self.p, self.k)
         _check_nonneg("M", self.M)
         _check_nonneg("sigma_e", self.sigma_e)
-        if self.Sigma is not None:
-            S = np.asarray(self.Sigma, dtype=float)
-            if S.shape != (self.p, self.p):
-                raise ValueError("Sigma must be p x p")
-            if not np.allclose(S, S.T, atol=1e-10):
-                raise ValueError("Sigma must be symmetric")
-            if np.linalg.eigvalsh(S).min() < -1e-10:
-                raise ValueError("Sigma must be positive semidefinite")
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,68 +1,52 @@
-"""Solver for the lifted relaxation and the selected-subset refit.
+"""Solver for the combinatorial problem and the selected-subset refit.
 
-The relaxation is minimized by block steps.  The selection weights b have a
-closed-form minimizer for fixed V (pick the m smallest lifted losses).  For
-fixed b the V block, minimize <G, V> + lam ||V||_1 over PSD V with
-V[-1, -1] = 1 and G = sum_i b_i A_i, is convex, and each outer round first
-solves it exactly (Burer & Monteiro 2003, a rank-one factor; the alternation
-is then the C-step of Rousseeuw & Van Driessen 2006).  The refit's solve on
-G's blocks (the Gram form of the rows b weights), warm-started from
-V[:-1, -1], gives theta; at V* = z z^T with z = [theta; 1] the block
-objective is the refit's objective.  With w the refit's subgradient of
-||theta||_1, s = [w; 1] and mu = (G z)[-1] + lam s^T z, the dual
-Lambda = G + lam s s^T - mu e e^T certifies V* when it is PSD: Lambda z = 0
-is the refit's stationarity and s s^T lies in the subdifferential of
-||V*||_1, so Lambda PSD is the block's KKT condition.
+The problem picks m samples and fits theta on them: minimize
+sum_i b_i (y_i - x_i^T theta)^2 + lam (||theta||_1 + 1)^2 over 0/1 weights
+b with at least m ones and over theta.  In the lift (`model`) each squared
+loss is <A_i, V> at V = z z^T, z = [theta; 1], and the penalty is
+lam ||V||_1.  For fixed b the V block, minimize <G, V> + lam ||V||_1 over
+PSD V with V[-1, -1] = 1 and G = sum_i b_i A_i, is convex, and its
+minimizer is the rank-one lift of the refit on the rows b weights (Burer &
+Monteiro 2003; the dual record below shows it).  So `solve_invex` works in
+theta, by the C-steps of penalized least trimmed squares (Rousseeuw & Van
+Driessen 2006).  From theta = 0, each outer round
 
+- selects the m smallest squared residuals (the exact b-step),
+- refits theta on G's blocks, warm-started from theta: with 0/1 weights,
+  G[:-1, :-1] = X_b^T X_b and -G[:-1, -1] = X_b^T y_b, the Gram form of
+  the selected rows, so the block and the refit are one problem,
+- keeps the refit when it lowers the refit objective
+  f(theta) = theta^T H theta - 2 c^T theta + lam (||theta||_1 + 1)^2
+  (H and c those blocks), the block objective at the lift of theta less
+  the constant G[-1, -1].
+
+An objective re-check after the b-step keeps the trace monotone.
+`vartheta_hat` is the lift of the last kept theta.  The reported
+parameter estimate comes from refitting on the final selection,
+warm-started from the last round's refit.
+
+The dual record.  With w the refit's subgradient of ||theta||_1,
+s = [w; 1] and mu = (G z)[-1] + lam s^T z, the dual
+Lambda = G + lam s s^T - mu e e^T certifies V* = z z^T when it is PSD:
+Lambda z = 0 is the refit's stationarity and s s^T lies in the
+subdifferential of ||V*||_1, so Lambda PSD is the block's KKT condition.
 It is PSD up to the refit's tolerance: M = G + lam s s^T is PSD and
-M z = mu e, so (z^T M x)^2 <= (z^T M z)(x^T M x) reads mu x[-1]^2 <= x^T M x,
-which is Lambda = M - mu e e^T PSD, even when M is singular (m < p + 1).
-The check can fail only through the refit's tolerance or iteration cap,
-and only then does the round run the lifted fallback below.  A certified
-V* replaces V when it scores lower; otherwise V is already optimal to the
-refit's tolerance and the round takes no step.  An objective re-check
-after the b-step keeps the trace monotone.  The reported parameter
-estimate always comes from refitting on the final selection, warm-started
-from the last exact step's theta.
+M z = mu e, so (z^T M x)^2 <= (z^T M z)(x^T M x) reads
+mu x[-1]^2 <= x^T M x, which is Lambda = M - mu e e^T PSD, even when M is
+singular (m < p + 1).  `solve_invex` builds Lambda once, at theta_hat and
+the final selection, and reports min eig(Lambda) / max|Lambda| as
+`dual_min_eig`; at or above -1e-9 it certifies that theta_hat's lift
+minimizes the V block there.  It can fall below only through the refit's
+tolerance or its iteration cap, and a refit that stops at the cap warns.
 
 The refit and the baselines' lasso solves share one FISTA loop, `_fista`,
 on the Gram form; they differ only in the prox and the stopping residual
 they pass.  The V gradient sum_i b_i A_i is `model.lifted_gram`, which the
 dual certificate also uses.
-
-The fallback round, `_lifted_round`, drives V by proximal gradient steps
-followed by a feasibility repair onto the PSD-with-corner set.  Four rules
-keep it from paying for work that cannot move the iterate.  The first may
-drop eigenvalues below a roundoff bound relative to the largest entry of
-the clipped matrix, but never changes whether a renormalized candidate
-exists; the others move the objective by roundoff.
-
-- The PSD clip of each prox step is rank one in practice (the lift of theta
-  is [theta; 1][theta; 1]^T), so `_psd_clip` finds the top eigenpair by a
-  Rayleigh-quotient iteration warm-started from the previous clip's
-  eigenvector and certifies with one Cholesky factorization that no other
-  eigenvalue exceeds that bound.  The top eigenvalue dominates, so one
-  power step S u / ||S u|| first (when u^T S u > 0) lets the iteration stop
-  after one LU solve, not two.  Only an uncertified matrix, or one smaller
-  than 20 x 20, where `eigh` is cheaper, pays for a full `eigh`.
-- Within an outer round the far-step probe runs only until it first fails
-  to beat the current objective.  Its step is at least 1e6, so with G fixed
-  its renormalized point depends on V only through O(1/step) terms, and the
-  objective it must beat only falls within a round.
-- A PSD clip P whose corner c is at most 1 pins to P + (1 - c) e e^T,
-  which is PSD by construction, so it is taken as is with no Cholesky test
-  (the bits `project_psd_corner` returns once that test passes).  Only
-  c > 1, where pinning lowers the corner, goes through the repair.
-- G, V, the soft threshold of V - t G, mu u u^T and its multiples are
-  exactly symmetric, and `_eigh_clip` symmetrizes once, so nothing else
-  is.  F(M) = <G, M> + lam ||M||_1 is positively homogeneous and the clip's
-  corner c is nonnegative, so only the clip P is scored: P / c scores
-  F(P) / c, and pinning c <= 1 scores F(P) + (1 - c)(G[-1, -1] + lam).
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -70,7 +54,8 @@ import numpy as np
 
 from .model import (Dataset, _check_finite, _check_int, _check_nonneg, extract_theta,
                     lift_parameter, lifted_gram, sample_losses)
-from .projections import project_psd_corner, prox_entrywise_l1
+# unused here; the benchmark's traces and tests/test_bench.py look them up on this module
+from .projections import project_psd_corner, prox_entrywise_l1  # noqa: F401
 
 __all__ = [
     "InfeasibleM",
@@ -90,14 +75,13 @@ class InfeasibleM(ValueError):
 
 
 class NonFinite(RuntimeError):
-    """Objective or V-step matrix became non-finite."""
+    """The objective became non-finite."""
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     """m and max_outer are integers >= 1, lam and tol_obj finite and >= 0,
-    or ValueError names the field.  The V step's step size is not settable:
-    it starts at the 1/L bound and adapts by backtracking."""
+    or ValueError names the field."""
 
     m: int
     lam: float
@@ -121,7 +105,7 @@ class SolveResult:
     objective_trace: list[float]
     outer_iters: int
     converged: bool
-    v_step_fallbacks: int   # outer rounds whose dual check failed: lifted rounds
+    dual_min_eig: float   # min eig / max|.| of the V block's dual at theta_hat
     config: SolverConfig | None = None
 
     @property
@@ -137,12 +121,12 @@ def grad_vartheta(b: np.ndarray, data: Dataset) -> np.ndarray:
 
 
 def _select(losses: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """b-step on given lifted losses: (weights, top-m indices).
+    """b-step on given losses: (weights, top-m indices).
 
     The m smallest losses get weight one, ties resolved by smallest index;
-    any further strictly negative losses (possible only through PSD
-    tolerance slack) also get weight one since the sum constraint is
-    one-sided.  The indices are the top-m set alone, sorted.
+    any further strictly negative losses (possible for a lifted loss at a
+    V that is not rank one) also get weight one since the sum constraint
+    is one-sided.  The indices are the top-m set alone, sorted.
     """
     sel = np.sort(np.argsort(losses, kind="stable")[:m])
     b = np.zeros(losses.size)
@@ -162,114 +146,6 @@ def b_step(V: np.ndarray, data: Dataset, m: int) -> np.ndarray:
     return _select(sample_losses(data.X, data.y, V), m)[0]
 
 
-# The V step's line search and clip tolerance are constants, not SolverConfig
-# fields, because no caller needs other values.
-_MAX_INNER = 25    # accepted prox steps per outer round
-_BETA = 0.5        # backtracking shrink factor
-_ARMIJO_C = 1e-4   # sufficient-decrease fraction of the Armijo test
-_PSD_TOL = 1e-9    # clipped corner at or below which renormalization is skipped
-
-
-def _pin_corner(P: np.ndarray) -> np.ndarray:
-    """Feasible corner-pinned point from a symmetric PSD clip P: pinned
-    directly when its corner is at most 1 (see the module docstring), else,
-    or when P is not finite (which raises there), by `project_psd_corner`."""
-    if P[-1, -1] <= 1.0 and np.isfinite(P).all():
-        Q = P.copy()
-        Q[-1, -1] = 1.0
-        return Q
-    return project_psd_corner(P)
-
-
-# Below this size one eigh costs less than the kernel's solves and
-# factorization (measured crossover: p+1 between 20 and 24).
-_PSD_CLIP_MIN_DIM = 20
-
-
-def _eigh_clip(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    w, U = np.linalg.eigh(S)
-    pos = w > 0.0
-    Up = U[:, pos]
-    P = (Up * w[pos]) @ Up.T
-    return 0.5 * (P + P.T), U[:, -1]
-
-
-def _psd_clip(S: np.ndarray, u: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """PSD clip of a symmetric S, and a top eigenvector of S for the next call.
-
-    The clip is sum over positive eigenpairs of w v v^T, exactly symmetric.
-    `u` is a unit warm start for the top eigenvector.  One power step (when
-    u^T S u > 0), then up to four Rayleigh-quotient steps refine it until
-    ||S u - mu u|| <= 1e-12 max|S|, with mu = u^T S u.  The
-    clip is mu u u^T once a Cholesky factorization of
-    2 mu u u^T - S + delta I succeeds, with delta = 1e-13 (p+1) max|S|:
-    then every vector orthogonal to u has Rayleigh quotient below delta, so
-    every other eigenvalue is below delta (Courant-Fischer) and the mass
-    the clip drops has a corner below delta, up to the roundoff left in u.
-    The certificate is tried only when mu > 0 and the corner
-    c = mu u[-1]^2 is farther than (p+1) delta from `tol`, so that the
-    dropped mass cannot decide whether the clip's corner exceeds `tol`
-    (whether a renormalized candidate exists).
-
-    Anything else (a matrix smaller than `_PSD_CLIP_MIN_DIM`, mu <= 0, a
-    corner near `tol`, a singular or non-finite solve, no convergence, a
-    failed certificate) clips from the positive eigenpairs of `eigh`.
-    """
-    scale = float(np.abs(S).max())
-    if not np.isfinite(scale):
-        raise NonFinite("non-finite matrix in the V step")
-    n = S.shape[0]
-    if n < _PSD_CLIP_MIN_DIM:
-        return _eigh_clip(S)
-    delta = 1e-13 * n * scale
-    Su = S @ u
-    if u @ Su > 0.0:
-        u = Su / math.sqrt(Su @ Su)
-    A = S.copy()
-    shifted = A.reshape(-1)[:: n + 1]  # view: the diagonal of A = S - mu I
-    for k in range(5):
-        Su = S @ u
-        mu = float(u @ Su)
-        r = Su - mu * u
-        if math.sqrt(r @ r) <= 1e-12 * scale:
-            if mu <= 0.0 or abs(mu * u[-1] ** 2 - tol) <= n * delta:
-                break
-            P = mu * np.outer(u, u)
-            T = 2.0 * P - S
-            T.reshape(-1)[:: n + 1] += delta
-            try:
-                np.linalg.cholesky(T)
-            except np.linalg.LinAlgError:
-                break
-            return P, u
-        if k == 4:
-            break
-        np.subtract(S.diagonal(), mu, out=shifted)
-        try:
-            x = np.linalg.solve(A, u)
-        except np.linalg.LinAlgError:
-            break
-        xx = float(x @ x)
-        if not 0.0 < xx < math.inf:  # also false for nan
-            break
-        u = x / math.sqrt(xx)
-    return _eigh_clip(S)
-
-
-def _initial_eta(G: np.ndarray, lam: float) -> float:
-    gmax = float(np.linalg.eigvalsh(G)[-1]) if G.size else 1.0
-    return 1.0 / (gmax + lam + 1e-12)
-
-
-def _block_objective(G: np.ndarray, M: np.ndarray, lam: float) -> float:
-    """F(M) = <G, M> + lam ||M||_1, the V block's objective at fixed b; it
-    costs O(p^2) where the sample form costs O(n p^2)."""
-    v = float(np.vdot(G, M) + lam * np.abs(M).sum())
-    if not np.isfinite(v):
-        raise NonFinite("objective diverged in the V step")
-    return v
-
-
 def _rank_one_dual(G: np.ndarray, theta: np.ndarray, lam: float) -> np.ndarray:
     """The V block's matrix dual Lambda = G + lam s s^T - mu e e^T at
     V* = z z^T, z = [theta; 1] (see the module docstring)."""
@@ -282,98 +158,23 @@ def _rank_one_dual(G: np.ndarray, theta: np.ndarray, lam: float) -> np.ndarray:
     return Lam
 
 
-_DUAL_PSD_TOL = 1e-9   # min eig(Lambda) >= -tol max|Lambda| certifies V*
-
-
-def _exact_v_step(G: np.ndarray, theta0: np.ndarray, lam: float) -> np.ndarray | None:
-    """theta of the rank-one minimizer of the V block <G, V> + lam ||V||_1,
-    or None when its dual is not PSD.  The refit runs from theta0 on G's
-    blocks: with 0/1 weights b, G[:-1, :-1] = X_b^T X_b and
-    -G[:-1, -1] = X_b^T y_b, so block and refit are one problem."""
-    theta = _refit_gram(G[:-1, :-1], -G[:-1, -1], theta0, lam)
+def _dual_min_eig(G: np.ndarray, theta: np.ndarray, lam: float) -> float:
+    """min eig(Lambda) / max|Lambda| of `_rank_one_dual` (0 when Lambda = 0)."""
     Lam = _rank_one_dual(G, theta, lam)
-    if np.linalg.eigvalsh(Lam)[0] < -_DUAL_PSD_TOL * np.abs(Lam).max():
-        return None
-    return theta
+    scale = float(np.abs(Lam).max())
+    return float(np.linalg.eigvalsh(Lam)[0]) / scale if scale > 0.0 else 0.0
 
 
-def _lifted_round(G: np.ndarray, V: np.ndarray, lam: float, eta: float,
-                  u_top: np.ndarray, tol_obj: float) -> tuple[np.ndarray, float, np.ndarray]:
-    """The fallback V step: up to `_MAX_INNER` accepted proximal projected-
-    gradient steps on the block from V, each backtracked from `eta` by an
-    Armijo test, plus the far-step probe.  Returns (V, the next round's
-    eta, the next clip's warm start)."""
-    def score(M):
-        return _block_objective(G, M, lam)
-
-    cur = score(V)
-
-    def best_repair(step, pocs):
-        """Feasible candidates from one prox step: corner renormalization
-        of the PSD clip, plus the corner-pinned clip when `pocs`.  The
-        clip comes from `_psd_clip`: mu u u^T once a Cholesky test
-        certifies that the top eigenpair (mu, u) is the only eigenpair
-        above a roundoff bound, else the positive eigenpairs of `eigh`;
-        u warm-starts the next clip.  A non-finite prox output raises
-        NonFinite there.  Pinning a clipped corner c <= 1 adds
-        (1 - c) e e^T and stays PSD, so it needs no Cholesky test; only
-        c > 1 runs the alternating repair (`_pin_corner`).  Only P and a
-        repaired pin are scored (see the module docstring).
-        Returns None when no candidate exists (renormalization-only call
-        on a matrix whose clipped corner vanishes).
-        """
-        nonlocal u_top
-        Z = prox_entrywise_l1(V - step * G, step * lam)  # exactly symmetric
-        P, u_top = _psd_clip(Z, u_top, _PSD_TOL)
-        cands = []
-        c = P[-1, -1]
-        fP = score(P)
-        if c > _PSD_TOL:
-            cands.append((fP / c, P / c))  # corner c / c == 1
-        if pocs:
-            Q = _pin_corner(P)
-            fQ = fP + (1.0 - c) * (G[-1, -1] + lam) if c <= 1.0 else score(Q)
-            cands.append((fQ, Q))
-        if not cands:
-            return None
-        return min(cands, key=lambda t: t[0])
-
-    probe_live = True
-    for _ in range(_MAX_INNER):
-        step = eta
-        accepted = None
-        for _ in range(60):
-            cand, Vn = best_repair(step, pocs=True)
-            D = Vn - V
-            nd = float(np.vdot(D, D))
-            if cand <= cur - _ARMIJO_C * nd / max(step, 1e-300):
-                accepted = (cand, Vn, step)
-                break
-            step *= _BETA
-            if step < 1e-18 * max(eta, 1.0):
-                break
-        # far-step probe (cheap repair only): with a singular smooth part
-        # the minimizer sits along the gradient's null ray, which only an
-        # effectively infinite step can reach.  Once it loses it is not
-        # tried again this round (see the module docstring).
-        if probe_live:
-            probe = best_repair(1e6 * max(eta, 1.0), pocs=False)
-            probe_live = probe is not None and probe[0] < cur
-            if probe_live and (accepted is None or probe[0] < accepted[0]):
-                accepted = (probe[0], probe[1], eta)
-        if accepted is None:
-            break
-        improvement = cur - accepted[0]
-        cur, V = accepted[0], accepted[1]
-        eta = min(accepted[2] * 2.0, 1e12)
-        if improvement <= 0.1 * tol_obj * max(abs(cur), 1.0):
-            break
-    return V, eta, u_top
+def _refit_objective(H: np.ndarray, c: np.ndarray, theta: np.ndarray, lam: float) -> float:
+    """theta^T H theta - 2 c^T theta + lam (||theta||_1 + 1)^2: the refit's
+    objective, which is the V block's at the lift of theta less G[-1, -1]."""
+    return float(theta @ (H @ theta) - 2.0 * (c @ theta)
+                 + lam * (np.abs(theta).sum() + 1.0) ** 2)
 
 
 def solve_invex(data: Dataset, cfg: SolverConfig) -> SolveResult:
-    """Alternate the exact b-step with V steps: the exact rank-one step, or
-    the lifted round when its dual check fails.
+    """C-steps in theta: alternate the exact b-step with a warm refit on
+    the selected rows, kept when it lowers the block objective.
 
     Stops when the relative objective decrease over an outer round falls
     below tol_obj.  The rounded selection is the final b-step's top-m set
@@ -384,46 +185,33 @@ def solve_invex(data: Dataset, cfg: SolverConfig) -> SolveResult:
     lam = cfg.lam
     X, y = data.X, data.y
 
-    V = lift_parameter(np.zeros(data.p))
+    def select(th):
+        """The b-step at theta: (weights, top-m indices, objective)."""
+        r = y - X @ th
+        losses = r * r
+        b, sel = _select(losses, cfg.m)
+        return b, sel, float(b @ losses + lam * (np.abs(th).sum() + 1.0) ** 2)
 
-    losses = sample_losses(X, y, V)
-    b, sel = _select(losses, cfg.m)
-
-    def full_obj(bvec, Vm, lvec):
-        return float(bvec @ lvec + lam * np.abs(Vm).sum())
-
-    obj = full_obj(b, V, losses)
+    theta = np.zeros(data.p)   # the kept iterate
+    refitted = theta           # the last refit, the final refit's warm start
+    b, sel, obj = select(theta)
     if not np.isfinite(obj):
         raise NonFinite("objective not finite at initialization")
     trace = [obj]
 
-    u_top = np.zeros(data.p + 1)  # warm start of _psd_clip: V = e e^T at theta = 0
-    u_top[-1] = 1.0
-    eta = None
-    fallbacks = 0
     converged = False
     outer = 0
     for outer in range(1, cfg.max_outer + 1):
         G = grad_vartheta(b, data)
-        theta = _exact_v_step(G, V[:-1, -1], lam)
-        if theta is not None:
-            # certified: V* minimizes the block, so a V that scores no
-            # higher is already optimal to the refit's tolerance
-            Vs = lift_parameter(theta)
-            if _block_objective(G, Vs, lam) < _block_objective(G, V, lam):
-                V = Vs
-        else:
-            fallbacks += 1
-            if eta is None:
-                eta = _initial_eta(G, lam)
-            V, eta, u_top = _lifted_round(G, V, lam, eta, u_top, cfg.tol_obj)
+        H, c = G[:-1, :-1], -G[:-1, -1]
+        refitted = _refit_gram(H, c, theta, lam)
+        if _refit_objective(H, c, refitted, lam) < _refit_objective(H, c, theta, lam):
+            theta = refitted
 
-        losses = sample_losses(X, y, V)
-        b, sel = _select(losses, cfg.m)
-        new_obj = full_obj(b, V, losses)
+        b, sel, new_obj = select(theta)
         if not np.isfinite(new_obj):
             raise NonFinite("objective diverged")
-        # guard against samplewise/lifted-gradient round-off disagreement
+        # guard against round-off: the trace never rises
         new_obj = min(new_obj, trace[-1])
         trace.append(new_obj)
         if trace[-2] - new_obj <= cfg.tol_obj * abs(trace[-2]) + 1e-12:
@@ -432,15 +220,15 @@ def solve_invex(data: Dataset, cfg: SolverConfig) -> SolveResult:
 
     b_rounded = np.zeros(data.n)
     b_rounded[sel] = 1.0
-    # warm from the last exact step's theta, which usually solved this refit
-    theta_hat = refit(data, b_rounded, lam, theta0=theta)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        _, rank1_gap = extract_theta(V)
+    # warm from the last round's refit, which usually solved this refit
+    theta_hat = refit(data, b_rounded, lam, theta0=refitted)
+    V = lift_parameter(theta)
+    _, rank1_gap = extract_theta(V)
     return SolveResult(
         b_hat=b, b_rounded=b_rounded, vartheta_hat=V,
         theta_hat=theta_hat, rank1_gap=rank1_gap, objective_trace=trace,
-        outer_iters=outer, converged=converged, v_step_fallbacks=fallbacks,
+        outer_iters=outer, converged=converged,
+        dual_min_eig=_dual_min_eig(grad_vartheta(b_rounded, data), theta_hat, lam),
         config=cfg,
     )
 
@@ -549,15 +337,21 @@ def _refit_gram(H: np.ndarray, c: np.ndarray, theta: np.ndarray, lam: float,
                 tol: float = 1e-8) -> np.ndarray:
     """`refit`'s solve on the Gram form: minimizes theta^T H theta
     - 2 c^T theta + lam (||theta||_1 + 1)^2 by `_fista` from theta, until
-    the stationarity residual is below the absolute tol."""
-    def converged(theta, g):
+    the stationarity residual is below the absolute tol.  Warns when it
+    stops at `_REFIT_MAX_ITERS` steps above tol."""
+    def residual(theta, g):
         w, _ = _recover_subgradient(theta, 0.5 * g, lam)
         # absolute: the dual construction needs this scale
-        resid = 0.5 * g + lam * (np.abs(theta).sum() + 1.0) * w
-        return np.abs(resid).max(initial=0.0) <= tol
+        return np.abs(0.5 * g + lam * (np.abs(theta).sum() + 1.0) * w).max(initial=0.0)
 
-    return _fista(H, c, theta, lambda v, step: prox_l1_plus_one_squared(v, step * lam),
-                  converged, _REFIT_MAX_ITERS)
+    theta = _fista(H, c, theta, lambda v, step: prox_l1_plus_one_squared(v, step * lam),
+                   lambda theta, g: residual(theta, g) <= tol, _REFIT_MAX_ITERS)
+    resid = residual(theta, 2.0 * (H @ theta - c))
+    if not resid <= tol:
+        warnings.warn(f"refit stopped after {_REFIT_MAX_ITERS} FISTA steps with "
+                      f"stationarity residual {resid:.3g} above tol {tol:.3g}",
+                      RuntimeWarning, stacklevel=2)
+    return theta
 
 
 def refit(data: Dataset, selection: np.ndarray, lam: float,
@@ -572,7 +366,7 @@ def refit(data: Dataset, selection: np.ndarray, lam: float,
     on those columns only and is zero-padded back to length p.  Stops when
     the stationarity residual (subgradient recovered as in the dual
     construction) is below the absolute tol, or after `_REFIT_MAX_ITERS`
-    iterations.  Non-finite X or y on the selected rows and columns, theta0
+    iterations, with a RuntimeWarning.  Non-finite X or y on the selected rows and columns, theta0
     or lam raise ValueError.
     """
     rows = _as_rows(selection, data.n)
