@@ -29,13 +29,13 @@ differs from the new problem's solution only through a small change in
 the sample weights or the kept set (the warm starts of pathwise solvers,
 Friedman, Hastie & Tibshirani 2010).  Such a start nearly always has the
 new solution's support and signs, and with the signs fixed the lasso is
-one linear system on the support.  So a warm call first solves that
-system, corrects the sign pattern at most `_SIGN_CORRECTIONS` times by
-dropping coordinates whose sign flipped and adding those that violate the
-stop rule off the support (the active-set method of Osborne, Presnell &
-Turlach 2000), and returns the first candidate that passes the stop rule.
-Only when none does, or a system is singular, does it run FISTA from the
-start point.
+one linear system on the support.  So a warm call first runs
+`solver._sign_pattern_solve`, the active-set solve the refit also runs
+(Osborne, Presnell & Turlach 2000), here with no rank-one term: it solves
+that system, corrects the sign pattern at most `solver._SIGN_CORRECTIONS`
+times, and returns the first candidate that passes the stop rule.  Only
+when none does, or a system is singular, does it run FISTA from the start
+point.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Dataset, _check_finite, _check_int, _check_nonneg
-from .solver import _fista
+from .solver import _fista, _sign_pattern_solve
 
 __all__ = ["BaselineConfig", "lasso", "adaptive_huber_lasso", "trimmed_lasso"]
 
@@ -61,8 +61,6 @@ class BaselineConfig:
         _check_int("trim_count", self.trim_count, 0)
 
 
-# Sign-pattern corrections a warm start may make before it falls back to FISTA.
-_SIGN_CORRECTIONS = 3
 _TRIM_ROUNDS = 5000   # rounds `trimmed_lasso` runs before it warns
 
 
@@ -116,12 +114,12 @@ def _fista_lasso(X, y, lam, weights=None, max_iters=5000, tol=1e-10,
     and forms its own.
 
     Without theta0, `solver._fista` runs from zeros.  With theta0, the sign
-    pattern of theta0 is tried first (`_sign_pattern_solve`); if no
-    candidate meets the residual bound within `_SIGN_CORRECTIONS`
-    corrections, or a system is singular or non-finite, `solver._fista`
-    runs from theta0.  Non-finite X, y, sample weights, coordinate weights
-    or theta0, negative sample or coordinate weights and a theta0 that is
-    not of length p raise ValueError.
+    pattern of theta0 is tried first (`solver._sign_pattern_solve` with
+    shift lam_j / 2); if no candidate meets the residual bound within
+    `solver._SIGN_CORRECTIONS` corrections, or a system is singular or
+    non-finite, `solver._fista` runs from theta0.  Non-finite X, y, sample
+    weights, coordinate weights or theta0, negative sample or coordinate
+    weights and a theta0 that is not of length p raise ValueError.
     """
     p = X.shape[1]
     _check_finite(("sample weights", sample_weights), ("weights", weights),
@@ -152,50 +150,11 @@ def _fista_lasso(X, y, lam, weights=None, max_iters=5000, tol=1e-10,
 
     if theta0 is None:
         return _fista(H, c, np.zeros(p), soft_threshold, converged, max_iters)
-    theta = _sign_pattern_solve(H, c, lam_j, theta0, residual, bound)
+    theta = _sign_pattern_solve(H, c, theta0, residual, bound, 0.5 * lam_j)
     if theta is not None:
         return theta
     return _fista(H, c, np.array(theta0, dtype=float), soft_threshold,
                   converged, max_iters)
-
-
-def _sign_pattern_solve(H, c, lam_j, theta0, residual, bound):
-    """The lasso minimizer for a guessed sign pattern, or None.
-
-    For the signs s of theta0 on its nonzeros, the active set A, the
-    minimizer of theta^T H theta - 2 c^T theta + sum_j lam_j |theta_j| with
-    those signs solves H_AA theta_A = c_A - lam_A s_A / 2 and is zero
-    elsewhere.  A candidate whose signs on A are s and whose largest
-    `residual(theta, 2 (H theta - c))` is at most `bound` is returned; this
-    is the stop rule of the FISTA loop, so it certifies the candidate
-    exactly as it would certify a FISTA iterate.  Otherwise the coordinates
-    whose sign flipped leave A, the zero coordinates whose residual exceeds
-    the bound join it with the sign of -g_j, and the system is solved again,
-    at most `_SIGN_CORRECTIONS` times.  A singular or non-finite solve, or a
-    correction that leaves A unchanged, returns None.
-    """
-    s = np.sign(np.asarray(theta0, dtype=float))
-    for _ in range(_SIGN_CORRECTIONS + 1):
-        active = np.flatnonzero(s)
-        theta = np.zeros(c.size)
-        try:
-            theta[active] = np.linalg.solve(H[np.ix_(active, active)],
-                                            c[active] - 0.5 * lam_j[active] * s[active])
-        except np.linalg.LinAlgError:
-            return None
-        if not np.all(np.isfinite(theta)):
-            return None
-        g = 2.0 * (H @ theta - c)
-        resid = residual(theta, g)
-        flipped = active[np.sign(theta[active]) != s[active]]
-        if flipped.size == 0 and resid.max(initial=0.0) <= bound:
-            return theta
-        violators = np.flatnonzero((theta == 0.0) & (resid > bound))
-        if flipped.size == 0 and violators.size == 0:
-            return None
-        s[flipped] = 0.0
-        s[violators] = -np.sign(g[violators])
-    return None
 
 
 def lasso(data: Dataset, cfg: BaselineConfig) -> np.ndarray:

@@ -12,18 +12,30 @@ theta, by the C-steps of penalized least trimmed squares (Rousseeuw & Van
 Driessen 2006).  From theta = 0, each outer round
 
 - selects the m smallest squared residuals (the exact b-step),
-- refits theta on G's blocks, warm-started from theta: with 0/1 weights,
-  G[:-1, :-1] = X_b^T X_b and -G[:-1, -1] = X_b^T y_b, the Gram form of
-  the selected rows, so the block and the refit are one problem,
+- refits theta on the selected rows' Gram form H = X_sel^T X_sel,
+  c = X_sel^T y_sel, warm-started from theta; with 0/1 weights these are
+  G's blocks, G[:-1, :-1] and -G[:-1, -1], so the block and the refit are
+  one problem, and forming them from the m selected rows costs O(m p^2),
+  not the O(n p^2) of G over all rows,
 - keeps the refit when it lowers the refit objective
-  f(theta) = theta^T H theta - 2 c^T theta + lam (||theta||_1 + 1)^2
-  (H and c those blocks), the block objective at the lift of theta less
-  the constant G[-1, -1].
+  f(theta) = theta^T H theta - 2 c^T theta + lam (||theta||_1 + 1)^2,
+  the block objective at the lift of theta less the constant G[-1, -1].
 
 An objective re-check after the b-step keeps the trace monotone.
 `vartheta_hat` is the lift of the last kept theta.  The reported
 parameter estimate comes from refitting on the final selection,
 warm-started from the last round's refit.
+
+The refit is exact on a sign pattern.  With the signs s of theta on its
+nonzeros A, f is the quadratic theta^T (H + lam s s^T) theta
+- 2 (c - lam s)^T theta + lam on those coordinates, whose minimizer solves
+(H_AA + lam s_A s_A^T) theta_A = c_A - lam s_A.  A warm C-step nearly
+always keeps its sign pattern, so `_refit_gram` first solves that system
+and corrects the pattern a few times (`_sign_pattern_solve`, the
+active-set method of Osborne, Presnell & Turlach 2000), and returns the
+first candidate that meets the refit's stop rule.  Only when none does, or
+a system is singular, does it run FISTA; `SolveResult.fista_refits`
+counts those refits.
 
 The dual record.  With w the refit's subgradient of ||theta||_1,
 s = [w; 1] and mu = (G z)[-1] + lam s^T z, the dual
@@ -39,10 +51,11 @@ the final selection, and reports min eig(Lambda) / max|Lambda| as
 minimizes the V block there.  It can fall below only through the refit's
 tolerance or its iteration cap, and a refit that stops at the cap warns.
 
-The refit and the baselines' lasso solves share one FISTA loop, `_fista`,
-on the Gram form; they differ only in the prox and the stopping residual
-they pass.  The V gradient sum_i b_i A_i is `model.lifted_gram`, which the
-dual certificate also uses.
+The refit and the baselines' lasso solves share the sign-pattern solve and
+the FISTA loop, `_fista`, both on the Gram form; they differ only in the
+penalty's terms, the prox and the stopping residual they pass.  The V
+gradient sum_i b_i A_i is `model.lifted_gram`, which the dual record and
+the dual certificate use.
 """
 
 from __future__ import annotations
@@ -106,6 +119,7 @@ class SolveResult:
     outer_iters: int
     converged: bool
     dual_min_eig: float   # min eig / max|.| of the V block's dual at theta_hat
+    fista_refits: int     # refits, the final one included, that fell back to FISTA
     config: SolverConfig | None = None
 
     @property
@@ -192,8 +206,14 @@ def solve_invex(data: Dataset, cfg: SolverConfig) -> SolveResult:
         b, sel = _select(losses, cfg.m)
         return b, sel, float(b @ losses + lam * (np.abs(th).sum() + 1.0) ** 2)
 
+    def gram(sel):
+        """H = X_sel^T X_sel and c = X_sel^T y_sel, the refit's Gram form."""
+        Xs = X[sel]
+        return Xs.T @ Xs, Xs.T @ y[sel]
+
     theta = np.zeros(data.p)   # the kept iterate
     refitted = theta           # the last refit, the final refit's warm start
+    fista_refits = 0
     b, sel, obj = select(theta)
     if not np.isfinite(obj):
         raise NonFinite("objective not finite at initialization")
@@ -202,9 +222,9 @@ def solve_invex(data: Dataset, cfg: SolverConfig) -> SolveResult:
     converged = False
     outer = 0
     for outer in range(1, cfg.max_outer + 1):
-        G = grad_vartheta(b, data)
-        H, c = G[:-1, :-1], -G[:-1, -1]
-        refitted = _refit_gram(H, c, theta, lam)
+        H, c = gram(sel)
+        refitted, fista = _refit_gram(H, c, theta, lam)
+        fista_refits += fista
         if _refit_objective(H, c, refitted, lam) < _refit_objective(H, c, theta, lam):
             theta = refitted
 
@@ -221,7 +241,8 @@ def solve_invex(data: Dataset, cfg: SolverConfig) -> SolveResult:
     b_rounded = np.zeros(data.n)
     b_rounded[sel] = 1.0
     # warm from the last round's refit, which usually solved this refit
-    theta_hat = refit(data, b_rounded, lam, theta0=refitted)
+    theta_hat, fista = _refit_gram(*gram(sel), refitted, lam)
+    fista_refits += fista
     V = lift_parameter(theta)
     _, rank1_gap = extract_theta(V)
     return SolveResult(
@@ -229,7 +250,7 @@ def solve_invex(data: Dataset, cfg: SolverConfig) -> SolveResult:
         theta_hat=theta_hat, rank1_gap=rank1_gap, objective_trace=trace,
         outer_iters=outer, converged=converged,
         dual_min_eig=_dual_min_eig(grad_vartheta(b_rounded, data), theta_hat, lam),
-        config=cfg,
+        fista_refits=fista_refits, config=cfg,
     )
 
 
@@ -330,28 +351,92 @@ def _fista(H, c, theta, prox, converged, max_iters):
     return theta
 
 
+# Sign-pattern corrections `_sign_pattern_solve` makes before its caller
+# falls back to FISTA.
+_SIGN_CORRECTIONS = 8
+
+
+def _sign_pattern_solve(H, c, theta0, residual, bound, shift, rank_one=0.0):
+    """The minimizer for a guessed sign pattern, or None.
+
+    Both Gram-form solves minimize theta^T H theta - 2 c^T theta + pen(theta)
+    with an L1-type penalty.  On the signs s of theta0, with A its nonzeros
+    and theta zero off A, the penalty is rank_one (s^T theta)^2
+    + 2 sum_j shift_j s_j theta_j plus a constant: for the lasso
+    sum_j lam_j |theta_j|, shift = lam_j / 2 and rank_one = 0; for the refit
+    lam (||theta||_1 + 1)^2, shift = lam and rank_one = lam.  The minimizer
+    with those signs solves
+    (H_AA + rank_one s_A s_A^T) theta_A = c_A - shift_A s_A.
+    A candidate whose largest `residual(theta, 2 (H theta - c))` is at most
+    `bound` is returned.  This is the caller's FISTA stop rule, read at the
+    candidate's own signs, so it certifies the candidate exactly as it
+    would certify a FISTA iterate; with a penalty, a candidate whose signs
+    on A differ from s fails it.  Otherwise the coordinates whose sign
+    flipped leave A, the zero coordinates whose residual exceeds the bound
+    join it with the sign of -g_j, and the system is solved again, at most
+    `_SIGN_CORRECTIONS` times.  From theta0 = 0 the first system is empty,
+    so the first pattern is the coordinates that violate stationarity at 0
+    (the active-set method of Osborne, Presnell & Turlach 2000).  A singular
+    or non-finite solve, or a correction that leaves A unchanged, returns
+    None.
+    """
+    s = np.sign(np.asarray(theta0, dtype=float))
+    for _ in range(_SIGN_CORRECTIONS + 1):
+        active = np.flatnonzero(s)
+        s_A = s[active]
+        K = H[np.ix_(active, active)] + rank_one * np.outer(s_A, s_A)
+        theta = np.zeros(c.size)
+        try:
+            theta[active] = np.linalg.solve(K, c[active] - shift[active] * s_A)
+        except np.linalg.LinAlgError:
+            return None
+        if not np.all(np.isfinite(theta)):
+            return None
+        g = 2.0 * (H @ theta - c)
+        resid = residual(theta, g)
+        if resid.max(initial=0.0) <= bound:
+            return theta
+        flipped = active[np.sign(theta[active]) != s_A]
+        violators = np.flatnonzero((theta == 0.0) & (resid > bound))
+        if flipped.size == 0 and violators.size == 0:
+            return None
+        s[flipped] = 0.0
+        s[violators] = -np.sign(g[violators])
+    return None
+
+
 _REFIT_MAX_ITERS = 20000
 
 
 def _refit_gram(H: np.ndarray, c: np.ndarray, theta: np.ndarray, lam: float,
-                tol: float = 1e-8) -> np.ndarray:
+                tol: float = 1e-8) -> tuple[np.ndarray, bool]:
     """`refit`'s solve on the Gram form: minimizes theta^T H theta
-    - 2 c^T theta + lam (||theta||_1 + 1)^2 by `_fista` from theta, until
-    the stationarity residual is below the absolute tol.  Warns when it
-    stops at `_REFIT_MAX_ITERS` steps above tol."""
+    - 2 c^T theta + lam (||theta||_1 + 1)^2 until the stationarity residual
+    is at most the absolute tol.
+
+    It tries `_sign_pattern_solve` from theta first, which is exact on the
+    right sign pattern.  Only when that returns None (no pattern passed
+    within the correction cap, or a system was singular) does `_fista` run
+    from theta; it warns when it stops at `_REFIT_MAX_ITERS` steps above
+    tol.  Returns (theta, whether FISTA ran).
+    """
     def residual(theta, g):
         w, _ = _recover_subgradient(theta, 0.5 * g, lam)
         # absolute: the dual construction needs this scale
-        return np.abs(0.5 * g + lam * (np.abs(theta).sum() + 1.0) * w).max(initial=0.0)
+        return np.abs(0.5 * g + lam * (np.abs(theta).sum() + 1.0) * w)
 
+    exact = _sign_pattern_solve(H, c, theta, residual, tol, np.full(c.size, lam), lam)
+    if exact is not None:
+        return exact, False
     theta = _fista(H, c, theta, lambda v, step: prox_l1_plus_one_squared(v, step * lam),
-                   lambda theta, g: residual(theta, g) <= tol, _REFIT_MAX_ITERS)
-    resid = residual(theta, 2.0 * (H @ theta - c))
+                   lambda theta, g: residual(theta, g).max(initial=0.0) <= tol,
+                   _REFIT_MAX_ITERS)
+    resid = residual(theta, 2.0 * (H @ theta - c)).max(initial=0.0)
     if not resid <= tol:
         warnings.warn(f"refit stopped after {_REFIT_MAX_ITERS} FISTA steps with "
                       f"stationarity residual {resid:.3g} above tol {tol:.3g}",
                       RuntimeWarning, stacklevel=2)
-    return theta
+    return theta, True
 
 
 def refit(data: Dataset, selection: np.ndarray, lam: float,
@@ -361,13 +446,16 @@ def refit(data: Dataset, selection: np.ndarray, lam: float,
 
     The selection is a 0/1 mask or row indices, as `_as_rows` reads it.
     Minimizes sum_selected (y_i - <X_i, theta>)^2 + lam (||theta||_1 + 1)^2
-    by `_fista` with the exact prox of the squared-plus-linear L1 penalty.
-    With `support` (columns, read like the selection), the regression runs
-    on those columns only and is zero-padded back to length p.  Stops when
-    the stationarity residual (subgradient recovered as in the dual
-    construction) is below the absolute tol, or after `_REFIT_MAX_ITERS`
-    iterations, with a RuntimeWarning.  Non-finite X or y on the selected rows and columns, theta0
-    or lam raise ValueError.
+    by `_refit_gram` on the selected rows' Gram form: the exact solve on the
+    sign pattern of theta0 (from theta0 = 0, of the coordinates that violate
+    stationarity there), with FISTA and the exact prox of the
+    squared-plus-linear L1 penalty as the fallback.  With `support`
+    (columns, read like the selection), the regression runs on those
+    columns only and is zero-padded back to length p.  The answer's
+    stationarity residual (subgradient recovered as in the dual
+    construction) is at most the absolute tol, unless FISTA stops after
+    `_REFIT_MAX_ITERS` iterations, with a RuntimeWarning.  Non-finite X or
+    y on the selected rows and columns, theta0 or lam raise ValueError.
     """
     rows = _as_rows(selection, data.n)
     if rows.size < 1:
@@ -380,7 +468,7 @@ def refit(data: Dataset, selection: np.ndarray, lam: float,
     if theta.shape != (cols.size,):
         raise ValueError("theta0 has wrong length")
 
-    theta = _refit_gram(Xs.T @ Xs, Xs.T @ ys, theta, lam, tol)
+    theta, _ = _refit_gram(Xs.T @ Xs, Xs.T @ ys, theta, lam, tol)
     out = np.zeros(data.p)
     out[cols] = theta
     return out

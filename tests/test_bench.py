@@ -272,8 +272,11 @@ def test_cli_pipeline(tmp_path):
     r = _cli("solve", "--data", ds, "--m", "4", "--lam", "1.18",
              "--out", str(tmp_path / "res.json"))
     assert r.returncode == 0, r.stderr
-    dual_min_eig = json.loads((tmp_path / "res.json").read_text())["dual_min_eig"]
+    solved = json.loads((tmp_path / "res.json").read_text())
+    dual_min_eig = solved["dual_min_eig"]
     assert dual_min_eig >= -1e-9
+    assert solved["fista_refits"] == 0
+    assert "fista_refits=0, " in r.stdout
     assert f"dual_min_eig={dual_min_eig:.3g})" in r.stdout
     r = _cli("certify", "--data", ds, "--result", str(tmp_path / "res.json"),
              "--out", str(tmp_path / "cert.json"))

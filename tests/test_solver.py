@@ -1,4 +1,5 @@
 import json
+import warnings
 from itertools import combinations
 from pathlib import Path
 
@@ -313,6 +314,7 @@ def test_result_json_round_trip():
     assert len(payload["b_rounded"]) == data.n
     assert payload["objective_trace"][0] >= payload["objective_trace"][-1]
     assert payload["dual_min_eig"] == res.dual_min_eig >= -1e-9
+    assert payload["fista_refits"] == res.fista_refits == 0
 
 
 def test_objective_trace_matches_objective_function():
@@ -323,6 +325,21 @@ def test_objective_trace_matches_objective_function():
     assert abs(recomputed - res.objective_trace[-1]) <= 1e-9 * max(1.0, recomputed)
 
 
+def _solve_cell(config, m, seed, n_outliers=None):
+    """(data, solve_invex result) of one sweep cell, matched by m and, when
+    given, n_outliers, solved as the sweep solves it."""
+    cfg = ExperimentConfig.from_json(Path(__file__).resolve().parent.parent / config)
+    cell = next(c for c in cfg.cells() if c["m"] == m
+                and n_outliers in (None, c["n_outliers"]))
+    gt = GroundTruthConfig(p=cfg.p, k=cfg.k, M=cfg.m_budget, sigma_e=cfg.sigma_e)
+    data = generate(GenSpec(ground_truth=gt, r=cell["r"],
+                            n_outliers=cell["n_outliers"], seed=seed,
+                            max_resamples=cfg.max_resamples, rho_min=cfg.rho_min))
+    return data, solve_invex(data, SolverConfig(
+        m=m, lam=lambda_from_m(m, cfg.p, cfg.c_lambda),
+        tol_obj=_TOL_OBJ, max_outer=_MAX_OUTER))
+
+
 def _check_solve_pin(name):
     """Pins solve_invex on one sweep cell, matched by m and, when the file
     names it, n_outliers.  The expected values in tests/data/<name> were
@@ -330,16 +347,7 @@ def _check_solve_pin(name):
     claims to keep the solver's output must keep them."""
     root = Path(__file__).resolve().parent
     want = json.loads((root / "data" / name).read_text())
-    cfg = ExperimentConfig.from_json(root.parent / want["config"])
-    cell = next(c for c in cfg.cells() if c["m"] == want["m"]
-                and c["n_outliers"] == want.get("n_outliers", c["n_outliers"]))
-    gt = GroundTruthConfig(p=cfg.p, k=cfg.k, M=cfg.m_budget, sigma_e=cfg.sigma_e)
-    data = generate(GenSpec(ground_truth=gt, r=cell["r"],
-                            n_outliers=cell["n_outliers"], seed=want["seed"],
-                            max_resamples=cfg.max_resamples, rho_min=cfg.rho_min))
-    res = solve_invex(data, SolverConfig(
-        m=want["m"], lam=lambda_from_m(want["m"], cfg.p, cfg.c_lambda),
-        tol_obj=_TOL_OBJ, max_outer=_MAX_OUTER))
+    _, res = _solve_cell(want["config"], want["m"], want["seed"], want.get("n_outliers"))
     assert res.selection.tolist() == want["selection"]
     assert res.outer_iters == want["outer_iters"]
     assert len(res.objective_trace) == want["trace_len"]
@@ -383,16 +391,92 @@ def test_dual_record_certifies_the_solve(m):
     assert res.dual_min_eig >= -1e-9
 
 
-def test_capped_refit_warns_and_the_dual_record_shows_it(monkeypatch):
-    """On a near-collinear design the refit cannot meet its tolerance in a
-    few FISTA steps: it warns, and the dual record reads below -1e-9."""
+def near_collinear_instance():
+    """mid_instance(2) with column 1 replaced by column 0 + 1e-4 column 1."""
     data = mid_instance(2)
     X = data.X.copy()
     X[:, 1] = X[:, 0] + 1e-4 * X[:, 1]
-    data = Dataset(X=X, y=data.y, labels=data.labels, theta_star=data.theta_star, r=data.r)
-    cfg = SolverConfig(m=40, lam=0.01)
-    assert solve_invex(data, cfg).dual_min_eig >= -1e-9   # uncapped: certified
+    return Dataset(X=X, y=data.y, labels=data.labels, theta_star=data.theta_star, r=data.r)
+
+
+# (21, 0.0): least squares on m = p + 1 rows, whose first full solve passes
+# the stop rule although its signs differ from the pattern it was solved on
+@pytest.mark.parametrize("m, lam", [(40, 0.01), (21, 0.0)])
+def test_near_collinear_solve_is_exact_and_certified(m, lam):
+    """The sign-pattern refit solves the near-collinear design FISTA finds
+    hard: no refit falls back, none warns, and the dual record certifies."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = solve_invex(near_collinear_instance(), SolverConfig(m=m, lam=lam))
+    assert res.fista_refits == 0
+    assert res.dual_min_eig >= -1e-9
+
+
+def test_capped_refit_warns_and_the_dual_record_shows_it(monkeypatch):
+    """With the sign-pattern solve switched off, every refit of the
+    near-collinear design runs FISTA, which cannot meet its tolerance in a
+    few steps: it warns, and the dual record reads below -1e-9."""
+    monkeypatch.setattr(solver, "_sign_pattern_solve", lambda *args: None)
     monkeypatch.setattr(solver, "_REFIT_MAX_ITERS", 50)
     with pytest.warns(RuntimeWarning, match="refit stopped after 50 FISTA steps"):
-        res = solve_invex(data, cfg)
+        res = solve_invex(near_collinear_instance(), SolverConfig(m=40, lam=0.01))
+    assert res.fista_refits == res.outer_iters + 1
     assert res.dual_min_eig < -1e-9
+
+
+def _refit_residual(H, c, theta, lam):
+    """Largest stationarity residual of theta^T H theta - 2 c^T theta
+    + lam (||theta||_1 + 1)^2, from the subdifferential directly."""
+    g = H @ theta - c
+    scale = lam * (np.abs(theta).sum() + 1.0)
+    return np.where(theta != 0.0, np.abs(g + scale * np.sign(theta)),
+                    np.maximum(np.abs(g) - scale, 0.0)).max()
+
+
+def fig2_p50_refit_problem():
+    """The Gram form of the fig2_p50 m=306, seed-0 cell on the solver's
+    selection, its lam, and the solved theta_hat."""
+    data, res = _solve_cell("configs/fig2_p50.json", 306, 0)
+    Xs = data.X[res.selection]
+    return Xs.T @ Xs, Xs.T @ data.y[res.selection], res.config.lam, res.theta_hat
+
+
+def test_sign_pattern_refit_matches_a_forced_fista_refit(monkeypatch):
+    H, c, lam, theta_hat = fig2_p50_refit_problem()
+    theta0 = theta_hat + 1e-3   # a warm start with the wrong zeros
+    exact, fista = solver._refit_gram(H, c, theta0, lam)
+    assert not fista
+    assert _refit_residual(H, c, exact, lam) <= 1e-8
+    monkeypatch.setattr(solver, "_sign_pattern_solve", lambda *args: None)
+    forced, fista = solver._refit_gram(H, c, theta0, lam)
+    assert fista
+    assert _refit_residual(H, c, forced, lam) <= 1e-8
+    assert np.abs(exact - forced).max() <= 1e-9
+
+
+def test_sign_pattern_refit_from_zero_is_exact():
+    """theta0 = 0: the first pattern is the coordinates that violate
+    stationarity at 0, and the answer is exact, not just within tol."""
+    H, c, lam, theta_hat = fig2_p50_refit_problem()
+    cold, fista = solver._refit_gram(H, c, np.zeros(c.size), lam)
+    assert not fista
+    assert _refit_residual(H, c, cold, lam) <= 1e-11
+    assert np.array_equal(np.sign(cold), np.sign(theta_hat))
+    assert np.abs(cold - theta_hat).max() <= 1e-12
+
+
+def test_singular_sign_pattern_falls_back_to_fista():
+    """A duplicated column at lam = 0 makes every active system that holds
+    both copies singular: the sign-pattern solve gives up and FISTA, which
+    only needs a minimizer, still meets tol."""
+    rng = np.random.default_rng(3)
+    X = rng.standard_normal((30, 3))
+    X = np.column_stack([X[:, 0], X])
+    y = X @ np.array([0.5, 0.5, -1.0, 0.3]) + 0.1 * rng.standard_normal(30)
+    H, c = X.T @ X, X.T @ y
+    residual = lambda theta, g: np.abs(0.5 * g)
+    for theta0 in (np.zeros(4), np.array([0.4, 0.6, -1.0, 0.3])):
+        assert solver._sign_pattern_solve(H, c, theta0, residual, 1e-8, np.zeros(4)) is None
+        theta, fista = solver._refit_gram(H, c, theta0, 0.0)
+        assert fista
+        assert _refit_residual(H, c, theta, 0.0) <= 1e-8
