@@ -16,12 +16,12 @@ from .certify import (AssumptionReport, DualCertificate, KKTReport,
 from .datagen import GenSpec, gen_clean, gen_outliers, gen_theta_star, generate, rho_gap
 from .metrics import (clean_recovery_mistakes, norm_error, support_jaccard,
                       theory_delta_m)
-from .model import (Dataset, GroundTruthConfig, extract_theta, lift_parameter,
-                    lift_sample, load_dataset, objective, sample_losses,
-                    save_dataset, squared_loss)
+from .model import (Dataset, GroundTruthConfig, lift_parameter, lift_sample,
+                    load_dataset, objective, sample_losses, save_dataset,
+                    squared_loss)
 from .oracle import OracleResult, enumerate_best_subset, grid_search_theta
 from .projections import BFeasibleSet, project_b, project_psd_corner, prox_entrywise_l1
-from .solver import SolveResult, SolverConfig, b_step, grad_vartheta, refit, solve_invex
+from .solver import SolveResult, SolverConfig, grad_vartheta, refit, solve_invex
 
 __version__ = "0.1.0"
 
@@ -29,8 +29,8 @@ __all__ = [
     "AssumptionReport", "BFeasibleSet", "BaselineConfig", "Dataset",
     "DualCertificate", "ExperimentConfig", "GenSpec", "GroundTruthConfig",
     "KKTReport", "OracleResult", "SolveResult", "SolverConfig", "adaptive_huber_lasso",
-    "assumption_check", "b_step", "build_duals", "clean_recovery_mistakes",
-    "enumerate_best_subset", "extract_theta", "gen_clean", "gen_outliers",
+    "assumption_check", "build_duals", "clean_recovery_mistakes",
+    "enumerate_best_subset", "gen_clean", "gen_outliers",
     "gen_theta_star", "generate", "grad_vartheta", "grid_search_theta", "invexity_gap",
     "invexity_witness", "kkt_residuals", "lasso", "lift_parameter", "lift_sample",
     "load_dataset", "nonconvexity_witness",

@@ -35,7 +35,7 @@ __all__ = ["ExperimentConfig", "run_sweep", "clean_count_theory", "m_from_C",
 
 RESULT_COLUMNS = ["method", "p", "k", "m", "r", "n_outliers", "seed",
                   "mistakes_frac", "jaccard", "norm_error", "delta_m",
-                  "rank1_gap", "kkt_feasible", "error"]
+                  "kkt_feasible", "error"]
 
 METHODS = ("invex", "lasso", "adahuber", "trimmed")
 
@@ -61,8 +61,12 @@ def lambda_from_m(m: int, p: int, c_lambda: float) -> float:
 @dataclass(frozen=True)
 class ExperimentConfig:
     """p >= 2, k >= 1, max_resamples >= 0 and each seed >= 0 are integers,
-    clean_count_rule is "theory" or an integer >= 1, and c_lambda, sigma_e
-    and rho_min are finite reals >= 0, or ValueError names the field."""
+    clean_count_rule is "theory" or an integer >= 1, outlier_rule is
+    "half" or proportions in (0, 1), c_lambda, sigma_e and rho_min are
+    finite reals >= 0, the C values are finite, and seeds, methods,
+    C_values and the proportions are non-empty with no repeats, or
+    ValueError names the field.  `cells` also rejects two cells with the
+    same m and outlier count, whose trials `_aggregate` would pool."""
 
     p: int = 50
     k: int = 4
@@ -82,8 +86,6 @@ class ExperimentConfig:
             _check_int(name, getattr(self, name), low)
         for name in ("c_lambda", "sigma_e", "rho_min"):
             _check_nonneg(name, getattr(self, name))
-        if not self.seeds:
-            raise ValueError("need at least one seed")
         for seed in self.seeds:
             _check_int("seeds", seed, 0)
         if self.clean_count_rule != "theory":
@@ -92,13 +94,22 @@ class ExperimentConfig:
         if unknown:
             raise ValueError(f"unknown methods: {sorted(unknown)}")
         if self.outlier_rule != "half":
+            if isinstance(self.outlier_rule, str):
+                raise ValueError(f'outlier_rule must be "half" or proportions, '
+                                 f'got {self.outlier_rule!r}')
             props = tuple(float(x) for x in self.outlier_rule)
             if any(not (0 < x < 1) for x in props):
-                raise ValueError("proportions must be in (0, 1)")
+                raise ValueError(f"outlier_rule proportions must be in (0, 1), got {props!r}")
+            _check_listed("outlier_rule", props)
             object.__setattr__(self, "outlier_rule", props)
-        object.__setattr__(self, "C_values", tuple(float(c) for c in self.C_values))
+        C_values = tuple(float(c) for c in self.C_values)
+        if not all(map(math.isfinite, C_values)):
+            raise ValueError(f"C_values must be finite, got {C_values!r}")
+        object.__setattr__(self, "C_values", C_values)
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         object.__setattr__(self, "methods", tuple(self.methods))
+        for name in ("seeds", "methods", "C_values"):
+            _check_listed(name, getattr(self, name))
 
     @property
     def m_budget(self) -> float:
@@ -130,6 +141,9 @@ class ExperimentConfig:
                 n_out = math.ceil(prop / (1.0 - prop) * r)
                 out.append({"m": m, "r": r, "n_outliers": n_out,
                             "x": float(prop), "xlabel": "outlier proportion"})
+        field = "C_values" if self.outlier_rule == "half" else "outlier_rule"
+        _check_listed(field, [(c["m"], c["n_outliers"]) for c in out],
+                      "give two cells the same (m, n_outliers)")
         return out
 
     @classmethod
@@ -140,6 +154,14 @@ class ExperimentConfig:
         if extra:
             raise ValueError(f"unknown config keys: {sorted(extra)}")
         return cls(**raw)
+
+
+def _check_listed(name: str, values, repeat: str = "repeat a value") -> None:
+    """Raise ValueError naming `name` when values is empty or repeats one."""
+    if not values:
+        raise ValueError(f"{name} must not be empty")
+    if len(set(values)) < len(values):
+        raise ValueError(f"{name} must not {repeat}, got {list(values)!r}")
 
 
 def certify_at_true_support(data: Dataset, selection: np.ndarray, lam: float) -> tuple:
@@ -177,8 +199,6 @@ def run_trial(cfg: ExperimentConfig, cell: dict, seed: int, method: str) -> tupl
             res = solve_invex(data, scfg)
             theta = res.theta_hat
             row["mistakes_frac"] = clean_recovery_mistakes(res.b_rounded, data.labels, m)
-            # roundoff below 12 decimals varies with the BLAS thread count
-            row["rank1_gap"] = round(res.rank1_gap, 12)
             row["delta_m"] = theory_delta_m(cfg.m_budget, lam, cfg.k, 1.0, m)
             row["kkt_feasible"] = certify_at_true_support(data, res.b_rounded, lam)[-1]
         elif method == "lasso":
@@ -215,7 +235,7 @@ def _write_csv(path: Path, columns: list[str], rows: list[dict]) -> None:
             w.writerow([_fmt(row.get(c)) for c in columns])
 
 
-_AGG_KEYS = ("mistakes_frac", "jaccard", "norm_error", "delta_m", "rank1_gap")
+_AGG_KEYS = ("mistakes_frac", "jaccard", "norm_error", "delta_m")
 AGG_COLUMNS = ["method", "p", "k", "m", "r", "n_outliers", "x", "n_seeds",
                *(f"{key}_{stat}" for key in _AGG_KEYS for stat in ("mean", "std")),
                "kkt_feasible_frac"]
@@ -294,9 +314,9 @@ def run_sweep(cfg: ExperimentConfig, workers: int | None = None) -> dict:
         workers = _env_workers(env) if env else (os.cpu_count() or 1)
     elif workers < 1:
         raise ValueError(f"workers must be a positive integer, got {workers!r}")
+    cells = cfg.cells()   # rejects a bad grid before anything is written
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    cells = cfg.cells()
     tasks = [(cfg, cell, seed, method)
              for cell in cells for seed in cfg.seeds for method in cfg.methods]
     workers = max(1, min(workers, len(tasks)))

@@ -118,7 +118,6 @@ def _cmd_solve(args) -> int:
     _write_json(args.out, res)
     print(f"wrote {args.out} (converged={res.converged}, "
           f"outer={res.outer_iters}, fista_refits={res.fista_refits}, "
-          f"rank1_gap={res.rank1_gap:.3g}, "
           f"dual_min_eig={res.dual_min_eig:.3g})")
     return 0
 

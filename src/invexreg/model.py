@@ -2,8 +2,9 @@
 
 The squared loss of a sample becomes a linear functional of a lifted
 (p+1)x(p+1) matrix variable: f(x, y, theta) = <A, V> with A = z z^T,
-z = [x; -y], and V = [theta; 1][theta; 1]^T.  Everything downstream
-(solver, duals, oracle) works in this lifted coordinate system.
+z = [x; -y], and V = [theta; 1][theta; 1]^T.  The solver and the oracle
+work in theta; only the duals (the certificate and the solver's dual
+record) and the invexity witnesses work in this lifted coordinate system.
 
 Lifted matrices are plain (p+1)x(p+1) float arrays.  A feasible V is
 symmetric PSD with V[-1, -1] == 1; `projections.project_psd_corner` is the
@@ -15,7 +16,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import warnings
 from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 
@@ -32,7 +32,6 @@ __all__ = [
     "squared_loss",
     "lift_sample",
     "lift_parameter",
-    "extract_theta",
     "sample_losses",
     "lifted_gram",
     "objective",
@@ -157,30 +156,6 @@ def lift_parameter(theta: np.ndarray) -> np.ndarray:
         raise ValueError("non-finite input to lift_parameter")
     z = np.concatenate([theta, [1.0]])
     return np.outer(z, z)
-
-
-_RANK1_WARN = 1e-3   # rank1_gap above which extract_theta warns
-
-
-def extract_theta(V: np.ndarray) -> tuple[np.ndarray, float]:
-    """Read theta off the last column of V and report the rank-1 defect.
-
-    Returns (theta, rank1_gap) where rank1_gap = lambda_2 / lambda_1 of V
-    (eigenvalues sorted descending).  Exact under rank-1 structure because
-    the corner entry is pinned to 1.  Warns when the gap exceeds _RANK1_WARN.
-    """
-    theta = V[:-1, -1].copy()
-    w = np.linalg.eigvalsh(V)  # ascending
-    lam1, lam2 = w[-1], w[-2]
-    if lam1 <= 0:
-        raise ValueError("degenerate lifted matrix: leading eigenvalue is not positive")
-    rank1_gap = float(max(lam2, 0.0) / lam1)
-    if rank1_gap > _RANK1_WARN:
-        warnings.warn(
-            f"lifted matrix is far from rank one (gap {rank1_gap:.3g} > {_RANK1_WARN:.3g})",
-            stacklevel=2,
-        )
-    return theta, rank1_gap
 
 
 def sample_losses(X: np.ndarray, y: np.ndarray, V: np.ndarray) -> np.ndarray:

@@ -27,7 +27,7 @@ class CombinatorialBlowup(RuntimeError):
 @dataclass(eq=False)
 class OracleResult:
     J_star: tuple[int, ...]
-    theta_under: np.ndarray          # full p, zero-padded off the support
+    theta_under: np.ndarray          # the refit on J_star
     objective: float
     per_subset_objectives: list[tuple[tuple[int, ...], float]] | None = None
 
@@ -43,29 +43,11 @@ def subset_objective(data: Dataset, rows: np.ndarray, theta: np.ndarray,
     return float(res @ res + lam * (np.abs(theta).sum() + 1.0) ** 2)
 
 
-def _multistart_refit(data, rows, lam, support, rng):
-    """Three starts (zero, least squares, perturbed LS) against prox stalls."""
-    cols = np.arange(data.p) if support is None else _as_rows(support, data.p, "support")
-    Xs = data.X[rows][:, cols]
-    ys = data.y[rows]
-    theta_ls, *_ = np.linalg.lstsq(Xs, ys, rcond=None)
-    starts = [np.zeros(cols.size), theta_ls,
-              theta_ls + 0.1 * rng.standard_normal(cols.size)]
-    best_theta, best_obj = None, np.inf
-    for t0 in starts:
-        theta = refit(data, rows, lam, support=support, theta0=t0, tol=1e-10)
-        obj = subset_objective(data, rows, theta, lam)
-        if obj < best_obj:
-            best_theta, best_obj = theta, obj
-    return best_theta, best_obj
-
-
-def enumerate_best_subset(data: Dataset, m: int, lam: float,
-                          support: np.ndarray | None = None,
-                          cap: int = 100_000,
+def enumerate_best_subset(data: Dataset, m: int, lam: float, cap: int = 100_000,
                           keep_table: bool = False) -> OracleResult:
     """Solve the subset-selection regression exactly by enumeration.
 
+    The inner regression is convex, so one `refit` per subset solves it.
     Ties in the objective resolve to the lexicographically smallest subset
     (enumeration order), matching the deterministic reduction contract.
     """
@@ -75,12 +57,12 @@ def enumerate_best_subset(data: Dataset, m: int, lam: float,
     total = comb(n, m)
     if total > cap:
         raise CombinatorialBlowup(f"C({n},{m}) = {total} exceeds cap {cap}")
-    rng = np.random.default_rng(0)
     best = None
     table = [] if keep_table else None
     for J in combinations(range(n), m):
         rows = np.asarray(J, dtype=int)
-        theta, obj = _multistart_refit(data, rows, lam, support, rng)
+        theta = refit(data, rows, lam, tol=1e-10)
+        obj = subset_objective(data, rows, theta, lam)
         if table is not None:
             table.append((J, obj))
         if best is None or obj < best[1] - 1e-12:

@@ -21,9 +21,8 @@ Driessen 2006).  From theta = 0, each outer round
   f(theta) = theta^T H theta - 2 c^T theta + lam (||theta||_1 + 1)^2,
   the block objective at the lift of theta less the constant G[-1, -1].
 
-An objective re-check after the b-step keeps the trace monotone.
-`vartheta_hat` is the lift of the last kept theta.  The reported
-parameter estimate comes from refitting on the final selection,
+An objective re-check after the b-step keeps the trace monotone.  The
+reported parameter estimate comes from refitting on the final selection,
 warm-started from the last round's refit.
 
 The refit is exact on a sign pattern.  With the signs s of theta on its
@@ -65,9 +64,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (Dataset, _check_finite, _check_int, _check_nonneg, extract_theta,
-                    lift_parameter, lifted_gram, sample_losses)
+from .model import Dataset, _check_finite, _check_int, _check_nonneg, lifted_gram
 # unused here; the benchmark's traces and tests/test_bench.py look them up on this module
+from .model import sample_losses  # noqa: F401
 from .projections import project_psd_corner, prox_entrywise_l1  # noqa: F401
 
 __all__ = [
@@ -76,7 +75,6 @@ __all__ = [
     "SolverConfig",
     "SolveResult",
     "grad_vartheta",
-    "b_step",
     "solve_invex",
     "refit",
     "prox_l1_plus_one_squared",
@@ -110,11 +108,8 @@ class SolverConfig:
 
 @dataclass(eq=False)
 class SolveResult:
-    b_hat: np.ndarray
     b_rounded: np.ndarray
-    vartheta_hat: np.ndarray
     theta_hat: np.ndarray
-    rank1_gap: float
     objective_trace: list[float]
     outer_iters: int
     converged: bool
@@ -132,32 +127,6 @@ def grad_vartheta(b: np.ndarray, data: Dataset) -> np.ndarray:
     if not np.all(np.isfinite(b)):
         raise ValueError("non-finite b")
     return lifted_gram(data.X, data.y, b)
-
-
-def _select(losses: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """b-step on given losses: (weights, top-m indices).
-
-    The m smallest losses get weight one, ties resolved by smallest index;
-    any further strictly negative losses (possible for a lifted loss at a
-    V that is not rank one) also get weight one since the sum constraint
-    is one-sided.  The indices are the top-m set alone, sorted.
-    """
-    sel = np.sort(np.argsort(losses, kind="stable")[:m])
-    b = np.zeros(losses.size)
-    b[sel] = 1.0
-    b[losses < 0.0] = 1.0
-    return b, sel
-
-
-def b_step(V: np.ndarray, data: Dataset, m: int) -> np.ndarray:
-    """Exact minimizer of sum_i b_i <A_i, V> over the weight polytope.
-
-    The weights follow `_select`'s rule: the m smallest lifted losses plus
-    any strictly negative ones.
-    """
-    if m > data.n:
-        raise InfeasibleM(f"m={m} exceeds n={data.n}")
-    return _select(sample_losses(data.X, data.y, V), m)[0]
 
 
 def _rank_one_dual(G: np.ndarray, theta: np.ndarray, lam: float) -> np.ndarray:
@@ -200,10 +169,14 @@ def solve_invex(data: Dataset, cfg: SolverConfig) -> SolveResult:
     X, y = data.X, data.y
 
     def select(th):
-        """The b-step at theta: (weights, top-m indices, objective)."""
+        """The b-step at theta: weight one on the m smallest squared
+        residuals, ties resolved by smallest index.  Returns (weights,
+        sorted indices, objective)."""
         r = y - X @ th
         losses = r * r
-        b, sel = _select(losses, cfg.m)
+        sel = np.sort(np.argsort(losses, kind="stable")[:cfg.m])
+        b = np.zeros(data.n)
+        b[sel] = 1.0
         return b, sel, float(b @ losses + lam * (np.abs(th).sum() + 1.0) ** 2)
 
     def gram(sel):
@@ -238,18 +211,13 @@ def solve_invex(data: Dataset, cfg: SolverConfig) -> SolveResult:
             converged = True
             break
 
-    b_rounded = np.zeros(data.n)
-    b_rounded[sel] = 1.0
     # warm from the last round's refit, which usually solved this refit
     theta_hat, fista = _refit_gram(*gram(sel), refitted, lam)
     fista_refits += fista
-    V = lift_parameter(theta)
-    _, rank1_gap = extract_theta(V)
     return SolveResult(
-        b_hat=b, b_rounded=b_rounded, vartheta_hat=V,
-        theta_hat=theta_hat, rank1_gap=rank1_gap, objective_trace=trace,
+        b_rounded=b, theta_hat=theta_hat, objective_trace=trace,
         outer_iters=outer, converged=converged,
-        dual_min_eig=_dual_min_eig(grad_vartheta(b_rounded, data), theta_hat, lam),
+        dual_min_eig=_dual_min_eig(grad_vartheta(b, data), theta_hat, lam),
         fista_refits=fista_refits, config=cfg,
     )
 

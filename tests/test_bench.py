@@ -1,4 +1,3 @@
-import dataclasses
 import importlib
 import json
 import math
@@ -10,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from invexreg import bench
+from invexreg import cli
 from invexreg.bench import (ExperimentConfig, RESULT_COLUMNS, certify_at_true_support,
                             clean_count_theory, lambda_from_m, m_from_C, run_sweep)
 from invexreg.datagen import GenSpec, generate
@@ -105,6 +104,35 @@ def test_cli_sweep_rejects_a_float_count(tmp_path):
     assert not (tmp_path / "sw").exists()
 
 
+@pytest.mark.parametrize("field, value, match", [
+    ("C_values", [], "C_values must not be empty"),
+    ("C_values", [math.nan], "C_values must be finite, got (nan,)"),
+    ("C_values", [math.inf], "C_values must be finite, got (inf,)"),
+    ("C_values", [0.4, 0.4], "C_values must not repeat a value, got [0.4, 0.4]"),
+    # both give m = 9 at p = 6
+    ("C_values", [0.40, 0.41], "C_values must not give two cells the same (m, n_outliers)"),
+    ("outlier_rule", "third", 'outlier_rule must be "half" or proportions, got \'third\''),
+    ("outlier_rule", [], "outlier_rule must not be empty"),
+    ("outlier_rule", [0.2, 0.2], "outlier_rule must not repeat a value"),
+    # both give 6 outliers at r = 24
+    ("outlier_rule", [0.18, 0.19], "outlier_rule must not give two cells the same"),
+    ("methods", [], "methods must not be empty"),
+    ("methods", ["lasso", "lasso"], "methods must not repeat a value"),
+    ("seeds", [], "seeds must not be empty"),
+    ("seeds", [0, 0], "seeds must not repeat a value"),
+])
+def test_cli_sweep_rejects_a_grid_it_cannot_run(tmp_path, capsys, field, value, match):
+    """An empty, non-finite or repeated grid would fail after writing
+    results.csv, write an empty sweep, or pool two cells' trials; the sweep
+    names the field and exits 2 before it writes anything."""
+    raw = {"p": 6, "k": 2, "clean_count_rule": 24, "C_values": [0.4], "seeds": [0],
+           "methods": ["lasso"], "output_dir": str(tmp_path / "sw"), field: value}
+    (tmp_path / "cfg.json").write_text(json.dumps(raw))
+    assert cli.main(["sweep", "--config", str(tmp_path / "cfg.json"), "--workers", "1"]) == 2
+    assert f"error: ValueError: {match}" in capsys.readouterr().err
+    assert not (tmp_path / "sw").exists()
+
+
 def test_config_json_round_trip(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"p": 6, "k": 2, "clean_count_rule": 24,
@@ -184,27 +212,6 @@ def test_run_sweep_records_cell_failures(tmp_path):
                    output_dir=str(tmp_path / "fail"))
     out = run_sweep(cfg, workers=1)
     assert all(r["error"] == "ResampleExhausted" for r in out["rows"])
-
-
-def test_rank1_gap_bytes_ignore_roundoff_below_1e12(tmp_path, monkeypatch):
-    """A gap that moves by 1e-15, as it does with the BLAS thread count,
-    writes the same results.csv and aggregate.csv bytes."""
-    cfg = tiny_cfg(tmp_path, methods=("invex",), seeds=(0,), C_values=(0.8,))
-    solve = bench.solve_invex
-    outs = []
-    for gap in (0.0123456789, 0.0123456789 + 1e-15, 2.8e-16, 3.6e-16):
-        def fixed_gap(data, scfg, gap=gap):
-            res = solve(data, scfg)
-            res.rank1_gap = gap
-            return res
-
-        monkeypatch.setattr(bench, "solve_invex", fixed_gap)
-        outdir = tmp_path / f"gap{len(outs)}"
-        run_sweep(dataclasses.replace(cfg, output_dir=str(outdir)), workers=1)
-        outs.append(tuple((outdir / name).read_bytes()
-                          for name in ("results.csv", "aggregate.csv")))
-    assert outs[0] == outs[1] and outs[2] == outs[3]
-    assert outs[0] != outs[2]
 
 
 @pytest.mark.parametrize("bad", ["two", "0", "-3", "1.5"])
@@ -292,12 +299,13 @@ def test_cli_pipeline(tmp_path):
     sel = [i for i, b in enumerate(res["b_rounded"]) if b == 1]
     assert sel == orc["J_star"]
     assert set(res["config"]) == {"m", "lam", "max_outer", "tol_obj"}
-    # the lifted matrix is written as a nested list, corner pinned to 1
-    V = np.asarray(res["vartheta_hat"])
-    assert V.shape == (5, 5) and V[-1, -1] == 1.0
-    # certify reads only config.lam, so a result written when SolverConfig
-    # also had step_rule and eta still certifies, to the same bytes
+    assert not {"vartheta_hat", "b_hat", "rank1_gap"} & set(res)
+    # certify reads only b_rounded and config.lam, so a result written when
+    # SolverConfig also had step_rule and eta, and the result carried the
+    # lifted iterate, its weights and its rank-one gap, still certifies, to
+    # the same bytes
     res["config"].update(step_rule="backtracking", eta=None)
+    res.update(vartheta_hat=np.eye(5).tolist(), b_hat=res["b_rounded"], rank1_gap=0.0)
     (tmp_path / "old.json").write_text(json.dumps(res))
     r = _cli("certify", "--data", ds, "--result", str(tmp_path / "old.json"),
              "--out", str(tmp_path / "cert_old.json"))

@@ -135,3 +135,46 @@ def test_private_numpy_guard_catches_imports_and_chains():
         imported, bound = _numpy_names(tree)
         got = any(_private(n) for n in imported + _attribute_chains(tree, bound))
         assert got == want, source
+
+
+def _unused_imports(tree: ast.AST) -> list[str]:
+    """Names a module imports and never reads, nor lists in `__all__`."""
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used |= {elt.value for elt in node.value.elts}
+    return [name for name in imported if name not in used]
+
+
+def test_unused_import_guard_reads_uses_and_exports():
+    snippets = {
+        "from __future__ import annotations\nimport numpy as np\nnp.zeros(1)": [],
+        "import os.path\nos.sep": [],
+        "from .model import a, b\n__all__ = ['b']\na()": [],
+        "import json\nfrom .model import a as b, c\nc": ["json", "b"],
+    }
+    for source, want in snippets.items():
+        assert _unused_imports(ast.parse(source)) == want, source
+
+
+def test_package_modules_import_no_unused_name(monkeypatch):
+    """A name a module imports and never uses is dead code, unless the
+    benchmark's traced run (benchmarks/workloads.py TRACE_TARGETS) looks it
+    up on that module; those are the only unused imports allowed."""
+    monkeypatch.syspath_prepend(str(SRC.parents[1] / "benchmarks"))
+    traced = {(t.module, t.attr)
+              for t in importlib.import_module("workloads").TRACE_TARGETS}
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        module = "invexreg" if path.stem == "__init__" else f"invexreg.{path.stem}"
+        tree = ast.parse(path.read_text(), filename=str(path))
+        unused += [(module, name) for name in _unused_imports(tree)
+                   if (module, name) not in traced]
+    assert unused == []

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from invexreg.model import (CLEAN, OUTLIER, Dataset, extract_theta, lift_parameter,
-                            lift_sample, lifted_gram, load_dataset, objective,
-                            sample_losses, save_dataset, squared_loss)
+from invexreg.model import (CLEAN, OUTLIER, Dataset, lift_parameter, lift_sample,
+                            lifted_gram, load_dataset, objective, sample_losses,
+                            save_dataset, squared_loss)
 
 
 def random_triple(rng, p):
@@ -68,29 +68,6 @@ def test_lift_parameter_spectrum():
     z2 = float(theta @ theta) + 1.0
     assert abs(w[-1] - z2) <= 1e-10 * z2
     assert np.abs(w[:-1]).max() <= 1e-10 * z2
-
-
-def test_extract_theta_round_trip():
-    rng = np.random.default_rng(7)
-    theta = rng.standard_normal(5)
-    out, gap = extract_theta(lift_parameter(theta))
-    assert np.allclose(out, theta, atol=1e-12)
-    assert gap <= 1e-14
-    # composing back reproduces the matrix
-    assert np.abs(lift_parameter(out) - lift_parameter(theta)).max() <= 1e-12
-
-
-def test_extract_theta_identity_matrix_warns():
-    V = np.eye(3)
-    with pytest.warns(UserWarning):
-        theta, gap = extract_theta(V)
-    assert np.allclose(theta, 0.0)
-    assert gap == 1.0
-
-
-def test_extract_theta_degenerate():
-    with pytest.raises(ValueError):
-        extract_theta(np.zeros((3, 3)))
 
 
 def _tiny_dataset(rng, n=5, p=3):

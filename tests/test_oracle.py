@@ -144,10 +144,3 @@ def test_oracle_reads_a_mask_as_the_rows_it_selects(reader):
 def test_oracle_rejects_rows_outside_the_samples(reader, rows):
     with pytest.raises(ValueError, match="selection"):
         _ROW_READERS[reader](_p2_instance(), np.array(rows))
-
-
-@pytest.mark.parametrize("support", [[7], [-1]])
-def test_enumerate_rejects_support_outside_the_columns(support):
-    data = tiny_instance(1)
-    with pytest.raises(ValueError, match="support"):
-        enumerate_best_subset(data, 4, 1.18, support=np.array(support))

@@ -1,6 +1,6 @@
+import itertools
 import json
 import warnings
-from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +11,8 @@ from invexreg.bench import _MAX_OUTER, _TOL_OBJ, ExperimentConfig, lambda_from_m
 from invexreg.datagen import GenSpec, generate
 from invexreg.model import (CLEAN, Dataset, GroundTruthConfig, lift_parameter,
                             lift_sample, objective, sample_losses, to_jsonable)
-from invexreg.solver import (InfeasibleM, SolverConfig, b_step, grad_vartheta,
+from invexreg.oracle import subset_objective
+from invexreg.solver import (InfeasibleM, SolverConfig, grad_vartheta,
                              prox_l1_plus_one_squared, refit, solve_invex)
 
 
@@ -54,43 +55,6 @@ def test_grad_vartheta_finite_differences():
         fd = (fp - fm) / (2 * h)
         analytic = float((G * E).sum())
         assert abs(fd - analytic) <= 1e-5 * max(1.0, abs(analytic))
-
-
-def test_b_step_tie_rule_and_sort():
-    data = tiny_instance(2)
-    V = lift_parameter(np.zeros(data.p))
-    # all losses equal: first m indices selected
-    flat = Dataset(X=np.zeros((4, 2)), y=np.ones(4),
-                   labels=np.array([CLEAN] * 4), r=4)
-    b = b_step(lift_parameter(np.zeros(2)), flat, 2)
-    assert np.array_equal(b, [1, 1, 0, 0])
-    # loss ordering (5, 1, 3) -> select indices 1 and 2
-    ds = Dataset(X=np.zeros((3, 1)), y=np.sqrt(np.array([5.0, 1.0, 3.0])),
-                 labels=np.array([CLEAN] * 3), r=3)
-    b = b_step(lift_parameter(np.zeros(1)), ds, 2)
-    assert np.array_equal(b, [0, 1, 1])
-    assert b_step(V, data, data.n).sum() == data.n
-
-
-def test_b_step_matches_vertex_enumeration():
-    rng = np.random.default_rng(3)
-    for seed in range(6):
-        data = tiny_instance(seed)
-        V = Vr = lift_parameter(rng.standard_normal(data.p))
-        m = int(rng.integers(1, data.n + 1))
-        losses = sample_losses(data.X, data.y, V)
-        got = b_step(V, data, m) @ losses
-        best = np.inf
-        for size in range(m, data.n + 1):
-            for J in combinations(range(data.n), size):
-                best = min(best, losses[list(J)].sum())
-        assert got <= best + 1e-9
-
-
-def test_b_step_infeasible():
-    data = tiny_instance(4)
-    with pytest.raises(InfeasibleM):
-        b_step(lift_parameter(np.zeros(data.p)), data, data.n + 1)
 
 
 def test_prox_sq_l1_solves_the_scalarized_problem():
@@ -269,9 +233,18 @@ def test_solve_monotone_trace_and_feasible_iterates():
         assert np.all(np.diff(trace) <= 1e-12)
         assert res.b_rounded.sum() == 4
         assert set(np.unique(res.b_rounded)) <= {0.0, 1.0}
-        V = res.vartheta_hat
-        assert V[-1, -1] == 1.0
-        assert np.linalg.eigvalsh(V)[0] >= -2e-9
+
+
+def test_selection_takes_the_m_smallest_losses_ties_to_the_smallest_index():
+    """With X = 0 every theta gives the losses y_i^2, so the selection is
+    the b-step's rule alone."""
+    flat = Dataset(X=np.zeros((4, 2)), y=np.ones(4), labels=np.array([CLEAN] * 4), r=4)
+    assert solve_invex(flat, SolverConfig(m=2, lam=0.1)).selection.tolist() == [0, 1]
+    ds = Dataset(X=np.zeros((3, 1)), y=np.sqrt(np.array([5.0, 1.0, 3.0])),
+                 labels=np.array([CLEAN] * 3), r=3)
+    res = solve_invex(ds, SolverConfig(m=2, lam=0.1))
+    assert res.b_rounded.tolist() == [0.0, 1.0, 1.0]
+    assert solve_invex(ds, SolverConfig(m=3, lam=0.1)).b_rounded.sum() == 3
 
 
 def test_solve_infeasible_m():
@@ -318,11 +291,17 @@ def test_result_json_round_trip():
 
 
 def test_objective_trace_matches_objective_function():
-    data = tiny_instance(5)
-    cfg = SolverConfig(m=4, lam=0.7)
-    res = solve_invex(data, cfg)
-    recomputed = objective(res.b_hat, res.vartheta_hat, data, cfg.lam)
-    assert abs(recomputed - res.objective_trace[-1]) <= 1e-9 * max(1.0, recomputed)
+    """The lifted objective at theta_hat and the final selection is at most
+    the trace's last value, since theta_hat is the refit there, and equals
+    the paper's objective on the selected rows."""
+    for seed, lam in itertools.product(range(5), (0.0, 0.7, 3.0)):
+        data = tiny_instance(seed)
+        res = solve_invex(data, SolverConfig(m=4, lam=lam))
+        lifted = objective(res.b_rounded, lift_parameter(res.theta_hat), data, lam)
+        scale = max(1.0, abs(lifted))
+        assert lifted <= res.objective_trace[-1] + 1e-9 * scale
+        assert abs(lifted - subset_objective(data, res.selection, res.theta_hat, lam)) \
+            <= 1e-9 * scale
 
 
 def _solve_cell(config, m, seed, n_outliers=None):
