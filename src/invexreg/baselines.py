@@ -19,23 +19,22 @@ of dropped rows, and its first round, with D empty, solves on H1 itself.
 The stop rule is the same on every path: the subgradient residual of the
 returned theta is below tol * (1 + lam).
 
-`_fista_lasso` starts from theta = 0 unless it is given a start point
-`theta0`.  The lasso method and the stage-0 fit of the adaptive Huber lasso
-start cold and run `solver._fista`, the FISTA loop the refit also runs,
-with the soft threshold as prox and a step from the top eigenvalue of H.
-Every later IRLS pass of the adaptive Huber lasso, and every trimmed round
-after the first, starts from the theta of the previous solve, which
-differs from the new problem's solution only through a small change in
-the sample weights or the kept set (the warm starts of pathwise solvers,
-Friedman, Hastie & Tibshirani 2010).  Such a start nearly always has the
-new solution's support and signs, and with the signs fixed the lasso is
-one linear system on the support.  So a warm call first runs
-`solver._sign_pattern_solve`, the active-set solve the refit also runs
-(Osborne, Presnell & Turlach 2000), here with no rank-one term: it solves
-that system, corrects the sign pattern at most `solver._SIGN_CORRECTIONS`
-times, and returns the first candidate that passes the stop rule.  Only
-when none does, or a system is singular, does it run FISTA from the start
-point.
+Every solve is `solver._gram_solve`, the Gram-form L1 solve the refit
+also runs, here with no rank-one term: exact first, FISTA only as the
+fallback.  With the signs of the start point fixed the lasso is one
+linear system on their support; `solver._sign_pattern_solve` (the
+active-set method of Osborne, Presnell & Turlach 2000) solves it,
+corrects the pattern at most `solver._SIGN_CORRECTIONS` times and returns
+the first candidate that passes the stop rule.  Only when none does, or a
+system is singular, does `solver._fista` run from the same start, with
+the soft threshold as prox.  The lasso method and the stage-0 fit of the
+adaptive Huber lasso start from theta = 0, where the first pattern is the
+coordinates that violate stationarity.  Every later IRLS pass of the
+adaptive Huber lasso, and every trimmed round after the first, starts
+from the previous solve's theta, which nearly always has the new
+solution's support and signs: the problems differ only through a small
+change in the sample weights or the kept set (the warm starts of pathwise
+solvers, Friedman, Hastie & Tibshirani 2010).
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Dataset, _check_finite, _check_int, _check_nonneg
-from .solver import _fista, _sign_pattern_solve
+from .solver import _gram_solve, _l1_residual
 
 __all__ = ["BaselineConfig", "lasso", "adaptive_huber_lasso", "trimmed_lasso"]
 
@@ -113,11 +112,9 @@ def _fista_lasso(X, y, lam, weights=None, max_iters=5000, tol=1e-10,
     and passes it to every solve, and without it the call checks X and y
     and forms its own.
 
-    Without theta0, `solver._fista` runs from zeros.  With theta0, the sign
-    pattern of theta0 is tried first (`solver._sign_pattern_solve` with
-    shift lam_j / 2); if no candidate meets the residual bound within
-    `solver._SIGN_CORRECTIONS` corrections, or a system is singular or
-    non-finite, `solver._fista` runs from theta0.  Non-finite X, y, sample
+    The solve is `solver._gram_solve` from theta0 (zeros by default): the
+    exact solve on the sign pattern of theta0 first, with shift lam_j / 2,
+    and FISTA from theta0 only as the fallback.  Non-finite X, y, sample
     weights, coordinate weights or theta0, negative sample or coordinate
     weights and a theta0 that is not of length p raise ValueError.
     """
@@ -135,26 +132,14 @@ def _fista_lasso(X, y, lam, weights=None, max_iters=5000, tol=1e-10,
     H, c = gram if sample_weights is None else _weighted_gram(
         X, y, gram, np.asarray(sample_weights, dtype=float))
     lam_j = np.full(p, lam) if weights is None else lam * np.asarray(weights, float)
-    bound = tol * (1.0 + lam)
+    theta0 = np.zeros(p) if theta0 is None else np.asarray(theta0, dtype=float)
 
     def soft_threshold(v, step):
         return np.sign(v) * np.maximum(np.abs(v) - step * lam_j, 0.0)
 
-    def residual(theta, g):
-        return np.where(theta != 0.0,
-                        np.abs(g + lam_j * np.sign(theta)),
-                        np.maximum(np.abs(g) - lam_j, 0.0))
-
-    def converged(theta, g):
-        return residual(theta, g).max(initial=0.0) <= bound
-
-    if theta0 is None:
-        return _fista(H, c, np.zeros(p), soft_threshold, converged, max_iters)
-    theta = _sign_pattern_solve(H, c, theta0, residual, bound, 0.5 * lam_j)
-    if theta is not None:
-        return theta
-    return _fista(H, c, np.array(theta0, dtype=float), soft_threshold,
-                  converged, max_iters)
+    theta, _ = _gram_solve(H, c, theta0, lambda theta, g: _l1_residual(theta, g, lam_j),
+                           tol * (1.0 + lam), 0.5 * lam_j, 0.0, soft_threshold, max_iters)
+    return theta
 
 
 def lasso(data: Dataset, cfg: BaselineConfig) -> np.ndarray:

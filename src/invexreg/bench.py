@@ -65,8 +65,9 @@ class ExperimentConfig:
     "half" or proportions in (0, 1), c_lambda, sigma_e and rho_min are
     finite reals >= 0, the C values are finite, and seeds, methods,
     C_values and the proportions are non-empty with no repeats, or
-    ValueError names the field.  `cells` also rejects two cells with the
-    same m and outlier count, whose trials `_aggregate` would pool."""
+    ValueError names the field.  `cells` also rejects a C value whose m
+    exceeds r, and two cells with the same m and outlier count, whose
+    trials `_aggregate` would pool."""
 
     p: int = 50
     k: int = 4
@@ -124,19 +125,25 @@ class ExperimentConfig:
     def cells(self) -> list[dict]:
         """One dict per sweep cell: (m, r, n_outliers, x-axis value)."""
         r = self.r
+
+        def budget(C):
+            try:
+                m = m_from_C(C, self.p)
+            except OverflowError:   # 10**C is beyond a float
+                m = math.inf
+            if m > r:
+                raise ValueError(f"C_values: C={C} gives m={m} > r={r}")
+            return m
+
         out = []
         if self.outlier_rule == "half":
             n_out = math.ceil(r / 2)
             for C in self.C_values:
-                m = m_from_C(C, self.p)
-                if m > r:
-                    raise ValueError(f"C={C} gives m={m} > r={r}")
+                m = budget(C)
                 out.append({"m": m, "r": r, "n_outliers": n_out,
                             "x": float(m), "xlabel": "m"})
         else:
-            m = m_from_C(max(self.C_values), self.p)
-            if m > r:
-                raise ValueError(f"m={m} > r={r}")
+            m = budget(max(self.C_values))
             for prop in self.outlier_rule:
                 n_out = math.ceil(prop / (1.0 - prop) * r)
                 out.append({"m": m, "r": r, "n_outliers": n_out,

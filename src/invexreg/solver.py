@@ -50,11 +50,11 @@ the final selection, and reports min eig(Lambda) / max|Lambda| as
 minimizes the V block there.  It can fall below only through the refit's
 tolerance or its iteration cap, and a refit that stops at the cap warns.
 
-The refit and the baselines' lasso solves share the sign-pattern solve and
-the FISTA loop, `_fista`, both on the Gram form; they differ only in the
-penalty's terms, the prox and the stopping residual they pass.  The V
-gradient sum_i b_i A_i is `model.lifted_gram`, which the dual record and
-the dual certificate use.
+The refit and the baselines' lasso solves are one Gram-form solve,
+`_gram_solve`: exact first, FISTA only as the fallback.  They differ only
+in the penalty's terms, the prox and the weights of the stationarity
+residual `_l1_residual` they pass.  The V gradient sum_i b_i A_i is
+`model.lifted_gram`, which the dual record and the dual certificate use.
 """
 
 from __future__ import annotations
@@ -290,13 +290,22 @@ def _as_rows(selection: np.ndarray, n: int, name: str = "selection") -> np.ndarr
                      f"got dtype {sel.dtype} and shape {sel.shape}")
 
 
-def _fista(H, c, theta, prox, converged, max_iters):
+def _l1_residual(theta, g, tau):
+    """Stationarity residual at theta of a loss with gradient g plus
+    sum_j tau_j |theta_j|: |g_j + tau_j sign(theta_j)| on the nonzeros and
+    max(|g_j| - tau_j, 0) on the zeros."""
+    return np.where(theta != 0.0, np.abs(g + tau * np.sign(theta)),
+                    np.maximum(np.abs(g) - tau, 0.0))
+
+
+def _fista(H, c, theta, prox, residual, bound, max_iters):
     """FISTA with adaptive restart (Beck & Teboulle 2009) on the Gram form
     theta^T H theta - 2 c^T theta + penalty, H = X^T X, c = X^T y (Friedman,
     Hastie & Tibshirani 2010): the gradient is 2 (H z - c) and the step 1/L
     with L = 2 * eigvalsh(H)[-1].  `prox(v, step)` is the prox of
-    step * penalty.  From `theta`, stops when `converged(theta, gradient)`,
-    checked every 10 iterations, is true.  L <= 0 or an empty H returns zeros.
+    step * penalty.  From `theta`, stops when `residual(theta, gradient)`,
+    checked every 10 iterations, is at most `bound` everywhere.  L <= 0 or
+    an empty H returns zeros.
     """
     L = 2.0 * float(np.linalg.eigvalsh(H)[-1]) if H.size else 0.0
     if L <= 0:
@@ -314,17 +323,17 @@ def _fista(H, c, theta, prox, converged, max_iters):
         t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_acc * t_acc))
         z = theta_new + ((t_acc - 1.0) / t_new) * (theta_new - theta)
         theta, t_acc = theta_new, t_new
-        if it % 10 == 0 and converged(theta, 2.0 * (H @ theta - c)):
+        if it % 10 == 0 and residual(theta, 2.0 * (H @ theta - c)).max(initial=0.0) <= bound:
             break
     return theta
 
 
-# Sign-pattern corrections `_sign_pattern_solve` makes before its caller
+# Sign-pattern corrections `_sign_pattern_solve` makes before `_gram_solve`
 # falls back to FISTA.
 _SIGN_CORRECTIONS = 8
 
 
-def _sign_pattern_solve(H, c, theta0, residual, bound, shift, rank_one=0.0):
+def _sign_pattern_solve(H, c, theta0, residual, bound, shift, rank_one):
     """The minimizer for a guessed sign pattern, or None.
 
     Both Gram-form solves minimize theta^T H theta - 2 c^T theta + pen(theta)
@@ -336,7 +345,7 @@ def _sign_pattern_solve(H, c, theta0, residual, bound, shift, rank_one=0.0):
     with those signs solves
     (H_AA + rank_one s_A s_A^T) theta_A = c_A - shift_A s_A.
     A candidate whose largest `residual(theta, 2 (H theta - c))` is at most
-    `bound` is returned.  This is the caller's FISTA stop rule, read at the
+    `bound` is returned.  This is FISTA's stop rule, read at the
     candidate's own signs, so it certifies the candidate exactly as it
     would certify a FISTA iterate; with a penalty, a candidate whose signs
     on A differ from s fails it.  Otherwise the coordinates whose sign
@@ -373,57 +382,57 @@ def _sign_pattern_solve(H, c, theta0, residual, bound, shift, rank_one=0.0):
     return None
 
 
+def _gram_solve(H, c, theta0, residual, bound, shift, rank_one, prox, max_iters):
+    """The Gram-form L1 solve of the refit and the baselines' lasso:
+    `_sign_pattern_solve` from theta0, and only when that returns None
+    `_fista` from theta0.  Returns (theta, whether FISTA ran)."""
+    theta = _sign_pattern_solve(H, c, theta0, residual, bound, shift, rank_one)
+    if theta is not None:
+        return theta, False
+    return _fista(H, c, theta0, prox, residual, bound, max_iters), True
+
+
 _REFIT_MAX_ITERS = 20000
 
 
 def _refit_gram(H: np.ndarray, c: np.ndarray, theta: np.ndarray, lam: float,
                 tol: float = 1e-8) -> tuple[np.ndarray, bool]:
-    """`refit`'s solve on the Gram form: minimizes theta^T H theta
-    - 2 c^T theta + lam (||theta||_1 + 1)^2 until the stationarity residual
-    is at most the absolute tol.
-
-    It tries `_sign_pattern_solve` from theta first, which is exact on the
-    right sign pattern.  Only when that returns None (no pattern passed
-    within the correction cap, or a system was singular) does `_fista` run
-    from theta; it warns when it stops at `_REFIT_MAX_ITERS` steps above
-    tol.  Returns (theta, whether FISTA ran).
+    """`refit`'s solve: `_gram_solve` from theta on theta^T H theta
+    - 2 c^T theta + lam (||theta||_1 + 1)^2, until the absolute residual,
+    the scale the dual construction needs, is at most tol.  A FISTA
+    fallback that stops at `_REFIT_MAX_ITERS` steps above tol warns.
+    Returns (theta, whether FISTA ran).
     """
     def residual(theta, g):
-        w, _ = _recover_subgradient(theta, 0.5 * g, lam)
-        # absolute: the dual construction needs this scale
-        return np.abs(0.5 * g + lam * (np.abs(theta).sum() + 1.0) * w)
+        return 0.5 * _l1_residual(theta, g, 2.0 * lam * (np.abs(theta).sum() + 1.0))
 
-    exact = _sign_pattern_solve(H, c, theta, residual, tol, np.full(c.size, lam), lam)
-    if exact is not None:
-        return exact, False
-    theta = _fista(H, c, theta, lambda v, step: prox_l1_plus_one_squared(v, step * lam),
-                   lambda theta, g: residual(theta, g).max(initial=0.0) <= tol,
-                   _REFIT_MAX_ITERS)
-    resid = residual(theta, 2.0 * (H @ theta - c)).max(initial=0.0)
+    theta, fista = _gram_solve(H, c, theta, residual, tol, np.full(c.size, lam), lam,
+                               lambda v, step: prox_l1_plus_one_squared(v, step * lam),
+                               _REFIT_MAX_ITERS)
+    resid = residual(theta, 2.0 * (H @ theta - c)).max(initial=0.0) if fista else 0.0
     if not resid <= tol:
         warnings.warn(f"refit stopped after {_REFIT_MAX_ITERS} FISTA steps with "
                       f"stationarity residual {resid:.3g} above tol {tol:.3g}",
                       RuntimeWarning, stacklevel=2)
-    return theta, True
+    return theta, fista
 
 
 def refit(data: Dataset, selection: np.ndarray, lam: float,
-          support: np.ndarray | None = None, theta0: np.ndarray | None = None,
-          tol: float = 1e-8) -> np.ndarray:
+          support: np.ndarray | None = None, tol: float = 1e-8) -> np.ndarray:
     """Penalized least squares on the selected rows.
 
     The selection is a 0/1 mask or row indices, as `_as_rows` reads it.
     Minimizes sum_selected (y_i - <X_i, theta>)^2 + lam (||theta||_1 + 1)^2
-    by `_refit_gram` on the selected rows' Gram form: the exact solve on the
-    sign pattern of theta0 (from theta0 = 0, of the coordinates that violate
-    stationarity there), with FISTA and the exact prox of the
+    by `_refit_gram` from theta = 0 on the selected rows' Gram form: the
+    exact solve on the sign pattern of the coordinates that violate
+    stationarity at 0, with FISTA and the exact prox of the
     squared-plus-linear L1 penalty as the fallback.  With `support`
     (columns, read like the selection), the regression runs on those
     columns only and is zero-padded back to length p.  The answer's
     stationarity residual (subgradient recovered as in the dual
     construction) is at most the absolute tol, unless FISTA stops after
     `_REFIT_MAX_ITERS` iterations, with a RuntimeWarning.  Non-finite X or
-    y on the selected rows and columns, theta0 or lam raise ValueError.
+    y on the selected rows and columns, or lam, raise ValueError.
     """
     rows = _as_rows(selection, data.n)
     if rows.size < 1:
@@ -431,12 +440,9 @@ def refit(data: Dataset, selection: np.ndarray, lam: float,
     cols = np.arange(data.p) if support is None else _as_rows(support, data.p, "support")
     Xs = data.X[rows][:, cols]
     ys = data.y[rows]
-    _check_finite(("X", Xs), ("y", ys), ("theta0", theta0), ("lam", lam))
-    theta = np.zeros(cols.size) if theta0 is None else np.asarray(theta0, dtype=float)
-    if theta.shape != (cols.size,):
-        raise ValueError("theta0 has wrong length")
+    _check_finite(("X", Xs), ("y", ys), ("lam", lam))
 
-    theta, _ = _refit_gram(Xs.T @ Xs, Xs.T @ ys, theta, lam, tol)
+    theta, _ = _refit_gram(Xs.T @ Xs, Xs.T @ ys, np.zeros(cols.size), lam, tol)
     out = np.zeros(data.p)
     out[cols] = theta
     return out

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from invexreg import baselines
+from invexreg import baselines, solver
 from invexreg.baselines import (BaselineConfig, _fista_lasso, _gram, _weighted_gram,
                                 adaptive_huber_lasso, lasso, trimmed_lasso)
 from invexreg.bench import ExperimentConfig, lambda_from_m
@@ -186,21 +186,57 @@ def weighted_problem(n, p):
     return rng, X, y, sw, cw
 
 
-@pytest.mark.parametrize("n,p", [(40, 6), (8, 15)])
-def test_fista_weighted_matches_weighted_coordinate_descent(n, p):
-    """The Gram-form loop with sample and coordinate weights solves the same
-    problem as an independent weighted coordinate descent, for n > p and n < p."""
+@pytest.fixture
+def fista_calls(monkeypatch):
+    """Count the runs of the FISTA loop, `solver._fista`."""
+    calls = []
+    real = solver._fista
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_fista", counting)
+    return calls
+
+
+@pytest.fixture
+def solve_path(request, monkeypatch):
+    """The path of `solver._gram_solve` under test: "default" leaves it as
+    it is, "fista" switches the sign-pattern solve off, so that every solve
+    runs the FISTA fallback."""
+    if request.param == "fista":
+        monkeypatch.setattr(solver, "_sign_pattern_solve", lambda *args: None)
+    return request.param
+
+
+# (n, p) with n > p and n < p, on the default path and the forced fallback
+BOTH_PATHS = [pytest.param(n, p, path, id=f"{n}-{p}{suffix}")
+              for path, suffix in (("default", ""), ("fista", "-fista"))
+              for n, p in ((40, 6), (8, 15))]
+
+
+@pytest.mark.parametrize("n,p,solve_path", BOTH_PATHS, indirect=["solve_path"])
+def test_fista_weighted_matches_weighted_coordinate_descent(n, p, solve_path,
+                                                            fista_calls):
+    """The Gram-form solve with sample and coordinate weights solves the same
+    problem as an independent weighted coordinate descent, for n > p and
+    n < p, by either path."""
     _, X, y, sw, cw = weighted_problem(n, p)
     lam = 0.8
     th_f = _fista_lasso(X, y, lam, weights=cw, sample_weights=sw)
     th_c = _lasso_cd(X, y, lam, sample_weights=sw, weights=cw)
     assert np.count_nonzero(th_c) > 0
     assert np.abs(th_f - th_c).max() <= 1e-8
+    if solve_path == "fista":
+        assert fista_calls
 
 
-@pytest.mark.parametrize("n,p", [(40, 6), (8, 15)])
-def test_fista_from_random_start_matches_coordinate_descent(n, p):
-    """A start point changes where FISTA begins, not the minimizer it reaches."""
+@pytest.mark.parametrize("n,p,solve_path", BOTH_PATHS, indirect=["solve_path"])
+def test_fista_from_random_start_matches_coordinate_descent(n, p, solve_path,
+                                                            fista_calls):
+    """A start point changes where the solve begins, not the minimizer it
+    reaches, by either path."""
     rng, X, y, sw, cw = weighted_problem(n, p)
     lam = 0.8
     theta0 = 3.0 * rng.standard_normal(p)
@@ -208,18 +244,41 @@ def test_fista_from_random_start_matches_coordinate_descent(n, p):
     th_c = _lasso_cd(X, y, lam, sample_weights=sw, weights=cw)
     assert np.count_nonzero(th_c) > 0
     assert np.abs(th_f - th_c).max() <= 1e-8
+    if solve_path == "fista":
+        assert fista_calls
+
+
+def test_cold_lasso_is_exact_without_fista(fista_calls):
+    """From theta = 0 with n > p, the sign-pattern solve finds the lasso
+    minimizer; FISTA does not run."""
+    rng = np.random.default_rng(19)
+    theta_star = np.array([1.0, -0.5, 0.0, 0.25, 0.0, 0.0, 0.8, 0.0])
+    data = clean_data(rng, n=60, p=8, theta=theta_star)
+    lam = 3.0
+    theta = lasso(data, BaselineConfig(lam=lam))
+    th_c = _lasso_cd(data.X, data.y, lam)
+    assert not fista_calls
+    assert 0 < np.count_nonzero(th_c) < data.p
+    assert np.abs(theta - th_c).max() <= 1e-8
 
 
 def test_fista_started_at_its_solution_stays_there():
-    """One iteration from the cold-start solution moves it by at most a step
+    """One FISTA iteration from the solution moves it by at most a step
     times the stopping residual, tol * (1 + lam) / L."""
     _, X, y, sw, cw = weighted_problem(40, 6)
     lam, tol = 0.8, 1e-8
     theta = _fista_lasso(X, y, lam, weights=cw, sample_weights=sw, tol=tol)
-    again = _fista_lasso(X, y, lam, weights=cw, sample_weights=sw, tol=tol,
-                         max_iters=1, theta0=theta)
-    Xw = X * np.sqrt(sw)[:, None]
-    L = 2.0 * np.linalg.eigvalsh(Xw.T @ Xw)[-1]
+    Xw, yw = X * np.sqrt(sw)[:, None], y * np.sqrt(sw)
+    H, c = Xw.T @ Xw, Xw.T @ yw
+    lam_j = lam * cw
+
+    def soft_threshold(v, step):
+        return np.sign(v) * np.maximum(np.abs(v) - step * lam_j, 0.0)
+
+    again = solver._fista(H, c, theta, soft_threshold,
+                          lambda theta, g: solver._l1_residual(theta, g, lam_j),
+                          tol * (1.0 + lam), 1)
+    L = 2.0 * np.linalg.eigvalsh(H)[-1]
     assert np.count_nonzero(theta) > 0
     assert np.abs(again - theta).max() <= tol * (1.0 + lam) / L + 1e-14
 
@@ -439,20 +498,6 @@ def stop_residual(X, y, lam, theta, weights=None, sample_weights=None):
     resid = np.where(theta != 0.0, np.abs(g + lam_j * np.sign(theta)),
                      np.maximum(np.abs(g) - lam_j, 0.0))
     return resid.max(initial=0.0)
-
-
-@pytest.fixture
-def fista_calls(monkeypatch):
-    """Count the runs of the FISTA loop made through `baselines._fista`."""
-    calls = []
-    real = baselines._fista
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(baselines, "_fista", counting)
-    return calls
 
 
 @pytest.mark.parametrize("n,p", [(40, 6), (8, 15)])

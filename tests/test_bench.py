@@ -92,6 +92,16 @@ def test_config_rejects_a_bad_numeric_field_by_name(tmp_path, field, value, matc
         tiny_cfg(tmp_path, **{field: value})
 
 
+@pytest.mark.parametrize("outlier_rule", ["half", (0.2, 0.3)])
+@pytest.mark.parametrize("C, m", [(1.5, 102), (400.0, math.inf)])
+def test_cells_name_a_C_value_whose_m_exceeds_r(tmp_path, outlier_rule, C, m):
+    """Under either outlier rule, a C whose selection budget exceeds r, or
+    whose 10**C overflows a float, is a ValueError naming C_values and C."""
+    cfg = tiny_cfg(tmp_path, outlier_rule=outlier_rule, C_values=(0.4, C))
+    with pytest.raises(ValueError, match=re.escape(f"C_values: C={C} gives m={m} > r=24")):
+        cfg.cells()
+
+
 def test_cli_sweep_rejects_a_float_count(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"p": 6, "k": 2, "clean_count_rule": 24,
@@ -120,6 +130,7 @@ def test_cli_sweep_rejects_a_float_count(tmp_path):
     ("methods", ["lasso", "lasso"], "methods must not repeat a value"),
     ("seeds", [], "seeds must not be empty"),
     ("seeds", [0, 0], "seeds must not repeat a value"),
+    ("C_values", [400.0], "C_values: C=400.0 gives m=inf > r=24"),
 ])
 def test_cli_sweep_rejects_a_grid_it_cannot_run(tmp_path, capsys, field, value, match):
     """An empty, non-finite or repeated grid would fail after writing

@@ -165,23 +165,21 @@ def test_refit_names_a_malformed_support(support, match):
         refit(two_row_dataset(), np.array([0, 1]), 0.1, support=support)
 
 
-@pytest.mark.parametrize("where", ["X", "y", "theta0", "lam"])
+@pytest.mark.parametrize("where", ["X", "y", "lam"])
 def test_refit_rejects_non_finite_input(where):
     rng = np.random.default_rng(17)
     data = all_clean_dataset(rng, 30, 5, np.array([1.0, -0.5, 0.0, 0.25, 0.0]))
     X, y = data.X.copy(), data.y.copy()
-    theta0, lam = np.zeros(5), 0.5
+    lam = 0.5
     if where == "X":
         X[2, 1] = np.inf
     elif where == "y":
         y[3] = np.nan
-    elif where == "theta0":
-        theta0[4] = np.nan
     else:
         lam = np.inf
     bad = Dataset(X=X, y=y, labels=data.labels, r=data.r)
     with pytest.raises(ValueError, match=f"^{where} must be finite"):
-        refit(bad, np.ones(data.n), lam, theta0=theta0)
+        refit(bad, np.ones(data.n), lam)
 
 
 def test_refit_checks_only_the_selected_rows_and_columns():
@@ -412,6 +410,29 @@ def _refit_residual(H, c, theta, lam):
                     np.maximum(np.abs(g) - scale, 0.0)).max()
 
 
+def test_refit_residual_is_the_recovered_subgradient_residual():
+    """Half the `_l1_residual` at weights 2 lam (||theta||_1 + 1) is the
+    residual |g/2 + lam (||theta||_1 + 1) w| with w from
+    `_recover_subgradient`: bit for bit on the nonzeros and on the zeros
+    where it is positive, and exactly 0 on the other zeros, where the
+    recovered w leaves only roundoff."""
+    rng = np.random.default_rng(21)
+    lam, inside_count = 0.7, 0
+    for _ in range(50):
+        theta = rng.standard_normal(12) * (rng.random(12) < 0.5)
+        g = 4.0 * lam * (np.abs(theta).sum() + 1.0) * rng.standard_normal(12)
+        scale = lam * (np.abs(theta).sum() + 1.0)
+        w, _ = solver._recover_subgradient(theta, 0.5 * g, lam)
+        recovered = np.abs(0.5 * g + scale * w)
+        halved = 0.5 * solver._l1_residual(theta, g, 2.0 * scale)
+        inside = (theta == 0.0) & (np.abs(0.5 * g) <= scale)
+        assert np.array_equal(halved[~inside], recovered[~inside])
+        assert np.all(halved[inside] == 0.0)
+        assert np.all(recovered[inside] <= 1e-15 * scale)
+        inside_count += inside.sum()
+    assert 0 < inside_count < 50 * 12
+
+
 def fig2_p50_refit_problem():
     """The Gram form of the fig2_p50 m=306, seed-0 cell on the solver's
     selection, its lam, and the solved theta_hat."""
@@ -455,7 +476,7 @@ def test_singular_sign_pattern_falls_back_to_fista():
     H, c = X.T @ X, X.T @ y
     residual = lambda theta, g: np.abs(0.5 * g)
     for theta0 in (np.zeros(4), np.array([0.4, 0.6, -1.0, 0.3])):
-        assert solver._sign_pattern_solve(H, c, theta0, residual, 1e-8, np.zeros(4)) is None
+        assert solver._sign_pattern_solve(H, c, theta0, residual, 1e-8, np.zeros(4), 0.0) is None
         theta, fista = solver._refit_gram(H, c, theta0, 0.0)
         assert fista
         assert _refit_residual(H, c, theta, 0.0) <= 1e-8
