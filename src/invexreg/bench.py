@@ -5,14 +5,19 @@ panels.
 Trials are independent (seed x cell x method) and run on a process pool
 capped by the INVEX_THREADS environment variable; results are reduced in a
 fixed (cell, seed, method) order so output bytes do not depend on
-scheduling.  Wall-clock timings go to a separate timings.csv because the
-result files are byte-reproducible.  `certify_at_true_support` is the one
+scheduling.  A dataset depends only on the config, the cell's r and
+n_outliers and the seed, not on m or the method, so the trials that share
+one generate it once per process per sweep.  Wall-clock timings go to a
+separate timings.csv because the result files are byte-reproducible; a
+trial's wall_ms includes generation only when it is the first in its
+process to need that dataset.  `certify_at_true_support` is the one
 certificate recipe, for the `kkt_feasible` column and `invexreg certify`.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import os
@@ -188,17 +193,36 @@ def certify_at_true_support(data: Dataset, selection: np.ndarray, lam: float) ->
     return support, th_S, cert, rep, kkt_feasible
 
 
-def run_trial(cfg: ExperimentConfig, cell: dict, seed: int, method: str) -> tuple[dict, float]:
-    """One (cell, seed, method) evaluation; returns (row dict, wall seconds)."""
-    t0 = time.perf_counter()
+@functools.lru_cache(maxsize=8)
+def _dataset(cfg: ExperimentConfig, r: int, n_outliers: int, seed: int) -> Dataset:
+    """The trial dataset, generated once per process while a sweep runs.
+
+    The frozen config is in the key, so every field the generator reads is
+    too.  The arrays are read-only because trials share them.  A failed
+    generation raises and is not cached.  With more seeds than `maxsize`
+    the (cell, seed, method) task order still shares each dataset across
+    the methods of one (cell, seed)."""
     gt = GroundTruthConfig(p=cfg.p, k=cfg.k, M=cfg.m_budget, sigma_e=cfg.sigma_e)
-    spec = GenSpec(ground_truth=gt, r=cell["r"], n_outliers=cell["n_outliers"],
-                   seed=seed, max_resamples=cfg.max_resamples, rho_min=cfg.rho_min)
+    spec = GenSpec(ground_truth=gt, r=r, n_outliers=n_outliers, seed=seed,
+                   max_resamples=cfg.max_resamples, rho_min=cfg.rho_min)
+    data = generate(spec)
+    for arr in (data.X, data.y, data.labels, data.theta_star):
+        arr.flags.writeable = False
+    return data
+
+
+def run_trial(cfg: ExperimentConfig, cell: dict, seed: int, method: str) -> tuple[dict, float]:
+    """One (cell, seed, method) evaluation; returns (row dict, wall seconds).
+
+    Trials that share (config, r, n_outliers, seed) share one dataset,
+    generated by the first of them in each process during a sweep, so only
+    that trial's wall seconds include generation."""
+    t0 = time.perf_counter()
     row = dict.fromkeys(RESULT_COLUMNS)
     row.update(method=method, p=cfg.p, k=cfg.k, m=cell["m"], r=cell["r"],
                n_outliers=cell["n_outliers"], seed=seed, error="")
     try:
-        data = generate(spec)
+        data = _dataset(cfg, cell["r"], cell["n_outliers"], seed)
         m = cell["m"]
         lam = lambda_from_m(m, cfg.p, cfg.c_lambda)
         if method == "invex":
@@ -328,13 +352,17 @@ def run_sweep(cfg: ExperimentConfig, workers: int | None = None) -> dict:
              for cell in cells for seed in cfg.seeds for method in cfg.methods]
     workers = max(1, min(workers, len(tasks)))
 
-    if workers == 1:
-        outcomes = [run_trial(*t) for t in tasks]
-    else:
-        # imported here: only a pool needs multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run_trial, *zip(*tasks), chunksize=1))
+    _dataset.cache_clear()   # before any fork: workers start empty
+    try:
+        if workers == 1:
+            outcomes = [run_trial(*t) for t in tasks]
+        else:
+            # imported here: only a pool needs multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                outcomes = list(pool.map(run_trial, *zip(*tasks), chunksize=1))
+    finally:
+        _dataset.cache_clear()
 
     rows = [row for row, _ in outcomes]
     timings = [{"method": row["method"], "m": row["m"],

@@ -61,9 +61,7 @@ def _rngs(spec: GenSpec) -> dict[str, np.random.Generator]:
     return {name: np.random.default_rng(ss) for name, ss in zip(names, children)}
 
 
-def _theta_star_with_flag(spec: GenSpec) -> tuple[np.ndarray, bool]:
-    gt = spec.ground_truth
-    rng = _rngs(spec)["theta"]
+def _theta_star_with_flag(gt: GroundTruthConfig, rng) -> tuple[np.ndarray, bool]:
     theta = np.zeros(gt.p)
     support = rng.choice(gt.p, size=gt.k, replace=False)
     mags = rng.uniform(0.1, 1.1, size=gt.k)
@@ -82,7 +80,7 @@ def gen_theta_star(spec: GenSpec) -> np.ndarray:
     Signs are random; if the L1 norm exceeds the budget M the vector is
     rescaled down to M (generate() records this in the dataset metadata).
     """
-    return _theta_star_with_flag(spec)[0]
+    return _theta_star_with_flag(spec.ground_truth, _rngs(spec)["theta"])[0]
 
 
 def _draw_clean(rng, gt: GroundTruthConfig, count: int, theta_star: np.ndarray):
@@ -119,9 +117,13 @@ def rho_gap(data: Dataset, theta_star: np.ndarray) -> float:
 
     Returns +inf when either class is empty (nothing to separate).
     """
-    res = data.y - data.X @ np.asarray(theta_star, dtype=float)
+    return _loss_gap(data.X, data.y, data.clean_mask, data.outlier_mask,
+                     np.asarray(theta_star, dtype=float))
+
+
+def _loss_gap(X, y, clean, out, theta_star: np.ndarray) -> float:
+    res = y - X @ theta_star
     losses = res * res
-    clean, out = data.clean_mask, data.outlier_mask
     if not clean.any() or not out.any():
         return np.inf
     return float(losses[out].min() - losses[clean].max())
@@ -131,7 +133,7 @@ def generate(spec: GenSpec) -> Dataset:
     """Full dataset: clean + outliers, margin-enforced, shuffled, labeled."""
     rngs = _rngs(spec)
     gt = spec.ground_truth
-    theta_star, rescaled = _theta_star_with_flag(spec)
+    theta_star, rescaled = _theta_star_with_flag(gt, rngs["theta"])
 
     Xc, yc = _draw_clean(rngs["clean"], gt, spec.r, theta_star)
     clean_losses = (yc - Xc @ theta_star) ** 2
@@ -153,17 +155,17 @@ def generate(spec: GenSpec) -> Dataset:
 
     X = np.vstack([Xc, Xo]) if spec.n_outliers > 0 else Xc
     y = np.concatenate([yc, yo]) if spec.n_outliers > 0 else yc
-    labels = np.array([CLEAN] * spec.r + [OUTLIER] * spec.n_outliers)
+    # the dtype fits the longest label present: <U5 with no outliers, else <U7
+    kinds = [CLEAN, OUTLIER] if spec.n_outliers > 0 else [CLEAN]
+    labels = np.repeat(kinds, [spec.r, spec.n_outliers][:len(kinds)])
 
     perm = rngs["shuffle"].permutation(spec.r + spec.n_outliers)
     X, y, labels = X[perm], y[perm], labels[perm]
 
-    meta = {"p": gt.p, "k": gt.k, "M": gt.M, "sigma_e": gt.sigma_e,
-            "seed": spec.seed, "theta_rescaled": rescaled}
-    data = Dataset(X=X, y=y, labels=labels, theta_star=theta_star, r=spec.r,
-                   meta=meta)
-    rho = rho_gap(data, theta_star)
+    rho = _loss_gap(X, y, labels == CLEAN, labels == OUTLIER, theta_star)
     if spec.n_outliers > 0 and rho <= 0:
         raise ResampleExhausted("generated dataset violates the loss-gap margin")
+    meta = {"p": gt.p, "k": gt.k, "M": gt.M, "sigma_e": gt.sigma_e,
+            "seed": spec.seed, "theta_rescaled": rescaled}
     return Dataset(X=X, y=y, labels=labels, theta_star=theta_star, r=spec.r,
                    rho=rho, meta=meta)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from invexreg import cli
+from invexreg import bench, cli
 from invexreg.bench import (ExperimentConfig, RESULT_COLUMNS, certify_at_true_support,
                             clean_count_theory, lambda_from_m, m_from_C, run_sweep)
 from invexreg.datagen import GenSpec, generate
@@ -223,6 +223,81 @@ def test_run_sweep_records_cell_failures(tmp_path):
                    output_dir=str(tmp_path / "fail"))
     out = run_sweep(cfg, workers=1)
     assert all(r["error"] == "ResampleExhausted" for r in out["rows"])
+
+
+@pytest.fixture
+def generate_calls(monkeypatch):
+    """Count the generations `bench` makes; leave its dataset memo empty."""
+    calls = []
+
+    def counting(spec):
+        calls.append(spec)
+        return generate(spec)
+
+    monkeypatch.setattr(bench, "generate", counting)
+    bench._dataset.cache_clear()
+    yield calls
+    bench._dataset.cache_clear()
+
+
+@pytest.mark.parametrize("rule, expected", [
+    ("half", 2),           # one dataset per seed, shared by both cells
+    ((0.2, 0.3), 4),       # one per (proportion, seed)
+])
+def test_run_sweep_generates_each_dataset_once(tmp_path, generate_calls, rule, expected):
+    cfg = tiny_cfg(tmp_path, outlier_rule=rule, C_values=(0.4, 0.8))
+    assert len(cfg.cells()) * len(cfg.seeds) * len(cfg.methods) == 8
+    run_sweep(cfg, workers=1)
+    assert len(generate_calls) == expected
+    assert bench._dataset.cache_info().currsize == 0
+    run_sweep(cfg, workers=1)   # the next sweep pays its own generation
+    assert len(generate_calls) == 2 * expected
+    assert bench._dataset.cache_info().currsize == 0
+
+
+def test_run_sweep_retries_a_failed_generation(tmp_path, generate_calls):
+    cfg = tiny_cfg(tmp_path, rho_min=1e9, max_resamples=2)
+    out = run_sweep(cfg, workers=1)
+    assert len(generate_calls) == len(out["rows"]) == 8
+
+
+def _spec(cfg, cell, seed):
+    gt = GroundTruthConfig(p=cfg.p, k=cfg.k, M=cfg.m_budget, sigma_e=cfg.sigma_e)
+    return GenSpec(ground_truth=gt, r=cell["r"], n_outliers=cell["n_outliers"],
+                   seed=seed, max_resamples=cfg.max_resamples, rho_min=cfg.rho_min)
+
+
+@pytest.mark.parametrize("field, value", [("sigma_e", 0.3), ("rho_min", 1.0), ("k", 3)])
+def test_run_trial_dataset_follows_every_generation_field(tmp_path, generate_calls,
+                                                         field, value):
+    """Two configs that differ in one generation field, trialled back to
+    back, each get the dataset `generate` gives for their own spec."""
+    cfgs = [tiny_cfg(tmp_path), tiny_cfg(tmp_path, **{field: value})]
+    cell = cfgs[0].cells()[0]
+    datasets = []
+    for cfg in cfgs:
+        row, _ = bench.run_trial(cfg, cell, 0, "lasso")
+        assert not row["error"]
+        data = bench._dataset(cfg, cell["r"], cell["n_outliers"], 0)
+        fresh = generate(_spec(cfg, cell, 0))
+        for name in ("X", "y", "labels", "theta_star"):
+            assert np.array_equal(getattr(data, name), getattr(fresh, name)), name
+        assert data.rho == fresh.rho
+        datasets.append(data)
+    assert len(generate_calls) == 2
+    assert not (np.array_equal(datasets[0].X, datasets[1].X)
+                and np.array_equal(datasets[0].y, datasets[1].y)
+                and np.array_equal(datasets[0].theta_star, datasets[1].theta_star))
+
+
+def test_memoized_dataset_is_read_only(tmp_path, generate_calls):
+    cfg = tiny_cfg(tmp_path)
+    cell = cfg.cells()[0]
+    data = bench._dataset(cfg, cell["r"], cell["n_outliers"], 0)
+    assert bench._dataset(cfg, cell["r"], cell["n_outliers"], 0) is data
+    for arr in (data.X, data.y, data.labels, data.theta_star):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = arr[1]
 
 
 @pytest.mark.parametrize("bad", ["two", "0", "-3", "1.5"])

@@ -117,6 +117,12 @@ def test_generate_no_outliers():
     assert np.isinf(data.rho)
 
 
+@pytest.mark.parametrize("n_out, dtype", [(0, "<U5"), (20, "<U7")])
+def test_generate_labels_are_as_wide_as_the_longest_label(n_out, dtype):
+    """The label array's width is part of a dataset's bytes."""
+    assert generate(make_spec(n_out=n_out)).labels.dtype.str == dtype
+
+
 def test_generate_deterministic():
     spec = make_spec(seed=21)
     a, b = generate(spec), generate(spec)
