@@ -5,36 +5,46 @@ The adaptive and trimmed variants approximate the published methods they
 stand in for (documented as *-proxy in benchmark output); they exist as
 comparison curves, not reference implementations.
 
-All three solve their weighted lasso problems with `_fista_lasso` on the
-Gram form H = X^T W X, c = X^T W y, so every step costs a p x p product
-instead of two n x p ones (the covariance update of Friedman, Hastie &
-Tibshirani 2010).  Each fit checks X and y and forms H1 = X^T X and
-c1 = X^T y once (`_gram`).  A solve with sample weights w gets its H and c
-from them by `_weighted_gram`, which touches only the rows D whose weight
-is not 1: H = H1 - X_D^T diag(1 - w_D) X_D and c = c1 - X_D^T ((1 - w_D) y_D).
-Huber weights are 1 on the quadratic branch, so an adaptive Huber IRLS
-pass multiplies only the rows beyond it, a fifth to a quarter of them on
-the configs/ grids.  The trimmed lasso is the 0/1-weight case: D is the set
-of dropped rows, and its first round, with D empty, solves on H1 itself.
-The stop rule is the same on every path: the subgradient residual of the
-returned theta is below tol * (1 + lam).
+All three solve lasso problems on the Gram form: a quadratic
+theta^T H theta - 2 c^T theta, so every step costs a p x p product instead
+of two n x p ones (the covariance update of Friedman, Hastie & Tibshirani
+2010).  Each fit checks X and y and forms H1 = X^T X and c1 = X^T y once
+(`_gram`).  A solve with sample weights w gets its H and c from them by
+`_weighted_gram`, which touches only the rows D whose weight is not 1:
+H = H1 - X_D^T diag(1 - w_D) X_D and c = c1 - X_D^T ((1 - w_D) y_D).  The
+trimmed lasso is the 0/1-weight case: D is the set of dropped rows, and
+its first round, with D empty, solves on H1 itself.
 
-Every solve is `solver._gram_solve`, the Gram-form L1 solve the refit
-also runs, here with no rank-one term: exact first, FISTA only as the
-fallback.  With the signs of the start point fixed the lasso is one
-linear system on their support; `solver._sign_pattern_solve` (the
-active-set method of Osborne, Presnell & Turlach 2000) solves it,
-corrects the pattern at most `solver._SIGN_CORRECTIONS` times and returns
-the first candidate that passes the stop rule.  Only when none does, or a
-system is singular, does `solver._fista` run from the same start, with
-the soft threshold as prox.  The lasso method and the stage-0 fit of the
-adaptive Huber lasso start from theta = 0, where the first pattern is the
-coordinates that violate stationarity.  Every later IRLS pass of the
-adaptive Huber lasso, and every trimmed round after the first, starts
-from the previous solve's theta, which nearly always has the new
-solution's support and signs: the problems differ only through a small
-change in the sample weights or the kept set (the warm starts of pathwise
-solvers, Friedman, Hastie & Tibshirani 2010).
+Each stage of the adaptive Huber lasso minimizes the Huber loss plus the
+L1 penalty exactly, by the finite Newton method of Madsen & Nielsen
+(1990, BIT 30), in `_huber_stage`.  With the rows split at theta into the
+quadratic branch Q (|r| <= delta) and the rest O, with signs s_O, the
+stage is one lasso on H = X_Q^T X_Q and c = X_Q^T y_Q + delta X_O^T s_O:
+`_weighted_gram` gives the O rows weight 0, so a round multiplies only
+them, a fifth to a quarter of the rows on the configs/ grids.  The stage
+re-solves from each solution until the solution's own partition and signs
+are the ones its system was built on, which makes it stationary for the
+stage's objective; a solution that does not lower the objective is
+replaced by a halved step towards it.  A stage takes about two solves on
+the configs/ grids, and at most four.
+
+The stop rule is the same on every path: the subgradient residual of the
+returned theta is below tol * (1 + lam).  Every solve is `_lasso_solve`,
+that is `solver._gram_solve`, the Gram-form L1 solve the refit also runs,
+here with no rank-one term: exact first, FISTA only as the fallback.  With
+the signs of the start point fixed the lasso is one linear system on their
+support; `solver._sign_pattern_solve` (the active-set method of Osborne,
+Presnell & Turlach 2000) solves it, corrects the pattern at most
+`solver._SIGN_CORRECTIONS` times and returns the first candidate that
+passes the stop rule.  Only when none does, or a system is singular, does
+`solver._fista` run from the same start, with the soft threshold as prox.
+The lasso method and the stage-0 fit of the adaptive Huber lasso start
+from theta = 0, where the first pattern is the coordinates that violate
+stationarity.  Every Huber-stage round, and every trimmed round after the
+first, starts from the previous theta, which nearly always has the new
+solution's support and signs: the problems differ only through a few rows
+changing branch or a small change in the kept set (the warm starts of
+pathwise solvers, Friedman, Hastie & Tibshirani 2010).
 """
 
 from __future__ import annotations
@@ -61,6 +71,8 @@ class BaselineConfig:
 
 
 _TRIM_ROUNDS = 5000   # rounds `trimmed_lasso` runs before it warns
+_HUBER_ROUNDS = 50    # partition rounds a Huber stage runs before it warns
+_TOL = 1e-10          # every lasso solve stops at residual _TOL * (1 + lam)
 
 
 def _gram(X, y):
@@ -99,7 +111,7 @@ def _downdate(H, c, X_D, y_D, d):
     return (H - G, c - b) if d[0] > 0 else (H + G, c + b)
 
 
-def _fista_lasso(X, y, lam, weights=None, max_iters=5000, tol=1e-10,
+def _fista_lasso(X, y, lam, weights=None, max_iters=5000, tol=_TOL,
                  sample_weights=None, theta0=None, gram=None):
     """min sum w_i (y_i - <X_i, theta>)^2 + sum_j lam_j |theta_j|.
 
@@ -112,11 +124,10 @@ def _fista_lasso(X, y, lam, weights=None, max_iters=5000, tol=1e-10,
     and passes it to every solve, and without it the call checks X and y
     and forms its own.
 
-    The solve is `solver._gram_solve` from theta0 (zeros by default): the
-    exact solve on the sign pattern of theta0 first, with shift lam_j / 2,
-    and FISTA from theta0 only as the fallback.  Non-finite X, y, sample
-    weights, coordinate weights or theta0, negative sample or coordinate
-    weights and a theta0 that is not of length p raise ValueError.
+    The solve is `_lasso_solve` from theta0 (zeros by default).  Non-finite
+    X, y, sample weights, coordinate weights or theta0, negative sample or
+    coordinate weights and a theta0 that is not of length p raise
+    ValueError.
     """
     p = X.shape[1]
     _check_finite(("sample weights", sample_weights), ("weights", weights),
@@ -133,12 +144,20 @@ def _fista_lasso(X, y, lam, weights=None, max_iters=5000, tol=1e-10,
         X, y, gram, np.asarray(sample_weights, dtype=float))
     lam_j = np.full(p, lam) if weights is None else lam * np.asarray(weights, float)
     theta0 = np.zeros(p) if theta0 is None else np.asarray(theta0, dtype=float)
+    return _lasso_solve(H, c, lam_j, theta0, tol * (1.0 + lam), max_iters)
 
+
+def _lasso_solve(H, c, lam_j, theta0, bound, max_iters=5000):
+    """theta^T H theta - 2 c^T theta + sum_j lam_j |theta_j| by
+    `solver._gram_solve` from theta0: the exact solve on the sign pattern
+    of theta0 first, with shift lam_j / 2, and FISTA from theta0 with the
+    soft threshold as prox only as the fallback.  Returns a theta whose
+    subgradient residual is at most `bound`."""
     def soft_threshold(v, step):
         return np.sign(v) * np.maximum(np.abs(v) - step * lam_j, 0.0)
 
     theta, _ = _gram_solve(H, c, theta0, lambda theta, g: _l1_residual(theta, g, lam_j),
-                           tol * (1.0 + lam), 0.5 * lam_j, 0.0, soft_threshold, max_iters)
+                           bound, 0.5 * lam_j, 0.0, soft_threshold, max_iters)
     return theta
 
 
@@ -147,53 +166,95 @@ def lasso(data: Dataset, cfg: BaselineConfig) -> np.ndarray:
     return _fista_lasso(data.X, data.y, cfg.lam)
 
 
-def _huber_weights(resid, delta):
-    """IRLS weights for the Huber loss: 1 on the quadratic branch, delta/|r| beyond."""
-    a = np.abs(resid)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w = np.where(a <= delta, 1.0, delta / np.maximum(a, 1e-300))
-    return w
-
-
 def _mad_scale(resid) -> float:
     med = np.median(resid)
     return 1.4826 * float(np.median(np.abs(resid - med)))
 
 
+def _huber_stage(X, y, gram, theta, delta, lam, lam_j):
+    """min F(theta) = sum_i rho(r_i) + sum_j lam_j |theta_j|, r = y - X theta,
+    with rho(r) = r^2 for |r| <= delta and 2 delta |r| - delta^2 beyond, by
+    the finite Newton method of Madsen & Nielsen (1990), from theta.
+
+    Each round splits the rows at theta into Q (|r| <= delta) and O, with
+    signs s_O.  With that partition fixed F is the lasso on
+    H = X_Q^T X_Q and c = X_Q^T y_Q + delta X_O^T s_O: `_weighted_gram`
+    drops the O rows with weight 0, and their y, shifted by -delta s_O,
+    turns c1 - X_O^T y_O into c.  `_lasso_solve` solves it exactly, warm
+    from theta.  A solution whose own partition and signs are the ones the
+    system was built on is stationary for F, within the lasso's stop rule,
+    and is returned.  Otherwise it becomes the next theta if it lowers F;
+    if not, the step towards it is halved until F drops (the model agrees
+    with F to first order at theta, so the step descends unless theta is
+    already optimal to rounding, which returns theta).  Without that
+    damping the iteration can cycle between partitions.  A stage that has
+    not settled after `_HUBER_ROUNDS` rounds warns and returns the last
+    iterate.
+    """
+    def objective(th):
+        a = np.abs(y - X @ th)
+        return float(np.where(a <= delta, a * a, delta * (2.0 * a - delta)).sum()
+                     + lam_j @ np.abs(th))
+
+    def signs_beyond_delta(th):
+        r = y - X @ th
+        return np.where(np.abs(r) > delta, np.sign(r), 0.0)
+
+    bound = _TOL * (1.0 + lam)
+    s = signs_beyond_delta(theta)
+    f = objective(theta)
+    for _ in range(_HUBER_ROUNDS):
+        H, c = _weighted_gram(X, y - delta * s, gram, (s == 0.0).astype(float))
+        theta_new = _lasso_solve(H, c, lam_j, theta, bound)
+        s_new = signs_beyond_delta(theta_new)
+        if np.array_equal(s_new, s):
+            return theta_new
+        f_new, step = objective(theta_new), theta_new - theta
+        t = 1.0
+        while not f_new < f:
+            t *= 0.5
+            if t < np.finfo(float).eps:
+                return theta
+            theta_new = theta + t * step
+            f_new = objective(theta_new)
+        if t < 1.0:
+            s_new = signs_beyond_delta(theta_new)
+        theta, f, s = theta_new, f_new, s_new
+    warnings.warn("adaptive Huber lasso: a Huber stage did not settle in "
+                  f"{_HUBER_ROUNDS} partition rounds; using the last iterate",
+                  stacklevel=3)
+    return theta
+
+
 def adaptive_huber_lasso(data: Dataset, cfg: BaselineConfig) -> np.ndarray:
     """Two-stage Huber-loss lasso with adaptive per-coordinate weights.
 
-    Stage 1 minimizes the Huber loss of the residuals plus lam ||theta||_1
-    by iteratively reweighted least squares wrapped around the weighted
-    lasso solve.  The residual scale (and with it delta = 1.345 x MAD) is
-    re-estimated after each pass: the plain stage-0 fit can be wrecked by
-    gross outliers, and the iteration contracts the scale back to the clean
-    residuals.  Stage 2 re-solves with coordinate penalties lam / |theta_j|
-    from the stage-1 estimate (capped at 1e6).  A Huber stage that has not settled after 50 passes,
-    or a scale that has not settled after 12 rounds, warns and goes on with
-    the last iterate, as `trimmed_lasso` does.
+    Stage 1 minimizes the Huber loss of the residuals plus lam ||theta||_1,
+    with delta = 1.345 x MAD of the residuals re-estimated before each
+    stage from the last one's fit: the plain stage-0 lasso fit can be
+    wrecked by gross outliers, and the iteration contracts the scale back
+    to the clean residuals.
+    Stage 2 re-solves with coordinate penalties lam / |theta_j| from the
+    stage-1 estimate (capped at 1e6).  Each solve is exact: `_huber_stage`,
+    the finite Newton method of Madsen & Nielsen (1990, BIT 30), solves the
+    lasso on H = X_Q^T X_Q, c = X_Q^T y_Q + delta X_O^T s_O for the rows Q
+    on the quadratic branch and the signs s_O of the others, stops when the
+    solution's own partition and signs repeat, and halves the step towards
+    a solution that does not lower the objective.  A stage that has not
+    settled after `_HUBER_ROUNDS` partition rounds, or a scale that has
+    not settled after 12 rounds, warns and goes on with the last iterate,
+    as `trimmed_lasso` does.
     """
     X, y = data.X, data.y
     gram = _gram(X, y)
     theta = _fista_lasso(X, y, cfg.lam, gram=gram)
-
-    def huber_stage(th, delta, coord_weights):
-        for _ in range(50):
-            w = _huber_weights(y - X @ th, delta)
-            th_new = _fista_lasso(X, y, cfg.lam, weights=coord_weights,
-                                  sample_weights=w, theta0=th, gram=gram)
-            if np.linalg.norm(th_new - th) <= 1e-9 * (1.0 + np.linalg.norm(th)):
-                return th_new
-            th = th_new
-        warnings.warn("adaptive Huber lasso: an IRLS stage did not converge "
-                      "in 50 passes; using the last iterate", stacklevel=3)
-        return th
+    lam_j = np.full(X.shape[1], float(cfg.lam))
 
     delta = None
     theta1 = theta
     for _ in range(12):
         d_new = 1.345 * max(_mad_scale(y - X @ theta1), 1e-8)
-        theta1 = huber_stage(theta1, d_new, None)
+        theta1 = _huber_stage(X, y, gram, theta1, d_new, cfg.lam, lam_j)
         if delta is not None and abs(d_new - delta) <= 1e-3 * delta:
             delta = d_new
             break
@@ -204,7 +265,7 @@ def adaptive_huber_lasso(data: Dataset, cfg: BaselineConfig) -> np.ndarray:
 
     inv = 1.0 / np.maximum(np.abs(theta1), 1e-12)
     coord_weights = np.minimum(inv, 1e6)
-    return huber_stage(theta1, delta, coord_weights)
+    return _huber_stage(X, y, gram, theta1, delta, cfg.lam, cfg.lam * coord_weights)
 
 
 def trimmed_lasso(data: Dataset, cfg: BaselineConfig) -> tuple[np.ndarray, np.ndarray]:

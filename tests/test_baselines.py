@@ -283,31 +283,40 @@ def test_fista_started_at_its_solution_stays_there():
     assert np.abs(again - theta).max() <= tol * (1.0 + lam) / L + 1e-14
 
 
+@pytest.fixture
+def lasso_solves(monkeypatch):
+    """Record every `baselines._lasso_solve` call, the one solve behind each
+    lasso, each exact Huber-stage round and each trimmed round, as
+    (H, c, lam_j, theta0, bound, theta returned)."""
+    calls = []
+    real = baselines._lasso_solve
+
+    def recording(H, c, lam_j, theta0, bound, *args):
+        theta = real(H, c, lam_j, theta0, bound, *args)
+        calls.append((H, c, lam_j, np.array(theta0), bound, theta))
+        return theta
+
+    monkeypatch.setattr(baselines, "_lasso_solve", recording)
+    return calls
+
+
 @pytest.mark.parametrize("method", ["adahuber", "trimmed"])
-def test_repeated_solves_start_from_the_previous_theta(monkeypatch, method):
-    """The first lasso solve starts cold; every later one (each adahuber IRLS
-    pass after stage 0, each trimmed round after the first) starts from the
-    theta the previous solve returned."""
+def test_repeated_solves_start_from_the_previous_theta(lasso_solves, method):
+    """The first lasso solve starts cold; every later one (each adahuber
+    Huber-stage round after stage 0, each trimmed round after the first)
+    starts from the theta the previous solve returned."""
     data = generate(GenSpec(
         ground_truth=GroundTruthConfig(p=8, k=3, M=2.2, sigma_e=0.1),
         r=40, n_outliers=20, seed=15))
     cfg = BaselineConfig(lam=0.6, trim_count=20)
-    calls = []
-
-    def recording(*args, **kwargs):
-        theta = _fista_lasso(*args, **kwargs)
-        calls.append((kwargs.get("theta0"), theta))
-        return theta
-
-    monkeypatch.setattr(baselines, "_fista_lasso", recording)
     if method == "adahuber":
         adaptive_huber_lasso(data, cfg)
     else:
         trimmed_lasso(data, cfg)
-    assert len(calls) >= 3
-    assert calls[0][0] is None
-    for (_, previous), (start, _) in zip(calls, calls[1:]):
-        assert start is not None and np.array_equal(start, previous)
+    assert len(lasso_solves) >= 3
+    assert not lasso_solves[0][3].any()
+    for previous, (_, _, _, start, _, _) in zip(lasso_solves, lasso_solves[1:]):
+        assert np.array_equal(start, previous[-1])
 
 
 @pytest.mark.parametrize("kwargs,match", [
@@ -428,37 +437,46 @@ def test_trimmed_first_round_is_lasso(monkeypatch):
 
 
 def test_warm_adahuber_passes_multiply_only_the_downweighted_rows(monkeypatch):
-    """Each warm IRLS pass downdates X^T X over exactly the rows with a Huber
-    weight below 1, and the cold stage-0 fit multiplies no row."""
+    """Each exact Huber-stage round downdates X^T X over exactly the rows it
+    gives weight 0, and those are the rows beyond delta at its start: every
+    one has a larger residual than every row it keeps.  The cold stage-0
+    fit multiplies no row."""
     data = generate(GenSpec(
         ground_truth=GroundTruthConfig(p=8, k=3, M=2.2, sigma_e=0.1),
         r=40, n_outliers=20, seed=15))
-    downdated = []
-    passes = []
-    real_downdate = baselines._downdate
+    downdated, weights, passes = [], [], []
+    real_downdate, real_weighted = baselines._downdate, baselines._weighted_gram
+    real_solve = baselines._lasso_solve
 
     def spy_downdate(H, c, X_D, y_D, d):
         downdated.append(X_D)
         return real_downdate(H, c, X_D, y_D, d)
 
-    def recording(X, y, lam, **kwargs):
-        before = len(downdated)
-        theta = _fista_lasso(X, y, lam, **kwargs)
-        passes.append((kwargs.get("sample_weights"), downdated[before:]))
-        return theta
+    def spy_weighted(X, y, gram, w):
+        weights.append(w)
+        return real_weighted(X, y, gram, w)
+
+    def recording(H, c, lam_j, theta0, bound, *args):
+        passes.append((theta0, weights[:], downdated[:]))
+        weights.clear()
+        downdated.clear()
+        return real_solve(H, c, lam_j, theta0, bound, *args)
 
     monkeypatch.setattr(baselines, "_downdate", spy_downdate)
-    monkeypatch.setattr(baselines, "_fista_lasso", recording)
+    monkeypatch.setattr(baselines, "_weighted_gram", spy_weighted)
+    monkeypatch.setattr(baselines, "_lasso_solve", recording)
     adaptive_huber_lasso(data, BaselineConfig(lam=0.6))
-    assert passes[0] == (None, [])
+    assert passes[0][1:] == ([], [])
     partial = 0
-    for w, rows in passes[1:]:
-        below = w < 1.0
-        assert np.all(w <= 1.0)
-        assert len(rows) == int(below.any())
+    for theta0, (w,), rows in passes[1:]:
+        beyond = w == 0.0
+        assert np.all(beyond | (w == 1.0))
+        assert len(rows) == int(beyond.any())
         if rows:
-            assert np.array_equal(rows[0], data.X[below])
-            partial += below.sum() < data.n
+            assert np.array_equal(rows[0], data.X[beyond])
+            a = np.abs(data.y - data.X @ theta0)
+            assert a[beyond].min() > a[~beyond].max(initial=0.0)
+            partial += beyond.sum() < data.n
     assert partial > 0
 
 
@@ -487,6 +505,14 @@ def test_baselines_pinned_output_fig2_p100_seed0():
         assert np.abs(theta - pinned).max() <= 1e-12
 
 
+def l1_residual(theta, g, lam_j):
+    """The largest subgradient residual of theta for a loss with gradient g
+    plus sum_j lam_j |theta_j|."""
+    resid = np.where(theta != 0.0, np.abs(g + lam_j * np.sign(theta)),
+                     np.maximum(np.abs(g) - lam_j, 0.0))
+    return resid.max(initial=0.0)
+
+
 def stop_residual(X, y, lam, theta, weights=None, sample_weights=None):
     """The largest subgradient residual of theta, computed on the Gram form
     exactly as `_fista_lasso` computes it."""
@@ -494,10 +520,7 @@ def stop_residual(X, y, lam, theta, weights=None, sample_weights=None):
         sw = np.sqrt(sample_weights)
         X, y = X * sw[:, None], y * sw
     lam_j = np.full(X.shape[1], lam) if weights is None else lam * np.asarray(weights)
-    g = 2.0 * (X.T @ X @ theta - X.T @ y)
-    resid = np.where(theta != 0.0, np.abs(g + lam_j * np.sign(theta)),
-                     np.maximum(np.abs(g) - lam_j, 0.0))
-    return resid.max(initial=0.0)
+    return l1_residual(theta, 2.0 * (X.T @ X @ theta - X.T @ y), lam_j)
 
 
 @pytest.mark.parametrize("n,p", [(40, 6), (8, 15)])
@@ -549,40 +572,100 @@ def test_warm_start_on_singular_support_falls_back_to_fista(fista_calls):
 def test_warm_solves_mostly_skip_fista_and_pass_the_stop_rule(monkeypatch,
                                                               fista_calls, method):
     """Warm-started solves run FISTA less often than they are made, and every
-    theta returned, by either path, meets the stop rule."""
+    theta returned, by either path, meets the stop rule of the system it
+    solved, at the lasso's tol * (1 + lam)."""
     data = generate(GenSpec(
         ground_truth=GroundTruthConfig(p=8, k=3, M=2.2, sigma_e=0.1),
         r=40, n_outliers=20, seed=15))
     cfg = BaselineConfig(lam=0.6, trim_count=20)
     solves = []
+    real = baselines._lasso_solve
 
-    def recording(X, y, lam, **kwargs):
+    def recording(H, c, lam_j, theta0, bound, *args):
         fista_before = len(fista_calls)
-        theta = _fista_lasso(X, y, lam, **kwargs)
-        solves.append((X, y, lam, kwargs, theta, len(fista_calls) - fista_before))
+        theta = real(H, c, lam_j, theta0, bound, *args)
+        solves.append((H, c, lam_j, theta0, bound, theta, len(fista_calls) - fista_before))
         return theta
 
-    monkeypatch.setattr(baselines, "_fista_lasso", recording)
+    monkeypatch.setattr(baselines, "_lasso_solve", recording)
     if method == "adahuber":
         adaptive_huber_lasso(data, cfg)
     else:
         trimmed_lasso(data, cfg)
-    warm = [s for s in solves if s[3].get("theta0") is not None]
+    warm = [s for s in solves if s[3].any()]
     assert len(warm) >= 2
-    assert sum(s[5] for s in warm) < len(warm)
+    assert sum(s[-1] for s in warm) < len(warm)
     tol = inspect.signature(_fista_lasso).parameters["tol"].default
-    for X, y, lam, kwargs, theta, _ in solves:
-        assert stop_residual(X, y, lam, theta, kwargs.get("weights"),
-                             kwargs.get("sample_weights")) <= tol * (1.0 + lam)
+    for H, c, lam_j, _, bound, theta, _ in solves:
+        assert bound == tol * (1.0 + cfg.lam)
+        assert l1_residual(theta, 2.0 * (H @ theta - c), lam_j) <= bound
 
 
-def test_adahuber_warns_when_an_irls_stage_hits_its_pass_cap():
+def huber_lasso_residual(X, y, theta, delta, lam_j):
+    """The largest stationarity residual of theta for
+    sum_i rho(r_i) + sum_j lam_j |theta_j|, rho(r) = r^2 for |r| <= delta and
+    2 delta |r| - delta^2 beyond: the loss gradient is -2 X^T psi(r) with
+    psi(r) = r on the quadratic branch and delta sign(r) beyond it."""
+    r = y - X @ theta
+    psi = np.where(np.abs(r) <= delta, r, delta * np.sign(r))
+    return l1_residual(theta, -2.0 * X.T @ psi, lam_j)
+
+
+def test_exact_huber_stages_are_stationary(monkeypatch):
+    """On a fixture where 50 IRLS passes did not settle a stage six times,
+    every finite Newton stage ends without a warning, at a theta that is
+    stationary for its Huber-lasso objective within the lasso's stop rule."""
     data = generate(GenSpec(
         ground_truth=GroundTruthConfig(p=5, k=2, M=2.2, sigma_e=0.1),
         r=25, n_outliers=8, seed=0))
-    with pytest.warns(UserWarning, match="did not converge in 50 passes"):
-        theta = adaptive_huber_lasso(data, BaselineConfig(lam=2.0))
+    cfg = BaselineConfig(lam=2.0)
+    stages = []
+    real = baselines._huber_stage
+
+    def recording(X, y, gram, theta, delta, lam, lam_j):
+        out = real(X, y, gram, theta, delta, lam, lam_j)
+        stages.append((delta, lam_j, out))
+        return out
+
+    monkeypatch.setattr(baselines, "_huber_stage", recording)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        theta = adaptive_huber_lasso(data, cfg)
+    assert np.array_equal(theta, stages[-1][-1])
+    assert len(stages) >= 3
+    tol = inspect.signature(_fista_lasso).parameters["tol"].default
+    for delta, lam_j, out in stages:
+        assert huber_lasso_residual(data.X, data.y, out, delta, lam_j) <= tol * (1.0 + cfg.lam)
+
+
+def test_huber_stage_damps_a_newton_step_that_does_not_lower_the_objective(
+        lasso_solves, fista_calls):
+    """A fixture where undamped finite Newton cycles between partitions (and
+    IRLS hits its pass cap): some round's solution does not lower the
+    objective, so the next round starts a halved step towards it, and every
+    stage still settles with no warning and no FISTA run.  The Huber scale
+    itself cycles here and hits its round cap, which is its own warning."""
+    data = generate(GenSpec(
+        ground_truth=GroundTruthConfig(p=8, k=2, M=2.2, sigma_e=0.1),
+        r=25, n_outliers=8, seed=14))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        theta = adaptive_huber_lasso(data, BaselineConfig(lam=10.0))
+    assert [str(w.message) for w in caught] == [
+        "adaptive Huber lasso: the Huber scale did not settle in 12 rounds; using the last one"]
     assert np.all(np.isfinite(theta))
+    assert not fista_calls
+    damped = 0
+    for (_, _, _, start, _, solution), (_, _, _, nxt, _, _) in zip(lasso_solves,
+                                                                   lasso_solves[1:]):
+        if np.array_equal(nxt, solution):
+            continue
+        damped += 1
+        step = solution - start
+        halvings = round(-np.log2(np.dot(nxt - start, step) / np.dot(step, step)))
+        assert halvings >= 1
+        assert np.array_equal(nxt, start + 0.5 ** halvings * step)
+    assert damped >= 1
 
 
 def test_adahuber_warns_when_the_huber_scale_hits_its_round_cap():
