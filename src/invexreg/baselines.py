@@ -8,20 +8,29 @@ comparison curves, not reference implementations.
 All three solve lasso problems on the Gram form: a quadratic
 theta^T H theta - 2 c^T theta, so every step costs a p x p product instead
 of two n x p ones (the covariance update of Friedman, Hastie & Tibshirani
-2010).  Each fit checks X and y and forms H1 = X^T X and c1 = X^T y once
-(`_gram`).  A solve with sample weights w gets its H and c from them by
-`_weighted_gram`, which touches only the rows D whose weight is not 1:
-H = H1 - X_D^T diag(1 - w_D) X_D and c = c1 - X_D^T ((1 - w_D) y_D).  The
-trimmed lasso is the 0/1-weight case: D is the set of dropped rows, and
-its first round, with D empty, solves on H1 itself.
+2010).  Each fit checks X and y and forms H1 = X^T X once (`_gram`), and
+then carries its Gram from solve to solve as the pair (H, w): H =
+X^T diag(w) X at the sample weights w it was last formed at.  A solve at
+new weights w' updates H by `_weighted_gram`, which touches only the rows
+D whose weight changed, H' = H - X_D^T diag(w_D - w'_D) X_D, and c =
+X^T (w' y) is formed directly, one n x p product that cannot drift.  The
+trimmed lasso is the 0/1-weight case: its first round solves on H1
+itself, and each later round touches only the rows that swapped in or out
+of the kept set, a median of 36 of the 1107 on the fig2_p100 seed-0 cells,
+where every round drops 369 (the C-step updates of FAST-LTS, Rousseeuw &
+Van Driessen 2006).  Every update adds or subtracts a product A^T A, so
+the carried H stays exactly symmetric, and it stays within about 1e-15
+relative of X^T W X formed from every row.
 
 Each stage of the adaptive Huber lasso minimizes the Huber loss plus the
 L1 penalty exactly, by the finite Newton method of Madsen & Nielsen
 (1990, BIT 30), in `_huber_stage`.  With the rows split at theta into the
 quadratic branch Q (|r| <= delta) and the rest O, with signs s_O, the
 stage is one lasso on H = X_Q^T X_Q and c = X_Q^T y_Q + delta X_O^T s_O:
-`_weighted_gram` gives the O rows weight 0, so a round multiplies only
-them, a fifth to a quarter of the rows on the configs/ grids.  The stage
+the carried Gram at weight 0 on O, and c = X^T (w y + delta s).  One Gram
+is carried through every round and every stage of the fit, so a round
+touches only the rows that changed branch since the previous solve, a
+median of 2 on those cells, where a quarter of the rows lie in O.  The stage
 re-solves from each solution until the solution's own partition and signs
 are the ones its system was built on, which makes it stationary for the
 stage's objective; a solution that does not lower the objective is
@@ -75,40 +84,49 @@ _HUBER_ROUNDS = 50    # partition rounds a Huber stage runs before it warns
 _TOL = 1e-10          # every lasso solve stops at residual _TOL * (1 + lam)
 
 
+@dataclass(eq=False)
+class _Gram:
+    """A fit's Gram, carried from solve to solve: H = X^T diag(w) X and the
+    sample weights w it was last formed at."""
+    H: np.ndarray
+    w: np.ndarray
+
+
 def _gram(X, y):
-    """H1 = X^T X and c1 = X^T y, formed once per fit; non-finite X or y
-    raise ValueError."""
+    """The carried Gram at weights 1, H1 = X^T X, formed once per fit;
+    non-finite X or y raise ValueError."""
     _check_finite(("X", X), ("y", y))
-    return X.T @ X, X.T @ y
+    return _Gram(X.T @ X, np.ones(X.shape[0]))
 
 
-def _weighted_gram(X, y, gram, w):
-    """X^T W X and X^T W y, W = diag(w), from gram = `_gram(X, y)`.
+def _weighted_gram(X, gram, w):
+    """X^T W X, W = diag(w), updated in place from the carried `gram`.
 
-    Only the rows whose weight is not 1 are touched: those below 1 are
-    downdated out of the Gram and those above 1 updated into it.  With all
-    weights 1 the Gram is returned as it is.
+    Only the rows whose weight differs from `gram.w`, the weights the Gram
+    was last formed at, are touched: those whose weight fell are downdated
+    out of it and those whose weight rose updated into it.  `gram` then
+    holds the new pair (H, w).  With no weight changed the Gram is returned
+    as it is.
     """
-    H, c = gram
-    d = 1.0 - w
+    d = gram.w - w
     for D in (np.flatnonzero(d > 0), np.flatnonzero(d < 0)):
         if D.size:
-            H, c = _downdate(H, c, X[D], y[D], d[D])
-    return H, c
+            gram.H = _downdate(gram.H, X[D], d[D])
+    gram.w = w
+    return gram.H
 
 
-def _downdate(H, c, X_D, y_D, d):
-    """H - X_D^T diag(d) X_D and c - X_D^T (d y_D) for d of one sign.
+def _downdate(H, X_D, d):
+    """H - X_D^T diag(d) X_D for d of one sign.
 
-    With s = sqrt(|d|) and A = diag(s) X_D the corrections are +-A^T A and
-    +-A^T (s y_D).  A^T A is a product of a matrix with its own transpose,
-    so an exactly symmetric H stays exactly symmetric: `eigvalsh` reads one
-    triangle of it and `np.linalg.solve` reads both.
+    With A = diag(sqrt|d|) X_D the correction is +-A^T A, a product of a
+    matrix with its own transpose, so an exactly symmetric H stays exactly
+    symmetric: `eigvalsh` reads one triangle of it and `np.linalg.solve`
+    reads both.
     """
-    s = np.sqrt(np.abs(d))
-    A = X_D * s[:, None]
-    G, b = A.T @ A, A.T @ (s * y_D)
-    return (H - G, c - b) if d[0] > 0 else (H + G, c + b)
+    A = X_D * np.sqrt(np.abs(d))[:, None]
+    G = A.T @ A
+    return H - G if d[0] > 0 else H + G
 
 
 def _fista_lasso(X, y, lam, weights=None, max_iters=5000, tol=_TOL,
@@ -119,10 +137,11 @@ def _fista_lasso(X, y, lam, weights=None, max_iters=5000, tol=_TOL,
     W = diag(w), and c = X^T W y, the gradient of the loss is
     g = 2 (H theta - c), and a theta is returned only once its subgradient
     residual (|g_j + lam_j sign(theta_j)| on the support, the excess of
-    |g_j| over lam_j off it) is below tol * (1 + lam).  H and c come from
-    `gram` = `_gram(X, y)` by `_weighted_gram`; a fit forms `gram` once
-    and passes it to every solve, and without it the call checks X and y
-    and forms its own.
+    |g_j| over lam_j off it) is below tol * (1 + lam).  H comes from the
+    carried `gram` = `_gram(X, y)` by `_weighted_gram`, which touches only
+    the rows whose weight changed since its last solve; a fit forms `gram`
+    once and passes it to every solve, and without it the call checks X and
+    y and forms its own.  c is formed directly, one n x p product.
 
     The solve is `_lasso_solve` from theta0 (zeros by default).  Non-finite
     X, y, sample weights, coordinate weights or theta0, negative sample or
@@ -140,8 +159,9 @@ def _fista_lasso(X, y, lam, weights=None, max_iters=5000, tol=_TOL,
         raise ValueError(f"theta0 must have shape ({p},), got {np.shape(theta0)}")
     if gram is None:
         gram = _gram(X, y)
-    H, c = gram if sample_weights is None else _weighted_gram(
-        X, y, gram, np.asarray(sample_weights, dtype=float))
+    w = np.ones(X.shape[0]) if sample_weights is None else np.asarray(
+        sample_weights, dtype=float)
+    H, c = _weighted_gram(X, gram, w), X.T @ (w * y)
     lam_j = np.full(p, lam) if weights is None else lam * np.asarray(weights, float)
     theta0 = np.zeros(p) if theta0 is None else np.asarray(theta0, dtype=float)
     return _lasso_solve(H, c, lam_j, theta0, tol * (1.0 + lam), max_iters)
@@ -178,47 +198,52 @@ def _huber_stage(X, y, gram, theta, delta, lam, lam_j):
 
     Each round splits the rows at theta into Q (|r| <= delta) and O, with
     signs s_O.  With that partition fixed F is the lasso on
-    H = X_Q^T X_Q and c = X_Q^T y_Q + delta X_O^T s_O: `_weighted_gram`
-    drops the O rows with weight 0, and their y, shifted by -delta s_O,
-    turns c1 - X_O^T y_O into c.  `_lasso_solve` solves it exactly, warm
-    from theta.  A solution whose own partition and signs are the ones the
-    system was built on is stationary for F, within the lasso's stop rule,
-    and is returned.  Otherwise it becomes the next theta if it lowers F;
-    if not, the step towards it is halved until F drops (the model agrees
-    with F to first order at theta, so the step descends unless theta is
-    already optimal to rounding, which returns theta).  Without that
-    damping the iteration can cycle between partitions.  A stage that has
-    not settled after `_HUBER_ROUNDS` rounds warns and returns the last
-    iterate.
+    H = X_Q^T X_Q and c = X_Q^T y_Q + delta X_O^T s_O.  H is the carried
+    `gram` at weights 1 on Q and 0 on O: `_weighted_gram` touches only the
+    rows that changed branch since the fit's previous solve, in this stage
+    or an earlier one.  c is formed directly, X^T (w y + delta s) with s
+    zero on Q.  `_lasso_solve` solves it exactly, warm from theta.  A
+    solution whose own partition and signs are the ones the system was
+    built on is stationary for F, within the lasso's stop rule, and is
+    returned.  Otherwise it becomes the next theta if it lowers F; if not,
+    the step towards it is halved until F drops (the model agrees with F to
+    first order at theta, so the step descends unless theta is already
+    optimal to rounding, which returns theta).  Without that damping the
+    iteration can cycle between partitions.  Each candidate's residual is
+    formed once and serves both its objective and its partition.  A stage
+    that has not settled after `_HUBER_ROUNDS` rounds warns and returns the
+    last iterate.
     """
-    def objective(th):
-        a = np.abs(y - X @ th)
+    def objective(th, r):
+        a = np.abs(r)
         return float(np.where(a <= delta, a * a, delta * (2.0 * a - delta)).sum()
                      + lam_j @ np.abs(th))
 
-    def signs_beyond_delta(th):
-        r = y - X @ th
+    def signs_beyond_delta(r):
         return np.where(np.abs(r) > delta, np.sign(r), 0.0)
 
     bound = _TOL * (1.0 + lam)
-    s = signs_beyond_delta(theta)
-    f = objective(theta)
+    r = y - X @ theta
+    s, f = signs_beyond_delta(r), objective(theta, r)
     for _ in range(_HUBER_ROUNDS):
-        H, c = _weighted_gram(X, y - delta * s, gram, (s == 0.0).astype(float))
+        w = (s == 0.0).astype(float)
+        H, c = _weighted_gram(X, gram, w), X.T @ (w * y + delta * s)
         theta_new = _lasso_solve(H, c, lam_j, theta, bound)
-        s_new = signs_beyond_delta(theta_new)
+        r_new = y - X @ theta_new
+        s_new = signs_beyond_delta(r_new)
         if np.array_equal(s_new, s):
             return theta_new
-        f_new, step = objective(theta_new), theta_new - theta
+        f_new, step = objective(theta_new, r_new), theta_new - theta
         t = 1.0
         while not f_new < f:
             t *= 0.5
             if t < np.finfo(float).eps:
                 return theta
             theta_new = theta + t * step
-            f_new = objective(theta_new)
+            r_new = y - X @ theta_new
+            f_new = objective(theta_new, r_new)
         if t < 1.0:
-            s_new = signs_beyond_delta(theta_new)
+            s_new = signs_beyond_delta(r_new)
         theta, f, s = theta_new, f_new, s_new
     warnings.warn("adaptive Huber lasso: a Huber stage did not settle in "
                   f"{_HUBER_ROUNDS} partition rounds; using the last iterate",
@@ -282,7 +307,7 @@ def trimmed_lasso(data: Dataset, cfg: BaselineConfig) -> tuple[np.ndarray, np.nd
     kept = np.ones(n, dtype=bool)
     gram = _gram(data.X, data.y)
     theta = None  # the first round starts cold, later ones from the last theta
-    seen = []
+    seen = set()
     for _ in range(_TRIM_ROUNDS):
         theta = _fista_lasso(data.X, data.y, cfg.lam, sample_weights=kept.astype(float),
                              theta0=theta, gram=gram)
@@ -297,7 +322,7 @@ def trimmed_lasso(data: Dataset, cfg: BaselineConfig) -> tuple[np.ndarray, np.nd
             warnings.warn("trimmed lasso kept set is cycling; returning last iterate",
                           stacklevel=2)
             return theta, new_kept
-        seen.append(key)
+        seen.add(key)
         kept = new_kept
     warnings.warn("trimmed lasso did not reach a fixed point", stacklevel=2)
     return theta, kept

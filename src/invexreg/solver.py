@@ -361,7 +361,9 @@ def _sign_pattern_solve(H, c, theta0, residual, bound, shift, rank_one):
     for _ in range(_SIGN_CORRECTIONS + 1):
         active = np.flatnonzero(s)
         s_A = s[active]
-        K = H[np.ix_(active, active)] + rank_one * np.outer(s_A, s_A)
+        K = H[active][:, active]
+        if rank_one:
+            K += rank_one * np.outer(s_A, s_A)
         theta = np.zeros(c.size)
         try:
             theta[active] = np.linalg.solve(K, c[active] - shift[active] * s_A)

@@ -394,7 +394,7 @@ def test_fista_rejects_negative_sample_weights(sw):
 def test_weighted_gram_matches_direct_product(kind):
     """The Gram downdated from X^T X over the rows with w != 1 equals
     X^T W X formed from every row, and is exactly symmetric; with all
-    weights 1 it is X^T X itself."""
+    weights 1 it is X^T X itself.  The carried pair is then (H, w)."""
     rng = np.random.default_rng(18)
     n, p = 60, 7
     X = rng.standard_normal((n, p))
@@ -408,13 +408,13 @@ def test_weighted_gram_matches_direct_product(kind):
     elif kind == "spanning_one":
         w = rng.uniform(0.2, 2.0, n)
     gram = _gram(X, y)
-    H, c = _weighted_gram(X, y, gram, w)
-    H_direct, c_direct = X.T @ (w[:, None] * X), X.T @ (w * y)
+    H = _weighted_gram(X, gram, w)
+    H_direct = X.T @ (w[:, None] * X)
     assert np.array_equal(H, H.T)
     assert np.abs(H - H_direct).max() <= 1e-12 * np.abs(H_direct).max()
-    assert np.abs(c - c_direct).max() <= 1e-12 * np.abs(c_direct).max()
+    assert gram.H is H and gram.w is w
     if kind == "ones":
-        assert np.array_equal(H, X.T @ X) and np.array_equal(c, X.T @ y)
+        assert np.array_equal(H, X.T @ X)
 
 
 def test_trimmed_first_round_is_lasso(monkeypatch):
@@ -436,48 +436,127 @@ def test_trimmed_first_round_is_lasso(monkeypatch):
     assert np.array_equal(thetas[0], lasso(data, cfg))
 
 
-def test_warm_adahuber_passes_multiply_only_the_downweighted_rows(monkeypatch):
-    """Each exact Huber-stage round downdates X^T X over exactly the rows it
-    gives weight 0, and those are the rows beyond delta at its start: every
-    one has a larger residual than every row it keeps.  The cold stage-0
-    fit multiplies no row."""
-    data = generate(GenSpec(
-        ground_truth=GroundTruthConfig(p=8, k=3, M=2.2, sigma_e=0.1),
-        r=40, n_outliers=20, seed=15))
-    downdated, weights, passes = [], [], []
+@pytest.fixture
+def gram_updates(monkeypatch):
+    """Record, per `baselines._lasso_solve` call, the start theta0, the
+    weights the carried Gram was brought to, the indices of the rows
+    `_downdate` touched on the way, the current Huber scale (None outside a
+    Huber stage), the H and c solved on and the theta returned."""
+    solves, weights, touched, stage = [], [], [], {"delta": None}
     real_downdate, real_weighted = baselines._downdate, baselines._weighted_gram
-    real_solve = baselines._lasso_solve
+    real_solve, real_stage = baselines._lasso_solve, baselines._huber_stage
 
-    def spy_downdate(H, c, X_D, y_D, d):
-        downdated.append(X_D)
-        return real_downdate(H, c, X_D, y_D, d)
+    def spy_downdate(H, X_D, d):
+        touched.append(X_D)
+        return real_downdate(H, X_D, d)
 
-    def spy_weighted(X, y, gram, w):
+    def spy_weighted(X, gram, w):
         weights.append(w)
-        return real_weighted(X, y, gram, w)
+        index = {row.tobytes(): i for i, row in enumerate(X)}
+        out = real_weighted(X, gram, w)
+        touched[:] = [index[row.tobytes()] for X_D in touched for row in X_D]
+        return out
+
+    def spy_stage(X, y, gram, theta, delta, lam, lam_j):
+        stage["delta"] = delta
+        return real_stage(X, y, gram, theta, delta, lam, lam_j)
 
     def recording(H, c, lam_j, theta0, bound, *args):
-        passes.append((theta0, weights[:], downdated[:]))
+        (w,) = weights
+        theta = real_solve(H, c, lam_j, theta0, bound, *args)
+        solves.append({"theta0": np.array(theta0), "w": w, "rows": sorted(touched),
+                       "delta": stage["delta"], "H": H, "c": c, "lam_j": lam_j,
+                       "bound": bound, "theta": theta})
         weights.clear()
-        downdated.clear()
-        return real_solve(H, c, lam_j, theta0, bound, *args)
+        touched.clear()
+        return theta
 
     monkeypatch.setattr(baselines, "_downdate", spy_downdate)
     monkeypatch.setattr(baselines, "_weighted_gram", spy_weighted)
+    monkeypatch.setattr(baselines, "_huber_stage", spy_stage)
     monkeypatch.setattr(baselines, "_lasso_solve", recording)
+    return solves
+
+
+def changed_rows(w_prev, w):
+    return np.flatnonzero(w_prev != w).tolist()
+
+
+def test_warm_adahuber_passes_multiply_only_the_downweighted_rows(gram_updates):
+    """One Gram is carried through every Huber round and stage.  Each
+    round's weights are 0/1, every weight-0 row lies beyond delta at the
+    round's start and every weight-1 row within it, and the round touches
+    exactly the rows whose weight changed since the previous solve, in all
+    far fewer than it gives weight 0.  The cold stage-0 fit touches no row."""
+    data = generate(GenSpec(
+        ground_truth=GroundTruthConfig(p=8, k=3, M=2.2, sigma_e=0.1),
+        r=40, n_outliers=20, seed=15))
     adaptive_huber_lasso(data, BaselineConfig(lam=0.6))
-    assert passes[0][1:] == ([], [])
-    partial = 0
-    for theta0, (w,), rows in passes[1:]:
-        beyond = w == 0.0
-        assert np.all(beyond | (w == 1.0))
-        assert len(rows) == int(beyond.any())
-        if rows:
-            assert np.array_equal(rows[0], data.X[beyond])
-            a = np.abs(data.y - data.X @ theta0)
-            assert a[beyond].min() > a[~beyond].max(initial=0.0)
-            partial += beyond.sum() < data.n
-    assert partial > 0
+    first, rounds = gram_updates[0], gram_updates[1:]
+    assert first["delta"] is None and np.all(first["w"] == 1.0) and first["rows"] == []
+    assert len(rounds) >= 3
+    w_prev, touched, dropped = first["w"], 0, 0
+    for solve in rounds:
+        w, delta = solve["w"], solve["delta"]
+        assert np.all((w == 0.0) | (w == 1.0))
+        assert solve["rows"] == changed_rows(w_prev, w)
+        a = np.abs(data.y - data.X @ solve["theta0"])
+        assert np.all(a[w == 0.0] > delta) and np.all(a[w == 1.0] <= delta)
+        w_prev, touched, dropped = w, touched + len(solve["rows"]), dropped + (w == 0).sum()
+    assert 0 < touched < dropped
+
+
+def test_trimmed_rounds_touch_only_the_rows_that_swap(gram_updates):
+    """The first trimmed round keeps every row and touches none; each later
+    round updates the carried Gram by exactly the rows that swapped into or
+    out of the kept set since the previous round, in all fewer than it
+    drops."""
+    data = generate(GenSpec(
+        ground_truth=GroundTruthConfig(p=8, k=3, M=2.2, sigma_e=0.1),
+        r=40, n_outliers=20, seed=15))
+    trimmed_lasso(data, BaselineConfig(lam=0.6, trim_count=20))
+    assert np.all(gram_updates[0]["w"] == 1.0) and gram_updates[0]["rows"] == []
+    assert len(gram_updates) >= 3
+    touched = 0
+    for previous, solve in zip(gram_updates, gram_updates[1:]):
+        w = solve["w"]
+        assert np.all((w == 0.0) | (w == 1.0)) and (w == 0.0).sum() == 20
+        assert solve["rows"] == changed_rows(previous["w"], w)
+        touched += len(solve["rows"])
+    assert 0 < touched < 20 * (len(gram_updates) - 1)
+
+
+@pytest.mark.parametrize("method", ["adahuber", "trimmed"])
+def test_carried_gram_matches_the_direct_product_after_every_round(gram_updates,
+                                                                   method):
+    """After every round the carried H is exactly symmetric and within
+    1e-12 relative of X^T W X formed from every row, c equals X^T (w y),
+    plus delta X^T s in a Huber round, formed directly, and the returned
+    theta meets the lasso's stop rule on that directly formed (H, c)."""
+    data = generate(GenSpec(
+        ground_truth=GroundTruthConfig(p=30, k=5, M=2.2, sigma_e=0.1),
+        r=200, n_outliers=100, seed=3))
+    X, y = data.X, data.y
+    cfg = BaselineConfig(lam=2.0, trim_count=100)
+    if method == "adahuber":
+        adaptive_huber_lasso(data, cfg)
+    else:
+        trimmed_lasso(data, cfg)
+    assert len(gram_updates) >= 3
+    for solve in gram_updates:
+        w, delta, H, theta = solve["w"], solve["delta"], solve["H"], solve["theta"]
+        v = w * y
+        if delta is not None:
+            r = y - X @ solve["theta0"]
+            s = np.where(np.abs(r) > delta, np.sign(r), 0.0)
+            assert np.array_equal(w, (s == 0.0).astype(float))
+            v = v + delta * s
+        H_direct, c_direct = X.T @ (w[:, None] * X), X.T @ v
+        assert np.array_equal(H, H.T)
+        assert np.abs(H - H_direct).max() <= 1e-12 * np.abs(H_direct).max()
+        assert np.abs(solve["c"] - c_direct).max() <= 1e-12 * np.abs(c_direct).max()
+        g = 2.0 * (H_direct @ theta - c_direct)
+        assert l1_residual(theta, g, solve["lam_j"]) <= solve["bound"]
 
 
 def test_baselines_pinned_output_fig2_p100_seed0():
