@@ -40,20 +40,17 @@ the configs/ grids, and at most four.
 The stop rule is the same on every path: the subgradient residual of the
 returned theta is below tol * (1 + lam).  Every solve is `_lasso_solve`,
 that is `solver._gram_solve`, the Gram-form L1 solve the refit also runs,
-here with no rank-one term: exact first, FISTA only as the fallback.  With
-the signs of the start point fixed the lasso is one linear system on their
-support; `solver._sign_pattern_solve` (the active-set method of Osborne,
-Presnell & Turlach 2000) solves it, corrects the pattern at most
-`solver._SIGN_CORRECTIONS` times and returns the first candidate that
-passes the stop rule.  Only when none does, or a system is singular, does
-`solver._fista` run from the same start, with the soft threshold as prox.
-The lasso method and the stage-0 fit of the adaptive Huber lasso start
-from theta = 0, where the first pattern is the coordinates that violate
-stationarity.  Every Huber-stage round, and every trimmed round after the
-first, starts from the previous theta, which nearly always has the new
-solution's support and signs: the problems differ only through a few rows
-changing branch or a small change in the kept set (the warm starts of
-pathwise solvers, Friedman, Hastie & Tibshirani 2010).
+here with no rank-one term: the sign pattern of the start point, corrected
+at most `solver._SIGN_CORRECTIONS` times (`solver._sign_pattern_solve`),
+and only when that fails the finite active-set completion
+`solver._active_set_solve`, which ends exact.  The lasso method and the
+stage-0 fit of the adaptive Huber lasso start from theta = 0, where the
+first pattern is the coordinates that violate stationarity.  Every
+Huber-stage round, and every trimmed round after the first, starts from
+the previous theta, which nearly always has the new solution's support and
+signs: the problems differ only through a few rows changing branch or a
+small change in the kept set (the warm starts of pathwise solvers,
+Friedman, Hastie & Tibshirani 2010).
 """
 
 from __future__ import annotations
@@ -129,8 +126,7 @@ def _downdate(H, X_D, d):
     return H - G if d[0] > 0 else H + G
 
 
-def _fista_lasso(X, y, lam, weights=None, max_iters=5000, tol=_TOL,
-                 sample_weights=None, theta0=None, gram=None):
+def _lasso(X, y, lam, weights=None, tol=_TOL, sample_weights=None, theta0=None, gram=None):
     """min sum w_i (y_i - <X_i, theta>)^2 + sum_j lam_j |theta_j|.
 
     lam_j = lam * weights_j (weights default to one).  With H = X^T W X,
@@ -164,26 +160,20 @@ def _fista_lasso(X, y, lam, weights=None, max_iters=5000, tol=_TOL,
     H, c = _weighted_gram(X, gram, w), X.T @ (w * y)
     lam_j = np.full(p, lam) if weights is None else lam * np.asarray(weights, float)
     theta0 = np.zeros(p) if theta0 is None else np.asarray(theta0, dtype=float)
-    return _lasso_solve(H, c, lam_j, theta0, tol * (1.0 + lam), max_iters)
+    return _lasso_solve(H, c, lam_j, theta0, tol * (1.0 + lam))
 
 
-def _lasso_solve(H, c, lam_j, theta0, bound, max_iters=5000):
+def _lasso_solve(H, c, lam_j, theta0, bound):
     """theta^T H theta - 2 c^T theta + sum_j lam_j |theta_j| by
-    `solver._gram_solve` from theta0: the exact solve on the sign pattern
-    of theta0 first, with shift lam_j / 2, and FISTA from theta0 with the
-    soft threshold as prox only as the fallback.  Returns a theta whose
-    subgradient residual is at most `bound`."""
-    def soft_threshold(v, step):
-        return np.sign(v) * np.maximum(np.abs(v) - step * lam_j, 0.0)
-
-    theta, _ = _gram_solve(H, c, theta0, lambda theta, g: _l1_residual(theta, g, lam_j),
-                           bound, 0.5 * lam_j, 0.0, soft_threshold, max_iters)
-    return theta
+    `solver._gram_solve` from theta0, with shift lam_j / 2 and no rank-one
+    term.  Returns a theta whose subgradient residual is at most `bound`."""
+    return _gram_solve(H, c, theta0, lambda theta, g: _l1_residual(theta, g, lam_j),
+                       bound, 0.5 * lam_j, 0.0)
 
 
 def lasso(data: Dataset, cfg: BaselineConfig) -> np.ndarray:
     """Standard lasso on all samples: sum of squared residuals + lam * ||theta||_1."""
-    return _fista_lasso(data.X, data.y, cfg.lam)
+    return _lasso(data.X, data.y, cfg.lam)
 
 
 def _mad_scale(resid) -> float:
@@ -272,7 +262,7 @@ def adaptive_huber_lasso(data: Dataset, cfg: BaselineConfig) -> np.ndarray:
     """
     X, y = data.X, data.y
     gram = _gram(X, y)
-    theta = _fista_lasso(X, y, cfg.lam, gram=gram)
+    theta = _lasso(X, y, cfg.lam, gram=gram)
     lam_j = np.full(X.shape[1], float(cfg.lam))
 
     delta = None
@@ -300,18 +290,19 @@ def trimmed_lasso(data: Dataset, cfg: BaselineConfig) -> tuple[np.ndarray, np.nd
     kept set or after `_TRIM_ROUNDS` rounds.  A cycling kept set triggers a
     warning and returns the last iterate.
     """
-    n = data.n
+    n, X, y = data.n, data.X, data.y
     if cfg.trim_count >= n:
         raise ValueError("trim_count must be < n")
     keep_size = n - cfg.trim_count
     kept = np.ones(n, dtype=bool)
-    gram = _gram(data.X, data.y)
-    theta = None  # the first round starts cold, later ones from the last theta
+    gram = _gram(X, y)
+    lam_j, bound = np.full(data.p, cfg.lam), _TOL * (1.0 + cfg.lam)
+    theta = np.zeros(data.p)  # the first round starts cold, later ones from the last theta
     seen = set()
     for _ in range(_TRIM_ROUNDS):
-        theta = _fista_lasso(data.X, data.y, cfg.lam, sample_weights=kept.astype(float),
-                             theta0=theta, gram=gram)
-        resid = np.abs(data.y - data.X @ theta)
+        w = kept.astype(float)
+        theta = _lasso_solve(_weighted_gram(X, gram, w), X.T @ (w * y), lam_j, theta, bound)
+        resid = np.abs(y - X @ theta)
         order = np.argsort(resid, kind="stable")
         new_kept = np.zeros(n, dtype=bool)
         new_kept[order[:keep_size]] = True

@@ -117,7 +117,7 @@ def _cmd_solve(args) -> int:
     res = solve_invex(data, cfg)
     _write_json(args.out, res)
     print(f"wrote {args.out} (converged={res.converged}, "
-          f"outer={res.outer_iters}, fista_refits={res.fista_refits}, "
+          f"outer={res.outer_iters}, "
           f"dual_min_eig={res.dual_min_eig:.3g})")
     return 0
 

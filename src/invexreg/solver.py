@@ -30,11 +30,10 @@ nonzeros A, f is the quadratic theta^T (H + lam s s^T) theta
 - 2 (c - lam s)^T theta + lam on those coordinates, whose minimizer solves
 (H_AA + lam s_A s_A^T) theta_A = c_A - lam s_A.  A warm C-step nearly
 always keeps its sign pattern, so `_refit_gram` first solves that system
-and corrects the pattern a few times (`_sign_pattern_solve`, the
-active-set method of Osborne, Presnell & Turlach 2000), and returns the
-first candidate that meets the refit's stop rule.  Only when none does, or
-a system is singular, does it run FISTA; `SolveResult.fista_refits`
-counts those refits.
+and corrects the pattern a few times (`_sign_pattern_solve`), and returns
+the first candidate that meets the refit's stop rule.  Only when none does,
+or a system is singular, does it run `_active_set_solve`, a finite active-set
+method (Osborne, Presnell & Turlach 2000) that ends exact.
 
 The dual record.  With w the refit's subgradient of ||theta||_1,
 s = [w; 1] and mu = (G z)[-1] + lam s^T z, the dual
@@ -48,13 +47,14 @@ singular (m < p + 1).  `solve_invex` builds Lambda once, at theta_hat and
 the final selection, and reports min eig(Lambda) / max|Lambda| as
 `dual_min_eig`; at or above -1e-9 it certifies that theta_hat's lift
 minimizes the V block there.  It can fall below only through the refit's
-tolerance or its iteration cap, and a refit that stops at the cap warns.
+tolerance, or through roundoff, which warns.
 
 The refit and the baselines' lasso solves are one Gram-form solve,
-`_gram_solve`: exact first, FISTA only as the fallback.  They differ only
-in the penalty's terms, the prox and the weights of the stationarity
-residual `_l1_residual` they pass.  The V gradient sum_i b_i A_i is
-`model.lifted_gram`, which the dual record and the dual certificate use.
+`_gram_solve`: the corrections first, the completion only when they fail.
+They differ only in the penalty's terms and the weights of the
+stationarity residual `_l1_residual` they pass.  The V gradient
+sum_i b_i A_i is `model.lifted_gram`, which the dual record and the dual
+certificate use.
 """
 
 from __future__ import annotations
@@ -77,7 +77,6 @@ __all__ = [
     "grad_vartheta",
     "solve_invex",
     "refit",
-    "prox_l1_plus_one_squared",
 ]
 
 
@@ -114,7 +113,6 @@ class SolveResult:
     outer_iters: int
     converged: bool
     dual_min_eig: float   # min eig / max|.| of the V block's dual at theta_hat
-    fista_refits: int     # refits, the final one included, that fell back to FISTA
     config: SolverConfig | None = None
 
     @property
@@ -186,7 +184,6 @@ def solve_invex(data: Dataset, cfg: SolverConfig) -> SolveResult:
 
     theta = np.zeros(data.p)   # the kept iterate
     refitted = theta           # the last refit, the final refit's warm start
-    fista_refits = 0
     b, sel, obj = select(theta)
     if not np.isfinite(obj):
         raise NonFinite("objective not finite at initialization")
@@ -196,8 +193,7 @@ def solve_invex(data: Dataset, cfg: SolverConfig) -> SolveResult:
     outer = 0
     for outer in range(1, cfg.max_outer + 1):
         H, c = gram(sel)
-        refitted, fista = _refit_gram(H, c, theta, lam)
-        fista_refits += fista
+        refitted = _refit_gram(H, c, theta, lam)
         if _refit_objective(H, c, refitted, lam) < _refit_objective(H, c, theta, lam):
             theta = refitted
 
@@ -212,41 +208,13 @@ def solve_invex(data: Dataset, cfg: SolverConfig) -> SolveResult:
             break
 
     # warm from the last round's refit, which usually solved this refit
-    theta_hat, fista = _refit_gram(*gram(sel), refitted, lam)
-    fista_refits += fista
+    theta_hat = _refit_gram(*gram(sel), refitted, lam)
     return SolveResult(
         b_rounded=b, theta_hat=theta_hat, objective_trace=trace,
         outer_iters=outer, converged=converged,
         dual_min_eig=_dual_min_eig(grad_vartheta(b, data), theta_hat, lam),
-        fista_refits=fista_refits, config=cfg,
+        config=cfg,
     )
-
-
-def prox_l1_plus_one_squared(v: np.ndarray, c: float) -> np.ndarray:
-    """Exact prox of z -> c * (||z||_1 + 1)^2.
-
-    Minimizes 0.5||z - v||^2 + c ||z||_1^2 + 2c ||z||_1.  The solution is a
-    soft threshold by t where t solves t = 2c (sum_i max(|v_i| - t, 0) + 1),
-    found by a scan over the sorted breakpoints of the piecewise-linear
-    fixed-point equation.
-    """
-    v = np.asarray(v, dtype=float)
-    if c < 0:
-        raise ValueError("c must be >= 0")
-    if c == 0.0:
-        return v.copy()
-    a = np.sort(np.abs(v))[::-1]
-    prefix = np.concatenate([[0.0], np.cumsum(a)])
-    js = np.arange(a.size + 1)
-    t = 2.0 * c * (prefix + 1.0) / (1.0 + 2.0 * c * js)
-    upper = np.concatenate([[np.inf], a])   # a_(j) with 1-based j
-    lower = np.concatenate([a, [0.0]])      # a_(j+1)
-    ok = np.flatnonzero((upper > t) & (t >= lower))
-    if ok.size:
-        j = int(ok[0])
-    else:  # fp boundary tie: take the segment with the smallest violation
-        j = int(np.argmin(np.maximum(t - upper, 0.0) + np.maximum(lower - t, 0.0)))
-    return np.sign(v) * np.maximum(np.abs(v) - t[j], 0.0)
 
 
 def _recover_subgradient(theta, g, lam):
@@ -298,39 +266,18 @@ def _l1_residual(theta, g, tau):
                     np.maximum(np.abs(g) - tau, 0.0))
 
 
-def _fista(H, c, theta, prox, residual, bound, max_iters):
-    """FISTA with adaptive restart (Beck & Teboulle 2009) on the Gram form
-    theta^T H theta - 2 c^T theta + penalty, H = X^T X, c = X^T y (Friedman,
-    Hastie & Tibshirani 2010): the gradient is 2 (H z - c) and the step 1/L
-    with L = 2 * eigvalsh(H)[-1].  `prox(v, step)` is the prox of
-    step * penalty.  From `theta`, stops when `residual(theta, gradient)`,
-    checked every 10 iterations, is at most `bound` everywhere.  L <= 0 or
-    an empty H returns zeros.
-    """
-    L = 2.0 * float(np.linalg.eigvalsh(H)[-1]) if H.size else 0.0
-    if L <= 0:
-        return np.zeros(c.size)
-    step = 1.0 / L
-    z = theta.copy()
-    t_acc = 1.0
-    for it in range(max_iters):
-        theta_new = prox(z - step * (2.0 * (H @ z - c)), step)
-        # adaptive restart keeps FISTA monotone enough for the residual check
-        if np.dot(z - theta_new, theta_new - theta) > 0:
-            z = theta.copy()
-            t_acc = 1.0
-            theta_new = prox(z - step * (2.0 * (H @ z - c)), step)
-        t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_acc * t_acc))
-        z = theta_new + ((t_acc - 1.0) / t_new) * (theta_new - theta)
-        theta, t_acc = theta_new, t_new
-        if it % 10 == 0 and residual(theta, 2.0 * (H @ theta - c)).max(initial=0.0) <= bound:
-            break
-    return theta
-
-
-# Sign-pattern corrections `_sign_pattern_solve` makes before `_gram_solve`
-# falls back to FISTA.
+# Sign-pattern corrections `_sign_pattern_solve` makes before the completion.
 _SIGN_CORRECTIONS = 8
+
+
+def _pattern_system(H, c, s, idx, shift, rank_one):
+    """K = H_II + rank_one s_I s_I^T and c_I - shift_I s_I, I = idx: the
+    system of the minimizer on the sign pattern s (`_sign_pattern_solve`)."""
+    s_I = s[idx]
+    K = H[idx][:, idx]
+    if rank_one:
+        K += rank_one * np.outer(s_I, s_I)
+    return K, c[idx] - shift[idx] * s_I
 
 
 def _sign_pattern_solve(H, c, theta0, residual, bound, shift, rank_one):
@@ -345,28 +292,24 @@ def _sign_pattern_solve(H, c, theta0, residual, bound, shift, rank_one):
     with those signs solves
     (H_AA + rank_one s_A s_A^T) theta_A = c_A - shift_A s_A.
     A candidate whose largest `residual(theta, 2 (H theta - c))` is at most
-    `bound` is returned.  This is FISTA's stop rule, read at the
-    candidate's own signs, so it certifies the candidate exactly as it
-    would certify a FISTA iterate; with a penalty, a candidate whose signs
-    on A differ from s fails it.  Otherwise the coordinates whose sign
+    `bound` is returned.  This is the stop rule of every `_gram_solve`,
+    read at the candidate's own signs; with a penalty, a candidate whose
+    signs on A differ from s fails it.  Otherwise the coordinates whose sign
     flipped leave A, the zero coordinates whose residual exceeds the bound
     join it with the sign of -g_j, and the system is solved again, at most
     `_SIGN_CORRECTIONS` times.  From theta0 = 0 the first system is empty,
-    so the first pattern is the coordinates that violate stationarity at 0
-    (the active-set method of Osborne, Presnell & Turlach 2000).  A singular
-    or non-finite solve, or a correction that leaves A unchanged, returns
-    None.
+    so the first pattern is the coordinates that violate stationarity at 0.
+    A singular or non-finite solve, or a correction that leaves A unchanged,
+    returns None.
     """
     s = np.sign(np.asarray(theta0, dtype=float))
     for _ in range(_SIGN_CORRECTIONS + 1):
         active = np.flatnonzero(s)
         s_A = s[active]
-        K = H[active][:, active]
-        if rank_one:
-            K += rank_one * np.outer(s_A, s_A)
+        K, rhs = _pattern_system(H, c, s, active, shift, rank_one)
         theta = np.zeros(c.size)
         try:
-            theta[active] = np.linalg.solve(K, c[active] - shift[active] * s_A)
+            theta[active] = np.linalg.solve(K, rhs)
         except np.linalg.LinAlgError:
             return None
         if not np.all(np.isfinite(theta)):
@@ -384,39 +327,104 @@ def _sign_pattern_solve(H, c, theta0, residual, bound, shift, rank_one):
     return None
 
 
-def _gram_solve(H, c, theta0, residual, bound, shift, rank_one, prox, max_iters):
+def _active_set_solve(H, c, residual, bound, shift, rank_one):
+    """The completion: the problem of `_sign_pattern_solve` by a finite
+    primal active-set method from theta = 0 (Osborne, Presnell & Turlach
+    2000), adding one coordinate at a time as LARS does (Efron, Hastie,
+    Johnstone & Tibshirani 2004).
+
+    theta is zero off A and has the signs s_A on A, where f is the convex
+    quadratic q_s with matrix K_A = H_AA + rank_one s_A s_A^T, kept positive
+    definite.  A round starts at the minimizer of q_s (at first theta = 0)
+    and returns it if it meets the stop rule.  Otherwise the zero coordinate
+    j with the largest residual joins A with the sign of -g_j, so q falls
+    along s_j e_j.  If j's Schur complement K_jj - k_j^T K_A^-1 k_j is zero
+    up to roundoff, q falls linearly along the null direction
+    s_j (-K_A^-1 k_j, 1), and as f is bounded below theta moves along it to
+    the first coordinate that reaches zero, which drops; its weight there
+    is nonzero, so the system is positive definite again.  (At lam = 0 a
+    violator's column is independent of the active ones.)  Then each step
+    solves K_A theta_A = c_A - shift_A s_A; if a coordinate would change
+    sign on the way, theta stops where the first one reaches zero and it
+    drops, else the full step ends the round.
+
+    Termination: each move starts inside the orthant of s and stays in its
+    closure, where f = q_s, so it lowers f strictly.  Each round ends at a
+    pattern's unique minimizer, lower than all earlier ones, so no pattern
+    comes back; patterns are finite and a round drops at most |A| times.
+    In floating point a pattern that comes back, a residual above the bound
+    on active coordinates alone, or a null direction along which nothing
+    reaches zero comes only from roundoff: the solve warns, naming the
+    residual, and returns theta.
+    """
+    theta, s, seen = np.zeros(c.size), np.zeros(c.size), set()
+    while True:
+        g = 2.0 * (H @ theta - c)
+        resid = residual(theta, g)
+        if resid.max(initial=0.0) <= bound:
+            return theta
+        free = np.where(s == 0.0, resid, 0.0)
+        j = int(np.argmax(free))
+        if free[j] <= bound or s.tobytes() in seen:
+            break
+        seen.add(s.tobytes())
+        active = np.flatnonzero(s)
+        s[j] = -np.sign(g[j])
+        K, _ = _pattern_system(H, c, s, np.append(active, j), shift, rank_one)
+        k_j, K_jj = K[:-1, -1], K[-1, -1]
+        v = np.linalg.solve(K[:-1, :-1], k_j)
+        if K_jj - k_j @ v <= 1e-12 * (K_jj + np.abs(k_j) @ np.abs(v)):
+            u = -s[j] * v   # the null direction on A; on j it is s_j
+            hit = np.flatnonzero(s[active] * u < 0.0)
+            if hit.size == 0:
+                break
+            tau = -theta[active[hit]] / u[hit]
+            i = int(np.argmin(tau))
+            theta[active] += tau[i] * u
+            theta[j] = tau[i] * s[j]
+            theta[active[hit[i]]] = 0.0
+            s = np.sign(theta)
+        while True:
+            active = np.flatnonzero(s)
+            target = np.linalg.solve(*_pattern_system(H, c, s, active, shift, rank_one))
+            cross = np.flatnonzero(s[active] * target < 0.0)
+            if cross.size == 0:
+                theta[active] = target
+                s = np.sign(theta)
+                break
+            now = theta[active[cross]]
+            t = now / (now - target[cross])
+            i = int(np.argmin(t))
+            theta[active] += t[i] * (target - theta[active])
+            theta[active[cross[i]]] = 0.0
+            s = np.sign(theta)
+    warnings.warn(f"the l1 solve stopped with stationarity residual "
+                  f"{resid.max():.3g} above the bound {bound:.3g}",
+                  RuntimeWarning, stacklevel=3)
+    return theta
+
+
+def _gram_solve(H, c, theta0, residual, bound, shift, rank_one):
     """The Gram-form L1 solve of the refit and the baselines' lasso:
-    `_sign_pattern_solve` from theta0, and only when that returns None
-    `_fista` from theta0.  Returns (theta, whether FISTA ran)."""
+    `_sign_pattern_solve` from theta0, and only when that returns None the
+    completion, `_active_set_solve`.  The answer's largest `residual` is at
+    most `bound`, short of roundoff, which warns."""
     theta = _sign_pattern_solve(H, c, theta0, residual, bound, shift, rank_one)
-    if theta is not None:
-        return theta, False
-    return _fista(H, c, theta0, prox, residual, bound, max_iters), True
-
-
-_REFIT_MAX_ITERS = 20000
+    if theta is None:
+        theta = _active_set_solve(H, c, residual, bound, shift, rank_one)
+    return theta
 
 
 def _refit_gram(H: np.ndarray, c: np.ndarray, theta: np.ndarray, lam: float,
-                tol: float = 1e-8) -> tuple[np.ndarray, bool]:
+                tol: float = 1e-8) -> np.ndarray:
     """`refit`'s solve: `_gram_solve` from theta on theta^T H theta
-    - 2 c^T theta + lam (||theta||_1 + 1)^2, until the absolute residual,
-    the scale the dual construction needs, is at most tol.  A FISTA
-    fallback that stops at `_REFIT_MAX_ITERS` steps above tol warns.
-    Returns (theta, whether FISTA ran).
-    """
+    - 2 c^T theta + lam (||theta||_1 + 1)^2 (shift lam, rank-one term lam),
+    until the absolute residual, the scale the dual construction needs, is
+    at most tol."""
     def residual(theta, g):
         return 0.5 * _l1_residual(theta, g, 2.0 * lam * (np.abs(theta).sum() + 1.0))
 
-    theta, fista = _gram_solve(H, c, theta, residual, tol, np.full(c.size, lam), lam,
-                               lambda v, step: prox_l1_plus_one_squared(v, step * lam),
-                               _REFIT_MAX_ITERS)
-    resid = residual(theta, 2.0 * (H @ theta - c)).max(initial=0.0) if fista else 0.0
-    if not resid <= tol:
-        warnings.warn(f"refit stopped after {_REFIT_MAX_ITERS} FISTA steps with "
-                      f"stationarity residual {resid:.3g} above tol {tol:.3g}",
-                      RuntimeWarning, stacklevel=2)
-    return theta, fista
+    return _gram_solve(H, c, theta, residual, tol, np.full(c.size, lam), lam)
 
 
 def refit(data: Dataset, selection: np.ndarray, lam: float,
@@ -427,14 +435,14 @@ def refit(data: Dataset, selection: np.ndarray, lam: float,
     Minimizes sum_selected (y_i - <X_i, theta>)^2 + lam (||theta||_1 + 1)^2
     by `_refit_gram` from theta = 0 on the selected rows' Gram form: the
     exact solve on the sign pattern of the coordinates that violate
-    stationarity at 0, with FISTA and the exact prox of the
-    squared-plus-linear L1 penalty as the fallback.  With `support`
+    stationarity at 0, and the finite active-set completion when a few
+    corrections of that pattern do not reach the minimizer.  With `support`
     (columns, read like the selection), the regression runs on those
     columns only and is zero-padded back to length p.  The answer's
     stationarity residual (subgradient recovered as in the dual
-    construction) is at most the absolute tol, unless FISTA stops after
-    `_REFIT_MAX_ITERS` iterations, with a RuntimeWarning.  Non-finite X or
-    y on the selected rows and columns, or lam, raise ValueError.
+    construction) is at most the absolute tol; only roundoff can keep it
+    above, and then a RuntimeWarning names it.  Non-finite X or y on the
+    selected rows and columns, or lam, raise ValueError.
     """
     rows = _as_rows(selection, data.n)
     if rows.size < 1:
@@ -444,7 +452,7 @@ def refit(data: Dataset, selection: np.ndarray, lam: float,
     ys = data.y[rows]
     _check_finite(("X", Xs), ("y", ys), ("lam", lam))
 
-    theta, _ = _refit_gram(Xs.T @ Xs, Xs.T @ ys, np.zeros(cols.size), lam, tol)
+    theta = _refit_gram(Xs.T @ Xs, Xs.T @ ys, np.zeros(cols.size), lam, tol)
     out = np.zeros(data.p)
     out[cols] = theta
     return out

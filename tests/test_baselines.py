@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from invexreg import baselines, solver
-from invexreg.baselines import (BaselineConfig, _fista_lasso, _gram, _weighted_gram,
+from invexreg.baselines import (BaselineConfig, _gram, _lasso, _weighted_gram,
                                 adaptive_huber_lasso, lasso, trimmed_lasso)
 from invexreg.bench import ExperimentConfig, lambda_from_m
 from invexreg.datagen import GenSpec, generate
@@ -187,100 +187,65 @@ def weighted_problem(n, p):
 
 
 @pytest.fixture
-def fista_calls(monkeypatch):
-    """Count the runs of the FISTA loop, `solver._fista`."""
-    calls = []
-    real = solver._fista
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(solver, "_fista", counting)
-    return calls
-
-
-@pytest.fixture
 def solve_path(request, monkeypatch):
     """The path of `solver._gram_solve` under test: "default" leaves it as
-    it is, "fista" switches the sign-pattern solve off, so that every solve
-    runs the FISTA fallback."""
-    if request.param == "fista":
+    it is, "completion" switches the sign-pattern solve off, so that every
+    solve runs the completion."""
+    if request.param == "completion":
         monkeypatch.setattr(solver, "_sign_pattern_solve", lambda *args: None)
     return request.param
 
 
-# (n, p) with n > p and n < p, on the default path and the forced fallback
+# (n, p) with n > p and n < p, on the default path and the forced completion
 BOTH_PATHS = [pytest.param(n, p, path, id=f"{n}-{p}{suffix}")
-              for path, suffix in (("default", ""), ("fista", "-fista"))
+              for path, suffix in (("default", ""), ("completion", "-completion"))
               for n, p in ((40, 6), (8, 15))]
 
 
 @pytest.mark.parametrize("n,p,solve_path", BOTH_PATHS, indirect=["solve_path"])
 def test_fista_weighted_matches_weighted_coordinate_descent(n, p, solve_path,
-                                                            fista_calls):
+                                                            completion_runs):
     """The Gram-form solve with sample and coordinate weights solves the same
     problem as an independent weighted coordinate descent, for n > p and
     n < p, by either path."""
     _, X, y, sw, cw = weighted_problem(n, p)
     lam = 0.8
-    th_f = _fista_lasso(X, y, lam, weights=cw, sample_weights=sw)
+    th_f = _lasso(X, y, lam, weights=cw, sample_weights=sw)
     th_c = _lasso_cd(X, y, lam, sample_weights=sw, weights=cw)
     assert np.count_nonzero(th_c) > 0
     assert np.abs(th_f - th_c).max() <= 1e-8
-    if solve_path == "fista":
-        assert fista_calls
+    if solve_path == "completion":
+        assert completion_runs == [0]
 
 
 @pytest.mark.parametrize("n,p,solve_path", BOTH_PATHS, indirect=["solve_path"])
 def test_fista_from_random_start_matches_coordinate_descent(n, p, solve_path,
-                                                            fista_calls):
+                                                            completion_runs):
     """A start point changes where the solve begins, not the minimizer it
     reaches, by either path."""
     rng, X, y, sw, cw = weighted_problem(n, p)
     lam = 0.8
     theta0 = 3.0 * rng.standard_normal(p)
-    th_f = _fista_lasso(X, y, lam, weights=cw, sample_weights=sw, theta0=theta0)
+    th_f = _lasso(X, y, lam, weights=cw, sample_weights=sw, theta0=theta0)
     th_c = _lasso_cd(X, y, lam, sample_weights=sw, weights=cw)
     assert np.count_nonzero(th_c) > 0
     assert np.abs(th_f - th_c).max() <= 1e-8
-    if solve_path == "fista":
-        assert fista_calls
+    if solve_path == "completion":
+        assert completion_runs == [0]
 
 
-def test_cold_lasso_is_exact_without_fista(fista_calls):
+def test_cold_lasso_is_exact_without_fista(completion_runs):
     """From theta = 0 with n > p, the sign-pattern solve finds the lasso
-    minimizer; FISTA does not run."""
+    minimizer; the completion does not run."""
     rng = np.random.default_rng(19)
     theta_star = np.array([1.0, -0.5, 0.0, 0.25, 0.0, 0.0, 0.8, 0.0])
     data = clean_data(rng, n=60, p=8, theta=theta_star)
     lam = 3.0
     theta = lasso(data, BaselineConfig(lam=lam))
     th_c = _lasso_cd(data.X, data.y, lam)
-    assert not fista_calls
+    assert not completion_runs
     assert 0 < np.count_nonzero(th_c) < data.p
     assert np.abs(theta - th_c).max() <= 1e-8
-
-
-def test_fista_started_at_its_solution_stays_there():
-    """One FISTA iteration from the solution moves it by at most a step
-    times the stopping residual, tol * (1 + lam) / L."""
-    _, X, y, sw, cw = weighted_problem(40, 6)
-    lam, tol = 0.8, 1e-8
-    theta = _fista_lasso(X, y, lam, weights=cw, sample_weights=sw, tol=tol)
-    Xw, yw = X * np.sqrt(sw)[:, None], y * np.sqrt(sw)
-    H, c = Xw.T @ Xw, Xw.T @ yw
-    lam_j = lam * cw
-
-    def soft_threshold(v, step):
-        return np.sign(v) * np.maximum(np.abs(v) - step * lam_j, 0.0)
-
-    again = solver._fista(H, c, theta, soft_threshold,
-                          lambda theta, g: solver._l1_residual(theta, g, lam_j),
-                          tol * (1.0 + lam), 1)
-    L = 2.0 * np.linalg.eigvalsh(H)[-1]
-    assert np.count_nonzero(theta) > 0
-    assert np.abs(again - theta).max() <= tol * (1.0 + lam) / L + 1e-14
 
 
 @pytest.fixture
@@ -330,7 +295,7 @@ def test_fista_validates_start_point_and_coordinate_weights(kwargs, match):
     rng = np.random.default_rng(16)
     data = clean_data(rng)
     with pytest.raises(ValueError, match=match):
-        _fista_lasso(data.X, data.y, 0.5, **kwargs)
+        _lasso(data.X, data.y, 0.5, **kwargs)
 
 
 def test_baselines_make_no_svd_call(monkeypatch):
@@ -375,7 +340,7 @@ def test_fista_rejects_non_finite_sample_weights():
     sw = np.ones(data.n)
     sw[0] = np.nan
     with pytest.raises(ValueError, match="sample weights must be finite"):
-        _fista_lasso(data.X, data.y, 0.5, sample_weights=sw)
+        _lasso(data.X, data.y, 0.5, sample_weights=sw)
 
 
 @pytest.mark.parametrize("sw", [-np.ones(30), np.r_[np.ones(29), -1e-3]])
@@ -387,7 +352,7 @@ def test_fista_rejects_negative_sample_weights(sw):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="^sample weights must be >= 0"):
-            _fista_lasso(data.X, data.y, 0.1, sample_weights=sw)
+            _lasso(data.X, data.y, 0.1, sample_weights=sw)
 
 
 @pytest.mark.parametrize("kind", ["fractional", "zero_one", "spanning_one", "ones"])
@@ -417,23 +382,16 @@ def test_weighted_gram_matches_direct_product(kind):
         assert np.array_equal(H, X.T @ X)
 
 
-def test_trimmed_first_round_is_lasso(monkeypatch):
+def test_trimmed_first_round_is_lasso(lasso_solves):
     """The first trimmed round drops no row, so it solves on X^T X itself and
     returns the lasso estimate bit for bit."""
     data = generate(GenSpec(
         ground_truth=GroundTruthConfig(p=8, k=3, M=2.2, sigma_e=0.1),
         r=40, n_outliers=20, seed=15))
     cfg = BaselineConfig(lam=0.6, trim_count=20)
-    thetas = []
-
-    def recording(*args, **kwargs):
-        thetas.append(_fista_lasso(*args, **kwargs))
-        return thetas[-1]
-
-    monkeypatch.setattr(baselines, "_fista_lasso", recording)
     trimmed_lasso(data, cfg)
-    assert len(thetas) >= 2
-    assert np.array_equal(thetas[0], lasso(data, cfg))
+    assert len(lasso_solves) >= 2
+    assert np.array_equal(lasso_solves[0][-1], lasso(data, cfg))
 
 
 @pytest.fixture
@@ -594,7 +552,7 @@ def l1_residual(theta, g, lam_j):
 
 def stop_residual(X, y, lam, theta, weights=None, sample_weights=None):
     """The largest subgradient residual of theta, computed on the Gram form
-    exactly as `_fista_lasso` computes it."""
+    exactly as `_lasso` computes it."""
     if sample_weights is not None:
         sw = np.sqrt(sample_weights)
         X, y = X * sw[:, None], y * sw
@@ -604,20 +562,20 @@ def stop_residual(X, y, lam, theta, weights=None, sample_weights=None):
 
 @pytest.mark.parametrize("n,p", [(40, 6), (8, 15)])
 def test_warm_start_with_opposite_signs_matches_coordinate_descent(n, p):
-    """Every guessed sign is wrong: the corrections or the FISTA fallback
-    still reach the minimizer."""
+    """Every guessed sign is wrong: the corrections or the completion still
+    reach the minimizer."""
     _, X, y, sw, cw = weighted_problem(n, p)
     lam = 0.8
     th_c = _lasso_cd(X, y, lam, sample_weights=sw, weights=cw)
     theta0 = -np.sign(th_c) - 0.5 * (th_c == 0)
-    th_f = _fista_lasso(X, y, lam, weights=cw, sample_weights=sw, theta0=theta0)
+    th_f = _lasso(X, y, lam, weights=cw, sample_weights=sw, theta0=theta0)
     assert np.count_nonzero(th_c) > 0
     assert np.abs(th_f - th_c).max() <= 1e-8
 
 
-def test_warm_start_missing_nonzeros_adds_them_without_fista(fista_calls):
+def test_warm_start_missing_nonzeros_adds_them_without_fista(completion_runs):
     """A start whose zeros hide true nonzeros reaches the minimizer by adding
-    the coordinates that violate the stop rule, with no FISTA run."""
+    the coordinates that violate the stop rule, with no completion run."""
     _, X, y, sw, cw = weighted_problem(40, 6)
     lam, tol = 0.8, 1e-10
     th_c = _lasso_cd(X, y, lam, sample_weights=sw, weights=cw)
@@ -625,34 +583,58 @@ def test_warm_start_missing_nonzeros_adds_them_without_fista(fista_calls):
     assert support.size >= 2
     theta0 = th_c.copy()
     theta0[support[1:]] = 0.0
-    th_f = _fista_lasso(X, y, lam, weights=cw, sample_weights=sw, tol=tol,
-                        theta0=theta0)
-    assert not fista_calls
+    th_f = _lasso(X, y, lam, weights=cw, sample_weights=sw, tol=tol, theta0=theta0)
+    assert not completion_runs
     assert np.abs(th_f - th_c).max() <= 1e-8
     assert stop_residual(X, y, lam, th_f, cw, sw) <= tol * (1.0 + lam)
 
 
-def test_warm_start_on_singular_support_falls_back_to_fista(fista_calls):
-    """Duplicated columns make H_AA singular; the call runs FISTA and still
-    returns a finite theta that passes the stop rule.  Integer entries keep
-    the Gram exact, so H_AA is singular to the last bit."""
+def test_warm_start_on_singular_support_completes_exactly(completion_runs):
+    """Duplicated columns make H_AA singular, so the sign-pattern solve
+    gives up; the completion, from theta = 0, solves only positive definite
+    systems and returns a theta that passes the stop rule.  Integer entries
+    keep the Gram exact, so H_AA is singular to the last bit."""
     rng = np.random.default_rng(17)
     X = rng.integers(-3, 4, size=(30, 3)).astype(float)
     X[:, 1] = X[:, 0]
     y = X @ np.array([1.0, 1.0, -0.5]) + 0.05 * rng.standard_normal(30)
     lam, tol = 0.5, 1e-10
-    theta = _fista_lasso(X, y, lam, tol=tol, theta0=np.array([1.0, 1.0, 0.0]))
-    assert len(fista_calls) == 1
-    assert np.all(np.isfinite(theta))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        theta = _lasso(X, y, lam, tol=tol, theta0=np.array([1.0, 1.0, 0.0]))
+    assert completion_runs == [0]
     assert stop_residual(X, y, lam, theta) <= tol * (1.0 + lam)
+
+
+def test_completion_exchanges_a_dependent_column_along_the_null_direction(
+        completion_runs):
+    """Column 2 is the mean of columns 0 and 1 and is penalized less.  Once
+    both are active it violates stationarity with a Schur complement of
+    exactly 0 (the entries are integers and halves, so the Gram is exact):
+    the completion moves along the null direction until column 1 reaches
+    zero and drops, solving no singular system, and ends at the lasso
+    minimum that coordinate descent reaches."""
+    rng = np.random.default_rng(0)
+    X = rng.integers(-3, 4, size=(30, 2)).astype(float)
+    X = np.column_stack([X, 0.5 * (X[:, 0] + X[:, 1])])
+    y = X[:, :2] @ np.array([2.0, 1.0]) + 0.05 * rng.standard_normal(30)
+    lam, tol, cw = 5.0, 1e-10, np.array([1.0, 1.0, 0.8])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        theta = _lasso(X, y, lam, weights=cw, tol=tol)
+    assert completion_runs == [0]
+    assert theta[1] == 0.0 and theta[0] != 0.0 and theta[2] != 0.0
+    assert stop_residual(X, y, lam, theta, cw) <= tol * (1.0 + lam)
+    obj = lambda t: float(np.sum((y - X @ t) ** 2) + lam * cw @ np.abs(t))
+    assert obj(theta) <= obj(_lasso_cd(X, y, lam, weights=cw)) + 1e-10
 
 
 @pytest.mark.parametrize("method", ["adahuber", "trimmed"])
 def test_warm_solves_mostly_skip_fista_and_pass_the_stop_rule(monkeypatch,
-                                                              fista_calls, method):
-    """Warm-started solves run FISTA less often than they are made, and every
-    theta returned, by either path, meets the stop rule of the system it
-    solved, at the lasso's tol * (1 + lam)."""
+                                                              completion_runs, method):
+    """Warm-started solves run the completion less often than they are made,
+    and every theta returned, by either path, meets the stop rule of the
+    system it solved, at the lasso's tol * (1 + lam)."""
     data = generate(GenSpec(
         ground_truth=GroundTruthConfig(p=8, k=3, M=2.2, sigma_e=0.1),
         r=40, n_outliers=20, seed=15))
@@ -661,9 +643,9 @@ def test_warm_solves_mostly_skip_fista_and_pass_the_stop_rule(monkeypatch,
     real = baselines._lasso_solve
 
     def recording(H, c, lam_j, theta0, bound, *args):
-        fista_before = len(fista_calls)
+        runs_before = len(completion_runs)
         theta = real(H, c, lam_j, theta0, bound, *args)
-        solves.append((H, c, lam_j, theta0, bound, theta, len(fista_calls) - fista_before))
+        solves.append((H, c, lam_j, theta0, bound, theta, len(completion_runs) - runs_before))
         return theta
 
     monkeypatch.setattr(baselines, "_lasso_solve", recording)
@@ -674,7 +656,7 @@ def test_warm_solves_mostly_skip_fista_and_pass_the_stop_rule(monkeypatch,
     warm = [s for s in solves if s[3].any()]
     assert len(warm) >= 2
     assert sum(s[-1] for s in warm) < len(warm)
-    tol = inspect.signature(_fista_lasso).parameters["tol"].default
+    tol = inspect.signature(_lasso).parameters["tol"].default
     for H, c, lam_j, _, bound, theta, _ in solves:
         assert bound == tol * (1.0 + cfg.lam)
         assert l1_residual(theta, 2.0 * (H @ theta - c), lam_j) <= bound
@@ -712,17 +694,17 @@ def test_exact_huber_stages_are_stationary(monkeypatch):
         theta = adaptive_huber_lasso(data, cfg)
     assert np.array_equal(theta, stages[-1][-1])
     assert len(stages) >= 3
-    tol = inspect.signature(_fista_lasso).parameters["tol"].default
+    tol = inspect.signature(_lasso).parameters["tol"].default
     for delta, lam_j, out in stages:
         assert huber_lasso_residual(data.X, data.y, out, delta, lam_j) <= tol * (1.0 + cfg.lam)
 
 
 def test_huber_stage_damps_a_newton_step_that_does_not_lower_the_objective(
-        lasso_solves, fista_calls):
+        lasso_solves, completion_runs):
     """A fixture where undamped finite Newton cycles between partitions (and
     IRLS hits its pass cap): some round's solution does not lower the
     objective, so the next round starts a halved step towards it, and every
-    stage still settles with no warning and no FISTA run.  The Huber scale
+    stage still settles with no warning and no completion run.  The Huber scale
     itself cycles here and hits its round cap, which is its own warning."""
     data = generate(GenSpec(
         ground_truth=GroundTruthConfig(p=8, k=2, M=2.2, sigma_e=0.1),
@@ -733,7 +715,7 @@ def test_huber_stage_damps_a_newton_step_that_does_not_lower_the_objective(
     assert [str(w.message) for w in caught] == [
         "adaptive Huber lasso: the Huber scale did not settle in 12 rounds; using the last one"]
     assert np.all(np.isfinite(theta))
-    assert not fista_calls
+    assert not completion_runs
     damped = 0
     for (_, _, _, start, _, solution), (_, _, _, nxt, _, _) in zip(lasso_solves,
                                                                    lasso_solves[1:]):

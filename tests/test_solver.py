@@ -12,8 +12,7 @@ from invexreg.datagen import GenSpec, generate
 from invexreg.model import (CLEAN, Dataset, GroundTruthConfig, lift_parameter,
                             lift_sample, objective, sample_losses, to_jsonable)
 from invexreg.oracle import subset_objective
-from invexreg.solver import (InfeasibleM, SolverConfig, grad_vartheta,
-                             prox_l1_plus_one_squared, refit, solve_invex)
+from invexreg.solver import InfeasibleM, SolverConfig, grad_vartheta, refit, solve_invex
 
 
 def all_clean_dataset(rng, n, p, theta, sigma_e=0.0):
@@ -55,26 +54,6 @@ def test_grad_vartheta_finite_differences():
         fd = (fp - fm) / (2 * h)
         analytic = float((G * E).sum())
         assert abs(fd - analytic) <= 1e-5 * max(1.0, abs(analytic))
-
-
-def test_prox_sq_l1_solves_the_scalarized_problem():
-    rng = np.random.default_rng(5)
-    for _ in range(100):
-        d = int(rng.integers(1, 7))
-        v = rng.standard_normal(d) * 2
-        c = float(rng.uniform(1e-3, 2.0))
-        z = prox_l1_plus_one_squared(v, c)
-        F = lambda u: 0.5 * np.sum((u - v) ** 2) + c * (np.abs(u).sum() + 1.0) ** 2
-        base = F(z)
-        for _ in range(40):
-            u = z + rng.standard_normal(d) * 10 ** rng.uniform(-7, -1)
-            assert F(u) >= base - 1e-10
-        assert F(np.zeros(d)) >= base - 1e-12
-
-
-def test_prox_sq_l1_zero_c_is_identity():
-    v = np.array([1.0, -2.0])
-    assert np.array_equal(prox_l1_plus_one_squared(v, 0.0), v)
 
 
 def _subgradient_descent_oracle(X, y, lam, iters=60000, seed=0):
@@ -285,7 +264,6 @@ def test_result_json_round_trip():
     assert len(payload["b_rounded"]) == data.n
     assert payload["objective_trace"][0] >= payload["objective_trace"][-1]
     assert payload["dual_min_eig"] == res.dual_min_eig >= -1e-9
-    assert payload["fista_refits"] == res.fista_refits == 0
 
 
 def test_objective_trace_matches_objective_function():
@@ -379,26 +357,35 @@ def near_collinear_instance():
 # (21, 0.0): least squares on m = p + 1 rows, whose first full solve passes
 # the stop rule although its signs differ from the pattern it was solved on
 @pytest.mark.parametrize("m, lam", [(40, 0.01), (21, 0.0)])
-def test_near_collinear_solve_is_exact_and_certified(m, lam):
-    """The sign-pattern refit solves the near-collinear design FISTA finds
-    hard: no refit falls back, none warns, and the dual record certifies."""
+def test_near_collinear_solve_is_exact_and_certified(m, lam, completion_runs):
+    """The sign-pattern refit solves this near-collinear design with no
+    completion run and no warning, and the dual record certifies."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         res = solve_invex(near_collinear_instance(), SolverConfig(m=m, lam=lam))
-    assert res.fista_refits == 0
+    assert not completion_runs
     assert res.dual_min_eig >= -1e-9
 
 
-def test_capped_refit_warns_and_the_dual_record_shows_it(monkeypatch):
-    """With the sign-pattern solve switched off, every refit of the
-    near-collinear design runs FISTA, which cannot meet its tolerance in a
-    few steps: it warns, and the dual record reads below -1e-9."""
-    monkeypatch.setattr(solver, "_sign_pattern_solve", lambda *args: None)
-    monkeypatch.setattr(solver, "_REFIT_MAX_ITERS", 50)
-    with pytest.warns(RuntimeWarning, match="refit stopped after 50 FISTA steps"):
-        res = solve_invex(near_collinear_instance(), SolverConfig(m=40, lam=0.01))
-    assert res.fista_refits == res.outer_iters + 1
-    assert res.dual_min_eig < -1e-9
+@pytest.mark.parametrize("p", [4, 20])
+def test_near_collinear_recipe_solves_exactly(p):
+    """Column 1 is column 0 + 1e-4 column 1, at m below, at and above p + 1
+    and lam from 0 to 100, on three seeds: every solve, whichever refits
+    reach the completion, ends without a warning, and the dual record
+    certifies it."""
+    gt = GroundTruthConfig(p=p, k=2, M=2.2, sigma_e=0.1)
+    for seed in range(3):
+        data = generate(GenSpec(ground_truth=gt, r=3 * p, n_outliers=2 * p, seed=seed,
+                                rho_min=1.0, max_resamples=500))
+        X = data.X.copy()
+        X[:, 1] = X[:, 0] + 1e-4 * X[:, 1]
+        data = Dataset(X=X, y=data.y, labels=data.labels, theta_star=data.theta_star,
+                       r=data.r)
+        for m, lam in itertools.product((p // 2, p + 1, 2 * p), (0.0, 0.01, 1.0, 100.0)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                res = solve_invex(data, SolverConfig(m=m, lam=lam))
+            assert res.dual_min_eig >= -1e-9, (seed, m, lam)
 
 
 def _refit_residual(H, c, theta, lam):
@@ -441,34 +428,40 @@ def fig2_p50_refit_problem():
     return Xs.T @ Xs, Xs.T @ data.y[res.selection], res.config.lam, res.theta_hat
 
 
-def test_sign_pattern_refit_matches_a_forced_fista_refit(monkeypatch):
+def test_sign_pattern_refit_matches_a_forced_fista_refit(monkeypatch, completion_runs):
+    """The sign-pattern refit from a warm start with the wrong zeros and the
+    completion, forced by switching the sign-pattern solve off, reach the
+    same minimizer."""
     H, c, lam, theta_hat = fig2_p50_refit_problem()
     theta0 = theta_hat + 1e-3   # a warm start with the wrong zeros
-    exact, fista = solver._refit_gram(H, c, theta0, lam)
-    assert not fista
+    exact = solver._refit_gram(H, c, theta0, lam)
+    assert not completion_runs
     assert _refit_residual(H, c, exact, lam) <= 1e-8
     monkeypatch.setattr(solver, "_sign_pattern_solve", lambda *args: None)
-    forced, fista = solver._refit_gram(H, c, theta0, lam)
-    assert fista
+    forced = solver._refit_gram(H, c, theta0, lam)
+    assert completion_runs == [0]
     assert _refit_residual(H, c, forced, lam) <= 1e-8
-    assert np.abs(exact - forced).max() <= 1e-9
+    assert np.array_equal(np.sign(exact), np.sign(forced))
+    assert np.abs(exact - forced).max() <= 1e-12
 
 
-def test_sign_pattern_refit_from_zero_is_exact():
+def test_sign_pattern_refit_from_zero_is_exact(completion_runs):
     """theta0 = 0: the first pattern is the coordinates that violate
     stationarity at 0, and the answer is exact, not just within tol."""
     H, c, lam, theta_hat = fig2_p50_refit_problem()
-    cold, fista = solver._refit_gram(H, c, np.zeros(c.size), lam)
-    assert not fista
+    cold = solver._refit_gram(H, c, np.zeros(c.size), lam)
+    assert not completion_runs
     assert _refit_residual(H, c, cold, lam) <= 1e-11
     assert np.array_equal(np.sign(cold), np.sign(theta_hat))
     assert np.abs(cold - theta_hat).max() <= 1e-12
 
 
-def test_singular_sign_pattern_falls_back_to_fista():
+def test_singular_sign_pattern_completes_exactly(completion_runs):
     """A duplicated column at lam = 0 makes every active system that holds
-    both copies singular: the sign-pattern solve gives up and FISTA, which
-    only needs a minimizer, still meets tol."""
+    both copies singular: the sign-pattern solve gives up, and the
+    completion, which never activates the copy (its gradient entry is the
+    original's, 0 once that is active), solves only positive definite
+    systems and meets tol."""
     rng = np.random.default_rng(3)
     X = rng.standard_normal((30, 3))
     X = np.column_stack([X[:, 0], X])
@@ -477,6 +470,77 @@ def test_singular_sign_pattern_falls_back_to_fista():
     residual = lambda theta, g: np.abs(0.5 * g)
     for theta0 in (np.zeros(4), np.array([0.4, 0.6, -1.0, 0.3])):
         assert solver._sign_pattern_solve(H, c, theta0, residual, 1e-8, np.zeros(4), 0.0) is None
-        theta, fista = solver._refit_gram(H, c, theta0, 0.0)
-        assert fista
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            theta = solver._refit_gram(H, c, theta0, 0.0)
         assert _refit_residual(H, c, theta, 0.0) <= 1e-8
+    assert completion_runs == [0, 0]
+
+
+def _refit_form_residual(lam):
+    """`_refit_gram`'s stationarity residual, for calling the completion directly."""
+    return lambda theta, g: 0.5 * solver._l1_residual(
+        theta, g, 2.0 * lam * (np.abs(theta).sum() + 1.0))
+
+
+def test_completion_at_bound_zero_terminates_and_warns():
+    """A residual of exactly 0 is out of reach in floating point: the
+    completion still stops, at the minimizer, and warns naming the residual."""
+    H, c, lam, theta_hat = fig2_p50_refit_problem()
+    with pytest.warns(RuntimeWarning, match="stopped with stationarity residual .* "
+                                            "above the bound 0"):
+        theta = solver._active_set_solve(H, c, _refit_form_residual(lam), 0.0,
+                                         np.full(c.size, lam), lam)
+    assert _refit_residual(H, c, theta, lam) <= 1e-8
+    assert np.abs(theta - theta_hat).max() <= 1e-12
+
+
+def _refit_objective_by_enumeration(H, c, lam):
+    """The least refit objective theta^T H theta - 2 c^T theta
+    + lam (||theta||_1 + 1)^2, found by trying every one of the 3^p sign
+    patterns: each pattern's system is solved, and the solutions whose
+    signs are the pattern's are candidates.  Some minimizer has a
+    nonsingular system (along a null direction of a singular one the
+    objective is constant until a coordinate reaches zero), so the least
+    candidate objective is the minimum; a system singular to working
+    precision is skipped, as its solution would be noise."""
+    best = np.inf
+    for s in itertools.product((-1.0, 0.0, 1.0), repeat=c.size):
+        s = np.array(s)
+        A = np.flatnonzero(s)
+        K = H[np.ix_(A, A)] + lam * np.outer(s[A], s[A])
+        if np.linalg.matrix_rank(K) < A.size:
+            continue
+        theta = np.zeros(c.size)
+        theta[A] = np.linalg.solve(K, c[A] - lam * s[A])
+        if np.array_equal(np.sign(theta), s):
+            best = min(best, solver._refit_objective(H, c, theta, lam))
+    return best
+
+
+def refit_problems():
+    """Gram forms with m > p, m < p, and a duplicated column, each at
+    several lam."""
+    rng = np.random.default_rng(23)
+    for m, p, duplicate in ((12, 5, False), (3, 5, False), (10, 4, True)):
+        X = rng.standard_normal((m, p))
+        if duplicate:
+            X[:, 1] = X[:, 0]
+        y = X @ rng.standard_normal(p) + 0.1 * rng.standard_normal(m)
+        for lam in (0.0, 0.05, 1.0, 20.0):
+            yield X.T @ X, X.T @ y, lam
+
+
+@pytest.mark.parametrize("path", ["default", "completion"])
+def test_refit_objective_matches_a_brute_force_reference(monkeypatch, path):
+    """`_refit_gram`, cold and warm, by the default path and by the forced
+    completion, reaches the least objective over all sign patterns."""
+    if path == "completion":
+        monkeypatch.setattr(solver, "_sign_pattern_solve", lambda *args: None)
+    rng = np.random.default_rng(29)
+    for H, c, lam in refit_problems():
+        want = _refit_objective_by_enumeration(H, c, lam)
+        for theta0 in (np.zeros(c.size), rng.standard_normal(c.size)):
+            theta = solver._refit_gram(H, c, theta0, lam)
+            got = solver._refit_objective(H, c, theta, lam)
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (lam, got, want)
