@@ -10,17 +10,18 @@ theta^T H theta - 2 c^T theta, so every step costs a p x p product instead
 of two n x p ones (the covariance update of Friedman, Hastie & Tibshirani
 2010).  Each fit checks X and y and forms H1 = X^T X once (`_gram`), and
 then carries its Gram from solve to solve as the pair (H, w): H =
-X^T diag(w) X at the sample weights w it was last formed at.  A solve at
-new weights w' updates H by `_weighted_gram`, which touches only the rows
-D whose weight changed, H' = H - X_D^T diag(w_D - w'_D) X_D, and c =
-X^T (w' y) is formed directly, one n x p product that cannot drift.  The
-trimmed lasso is the 0/1-weight case: its first round solves on H1
-itself, and each later round touches only the rows that swapped in or out
-of the kept set, a median of 36 of the 1107 on the fig2_p100 seed-0 cells,
-where every round drops 369 (the C-step updates of FAST-LTS, Rousseeuw &
-Van Driessen 2006).  Every update adds or subtracts a product A^T A, so
-the carried H stays exactly symmetric, and it stays within about 1e-15
-relative of X^T W X formed from every row.
+X^T diag(w) X at the 0/1 sample weights w it was last formed at.  A
+solve at new weights w' updates H by `_weighted_gram`, which touches only
+the rows D whose weight changed, H' = H - X_D^T X_D for the rows that
+drop out and H' = H + X_D^T X_D for those that join, and c = X^T (w' y)
+is formed directly, one n x p product that cannot drift.  The trimmed
+lasso's first round solves on H1 itself, and each later round touches
+only the rows that swapped in or out of the kept set, a median of 36 of
+the 1107 on the fig2_p100 seed-0 cells, where every round drops 369 (the
+C-step updates of FAST-LTS, Rousseeuw & Van Driessen 2006).  Every update
+adds or subtracts a product A^T A, so the carried H stays exactly
+symmetric, and it stays within about 1e-15 relative of X^T W X formed
+from every row.
 
 Each stage of the adaptive Huber lasso minimizes the Huber loss plus the
 L1 penalty exactly, by the finite Newton method of Madsen & Nielsen
@@ -38,11 +39,13 @@ replaced by a halved step towards it.  A stage takes about two solves on
 the configs/ grids, and at most four.
 
 The stop rule is the same on every path: the subgradient residual of the
-returned theta is below tol * (1 + lam).  Every solve is `_lasso_solve`,
-that is `solver._gram_solve`, the Gram-form L1 solve the refit also runs,
-here with no rank-one term: the sign pattern of the start point, corrected
-at most `solver._SIGN_CORRECTIONS` times (`solver._sign_pattern_solve`),
-and only when that fails the finite active-set completion
+returned theta is at most _TOL * (1 + lam), or 8 eps ||c||_inf when that
+is larger, the floating-point floor of the gradient when y holds a gross
+outlier.  Every solve is `_lasso_solve`, that is `solver._gram_solve`,
+the Gram-form L1 solve the refit also runs, here with no rank-one term:
+the sign pattern of the start point, corrected at most
+`solver._SIGN_CORRECTIONS` times (`solver._sign_pattern_solve`), and only
+when that fails the finite active-set completion
 `solver._active_set_solve`, which ends exact.  The lasso method and the
 stage-0 fit of the adaptive Huber lasso start from theta = 0, where the
 first pattern is the coordinates that violate stationarity.  Every
@@ -61,7 +64,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Dataset, _check_finite, _check_int, _check_nonneg
-from .solver import _gram_solve, _l1_residual
+from .solver import _gram_solve
 
 __all__ = ["BaselineConfig", "lasso", "adaptive_huber_lasso", "trimmed_lasso"]
 
@@ -78,7 +81,8 @@ class BaselineConfig:
 
 _TRIM_ROUNDS = 5000   # rounds `trimmed_lasso` runs before it warns
 _HUBER_ROUNDS = 50    # partition rounds a Huber stage runs before it warns
-_TOL = 1e-10          # every lasso solve stops at residual _TOL * (1 + lam)
+_TOL = 1e-10          # every lasso solve stops at residual _TOL * (1 + lam),
+_ROUNDOFF = 8.0 * np.finfo(float).eps   # or at _ROUNDOFF * ||c||_inf if larger
 
 
 @dataclass(eq=False)
@@ -97,83 +101,40 @@ def _gram(X, y):
 
 
 def _weighted_gram(X, gram, w):
-    """X^T W X, W = diag(w), updated in place from the carried `gram`.
+    """X^T W X, W = diag(w) for 0/1 weights w, updated in place from the
+    carried `gram`.
 
-    Only the rows whose weight differs from `gram.w`, the weights the Gram
-    was last formed at, are touched: those whose weight fell are downdated
-    out of it and those whose weight rose updated into it.  `gram` then
-    holds the new pair (H, w).  With no weight changed the Gram is returned
-    as it is.
+    Only the rows D whose weight differs from `gram.w`, the weights the
+    Gram was last formed at, are touched: with A = X[D], the rows that
+    dropped out are downdated, H - A^T A, and those that joined updated,
+    H + A^T A.  A product of a matrix with its own transpose keeps an
+    exactly symmetric H exactly symmetric: `eigvalsh` reads one triangle of
+    it and `np.linalg.solve` reads both.  `gram` then holds the new pair
+    (H, w).  With no weight changed the Gram is returned as it is.
     """
     d = gram.w - w
     for D in (np.flatnonzero(d > 0), np.flatnonzero(d < 0)):
         if D.size:
-            gram.H = _downdate(gram.H, X[D], d[D])
+            A = X[D]
+            gram.H = gram.H - A.T @ A if d[D[0]] > 0 else gram.H + A.T @ A
     gram.w = w
     return gram.H
 
 
-def _downdate(H, X_D, d):
-    """H - X_D^T diag(d) X_D for d of one sign.
-
-    With A = diag(sqrt|d|) X_D the correction is +-A^T A, a product of a
-    matrix with its own transpose, so an exactly symmetric H stays exactly
-    symmetric: `eigvalsh` reads one triangle of it and `np.linalg.solve`
-    reads both.
-    """
-    A = X_D * np.sqrt(np.abs(d))[:, None]
-    G = A.T @ A
-    return H - G if d[0] > 0 else H + G
-
-
-def _lasso(X, y, lam, weights=None, tol=_TOL, sample_weights=None, theta0=None, gram=None):
-    """min sum w_i (y_i - <X_i, theta>)^2 + sum_j lam_j |theta_j|.
-
-    lam_j = lam * weights_j (weights default to one).  With H = X^T W X,
-    W = diag(w), and c = X^T W y, the gradient of the loss is
-    g = 2 (H theta - c), and a theta is returned only once its subgradient
-    residual (|g_j + lam_j sign(theta_j)| on the support, the excess of
-    |g_j| over lam_j off it) is below tol * (1 + lam).  H comes from the
-    carried `gram` = `_gram(X, y)` by `_weighted_gram`, which touches only
-    the rows whose weight changed since its last solve; a fit forms `gram`
-    once and passes it to every solve, and without it the call checks X and
-    y and forms its own.  c is formed directly, one n x p product.
-
-    The solve is `_lasso_solve` from theta0 (zeros by default).  Non-finite
-    X, y, sample weights, coordinate weights or theta0, negative sample or
-    coordinate weights and a theta0 that is not of length p raise
-    ValueError.
-    """
-    p = X.shape[1]
-    _check_finite(("sample weights", sample_weights), ("weights", weights),
-                  ("theta0", theta0))
-    if sample_weights is not None and (np.asarray(sample_weights) < 0).any():
-        raise ValueError("sample weights must be >= 0")
-    if weights is not None and np.any(np.asarray(weights) < 0):
-        raise ValueError("weights must be >= 0")
-    if theta0 is not None and np.shape(theta0) != (p,):
-        raise ValueError(f"theta0 must have shape ({p},), got {np.shape(theta0)}")
-    if gram is None:
-        gram = _gram(X, y)
-    w = np.ones(X.shape[0]) if sample_weights is None else np.asarray(
-        sample_weights, dtype=float)
-    H, c = _weighted_gram(X, gram, w), X.T @ (w * y)
-    lam_j = np.full(p, lam) if weights is None else lam * np.asarray(weights, float)
-    theta0 = np.zeros(p) if theta0 is None else np.asarray(theta0, dtype=float)
-    return _lasso_solve(H, c, lam_j, theta0, tol * (1.0 + lam))
-
-
-def _lasso_solve(H, c, lam_j, theta0, bound):
+def _lasso_solve(H, c, lam_j, theta0, lam):
     """theta^T H theta - 2 c^T theta + sum_j lam_j |theta_j| by
     `solver._gram_solve` from theta0, with shift lam_j / 2 and no rank-one
-    term.  Returns a theta whose subgradient residual is at most `bound`."""
-    return _gram_solve(H, c, theta0, lambda theta, g: _l1_residual(theta, g, lam_j),
-                       bound, 0.5 * lam_j, 0.0)
+    term.  Returns a theta whose subgradient residual is at most
+    _TOL * (1 + lam), or _ROUNDOFF * ||c||_inf when that is larger."""
+    bound = max(_TOL * (1.0 + lam), _ROUNDOFF * np.abs(c).max(initial=0.0))
+    return _gram_solve(H, c, theta0, bound, 0.5 * lam_j, 0.0)
 
 
 def lasso(data: Dataset, cfg: BaselineConfig) -> np.ndarray:
-    """Standard lasso on all samples: sum of squared residuals + lam * ||theta||_1."""
-    return _lasso(data.X, data.y, cfg.lam)
+    """Standard lasso on all samples: sum of squared residuals + lam * ||theta||_1.
+    Non-finite X or y raise ValueError."""
+    X, y, p = data.X, data.y, data.p
+    return _lasso_solve(_gram(X, y).H, X.T @ y, np.full(p, cfg.lam), np.zeros(p), cfg.lam)
 
 
 def _mad_scale(resid) -> float:
@@ -212,13 +173,12 @@ def _huber_stage(X, y, gram, theta, delta, lam, lam_j):
     def signs_beyond_delta(r):
         return np.where(np.abs(r) > delta, np.sign(r), 0.0)
 
-    bound = _TOL * (1.0 + lam)
     r = y - X @ theta
     s, f = signs_beyond_delta(r), objective(theta, r)
     for _ in range(_HUBER_ROUNDS):
         w = (s == 0.0).astype(float)
         H, c = _weighted_gram(X, gram, w), X.T @ (w * y + delta * s)
-        theta_new = _lasso_solve(H, c, lam_j, theta, bound)
+        theta_new = _lasso_solve(H, c, lam_j, theta, lam)
         r_new = y - X @ theta_new
         s_new = signs_beyond_delta(r_new)
         if np.array_equal(s_new, s):
@@ -262,8 +222,8 @@ def adaptive_huber_lasso(data: Dataset, cfg: BaselineConfig) -> np.ndarray:
     """
     X, y = data.X, data.y
     gram = _gram(X, y)
-    theta = _lasso(X, y, cfg.lam, gram=gram)
     lam_j = np.full(X.shape[1], float(cfg.lam))
+    theta = _lasso_solve(gram.H, X.T @ y, lam_j, np.zeros(X.shape[1]), cfg.lam)
 
     delta = None
     theta1 = theta
@@ -296,12 +256,12 @@ def trimmed_lasso(data: Dataset, cfg: BaselineConfig) -> tuple[np.ndarray, np.nd
     keep_size = n - cfg.trim_count
     kept = np.ones(n, dtype=bool)
     gram = _gram(X, y)
-    lam_j, bound = np.full(data.p, cfg.lam), _TOL * (1.0 + cfg.lam)
+    lam_j = np.full(data.p, cfg.lam)
     theta = np.zeros(data.p)  # the first round starts cold, later ones from the last theta
     seen = set()
     for _ in range(_TRIM_ROUNDS):
         w = kept.astype(float)
-        theta = _lasso_solve(_weighted_gram(X, gram, w), X.T @ (w * y), lam_j, theta, bound)
+        theta = _lasso_solve(_weighted_gram(X, gram, w), X.T @ (w * y), lam_j, theta, cfg.lam)
         resid = np.abs(y - X @ theta)
         order = np.argsort(resid, kind="stable")
         new_kept = np.zeros(n, dtype=bool)

@@ -51,8 +51,11 @@ tolerance, or through roundoff, which warns.
 
 The refit and the baselines' lasso solves are one Gram-form solve,
 `_gram_solve`: the corrections first, the completion only when they fail.
-They differ only in the penalty's terms and the weights of the
-stationarity residual `_l1_residual` they pass.  The V gradient
+They differ only in the penalty's terms and the bound they pass: the
+solve derives its stop rule's residual from those terms (`_l1_residual`,
+on the full gradient 2 (H theta - c)), so the refit passes twice its tol,
+and the completion's roundoff warning names that full-gradient residual,
+twice the refit's half-gradient one.  The V gradient
 sum_i b_i A_i is `model.lifted_gram`, which the dual record and the dual
 certificate use.
 """
@@ -258,12 +261,16 @@ def _as_rows(selection: np.ndarray, n: int, name: str = "selection") -> np.ndarr
                      f"got dtype {sel.dtype} and shape {sel.shape}")
 
 
-def _l1_residual(theta, g, tau):
-    """Stationarity residual at theta of a loss with gradient g plus
-    sum_j tau_j |theta_j|: |g_j + tau_j sign(theta_j)| on the nonzeros and
-    max(|g_j| - tau_j, 0) on the zeros."""
-    return np.where(theta != 0.0, np.abs(g + tau * np.sign(theta)),
-                    np.maximum(np.abs(g) - tau, 0.0))
+def _l1_residual(H, c, theta, shift, rank_one):
+    """g = 2 (H theta - c) and the stationarity residual at theta of the
+    Gram-form problem with penalty terms shift and rank_one
+    (`_sign_pattern_solve`), whose subgradient weights are
+    tau = 2 (shift + rank_one ||theta||_1): |g_j + tau_j sign(theta_j)| on
+    the nonzeros and max(|g_j| - tau_j, 0) on the zeros."""
+    g = 2.0 * (H @ theta - c)
+    tau = 2.0 * (shift + rank_one * np.abs(theta).sum())
+    return g, np.where(theta != 0.0, np.abs(g + tau * np.sign(theta)),
+                       np.maximum(np.abs(g) - tau, 0.0))
 
 
 # Sign-pattern corrections `_sign_pattern_solve` makes before the completion.
@@ -280,7 +287,7 @@ def _pattern_system(H, c, s, idx, shift, rank_one):
     return K, c[idx] - shift[idx] * s_I
 
 
-def _sign_pattern_solve(H, c, theta0, residual, bound, shift, rank_one):
+def _sign_pattern_solve(H, c, theta0, bound, shift, rank_one):
     """The minimizer for a guessed sign pattern, or None.
 
     Both Gram-form solves minimize theta^T H theta - 2 c^T theta + pen(theta)
@@ -291,14 +298,15 @@ def _sign_pattern_solve(H, c, theta0, residual, bound, shift, rank_one):
     lam (||theta||_1 + 1)^2, shift = lam and rank_one = lam.  The minimizer
     with those signs solves
     (H_AA + rank_one s_A s_A^T) theta_A = c_A - shift_A s_A.
-    A candidate whose largest `residual(theta, 2 (H theta - c))` is at most
-    `bound` is returned.  This is the stop rule of every `_gram_solve`,
-    read at the candidate's own signs; with a penalty, a candidate whose
-    signs on A differ from s fails it.  Otherwise the coordinates whose sign
-    flipped leave A, the zero coordinates whose residual exceeds the bound
-    join it with the sign of -g_j, and the system is solved again, at most
-    `_SIGN_CORRECTIONS` times.  From theta0 = 0 the first system is empty,
-    so the first pattern is the coordinates that violate stationarity at 0.
+    A candidate whose largest `_l1_residual` is at most `bound` is returned.
+    This is the stop rule of every `_gram_solve`, derived from the same
+    shift and rank_one and read at the candidate's own signs; with a
+    penalty, a candidate whose signs on A differ from s fails it.
+    Otherwise the coordinates whose sign flipped leave A, the zero
+    coordinates whose residual exceeds the bound join it with the sign of
+    -g_j, and the system is solved again, at most `_SIGN_CORRECTIONS`
+    times.  From theta0 = 0 the first system is empty, so the first pattern
+    is the coordinates that violate stationarity at 0.
     A singular or non-finite solve, or a correction that leaves A unchanged,
     returns None.
     """
@@ -314,8 +322,7 @@ def _sign_pattern_solve(H, c, theta0, residual, bound, shift, rank_one):
             return None
         if not np.all(np.isfinite(theta)):
             return None
-        g = 2.0 * (H @ theta - c)
-        resid = residual(theta, g)
+        g, resid = _l1_residual(H, c, theta, shift, rank_one)
         if resid.max(initial=0.0) <= bound:
             return theta
         flipped = active[np.sign(theta[active]) != s_A]
@@ -327,7 +334,7 @@ def _sign_pattern_solve(H, c, theta0, residual, bound, shift, rank_one):
     return None
 
 
-def _active_set_solve(H, c, residual, bound, shift, rank_one):
+def _active_set_solve(H, c, bound, shift, rank_one):
     """The completion: the problem of `_sign_pattern_solve` by a finite
     primal active-set method from theta = 0 (Osborne, Presnell & Turlach
     2000), adding one coordinate at a time as LARS does (Efron, Hastie,
@@ -359,8 +366,7 @@ def _active_set_solve(H, c, residual, bound, shift, rank_one):
     """
     theta, s, seen = np.zeros(c.size), np.zeros(c.size), set()
     while True:
-        g = 2.0 * (H @ theta - c)
-        resid = residual(theta, g)
+        g, resid = _l1_residual(H, c, theta, shift, rank_one)
         if resid.max(initial=0.0) <= bound:
             return theta
         free = np.where(s == 0.0, resid, 0.0)
@@ -404,14 +410,14 @@ def _active_set_solve(H, c, residual, bound, shift, rank_one):
     return theta
 
 
-def _gram_solve(H, c, theta0, residual, bound, shift, rank_one):
+def _gram_solve(H, c, theta0, bound, shift, rank_one):
     """The Gram-form L1 solve of the refit and the baselines' lasso:
     `_sign_pattern_solve` from theta0, and only when that returns None the
-    completion, `_active_set_solve`.  The answer's largest `residual` is at
-    most `bound`, short of roundoff, which warns."""
-    theta = _sign_pattern_solve(H, c, theta0, residual, bound, shift, rank_one)
+    completion, `_active_set_solve`.  The answer's largest `_l1_residual`
+    is at most `bound`, short of roundoff, which warns."""
+    theta = _sign_pattern_solve(H, c, theta0, bound, shift, rank_one)
     if theta is None:
-        theta = _active_set_solve(H, c, residual, bound, shift, rank_one)
+        theta = _active_set_solve(H, c, bound, shift, rank_one)
     return theta
 
 
@@ -419,12 +425,10 @@ def _refit_gram(H: np.ndarray, c: np.ndarray, theta: np.ndarray, lam: float,
                 tol: float = 1e-8) -> np.ndarray:
     """`refit`'s solve: `_gram_solve` from theta on theta^T H theta
     - 2 c^T theta + lam (||theta||_1 + 1)^2 (shift lam, rank-one term lam),
-    until the absolute residual, the scale the dual construction needs, is
-    at most tol."""
-    def residual(theta, g):
-        return 0.5 * _l1_residual(theta, g, 2.0 * lam * (np.abs(theta).sum() + 1.0))
-
-    return _gram_solve(H, c, theta, residual, tol, np.full(c.size, lam), lam)
+    until the absolute residual on the half gradient H theta - c, the scale
+    the dual construction needs, is at most tol: `_l1_residual`, on the
+    full gradient, at most 2 tol, which halving makes the same test."""
+    return _gram_solve(H, c, theta, 2.0 * tol, np.full(c.size, lam), lam)
 
 
 def refit(data: Dataset, selection: np.ndarray, lam: float,

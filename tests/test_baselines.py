@@ -1,4 +1,3 @@
-import inspect
 import json
 import warnings
 from pathlib import Path
@@ -7,7 +6,7 @@ import numpy as np
 import pytest
 
 from invexreg import baselines, solver
-from invexreg.baselines import (BaselineConfig, _gram, _lasso, _weighted_gram,
+from invexreg.baselines import (_TOL, BaselineConfig, _gram, _lasso_solve, _weighted_gram,
                                 adaptive_huber_lasso, lasso, trimmed_lasso)
 from invexreg.bench import ExperimentConfig, lambda_from_m
 from invexreg.datagen import GenSpec, generate
@@ -175,6 +174,23 @@ def test_baseline_config_validation():
     BaselineConfig(lam=np.int64(1), trim_count=np.int64(3))
 
 
+def weighted_gram_form(X, y, sample_weights=None):
+    """H = X^T diag(sw) X and c = X^T (sw y), formed directly from every
+    row (sw defaults to one)."""
+    sw = np.ones(X.shape[0]) if sample_weights is None else sample_weights
+    return X.T @ (sw[:, None] * X), X.T @ (sw * y)
+
+
+def weighted_lasso(X, y, lam, weights=None, sample_weights=None, theta0=None):
+    """min sum_i sw_i (y_i - <X_i, theta>)^2 + lam sum_j weights_j |theta_j|
+    by `_lasso_solve` on `weighted_gram_form`, from theta0 (zeros by
+    default); sample and coordinate weights default to one."""
+    p = X.shape[1]
+    H, c = weighted_gram_form(X, y, sample_weights)
+    lam_j = lam * (np.ones(p) if weights is None else weights)
+    return _lasso_solve(H, c, lam_j, np.zeros(p) if theta0 is None else theta0, lam)
+
+
 def weighted_problem(n, p):
     rng = np.random.default_rng(12 + p)
     X = rng.standard_normal((n, p))
@@ -203,14 +219,14 @@ BOTH_PATHS = [pytest.param(n, p, path, id=f"{n}-{p}{suffix}")
 
 
 @pytest.mark.parametrize("n,p,solve_path", BOTH_PATHS, indirect=["solve_path"])
-def test_fista_weighted_matches_weighted_coordinate_descent(n, p, solve_path,
+def test_weighted_lasso_matches_weighted_coordinate_descent(n, p, solve_path,
                                                             completion_runs):
     """The Gram-form solve with sample and coordinate weights solves the same
     problem as an independent weighted coordinate descent, for n > p and
     n < p, by either path."""
     _, X, y, sw, cw = weighted_problem(n, p)
     lam = 0.8
-    th_f = _lasso(X, y, lam, weights=cw, sample_weights=sw)
+    th_f = weighted_lasso(X, y, lam, weights=cw, sample_weights=sw)
     th_c = _lasso_cd(X, y, lam, sample_weights=sw, weights=cw)
     assert np.count_nonzero(th_c) > 0
     assert np.abs(th_f - th_c).max() <= 1e-8
@@ -219,14 +235,14 @@ def test_fista_weighted_matches_weighted_coordinate_descent(n, p, solve_path,
 
 
 @pytest.mark.parametrize("n,p,solve_path", BOTH_PATHS, indirect=["solve_path"])
-def test_fista_from_random_start_matches_coordinate_descent(n, p, solve_path,
+def test_lasso_from_random_start_matches_coordinate_descent(n, p, solve_path,
                                                             completion_runs):
     """A start point changes where the solve begins, not the minimizer it
     reaches, by either path."""
     rng, X, y, sw, cw = weighted_problem(n, p)
     lam = 0.8
     theta0 = 3.0 * rng.standard_normal(p)
-    th_f = _lasso(X, y, lam, weights=cw, sample_weights=sw, theta0=theta0)
+    th_f = weighted_lasso(X, y, lam, weights=cw, sample_weights=sw, theta0=theta0)
     th_c = _lasso_cd(X, y, lam, sample_weights=sw, weights=cw)
     assert np.count_nonzero(th_c) > 0
     assert np.abs(th_f - th_c).max() <= 1e-8
@@ -252,13 +268,13 @@ def test_cold_lasso_is_exact_without_fista(completion_runs):
 def lasso_solves(monkeypatch):
     """Record every `baselines._lasso_solve` call, the one solve behind each
     lasso, each exact Huber-stage round and each trimmed round, as
-    (H, c, lam_j, theta0, bound, theta returned)."""
+    (H, c, lam_j, theta0, lam, theta returned)."""
     calls = []
     real = baselines._lasso_solve
 
-    def recording(H, c, lam_j, theta0, bound, *args):
-        theta = real(H, c, lam_j, theta0, bound, *args)
-        calls.append((H, c, lam_j, np.array(theta0), bound, theta))
+    def recording(H, c, lam_j, theta0, lam):
+        theta = real(H, c, lam_j, theta0, lam)
+        calls.append((H, c, lam_j, np.array(theta0), lam, theta))
         return theta
 
     monkeypatch.setattr(baselines, "_lasso_solve", recording)
@@ -282,20 +298,6 @@ def test_repeated_solves_start_from_the_previous_theta(lasso_solves, method):
     assert not lasso_solves[0][3].any()
     for previous, (_, _, _, start, _, _) in zip(lasso_solves, lasso_solves[1:]):
         assert np.array_equal(start, previous[-1])
-
-
-@pytest.mark.parametrize("kwargs,match", [
-    ({"theta0": np.zeros(3)}, "theta0 must have shape"),
-    ({"theta0": np.zeros((4, 1))}, "theta0 must have shape"),
-    ({"theta0": np.array([0.0, np.nan, 0.0, 0.0])}, "theta0 must be finite"),
-    ({"weights": np.array([1.0, np.nan, 1.0, 1.0])}, "^weights must be finite"),
-    ({"weights": np.array([1.0, -1.0, 1.0, 1.0])}, "^weights must be >= 0"),
-])
-def test_fista_validates_start_point_and_coordinate_weights(kwargs, match):
-    rng = np.random.default_rng(16)
-    data = clean_data(rng)
-    with pytest.raises(ValueError, match=match):
-        _lasso(data.X, data.y, 0.5, **kwargs)
 
 
 def test_baselines_make_no_svd_call(monkeypatch):
@@ -334,30 +336,9 @@ def test_baselines_reject_non_finite_data(method, where):
         run(bad, cfg)
 
 
-def test_fista_rejects_non_finite_sample_weights():
-    rng = np.random.default_rng(14)
-    data = clean_data(rng)
-    sw = np.ones(data.n)
-    sw[0] = np.nan
-    with pytest.raises(ValueError, match="sample weights must be finite"):
-        _lasso(data.X, data.y, 0.5, sample_weights=sw)
-
-
-@pytest.mark.parametrize("sw", [-np.ones(30), np.r_[np.ones(29), -1e-3]])
-def test_fista_rejects_negative_sample_weights(sw):
-    """A negative weight raises before any Gram is formed, with no sqrt
-    warning and no eigenvalue failure on the way."""
-    rng = np.random.default_rng(14)
-    data = clean_data(rng)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="^sample weights must be >= 0"):
-            _lasso(data.X, data.y, 0.1, sample_weights=sw)
-
-
-@pytest.mark.parametrize("kind", ["fractional", "zero_one", "spanning_one", "ones"])
+@pytest.mark.parametrize("kind", ["zero_one", "ones"])
 def test_weighted_gram_matches_direct_product(kind):
-    """The Gram downdated from X^T X over the rows with w != 1 equals
+    """The Gram downdated from X^T X over the rows with w = 0 equals
     X^T W X formed from every row, and is exactly symmetric; with all
     weights 1 it is X^T X itself.  The carried pair is then (H, w)."""
     rng = np.random.default_rng(18)
@@ -365,13 +346,8 @@ def test_weighted_gram_matches_direct_product(kind):
     X = rng.standard_normal((n, p))
     y = rng.standard_normal(n)
     w = np.ones(n)
-    if kind == "fractional":
-        rows = rng.random(n) < 0.4
-        w[rows] = rng.uniform(0.05, 1.0, rows.sum())
-    elif kind == "zero_one":
+    if kind == "zero_one":
         w[rng.random(n) < 0.3] = 0.0
-    elif kind == "spanning_one":
-        w = rng.uniform(0.2, 2.0, n)
     gram = _gram(X, y)
     H = _weighted_gram(X, gram, w)
     H_direct = X.T @ (w[:, None] * X)
@@ -397,39 +373,42 @@ def test_trimmed_first_round_is_lasso(lasso_solves):
 @pytest.fixture
 def gram_updates(monkeypatch):
     """Record, per `baselines._lasso_solve` call, the start theta0, the
-    weights the carried Gram was brought to, the indices of the rows
-    `_downdate` touched on the way, the current Huber scale (None outside a
-    Huber stage), the H and c solved on and the theta returned."""
-    solves, weights, touched, stage = [], [], [], {"delta": None}
-    real_downdate, real_weighted = baselines._downdate, baselines._weighted_gram
+    weights the fit's carried Gram stands at, the indices of the rows
+    `_weighted_gram` read from X since the previous solve, the current
+    Huber scale (None outside a Huber stage), the H, c and lam solved on
+    and the theta returned."""
+    solves, grams, touched, stage = [], [], [], {"delta": None}
+    real_gram, real_weighted = baselines._gram, baselines._weighted_gram
     real_solve, real_stage = baselines._lasso_solve, baselines._huber_stage
 
-    def spy_downdate(H, X_D, d):
-        touched.append(X_D)
-        return real_downdate(H, X_D, d)
+    def spy_gram(X, y):
+        grams.append(real_gram(X, y))
+        return grams[-1]
+
+    class Rows(np.ndarray):
+        """X as `_weighted_gram` sees it: each row index read is recorded,
+        and the rows come back as a plain array."""
+        def __getitem__(self, rows):
+            touched.extend(np.asarray(rows).tolist())
+            return np.asarray(self)[rows]
 
     def spy_weighted(X, gram, w):
-        weights.append(w)
-        index = {row.tobytes(): i for i, row in enumerate(X)}
-        out = real_weighted(X, gram, w)
-        touched[:] = [index[row.tobytes()] for X_D in touched for row in X_D]
-        return out
+        return real_weighted(X.view(Rows), gram, w)
 
     def spy_stage(X, y, gram, theta, delta, lam, lam_j):
         stage["delta"] = delta
         return real_stage(X, y, gram, theta, delta, lam, lam_j)
 
-    def recording(H, c, lam_j, theta0, bound, *args):
-        (w,) = weights
-        theta = real_solve(H, c, lam_j, theta0, bound, *args)
-        solves.append({"theta0": np.array(theta0), "w": w, "rows": sorted(touched),
+    def recording(H, c, lam_j, theta0, lam):
+        (gram,) = grams
+        theta = real_solve(H, c, lam_j, theta0, lam)
+        solves.append({"theta0": np.array(theta0), "w": gram.w, "rows": sorted(touched),
                        "delta": stage["delta"], "H": H, "c": c, "lam_j": lam_j,
-                       "bound": bound, "theta": theta})
-        weights.clear()
+                       "lam": lam, "theta": theta})
         touched.clear()
         return theta
 
-    monkeypatch.setattr(baselines, "_downdate", spy_downdate)
+    monkeypatch.setattr(baselines, "_gram", spy_gram)
     monkeypatch.setattr(baselines, "_weighted_gram", spy_weighted)
     monkeypatch.setattr(baselines, "_huber_stage", spy_stage)
     monkeypatch.setattr(baselines, "_lasso_solve", recording)
@@ -514,7 +493,7 @@ def test_carried_gram_matches_the_direct_product_after_every_round(gram_updates,
         assert np.abs(H - H_direct).max() <= 1e-12 * np.abs(H_direct).max()
         assert np.abs(solve["c"] - c_direct).max() <= 1e-12 * np.abs(c_direct).max()
         g = 2.0 * (H_direct @ theta - c_direct)
-        assert l1_residual(theta, g, solve["lam_j"]) <= solve["bound"]
+        assert l1_residual(theta, g, solve["lam_j"]) <= lasso_bound(solve["c"], solve["lam"])
 
 
 def test_baselines_pinned_output_fig2_p100_seed0():
@@ -550,14 +529,17 @@ def l1_residual(theta, g, lam_j):
     return resid.max(initial=0.0)
 
 
+def lasso_bound(c, lam):
+    """The lasso's stop bound, as `_lasso_solve` states it."""
+    return max(_TOL * (1.0 + lam), baselines._ROUNDOFF * np.abs(c).max())
+
+
 def stop_residual(X, y, lam, theta, weights=None, sample_weights=None):
-    """The largest subgradient residual of theta, computed on the Gram form
-    exactly as `_lasso` computes it."""
-    if sample_weights is not None:
-        sw = np.sqrt(sample_weights)
-        X, y = X * sw[:, None], y * sw
+    """The largest subgradient residual of theta on the Gram form
+    `weighted_lasso` solves."""
+    H, c = weighted_gram_form(X, y, sample_weights)
     lam_j = np.full(X.shape[1], lam) if weights is None else lam * np.asarray(weights)
-    return l1_residual(theta, 2.0 * (X.T @ X @ theta - X.T @ y), lam_j)
+    return l1_residual(theta, 2.0 * (H @ theta - c), lam_j)
 
 
 @pytest.mark.parametrize("n,p", [(40, 6), (8, 15)])
@@ -568,7 +550,7 @@ def test_warm_start_with_opposite_signs_matches_coordinate_descent(n, p):
     lam = 0.8
     th_c = _lasso_cd(X, y, lam, sample_weights=sw, weights=cw)
     theta0 = -np.sign(th_c) - 0.5 * (th_c == 0)
-    th_f = _lasso(X, y, lam, weights=cw, sample_weights=sw, theta0=theta0)
+    th_f = weighted_lasso(X, y, lam, weights=cw, sample_weights=sw, theta0=theta0)
     assert np.count_nonzero(th_c) > 0
     assert np.abs(th_f - th_c).max() <= 1e-8
 
@@ -577,16 +559,16 @@ def test_warm_start_missing_nonzeros_adds_them_without_fista(completion_runs):
     """A start whose zeros hide true nonzeros reaches the minimizer by adding
     the coordinates that violate the stop rule, with no completion run."""
     _, X, y, sw, cw = weighted_problem(40, 6)
-    lam, tol = 0.8, 1e-10
+    lam = 0.8
     th_c = _lasso_cd(X, y, lam, sample_weights=sw, weights=cw)
     support = np.flatnonzero(th_c)
     assert support.size >= 2
     theta0 = th_c.copy()
     theta0[support[1:]] = 0.0
-    th_f = _lasso(X, y, lam, weights=cw, sample_weights=sw, tol=tol, theta0=theta0)
+    th_f = weighted_lasso(X, y, lam, weights=cw, sample_weights=sw, theta0=theta0)
     assert not completion_runs
     assert np.abs(th_f - th_c).max() <= 1e-8
-    assert stop_residual(X, y, lam, th_f, cw, sw) <= tol * (1.0 + lam)
+    assert stop_residual(X, y, lam, th_f, cw, sw) <= _TOL * (1.0 + lam)
 
 
 def test_warm_start_on_singular_support_completes_exactly(completion_runs):
@@ -598,12 +580,12 @@ def test_warm_start_on_singular_support_completes_exactly(completion_runs):
     X = rng.integers(-3, 4, size=(30, 3)).astype(float)
     X[:, 1] = X[:, 0]
     y = X @ np.array([1.0, 1.0, -0.5]) + 0.05 * rng.standard_normal(30)
-    lam, tol = 0.5, 1e-10
+    lam = 0.5
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        theta = _lasso(X, y, lam, tol=tol, theta0=np.array([1.0, 1.0, 0.0]))
+        theta = weighted_lasso(X, y, lam, theta0=np.array([1.0, 1.0, 0.0]))
     assert completion_runs == [0]
-    assert stop_residual(X, y, lam, theta) <= tol * (1.0 + lam)
+    assert stop_residual(X, y, lam, theta) <= _TOL * (1.0 + lam)
 
 
 def test_completion_exchanges_a_dependent_column_along_the_null_direction(
@@ -618,13 +600,13 @@ def test_completion_exchanges_a_dependent_column_along_the_null_direction(
     X = rng.integers(-3, 4, size=(30, 2)).astype(float)
     X = np.column_stack([X, 0.5 * (X[:, 0] + X[:, 1])])
     y = X[:, :2] @ np.array([2.0, 1.0]) + 0.05 * rng.standard_normal(30)
-    lam, tol, cw = 5.0, 1e-10, np.array([1.0, 1.0, 0.8])
+    lam, cw = 5.0, np.array([1.0, 1.0, 0.8])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        theta = _lasso(X, y, lam, weights=cw, tol=tol)
+        theta = weighted_lasso(X, y, lam, weights=cw)
     assert completion_runs == [0]
     assert theta[1] == 0.0 and theta[0] != 0.0 and theta[2] != 0.0
-    assert stop_residual(X, y, lam, theta, cw) <= tol * (1.0 + lam)
+    assert stop_residual(X, y, lam, theta, cw) <= _TOL * (1.0 + lam)
     obj = lambda t: float(np.sum((y - X @ t) ** 2) + lam * cw @ np.abs(t))
     assert obj(theta) <= obj(_lasso_cd(X, y, lam, weights=cw)) + 1e-10
 
@@ -634,7 +616,7 @@ def test_warm_solves_mostly_skip_fista_and_pass_the_stop_rule(monkeypatch,
                                                               completion_runs, method):
     """Warm-started solves run the completion less often than they are made,
     and every theta returned, by either path, meets the stop rule of the
-    system it solved, at the lasso's tol * (1 + lam)."""
+    system it solved, at the lasso's bound for the fit's lam."""
     data = generate(GenSpec(
         ground_truth=GroundTruthConfig(p=8, k=3, M=2.2, sigma_e=0.1),
         r=40, n_outliers=20, seed=15))
@@ -642,10 +624,10 @@ def test_warm_solves_mostly_skip_fista_and_pass_the_stop_rule(monkeypatch,
     solves = []
     real = baselines._lasso_solve
 
-    def recording(H, c, lam_j, theta0, bound, *args):
+    def recording(H, c, lam_j, theta0, lam):
         runs_before = len(completion_runs)
-        theta = real(H, c, lam_j, theta0, bound, *args)
-        solves.append((H, c, lam_j, theta0, bound, theta, len(completion_runs) - runs_before))
+        theta = real(H, c, lam_j, theta0, lam)
+        solves.append((H, c, lam_j, theta0, lam, theta, len(completion_runs) - runs_before))
         return theta
 
     monkeypatch.setattr(baselines, "_lasso_solve", recording)
@@ -656,10 +638,9 @@ def test_warm_solves_mostly_skip_fista_and_pass_the_stop_rule(monkeypatch,
     warm = [s for s in solves if s[3].any()]
     assert len(warm) >= 2
     assert sum(s[-1] for s in warm) < len(warm)
-    tol = inspect.signature(_lasso).parameters["tol"].default
-    for H, c, lam_j, _, bound, theta, _ in solves:
-        assert bound == tol * (1.0 + cfg.lam)
-        assert l1_residual(theta, 2.0 * (H @ theta - c), lam_j) <= bound
+    for H, c, lam_j, _, lam, theta, _ in solves:
+        assert lam == cfg.lam
+        assert l1_residual(theta, 2.0 * (H @ theta - c), lam_j) <= lasso_bound(c, lam)
 
 
 def huber_lasso_residual(X, y, theta, delta, lam_j):
@@ -694,9 +675,8 @@ def test_exact_huber_stages_are_stationary(monkeypatch):
         theta = adaptive_huber_lasso(data, cfg)
     assert np.array_equal(theta, stages[-1][-1])
     assert len(stages) >= 3
-    tol = inspect.signature(_lasso).parameters["tol"].default
     for delta, lam_j, out in stages:
-        assert huber_lasso_residual(data.X, data.y, out, delta, lam_j) <= tol * (1.0 + cfg.lam)
+        assert huber_lasso_residual(data.X, data.y, out, delta, lam_j) <= _TOL * (1.0 + cfg.lam)
 
 
 def test_huber_stage_damps_a_newton_step_that_does_not_lower_the_objective(

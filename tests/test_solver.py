@@ -397,12 +397,74 @@ def _refit_residual(H, c, theta, lam):
                     np.maximum(np.abs(g) - scale, 0.0)).max()
 
 
+def derived_residual(theta, g, shift, rank_one):
+    """`solver._l1_residual` at theta for a given full gradient g: with
+    H = 0 and c = -g / 2 the helper's g = 2 (H theta - c) is g bit for bit."""
+    g_out, resid = solver._l1_residual(np.zeros((g.size, g.size)), -0.5 * g, theta,
+                                       shift, rank_one)
+    assert np.array_equal(g_out, g)
+    return resid
+
+
+def by_hand(theta, g, tau):
+    """The L1 stationarity residual written out: |g_j + tau_j sign theta_j|
+    on the nonzeros and (|g_j| - tau_j)_+ on the zeros."""
+    out = np.empty(theta.size)
+    for j in range(theta.size):
+        if theta[j] != 0.0:
+            out[j] = abs(g[j] + tau[j] * np.sign(theta[j]))
+        else:
+            out[j] = max(abs(g[j]) - tau[j], 0.0)
+    return out
+
+
+def test_derived_residual_matches_the_stop_rules_written_by_hand(monkeypatch):
+    """The residual the solve derives from its penalty terms is the lasso's
+    rule with weights lam_j (shift lam_j / 2, no rank-one term) bit for
+    bit, and the refit's old rule, twice the half-gradient residual with
+    weight 2 lam (||theta||_1 + 1), up to the rounding of that weight,
+    which the solve forms as 2 (lam + lam ||theta||_1).  Halving is exact,
+    so the bound 2 tol that the refit passes accepts exactly when
+    0.5 r <= tol does, also at tol = r / 2 and the floats either side of
+    it."""
+    rng = np.random.default_rng(21)
+    lam, zeros = 0.7, 0
+    for _ in range(50):
+        theta = rng.standard_normal(12) * (rng.random(12) < 0.5)
+        zeros += np.count_nonzero(theta == 0.0)
+        scale = 2.0 * lam * (np.abs(theta).sum() + 1.0)
+        g = 2.0 * scale * rng.standard_normal(12)
+        lam_j = rng.uniform(0.0, 2.0, 12) * scale
+        assert np.array_equal(derived_residual(theta, g, 0.5 * lam_j, 0.0),
+                              by_hand(theta, g, lam_j))
+
+        r = derived_residual(theta, g, np.full(12, lam), lam)
+        old = 2.0 * (0.5 * by_hand(theta, g, np.full(12, scale)))
+        assert np.all(np.abs(r - old) <= 2.0 * np.finfo(float).eps * (np.abs(g) + scale))
+        for r_max in (r.max(), old.max()):
+            half = 0.5 * r_max
+            tols = [half, np.nextafter(half, 0.0), np.nextafter(half, np.inf),
+                    *(half * rng.uniform(0.5, 1.5, 5))]
+            for tol in tols:
+                assert (r_max <= 2.0 * tol) == (0.5 * r_max <= tol)
+    assert 0 < zeros < 50 * 12
+
+    H, c, lam, theta_hat = fig2_p50_refit_problem()
+    bounds = []
+    real = solver._gram_solve
+    monkeypatch.setattr(solver, "_gram_solve",
+                        lambda *args: bounds.append(args[3]) or real(*args))
+    for tol in (1e-8, 3e-11):
+        solver._refit_gram(H, c, theta_hat, lam, tol)
+    assert bounds == [2e-8, 6e-11]
+
+
 def test_refit_residual_is_the_recovered_subgradient_residual():
-    """Half the `_l1_residual` at weights 2 lam (||theta||_1 + 1) is the
-    residual |g/2 + lam (||theta||_1 + 1) w| with w from
-    `_recover_subgradient`: bit for bit on the nonzeros and on the zeros
-    where it is positive, and exactly 0 on the other zeros, where the
-    recovered w leaves only roundoff."""
+    """Half the derived refit residual is the residual
+    |g/2 + lam (||theta||_1 + 1) w| with w from `_recover_subgradient`, up
+    to the rounding of the weight, on the nonzeros and on the zeros where it
+    is positive, and exactly 0 on the other zeros, where the recovered w
+    leaves only roundoff."""
     rng = np.random.default_rng(21)
     lam, inside_count = 0.7, 0
     for _ in range(50):
@@ -411,9 +473,10 @@ def test_refit_residual_is_the_recovered_subgradient_residual():
         scale = lam * (np.abs(theta).sum() + 1.0)
         w, _ = solver._recover_subgradient(theta, 0.5 * g, lam)
         recovered = np.abs(0.5 * g + scale * w)
-        halved = 0.5 * solver._l1_residual(theta, g, 2.0 * scale)
+        halved = 0.5 * derived_residual(theta, g, np.full(12, lam), lam)
         inside = (theta == 0.0) & (np.abs(0.5 * g) <= scale)
-        assert np.array_equal(halved[~inside], recovered[~inside])
+        assert np.all((np.abs(halved - recovered) <= 2.0 * np.finfo(float).eps
+                       * (np.abs(0.5 * g) + scale))[~inside])
         assert np.all(halved[inside] == 0.0)
         assert np.all(recovered[inside] <= 1e-15 * scale)
         inside_count += inside.sum()
@@ -467,20 +530,13 @@ def test_singular_sign_pattern_completes_exactly(completion_runs):
     X = np.column_stack([X[:, 0], X])
     y = X @ np.array([0.5, 0.5, -1.0, 0.3]) + 0.1 * rng.standard_normal(30)
     H, c = X.T @ X, X.T @ y
-    residual = lambda theta, g: np.abs(0.5 * g)
     for theta0 in (np.zeros(4), np.array([0.4, 0.6, -1.0, 0.3])):
-        assert solver._sign_pattern_solve(H, c, theta0, residual, 1e-8, np.zeros(4), 0.0) is None
+        assert solver._sign_pattern_solve(H, c, theta0, 2e-8, np.zeros(4), 0.0) is None
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             theta = solver._refit_gram(H, c, theta0, 0.0)
         assert _refit_residual(H, c, theta, 0.0) <= 1e-8
     assert completion_runs == [0, 0]
-
-
-def _refit_form_residual(lam):
-    """`_refit_gram`'s stationarity residual, for calling the completion directly."""
-    return lambda theta, g: 0.5 * solver._l1_residual(
-        theta, g, 2.0 * lam * (np.abs(theta).sum() + 1.0))
 
 
 def test_completion_at_bound_zero_terminates_and_warns():
@@ -489,8 +545,7 @@ def test_completion_at_bound_zero_terminates_and_warns():
     H, c, lam, theta_hat = fig2_p50_refit_problem()
     with pytest.warns(RuntimeWarning, match="stopped with stationarity residual .* "
                                             "above the bound 0"):
-        theta = solver._active_set_solve(H, c, _refit_form_residual(lam), 0.0,
-                                         np.full(c.size, lam), lam)
+        theta = solver._active_set_solve(H, c, 0.0, np.full(c.size, lam), lam)
     assert _refit_residual(H, c, theta, lam) <= 1e-8
     assert np.abs(theta - theta_hat).max() <= 1e-12
 
