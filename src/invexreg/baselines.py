@@ -8,20 +8,22 @@ comparison curves, not reference implementations.
 All three solve lasso problems on the Gram form: a quadratic
 theta^T H theta - 2 c^T theta, so every step costs a p x p product instead
 of two n x p ones (the covariance update of Friedman, Hastie & Tibshirani
-2010).  Each fit checks X and y and forms H1 = X^T X once (`_gram`), and
-then carries its Gram from solve to solve as the pair (H, w): H =
-X^T diag(w) X at the 0/1 sample weights w it was last formed at.  A
-solve at new weights w' updates H by `_weighted_gram`, which touches only
-the rows D whose weight changed, H' = H - X_D^T X_D for the rows that
-drop out and H' = H + X_D^T X_D for those that join, and c = X^T (w' y)
-is formed directly, one n x p product that cannot drift.  The trimmed
-lasso's first round solves on H1 itself, and each later round touches
-only the rows that swapped in or out of the kept set, a median of 36 of
-the 1107 on the fig2_p100 seed-0 cells, where every round drops 369 (the
-C-step updates of FAST-LTS, Rousseeuw & Van Driessen 2006).  Every update
-adds or subtracts a product A^T A, so the carried H stays exactly
-symmetric, and it stays within about 1e-15 relative of X^T W X formed
-from every row.
+2010).  Each fit checks X and y and forms its Gram once
+(`solver._gram`), and then carries it from solve to solve as the pair
+(H, w): H = X^T diag(w) X at the 0/1 sample weights w it was last formed
+at.  A solve at new weights w' updates H by `solver._weighted_gram`,
+which touches only the rows whose weight changed, and c = X^T (w' y) is
+formed directly, one n x p product that cannot drift.
+
+The trimmed lasso is sparse LTS (Alfons, Croux & Gelper 2013): the
+C-steps of `solver._c_steps`, the loop the invex solver runs, with the
+lasso's penalty, keeping n - trim_count rows from all n.  Its first round
+solves on X^T X itself, and each later round touches only the rows that
+swapped in or out of the kept set, a median of 36 of the 1107 on the
+fig2_p100 seed-0 cells, where every round drops 369 (the C-step updates of
+FAST-LTS, Rousseeuw & Van Driessen 2006).  Every update adds or subtracts
+a product A^T A, so the carried H stays exactly symmetric, and it stays
+within about 1e-15 relative of X^T W X formed from every row.
 
 Each stage of the adaptive Huber lasso minimizes the Huber loss plus the
 L1 penalty exactly, by the finite Newton method of Madsen & Nielsen
@@ -39,21 +41,21 @@ replaced by a halved step towards it.  A stage takes about two solves on
 the configs/ grids, and at most four.
 
 The stop rule is the same on every path: the subgradient residual of the
-returned theta is at most _TOL * (1 + lam), or 8 eps ||c||_inf when that
-is larger, the floating-point floor of the gradient when y holds a gross
-outlier.  Every solve is `_lasso_solve`, that is `solver._gram_solve`,
-the Gram-form L1 solve the refit also runs, here with no rank-one term:
+returned theta is at most _TOL * (1 + lam), or the gradient's roundoff
+floor 8 eps ||c||_inf when that is larger, as when y holds a gross
+outlier.  Every solve is `solver._gram_solve`, the Gram-form L1 solve the
+refit also runs, here with the lasso's penalty terms (`_lasso_solve`):
 the sign pattern of the start point, corrected at most
 `solver._SIGN_CORRECTIONS` times (`solver._sign_pattern_solve`), and only
 when that fails the finite active-set completion
-`solver._active_set_solve`, which ends exact.  The lasso method and the
-stage-0 fit of the adaptive Huber lasso start from theta = 0, where the
-first pattern is the coordinates that violate stationarity.  Every
-Huber-stage round, and every trimmed round after the first, starts from
-the previous theta, which nearly always has the new solution's support and
-signs: the problems differ only through a few rows changing branch or a
-small change in the kept set (the warm starts of pathwise solvers,
-Friedman, Hastie & Tibshirani 2010).
+`solver._active_set_solve`, which ends exact.  The lasso method, the
+stage-0 fit of the adaptive Huber lasso and the first trimmed round start
+from theta = 0, where the first pattern is the coordinates that violate
+stationarity.  Every Huber-stage round, and every trimmed round after the
+first, starts from the previous theta, which nearly always has the new
+solution's support and signs: the problems differ only through a few rows
+changing branch or a small change in the kept set (the warm starts of
+pathwise solvers, Friedman, Hastie & Tibshirani 2010).
 """
 
 from __future__ import annotations
@@ -63,8 +65,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Dataset, _check_finite, _check_int, _check_nonneg
-from .solver import _gram_solve
+from .model import Dataset, _check_int, _check_nonneg
+from .solver import _c_steps, _gram, _gram_solve, _weighted_gram
 
 __all__ = ["BaselineConfig", "lasso", "adaptive_huber_lasso", "trimmed_lasso"]
 
@@ -81,53 +83,15 @@ class BaselineConfig:
 
 _TRIM_ROUNDS = 5000   # rounds `trimmed_lasso` runs before it warns
 _HUBER_ROUNDS = 50    # partition rounds a Huber stage runs before it warns
-_TOL = 1e-10          # every lasso solve stops at residual _TOL * (1 + lam),
-_ROUNDOFF = 8.0 * np.finfo(float).eps   # or at _ROUNDOFF * ||c||_inf if larger
-
-
-@dataclass(eq=False)
-class _Gram:
-    """A fit's Gram, carried from solve to solve: H = X^T diag(w) X and the
-    sample weights w it was last formed at."""
-    H: np.ndarray
-    w: np.ndarray
-
-
-def _gram(X, y):
-    """The carried Gram at weights 1, H1 = X^T X, formed once per fit;
-    non-finite X or y raise ValueError."""
-    _check_finite(("X", X), ("y", y))
-    return _Gram(X.T @ X, np.ones(X.shape[0]))
-
-
-def _weighted_gram(X, gram, w):
-    """X^T W X, W = diag(w) for 0/1 weights w, updated in place from the
-    carried `gram`.
-
-    Only the rows D whose weight differs from `gram.w`, the weights the
-    Gram was last formed at, are touched: with A = X[D], the rows that
-    dropped out are downdated, H - A^T A, and those that joined updated,
-    H + A^T A.  A product of a matrix with its own transpose keeps an
-    exactly symmetric H exactly symmetric: `eigvalsh` reads one triangle of
-    it and `np.linalg.solve` reads both.  `gram` then holds the new pair
-    (H, w).  With no weight changed the Gram is returned as it is.
-    """
-    d = gram.w - w
-    for D in (np.flatnonzero(d > 0), np.flatnonzero(d < 0)):
-        if D.size:
-            A = X[D]
-            gram.H = gram.H - A.T @ A if d[D[0]] > 0 else gram.H + A.T @ A
-    gram.w = w
-    return gram.H
+_TOL = 1e-10          # every lasso solve stops at residual _TOL * (1 + lam)
 
 
 def _lasso_solve(H, c, lam_j, theta0, lam):
     """theta^T H theta - 2 c^T theta + sum_j lam_j |theta_j| by
     `solver._gram_solve` from theta0, with shift lam_j / 2 and no rank-one
     term.  Returns a theta whose subgradient residual is at most
-    _TOL * (1 + lam), or _ROUNDOFF * ||c||_inf when that is larger."""
-    bound = max(_TOL * (1.0 + lam), _ROUNDOFF * np.abs(c).max(initial=0.0))
-    return _gram_solve(H, c, theta0, bound, 0.5 * lam_j, 0.0)
+    _TOL * (1 + lam), or the solve's roundoff floor when that is larger."""
+    return _gram_solve(H, c, theta0, _TOL * (1.0 + lam), 0.5 * lam_j, 0.0)
 
 
 def lasso(data: Dataset, cfg: BaselineConfig) -> np.ndarray:
@@ -244,36 +208,22 @@ def adaptive_huber_lasso(data: Dataset, cfg: BaselineConfig) -> np.ndarray:
 
 
 def trimmed_lasso(data: Dataset, cfg: BaselineConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Alternate lasso fits with dropping the largest-residual samples.
+    """Sparse LTS: the C-steps of `solver._c_steps` with the lasso's
+    penalty, keeping the n - trim_count samples of smallest residual.
 
-    Keeps n - trim_count samples each round; stops at a fixed point of the
-    kept set or after `_TRIM_ROUNDS` rounds.  A cycling kept set triggers a
-    warning and returns the last iterate.
+    Starts from theta = 0 on all n samples and stops when the kept set
+    repeats.  A kept set that does not reach a fixed point, because it
+    cycles or runs `_TRIM_ROUNDS` rounds, warns.  Returns the last fit and
+    the kept set it was fitted on, as a boolean mask.  Non-finite X or y
+    raise ValueError.
     """
-    n, X, y = data.n, data.X, data.y
+    n, p = data.n, data.p
     if cfg.trim_count >= n:
         raise ValueError("trim_count must be < n")
-    keep_size = n - cfg.trim_count
-    kept = np.ones(n, dtype=bool)
-    gram = _gram(X, y)
-    lam_j = np.full(data.p, cfg.lam)
-    theta = np.zeros(data.p)  # the first round starts cold, later ones from the last theta
-    seen = set()
-    for _ in range(_TRIM_ROUNDS):
-        w = kept.astype(float)
-        theta = _lasso_solve(_weighted_gram(X, gram, w), X.T @ (w * y), lam_j, theta, cfg.lam)
-        resid = np.abs(y - X @ theta)
-        order = np.argsort(resid, kind="stable")
-        new_kept = np.zeros(n, dtype=bool)
-        new_kept[order[:keep_size]] = True
-        if np.array_equal(new_kept, kept):
-            return theta, kept
-        key = new_kept.tobytes()
-        if key in seen:
-            warnings.warn("trimmed lasso kept set is cycling; returning last iterate",
-                          stacklevel=2)
-            return theta, new_kept
-        seen.add(key)
-        kept = new_kept
-    warnings.warn("trimmed lasso did not reach a fixed point", stacklevel=2)
-    return theta, kept
+    theta, w, _, _, rounds, fixed, _ = _c_steps(
+        data.X, data.y, np.ones(n), np.zeros(p), n - cfg.trim_count,
+        np.full(p, 0.5 * cfg.lam), 0.0, _TOL * (1.0 + cfg.lam), _TRIM_ROUNDS)
+    if not fixed:
+        warnings.warn(f"trimmed lasso: the kept set did not reach a fixed point in "
+                      f"{rounds} rounds; returning the last fit", stacklevel=2)
+    return theta, w > 0.0

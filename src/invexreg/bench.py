@@ -44,7 +44,6 @@ RESULT_COLUMNS = ["method", "p", "k", "m", "r", "n_outliers", "seed",
 
 METHODS = ("invex", "lasso", "adahuber", "trimmed")
 
-_TOL_OBJ = 1e-6    # the sweep's invex stopping rule
 _MAX_OUTER = 150
 
 
@@ -226,7 +225,7 @@ def run_trial(cfg: ExperimentConfig, cell: dict, seed: int, method: str) -> tupl
         m = cell["m"]
         lam = lambda_from_m(m, cfg.p, cfg.c_lambda)
         if method == "invex":
-            scfg = SolverConfig(m=m, lam=lam, tol_obj=_TOL_OBJ, max_outer=_MAX_OUTER)
+            scfg = SolverConfig(m=m, lam=lam, max_outer=_MAX_OUTER)
             res = solve_invex(data, scfg)
             theta = res.theta_hat
             row["mistakes_frac"] = clean_recovery_mistakes(res.b_rounded, data.labels, m)

@@ -3,8 +3,7 @@
 Subcommands: gen (dataset to files), solve (dataset -> result JSON),
 certify (dataset + result -> KKT/assumption reports -> verdict, the sweep's
 kkt_feasible), oracle (tiny-instance enumeration), sweep (experiment config
--> CSVs/SVGs), selftest (quick property suites).  Exit codes: 0 success,
-1 usage error, 2 runtime error.
+-> CSVs/SVGs).  Exit codes: 0 success, 1 usage error, 2 runtime error.
 """
 
 from __future__ import annotations
@@ -19,10 +18,8 @@ import numpy as np
 from . import certify as cert_mod
 from .bench import ExperimentConfig, certify_at_true_support, lambda_from_m, run_sweep
 from .datagen import GenSpec, generate
-from .model import (GroundTruthConfig, lift_parameter, lift_sample,
-                    load_dataset, save_dataset, squared_loss, to_jsonable)
+from .model import GroundTruthConfig, load_dataset, save_dataset, to_jsonable
 from .oracle import enumerate_best_subset
-from .projections import BFeasibleSet, project_b, project_psd_corner
 from .solver import SolverConfig, solve_invex
 
 
@@ -57,7 +54,6 @@ def _build_parser() -> _Parser:
     s.add_argument("--c-lambda", type=float, default=0.05,
                    help="used as c*sqrt(m ln p) when --lam is not given")
     s.add_argument("--max-outer", type=int, default=200)
-    s.add_argument("--tol-obj", type=float, default=1e-8)
     s.add_argument("--out", required=True)
 
     c = sub.add_parser("certify", help="build duals and evaluate KKT residuals")
@@ -81,10 +77,6 @@ def _build_parser() -> _Parser:
     w.add_argument("--config", required=True, help="experiment config JSON")
     w.add_argument("--out", default=None, help="override output_dir")
     w.add_argument("--workers", type=int, default=None)
-
-    t = sub.add_parser("selftest", help="run the quick property suites")
-    t.add_argument("--seed", type=int, default=0)
-    t.add_argument("--trials", type=int, default=200)
     return parser
 
 
@@ -112,8 +104,7 @@ def _cmd_solve(args) -> int:
     lam = args.lam
     if lam is None and args.m > 0:  # SolverConfig reports a bad m
         lam = lambda_from_m(args.m, data.p, args.c_lambda)
-    cfg = SolverConfig(m=args.m, lam=lam, max_outer=args.max_outer,
-                       tol_obj=args.tol_obj)
+    cfg = SolverConfig(m=args.m, lam=lam, max_outer=args.max_outer)
     res = solve_invex(data, cfg)
     _write_json(args.out, res)
     print(f"wrote {args.out} (converged={res.converged}, "
@@ -168,70 +159,12 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_selftest(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    failures = []
-
-    def check(name, ok):
-        print(f"{'PASS' if ok else 'FAIL'}  {name}")
-        if not ok:
-            failures.append(name)
-
-    worst = 0.0
-    for _ in range(args.trials):
-        p = int(rng.integers(1, 20))
-        x = rng.standard_normal(p)
-        yv = float(rng.standard_normal())
-        th = rng.standard_normal(p)
-        f = squared_loss(x, yv, th)
-        lifted = float((lift_sample(x, yv) * lift_parameter(th)).sum())
-        worst = max(worst, abs(lifted - f) / max(1.0, f))
-    check("lifting identity", worst <= 1e-10)
-
-    worst = 0.0
-    for _ in range(args.trials):
-        n = int(rng.integers(2, 7))
-        m = int(rng.integers(1, n + 1))
-        v = rng.standard_normal(n) * 2.0
-        w = project_b(v, BFeasibleSet(n, m))
-        feas = w.min() >= -1e-12 and w.max() <= 1 + 1e-12 and w.sum() >= m - 1e-9
-        worst = max(worst, 0.0 if feas else 1.0)
-    check("weight projection feasibility", worst == 0.0)
-
-    worst = 0.0
-    for _ in range(args.trials):
-        q = int(rng.integers(1, 10))
-        S = rng.standard_normal((q + 1, q + 1))
-        V = project_psd_corner(S + S.T)
-        lo = float(np.linalg.eigvalsh(V)[0])
-        ok = lo >= -1e-9 and V[-1, -1] == 1.0
-        worst = max(worst, 0.0 if ok else 1.0)
-    check("psd-with-corner repair feasibility", worst == 0.0)
-
-    gt = GroundTruthConfig(p=4, k=2, M=2.2, sigma_e=0.05)
-    data = generate(GenSpec(ground_truth=gt, r=5, n_outliers=3,
-                            seed=args.seed, rho_min=1.0, max_resamples=500))
-    min_gap, bilinear = cert_mod.invexity_witness(data, trials=args.trials,
-                                                  seed=args.seed)
-    check("invexity gap nonnegative", min_gap >= -1e-9)
-    check("bilinear-part identity", bilinear <= 1e-9)
-    g_pos, g_neg = cert_mod.nonconvexity_witness(data)
-    check("non-convexity witness signs", g_pos > 1e-6 and g_neg < -1e-6)
-
-    if failures:
-        print(f"{len(failures)} selftest failure(s): {failures}", file=sys.stderr)
-        return 2
-    print("all selftests passed")
-    return 0
-
-
 _DISPATCH = {
     "gen": _cmd_gen,
     "solve": _cmd_solve,
     "certify": _cmd_certify,
     "oracle": _cmd_oracle,
     "sweep": _cmd_sweep,
-    "selftest": _cmd_selftest,
 }
 
 

@@ -9,29 +9,40 @@ PSD V with V[-1, -1] = 1 and G = sum_i b_i A_i, is convex, and its
 minimizer is the rank-one lift of the refit on the rows b weights (Burer &
 Monteiro 2003; the dual record below shows it).  So `solve_invex` works in
 theta, by the C-steps of penalized least trimmed squares (Rousseeuw & Van
-Driessen 2006).  From theta = 0, each outer round
+Driessen 2006).
 
-- selects the m smallest squared residuals (the exact b-step),
-- refits theta on the selected rows' Gram form H = X_sel^T X_sel,
-  c = X_sel^T y_sel, warm-started from theta; with 0/1 weights these are
-  G's blocks, G[:-1, :-1] and -G[:-1, -1], so the block and the refit are
-  one problem, and forming them from the m selected rows costs O(m p^2),
-  not the O(n p^2) of G over all rows,
-- keeps the refit when it lowers the refit objective
-  f(theta) = theta^T H theta - 2 c^T theta + lam (||theta||_1 + 1)^2,
-  the block objective at the lift of theta less the constant G[-1, -1].
+The C-steps are one loop, `_c_steps`, which the trimmed lasso baseline
+also runs with the lasso's penalty (sparse LTS, Alfons, Croux & Gelper
+2013).  From 0/1 weights w on the kept rows and a start theta, each round
 
-An objective re-check after the b-step keeps the trace monotone.  The
-reported parameter estimate comes from refitting on the final selection,
-warm-started from the last round's refit.
+- solves the penalized least squares on the kept rows' Gram form
+  H = X^T diag(w) X, c = X^T (w y), warm from theta (`_gram_solve`); with
+  0/1 weights these are G's blocks, G[:-1, :-1] and -G[:-1, -1], so the
+  V block and the refit are one problem,
+- keeps the `keep` rows with the smallest |y_i - x_i^T theta|, ties to the
+  smallest index (the exact b-step at theta),
+
+and stops when the kept set is the one it solved on: theta is then the
+solve on its own kept set, a fixed point.  A kept set seen in an earlier
+round is a cycle, and the loop stops there unconverged, as at its round
+cap.  The objective, the kept rows' squared residuals plus the penalty,
+does not rise from round to round beyond the solve's tolerance: the solve
+lowers it on the kept set and the b-step at the solved theta.  The loop
+carries one Gram (`_Gram`): formed once from the rows the start weights
+keep, then updated by only the rows that swapped in or out
+(`_weighted_gram`), and c is formed directly, one n x p product that
+cannot drift.  `solve_invex` starts from theta = 0 and its b-step, keeps
+m rows with the refit's penalty, and returns the last round's solve as
+theta_hat, on the kept set it returns.
 
 The refit is exact on a sign pattern.  With the signs s of theta on its
-nonzeros A, f is the quadratic theta^T (H + lam s s^T) theta
+nonzeros A, f(theta) = theta^T H theta - 2 c^T theta
++ lam (||theta||_1 + 1)^2 is the quadratic theta^T (H + lam s s^T) theta
 - 2 (c - lam s)^T theta + lam on those coordinates, whose minimizer solves
 (H_AA + lam s_A s_A^T) theta_A = c_A - lam s_A.  A warm C-step nearly
-always keeps its sign pattern, so `_refit_gram` first solves that system
+always keeps its sign pattern, so `_gram_solve` first solves that system
 and corrects the pattern a few times (`_sign_pattern_solve`), and returns
-the first candidate that meets the refit's stop rule.  Only when none does,
+the first candidate that meets the solve's stop rule.  Only when none does,
 or a system is singular, does it run `_active_set_solve`, a finite active-set
 method (Osborne, Presnell & Turlach 2000) that ends exact.
 
@@ -44,7 +55,8 @@ It is PSD up to the refit's tolerance: M = G + lam s s^T is PSD and
 M z = mu e, so (z^T M x)^2 <= (z^T M z)(x^T M x) reads
 mu x[-1]^2 <= x^T M x, which is Lambda = M - mu e e^T PSD, even when M is
 singular (m < p + 1).  `solve_invex` builds Lambda once, at theta_hat and
-the final selection, and reports min eig(Lambda) / max|Lambda| as
+the final selection, from G's blocks the last round formed: H, -c and
+y_sel^T y_sel.  It reports min eig(Lambda) / max|Lambda| as
 `dual_min_eig`; at or above -1e-9 it certifies that theta_hat's lift
 minimizes the V block there.  It can fall below only through the refit's
 tolerance, or through roundoff, which warns.
@@ -55,9 +67,10 @@ They differ only in the penalty's terms and the bound they pass: the
 solve derives its stop rule's residual from those terms (`_l1_residual`,
 on the full gradient 2 (H theta - c)), so the refit passes twice its tol,
 and the completion's roundoff warning names that full-gradient residual,
-twice the refit's half-gradient one.  The V gradient
-sum_i b_i A_i is `model.lifted_gram`, which the dual record and the dual
-certificate use.
+twice the refit's half-gradient one.  Every solve raises its bound to the
+gradient's floating-point floor 8 eps ||c||_inf, which a gross outlier in
+y can lift above the bound.  The V gradient sum_i b_i A_i over every row
+is `grad_vartheta`, `model.lifted_gram`, which the dual certificate uses.
 """
 
 from __future__ import annotations
@@ -74,7 +87,6 @@ from .projections import project_psd_corner, prox_entrywise_l1  # noqa: F401
 
 __all__ = [
     "InfeasibleM",
-    "NonFinite",
     "SolverConfig",
     "SolveResult",
     "grad_vartheta",
@@ -87,25 +99,19 @@ class InfeasibleM(ValueError):
     """Requested selection size exceeds the number of samples."""
 
 
-class NonFinite(RuntimeError):
-    """The objective became non-finite."""
-
-
 @dataclass(frozen=True)
 class SolverConfig:
-    """m and max_outer are integers >= 1, lam and tol_obj finite and >= 0,
-    or ValueError names the field."""
+    """m and max_outer are integers >= 1 and lam is finite and >= 0, or
+    ValueError names the field."""
 
     m: int
     lam: float
     max_outer: int = 200
-    tol_obj: float = 1e-8
 
     def __post_init__(self):
         _check_int("m", self.m, 1)
         _check_int("max_outer", self.max_outer, 1)
         _check_nonneg("lam", self.lam)
-        _check_nonneg("tol_obj", self.tol_obj)
 
 
 @dataclass(eq=False)
@@ -149,75 +155,119 @@ def _dual_min_eig(G: np.ndarray, theta: np.ndarray, lam: float) -> float:
     return float(np.linalg.eigvalsh(Lam)[0]) / scale if scale > 0.0 else 0.0
 
 
-def _refit_objective(H: np.ndarray, c: np.ndarray, theta: np.ndarray, lam: float) -> float:
-    """theta^T H theta - 2 c^T theta + lam (||theta||_1 + 1)^2: the refit's
-    objective, which is the V block's at the lift of theta less G[-1, -1]."""
-    return float(theta @ (H @ theta) - 2.0 * (c @ theta)
-                 + lam * (np.abs(theta).sum() + 1.0) ** 2)
-
-
 def solve_invex(data: Dataset, cfg: SolverConfig) -> SolveResult:
-    """C-steps in theta: alternate the exact b-step with a warm refit on
-    the selected rows, kept when it lowers the block objective.
+    """C-steps in theta (`_c_steps`) from theta = 0 and its b-step, the m
+    smallest |y_i|, with the refit's penalty lam (||theta||_1 + 1)^2 and
+    its stop rule at tol 1e-8, for at most max_outer rounds.
 
-    Stops when the relative objective decrease over an outer round falls
-    below tol_obj.  The rounded selection is the final b-step's top-m set
-    and theta_hat is the refit on that selection.
+    Converged means the kept set reached a fixed point.  The rounded
+    selection is the last kept set solved on and theta_hat the solve on
+    it.  The trace holds the objective at theta = 0 and after each round.
+    Non-finite X or y raise ValueError.
     """
     if cfg.m > data.n:
         raise InfeasibleM(f"m={cfg.m} exceeds n={data.n}")
-    lam = cfg.lam
-    X, y = data.X, data.y
-
-    def select(th):
-        """The b-step at theta: weight one on the m smallest squared
-        residuals, ties resolved by smallest index.  Returns (weights,
-        sorted indices, objective)."""
-        r = y - X @ th
-        losses = r * r
-        sel = np.sort(np.argsort(losses, kind="stable")[:cfg.m])
-        b = np.zeros(data.n)
-        b[sel] = 1.0
-        return b, sel, float(b @ losses + lam * (np.abs(th).sum() + 1.0) ** 2)
-
-    def gram(sel):
-        """H = X_sel^T X_sel and c = X_sel^T y_sel, the refit's Gram form."""
-        Xs = X[sel]
-        return Xs.T @ Xs, Xs.T @ y[sel]
-
-    theta = np.zeros(data.p)   # the kept iterate
-    refitted = theta           # the last refit, the final refit's warm start
-    b, sel, obj = select(theta)
-    if not np.isfinite(obj):
-        raise NonFinite("objective not finite at initialization")
-    trace = [obj]
-
-    converged = False
-    outer = 0
-    for outer in range(1, cfg.max_outer + 1):
-        H, c = gram(sel)
-        refitted = _refit_gram(H, c, theta, lam)
-        if _refit_objective(H, c, refitted, lam) < _refit_objective(H, c, theta, lam):
-            theta = refitted
-
-        b, sel, new_obj = select(theta)
-        if not np.isfinite(new_obj):
-            raise NonFinite("objective diverged")
-        # guard against round-off: the trace never rises
-        new_obj = min(new_obj, trace[-1])
-        trace.append(new_obj)
-        if trace[-2] - new_obj <= cfg.tol_obj * abs(trace[-2]) + 1e-12:
-            converged = True
-            break
-
-    # warm from the last round's refit, which usually solved this refit
-    theta_hat = _refit_gram(*gram(sel), refitted, lam)
+    lam, y = cfg.lam, data.y
+    # 2e-8 is `_refit_gram`'s bound at its tol 1e-8
+    theta_hat, b, H, c, outer, converged, trace = _c_steps(
+        data.X, y, _keep_smallest(y, cfg.m), np.zeros(data.p), cfg.m,
+        np.full(data.p, lam), lam, 2e-8, cfg.max_outer)
+    G = np.block([[H, -c[:, None]], [-c, b @ (y * y)]])
     return SolveResult(
         b_rounded=b, theta_hat=theta_hat, objective_trace=trace,
         outer_iters=outer, converged=converged,
-        dual_min_eig=_dual_min_eig(grad_vartheta(b, data), theta_hat, lam),
-        config=cfg,
+        dual_min_eig=_dual_min_eig(G, theta_hat, lam), config=cfg,
     )
+
+
+@dataclass(eq=False)
+class _Gram:
+    """A fit's Gram, carried from solve to solve: H = X^T diag(w) X and the
+    0/1 sample weights w it was last formed at."""
+    H: np.ndarray
+    w: np.ndarray
+
+
+def _gram(X, y, w=None):
+    """The carried Gram at 0/1 weights w (all ones by default), formed once
+    per fit from the rows w keeps, from X itself when it keeps them all;
+    non-finite X or y raise ValueError."""
+    _check_finite(("X", X), ("y", y))
+    if w is None:
+        w = np.ones(X.shape[0])
+    A = X if w.all() else X[w > 0.0]
+    return _Gram(A.T @ A, w)
+
+
+def _weighted_gram(X, gram, w):
+    """X^T W X, W = diag(w) for 0/1 weights w, updated in place from the
+    carried `gram`.
+
+    Only the rows D whose weight differs from `gram.w`, the weights the
+    Gram was last formed at, are touched: with A = X[D], the rows that
+    dropped out are downdated, H - A^T A, and those that joined updated,
+    H + A^T A.  A product of a matrix with its own transpose keeps an
+    exactly symmetric H exactly symmetric: `eigvalsh` reads one triangle of
+    it and `np.linalg.solve` reads both.  `gram` then holds the new pair
+    (H, w).  With no weight changed the Gram is returned as it is.
+    """
+    d = gram.w - w
+    for D in (np.flatnonzero(d > 0), np.flatnonzero(d < 0)):
+        if D.size:
+            A = X[D]
+            gram.H = gram.H - A.T @ A if d[D[0]] > 0 else gram.H + A.T @ A
+    gram.w = w
+    return gram.H
+
+
+def _keep_smallest(r, keep):
+    """0/1 weights on the `keep` entries of r smallest in absolute value,
+    ties to the smallest index (a stable sort)."""
+    w = np.zeros(r.size)
+    w[np.argsort(np.abs(r), kind="stable")[:keep]] = 1.0
+    return w
+
+
+def _penalty(theta, shift, rank_one):
+    """rank_one (||theta||_1^2 + 1) + 2 shift^T |theta|, the penalty of
+    `_sign_pattern_solve`'s terms with its constant: the refit's
+    lam (||theta||_1 + 1)^2 at shift = rank_one = lam, the lasso's
+    sum_j lam_j |theta_j| at shift = lam_j / 2 and rank_one = 0."""
+    a = np.abs(theta)
+    return float(rank_one * (a.sum() ** 2 + 1.0) + 2.0 * (shift @ a))
+
+
+def _c_steps(X, y, w, theta, keep, shift, rank_one, bound, max_rounds):
+    """C-steps from the 0/1 weights w and theta, at most max_rounds rounds.
+
+    Each round solves the Gram form of the rows w keeps, H = X^T diag(w) X
+    and c = X^T (w y), by `_gram_solve` from theta with the penalty terms
+    shift and rank_one and the bound, and then keeps the `keep` rows of
+    smallest |y - X theta| (`_keep_smallest`).  It stops when the new kept
+    set is w, a fixed point, or one kept in an earlier round, a cycle.
+    One `_Gram` is carried: formed at the start weights and updated by the
+    rows that swap.  Returns (theta, w, H, c, rounds, fixed, objectives):
+    the last solve, the weights and Gram form it solved on, the rounds run,
+    whether w is a fixed point, and the objective, the squared residuals
+    the weights keep plus `_penalty`, at the start and after each round's
+    b-step.  Non-finite X or y raise ValueError.
+    """
+    gram = _gram(X, y, w)
+    r = y - X @ theta
+    objectives = [float(w @ (r * r)) + _penalty(theta, shift, rank_one)]
+    seen, w_next = {w.tobytes()}, w
+    for rounds in range(1, max_rounds + 1):
+        w = w_next
+        H, c = _weighted_gram(X, gram, w), X.T @ (w * y)
+        theta = _gram_solve(H, c, theta, bound, shift, rank_one)
+        r = y - X @ theta
+        w_next = _keep_smallest(r, keep)
+        objectives.append(float(w_next @ (r * r)) + _penalty(theta, shift, rank_one))
+        fixed = np.array_equal(w_next, w)
+        if fixed or w_next.tobytes() in seen:
+            break
+        seen.add(w_next.tobytes())
+    return theta, w, H, c, rounds, fixed, objectives
 
 
 def _recover_subgradient(theta, g, lam):
@@ -410,11 +460,18 @@ def _active_set_solve(H, c, bound, shift, rank_one):
     return theta
 
 
+# The floating-point floor of a Gram-form solve's bound, per unit of ||c||_inf
+_ROUNDOFF = 8.0 * np.finfo(float).eps
+
+
 def _gram_solve(H, c, theta0, bound, shift, rank_one):
     """The Gram-form L1 solve of the refit and the baselines' lasso:
     `_sign_pattern_solve` from theta0, and only when that returns None the
     completion, `_active_set_solve`.  The answer's largest `_l1_residual`
-    is at most `bound`, short of roundoff, which warns."""
+    is at most `bound`, or at the gradient's roundoff floor
+    _ROUNDOFF * ||c||_inf when that is larger, short of roundoff, which
+    warns."""
+    bound = max(bound, _ROUNDOFF * np.abs(c).max(initial=0.0))
     theta = _sign_pattern_solve(H, c, theta0, bound, shift, rank_one)
     if theta is None:
         theta = _active_set_solve(H, c, bound, shift, rank_one)
@@ -444,8 +501,9 @@ def refit(data: Dataset, selection: np.ndarray, lam: float,
     (columns, read like the selection), the regression runs on those
     columns only and is zero-padded back to length p.  The answer's
     stationarity residual (subgradient recovered as in the dual
-    construction) is at most the absolute tol; only roundoff can keep it
-    above, and then a RuntimeWarning names it.  Non-finite X or y on the
+    construction) is at most the absolute tol, or half `_gram_solve`'s
+    roundoff floor when that is larger; only roundoff can keep it above,
+    and then a RuntimeWarning names it.  Non-finite X or y on the
     selected rows and columns, or lam, raise ValueError.
     """
     rows = _as_rows(selection, data.n)

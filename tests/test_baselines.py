@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from invexreg import baselines, solver
-from invexreg.baselines import (_TOL, BaselineConfig, _gram, _lasso_solve, _weighted_gram,
-                                adaptive_huber_lasso, lasso, trimmed_lasso)
+from invexreg.baselines import (_TOL, BaselineConfig, _lasso_solve, adaptive_huber_lasso,
+                                lasso, trimmed_lasso)
 from invexreg.bench import ExperimentConfig, lambda_from_m
 from invexreg.datagen import GenSpec, generate
 from invexreg.model import CLEAN, OUTLIER, Dataset, GroundTruthConfig
-from invexreg.solver import refit
+from invexreg.solver import SolverConfig, _gram, _weighted_gram, refit, solve_invex
 
 
 def clean_data(rng, n=30, p=4, theta=None, sigma_e=0.1):
@@ -83,15 +83,33 @@ def test_lasso_descends_from_zero():
     assert obj(theta) <= obj(np.zeros(data.p))
 
 
-def test_adahuber_bounded_under_gross_corruption():
-    rng = np.random.default_rng(5)
-    data = clean_data(rng, n=40)
+def grossly_corrupted():
+    """clean_data on 40 rows with y[0] = 1e6."""
+    data = clean_data(np.random.default_rng(5), n=40)
     y = data.y.copy()
     y[0] = 1e6
-    corrupted = Dataset(X=data.X, y=y, labels=data.labels,
-                        theta_star=data.theta_star, r=data.r)
+    return Dataset(X=data.X, y=y, labels=data.labels, theta_star=data.theta_star, r=data.r)
+
+
+def test_adahuber_bounded_under_gross_corruption():
+    corrupted = grossly_corrupted()
     theta = adaptive_huber_lasso(corrupted, BaselineConfig(lam=0.4))
-    assert np.linalg.norm(theta) <= 10.0 * np.linalg.norm(data.theta_star)
+    assert np.linalg.norm(theta) <= 10.0 * np.linalg.norm(corrupted.theta_star)
+
+
+@pytest.mark.parametrize("lam", [0.4, 5.0])
+def test_refit_meets_the_roundoff_floor_under_gross_corruption(lam):
+    """With y[0] = 1e6 the roundoff of the refit's full gradient keeps its
+    residual above the bound 2 tol = 2e-10: the refit stops at the solve's
+    floor 8 eps ||c||_inf instead, without the roundoff warning."""
+    data = grossly_corrupted()
+    H, c = weighted_gram_form(data.X, data.y)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        theta = refit(data, np.arange(data.n), lam, tol=1e-10)
+    g = 2.0 * (H @ theta - c)
+    tau = np.full(data.p, 2.0 * lam * (np.abs(theta).sum() + 1.0))
+    assert 2e-10 < l1_residual(theta, g, tau) <= solver._ROUNDOFF * np.abs(c).max()
 
 
 def test_adahuber_sane_on_clean_data():
@@ -133,6 +151,30 @@ def test_trimmed_kept_size_invariant():
         r=30, n_outliers=10, seed=9))
     theta, kept = trimmed_lasso(data, BaselineConfig(lam=0.8, trim_count=10))
     assert kept.sum() == data.n - 10
+
+
+@pytest.mark.parametrize("method", ["trimmed", "invex"])
+def test_c_steps_stop_unconverged_on_a_cycle(monkeypatch, method):
+    """A b-step forced to alternate between two kept sets A and B: the
+    first kept set that comes back is a cycle, and the C-step loop stops
+    there unconverged, with the last fit and the set it was fitted on, B.
+    invex reports converged=False; the trimmed lasso warns."""
+    data = clean_data(np.random.default_rng(11), n=20)
+    keep = 15
+    A, B = np.zeros(data.n), np.zeros(data.n)
+    A[:keep], B[-keep:] = 1.0, 1.0
+    calls = []
+    monkeypatch.setattr(solver, "_keep_smallest",
+                        lambda r, k: calls.append(k) or (A if len(calls) % 2 else B))
+    if method == "invex":
+        res = solve_invex(data, SolverConfig(m=keep, lam=0.5))
+        assert not res.converged and res.outer_iters == 2
+        kept = res.b_rounded
+    else:
+        with pytest.warns(UserWarning, match="did not reach a fixed point in 3 rounds"):
+            _, kept = trimmed_lasso(data, BaselineConfig(lam=0.5, trim_count=data.n - keep))
+    assert set(calls) == {keep}
+    assert np.array_equal(kept, B.astype(kept.dtype))
 
 
 def test_trimmed_validates_trim_count():
@@ -264,21 +306,33 @@ def test_cold_lasso_is_exact_without_fista(completion_runs):
     assert np.abs(theta - th_c).max() <= 1e-8
 
 
-@pytest.fixture
-def lasso_solves(monkeypatch):
-    """Record every `baselines._lasso_solve` call, the one solve behind each
-    lasso, each exact Huber-stage round and each trimmed round, as
-    (H, c, lam_j, theta0, lam, theta returned)."""
+def spy_on_gram_solves(monkeypatch, completion_runs, context=dict):
+    """Record every `solver._gram_solve` call, the one solve behind each
+    lasso, each exact Huber-stage round (through `baselines._lasso_solve`)
+    and each round of the C-step loop (`solver._c_steps`, which runs the
+    trimmed lasso and invex), as a dict of its H, c, start theta0, bound,
+    penalty terms shift and rank_one, the theta returned and the runs of
+    the completion it made, and the entries of `context()`."""
     calls = []
-    real = baselines._lasso_solve
+    real = solver._gram_solve
 
-    def recording(H, c, lam_j, theta0, lam):
-        theta = real(H, c, lam_j, theta0, lam)
-        calls.append((H, c, lam_j, np.array(theta0), lam, theta))
+    def recording(H, c, theta0, bound, shift, rank_one):
+        runs_before = len(completion_runs)
+        theta = real(H, c, theta0, bound, shift, rank_one)
+        calls.append({"H": H, "c": c, "theta0": np.array(theta0), "bound": bound,
+                      "shift": shift, "rank_one": rank_one, "theta": theta,
+                      "completions": len(completion_runs) - runs_before, **context()})
         return theta
 
-    monkeypatch.setattr(baselines, "_lasso_solve", recording)
+    for module in (baselines, solver):
+        monkeypatch.setattr(module, "_gram_solve", recording)
     return calls
+
+
+@pytest.fixture
+def lasso_solves(monkeypatch, completion_runs):
+    """Every Gram-form solve of a fit, as `spy_on_gram_solves` records it."""
+    return spy_on_gram_solves(monkeypatch, completion_runs)
 
 
 @pytest.mark.parametrize("method", ["adahuber", "trimmed"])
@@ -295,9 +349,9 @@ def test_repeated_solves_start_from_the_previous_theta(lasso_solves, method):
     else:
         trimmed_lasso(data, cfg)
     assert len(lasso_solves) >= 3
-    assert not lasso_solves[0][3].any()
-    for previous, (_, _, _, start, _, _) in zip(lasso_solves, lasso_solves[1:]):
-        assert np.array_equal(start, previous[-1])
+    assert not lasso_solves[0]["theta0"].any()
+    for previous, solve in zip(lasso_solves, lasso_solves[1:]):
+        assert np.array_equal(solve["theta0"], previous["theta"])
 
 
 def test_baselines_make_no_svd_call(monkeypatch):
@@ -319,7 +373,7 @@ def test_baselines_make_no_svd_call(monkeypatch):
 
 
 @pytest.mark.parametrize("where", ["y", "X"])
-@pytest.mark.parametrize("method", ["lasso", "adahuber", "trimmed"])
+@pytest.mark.parametrize("method", ["lasso", "adahuber", "trimmed", "invex"])
 def test_baselines_reject_non_finite_data(method, where):
     rng = np.random.default_rng(13)
     data = clean_data(rng)
@@ -330,8 +384,9 @@ def test_baselines_reject_non_finite_data(method, where):
         X[2, 1] = np.inf
     bad = Dataset(X=X, y=y, labels=data.labels, theta_star=data.theta_star, r=data.r)
     cfg = BaselineConfig(lam=0.5, trim_count=3)
-    run = {"lasso": lasso, "adahuber": adaptive_huber_lasso,
-           "trimmed": trimmed_lasso}[method]
+    run = {"lasso": lasso, "adahuber": adaptive_huber_lasso, "trimmed": trimmed_lasso,
+           "invex": lambda d, c: solve_invex(d, SolverConfig(m=d.n - c.trim_count,
+                                                             lam=c.lam))}[method]
     with pytest.raises(ValueError, match=f"^{where} must be finite"):
         run(bad, cfg)
 
@@ -367,22 +422,21 @@ def test_trimmed_first_round_is_lasso(lasso_solves):
     cfg = BaselineConfig(lam=0.6, trim_count=20)
     trimmed_lasso(data, cfg)
     assert len(lasso_solves) >= 2
-    assert np.array_equal(lasso_solves[0][-1], lasso(data, cfg))
+    assert np.array_equal(lasso_solves[0]["theta"], lasso(data, cfg))
 
 
 @pytest.fixture
-def gram_updates(monkeypatch):
-    """Record, per `baselines._lasso_solve` call, the start theta0, the
-    weights the fit's carried Gram stands at, the indices of the rows
-    `_weighted_gram` read from X since the previous solve, the current
-    Huber scale (None outside a Huber stage), the H, c and lam solved on
-    and the theta returned."""
-    solves, grams, touched, stage = [], [], [], {"delta": None}
-    real_gram, real_weighted = baselines._gram, baselines._weighted_gram
-    real_solve, real_stage = baselines._lasso_solve, baselines._huber_stage
+def gram_updates(monkeypatch, completion_runs):
+    """Record, per Gram-form solve (`spy_on_gram_solves`), also the weights
+    the fit's carried Gram stands at, the indices of the rows
+    `_weighted_gram` read from X since the previous solve, and the current
+    Huber scale (None outside a Huber stage)."""
+    grams, touched, stage = [], [], {"delta": None}
+    real_gram, real_weighted = solver._gram, solver._weighted_gram
+    real_stage = baselines._huber_stage
 
-    def spy_gram(X, y):
-        grams.append(real_gram(X, y))
+    def spy_gram(X, y, w=None):
+        grams.append(real_gram(X, y, w))
         return grams[-1]
 
     class Rows(np.ndarray):
@@ -399,20 +453,17 @@ def gram_updates(monkeypatch):
         stage["delta"] = delta
         return real_stage(X, y, gram, theta, delta, lam, lam_j)
 
-    def recording(H, c, lam_j, theta0, lam):
+    def context():
         (gram,) = grams
-        theta = real_solve(H, c, lam_j, theta0, lam)
-        solves.append({"theta0": np.array(theta0), "w": gram.w, "rows": sorted(touched),
-                       "delta": stage["delta"], "H": H, "c": c, "lam_j": lam_j,
-                       "lam": lam, "theta": theta})
+        rows = sorted(touched)
         touched.clear()
-        return theta
+        return {"w": gram.w, "rows": rows, "delta": stage["delta"]}
 
-    monkeypatch.setattr(baselines, "_gram", spy_gram)
-    monkeypatch.setattr(baselines, "_weighted_gram", spy_weighted)
+    for module in (baselines, solver):
+        monkeypatch.setattr(module, "_gram", spy_gram)
+        monkeypatch.setattr(module, "_weighted_gram", spy_weighted)
     monkeypatch.setattr(baselines, "_huber_stage", spy_stage)
-    monkeypatch.setattr(baselines, "_lasso_solve", recording)
-    return solves
+    return spy_on_gram_solves(monkeypatch, completion_runs, context)
 
 
 def changed_rows(w_prev, w):
@@ -463,13 +514,14 @@ def test_trimmed_rounds_touch_only_the_rows_that_swap(gram_updates):
     assert 0 < touched < 20 * (len(gram_updates) - 1)
 
 
-@pytest.mark.parametrize("method", ["adahuber", "trimmed"])
+@pytest.mark.parametrize("method", ["adahuber", "trimmed", "invex"])
 def test_carried_gram_matches_the_direct_product_after_every_round(gram_updates,
                                                                    method):
     """After every round the carried H is exactly symmetric and within
     1e-12 relative of X^T W X formed from every row, c equals X^T (w y),
     plus delta X^T s in a Huber round, formed directly, and the returned
-    theta meets the lasso's stop rule on that directly formed (H, c)."""
+    theta meets the solve's stop rule, for the fit's penalty, on that
+    directly formed (H, c)."""
     data = generate(GenSpec(
         ground_truth=GroundTruthConfig(p=30, k=5, M=2.2, sigma_e=0.1),
         r=200, n_outliers=100, seed=3))
@@ -477,8 +529,10 @@ def test_carried_gram_matches_the_direct_product_after_every_round(gram_updates,
     cfg = BaselineConfig(lam=2.0, trim_count=100)
     if method == "adahuber":
         adaptive_huber_lasso(data, cfg)
-    else:
+    elif method == "trimmed":
         trimmed_lasso(data, cfg)
+    else:
+        solve_invex(data, SolverConfig(m=data.n - cfg.trim_count, lam=cfg.lam))
     assert len(gram_updates) >= 3
     for solve in gram_updates:
         w, delta, H, theta = solve["w"], solve["delta"], solve["H"], solve["theta"]
@@ -492,8 +546,7 @@ def test_carried_gram_matches_the_direct_product_after_every_round(gram_updates,
         assert np.array_equal(H, H.T)
         assert np.abs(H - H_direct).max() <= 1e-12 * np.abs(H_direct).max()
         assert np.abs(solve["c"] - c_direct).max() <= 1e-12 * np.abs(c_direct).max()
-        g = 2.0 * (H_direct @ theta - c_direct)
-        assert l1_residual(theta, g, solve["lam_j"]) <= lasso_bound(solve["c"], solve["lam"])
+        assert stop_rule_residual(H_direct, c_direct, solve) <= solve_bound(solve)
 
 
 def test_baselines_pinned_output_fig2_p100_seed0():
@@ -529,9 +582,19 @@ def l1_residual(theta, g, lam_j):
     return resid.max(initial=0.0)
 
 
-def lasso_bound(c, lam):
-    """The lasso's stop bound, as `_lasso_solve` states it."""
-    return max(_TOL * (1.0 + lam), baselines._ROUNDOFF * np.abs(c).max())
+def solve_bound(solve):
+    """The stop bound of a recorded solve: its bound, or the roundoff floor
+    `solver._gram_solve` raises it to."""
+    return max(solve["bound"], solver._ROUNDOFF * np.abs(solve["c"]).max())
+
+
+def stop_rule_residual(H, c, solve):
+    """The largest subgradient residual of a recorded solve's theta on
+    (H, c), for its penalty rank_one ||theta||_1^2 + 2 shift^T |theta|,
+    whose subgradient weights are 2 (shift + rank_one ||theta||_1)."""
+    theta = solve["theta"]
+    tau = 2.0 * (solve["shift"] + solve["rank_one"] * np.abs(theta).sum())
+    return l1_residual(theta, 2.0 * (H @ theta - c), tau)
 
 
 def stop_residual(X, y, lam, theta, weights=None, sample_weights=None):
@@ -612,8 +675,7 @@ def test_completion_exchanges_a_dependent_column_along_the_null_direction(
 
 
 @pytest.mark.parametrize("method", ["adahuber", "trimmed"])
-def test_warm_solves_mostly_skip_fista_and_pass_the_stop_rule(monkeypatch,
-                                                              completion_runs, method):
+def test_warm_solves_mostly_skip_fista_and_pass_the_stop_rule(lasso_solves, method):
     """Warm-started solves run the completion less often than they are made,
     and every theta returned, by either path, meets the stop rule of the
     system it solved, at the lasso's bound for the fit's lam."""
@@ -621,26 +683,16 @@ def test_warm_solves_mostly_skip_fista_and_pass_the_stop_rule(monkeypatch,
         ground_truth=GroundTruthConfig(p=8, k=3, M=2.2, sigma_e=0.1),
         r=40, n_outliers=20, seed=15))
     cfg = BaselineConfig(lam=0.6, trim_count=20)
-    solves = []
-    real = baselines._lasso_solve
-
-    def recording(H, c, lam_j, theta0, lam):
-        runs_before = len(completion_runs)
-        theta = real(H, c, lam_j, theta0, lam)
-        solves.append((H, c, lam_j, theta0, lam, theta, len(completion_runs) - runs_before))
-        return theta
-
-    monkeypatch.setattr(baselines, "_lasso_solve", recording)
     if method == "adahuber":
         adaptive_huber_lasso(data, cfg)
     else:
         trimmed_lasso(data, cfg)
-    warm = [s for s in solves if s[3].any()]
+    warm = [s for s in lasso_solves if s["theta0"].any()]
     assert len(warm) >= 2
-    assert sum(s[-1] for s in warm) < len(warm)
-    for H, c, lam_j, _, lam, theta, _ in solves:
-        assert lam == cfg.lam
-        assert l1_residual(theta, 2.0 * (H @ theta - c), lam_j) <= lasso_bound(c, lam)
+    assert sum(s["completions"] for s in warm) < len(warm)
+    for solve in lasso_solves:
+        assert solve["bound"] == _TOL * (1.0 + cfg.lam) and solve["rank_one"] == 0.0
+        assert stop_rule_residual(solve["H"], solve["c"], solve) <= solve_bound(solve)
 
 
 def huber_lasso_residual(X, y, theta, delta, lam_j):
@@ -697,8 +749,8 @@ def test_huber_stage_damps_a_newton_step_that_does_not_lower_the_objective(
     assert np.all(np.isfinite(theta))
     assert not completion_runs
     damped = 0
-    for (_, _, _, start, _, solution), (_, _, _, nxt, _, _) in zip(lasso_solves,
-                                                                   lasso_solves[1:]):
+    for previous, solve in zip(lasso_solves, lasso_solves[1:]):
+        start, solution, nxt = previous["theta0"], previous["theta"], solve["theta0"]
         if np.array_equal(nxt, solution):
             continue
         damped += 1

@@ -383,13 +383,13 @@ def test_cli_pipeline(tmp_path):
     res = json.loads((tmp_path / "res.json").read_text())
     sel = [i for i, b in enumerate(res["b_rounded"]) if b == 1]
     assert sel == orc["J_star"]
-    assert set(res["config"]) == {"m", "lam", "max_outer", "tol_obj"}
+    assert set(res["config"]) == {"m", "lam", "max_outer"}
     assert not {"vartheta_hat", "b_hat", "rank1_gap"} & set(res)
     # certify reads only b_rounded and config.lam, so a result written when
-    # SolverConfig also had step_rule and eta, and the result carried the
-    # lifted iterate, its weights and its rank-one gap, still certifies, to
-    # the same bytes
-    res["config"].update(step_rule="backtracking", eta=None)
+    # SolverConfig also had step_rule, eta and tol_obj, and the result carried
+    # the lifted iterate, its weights and its rank-one gap, still certifies,
+    # to the same bytes
+    res["config"].update(step_rule="backtracking", eta=None, tol_obj=1e-8)
     res.update(vartheta_hat=np.eye(5).tolist(), b_hat=res["b_rounded"], rank1_gap=0.0)
     (tmp_path / "old.json").write_text(json.dumps(res))
     r = _cli("certify", "--data", ds, "--result", str(tmp_path / "old.json"),
@@ -432,8 +432,3 @@ def test_benchmark_trace_targets_resolve(monkeypatch):
     for t in workloads.TRACE_TARGETS:
         assert callable(getattr(importlib.import_module(t.module), t.attr, None)), t
 
-
-def test_cli_selftest(tmp_path):
-    r = _cli("selftest", "--trials", "40")
-    assert r.returncode == 0, r.stdout + r.stderr
-    assert "all selftests passed" in r.stdout

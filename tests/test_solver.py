@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from invexreg import solver
-from invexreg.bench import _MAX_OUTER, _TOL_OBJ, ExperimentConfig, lambda_from_m
+from invexreg.bench import _MAX_OUTER, ExperimentConfig, lambda_from_m
 from invexreg.datagen import GenSpec, generate
 from invexreg.model import (CLEAN, Dataset, GroundTruthConfig, lift_parameter,
                             lift_sample, objective, sample_losses, to_jsonable)
@@ -233,13 +233,12 @@ def test_solve_infeasible_m():
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(m=2, lam=-1.0)
-    SolverConfig(m=np.int64(4), lam=np.float64(0.1), max_outer=np.int32(3), tol_obj=0.0)
+    SolverConfig(m=np.int64(4), lam=np.float64(0.1), max_outer=np.int32(3))
 
 
 @pytest.mark.parametrize("field,value", [
     ("m", -3), ("m", 0), ("m", 2.5), ("m", 3.0), ("m", True),
     ("max_outer", 0), ("max_outer", -1), ("max_outer", 10.0), ("max_outer", False),
-    ("tol_obj", float("nan")), ("tol_obj", float("inf")), ("tol_obj", -1e-8),
     ("lam", float("nan")), ("lam", float("inf")), ("lam", -float("inf")),
 ])
 def test_solver_config_rejects_a_bad_field_by_name(field, value):
@@ -267,15 +266,17 @@ def test_result_json_round_trip():
 
 
 def test_objective_trace_matches_objective_function():
-    """The lifted objective at theta_hat and the final selection is at most
-    the trace's last value, since theta_hat is the refit there, and equals
-    the paper's objective on the selected rows."""
+    """The lifted objective at theta_hat and the final selection is the
+    trace's last value, since the last round's kept set is the selection
+    theta_hat was solved on, and equals the paper's objective on the
+    selected rows."""
     for seed, lam in itertools.product(range(5), (0.0, 0.7, 3.0)):
         data = tiny_instance(seed)
         res = solve_invex(data, SolverConfig(m=4, lam=lam))
+        assert res.converged
         lifted = objective(res.b_rounded, lift_parameter(res.theta_hat), data, lam)
         scale = max(1.0, abs(lifted))
-        assert lifted <= res.objective_trace[-1] + 1e-9 * scale
+        assert abs(lifted - res.objective_trace[-1]) <= 1e-9 * scale
         assert abs(lifted - subset_objective(data, res.selection, res.theta_hat, lam)) \
             <= 1e-9 * scale
 
@@ -291,8 +292,7 @@ def _solve_cell(config, m, seed, n_outliers=None):
                             n_outliers=cell["n_outliers"], seed=seed,
                             max_resamples=cfg.max_resamples, rho_min=cfg.rho_min))
     return data, solve_invex(data, SolverConfig(
-        m=m, lam=lambda_from_m(m, cfg.p, cfg.c_lambda),
-        tol_obj=_TOL_OBJ, max_outer=_MAX_OUTER))
+        m=m, lam=lambda_from_m(m, cfg.p, cfg.c_lambda), max_outer=_MAX_OUTER))
 
 
 def _check_solve_pin(name):
@@ -310,19 +310,39 @@ def _check_solve_pin(name):
 
 
 def test_solve_invex_pinned_output_fig2_p50_m484_seed0():
-    _check_solve_pin("solve_pin_fig2_p50_m484_seed0.json")  # 8 rounds
+    _check_solve_pin("solve_pin_fig2_p50_m484_seed0.json")  # 7 rounds
 
 
 def test_solve_invex_pinned_output_fig2_p50_m122_seed0():
-    _check_solve_pin("solve_pin_fig2_p50_m122_seed0.json")  # 6 rounds, outliers selected
+    _check_solve_pin("solve_pin_fig2_p50_m122_seed0.json")  # 5 rounds, outliers selected
 
 
 def test_solve_invex_pinned_output_proportions_p30_x045_seed0():
-    _check_solve_pin("solve_pin_proportions_p30_x045_seed0.json")  # 8 rounds, m=366
+    _check_solve_pin("solve_pin_proportions_p30_x045_seed0.json")  # 7 rounds, m=366
 
 
 def test_solve_invex_pinned_output_fig2_p50_m306_seed0():
-    _check_solve_pin("solve_pin_fig2_p50_m306_seed0.json")  # 12 rounds
+    _check_solve_pin("solve_pin_fig2_p50_m306_seed0.json")  # 11 rounds
+
+
+@pytest.mark.parametrize("cell", [("configs/fig2_p50.json", 306), ("configs/fig2_p50.json", 122)])
+def test_solve_stops_at_the_first_repeated_kept_set(monkeypatch, cell):
+    """The b-step's kept sets, from theta = 0's on, change every round until
+    the first round whose kept set equals the previous one, where the solve
+    stops converged and returns it; theta_hat meets the refit's stop rule on
+    X_sel^T X_sel formed fresh, up to the roundoff of the carried Gram."""
+    kept = []
+    real = solver._keep_smallest
+    monkeypatch.setattr(solver, "_keep_smallest",
+                        lambda r, keep: kept.append(real(r, keep)) or kept[-1])
+    data, res = _solve_cell(*cell, 0)
+    assert res.converged and len(kept) == res.outer_iters + 1 >= 3
+    assert all(not np.array_equal(a, b) for a, b in zip(kept[:-2], kept[1:-1]))
+    assert np.array_equal(kept[-1], kept[-2])
+    assert np.array_equal(res.b_rounded, kept[-1])
+    Xs, ys = data.X[res.selection], data.y[res.selection]
+    H, c = Xs.T @ Xs, Xs.T @ ys
+    assert _refit_residual(H, c, res.theta_hat, res.config.lam) <= 1e-8 + 1e-13 * np.abs(c).max()
 
 
 def mid_instance(seed):
@@ -332,7 +352,13 @@ def mid_instance(seed):
 
 
 @pytest.mark.parametrize("m", [40, 12])  # m >= p + 1, and m < p + 1 (G singular)
-def test_dual_record_certifies_the_solve(m):
+def test_dual_record_certifies_the_solve(m, monkeypatch):
+    """The solve assembles G from the last round's Gram form; its dual
+    record is the one `grad_vartheta`'s G gives, and it certifies."""
+    assembled = []
+    real = solver._dual_min_eig
+    monkeypatch.setattr(solver, "_dual_min_eig",
+                        lambda G, theta, lam: assembled.append(G) or real(G, theta, lam))
     data = mid_instance(5)
     lam = 0.05 * np.sqrt(m * np.log(data.p))
     res = solve_invex(data, SolverConfig(m=m, lam=lam))
@@ -342,7 +368,10 @@ def test_dual_record_certifies_the_solve(m):
         assert np.linalg.matrix_rank(G) < data.p + 1
     Lam = solver._rank_one_dual(G, res.theta_hat, lam)
     assert np.abs(Lam @ np.append(res.theta_hat, 1.0)).max() <= 1e-6
-    assert res.dual_min_eig == np.linalg.eigvalsh(Lam)[0] / np.abs(Lam).max()
+    (G_solve,) = assembled
+    assert np.abs(G_solve - G).max() <= 1e-12 * np.abs(G).max()
+    Lam_solve = solver._rank_one_dual(G_solve, res.theta_hat, lam)
+    assert res.dual_min_eig == np.linalg.eigvalsh(Lam_solve)[0] / np.abs(Lam_solve).max()
     assert res.dual_min_eig >= -1e-9
 
 
@@ -550,6 +579,13 @@ def test_completion_at_bound_zero_terminates_and_warns():
     assert np.abs(theta - theta_hat).max() <= 1e-12
 
 
+def refit_objective(H, c, theta, lam):
+    """theta^T H theta - 2 c^T theta + lam (||theta||_1 + 1)^2, with the
+    penalty the C-step loop's objective adds at the refit's terms."""
+    return float(theta @ (H @ theta) - 2.0 * (c @ theta)
+                 + solver._penalty(theta, np.full(c.size, lam), lam))
+
+
 def _refit_objective_by_enumeration(H, c, lam):
     """The least refit objective theta^T H theta - 2 c^T theta
     + lam (||theta||_1 + 1)^2, found by trying every one of the 3^p sign
@@ -569,7 +605,7 @@ def _refit_objective_by_enumeration(H, c, lam):
         theta = np.zeros(c.size)
         theta[A] = np.linalg.solve(K, c[A] - lam * s[A])
         if np.array_equal(np.sign(theta), s):
-            best = min(best, solver._refit_objective(H, c, theta, lam))
+            best = min(best, refit_objective(H, c, theta, lam))
     return best
 
 
@@ -597,5 +633,5 @@ def test_refit_objective_matches_a_brute_force_reference(monkeypatch, path):
         want = _refit_objective_by_enumeration(H, c, lam)
         for theta0 in (np.zeros(c.size), rng.standard_normal(c.size)):
             theta = solver._refit_gram(H, c, theta0, lam)
-            got = solver._refit_objective(H, c, theta, lam)
+            got = refit_objective(H, c, theta, lam)
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (lam, got, want)
