@@ -66,7 +66,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Dataset, _check_int, _check_nonneg
-from .solver import _c_steps, _gram, _gram_solve, _weighted_gram
+from .solver import _MAX_ROUNDS, _c_steps, _gram, _gram_solve, _weighted_gram
 
 __all__ = ["BaselineConfig", "lasso", "adaptive_huber_lasso", "trimmed_lasso"]
 
@@ -81,7 +81,6 @@ class BaselineConfig:
         _check_int("trim_count", self.trim_count, 0)
 
 
-_TRIM_ROUNDS = 5000   # rounds `trimmed_lasso` runs before it warns
 _HUBER_ROUNDS = 50    # partition rounds a Huber stage runs before it warns
 _TOL = 1e-10          # every lasso solve stops at residual _TOL * (1 + lam)
 
@@ -213,7 +212,7 @@ def trimmed_lasso(data: Dataset, cfg: BaselineConfig) -> tuple[np.ndarray, np.nd
 
     Starts from theta = 0 on all n samples and stops when the kept set
     repeats.  A kept set that does not reach a fixed point, because it
-    cycles or runs `_TRIM_ROUNDS` rounds, warns.  Returns the last fit and
+    cycles or runs `solver._MAX_ROUNDS` rounds, warns.  Returns the last fit and
     the kept set it was fitted on, as a boolean mask.  Non-finite X or y
     raise ValueError.
     """
@@ -222,7 +221,7 @@ def trimmed_lasso(data: Dataset, cfg: BaselineConfig) -> tuple[np.ndarray, np.nd
         raise ValueError("trim_count must be < n")
     theta, w, _, _, rounds, fixed, _ = _c_steps(
         data.X, data.y, np.ones(n), np.zeros(p), n - cfg.trim_count,
-        np.full(p, 0.5 * cfg.lam), 0.0, _TOL * (1.0 + cfg.lam), _TRIM_ROUNDS)
+        np.full(p, 0.5 * cfg.lam), 0.0, _TOL * (1.0 + cfg.lam), _MAX_ROUNDS)
     if not fixed:
         warnings.warn(f"trimmed lasso: the kept set did not reach a fixed point in "
                       f"{rounds} rounds; returning the last fit", stacklevel=2)

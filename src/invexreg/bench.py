@@ -44,8 +44,6 @@ RESULT_COLUMNS = ["method", "p", "k", "m", "r", "n_outliers", "seed",
 
 METHODS = ("invex", "lasso", "adahuber", "trimmed")
 
-_MAX_OUTER = 150
-
 
 def clean_count_theory(p: int) -> int:
     """ceil(1.1 * 10^1.5 * ln(p)^2), the clean-sample count rule."""
@@ -225,7 +223,7 @@ def run_trial(cfg: ExperimentConfig, cell: dict, seed: int, method: str) -> tupl
         m = cell["m"]
         lam = lambda_from_m(m, cfg.p, cfg.c_lambda)
         if method == "invex":
-            scfg = SolverConfig(m=m, lam=lam, max_outer=_MAX_OUTER)
+            scfg = SolverConfig(m=m, lam=lam)
             res = solve_invex(data, scfg)
             theta = res.theta_hat
             row["mistakes_frac"] = clean_recovery_mistakes(res.b_rounded, data.labels, m)

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CLEAN, Dataset, lift_parameter, lifted_gram, sample_losses
+from .model import CLEAN, Dataset, _check_nonneg, lift_parameter, lifted_gram, sample_losses
 from .projections import BFeasibleSet, project_b
-from .solver import _as_rows, _recover_subgradient
+from .solver import _as_rows, _rank_one_dual, _recover_subgradient
 
 __all__ = [
     "EmptySupport",
@@ -103,9 +103,11 @@ def build_duals(data: Dataset, selection: np.ndarray, theta_under: np.ndarray,
 
     The scalar dual sits at the midpoint of its feasibility interval
     [max selected lifted loss, min unselected lifted loss]; the box duals
-    absorb the per-sample slack; the matrix dual is defined to cancel the
-    matrix-stationarity condition identically.
+    absorb the per-sample slack.  The matrix dual is `solver._rank_one_dual`
+    on the support's lifted Gram, zeta = [omega; 1][omega; 1]^T and
+    mu_corner = -mu.  A negative or non-finite lam raises ValueError.
     """
+    _check_nonneg("lam", lam)
     support = _as_rows(support, data.p, "support")
     if support.size == 0 and lam > 0:
         raise EmptySupport("empty support with an active regularizer")
@@ -130,15 +132,11 @@ def build_duals(data: Dataset, selection: np.ndarray, theta_under: np.ndarray,
     beta[unsel_mask] = losses[unsel_mask] - nu
     gamma[rows] = nu - losses[rows]
 
-    g_support = X_sub[rows].T @ (X_sub[rows] @ theta_under - data.y[rows])
-    omega, clip_count = _recover_subgradient(theta_under, g_support, lam)
-    zeta = np.outer(np.concatenate([omega, [1.0]]), np.concatenate([omega, [1.0]]))
-
     # the same call as in kkt_residuals, so matrix stationarity cancels exactly
-    S_A = lifted_gram(X_sub, data.y, b)
-    mu_corner = -float(((S_A + lam * zeta) * vu).sum())
-    Lambda = S_A + lam * zeta
-    Lambda[-1, -1] += mu_corner
+    Lambda, omega, mu, clip_count = _rank_one_dual(lifted_gram(X_sub, data.y, b),
+                                                   theta_under, lam)
+    s = np.append(omega, 1.0)
+    zeta, mu_corner = np.outer(s, s), -mu
 
     feasible = bool(interval_ok and beta.min(initial=0.0) >= -_TOL
                     and gamma.min(initial=0.0) >= -_TOL and nu >= -_TOL)

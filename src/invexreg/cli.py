@@ -53,7 +53,6 @@ def _build_parser() -> _Parser:
     s.add_argument("--lam", type=float, default=None)
     s.add_argument("--c-lambda", type=float, default=0.05,
                    help="used as c*sqrt(m ln p) when --lam is not given")
-    s.add_argument("--max-outer", type=int, default=200)
     s.add_argument("--out", required=True)
 
     c = sub.add_parser("certify", help="build duals and evaluate KKT residuals")
@@ -104,7 +103,7 @@ def _cmd_solve(args) -> int:
     lam = args.lam
     if lam is None and args.m > 0:  # SolverConfig reports a bad m
         lam = lambda_from_m(args.m, data.p, args.c_lambda)
-    cfg = SolverConfig(m=args.m, lam=lam, max_outer=args.max_outer)
+    cfg = SolverConfig(m=args.m, lam=lam)
     res = solve_invex(data, cfg)
     _write_json(args.out, res)
     print(f"wrote {args.out} (converged={res.converged}, "

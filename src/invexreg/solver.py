@@ -46,17 +46,18 @@ the first candidate that meets the solve's stop rule.  Only when none does,
 or a system is singular, does it run `_active_set_solve`, a finite active-set
 method (Osborne, Presnell & Turlach 2000) that ends exact.
 
-The dual record.  With w the refit's subgradient of ||theta||_1,
-s = [w; 1] and mu = (G z)[-1] + lam s^T z, the dual
-Lambda = G + lam s s^T - mu e e^T certifies V* = z z^T when it is PSD:
-Lambda z = 0 is the refit's stationarity and s s^T lies in the
-subdifferential of ||V*||_1, so Lambda PSD is the block's KKT condition.
-It is PSD up to the refit's tolerance: M = G + lam s s^T is PSD and
-M z = mu e, so (z^T M x)^2 <= (z^T M z)(x^T M x) reads
-mu x[-1]^2 <= x^T M x, which is Lambda = M - mu e e^T PSD, even when M is
-singular (m < p + 1).  `solve_invex` builds Lambda once, at theta_hat and
-the final selection, from G's blocks the last round formed: H, -c and
-y_sel^T y_sel.  It reports min eig(Lambda) / max|Lambda| as
+The dual record.  At z = [theta; 1], with w the refit's subgradient of
+||theta||_1 recovered from (G z)[:-1], s = [w; 1], M = G + lam s s^T and
+mu = <M, z z^T>, the dual Lambda = M - mu e e^T certifies V* = z z^T when
+it is PSD: Lambda z = 0 is the refit's stationarity and s s^T lies in the
+subdifferential of ||V*||_1.  <Lambda, z z^T> = 0 up to roundoff, the
+complementary slackness.  Lambda is PSD up to the refit's tolerance: M is
+PSD and M z = mu e, so (z^T M x)^2 <= (z^T M z)(x^T M x) reads
+mu x[-1]^2 <= x^T M x, even when M is singular (m < p + 1).
+`_rank_one_dual` is the one construction: `certify.build_duals` runs it
+on the support's lifted Gram, and `solve_invex` once, at theta_hat and
+the final selection, on G from the blocks the last round formed: H, -c
+and y_sel^T y_sel.  It reports min eig(Lambda) / max|Lambda| as
 `dual_min_eig`; at or above -1e-9 it certifies that theta_hat's lift
 minimizes the V block there.  It can fall below only through the refit's
 tolerance, or through roundoff, which warns.
@@ -101,17 +102,17 @@ class InfeasibleM(ValueError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """m and max_outer are integers >= 1 and lam is finite and >= 0, or
-    ValueError names the field."""
+    """m is an integer >= 1 and lam finite and >= 0, or ValueError names it."""
 
     m: int
     lam: float
-    max_outer: int = 200
 
     def __post_init__(self):
         _check_int("m", self.m, 1)
-        _check_int("max_outer", self.max_outer, 1)
         _check_nonneg("lam", self.lam)
+
+
+_MAX_ROUNDS = 200   # the C-step round cap of invex and trimmed; grid fits need <= 26
 
 
 @dataclass(eq=False)
@@ -136,21 +137,21 @@ def grad_vartheta(b: np.ndarray, data: Dataset) -> np.ndarray:
     return lifted_gram(data.X, data.y, b)
 
 
-def _rank_one_dual(G: np.ndarray, theta: np.ndarray, lam: float) -> np.ndarray:
-    """The V block's matrix dual Lambda = G + lam s s^T - mu e e^T at
-    V* = z z^T, z = [theta; 1] (see the module docstring)."""
+def _rank_one_dual(G: np.ndarray, theta: np.ndarray, lam: float) -> tuple:
+    """(Lambda, w, mu, clip_count) of the V block's matrix dual at V* = z z^T,
+    z = [theta; 1], w by `_recover_subgradient` (see the module docstring)."""
     z = np.append(theta, 1.0)
-    Gz = G @ z
-    w, _ = _recover_subgradient(theta, Gz[:-1], lam)
+    w, clip_count = _recover_subgradient(theta, (G @ z)[:-1], lam)
     s = np.append(w, 1.0)
     Lam = G + lam * np.outer(s, s)
-    Lam[-1, -1] -= Gz[-1] + lam * (s @ z)
-    return Lam
+    mu = float((Lam * np.outer(z, z)).sum())
+    Lam[-1, -1] -= mu
+    return Lam, w, mu, clip_count
 
 
 def _dual_min_eig(G: np.ndarray, theta: np.ndarray, lam: float) -> float:
     """min eig(Lambda) / max|Lambda| of `_rank_one_dual` (0 when Lambda = 0)."""
-    Lam = _rank_one_dual(G, theta, lam)
+    Lam = _rank_one_dual(G, theta, lam)[0]
     scale = float(np.abs(Lam).max())
     return float(np.linalg.eigvalsh(Lam)[0]) / scale if scale > 0.0 else 0.0
 
@@ -158,7 +159,7 @@ def _dual_min_eig(G: np.ndarray, theta: np.ndarray, lam: float) -> float:
 def solve_invex(data: Dataset, cfg: SolverConfig) -> SolveResult:
     """C-steps in theta (`_c_steps`) from theta = 0 and its b-step, the m
     smallest |y_i|, with the refit's penalty lam (||theta||_1 + 1)^2 and
-    its stop rule at tol 1e-8, for at most max_outer rounds.
+    its stop rule at tol 1e-8, for at most `_MAX_ROUNDS` rounds.
 
     Converged means the kept set reached a fixed point.  The rounded
     selection is the last kept set solved on and theta_hat the solve on
@@ -171,7 +172,7 @@ def solve_invex(data: Dataset, cfg: SolverConfig) -> SolveResult:
     # 2e-8 is `_refit_gram`'s bound at its tol 1e-8
     theta_hat, b, H, c, outer, converged, trace = _c_steps(
         data.X, y, _keep_smallest(y, cfg.m), np.zeros(data.p), cfg.m,
-        np.full(data.p, lam), lam, 2e-8, cfg.max_outer)
+        np.full(data.p, lam), lam, 2e-8, _MAX_ROUNDS)
     G = np.block([[H, -c[:, None]], [-c, b @ (y * y)]])
     return SolveResult(
         b_rounded=b, theta_hat=theta_hat, objective_trace=trace,
@@ -503,8 +504,8 @@ def refit(data: Dataset, selection: np.ndarray, lam: float,
     stationarity residual (subgradient recovered as in the dual
     construction) is at most the absolute tol, or half `_gram_solve`'s
     roundoff floor when that is larger; only roundoff can keep it above,
-    and then a RuntimeWarning names it.  Non-finite X or y on the
-    selected rows and columns, or lam, raise ValueError.
+    and then a RuntimeWarning names it.  A negative or non-finite lam, or
+    non-finite X or y on the selected rows and columns, raise ValueError.
     """
     rows = _as_rows(selection, data.n)
     if rows.size < 1:
@@ -512,7 +513,8 @@ def refit(data: Dataset, selection: np.ndarray, lam: float,
     cols = np.arange(data.p) if support is None else _as_rows(support, data.p, "support")
     Xs = data.X[rows][:, cols]
     ys = data.y[rows]
-    _check_finite(("X", Xs), ("y", ys), ("lam", lam))
+    _check_finite(("X", Xs), ("y", ys))
+    _check_nonneg("lam", lam)
 
     theta = _refit_gram(Xs.T @ Xs, Xs.T @ ys, np.zeros(cols.size), lam, tol)
     out = np.zeros(data.p)

@@ -177,6 +177,33 @@ def test_c_steps_stop_unconverged_on_a_cycle(monkeypatch, method):
     assert np.array_equal(kept, B.astype(kept.dtype))
 
 
+@pytest.mark.parametrize("method", ["trimmed", "invex"])
+def test_c_steps_stop_unconverged_at_the_round_cap(monkeypatch, method):
+    """A b-step that returns a kept set never seen before on every call:
+    with the round cap at 3 the C-step loop stops there unconverged.
+    invex reports converged=False after 3 rounds; the trimmed lasso warns."""
+    data = clean_data(np.random.default_rng(11), n=20)
+    keep = 15
+    calls = []
+
+    def rotated(r, k):
+        calls.append(k)
+        return np.roll(np.arange(data.n) < k, len(calls)).astype(float)
+
+    # baselines imports the cap by name, so both bindings are set
+    for module in (solver, baselines):
+        monkeypatch.setattr(module, "_MAX_ROUNDS", 3)
+    monkeypatch.setattr(solver, "_keep_smallest", rotated)
+    if method == "invex":
+        res = solve_invex(data, SolverConfig(m=keep, lam=0.5))
+        assert not res.converged and res.outer_iters == 3
+        assert len(res.objective_trace) == 4
+    else:
+        with pytest.warns(UserWarning, match="did not reach a fixed point in 3 rounds"):
+            trimmed_lasso(data, BaselineConfig(lam=0.5, trim_count=data.n - keep))
+    assert set(calls) == {keep}
+
+
 def test_trimmed_validates_trim_count():
     rng = np.random.default_rng(10)
     data = clean_data(rng, n=5)
@@ -190,8 +217,12 @@ def test_baselines_deterministic():
         r=25, n_outliers=8, seed=11))
     cfg = BaselineConfig(lam=0.6, trim_count=8)
     assert np.array_equal(lasso(data, cfg), lasso(data, cfg))
-    assert np.array_equal(adaptive_huber_lasso(data, cfg),
-                          adaptive_huber_lasso(data, cfg))
+    # the Huber scale cycles on this fixture and hits its round cap
+    with pytest.warns(UserWarning, match="did not settle"):
+        a1 = adaptive_huber_lasso(data, cfg)
+    with pytest.warns(UserWarning, match="did not settle"):
+        a2 = adaptive_huber_lasso(data, cfg)
+    assert np.array_equal(a1, a2)
     t1 = trimmed_lasso(data, cfg)
     t2 = trimmed_lasso(data, cfg)
     assert np.array_equal(t1[0], t2[0]) and np.array_equal(t1[1], t2[1])
@@ -367,7 +398,8 @@ def test_baselines_make_no_svd_call(monkeypatch):
         r=25, n_outliers=8, seed=11))
     cfg = BaselineConfig(lam=0.6, trim_count=8)
     lasso(data, cfg)
-    adaptive_huber_lasso(data, cfg)
+    with pytest.warns(UserWarning, match="did not settle"):
+        adaptive_huber_lasso(data, cfg)
     trimmed_lasso(data, cfg)
     refit(data, np.arange(data.n), 0.6)
 

@@ -370,6 +370,9 @@ def test_cli_pipeline(tmp_path):
     assert dual_min_eig >= -1e-9
     assert f"outer={solved['outer_iters']}, dual_min_eig=" in r.stdout
     assert f"dual_min_eig={dual_min_eig:.3g})" in r.stdout
+    r = _cli("solve", "--data", ds, "--m", "4", "--max-outer", "5",
+             "--out", str(tmp_path / "capped.json"))
+    assert r.returncode == 1 and "unrecognized arguments: --max-outer" in r.stderr
     r = _cli("certify", "--data", ds, "--result", str(tmp_path / "res.json"),
              "--out", str(tmp_path / "cert.json"))
     assert r.returncode == 0, r.stderr
@@ -383,13 +386,13 @@ def test_cli_pipeline(tmp_path):
     res = json.loads((tmp_path / "res.json").read_text())
     sel = [i for i, b in enumerate(res["b_rounded"]) if b == 1]
     assert sel == orc["J_star"]
-    assert set(res["config"]) == {"m", "lam", "max_outer"}
+    assert set(res["config"]) == {"m", "lam"}
     assert not {"vartheta_hat", "b_hat", "rank1_gap"} & set(res)
     # certify reads only b_rounded and config.lam, so a result written when
-    # SolverConfig also had step_rule, eta and tol_obj, and the result carried
-    # the lifted iterate, its weights and its rank-one gap, still certifies,
-    # to the same bytes
-    res["config"].update(step_rule="backtracking", eta=None, tol_obj=1e-8)
+    # SolverConfig also had step_rule, eta, tol_obj and max_outer, and the
+    # result carried the lifted iterate, its weights and its rank-one gap,
+    # still certifies, to the same bytes
+    res["config"].update(step_rule="backtracking", eta=None, tol_obj=1e-8, max_outer=200)
     res.update(vartheta_hat=np.eye(5).tolist(), b_hat=res["b_rounded"], rank1_gap=0.0)
     (tmp_path / "old.json").write_text(json.dumps(res))
     r = _cli("certify", "--data", ds, "--result", str(tmp_path / "old.json"),

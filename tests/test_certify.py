@@ -102,6 +102,16 @@ def test_empty_support_raises():
         build_duals(data, np.ones(data.n), np.array([]), 1.0, np.array([], dtype=int))
 
 
+@pytest.mark.parametrize("lam", [-1.0, float("nan")])
+def test_build_duals_rejects_a_negative_or_non_finite_lam(lam):
+    """A negative lam would flip the sign of lam s s^T in Lambda; the
+    certificate names lam instead of reporting feasible duals."""
+    data = tiny_instance(0)
+    support = np.flatnonzero(data.theta_star)
+    with pytest.raises(ValueError, match="^lam must be finite and >= 0"):
+        build_duals(data, np.ones(data.n), data.theta_star[support], lam, support)
+
+
 @pytest.mark.parametrize("support", [np.array([-1]), np.array([0, 4])])
 def test_build_duals_rejects_support_outside_the_columns(support):
     data = tiny_instance(2)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import warnings
@@ -7,10 +8,12 @@ import numpy as np
 import pytest
 
 from invexreg import solver
-from invexreg.bench import _MAX_OUTER, ExperimentConfig, lambda_from_m
+from invexreg.bench import ExperimentConfig, lambda_from_m
+from invexreg.certify import build_duals
 from invexreg.datagen import GenSpec, generate
 from invexreg.model import (CLEAN, Dataset, GroundTruthConfig, lift_parameter,
-                            lift_sample, objective, sample_losses, to_jsonable)
+                            lift_sample, lifted_gram, objective, sample_losses,
+                            to_jsonable)
 from invexreg.oracle import subset_objective
 from invexreg.solver import InfeasibleM, SolverConfig, grad_vartheta, refit, solve_invex
 
@@ -144,8 +147,10 @@ def test_refit_names_a_malformed_support(support, match):
         refit(two_row_dataset(), np.array([0, 1]), 0.1, support=support)
 
 
-@pytest.mark.parametrize("where", ["X", "y", "lam"])
+@pytest.mark.parametrize("where", ["X", "y", "lam", "negative lam"])
 def test_refit_rejects_non_finite_input(where):
+    """A negative lam makes the refit unbounded below, so it is refused
+    like a non-finite one."""
     rng = np.random.default_rng(17)
     data = all_clean_dataset(rng, 30, 5, np.array([1.0, -0.5, 0.0, 0.25, 0.0]))
     X, y = data.X.copy(), data.y.copy()
@@ -155,9 +160,9 @@ def test_refit_rejects_non_finite_input(where):
     elif where == "y":
         y[3] = np.nan
     else:
-        lam = np.inf
+        lam = np.inf if where == "lam" else -1.0
     bad = Dataset(X=X, y=y, labels=data.labels, r=data.r)
-    with pytest.raises(ValueError, match=f"^{where} must be finite"):
+    with pytest.raises(ValueError, match=f"^{where.split()[-1]} must be finite"):
         refit(bad, np.ones(data.n), lam)
 
 
@@ -187,7 +192,7 @@ def test_solve_exactly_determined_noiseless():
     rng = np.random.default_rng(15)
     theta = np.array([0.7, -0.3])
     data = all_clean_dataset(rng, 6, 2, theta, sigma_e=0.0)
-    res = solve_invex(data, SolverConfig(m=6, lam=0.0, max_outer=400))
+    res = solve_invex(data, SolverConfig(m=6, lam=0.0))
     assert np.abs(res.theta_hat - theta).max() <= 1e-6
     assert res.objective_trace[-1] <= 1e-6 * max(1.0, res.objective_trace[0])
 
@@ -233,12 +238,15 @@ def test_solve_infeasible_m():
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(m=2, lam=-1.0)
-    SolverConfig(m=np.int64(4), lam=np.float64(0.1), max_outer=np.int32(3))
+    SolverConfig(m=np.int64(4), lam=np.float64(0.1))
+    # the round cap is solver._MAX_ROUNDS, not a setting
+    assert [f.name for f in dataclasses.fields(SolverConfig)] == ["m", "lam"]
+    with pytest.raises(TypeError):
+        SolverConfig(m=4, lam=0.1, max_outer=3)
 
 
 @pytest.mark.parametrize("field,value", [
     ("m", -3), ("m", 0), ("m", 2.5), ("m", 3.0), ("m", True),
-    ("max_outer", 0), ("max_outer", -1), ("max_outer", 10.0), ("max_outer", False),
     ("lam", float("nan")), ("lam", float("inf")), ("lam", -float("inf")),
 ])
 def test_solver_config_rejects_a_bad_field_by_name(field, value):
@@ -291,8 +299,8 @@ def _solve_cell(config, m, seed, n_outliers=None):
     data = generate(GenSpec(ground_truth=gt, r=cell["r"],
                             n_outliers=cell["n_outliers"], seed=seed,
                             max_resamples=cfg.max_resamples, rho_min=cfg.rho_min))
-    return data, solve_invex(data, SolverConfig(
-        m=m, lam=lambda_from_m(m, cfg.p, cfg.c_lambda), max_outer=_MAX_OUTER))
+    lam = lambda_from_m(m, cfg.p, cfg.c_lambda)
+    return data, solve_invex(data, SolverConfig(m=m, lam=lam))
 
 
 def _check_solve_pin(name):
@@ -366,13 +374,35 @@ def test_dual_record_certifies_the_solve(m, monkeypatch):
     G = grad_vartheta(res.b_rounded, data)
     if m < data.p + 1:
         assert np.linalg.matrix_rank(G) < data.p + 1
-    Lam = solver._rank_one_dual(G, res.theta_hat, lam)
-    assert np.abs(Lam @ np.append(res.theta_hat, 1.0)).max() <= 1e-6
+    Lam, w, _, _ = solver._rank_one_dual(G, res.theta_hat, lam)
+    z, on = np.append(res.theta_hat, 1.0), res.theta_hat != 0.0
+    assert np.abs(Lam @ z).max() <= 1e-6
+    assert abs(float((Lam * np.outer(z, z)).sum())) <= 1e-12 * np.abs(Lam).max()
+    assert np.array_equal(w[on], np.sign(res.theta_hat[on]))
     (G_solve,) = assembled
     assert np.abs(G_solve - G).max() <= 1e-12 * np.abs(G).max()
-    Lam_solve = solver._rank_one_dual(G_solve, res.theta_hat, lam)
+    Lam_solve = solver._rank_one_dual(G_solve, res.theta_hat, lam)[0]
     assert res.dual_min_eig == np.linalg.eigvalsh(Lam_solve)[0] / np.abs(Lam_solve).max()
     assert res.dual_min_eig >= -1e-9
+
+
+@pytest.mark.parametrize("config, m", [("configs/fig2_p50.json", 484),
+                                       ("configs/fig2_p100.json", 671)])
+def test_certificate_dual_is_the_solve_dual_on_the_support(config, m):
+    """Where the solve's support is theta*'s support S, the certificate's
+    Lambda at the solve's theta_hat[S] is the solve's dual record Lambda
+    on the full lifted Gram restricted to S and the corner: one
+    construction, `solver._rank_one_dual`, on two Grams that agree there."""
+    data, res = _solve_cell(config, m, 0)
+    lam = res.config.lam
+    S = np.flatnonzero(data.theta_star)
+    assert np.array_equal(np.flatnonzero(res.theta_hat), S)
+    cert = build_duals(data, res.b_rounded, res.theta_hat[S], lam, S)
+    Lam = solver._rank_one_dual(lifted_gram(data.X, data.y, res.b_rounded),
+                                res.theta_hat, lam)[0]
+    keep = np.append(S, data.p)   # S and the corner
+    gap = np.abs(cert.Lambda - Lam[np.ix_(keep, keep)]).max()
+    assert gap <= 1e-12 * np.abs(Lam).max()
 
 
 def near_collinear_instance():
