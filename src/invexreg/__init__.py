@@ -7,13 +7,13 @@ numerically.  Run `invexreg --help` for the command-line interface, and see
 benchmarks/README.md for the benchmark harness and its workloads.
 """
 
-from .baselines import BaselineConfig, adaptive_huber_lasso, lasso, trimmed_lasso
+from .baselines import adaptive_huber_lasso, lasso, trimmed_lasso
 from .bench import ExperimentConfig, run_sweep
 from .certify import (AssumptionReport, DualCertificate, KKTReport,
                       assumption_check, build_duals, invexity_gap, invexity_witness,
                       kkt_residuals, nonconvexity_witness,
                       strict_dual_feasibility)
-from .datagen import GenSpec, gen_clean, gen_outliers, gen_theta_star, generate, rho_gap
+from .datagen import GenSpec, generate
 from .metrics import (clean_recovery_mistakes, norm_error, support_jaccard,
                       theory_delta_m)
 from .model import (Dataset, GroundTruthConfig, lift_parameter, lift_sample,
@@ -26,16 +26,15 @@ from .solver import SolveResult, SolverConfig, grad_vartheta, refit, solve_invex
 __version__ = "0.1.0"
 
 __all__ = [
-    "AssumptionReport", "BFeasibleSet", "BaselineConfig", "Dataset",
+    "AssumptionReport", "BFeasibleSet", "Dataset",
     "DualCertificate", "ExperimentConfig", "GenSpec", "GroundTruthConfig",
     "KKTReport", "OracleResult", "SolveResult", "SolverConfig", "adaptive_huber_lasso",
     "assumption_check", "build_duals", "clean_recovery_mistakes",
-    "enumerate_best_subset", "gen_clean", "gen_outliers",
-    "gen_theta_star", "generate", "grad_vartheta", "grid_search_theta", "invexity_gap",
+    "enumerate_best_subset", "generate", "grad_vartheta", "grid_search_theta", "invexity_gap",
     "invexity_witness", "kkt_residuals", "lasso", "lift_parameter", "lift_sample",
     "load_dataset", "nonconvexity_witness",
     "norm_error", "objective", "project_b", "project_psd_corner",
-    "prox_entrywise_l1", "refit", "rho_gap", "run_sweep", "sample_losses",
+    "prox_entrywise_l1", "refit", "run_sweep", "sample_losses",
     "save_dataset", "solve_invex", "squared_loss", "strict_dual_feasibility",
     "support_jaccard", "theory_delta_m", "trimmed_lasso",
 ]

@@ -61,27 +61,15 @@ pathwise solvers, Friedman, Hastie & Tibshirani 2010).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
+from . import solver
 from .model import Dataset, _check_int, _check_nonneg
-from .solver import _MAX_ROUNDS, _c_steps, _gram, _gram_solve, _weighted_gram
+from .solver import _c_steps, _gram, _gram_solve, _weighted_gram
 
-__all__ = ["BaselineConfig", "lasso", "adaptive_huber_lasso", "trimmed_lasso"]
+__all__ = ["lasso", "adaptive_huber_lasso", "trimmed_lasso"]
 
-
-@dataclass(frozen=True)
-class BaselineConfig:
-    lam: float = 1.0
-    trim_count: int = 0   # samples `trimmed_lasso` drops each round
-
-    def __post_init__(self):
-        _check_nonneg("lam", self.lam)
-        _check_int("trim_count", self.trim_count, 0)
-
-
-_HUBER_ROUNDS = 50    # partition rounds a Huber stage runs before it warns
 _TOL = 1e-10          # every lasso solve stops at residual _TOL * (1 + lam)
 
 
@@ -93,11 +81,12 @@ def _lasso_solve(H, c, lam_j, theta0, lam):
     return _gram_solve(H, c, theta0, _TOL * (1.0 + lam), 0.5 * lam_j, 0.0)
 
 
-def lasso(data: Dataset, cfg: BaselineConfig) -> np.ndarray:
+def lasso(data: Dataset, lam: float) -> np.ndarray:
     """Standard lasso on all samples: sum of squared residuals + lam * ||theta||_1.
-    Non-finite X or y raise ValueError."""
+    A lam that is not finite and >= 0, or non-finite X or y, raise ValueError."""
+    _check_nonneg("lam", lam)
     X, y, p = data.X, data.y, data.p
-    return _lasso_solve(_gram(X, y).H, X.T @ y, np.full(p, cfg.lam), np.zeros(p), cfg.lam)
+    return _lasso_solve(_gram(X, y).H, X.T @ y, np.full(p, lam), np.zeros(p), lam)
 
 
 def _mad_scale(resid) -> float:
@@ -125,8 +114,8 @@ def _huber_stage(X, y, gram, theta, delta, lam, lam_j):
     optimal to rounding, which returns theta).  Without that damping the
     iteration can cycle between partitions.  Each candidate's residual is
     formed once and serves both its objective and its partition.  A stage
-    that has not settled after `_HUBER_ROUNDS` rounds warns and returns the
-    last iterate.
+    that has not settled after `solver._MAX_ROUNDS` rounds warns and
+    returns the last iterate.
     """
     def objective(th, r):
         a = np.abs(r)
@@ -138,7 +127,7 @@ def _huber_stage(X, y, gram, theta, delta, lam, lam_j):
 
     r = y - X @ theta
     s, f = signs_beyond_delta(r), objective(theta, r)
-    for _ in range(_HUBER_ROUNDS):
+    for _ in range(solver._MAX_ROUNDS):
         w = (s == 0.0).astype(float)
         H, c = _weighted_gram(X, gram, w), X.T @ (w * y + delta * s)
         theta_new = _lasso_solve(H, c, lam_j, theta, lam)
@@ -159,12 +148,12 @@ def _huber_stage(X, y, gram, theta, delta, lam, lam_j):
             s_new = signs_beyond_delta(r_new)
         theta, f, s = theta_new, f_new, s_new
     warnings.warn("adaptive Huber lasso: a Huber stage did not settle in "
-                  f"{_HUBER_ROUNDS} partition rounds; using the last iterate",
+                  f"{solver._MAX_ROUNDS} partition rounds; using the last iterate",
                   stacklevel=3)
     return theta
 
 
-def adaptive_huber_lasso(data: Dataset, cfg: BaselineConfig) -> np.ndarray:
+def adaptive_huber_lasso(data: Dataset, lam: float) -> np.ndarray:
     """Two-stage Huber-loss lasso with adaptive per-coordinate weights.
 
     Stage 1 minimizes the Huber loss of the residuals plus lam ||theta||_1,
@@ -179,20 +168,22 @@ def adaptive_huber_lasso(data: Dataset, cfg: BaselineConfig) -> np.ndarray:
     on the quadratic branch and the signs s_O of the others, stops when the
     solution's own partition and signs repeat, and halves the step towards
     a solution that does not lower the objective.  A stage that has not
-    settled after `_HUBER_ROUNDS` partition rounds, or a scale that has
-    not settled after 12 rounds, warns and goes on with the last iterate,
-    as `trimmed_lasso` does.
+    settled after `solver._MAX_ROUNDS` partition rounds, or a scale that
+    has not settled after 12 rounds, warns and goes on with the last
+    iterate, as `trimmed_lasso` does.  A lam that is not finite and >= 0,
+    or non-finite X or y, raise ValueError.
     """
+    _check_nonneg("lam", lam)
     X, y = data.X, data.y
     gram = _gram(X, y)
-    lam_j = np.full(X.shape[1], float(cfg.lam))
-    theta = _lasso_solve(gram.H, X.T @ y, lam_j, np.zeros(X.shape[1]), cfg.lam)
+    lam_j = np.full(X.shape[1], float(lam))
+    theta = _lasso_solve(gram.H, X.T @ y, lam_j, np.zeros(X.shape[1]), lam)
 
     delta = None
     theta1 = theta
     for _ in range(12):
         d_new = 1.345 * max(_mad_scale(y - X @ theta1), 1e-8)
-        theta1 = _huber_stage(X, y, gram, theta1, d_new, cfg.lam, lam_j)
+        theta1 = _huber_stage(X, y, gram, theta1, d_new, lam, lam_j)
         if delta is not None and abs(d_new - delta) <= 1e-3 * delta:
             delta = d_new
             break
@@ -203,25 +194,29 @@ def adaptive_huber_lasso(data: Dataset, cfg: BaselineConfig) -> np.ndarray:
 
     inv = 1.0 / np.maximum(np.abs(theta1), 1e-12)
     coord_weights = np.minimum(inv, 1e6)
-    return _huber_stage(X, y, gram, theta1, delta, cfg.lam, cfg.lam * coord_weights)
+    return _huber_stage(X, y, gram, theta1, delta, lam, lam * coord_weights)
 
 
-def trimmed_lasso(data: Dataset, cfg: BaselineConfig) -> tuple[np.ndarray, np.ndarray]:
+def trimmed_lasso(data: Dataset, lam: float,
+                  trim_count: int) -> tuple[np.ndarray, np.ndarray]:
     """Sparse LTS: the C-steps of `solver._c_steps` with the lasso's
     penalty, keeping the n - trim_count samples of smallest residual.
 
     Starts from theta = 0 on all n samples and stops when the kept set
     repeats.  A kept set that does not reach a fixed point, because it
-    cycles or runs `solver._MAX_ROUNDS` rounds, warns.  Returns the last fit and
-    the kept set it was fitted on, as a boolean mask.  Non-finite X or y
-    raise ValueError.
+    cycles or runs `solver._MAX_ROUNDS` rounds, warns.  Returns the last
+    fit and the kept set it was fitted on, as a boolean mask.  A lam that
+    is not finite and >= 0, a trim_count that is not an integer in
+    [0, n), or non-finite X or y, raise ValueError.
     """
+    _check_nonneg("lam", lam)
+    _check_int("trim_count", trim_count, 0)
     n, p = data.n, data.p
-    if cfg.trim_count >= n:
+    if trim_count >= n:
         raise ValueError("trim_count must be < n")
     theta, w, _, _, rounds, fixed, _ = _c_steps(
-        data.X, data.y, np.ones(n), np.zeros(p), n - cfg.trim_count,
-        np.full(p, 0.5 * cfg.lam), 0.0, _TOL * (1.0 + cfg.lam), _MAX_ROUNDS)
+        data.X, data.y, np.ones(n), n - trim_count, np.full(p, 0.5 * lam), 0.0,
+        _TOL * (1.0 + lam))
     if not fixed:
         warnings.warn(f"trimmed lasso: the kept set did not reach a fixed point in "
                       f"{rounds} rounds; returning the last fit", stacklevel=2)

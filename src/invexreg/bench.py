@@ -27,15 +27,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import BaselineConfig, adaptive_huber_lasso, lasso, trimmed_lasso
+from .baselines import adaptive_huber_lasso, lasso, trimmed_lasso
 from .certify import build_duals, kkt_residuals
 from .datagen import GenSpec, generate
 from .metrics import clean_recovery_mistakes, norm_error, support_jaccard, theory_delta_m
-from .model import Dataset, GroundTruthConfig, _check_int, _check_nonneg, lift_parameter
+from .model import (Dataset, GroundTruthConfig, _check_int, _check_nonneg, _write_json,
+                    lift_parameter)
 from .solver import SolverConfig, refit, solve_invex
 from .svgplot import write_line_plot
 
-__all__ = ["ExperimentConfig", "run_sweep", "clean_count_theory", "m_from_C",
+__all__ = ["ExperimentConfig", "run_sweep", "clean_count_theory", "l1_budget", "m_from_C",
            "lambda_from_m", "certify_at_true_support", "RESULT_COLUMNS"]
 
 RESULT_COLUMNS = ["method", "p", "k", "m", "r", "n_outliers", "seed",
@@ -48,6 +49,11 @@ METHODS = ("invex", "lasso", "adahuber", "trimmed")
 def clean_count_theory(p: int) -> int:
     """ceil(1.1 * 10^1.5 * ln(p)^2), the clean-sample count rule."""
     return math.ceil(1.1 * 10 ** 1.5 * math.log(p) ** 2)
+
+
+def l1_budget(k: int) -> float:
+    """1.1 k, the L1 budget M of theta* (`GroundTruthConfig.M`)."""
+    return 1.1 * k
 
 
 def m_from_C(C: float, p: int) -> int:
@@ -113,10 +119,6 @@ class ExperimentConfig:
         object.__setattr__(self, "methods", tuple(self.methods))
         for name in ("seeds", "methods", "C_values"):
             _check_listed(name, getattr(self, name))
-
-    @property
-    def m_budget(self) -> float:
-        return 1.1 * self.k
 
     @property
     def r(self) -> int:
@@ -199,7 +201,7 @@ def _dataset(cfg: ExperimentConfig, r: int, n_outliers: int, seed: int) -> Datas
     generation raises and is not cached.  With more seeds than `maxsize`
     the (cell, seed, method) task order still shares each dataset across
     the methods of one (cell, seed)."""
-    gt = GroundTruthConfig(p=cfg.p, k=cfg.k, M=cfg.m_budget, sigma_e=cfg.sigma_e)
+    gt = GroundTruthConfig(p=cfg.p, k=cfg.k, M=l1_budget(cfg.k), sigma_e=cfg.sigma_e)
     spec = GenSpec(ground_truth=gt, r=r, n_outliers=n_outliers, seed=seed,
                    max_resamples=cfg.max_resamples, rho_min=cfg.rho_min)
     data = generate(spec)
@@ -227,15 +229,14 @@ def run_trial(cfg: ExperimentConfig, cell: dict, seed: int, method: str) -> tupl
             res = solve_invex(data, scfg)
             theta = res.theta_hat
             row["mistakes_frac"] = clean_recovery_mistakes(res.b_rounded, data.labels, m)
-            row["delta_m"] = theory_delta_m(cfg.m_budget, lam, cfg.k, 1.0, m)
+            row["delta_m"] = theory_delta_m(l1_budget(cfg.k), lam, cfg.k, 1.0, m)
             row["kkt_feasible"] = certify_at_true_support(data, res.b_rounded, lam)[-1]
         elif method == "lasso":
-            theta = lasso(data, BaselineConfig(lam=lam))
+            theta = lasso(data, lam)
         elif method == "adahuber":
-            theta = adaptive_huber_lasso(data, BaselineConfig(lam=lam))
+            theta = adaptive_huber_lasso(data, lam)
         elif method == "trimmed":
-            bcfg = BaselineConfig(lam=lam, trim_count=cell["n_outliers"])
-            theta, _ = trimmed_lasso(data, bcfg)
+            theta, _ = trimmed_lasso(data, lam, cell["n_outliers"])
         else:
             raise ValueError(f"unknown method {method}")
         row["jaccard"] = support_jaccard(theta, data.theta_star)
@@ -376,9 +377,7 @@ def run_sweep(cfg: ExperimentConfig, workers: int | None = None) -> dict:
     meta = {"config": {f: getattr(cfg, f) for f in cfg.__dataclass_fields__},
             "c_lambda_note": "calibrated constant; the theory-scale constant "
                              "is far too conservative in practice"}
-    with open(outdir / "sweep_meta.json", "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True, default=list)
-        fh.write("\n")
+    _write_json(outdir / "sweep_meta.json", meta)
     return {"rows": rows, "aggregate": agg,
             "results_csv": outdir / "results.csv",
             "aggregate_csv": outdir / "aggregate.csv",

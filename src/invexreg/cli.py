@@ -16,9 +16,10 @@ import sys
 import numpy as np
 
 from . import certify as cert_mod
-from .bench import ExperimentConfig, certify_at_true_support, lambda_from_m, run_sweep
+from .bench import (ExperimentConfig, certify_at_true_support, l1_budget, lambda_from_m,
+                    run_sweep)
 from .datagen import GenSpec, generate
-from .model import GroundTruthConfig, load_dataset, save_dataset, to_jsonable
+from .model import GroundTruthConfig, _write_json, load_dataset, save_dataset
 from .oracle import enumerate_best_subset
 from .solver import SolverConfig, solve_invex
 
@@ -79,15 +80,8 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _write_json(path: str, payload) -> None:
-    """Write `to_jsonable(payload)`; a non-finite float is written as null."""
-    with open(path, "w") as fh:
-        json.dump(to_jsonable(payload), fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
-
-
 def _cmd_gen(args) -> int:
-    M = args.M if args.M is not None else 1.1 * args.k
+    M = args.M if args.M is not None else l1_budget(args.k)
     gt = GroundTruthConfig(p=args.p, k=args.k, M=M, sigma_e=args.sigma_e)
     spec = GenSpec(ground_truth=gt, r=args.r, n_outliers=args.outliers,
                    seed=args.seed, max_resamples=args.max_resamples,

@@ -2,7 +2,10 @@
 
 An outlier is a sample whose squared loss at the true parameter exceeds
 every clean sample's loss by a strictly positive margin; the generator
-enforces this by resampling offending outliers.
+enforces this by resampling offending outliers.  `generate` is the one
+entry point: the dataset it returns holds theta* (`theta_star`, with
+`meta["theta_rescaled"]`), the clean and outlier rows (`clean_mask`,
+`outlier_mask`) and the realized loss gap (`rho`).
 """
 
 from __future__ import annotations
@@ -13,15 +16,7 @@ import numpy as np
 
 from .model import CLEAN, OUTLIER, Dataset, GroundTruthConfig, _check_int, _check_nonneg
 
-__all__ = [
-    "GenSpec",
-    "ResampleExhausted",
-    "gen_theta_star",
-    "gen_clean",
-    "gen_outliers",
-    "rho_gap",
-    "generate",
-]
+__all__ = ["GenSpec", "ResampleExhausted", "generate"]
 
 
 class ResampleExhausted(RuntimeError):
@@ -61,7 +56,10 @@ def _rngs(spec: GenSpec) -> dict[str, np.random.Generator]:
     return {name: np.random.default_rng(ss) for name, ss in zip(names, children)}
 
 
-def _theta_star_with_flag(gt: GroundTruthConfig, rng) -> tuple[np.ndarray, bool]:
+def _draw_theta_star(gt: GroundTruthConfig, rng) -> tuple[np.ndarray, bool]:
+    """k-sparse parameter: support uniform, magnitudes uniform on [0.1, 1.1],
+    random signs, rescaled down to the budget M when its L1 norm exceeds
+    it; returns it and whether it was rescaled."""
     theta = np.zeros(gt.p)
     support = rng.choice(gt.p, size=gt.k, replace=False)
     mags = rng.uniform(0.1, 1.1, size=gt.k)
@@ -74,31 +72,16 @@ def _theta_star_with_flag(gt: GroundTruthConfig, rng) -> tuple[np.ndarray, bool]
     return theta, rescaled
 
 
-def gen_theta_star(spec: GenSpec) -> np.ndarray:
-    """k-sparse parameter: support uniform, magnitudes uniform on [0.1, 1.1].
-
-    Signs are random; if the L1 norm exceeds the budget M the vector is
-    rescaled down to M (generate() records this in the dataset metadata).
-    """
-    return _theta_star_with_flag(spec.ground_truth, _rngs(spec)["theta"])[0]
-
-
 def _draw_clean(rng, gt: GroundTruthConfig, count: int, theta_star: np.ndarray):
+    """count rows of Gaussian predictors and responses y = X theta* + e."""
     X = rng.standard_normal((count, gt.p))
     e = rng.normal(0.0, gt.sigma_e, size=count) if gt.sigma_e > 0 else np.zeros(count)
     y = X @ theta_star + e
     return X, y
 
 
-def gen_clean(spec: GenSpec, theta_star: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """r rows of Gaussian predictors and responses y = X theta* + e."""
-    if not np.all(np.isfinite(theta_star)):
-        raise ValueError("theta_star must be finite")
-    rng = _rngs(spec)["clean"]
-    return _draw_clean(rng, spec.ground_truth, spec.r, theta_star)
-
-
 def _draw_outliers(rng, spec: GenSpec, count: int):
+    """Predictors and responses drawn i.i.d. uniform on the outlier ranges."""
     plo, phi = _OUTLIER_PREDICTOR_RANGE
     rlo, rhi = _OUTLIER_RESPONSE_RANGE
     X = rng.uniform(plo, phi, size=(count, spec.ground_truth.p))
@@ -106,22 +89,9 @@ def _draw_outliers(rng, spec: GenSpec, count: int):
     return X, y
 
 
-def gen_outliers(spec: GenSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Predictors and responses drawn i.i.d. uniform on the outlier ranges."""
-    rng = _rngs(spec)["outliers"]
-    return _draw_outliers(rng, spec, spec.n_outliers)
-
-
-def rho_gap(data: Dataset, theta_star: np.ndarray) -> float:
-    """min over outliers of loss minus max over clean of loss, at theta_star.
-
-    Returns +inf when either class is empty (nothing to separate).
-    """
-    return _loss_gap(data.X, data.y, data.clean_mask, data.outlier_mask,
-                     np.asarray(theta_star, dtype=float))
-
-
 def _loss_gap(X, y, clean, out, theta_star: np.ndarray) -> float:
+    """min over outliers of loss minus max over clean of loss, at theta_star;
+    +inf when either class is empty (nothing to separate)."""
     res = y - X @ theta_star
     losses = res * res
     if not clean.any() or not out.any():
@@ -133,7 +103,7 @@ def generate(spec: GenSpec) -> Dataset:
     """Full dataset: clean + outliers, margin-enforced, shuffled, labeled."""
     rngs = _rngs(spec)
     gt = spec.ground_truth
-    theta_star, rescaled = _theta_star_with_flag(gt, rngs["theta"])
+    theta_star, rescaled = _draw_theta_star(gt, rngs["theta"])
 
     Xc, yc = _draw_clean(rngs["clean"], gt, spec.r, theta_star)
     clean_losses = (yc - Xc @ theta_star) ** 2

@@ -212,6 +212,15 @@ def to_jsonable(obj):
     return obj
 
 
+def _write_json(path: str | Path, obj) -> None:
+    """Write `to_jsonable(obj)` to path, indented, keys sorted, with a final
+    newline: the one JSON writer of the results, sweep metadata and dataset
+    sidecars."""
+    with open(path, "w") as fh:
+        json.dump(to_jsonable(obj), fh, indent=2, sort_keys=True, allow_nan=False)
+        fh.write("\n")
+
+
 # ---------------------------------------------------------------------------
 # Dataset serialization: CSV with header y,x1,...,xp,label plus a JSON sidecar.
 
@@ -240,9 +249,7 @@ def save_dataset(data: Dataset, prefix: str | Path) -> tuple[Path, Path]:
         "inf" if np.isinf(data.rho) else float(data.rho))
     meta["theta_star"] = (None if data.theta_star is None
                           else [float(v) for v in data.theta_star])
-    with open(json_path, "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(json_path, meta)
     return csv_path, json_path
 
 

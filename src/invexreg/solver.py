@@ -13,27 +13,27 @@ Driessen 2006).
 
 The C-steps are one loop, `_c_steps`, which the trimmed lasso baseline
 also runs with the lasso's penalty (sparse LTS, Alfons, Croux & Gelper
-2013).  From 0/1 weights w on the kept rows and a start theta, each round
+2013).  From 0/1 weights w on the kept rows and theta = 0, each round
 
 - solves the penalized least squares on the kept rows' Gram form
-  H = X^T diag(w) X, c = X^T (w y), warm from theta (`_gram_solve`); with
-  0/1 weights these are G's blocks, G[:-1, :-1] and -G[:-1, -1], so the
-  V block and the refit are one problem,
+  H = X^T diag(w) X, c = X^T (w y), warm from the last theta
+  (`_gram_solve`); with 0/1 weights these are G's blocks, G[:-1, :-1] and
+  -G[:-1, -1], so the V block and the refit are one problem,
 - keeps the `keep` rows with the smallest |y_i - x_i^T theta|, ties to the
   smallest index (the exact b-step at theta),
 
 and stops when the kept set is the one it solved on: theta is then the
 solve on its own kept set, a fixed point.  A kept set seen in an earlier
-round is a cycle, and the loop stops there unconverged, as at its round
-cap.  The objective, the kept rows' squared residuals plus the penalty,
-does not rise from round to round beyond the solve's tolerance: the solve
-lowers it on the kept set and the b-step at the solved theta.  The loop
-carries one Gram (`_Gram`): formed once from the rows the start weights
-keep, then updated by only the rows that swapped in or out
-(`_weighted_gram`), and c is formed directly, one n x p product that
-cannot drift.  `solve_invex` starts from theta = 0 and its b-step, keeps
-m rows with the refit's penalty, and returns the last round's solve as
-theta_hat, on the kept set it returns.
+round is a cycle, and the loop stops there unconverged, as at the round
+cap `_MAX_ROUNDS`.  The objective, the kept rows' squared residuals plus
+the penalty, does not rise from round to round beyond the solve's
+tolerance: the solve lowers it on the kept set and the b-step at the
+solved theta.  The loop carries one Gram (`_Gram`): formed once from the
+rows the start weights keep, then updated by only the rows that swapped
+in or out (`_weighted_gram`), and c is formed directly, one n x p product
+that cannot drift.  `solve_invex` starts from the b-step at theta = 0,
+keeps m rows with the refit's penalty, and returns the last round's solve
+as theta_hat, on the kept set it returns.
 
 The refit is exact on a sign pattern.  With the signs s of theta on its
 nonzeros A, f(theta) = theta^T H theta - 2 c^T theta
@@ -70,8 +70,9 @@ on the full gradient 2 (H theta - c)), so the refit passes twice its tol,
 and the completion's roundoff warning names that full-gradient residual,
 twice the refit's half-gradient one.  Every solve raises its bound to the
 gradient's floating-point floor 8 eps ||c||_inf, which a gross outlier in
-y can lift above the bound.  The V gradient sum_i b_i A_i over every row
-is `grad_vartheta`, `model.lifted_gram`, which the dual certificate uses.
+y can lift above the bound.  `grad_vartheta`, the V gradient
+sum_i b_i A_i over every row (`model.lifted_gram`), is run by no solve
+here; the certificate calls `model.lifted_gram` itself.
 """
 
 from __future__ import annotations
@@ -112,7 +113,7 @@ class SolverConfig:
         _check_nonneg("lam", self.lam)
 
 
-_MAX_ROUNDS = 200   # the C-step round cap of invex and trimmed; grid fits need <= 26
+_MAX_ROUNDS = 200   # the C-steps' and a Huber stage's round cap; grid fits need <= 26
 
 
 @dataclass(eq=False)
@@ -123,7 +124,7 @@ class SolveResult:
     outer_iters: int
     converged: bool
     dual_min_eig: float   # min eig / max|.| of the V block's dual at theta_hat
-    config: SolverConfig | None = None
+    config: SolverConfig
 
     @property
     def selection(self) -> np.ndarray:
@@ -171,8 +172,7 @@ def solve_invex(data: Dataset, cfg: SolverConfig) -> SolveResult:
     lam, y = cfg.lam, data.y
     # 2e-8 is `_refit_gram`'s bound at its tol 1e-8
     theta_hat, b, H, c, outer, converged, trace = _c_steps(
-        data.X, y, _keep_smallest(y, cfg.m), np.zeros(data.p), cfg.m,
-        np.full(data.p, lam), lam, 2e-8, _MAX_ROUNDS)
+        data.X, y, _keep_smallest(y, cfg.m), cfg.m, np.full(data.p, lam), lam, 2e-8)
     G = np.block([[H, -c[:, None]], [-c, b @ (y * y)]])
     return SolveResult(
         b_rounded=b, theta_hat=theta_hat, objective_trace=trace,
@@ -238,26 +238,27 @@ def _penalty(theta, shift, rank_one):
     return float(rank_one * (a.sum() ** 2 + 1.0) + 2.0 * (shift @ a))
 
 
-def _c_steps(X, y, w, theta, keep, shift, rank_one, bound, max_rounds):
-    """C-steps from the 0/1 weights w and theta, at most max_rounds rounds.
+def _c_steps(X, y, w, keep, shift, rank_one, bound):
+    """C-steps from the 0/1 weights w and theta = 0, at most `_MAX_ROUNDS`
+    rounds.
 
     Each round solves the Gram form of the rows w keeps, H = X^T diag(w) X
-    and c = X^T (w y), by `_gram_solve` from theta with the penalty terms
-    shift and rank_one and the bound, and then keeps the `keep` rows of
-    smallest |y - X theta| (`_keep_smallest`).  It stops when the new kept
-    set is w, a fixed point, or one kept in an earlier round, a cycle.
-    One `_Gram` is carried: formed at the start weights and updated by the
-    rows that swap.  Returns (theta, w, H, c, rounds, fixed, objectives):
-    the last solve, the weights and Gram form it solved on, the rounds run,
-    whether w is a fixed point, and the objective, the squared residuals
-    the weights keep plus `_penalty`, at the start and after each round's
-    b-step.  Non-finite X or y raise ValueError.
+    and c = X^T (w y), by `_gram_solve`, warm from the previous round's
+    theta, with the penalty terms shift and rank_one and the bound, and
+    then keeps the `keep` rows of smallest |y - X theta| (`_keep_smallest`).
+    It stops when the new kept set is w, a fixed point, or one kept in an
+    earlier round, a cycle.  One `_Gram` is carried: formed at the start
+    weights and updated by the rows that swap.  Returns (theta, w, H, c,
+    rounds, fixed, objectives): the last solve, the weights and Gram form
+    it solved on, the rounds run, whether w is a fixed point, and the
+    objective, the squared residuals the weights keep plus `_penalty`, at
+    theta = 0 and after each round's b-step.  Non-finite X or y raise
+    ValueError.
     """
-    gram = _gram(X, y, w)
-    r = y - X @ theta
-    objectives = [float(w @ (r * r)) + _penalty(theta, shift, rank_one)]
+    gram, theta = _gram(X, y, w), np.zeros(X.shape[1])
+    objectives = [float(w @ (y * y)) + _penalty(theta, shift, rank_one)]
     seen, w_next = {w.tobytes()}, w
-    for rounds in range(1, max_rounds + 1):
+    for rounds in range(1, _MAX_ROUNDS + 1):
         w = w_next
         H, c = _weighted_gram(X, gram, w), X.T @ (w * y)
         theta = _gram_solve(H, c, theta, bound, shift, rank_one)

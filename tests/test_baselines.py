@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 from pathlib import Path
 
@@ -6,9 +7,8 @@ import numpy as np
 import pytest
 
 from invexreg import baselines, solver
-from invexreg.baselines import (_TOL, BaselineConfig, _lasso_solve, adaptive_huber_lasso,
-                                lasso, trimmed_lasso)
-from invexreg.bench import ExperimentConfig, lambda_from_m
+from invexreg.baselines import _TOL, _lasso_solve, adaptive_huber_lasso, lasso, trimmed_lasso
+from invexreg.bench import ExperimentConfig, l1_budget, lambda_from_m
 from invexreg.datagen import GenSpec, generate
 from invexreg.model import CLEAN, OUTLIER, Dataset, GroundTruthConfig
 from invexreg.solver import SolverConfig, _gram, _weighted_gram, refit, solve_invex
@@ -51,7 +51,7 @@ def _lasso_cd(X, y, lam, iters=20000, tol=1e-12, sample_weights=None,
 def test_lasso_zero_lambda_is_least_squares():
     rng = np.random.default_rng(0)
     data = clean_data(rng)
-    theta = lasso(data, BaselineConfig(lam=0.0))
+    theta = lasso(data, 0.0)
     ols = np.linalg.lstsq(data.X, data.y, rcond=None)[0]
     assert np.abs(theta - ols).max() <= 1e-6
 
@@ -60,7 +60,7 @@ def test_lasso_kill_condition():
     rng = np.random.default_rng(1)
     data = clean_data(rng)
     lam = 2.0 * np.abs(data.X.T @ data.y).max()
-    theta = lasso(data, BaselineConfig(lam=lam))
+    theta = lasso(data, lam)
     assert np.abs(theta).max() == 0.0
 
 
@@ -68,7 +68,7 @@ def test_lasso_matches_coordinate_descent():
     rng = np.random.default_rng(2)
     data = clean_data(rng, n=14, p=3, theta=np.array([0.7, 0.0, -0.4]))
     lam = 0.9
-    th_a = lasso(data, BaselineConfig(lam=lam))
+    th_a = lasso(data, lam)
     th_b = _lasso_cd(data.X, data.y, lam)
     obj = lambda t: float(np.sum((data.y - data.X @ t) ** 2) + lam * np.abs(t).sum())
     assert abs(obj(th_a) - obj(th_b)) <= 1e-8 * max(1.0, obj(th_b))
@@ -78,7 +78,7 @@ def test_lasso_descends_from_zero():
     rng = np.random.default_rng(3)
     data = clean_data(rng)
     lam = 0.5
-    theta = lasso(data, BaselineConfig(lam=lam))
+    theta = lasso(data, lam)
     obj = lambda t: float(np.sum((data.y - data.X @ t) ** 2) + lam * np.abs(t).sum())
     assert obj(theta) <= obj(np.zeros(data.p))
 
@@ -93,7 +93,7 @@ def grossly_corrupted():
 
 def test_adahuber_bounded_under_gross_corruption():
     corrupted = grossly_corrupted()
-    theta = adaptive_huber_lasso(corrupted, BaselineConfig(lam=0.4))
+    theta = adaptive_huber_lasso(corrupted, 0.4)
     assert np.linalg.norm(theta) <= 10.0 * np.linalg.norm(corrupted.theta_star)
 
 
@@ -116,8 +116,8 @@ def test_adahuber_sane_on_clean_data():
     rng = np.random.default_rng(6)
     data = clean_data(rng, n=200, sigma_e=0.3)  # noise floor dominates bias
     lam = 0.5
-    err_l = np.linalg.norm(lasso(data, BaselineConfig(lam=lam)) - data.theta_star)
-    err_h = np.linalg.norm(adaptive_huber_lasso(data, BaselineConfig(lam=lam))
+    err_l = np.linalg.norm(lasso(data, lam) - data.theta_star)
+    err_h = np.linalg.norm(adaptive_huber_lasso(data, lam)
                            - data.theta_star)
     assert err_h <= 2.0 * err_l + 1e-6
 
@@ -125,10 +125,9 @@ def test_adahuber_sane_on_clean_data():
 def test_trimmed_zero_trim_is_lasso():
     rng = np.random.default_rng(7)
     data = clean_data(rng)
-    cfg = BaselineConfig(lam=0.5, trim_count=0)
-    theta, kept = trimmed_lasso(data, cfg)
+    theta, kept = trimmed_lasso(data, 0.5, 0)
     assert kept.all()
-    assert np.array_equal(theta, lasso(data, cfg))
+    assert np.array_equal(theta, lasso(data, 0.5))
 
 
 def test_trimmed_drops_gross_outlier():
@@ -140,7 +139,7 @@ def test_trimmed_drops_gross_outlier():
     labels[5] = OUTLIER
     corrupted = Dataset(X=data.X, y=y, labels=labels,
                         theta_star=data.theta_star, r=24)
-    theta, kept = trimmed_lasso(corrupted, BaselineConfig(lam=0.5, trim_count=1))
+    theta, kept = trimmed_lasso(corrupted, 0.5, 1)
     assert not kept[5]
     assert kept.sum() == 24
 
@@ -149,7 +148,7 @@ def test_trimmed_kept_size_invariant():
     data = generate(GenSpec(
         ground_truth=GroundTruthConfig(p=5, k=2, M=2.2, sigma_e=0.1),
         r=30, n_outliers=10, seed=9))
-    theta, kept = trimmed_lasso(data, BaselineConfig(lam=0.8, trim_count=10))
+    theta, kept = trimmed_lasso(data, 0.8, 10)
     assert kept.sum() == data.n - 10
 
 
@@ -172,7 +171,7 @@ def test_c_steps_stop_unconverged_on_a_cycle(monkeypatch, method):
         kept = res.b_rounded
     else:
         with pytest.warns(UserWarning, match="did not reach a fixed point in 3 rounds"):
-            _, kept = trimmed_lasso(data, BaselineConfig(lam=0.5, trim_count=data.n - keep))
+            _, kept = trimmed_lasso(data, 0.5, data.n - keep)
     assert set(calls) == {keep}
     assert np.array_equal(kept, B.astype(kept.dtype))
 
@@ -190,9 +189,7 @@ def test_c_steps_stop_unconverged_at_the_round_cap(monkeypatch, method):
         calls.append(k)
         return np.roll(np.arange(data.n) < k, len(calls)).astype(float)
 
-    # baselines imports the cap by name, so both bindings are set
-    for module in (solver, baselines):
-        monkeypatch.setattr(module, "_MAX_ROUNDS", 3)
+    monkeypatch.setattr(solver, "_MAX_ROUNDS", 3)
     monkeypatch.setattr(solver, "_keep_smallest", rotated)
     if method == "invex":
         res = solve_invex(data, SolverConfig(m=keep, lam=0.5))
@@ -200,51 +197,78 @@ def test_c_steps_stop_unconverged_at_the_round_cap(monkeypatch, method):
         assert len(res.objective_trace) == 4
     else:
         with pytest.warns(UserWarning, match="did not reach a fixed point in 3 rounds"):
-            trimmed_lasso(data, BaselineConfig(lam=0.5, trim_count=data.n - keep))
+            trimmed_lasso(data, 0.5, data.n - keep)
     assert set(calls) == {keep}
+
+
+def test_one_round_cap_stops_huber_stages_and_both_c_step_loops(monkeypatch,
+                                                                 lasso_solves):
+    """`solver._MAX_ROUNDS`, set once, caps every loop of solves: at 1 each
+    Huber stage makes one solve, and a stage that has not settled warns and
+    goes on with its last iterate; invex stops unconverged after one round,
+    and the trimmed lasso warns."""
+    monkeypatch.setattr(solver, "_MAX_ROUNDS", 1)
+    data = generate(GenSpec(
+        ground_truth=GroundTruthConfig(p=8, k=3, M=2.2, sigma_e=0.1),
+        r=40, n_outliers=20, seed=15))
+    stages, real = [], baselines._huber_stage
+    monkeypatch.setattr(baselines, "_huber_stage",
+                        lambda *args: stages.append(args) or real(*args))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        adaptive_huber_lasso(data, 0.6)
+    assert len(lasso_solves) == 1 + len(stages)   # stage 0's lasso, one per stage
+    assert caught and {str(w.message) for w in caught} == {
+        "adaptive Huber lasso: a Huber stage did not settle in 1 partition rounds; "
+        "using the last iterate"}
+    res = solve_invex(data, SolverConfig(m=40, lam=0.6))
+    assert not res.converged and res.outer_iters == 1
+    with pytest.warns(UserWarning, match="did not reach a fixed point in 1 rounds"):
+        trimmed_lasso(data, 0.6, 20)
 
 
 def test_trimmed_validates_trim_count():
     rng = np.random.default_rng(10)
     data = clean_data(rng, n=5)
     with pytest.raises(ValueError):
-        trimmed_lasso(data, BaselineConfig(lam=0.1, trim_count=5))
+        trimmed_lasso(data, 0.1, 5)
 
 
 def test_baselines_deterministic():
     data = generate(GenSpec(
         ground_truth=GroundTruthConfig(p=5, k=2, M=2.2, sigma_e=0.1),
         r=25, n_outliers=8, seed=11))
-    cfg = BaselineConfig(lam=0.6, trim_count=8)
-    assert np.array_equal(lasso(data, cfg), lasso(data, cfg))
+    lam = 0.6
+    assert np.array_equal(lasso(data, lam), lasso(data, lam))
     # the Huber scale cycles on this fixture and hits its round cap
     with pytest.warns(UserWarning, match="did not settle"):
-        a1 = adaptive_huber_lasso(data, cfg)
+        a1 = adaptive_huber_lasso(data, lam)
     with pytest.warns(UserWarning, match="did not settle"):
-        a2 = adaptive_huber_lasso(data, cfg)
+        a2 = adaptive_huber_lasso(data, lam)
     assert np.array_equal(a1, a2)
-    t1 = trimmed_lasso(data, cfg)
-    t2 = trimmed_lasso(data, cfg)
+    t1 = trimmed_lasso(data, lam, 8)
+    t2 = trimmed_lasso(data, lam, 8)
     assert np.array_equal(t1[0], t2[0]) and np.array_equal(t1[1], t2[1])
 
 
-def test_baseline_config_validation():
-    with pytest.raises(ValueError):
-        BaselineConfig(lam=-0.1)
-    with pytest.raises(ValueError):
-        BaselineConfig(trim_count=-1)
-    # a non-integer trim_count, such as the 3.0 a JSON config gives for 3,
-    # must fail here, not after a full lasso round on a slice index
-    for kwargs, field in (({"lam": float("nan")}, "lam"),
-                          ({"lam": float("inf")}, "lam"),
-                          ({"lam": True}, "lam"),
-                          ({"trim_count": 3.0}, "trim_count"),
-                          ({"trim_count": 2.5}, "trim_count"),
-                          ({"trim_count": True}, "trim_count"),
-                          ({"trim_count": "3"}, "trim_count")):
-        with pytest.raises(ValueError, match=field):
-            BaselineConfig(**kwargs)
-    BaselineConfig(lam=np.int64(1), trim_count=np.int64(3))
+def test_baselines_reject_a_bad_argument_by_name():
+    """Each fit checks its lam, and the trimmed lasso its trim_count, before
+    it solves anything: a non-integer trim_count, such as the 3.0 a JSON
+    config gives for 3, fails here, not after a lasso round on a slice
+    index.  numpy integers pass."""
+    data = clean_data(np.random.default_rng(10), n=5)
+    fits = (lambda lam: lasso(data, lam), lambda lam: adaptive_huber_lasso(data, lam),
+            lambda lam: trimmed_lasso(data, lam, 0))
+    for lam in (-0.1, float("nan"), float("inf"), True):
+        for fit in fits:
+            with pytest.raises(ValueError,
+                               match=re.escape(f"lam must be finite and >= 0, got {lam!r}")):
+                fit(lam)
+    for trim_count in (-1, 3.0, 2.5, True, "3"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"trim_count must be an integer >= 0, got {trim_count!r}")):
+            trimmed_lasso(data, 0.5, trim_count)
+    trimmed_lasso(data, np.int64(1), np.int64(3))
 
 
 def weighted_gram_form(X, y, sample_weights=None):
@@ -330,7 +354,7 @@ def test_cold_lasso_is_exact_without_fista(completion_runs):
     theta_star = np.array([1.0, -0.5, 0.0, 0.25, 0.0, 0.0, 0.8, 0.0])
     data = clean_data(rng, n=60, p=8, theta=theta_star)
     lam = 3.0
-    theta = lasso(data, BaselineConfig(lam=lam))
+    theta = lasso(data, lam)
     th_c = _lasso_cd(data.X, data.y, lam)
     assert not completion_runs
     assert 0 < np.count_nonzero(th_c) < data.p
@@ -374,11 +398,11 @@ def test_repeated_solves_start_from_the_previous_theta(lasso_solves, method):
     data = generate(GenSpec(
         ground_truth=GroundTruthConfig(p=8, k=3, M=2.2, sigma_e=0.1),
         r=40, n_outliers=20, seed=15))
-    cfg = BaselineConfig(lam=0.6, trim_count=20)
+    lam = 0.6
     if method == "adahuber":
-        adaptive_huber_lasso(data, cfg)
+        adaptive_huber_lasso(data, lam)
     else:
-        trimmed_lasso(data, cfg)
+        trimmed_lasso(data, lam, 20)
     assert len(lasso_solves) >= 3
     assert not lasso_solves[0]["theta0"].any()
     for previous, solve in zip(lasso_solves, lasso_solves[1:]):
@@ -396,11 +420,10 @@ def test_baselines_make_no_svd_call(monkeypatch):
     data = generate(GenSpec(
         ground_truth=GroundTruthConfig(p=5, k=2, M=2.2, sigma_e=0.1),
         r=25, n_outliers=8, seed=11))
-    cfg = BaselineConfig(lam=0.6, trim_count=8)
-    lasso(data, cfg)
+    lasso(data, 0.6)
     with pytest.warns(UserWarning, match="did not settle"):
-        adaptive_huber_lasso(data, cfg)
-    trimmed_lasso(data, cfg)
+        adaptive_huber_lasso(data, 0.6)
+    trimmed_lasso(data, 0.6, 8)
     refit(data, np.arange(data.n), 0.6)
 
 
@@ -415,12 +438,12 @@ def test_baselines_reject_non_finite_data(method, where):
     else:
         X[2, 1] = np.inf
     bad = Dataset(X=X, y=y, labels=data.labels, theta_star=data.theta_star, r=data.r)
-    cfg = BaselineConfig(lam=0.5, trim_count=3)
-    run = {"lasso": lasso, "adahuber": adaptive_huber_lasso, "trimmed": trimmed_lasso,
-           "invex": lambda d, c: solve_invex(d, SolverConfig(m=d.n - c.trim_count,
-                                                             lam=c.lam))}[method]
+    run = {"lasso": lambda d: lasso(d, 0.5),
+           "adahuber": lambda d: adaptive_huber_lasso(d, 0.5),
+           "trimmed": lambda d: trimmed_lasso(d, 0.5, 3),
+           "invex": lambda d: solve_invex(d, SolverConfig(m=d.n - 3, lam=0.5))}[method]
     with pytest.raises(ValueError, match=f"^{where} must be finite"):
-        run(bad, cfg)
+        run(bad)
 
 
 @pytest.mark.parametrize("kind", ["zero_one", "ones"])
@@ -451,10 +474,9 @@ def test_trimmed_first_round_is_lasso(lasso_solves):
     data = generate(GenSpec(
         ground_truth=GroundTruthConfig(p=8, k=3, M=2.2, sigma_e=0.1),
         r=40, n_outliers=20, seed=15))
-    cfg = BaselineConfig(lam=0.6, trim_count=20)
-    trimmed_lasso(data, cfg)
+    trimmed_lasso(data, 0.6, 20)
     assert len(lasso_solves) >= 2
-    assert np.array_equal(lasso_solves[0]["theta"], lasso(data, cfg))
+    assert np.array_equal(lasso_solves[0]["theta"], lasso(data, 0.6))
 
 
 @pytest.fixture
@@ -511,7 +533,7 @@ def test_warm_adahuber_passes_multiply_only_the_downweighted_rows(gram_updates):
     data = generate(GenSpec(
         ground_truth=GroundTruthConfig(p=8, k=3, M=2.2, sigma_e=0.1),
         r=40, n_outliers=20, seed=15))
-    adaptive_huber_lasso(data, BaselineConfig(lam=0.6))
+    adaptive_huber_lasso(data, 0.6)
     first, rounds = gram_updates[0], gram_updates[1:]
     assert first["delta"] is None and np.all(first["w"] == 1.0) and first["rows"] == []
     assert len(rounds) >= 3
@@ -534,7 +556,7 @@ def test_trimmed_rounds_touch_only_the_rows_that_swap(gram_updates):
     data = generate(GenSpec(
         ground_truth=GroundTruthConfig(p=8, k=3, M=2.2, sigma_e=0.1),
         r=40, n_outliers=20, seed=15))
-    trimmed_lasso(data, BaselineConfig(lam=0.6, trim_count=20))
+    trimmed_lasso(data, 0.6, 20)
     assert np.all(gram_updates[0]["w"] == 1.0) and gram_updates[0]["rows"] == []
     assert len(gram_updates) >= 3
     touched = 0
@@ -558,13 +580,12 @@ def test_carried_gram_matches_the_direct_product_after_every_round(gram_updates,
         ground_truth=GroundTruthConfig(p=30, k=5, M=2.2, sigma_e=0.1),
         r=200, n_outliers=100, seed=3))
     X, y = data.X, data.y
-    cfg = BaselineConfig(lam=2.0, trim_count=100)
     if method == "adahuber":
-        adaptive_huber_lasso(data, cfg)
+        adaptive_huber_lasso(data, 2.0)
     elif method == "trimmed":
-        trimmed_lasso(data, cfg)
+        trimmed_lasso(data, 2.0, 100)
     else:
-        solve_invex(data, SolverConfig(m=data.n - cfg.trim_count, lam=cfg.lam))
+        solve_invex(data, SolverConfig(m=data.n - 100, lam=2.0))
     assert len(gram_updates) >= 3
     for solve in gram_updates:
         w, delta, H, theta = solve["w"], solve["delta"], solve["H"], solve["theta"]
@@ -590,15 +611,15 @@ def test_baselines_pinned_output_fig2_p100_seed0():
     want = json.loads((root / "data" / "baseline_pin_fig2_p100_seed0.json").read_text())
     cfg = ExperimentConfig.from_json(root.parent / want["config"])
     cell = next(c for c in cfg.cells() if c["m"] == want["m"])
-    gt = GroundTruthConfig(p=cfg.p, k=cfg.k, M=cfg.m_budget, sigma_e=cfg.sigma_e)
+    gt = GroundTruthConfig(p=cfg.p, k=cfg.k, M=l1_budget(cfg.k), sigma_e=cfg.sigma_e)
     data = generate(GenSpec(ground_truth=gt, r=cell["r"],
                             n_outliers=cell["n_outliers"], seed=want["seed"],
                             max_resamples=cfg.max_resamples, rho_min=cfg.rho_min))
     lam = lambda_from_m(want["m"], cfg.p, cfg.c_lambda)
-    assert np.array_equal(lasso(data, BaselineConfig(lam=lam)), np.array(want["lasso"]))
-    got = {"adahuber": adaptive_huber_lasso(data, BaselineConfig(lam=lam))}
+    assert np.array_equal(lasso(data, lam), np.array(want["lasso"]))
+    got = {"adahuber": adaptive_huber_lasso(data, lam)}
     got["trimmed"], kept = trimmed_lasso(
-        data, BaselineConfig(lam=lam, trim_count=cell["n_outliers"]))
+        data, lam, cell["n_outliers"])
     assert np.flatnonzero(kept).tolist() == want["trimmed_kept"]
     for method, theta in got.items():
         pinned = np.array(want[method])
@@ -714,16 +735,16 @@ def test_warm_solves_mostly_skip_fista_and_pass_the_stop_rule(lasso_solves, meth
     data = generate(GenSpec(
         ground_truth=GroundTruthConfig(p=8, k=3, M=2.2, sigma_e=0.1),
         r=40, n_outliers=20, seed=15))
-    cfg = BaselineConfig(lam=0.6, trim_count=20)
+    lam = 0.6
     if method == "adahuber":
-        adaptive_huber_lasso(data, cfg)
+        adaptive_huber_lasso(data, lam)
     else:
-        trimmed_lasso(data, cfg)
+        trimmed_lasso(data, lam, 20)
     warm = [s for s in lasso_solves if s["theta0"].any()]
     assert len(warm) >= 2
     assert sum(s["completions"] for s in warm) < len(warm)
     for solve in lasso_solves:
-        assert solve["bound"] == _TOL * (1.0 + cfg.lam) and solve["rank_one"] == 0.0
+        assert solve["bound"] == _TOL * (1.0 + lam) and solve["rank_one"] == 0.0
         assert stop_rule_residual(solve["H"], solve["c"], solve) <= solve_bound(solve)
 
 
@@ -744,7 +765,7 @@ def test_exact_huber_stages_are_stationary(monkeypatch):
     data = generate(GenSpec(
         ground_truth=GroundTruthConfig(p=5, k=2, M=2.2, sigma_e=0.1),
         r=25, n_outliers=8, seed=0))
-    cfg = BaselineConfig(lam=2.0)
+    lam = 2.0
     stages = []
     real = baselines._huber_stage
 
@@ -756,11 +777,11 @@ def test_exact_huber_stages_are_stationary(monkeypatch):
     monkeypatch.setattr(baselines, "_huber_stage", recording)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        theta = adaptive_huber_lasso(data, cfg)
+        theta = adaptive_huber_lasso(data, lam)
     assert np.array_equal(theta, stages[-1][-1])
     assert len(stages) >= 3
     for delta, lam_j, out in stages:
-        assert huber_lasso_residual(data.X, data.y, out, delta, lam_j) <= _TOL * (1.0 + cfg.lam)
+        assert huber_lasso_residual(data.X, data.y, out, delta, lam_j) <= _TOL * (1.0 + lam)
 
 
 def test_huber_stage_damps_a_newton_step_that_does_not_lower_the_objective(
@@ -775,7 +796,7 @@ def test_huber_stage_damps_a_newton_step_that_does_not_lower_the_objective(
         r=25, n_outliers=8, seed=14))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        theta = adaptive_huber_lasso(data, BaselineConfig(lam=10.0))
+        theta = adaptive_huber_lasso(data, 10.0)
     assert [str(w.message) for w in caught] == [
         "adaptive Huber lasso: the Huber scale did not settle in 12 rounds; using the last one"]
     assert np.all(np.isfinite(theta))
@@ -798,5 +819,5 @@ def test_adahuber_warns_when_the_huber_scale_hits_its_round_cap():
         ground_truth=GroundTruthConfig(p=5, k=2, M=2.2, sigma_e=0.1),
         r=25, n_outliers=8, seed=11))
     with pytest.warns(UserWarning, match="scale did not settle in 12 rounds"):
-        theta = adaptive_huber_lasso(data, BaselineConfig(lam=0.6))
+        theta = adaptive_huber_lasso(data, 0.6)
     assert np.all(np.isfinite(theta))

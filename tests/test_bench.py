@@ -11,9 +11,11 @@ import pytest
 
 from invexreg import bench, cli
 from invexreg.bench import (ExperimentConfig, RESULT_COLUMNS, certify_at_true_support,
-                            clean_count_theory, lambda_from_m, m_from_C, run_sweep)
+                            clean_count_theory, l1_budget, lambda_from_m, m_from_C,
+                            run_sweep)
 from invexreg.datagen import GenSpec, generate
-from invexreg.model import GroundTruthConfig, load_dataset, save_dataset
+from invexreg.model import (CLEAN, OUTLIER, Dataset, GroundTruthConfig, load_dataset,
+                            save_dataset)
 from invexreg.solver import SolverConfig, solve_invex
 
 
@@ -21,6 +23,7 @@ def test_count_rules():
     assert clean_count_theory(50) == 533
     assert m_from_C(1.5, 50) == 484
     assert m_from_C(0.5, 50) == 49
+    assert l1_budget(4) == 1.1 * 4
     lam = lambda_from_m(484, 50, 0.05)
     assert abs(lam - 0.05 * np.sqrt(484 * np.log(50))) <= 1e-12
 
@@ -191,6 +194,64 @@ def test_run_sweep_outputs_and_determinism(tmp_path):
     assert (tmp_path / "a" / "timings.csv").exists()
 
 
+SWEEP_META = """{
+  "c_lambda_note": "calibrated constant; the theory-scale constant is far too conservative in practice",
+  "config": {
+    "C_values": [
+      0.4
+    ],
+    "c_lambda": 0.1,
+    "clean_count_rule": 24,
+    "k": 2,
+    "max_resamples": 500,
+    "methods": [
+      "lasso"
+    ],
+    "outlier_rule": [
+      0.2
+    ],
+    "output_dir": "sw",
+    "p": 6,
+    "rho_min": 0.0,
+    "seeds": [
+      0
+    ],
+    "sigma_e": 0.1
+  }
+}
+"""
+
+SIDECAR = """{
+  "M": 1.1,
+  "k": 1,
+  "n": 2,
+  "p": 1,
+  "r": 1,
+  "rho": "inf",
+  "seed": 7,
+  "sigma_e": 0.0,
+  "theta_star": [
+    0.25
+  ]
+}
+"""
+
+
+def test_sweep_meta_and_sidecar_keep_their_bytes(tmp_path, monkeypatch):
+    """`sweep_meta.json` and a dataset's JSON sidecar, both written by the
+    one JSON writer `model._write_json`, hold the bytes pinned above,
+    recorded when each file had its own `json.dump`."""
+    monkeypatch.chdir(tmp_path)
+    run_sweep(tiny_cfg(tmp_path, outlier_rule=(0.2,), C_values=(0.4,), methods=("lasso",),
+                       seeds=(0,), output_dir="sw"), workers=1)
+    assert (tmp_path / "sw" / "sweep_meta.json").read_text() == SWEEP_META
+    data = Dataset(X=np.array([[1.0], [2.0]]), y=np.array([0.5, 3.0]),
+                   labels=np.array([CLEAN, OUTLIER]), theta_star=np.array([0.25]), r=1,
+                   rho=np.inf, meta={"p": 1, "k": 1, "M": 1.1, "sigma_e": 0.0, "seed": 7})
+    _, sidecar = save_dataset(data, tmp_path / "ds")
+    assert sidecar.read_text() == SIDECAR
+
+
 def test_run_sweep_baselines_deterministic_across_workers(tmp_path):
     """The baselines' warm-started lasso solves give the same bytes whether
     the trials run in-process or on a pool, at a size where every method
@@ -262,7 +323,7 @@ def test_run_sweep_retries_a_failed_generation(tmp_path, generate_calls):
 
 
 def _spec(cfg, cell, seed):
-    gt = GroundTruthConfig(p=cfg.p, k=cfg.k, M=cfg.m_budget, sigma_e=cfg.sigma_e)
+    gt = GroundTruthConfig(p=cfg.p, k=cfg.k, M=l1_budget(cfg.k), sigma_e=cfg.sigma_e)
     return GenSpec(ground_truth=gt, r=cell["r"], n_outliers=cell["n_outliers"],
                    seed=seed, max_resamples=cfg.max_resamples, rho_min=cfg.rho_min)
 

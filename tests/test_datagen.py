@@ -7,10 +7,8 @@ import pytest
 
 from invexreg import datagen
 from invexreg.cli import main
-from invexreg.datagen import (GenSpec, ResampleExhausted, gen_clean,
-                              gen_outliers, gen_theta_star, generate, rho_gap)
-from invexreg.model import (CLEAN, OUTLIER, Dataset, GroundTruthConfig, load_dataset,
-                            save_dataset)
+from invexreg.datagen import GenSpec, ResampleExhausted, generate
+from invexreg.model import CLEAN, OUTLIER, GroundTruthConfig, load_dataset, save_dataset
 
 
 def make_spec(p=10, k=3, r=40, n_out=20, seed=0, sigma_e=0.1, M=None, **kw):
@@ -19,102 +17,97 @@ def make_spec(p=10, k=3, r=40, n_out=20, seed=0, sigma_e=0.1, M=None, **kw):
 
 
 def test_theta_star_sparsity_and_magnitudes():
-    spec = make_spec(p=50, k=4, seed=1)
-    theta = gen_theta_star(spec)
+    data = generate(make_spec(p=50, k=4, seed=1))
+    theta = data.theta_star
     nz = np.abs(theta) > 0
     assert nz.sum() == 4
     mags = np.abs(theta[nz])
     assert np.all((mags >= 0.1) & (mags <= 1.1))
+    assert not data.meta["theta_rescaled"]
 
 
 def test_theta_star_dense_at_k_equals_p():
-    spec = make_spec(p=5, k=5, M=5.5)
-    theta = gen_theta_star(spec)
+    theta = generate(make_spec(p=5, k=5, M=5.5)).theta_star
     assert np.all(np.abs(theta) > 0)
 
 
 def test_theta_star_deterministic():
     spec = make_spec(seed=42)
-    assert np.array_equal(gen_theta_star(spec), gen_theta_star(spec))
+    assert np.array_equal(generate(spec).theta_star, generate(spec).theta_star)
 
 
 def test_theta_star_rescaled_to_budget():
-    spec = make_spec(p=10, k=4, M=0.2)
-    theta = gen_theta_star(spec)
-    assert abs(np.abs(theta).sum() - 0.2) <= 1e-12
+    data = generate(make_spec(p=10, k=4, M=0.2))
+    assert abs(np.abs(data.theta_star).sum() - 0.2) <= 1e-12
+    assert data.meta["theta_rescaled"]
 
 
 def test_clean_noiseless():
-    spec = make_spec(sigma_e=0.0)
-    theta = gen_theta_star(spec)
-    X, y = gen_clean(spec, theta)
-    assert np.array_equal(y, X @ theta)
+    data = generate(make_spec(sigma_e=0.0))
+    clean = data.clean_mask
+    assert np.array_equal(data.y[clean], data.X[clean] @ data.theta_star)
 
 
 def test_clean_sample_covariance_close_to_identity():
-    spec = make_spec(p=5, k=2, r=10000, n_out=0, seed=3)
-    X, _ = gen_clean(spec, gen_theta_star(spec))
+    data = generate(make_spec(p=5, k=2, r=10000, n_out=0, seed=3))
+    X = data.X[data.clean_mask]
     cov = X.T @ X / X.shape[0]
     assert np.linalg.norm(cov - np.eye(5), 2) < 0.1
 
 
 def test_clean_noise_scale():
-    spec = make_spec(r=800, sigma_e=0.3)
-    theta = gen_theta_star(spec)
-    X, y = gen_clean(spec, theta)
-    emp = np.std(y - X @ theta)
+    data = generate(make_spec(r=800, sigma_e=0.3))
+    clean = data.clean_mask
+    emp = np.std(data.y[clean] - data.X[clean] @ data.theta_star)
     assert abs(emp - 0.3) <= 0.2 * 0.3
 
 
 def test_outliers_degenerate_ranges(monkeypatch):
     monkeypatch.setattr(datagen, "_OUTLIER_PREDICTOR_RANGE", (0.0, 0.0))
     monkeypatch.setattr(datagen, "_OUTLIER_RESPONSE_RANGE", (5.0, 5.0))
-    X, y = gen_outliers(make_spec())
-    assert np.all(X == 0.0) and np.all(y == 5.0)
+    data = generate(make_spec())
+    out = data.outlier_mask
+    assert out.sum() == 20
+    assert np.all(data.X[out] == 0.0) and np.all(data.y[out] == 5.0)
 
 
 def test_outliers_default_ranges():
-    spec = make_spec(seed=9)
-    X, y = gen_outliers(spec)
+    data = generate(make_spec(seed=9))
+    X, y = data.X[data.outlier_mask], data.y[data.outlier_mask]
+    assert X.shape == (20, 10)
     assert X.min() >= 0.0 and X.max() <= 1.0
     assert y.min() >= 0.0 and y.max() <= 5.0
 
 
 def test_outliers_empty():
-    spec = make_spec(n_out=0)
-    X, y = gen_outliers(spec)
-    assert X.shape == (0, 10) and y.shape == (0,)
+    data = generate(make_spec(n_out=0))
+    assert not data.outlier_mask.any() and data.X.shape == (40, 10)
 
 
-def test_rho_gap_hand_example():
-    # clean sample with loss 0, outlier with loss 5 at theta* = (1,)
-    data = Dataset(X=np.array([[1.0], [1.0]]), y=np.array([1.0, 1.0 + np.sqrt(5.0)]),
-                   labels=np.array([CLEAN, OUTLIER]), r=1)
-    gap = rho_gap(data, np.array([1.0]))
-    assert abs(gap - 5.0) <= 1e-12
+def test_rho_gap_hand_example(monkeypatch):
+    """Noiseless clean rows have loss 0 at theta*, and outliers at x = 0,
+    y = 2 have loss 4, so the gap is 4."""
+    monkeypatch.setattr(datagen, "_OUTLIER_PREDICTOR_RANGE", (0.0, 0.0))
+    monkeypatch.setattr(datagen, "_OUTLIER_RESPONSE_RANGE", (2.0, 2.0))
+    data = generate(make_spec(sigma_e=0.0))
+    assert abs(data.rho - 4.0) <= 1e-12
 
 
-def test_rho_gap_detects_duplicated_clean():
-    rng = np.random.default_rng(11)
-    X = rng.standard_normal((3, 2))
-    theta = np.array([1.0, -0.5])
-    y = X @ theta + np.array([0.1, -0.05, 0.1])
-    X2 = np.vstack([X, X[0]])
-    y2 = np.append(y, y[0])  # outlier identical to a clean sample
-    data = Dataset(X=X2, y=y2, labels=np.array([CLEAN] * 3 + [OUTLIER]), r=3)
-    assert rho_gap(data, theta) <= 0.0
-
-
-def test_rho_gap_single_class_convention():
-    data = Dataset(X=np.ones((2, 1)), y=np.ones(2),
-                   labels=np.array([CLEAN, CLEAN]), r=2)
-    assert np.isinf(rho_gap(data, np.array([0.5])))
+def test_rho_gap_detects_duplicated_clean(monkeypatch):
+    """An outlier whose loss ties the largest clean loss, here 0 on
+    noiseless data, has no gap: it is resampled, and with every draw the
+    same, generation gives up."""
+    monkeypatch.setattr(datagen, "_OUTLIER_PREDICTOR_RANGE", (0.0, 0.0))
+    monkeypatch.setattr(datagen, "_OUTLIER_RESPONSE_RANGE", (0.0, 0.0))
+    with pytest.raises(ResampleExhausted, match="20 outliers still violate"):
+        generate(make_spec(sigma_e=0.0, max_resamples=2))
 
 
 def test_generate_no_outliers():
+    """With one class there is nothing to separate: the gap is +inf."""
     data = generate(make_spec(n_out=0))
     assert np.all(data.labels == CLEAN)
-    assert np.isinf(data.rho)
+    assert data.rho == np.inf
 
 
 @pytest.mark.parametrize("n_out, dtype", [(0, "<U5"), (20, "<U7")])
@@ -136,7 +129,8 @@ def test_generate_margin_holds():
     for seed in range(5):
         data = generate(make_spec(seed=seed))
         assert data.rho > 0.0
-        assert rho_gap(data, data.theta_star) == data.rho
+        loss = (data.y - data.X @ data.theta_star) ** 2
+        assert loss[data.outlier_mask].min() - loss[data.clean_mask].max() == data.rho
 
 
 def test_generate_rho_min_enforced():
@@ -145,11 +139,12 @@ def test_generate_rho_min_enforced():
 
 
 def test_generate_counts_and_theta_consistency():
-    spec = make_spec(r=30, n_out=12, seed=5)
-    data = generate(spec)
+    """theta* has its own random stream: it depends on the seed, not on the
+    row counts."""
+    data = generate(make_spec(r=30, n_out=12, seed=5))
     assert data.n == 42 and data.r == 30
     assert int((data.labels == OUTLIER).sum()) == 12
-    assert np.array_equal(data.theta_star, gen_theta_star(spec))
+    assert np.array_equal(data.theta_star, generate(make_spec(r=5, n_out=0, seed=5)).theta_star)
 
 
 def test_generate_resample_exhausted(monkeypatch):

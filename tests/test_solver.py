@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from invexreg import solver
-from invexreg.bench import ExperimentConfig, lambda_from_m
+from invexreg.bench import ExperimentConfig, l1_budget, lambda_from_m
 from invexreg.certify import build_duals
 from invexreg.datagen import GenSpec, generate
 from invexreg.model import (CLEAN, Dataset, GroundTruthConfig, lift_parameter,
@@ -295,7 +295,7 @@ def _solve_cell(config, m, seed, n_outliers=None):
     cfg = ExperimentConfig.from_json(Path(__file__).resolve().parent.parent / config)
     cell = next(c for c in cfg.cells() if c["m"] == m
                 and n_outliers in (None, c["n_outliers"]))
-    gt = GroundTruthConfig(p=cfg.p, k=cfg.k, M=cfg.m_budget, sigma_e=cfg.sigma_e)
+    gt = GroundTruthConfig(p=cfg.p, k=cfg.k, M=l1_budget(cfg.k), sigma_e=cfg.sigma_e)
     data = generate(GenSpec(ground_truth=gt, r=cell["r"],
                             n_outliers=cell["n_outliers"], seed=seed,
                             max_resamples=cfg.max_resamples, rho_min=cfg.rho_min))
