@@ -40,11 +40,9 @@ stage's objective; a solution that does not lower the objective is
 replaced by a halved step towards it.  A stage takes about two solves on
 the configs/ grids, and at most four.
 
-The stop rule is the same on every path: the subgradient residual of the
-returned theta is at most _TOL * (1 + lam), or the gradient's roundoff
-floor 8 eps ||c||_inf when that is larger, as when y holds a gross
-outlier.  Every solve is `solver._gram_solve`, the Gram-form L1 solve the
-refit also runs, here with the lasso's penalty terms (`_lasso_solve`):
+Every solve is `solver._gram_solve`, the Gram-form L1 solve the refit
+also runs, with its one stop rule, here with the lasso's penalty terms
+(`_lasso_solve`):
 the sign pattern of the start point, corrected at most
 `solver._SIGN_CORRECTIONS` times (`solver._sign_pattern_solve`), and only
 when that fails the finite active-set completion
@@ -70,15 +68,11 @@ from .solver import _c_steps, _gram, _gram_solve, _weighted_gram
 
 __all__ = ["lasso", "adaptive_huber_lasso", "trimmed_lasso"]
 
-_TOL = 1e-10          # every lasso solve stops at residual _TOL * (1 + lam)
-
-
-def _lasso_solve(H, c, lam_j, theta0, lam):
+def _lasso_solve(H, c, lam_j, theta0):
     """theta^T H theta - 2 c^T theta + sum_j lam_j |theta_j| by
     `solver._gram_solve` from theta0, with shift lam_j / 2 and no rank-one
-    term.  Returns a theta whose subgradient residual is at most
-    _TOL * (1 + lam), or the solve's roundoff floor when that is larger."""
-    return _gram_solve(H, c, theta0, _TOL * (1.0 + lam), 0.5 * lam_j, 0.0)
+    term."""
+    return _gram_solve(H, c, theta0, 0.5 * lam_j, 0.0)
 
 
 def lasso(data: Dataset, lam: float) -> np.ndarray:
@@ -86,7 +80,7 @@ def lasso(data: Dataset, lam: float) -> np.ndarray:
     A lam that is not finite and >= 0, or non-finite X or y, raise ValueError."""
     _check_nonneg("lam", lam)
     X, y, p = data.X, data.y, data.p
-    return _lasso_solve(_gram(X, y).H, X.T @ y, np.full(p, lam), np.zeros(p), lam)
+    return _lasso_solve(_gram(X, y).H, X.T @ y, np.full(p, lam), np.zeros(p))
 
 
 def _mad_scale(resid) -> float:
@@ -94,7 +88,7 @@ def _mad_scale(resid) -> float:
     return 1.4826 * float(np.median(np.abs(resid - med)))
 
 
-def _huber_stage(X, y, gram, theta, delta, lam, lam_j):
+def _huber_stage(X, y, gram, theta, delta, lam_j):
     """min F(theta) = sum_i rho(r_i) + sum_j lam_j |theta_j|, r = y - X theta,
     with rho(r) = r^2 for |r| <= delta and 2 delta |r| - delta^2 beyond, by
     the finite Newton method of Madsen & Nielsen (1990), from theta.
@@ -107,7 +101,7 @@ def _huber_stage(X, y, gram, theta, delta, lam, lam_j):
     or an earlier one.  c is formed directly, X^T (w y + delta s) with s
     zero on Q.  `_lasso_solve` solves it exactly, warm from theta.  A
     solution whose own partition and signs are the ones the system was
-    built on is stationary for F, within the lasso's stop rule, and is
+    built on is stationary for F, within the solve's stop rule, and is
     returned.  Otherwise it becomes the next theta if it lowers F; if not,
     the step towards it is halved until F drops (the model agrees with F to
     first order at theta, so the step descends unless theta is already
@@ -130,7 +124,7 @@ def _huber_stage(X, y, gram, theta, delta, lam, lam_j):
     for _ in range(solver._MAX_ROUNDS):
         w = (s == 0.0).astype(float)
         H, c = _weighted_gram(X, gram, w), X.T @ (w * y + delta * s)
-        theta_new = _lasso_solve(H, c, lam_j, theta, lam)
+        theta_new = _lasso_solve(H, c, lam_j, theta)
         r_new = y - X @ theta_new
         s_new = signs_beyond_delta(r_new)
         if np.array_equal(s_new, s):
@@ -177,13 +171,13 @@ def adaptive_huber_lasso(data: Dataset, lam: float) -> np.ndarray:
     X, y = data.X, data.y
     gram = _gram(X, y)
     lam_j = np.full(X.shape[1], float(lam))
-    theta = _lasso_solve(gram.H, X.T @ y, lam_j, np.zeros(X.shape[1]), lam)
+    theta = _lasso_solve(gram.H, X.T @ y, lam_j, np.zeros(X.shape[1]))
 
     delta = None
     theta1 = theta
     for _ in range(12):
         d_new = 1.345 * max(_mad_scale(y - X @ theta1), 1e-8)
-        theta1 = _huber_stage(X, y, gram, theta1, d_new, lam, lam_j)
+        theta1 = _huber_stage(X, y, gram, theta1, d_new, lam_j)
         if delta is not None and abs(d_new - delta) <= 1e-3 * delta:
             delta = d_new
             break
@@ -194,7 +188,7 @@ def adaptive_huber_lasso(data: Dataset, lam: float) -> np.ndarray:
 
     inv = 1.0 / np.maximum(np.abs(theta1), 1e-12)
     coord_weights = np.minimum(inv, 1e6)
-    return _huber_stage(X, y, gram, theta1, delta, lam, lam * coord_weights)
+    return _huber_stage(X, y, gram, theta1, delta, lam * coord_weights)
 
 
 def trimmed_lasso(data: Dataset, lam: float,
@@ -215,8 +209,7 @@ def trimmed_lasso(data: Dataset, lam: float,
     if trim_count >= n:
         raise ValueError("trim_count must be < n")
     theta, w, _, _, rounds, fixed, _ = _c_steps(
-        data.X, data.y, np.ones(n), n - trim_count, np.full(p, 0.5 * lam), 0.0,
-        _TOL * (1.0 + lam))
+        data.X, data.y, np.ones(n), n - trim_count, np.full(p, 0.5 * lam), 0.0)
     if not fixed:
         warnings.warn(f"trimmed lasso: the kept set did not reach a fixed point in "
                       f"{rounds} rounds; returning the last fit", stacklevel=2)

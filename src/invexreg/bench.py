@@ -161,6 +161,8 @@ class ExperimentConfig:
     def from_json(cls, path: str | Path) -> "ExperimentConfig":
         with open(path) as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise ValueError(f"config must be a JSON object, got {type(raw).__name__}")
         extra = set(raw) - set(cls.__dataclass_fields__)
         if extra:
             raise ValueError(f"unknown config keys: {sorted(extra)}")
@@ -183,7 +185,7 @@ def certify_at_true_support(data: Dataset, selection: np.ndarray, lam: float) ->
     if data.theta_star is None:
         raise ValueError("certification needs theta_star in the dataset sidecar")
     support = np.flatnonzero(np.abs(data.theta_star) > 0)
-    th_S = refit(data, selection, lam, support=support, tol=1e-10)[support]
+    th_S = refit(data, selection, lam, support=support)[support]
     cert = build_duals(data, selection, th_S, lam, support)
     rep = kkt_residuals(cert, data, selection, lift_parameter(th_S), lam, support)
     kkt_feasible = bool(cert.feasible and rep.second_eig > 0
@@ -242,7 +244,7 @@ def run_trial(cfg: ExperimentConfig, cell: dict, seed: int, method: str) -> tupl
         row["jaccard"] = support_jaccard(theta, data.theta_star)
         row["norm_error"] = norm_error(theta, data.theta_star)
     except Exception as exc:  # record, never abort the sweep
-        row["error"] = type(exc).__name__
+        row["error"] = f"{type(exc).__name__}: {exc}"
     return row, time.perf_counter() - t0
 
 

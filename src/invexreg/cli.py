@@ -59,9 +59,6 @@ def _build_parser() -> _Parser:
     c = sub.add_parser("certify", help="build duals and evaluate KKT residuals")
     c.add_argument("--data", required=True)
     c.add_argument("--result", required=True, help="solve result JSON")
-    c.add_argument("--kappa", type=float, default=0.5)
-    c.add_argument("--alpha1", type=float, default=1.0)
-    c.add_argument("--alpha2", type=float, default=1.0)
     c.add_argument("--out", required=True)
 
     o = sub.add_parser("oracle", help="enumerate the best subset (tiny instances)")
@@ -113,16 +110,12 @@ def _cmd_certify(args) -> int:
     sel = np.asarray(result["b_rounded"], dtype=float)
     lam = float(result["config"]["lam"])
     support, th_S, cert, rep, kkt_feasible = certify_at_true_support(data, sel, lam)
-    assumption = cert_mod.assumption_check(data, support, selection=sel,
-                                           alpha1=args.alpha1, alpha2=args.alpha2,
-                                           kappa=args.kappa)
+    assumption = cert_mod.assumption_check(data, support, selection=sel)
     payload = {"dual_certificate": cert, "kkt_report": rep,
                "assumption_report": assumption, "kkt_feasible": kkt_feasible}
     try:
-        wbar, ok = cert_mod.strict_dual_feasibility(data, sel, th_S, lam,
-                                                    support, kappa=args.kappa)
-        payload["strict_dual"] = {"omega_bar_inf": wbar, "pass": ok,
-                                  "kappa": args.kappa}
+        wbar, ok = cert_mod.strict_dual_feasibility(data, sel, th_S, lam, support)
+        payload["strict_dual"] = {"omega_bar_inf": wbar, "pass": ok}
     except (cert_mod.SingularSubmatrix, ValueError) as exc:
         payload["strict_dual"] = {"error": str(exc)}
     _write_json(args.out, payload)

@@ -86,7 +86,10 @@ class GroundTruthConfig:
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Design matrix, responses and per-sample clean/outlier tags."""
+    """Design matrix, responses and per-sample clean/outlier tags.
+
+    Every label is CLEAN or OUTLIER and r is an integer in [0, n], or
+    ValueError names the field."""
 
     X: np.ndarray              # (n, p)
     y: np.ndarray              # (n,)
@@ -104,6 +107,12 @@ class Dataset:
             raise ValueError("X must be (n, p) and y (n,) with matching n")
         if labels.shape[0] != X.shape[0]:
             raise ValueError("labels length must equal n")
+        unknown = set(labels.tolist()) - {CLEAN, OUTLIER}
+        if unknown:
+            raise ValueError(f"labels must be {CLEAN!r} or {OUTLIER!r}, got {sorted(unknown)!r}")
+        _check_int("r", self.r, 0)
+        if self.r > X.shape[0]:
+            raise ValueError(f"r must lie in [0, n={X.shape[0]}], got {self.r}")
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "labels", labels)
@@ -254,7 +263,8 @@ def save_dataset(data: Dataset, prefix: str | Path) -> tuple[Path, Path]:
 
 
 def load_dataset(prefix: str | Path) -> Dataset:
-    """Read back a dataset written by save_dataset."""
+    """Read back a dataset written by save_dataset; a sidecar n other than
+    the CSV's row count raises ValueError naming n."""
     prefix = Path(prefix)
     csv_path = prefix.with_suffix(".csv")
     json_path = prefix.with_suffix(".json")
@@ -269,6 +279,8 @@ def load_dataset(prefix: str | Path) -> Dataset:
             rows_y.append(float(row[0]))
             rows_x.append([float(v) for v in row[1:1 + p]])
             labels.append(row[-1])
+    if meta.get("n") is not None and meta["n"] != len(rows_y):
+        raise ValueError(f"n: the sidecar says {meta['n']}, the CSV has {len(rows_y)} rows")
     rho = meta.get("rho")
     if rho == "inf":
         rho = np.inf

@@ -61,7 +61,7 @@ def enumerate_best_subset(data: Dataset, m: int, lam: float, cap: int = 100_000,
     table = [] if keep_table else None
     for J in combinations(range(n), m):
         rows = np.asarray(J, dtype=int)
-        theta = refit(data, rows, lam, tol=1e-10)
+        theta = refit(data, rows, lam)
         obj = subset_objective(data, rows, theta, lam)
         if table is not None:
             table.append((J, obj))

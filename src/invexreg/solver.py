@@ -64,13 +64,9 @@ tolerance, or through roundoff, which warns.
 
 The refit and the baselines' lasso solves are one Gram-form solve,
 `_gram_solve`: the corrections first, the completion only when they fail.
-They differ only in the penalty's terms and the bound they pass: the
-solve derives its stop rule's residual from those terms (`_l1_residual`,
-on the full gradient 2 (H theta - c)), so the refit passes twice its tol,
-and the completion's roundoff warning names that full-gradient residual,
-twice the refit's half-gradient one.  Every solve raises its bound to the
-gradient's floating-point floor 8 eps ||c||_inf, which a gross outlier in
-y can lift above the bound.  `grad_vartheta`, the V gradient
+They differ only in the penalty's terms, from which the solve derives its
+stop rule's residual (`_l1_residual`); the rule itself, one bound for
+every caller, is stated in `_gram_solve`.  `grad_vartheta`, the V gradient
 sum_i b_i A_i over every row (`model.lifted_gram`), is run by no solve
 here; the certificate calls `model.lifted_gram` itself.
 """
@@ -159,8 +155,8 @@ def _dual_min_eig(G: np.ndarray, theta: np.ndarray, lam: float) -> float:
 
 def solve_invex(data: Dataset, cfg: SolverConfig) -> SolveResult:
     """C-steps in theta (`_c_steps`) from theta = 0 and its b-step, the m
-    smallest |y_i|, with the refit's penalty lam (||theta||_1 + 1)^2 and
-    its stop rule at tol 1e-8, for at most `_MAX_ROUNDS` rounds.
+    smallest |y_i|, with the refit's penalty lam (||theta||_1 + 1)^2, for
+    at most `_MAX_ROUNDS` rounds.
 
     Converged means the kept set reached a fixed point.  The rounded
     selection is the last kept set solved on and theta_hat the solve on
@@ -170,9 +166,8 @@ def solve_invex(data: Dataset, cfg: SolverConfig) -> SolveResult:
     if cfg.m > data.n:
         raise InfeasibleM(f"m={cfg.m} exceeds n={data.n}")
     lam, y = cfg.lam, data.y
-    # 2e-8 is `_refit_gram`'s bound at its tol 1e-8
     theta_hat, b, H, c, outer, converged, trace = _c_steps(
-        data.X, y, _keep_smallest(y, cfg.m), cfg.m, np.full(data.p, lam), lam, 2e-8)
+        data.X, y, _keep_smallest(y, cfg.m), cfg.m, np.full(data.p, lam), lam)
     G = np.block([[H, -c[:, None]], [-c, b @ (y * y)]])
     return SolveResult(
         b_rounded=b, theta_hat=theta_hat, objective_trace=trace,
@@ -238,14 +233,14 @@ def _penalty(theta, shift, rank_one):
     return float(rank_one * (a.sum() ** 2 + 1.0) + 2.0 * (shift @ a))
 
 
-def _c_steps(X, y, w, keep, shift, rank_one, bound):
+def _c_steps(X, y, w, keep, shift, rank_one):
     """C-steps from the 0/1 weights w and theta = 0, at most `_MAX_ROUNDS`
     rounds.
 
     Each round solves the Gram form of the rows w keeps, H = X^T diag(w) X
     and c = X^T (w y), by `_gram_solve`, warm from the previous round's
-    theta, with the penalty terms shift and rank_one and the bound, and
-    then keeps the `keep` rows of smallest |y - X theta| (`_keep_smallest`).
+    theta, with the penalty terms shift and rank_one, and then keeps the
+    `keep` rows of smallest |y - X theta| (`_keep_smallest`).
     It stops when the new kept set is w, a fixed point, or one kept in an
     earlier round, a cycle.  One `_Gram` is carried: formed at the start
     weights and updated by the rows that swap.  Returns (theta, w, H, c,
@@ -261,7 +256,7 @@ def _c_steps(X, y, w, keep, shift, rank_one, bound):
     for rounds in range(1, _MAX_ROUNDS + 1):
         w = w_next
         H, c = _weighted_gram(X, gram, w), X.T @ (w * y)
-        theta = _gram_solve(H, c, theta, bound, shift, rank_one)
+        theta = _gram_solve(H, c, theta, shift, rank_one)
         r = y - X @ theta
         w_next = _keep_smallest(r, keep)
         objectives.append(float(w_next @ (r * r)) + _penalty(theta, shift, rank_one))
@@ -350,10 +345,10 @@ def _sign_pattern_solve(H, c, theta0, bound, shift, rank_one):
     lam (||theta||_1 + 1)^2, shift = lam and rank_one = lam.  The minimizer
     with those signs solves
     (H_AA + rank_one s_A s_A^T) theta_A = c_A - shift_A s_A.
-    A candidate whose largest `_l1_residual` is at most `bound` is returned.
-    This is the stop rule of every `_gram_solve`, derived from the same
-    shift and rank_one and read at the candidate's own signs; with a
-    penalty, a candidate whose signs on A differ from s fails it.
+    A candidate whose largest `_l1_residual` is at most `bound` is returned:
+    the stop rule of `_gram_solve`, derived from the same shift and
+    rank_one and read at the candidate's own signs; with a penalty, a
+    candidate whose signs on A differ from s fails it.
     Otherwise the coordinates whose sign flipped leave A, the zero
     coordinates whose residual exceeds the bound join it with the sign of
     -g_j, and the system is solved again, at most `_SIGN_CORRECTIONS`
@@ -462,51 +457,43 @@ def _active_set_solve(H, c, bound, shift, rank_one):
     return theta
 
 
-# The floating-point floor of a Gram-form solve's bound, per unit of ||c||_inf
+# The stop bound of every Gram-form solve, on the full gradient 2 (H theta - c)
+_BOUND = 2e-10
+# Its floating-point floor, per unit of ||c||_inf
 _ROUNDOFF = 8.0 * np.finfo(float).eps
 
 
-def _gram_solve(H, c, theta0, bound, shift, rank_one):
+def _gram_solve(H, c, theta0, shift, rank_one):
     """The Gram-form L1 solve of the refit and the baselines' lasso:
     `_sign_pattern_solve` from theta0, and only when that returns None the
-    completion, `_active_set_solve`.  The answer's largest `_l1_residual`
-    is at most `bound`, or at the gradient's roundoff floor
-    _ROUNDOFF * ||c||_inf when that is larger, short of roundoff, which
-    warns."""
-    bound = max(bound, _ROUNDOFF * np.abs(c).max(initial=0.0))
+    completion, `_active_set_solve`.
+
+    The stop rule is the same for every caller: the answer's largest
+    `_l1_residual` is at most max(_BOUND, _ROUNDOFF * ||c||_inf).  The
+    second term is the gradient's roundoff, which a gross outlier in y can
+    lift above _BOUND.  Only roundoff can keep the residual above that,
+    and then the completion warns, naming it."""
+    bound = max(_BOUND, _ROUNDOFF * np.abs(c).max(initial=0.0))
     theta = _sign_pattern_solve(H, c, theta0, bound, shift, rank_one)
     if theta is None:
         theta = _active_set_solve(H, c, bound, shift, rank_one)
     return theta
 
 
-def _refit_gram(H: np.ndarray, c: np.ndarray, theta: np.ndarray, lam: float,
-                tol: float = 1e-8) -> np.ndarray:
-    """`refit`'s solve: `_gram_solve` from theta on theta^T H theta
-    - 2 c^T theta + lam (||theta||_1 + 1)^2 (shift lam, rank-one term lam),
-    until the absolute residual on the half gradient H theta - c, the scale
-    the dual construction needs, is at most tol: `_l1_residual`, on the
-    full gradient, at most 2 tol, which halving makes the same test."""
-    return _gram_solve(H, c, theta, 2.0 * tol, np.full(c.size, lam), lam)
-
-
 def refit(data: Dataset, selection: np.ndarray, lam: float,
-          support: np.ndarray | None = None, tol: float = 1e-8) -> np.ndarray:
+          support: np.ndarray | None = None) -> np.ndarray:
     """Penalized least squares on the selected rows.
 
     The selection is a 0/1 mask or row indices, as `_as_rows` reads it.
     Minimizes sum_selected (y_i - <X_i, theta>)^2 + lam (||theta||_1 + 1)^2
-    by `_refit_gram` from theta = 0 on the selected rows' Gram form: the
-    exact solve on the sign pattern of the coordinates that violate
-    stationarity at 0, and the finite active-set completion when a few
-    corrections of that pattern do not reach the minimizer.  With `support`
-    (columns, read like the selection), the regression runs on those
-    columns only and is zero-padded back to length p.  The answer's
-    stationarity residual (subgradient recovered as in the dual
-    construction) is at most the absolute tol, or half `_gram_solve`'s
-    roundoff floor when that is larger; only roundoff can keep it above,
-    and then a RuntimeWarning names it.  A negative or non-finite lam, or
-    non-finite X or y on the selected rows and columns, raise ValueError.
+    by `_gram_solve` from theta = 0 on the selected rows' Gram form, with
+    shift and rank-one term lam: the exact solve on the sign pattern of the
+    coordinates that violate stationarity at 0, and the finite active-set
+    completion when a few corrections of that pattern do not reach the
+    minimizer.  With `support` (columns, read like the selection), the
+    regression runs on those columns only and is zero-padded back to
+    length p.  A negative or non-finite lam, or non-finite X or y on the
+    selected rows and columns, raise ValueError.
     """
     rows = _as_rows(selection, data.n)
     if rows.size < 1:
@@ -517,7 +504,8 @@ def refit(data: Dataset, selection: np.ndarray, lam: float,
     _check_finite(("X", Xs), ("y", ys))
     _check_nonneg("lam", lam)
 
-    theta = _refit_gram(Xs.T @ Xs, Xs.T @ ys, np.zeros(cols.size), lam, tol)
+    theta = _gram_solve(Xs.T @ Xs, Xs.T @ ys, np.zeros(cols.size),
+                        np.full(cols.size, lam), lam)
     out = np.zeros(data.p)
     out[cols] = theta
     return out

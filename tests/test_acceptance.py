@@ -147,7 +147,7 @@ def test_acceptance_05_oracle_equivalence():
         data = tiny_instance(seed)
         res = solve_invex(data, SolverConfig(m=4, lam=lam))
         orc = enumerate_best_subset(data, 4, lam)
-        theta = refit(data, res.b_rounded, lam, tol=1e-10)
+        theta = refit(data, res.b_rounded, lam)
         sol_obj = subset_objective(data, res.selection, theta, lam)
         gap = (sol_obj - orc.objective) / max(1.0, abs(orc.objective))
         gaps.append(gap)
@@ -168,7 +168,7 @@ def test_acceptance_06_kkt_certification():
     for tag, data, m, lam in instances:
         res = solve_invex(data, SolverConfig(m=m, lam=lam))
         support = np.flatnonzero(np.abs(data.theta_star) > 0)
-        th_S = refit(data, res.b_rounded, lam, support=support, tol=1e-10)[support]
+        th_S = refit(data, res.b_rounded, lam, support=support)[support]
         cert = build_duals(data, res.b_rounded, th_S, lam, support)
         rep = kkt_residuals(cert, data, res.b_rounded, lift_parameter(th_S),
                             lam, support=support)

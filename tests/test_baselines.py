@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from invexreg import baselines, solver
-from invexreg.baselines import _TOL, _lasso_solve, adaptive_huber_lasso, lasso, trimmed_lasso
-from invexreg.bench import ExperimentConfig, l1_budget, lambda_from_m
+from invexreg.baselines import _lasso_solve, adaptive_huber_lasso, lasso, trimmed_lasso
+from invexreg.bench import (ExperimentConfig, certify_at_true_support, l1_budget,
+                            lambda_from_m)
 from invexreg.datagen import GenSpec, generate
 from invexreg.model import CLEAN, OUTLIER, Dataset, GroundTruthConfig
 from invexreg.solver import SolverConfig, _gram, _weighted_gram, refit, solve_invex
@@ -100,16 +101,16 @@ def test_adahuber_bounded_under_gross_corruption():
 @pytest.mark.parametrize("lam", [0.4, 5.0])
 def test_refit_meets_the_roundoff_floor_under_gross_corruption(lam):
     """With y[0] = 1e6 the roundoff of the refit's full gradient keeps its
-    residual above the bound 2 tol = 2e-10: the refit stops at the solve's
-    floor 8 eps ||c||_inf instead, without the roundoff warning."""
+    residual above the bound `solver._BOUND` = 2e-10: the refit stops at the
+    solve's floor 8 eps ||c||_inf instead, without the roundoff warning."""
     data = grossly_corrupted()
     H, c = weighted_gram_form(data.X, data.y)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        theta = refit(data, np.arange(data.n), lam, tol=1e-10)
+        theta = refit(data, np.arange(data.n), lam)
     g = 2.0 * (H @ theta - c)
     tau = np.full(data.p, 2.0 * lam * (np.abs(theta).sum() + 1.0))
-    assert 2e-10 < l1_residual(theta, g, tau) <= solver._ROUNDOFF * np.abs(c).max()
+    assert solver._BOUND < l1_residual(theta, g, tau) <= solver._ROUNDOFF * np.abs(c).max()
 
 
 def test_adahuber_sane_on_clean_data():
@@ -135,8 +136,7 @@ def test_trimmed_drops_gross_outlier():
     data = clean_data(rng, n=25)
     y = data.y.copy()
     y[5] += 50.0
-    labels = data.labels.copy()
-    labels[5] = OUTLIER
+    labels = np.where(np.arange(data.n) == 5, OUTLIER, CLEAN)
     corrupted = Dataset(X=data.X, y=y, labels=labels,
                         theta_star=data.theta_star, r=24)
     theta, kept = trimmed_lasso(corrupted, 0.5, 1)
@@ -285,7 +285,7 @@ def weighted_lasso(X, y, lam, weights=None, sample_weights=None, theta0=None):
     p = X.shape[1]
     H, c = weighted_gram_form(X, y, sample_weights)
     lam_j = lam * (np.ones(p) if weights is None else weights)
-    return _lasso_solve(H, c, lam_j, np.zeros(p) if theta0 is None else theta0, lam)
+    return _lasso_solve(H, c, lam_j, np.zeros(p) if theta0 is None else theta0)
 
 
 def weighted_problem(n, p):
@@ -365,17 +365,16 @@ def spy_on_gram_solves(monkeypatch, completion_runs, context=dict):
     """Record every `solver._gram_solve` call, the one solve behind each
     lasso, each exact Huber-stage round (through `baselines._lasso_solve`)
     and each round of the C-step loop (`solver._c_steps`, which runs the
-    trimmed lasso and invex), as a dict of its H, c, start theta0, bound,
+    trimmed lasso and invex), as a dict of its H, c, start theta0,
     penalty terms shift and rank_one, the theta returned and the runs of
     the completion it made, and the entries of `context()`."""
     calls = []
     real = solver._gram_solve
 
-    def recording(H, c, theta0, bound, shift, rank_one):
+    def recording(H, c, theta0, shift, rank_one):
         runs_before = len(completion_runs)
-        theta = real(H, c, theta0, bound, shift, rank_one)
-        calls.append({"H": H, "c": c, "theta0": np.array(theta0), "bound": bound,
-                      "shift": shift, "rank_one": rank_one, "theta": theta,
+        theta = real(H, c, theta0, shift, rank_one)
+        calls.append({"H": H, "c": c, "theta0": np.array(theta0), "shift": shift, "rank_one": rank_one, "theta": theta,
                       "completions": len(completion_runs) - runs_before, **context()})
         return theta
 
@@ -503,9 +502,9 @@ def gram_updates(monkeypatch, completion_runs):
     def spy_weighted(X, gram, w):
         return real_weighted(X.view(Rows), gram, w)
 
-    def spy_stage(X, y, gram, theta, delta, lam, lam_j):
+    def spy_stage(X, y, gram, theta, delta, lam_j):
         stage["delta"] = delta
-        return real_stage(X, y, gram, theta, delta, lam, lam_j)
+        return real_stage(X, y, gram, theta, delta, lam_j)
 
     def context():
         (gram,) = grams
@@ -599,7 +598,7 @@ def test_carried_gram_matches_the_direct_product_after_every_round(gram_updates,
         assert np.array_equal(H, H.T)
         assert np.abs(H - H_direct).max() <= 1e-12 * np.abs(H_direct).max()
         assert np.abs(solve["c"] - c_direct).max() <= 1e-12 * np.abs(c_direct).max()
-        assert stop_rule_residual(H_direct, c_direct, solve) <= solve_bound(solve)
+        assert stop_rule_residual(H_direct, c_direct, solve) <= stop_bound(solve["c"])
 
 
 def test_baselines_pinned_output_fig2_p100_seed0():
@@ -635,10 +634,10 @@ def l1_residual(theta, g, lam_j):
     return resid.max(initial=0.0)
 
 
-def solve_bound(solve):
-    """The stop bound of a recorded solve: its bound, or the roundoff floor
-    `solver._gram_solve` raises it to."""
-    return max(solve["bound"], solver._ROUNDOFF * np.abs(solve["c"]).max())
+def stop_bound(c):
+    """The one stop bound of `solver._gram_solve` on a Gram form with c:
+    `solver._BOUND`, or the roundoff floor when that is larger."""
+    return max(solver._BOUND, solver._ROUNDOFF * np.abs(c).max())
 
 
 def stop_rule_residual(H, c, solve):
@@ -684,7 +683,7 @@ def test_warm_start_missing_nonzeros_adds_them_without_fista(completion_runs):
     th_f = weighted_lasso(X, y, lam, weights=cw, sample_weights=sw, theta0=theta0)
     assert not completion_runs
     assert np.abs(th_f - th_c).max() <= 1e-8
-    assert stop_residual(X, y, lam, th_f, cw, sw) <= _TOL * (1.0 + lam)
+    assert stop_residual(X, y, lam, th_f, cw, sw) <= solver._BOUND
 
 
 def test_warm_start_on_singular_support_completes_exactly(completion_runs):
@@ -701,7 +700,7 @@ def test_warm_start_on_singular_support_completes_exactly(completion_runs):
         warnings.simplefilter("error")
         theta = weighted_lasso(X, y, lam, theta0=np.array([1.0, 1.0, 0.0]))
     assert completion_runs == [0]
-    assert stop_residual(X, y, lam, theta) <= _TOL * (1.0 + lam)
+    assert stop_residual(X, y, lam, theta) <= solver._BOUND
 
 
 def test_completion_exchanges_a_dependent_column_along_the_null_direction(
@@ -722,7 +721,7 @@ def test_completion_exchanges_a_dependent_column_along_the_null_direction(
         theta = weighted_lasso(X, y, lam, weights=cw)
     assert completion_runs == [0]
     assert theta[1] == 0.0 and theta[0] != 0.0 and theta[2] != 0.0
-    assert stop_residual(X, y, lam, theta, cw) <= _TOL * (1.0 + lam)
+    assert stop_residual(X, y, lam, theta, cw) <= solver._BOUND
     obj = lambda t: float(np.sum((y - X @ t) ** 2) + lam * cw @ np.abs(t))
     assert obj(theta) <= obj(_lasso_cd(X, y, lam, weights=cw)) + 1e-10
 
@@ -731,7 +730,7 @@ def test_completion_exchanges_a_dependent_column_along_the_null_direction(
 def test_warm_solves_mostly_skip_fista_and_pass_the_stop_rule(lasso_solves, method):
     """Warm-started solves run the completion less often than they are made,
     and every theta returned, by either path, meets the stop rule of the
-    system it solved, at the lasso's bound for the fit's lam."""
+    system it solved."""
     data = generate(GenSpec(
         ground_truth=GroundTruthConfig(p=8, k=3, M=2.2, sigma_e=0.1),
         r=40, n_outliers=20, seed=15))
@@ -744,8 +743,35 @@ def test_warm_solves_mostly_skip_fista_and_pass_the_stop_rule(lasso_solves, meth
     assert len(warm) >= 2
     assert sum(s["completions"] for s in warm) < len(warm)
     for solve in lasso_solves:
-        assert solve["bound"] == _TOL * (1.0 + lam) and solve["rank_one"] == 0.0
-        assert stop_rule_residual(solve["H"], solve["c"], solve) <= solve_bound(solve)
+        assert solve["rank_one"] == 0.0
+        assert stop_rule_residual(solve["H"], solve["c"], solve) <= stop_bound(solve["c"])
+
+
+def test_every_l1_solve_stops_at_the_one_bound(lasso_solves):
+    """The lasso, the adaptive Huber lasso, the trimmed lasso, the invex
+    C-steps and the certificate's refit all stop by one rule: every theta
+    `solver._gram_solve` returns has a largest `solver._l1_residual` of at
+    most max(`solver._BOUND`, `solver._ROUNDOFF` ||c||_inf)."""
+    data = generate(GenSpec(
+        ground_truth=GroundTruthConfig(p=8, k=3, M=2.2, sigma_e=0.1),
+        r=40, n_outliers=20, seed=15))
+    lam = 0.6
+    counts = [0]
+    lasso(data, lam)
+    counts.append(len(lasso_solves))
+    adaptive_huber_lasso(data, lam)
+    counts.append(len(lasso_solves))
+    trimmed_lasso(data, lam, 20)
+    counts.append(len(lasso_solves))
+    res = solve_invex(data, SolverConfig(m=40, lam=lam))
+    counts.append(len(lasso_solves))
+    certify_at_true_support(data, res.b_rounded, lam)
+    counts.append(len(lasso_solves))
+    assert np.all(np.diff(counts) >= 1)
+    for solve in lasso_solves:
+        _, resid = solver._l1_residual(solve["H"], solve["c"], solve["theta"],
+                                       solve["shift"], solve["rank_one"])
+        assert resid.max(initial=0.0) <= stop_bound(solve["c"])
 
 
 def huber_lasso_residual(X, y, theta, delta, lam_j):
@@ -769,8 +795,8 @@ def test_exact_huber_stages_are_stationary(monkeypatch):
     stages = []
     real = baselines._huber_stage
 
-    def recording(X, y, gram, theta, delta, lam, lam_j):
-        out = real(X, y, gram, theta, delta, lam, lam_j)
+    def recording(X, y, gram, theta, delta, lam_j):
+        out = real(X, y, gram, theta, delta, lam_j)
         stages.append((delta, lam_j, out))
         return out
 
@@ -781,7 +807,7 @@ def test_exact_huber_stages_are_stationary(monkeypatch):
     assert np.array_equal(theta, stages[-1][-1])
     assert len(stages) >= 3
     for delta, lam_j, out in stages:
-        assert huber_lasso_residual(data.X, data.y, out, delta, lam_j) <= _TOL * (1.0 + lam)
+        assert huber_lasso_residual(data.X, data.y, out, delta, lam_j) <= solver._BOUND
 
 
 def test_huber_stage_damps_a_newton_step_that_does_not_lower_the_objective(

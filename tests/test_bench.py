@@ -134,13 +134,19 @@ def test_cli_sweep_rejects_a_float_count(tmp_path):
     ("seeds", [], "seeds must not be empty"),
     ("seeds", [0, 0], "seeds must not repeat a value"),
     ("C_values", [400.0], "C_values: C=400.0 gives m=inf > r=24"),
+    # a config that is not a JSON object (field None: the value is the whole file)
+    (None, [1, 2], "config must be a JSON object, got list"),
+    (None, "abc", "config must be a JSON object, got str"),
+    (None, 3, "config must be a JSON object, got int"),
+    (None, None, "config must be a JSON object, got NoneType"),
 ])
 def test_cli_sweep_rejects_a_grid_it_cannot_run(tmp_path, capsys, field, value, match):
     """An empty, non-finite or repeated grid would fail after writing
     results.csv, write an empty sweep, or pool two cells' trials; the sweep
     names the field and exits 2 before it writes anything."""
-    raw = {"p": 6, "k": 2, "clean_count_rule": 24, "C_values": [0.4], "seeds": [0],
-           "methods": ["lasso"], "output_dir": str(tmp_path / "sw"), field: value}
+    raw = value if field is None else {
+        "p": 6, "k": 2, "clean_count_rule": 24, "C_values": [0.4], "seeds": [0],
+        "methods": ["lasso"], "output_dir": str(tmp_path / "sw"), field: value}
     (tmp_path / "cfg.json").write_text(json.dumps(raw))
     assert cli.main(["sweep", "--config", str(tmp_path / "cfg.json"), "--workers", "1"]) == 2
     assert f"error: ValueError: {match}" in capsys.readouterr().err
@@ -283,7 +289,9 @@ def test_run_sweep_records_cell_failures(tmp_path):
     cfg = tiny_cfg(tmp_path, rho_min=1e9, max_resamples=2,
                    output_dir=str(tmp_path / "fail"))
     out = run_sweep(cfg, workers=1)
-    assert all(r["error"] == "ResampleExhausted" for r in out["rows"])
+    for row in out["rows"]:
+        assert row["error"].startswith("ResampleExhausted: ")
+        assert "violate the loss-gap margin" in row["error"]
 
 
 @pytest.fixture
@@ -440,6 +448,12 @@ def test_cli_pipeline(tmp_path):
     cert = json.loads((tmp_path / "cert.json").read_text())
     assert cert["dual_certificate"]["feasible"] is True
     assert cert["kkt_report"]["second_eig"] > 0
+    assert set(cert["strict_dual"]) == {"omega_bar_inf", "pass"}
+    # the assumption constants are the library defaults, not flags
+    for flag in ("--kappa", "--alpha1", "--alpha2"):
+        r = _cli("certify", "--data", ds, "--result", str(tmp_path / "res.json"),
+                 flag, "0.3", "--out", str(tmp_path / "cert_flag.json"))
+        assert r.returncode == 1 and f"unrecognized arguments: {flag}" in r.stderr
     r = _cli("oracle", "--data", ds, "--m", "4", "--lam", "1.18",
              "--out", str(tmp_path / "orc.json"))
     assert r.returncode == 0, r.stderr

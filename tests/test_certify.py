@@ -64,7 +64,7 @@ def test_duals_selecting_worst_outlier_is_infeasible():
     sel = np.zeros(data.n)
     sel[clean] = 1.0
     sel[worst] = 1.0
-    th_S = refit(data, sel, 1.18, support=support, tol=1e-10)[support]
+    th_S = refit(data, sel, 1.18, support=support)[support]
     cert = build_duals(data, sel, th_S, 1.18, support)
     lo, hi = cert.nu_interval
     assert lo > hi  # interval is empty
@@ -212,7 +212,7 @@ def test_strict_dual_noiseless_bounded_by_incoherence():
     data = Dataset(X=X, y=y, labels=np.array([CLEAN] * n), theta_star=theta, r=n)
     lam = 0.8
     support = np.arange(k)
-    th_S = refit(data, np.ones(n), lam, support=support, tol=1e-11)[support]
+    th_S = refit(data, np.ones(n), lam, support=support)[support]
     wbar, _ = strict_dual_feasibility(data, np.ones(n), th_S, lam, support)
     rep = assumption_check(data, support)
     assert wbar <= rep.incoherence + 1e-6
@@ -221,7 +221,7 @@ def test_strict_dual_noiseless_bounded_by_incoherence():
 def test_strict_dual_tiny_lambda_fails():
     data = tiny_instance(3)
     res, support, th_S, _, _ = solve_and_certify(data, 1.18, 4)
-    th_tiny = refit(data, res.b_rounded, 1e-6, support=support, tol=1e-12)[support]
+    th_tiny = refit(data, res.b_rounded, 1e-6, support=support)[support]
     wbar, ok = strict_dual_feasibility(data, res.b_rounded, th_tiny, 1e-6, support)
     assert not ok and wbar > 1.0
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -156,6 +158,42 @@ def test_dataset_invariants():
     with pytest.raises(ValueError):
         Dataset(X=np.zeros((3, 2)), y=np.zeros(3), labels=np.array(["clean"] * 3),
                 theta_star=np.zeros(5))
+
+
+def nine_row_dataset(tmp_path):
+    """A 9-row dataset, 6 clean and 3 outliers, saved under tmp_path/ds."""
+    data = Dataset(X=np.arange(18.0).reshape(9, 2), y=np.arange(9.0),
+                   labels=np.array([CLEAN] * 6 + [OUTLIER] * 3), r=6)
+    return save_dataset(data, tmp_path / "ds")
+
+
+def test_dataset_rejects_an_unknown_label(tmp_path):
+    """A misspelled label would read as neither clean nor outlier, so every
+    outlier count and the mistakes fraction would read 0."""
+    with pytest.raises(ValueError, match="labels must be 'clean' or 'outlier', "
+                                         "got \\['outlire'\\]"):
+        Dataset(X=np.zeros((2, 1)), y=np.zeros(2), labels=np.array([CLEAN, "outlire"]))
+    csv_path, _ = nine_row_dataset(tmp_path)
+    csv_path.write_text(csv_path.read_text().replace(OUTLIER, "outlire"))
+    with pytest.raises(ValueError, match="labels must be"):
+        load_dataset(tmp_path / "ds")
+
+
+@pytest.mark.parametrize("r, match", [(4, "r must lie in \\[0, n=3\\], got 4"),
+                                      (-1, "r must be an integer >= 0, got -1"),
+                                      (1.5, "r must be an integer >= 0, got 1.5")])
+def test_dataset_rejects_a_clean_count_outside_0_to_n(r, match):
+    with pytest.raises(ValueError, match=match):
+        Dataset(X=np.zeros((3, 2)), y=np.zeros(3), labels=np.array([CLEAN] * 3), r=r)
+
+
+def test_load_dataset_rejects_a_sidecar_n_that_is_not_the_row_count(tmp_path):
+    _, json_path = nine_row_dataset(tmp_path)
+    meta = json.loads(json_path.read_text())
+    meta.update(n=99, r=50)
+    json_path.write_text(json.dumps(meta))
+    with pytest.raises(ValueError, match="n: the sidecar says 99, the CSV has 9 rows"):
+        load_dataset(tmp_path / "ds")
 
 
 def test_dataset_csv_round_trip(tmp_path):

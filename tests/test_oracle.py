@@ -21,7 +21,7 @@ def test_single_subset_equals_refit():
     data = tiny_instance(0)
     lam = 0.9
     res = enumerate_best_subset(data, data.n, lam)
-    theta = refit(data, np.ones(data.n), lam, tol=1e-10)
+    theta = refit(data, np.ones(data.n), lam)
     assert res.J_star == tuple(range(data.n))
     assert abs(res.objective - subset_objective(data, np.arange(data.n), theta, lam)) <= 1e-6
 
@@ -53,7 +53,7 @@ def test_oracle_lower_bounds_solver():
         lam = 1.18
         orc = enumerate_best_subset(data, 4, lam)
         res = solve_invex(data, SolverConfig(m=4, lam=lam))
-        theta = refit(data, res.b_rounded, lam, tol=1e-10)
+        theta = refit(data, res.b_rounded, lam)
         sol_obj = subset_objective(data, res.selection, theta, lam)
         assert orc.objective <= sol_obj + 1e-9
 
@@ -95,7 +95,7 @@ def test_grid_oracle_agrees_with_refit_at_p2():
     lam = 0.7
     rows = np.arange(6)
     th_grid, obj_grid = grid_search_theta(data, rows, lam, radius=2.0)
-    th_refit = refit(data, rows, lam, tol=1e-11)
+    th_refit = refit(data, rows, lam)
     obj_refit = subset_objective(data, rows, th_refit, lam)
     # refit must beat the grid up to the grid resolution
     assert obj_refit <= obj_grid + 1e-5

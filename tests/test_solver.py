@@ -84,7 +84,7 @@ def test_refit_unpenalized_is_least_squares():
     rng = np.random.default_rng(7)
     theta = np.array([0.5, -1.0, 0.25])
     data = all_clean_dataset(rng, 12, 3, theta, sigma_e=0.1)
-    got = refit(data, np.ones(data.n), 0.0, tol=1e-12)
+    got = refit(data, np.ones(data.n), 0.0)
     ols = np.linalg.lstsq(data.X, data.y, rcond=None)[0]
     assert np.abs(got - ols).max() <= 1e-6
 
@@ -101,7 +101,7 @@ def test_refit_matches_subgradient_oracle():
     theta = np.array([0.9, -0.4])
     data = all_clean_dataset(rng, 8, 2, theta, sigma_e=0.1)
     lam = 0.8
-    got = refit(data, np.ones(data.n), lam, tol=1e-11)
+    got = refit(data, np.ones(data.n), lam)
     obj = float(np.sum((data.y - data.X @ got) ** 2)
                 + lam * (np.abs(got).sum() + 1) ** 2)
     oracle_obj, _ = _subgradient_descent_oracle(data.X, data.y, lam)
@@ -477,15 +477,12 @@ def by_hand(theta, g, tau):
     return out
 
 
-def test_derived_residual_matches_the_stop_rules_written_by_hand(monkeypatch):
+def test_derived_residual_matches_the_stop_rules_written_by_hand():
     """The residual the solve derives from its penalty terms is the lasso's
     rule with weights lam_j (shift lam_j / 2, no rank-one term) bit for
     bit, and the refit's old rule, twice the half-gradient residual with
     weight 2 lam (||theta||_1 + 1), up to the rounding of that weight,
-    which the solve forms as 2 (lam + lam ||theta||_1).  Halving is exact,
-    so the bound 2 tol that the refit passes accepts exactly when
-    0.5 r <= tol does, also at tol = r / 2 and the floats either side of
-    it."""
+    which the solve forms as 2 (lam + lam ||theta||_1)."""
     rng = np.random.default_rng(21)
     lam, zeros = 0.7, 0
     for _ in range(50):
@@ -500,22 +497,7 @@ def test_derived_residual_matches_the_stop_rules_written_by_hand(monkeypatch):
         r = derived_residual(theta, g, np.full(12, lam), lam)
         old = 2.0 * (0.5 * by_hand(theta, g, np.full(12, scale)))
         assert np.all(np.abs(r - old) <= 2.0 * np.finfo(float).eps * (np.abs(g) + scale))
-        for r_max in (r.max(), old.max()):
-            half = 0.5 * r_max
-            tols = [half, np.nextafter(half, 0.0), np.nextafter(half, np.inf),
-                    *(half * rng.uniform(0.5, 1.5, 5))]
-            for tol in tols:
-                assert (r_max <= 2.0 * tol) == (0.5 * r_max <= tol)
     assert 0 < zeros < 50 * 12
-
-    H, c, lam, theta_hat = fig2_p50_refit_problem()
-    bounds = []
-    real = solver._gram_solve
-    monkeypatch.setattr(solver, "_gram_solve",
-                        lambda *args: bounds.append(args[3]) or real(*args))
-    for tol in (1e-8, 3e-11):
-        solver._refit_gram(H, c, theta_hat, lam, tol)
-    assert bounds == [2e-8, 6e-11]
 
 
 def test_refit_residual_is_the_recovered_subgradient_residual():
@@ -542,6 +524,12 @@ def test_refit_residual_is_the_recovered_subgradient_residual():
     assert 0 < inside_count < 50 * 12
 
 
+def refit_gram(H, c, theta0, lam):
+    """The refit's Gram-form solve: `solver._gram_solve` from theta0 with
+    shift and rank-one term lam."""
+    return solver._gram_solve(H, c, theta0, np.full(c.size, lam), lam)
+
+
 def fig2_p50_refit_problem():
     """The Gram form of the fig2_p50 m=306, seed-0 cell on the solver's
     selection, its lam, and the solved theta_hat."""
@@ -556,11 +544,11 @@ def test_sign_pattern_refit_matches_a_forced_fista_refit(monkeypatch, completion
     same minimizer."""
     H, c, lam, theta_hat = fig2_p50_refit_problem()
     theta0 = theta_hat + 1e-3   # a warm start with the wrong zeros
-    exact = solver._refit_gram(H, c, theta0, lam)
+    exact = refit_gram(H, c, theta0, lam)
     assert not completion_runs
     assert _refit_residual(H, c, exact, lam) <= 1e-8
     monkeypatch.setattr(solver, "_sign_pattern_solve", lambda *args: None)
-    forced = solver._refit_gram(H, c, theta0, lam)
+    forced = refit_gram(H, c, theta0, lam)
     assert completion_runs == [0]
     assert _refit_residual(H, c, forced, lam) <= 1e-8
     assert np.array_equal(np.sign(exact), np.sign(forced))
@@ -569,9 +557,9 @@ def test_sign_pattern_refit_matches_a_forced_fista_refit(monkeypatch, completion
 
 def test_sign_pattern_refit_from_zero_is_exact(completion_runs):
     """theta0 = 0: the first pattern is the coordinates that violate
-    stationarity at 0, and the answer is exact, not just within tol."""
+    stationarity at 0, and the answer is exact, not just within the bound."""
     H, c, lam, theta_hat = fig2_p50_refit_problem()
-    cold = solver._refit_gram(H, c, np.zeros(c.size), lam)
+    cold = refit_gram(H, c, np.zeros(c.size), lam)
     assert not completion_runs
     assert _refit_residual(H, c, cold, lam) <= 1e-11
     assert np.array_equal(np.sign(cold), np.sign(theta_hat))
@@ -583,17 +571,17 @@ def test_singular_sign_pattern_completes_exactly(completion_runs):
     both copies singular: the sign-pattern solve gives up, and the
     completion, which never activates the copy (its gradient entry is the
     original's, 0 once that is active), solves only positive definite
-    systems and meets tol."""
+    systems and meets the bound."""
     rng = np.random.default_rng(3)
     X = rng.standard_normal((30, 3))
     X = np.column_stack([X[:, 0], X])
     y = X @ np.array([0.5, 0.5, -1.0, 0.3]) + 0.1 * rng.standard_normal(30)
     H, c = X.T @ X, X.T @ y
     for theta0 in (np.zeros(4), np.array([0.4, 0.6, -1.0, 0.3])):
-        assert solver._sign_pattern_solve(H, c, theta0, 2e-8, np.zeros(4), 0.0) is None
+        assert solver._sign_pattern_solve(H, c, theta0, solver._BOUND, np.zeros(4), 0.0) is None
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            theta = solver._refit_gram(H, c, theta0, 0.0)
+            theta = refit_gram(H, c, theta0, 0.0)
         assert _refit_residual(H, c, theta, 0.0) <= 1e-8
     assert completion_runs == [0, 0]
 
@@ -654,7 +642,7 @@ def refit_problems():
 
 @pytest.mark.parametrize("path", ["default", "completion"])
 def test_refit_objective_matches_a_brute_force_reference(monkeypatch, path):
-    """`_refit_gram`, cold and warm, by the default path and by the forced
+    """`refit_gram`, cold and warm, by the default path and by the forced
     completion, reaches the least objective over all sign patterns."""
     if path == "completion":
         monkeypatch.setattr(solver, "_sign_pattern_solve", lambda *args: None)
@@ -662,6 +650,6 @@ def test_refit_objective_matches_a_brute_force_reference(monkeypatch, path):
     for H, c, lam in refit_problems():
         want = _refit_objective_by_enumeration(H, c, lam)
         for theta0 in (np.zeros(c.size), rng.standard_normal(c.size)):
-            theta = solver._refit_gram(H, c, theta0, lam)
+            theta = refit_gram(H, c, theta0, lam)
             got = refit_objective(H, c, theta, lam)
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (lam, got, want)
