@@ -77,10 +77,10 @@ def _lasso_solve(H, c, lam_j, theta0):
 
 def lasso(data: Dataset, lam: float) -> np.ndarray:
     """Standard lasso on all samples: sum of squared residuals + lam * ||theta||_1.
-    A lam that is not finite and >= 0, or non-finite X or y, raise ValueError."""
+    A lam that is not finite and >= 0 raises ValueError."""
     _check_nonneg("lam", lam)
     X, y, p = data.X, data.y, data.p
-    return _lasso_solve(_gram(X, y).H, X.T @ y, np.full(p, lam), np.zeros(p))
+    return _lasso_solve(_gram(X).H, X.T @ y, np.full(p, lam), np.zeros(p))
 
 
 def _mad_scale(resid) -> float:
@@ -164,12 +164,12 @@ def adaptive_huber_lasso(data: Dataset, lam: float) -> np.ndarray:
     a solution that does not lower the objective.  A stage that has not
     settled after `solver._MAX_ROUNDS` partition rounds, or a scale that
     has not settled after 12 rounds, warns and goes on with the last
-    iterate, as `trimmed_lasso` does.  A lam that is not finite and >= 0,
-    or non-finite X or y, raise ValueError.
+    iterate, as `trimmed_lasso` does.  A lam that is not finite and >= 0
+    raises ValueError.
     """
     _check_nonneg("lam", lam)
     X, y = data.X, data.y
-    gram = _gram(X, y)
+    gram = _gram(X)
     lam_j = np.full(X.shape[1], float(lam))
     theta = _lasso_solve(gram.H, X.T @ y, lam_j, np.zeros(X.shape[1]))
 
@@ -200,8 +200,8 @@ def trimmed_lasso(data: Dataset, lam: float,
     repeats.  A kept set that does not reach a fixed point, because it
     cycles or runs `solver._MAX_ROUNDS` rounds, warns.  Returns the last
     fit and the kept set it was fitted on, as a boolean mask.  A lam that
-    is not finite and >= 0, a trim_count that is not an integer in
-    [0, n), or non-finite X or y, raise ValueError.
+    is not finite and >= 0, or a trim_count that is not an integer in
+    [0, n), raise ValueError.
     """
     _check_nonneg("lam", lam)
     _check_int("trim_count", trim_count, 0)

@@ -2,15 +2,15 @@
 outlier proportion, with per-trial CSV rows, aggregated curves and SVG
 panels.
 
-Trials are independent (seed x cell x method) and run on a process pool
-capped by the INVEX_THREADS environment variable; results are reduced in a
-fixed (cell, seed, method) order so output bytes do not depend on
-scheduling.  A dataset depends only on the config, the cell's r and
-n_outliers and the seed, not on m or the method, so the trials that share
-one generate it once per process per sweep.  Wall-clock timings go to a
-separate timings.csv because the result files are byte-reproducible; a
-trial's wall_ms includes generation only when it is the first in its
-process to need that dataset.  `certify_at_true_support` is the one
+Trials are independent (seed x cell x method) and run on a pool of
+`run_sweep`'s `workers` processes; results are reduced in a fixed
+(cell, seed, method) order so output bytes do not depend on scheduling.
+A dataset depends only on the config, the cell's r and n_outliers and the
+seed, not on m or the method, so the trials that share one generate it
+once per process per sweep.  Wall-clock timings go to a separate
+timings.csv because the result files are byte-reproducible; a trial's
+wall_ms includes generation only when it is the first in its process to
+need that dataset.  `certify_at_true_support` is the one
 certificate recipe, for the `kkt_feasible` column and `invexreg certify`.
 """
 
@@ -199,17 +199,13 @@ def _dataset(cfg: ExperimentConfig, r: int, n_outliers: int, seed: int) -> Datas
     """The trial dataset, generated once per process while a sweep runs.
 
     The frozen config is in the key, so every field the generator reads is
-    too.  The arrays are read-only because trials share them.  A failed
-    generation raises and is not cached.  With more seeds than `maxsize`
-    the (cell, seed, method) task order still shares each dataset across
-    the methods of one (cell, seed)."""
+    too.  A failed generation raises and is not cached.  With more seeds
+    than `maxsize` the (cell, seed, method) task order still shares each
+    dataset across the methods of one (cell, seed)."""
     gt = GroundTruthConfig(p=cfg.p, k=cfg.k, M=l1_budget(cfg.k), sigma_e=cfg.sigma_e)
     spec = GenSpec(ground_truth=gt, r=r, n_outliers=n_outliers, seed=seed,
                    max_resamples=cfg.max_resamples, rho_min=cfg.rho_min)
-    data = generate(spec)
-    for arr in (data.X, data.y, data.labels, data.theta_star):
-        arr.flags.writeable = False
-    return data
+    return generate(spec)
 
 
 def run_trial(cfg: ExperimentConfig, cell: dict, seed: int, method: str) -> tuple[dict, float]:
@@ -231,7 +227,7 @@ def run_trial(cfg: ExperimentConfig, cell: dict, seed: int, method: str) -> tupl
             res = solve_invex(data, scfg)
             theta = res.theta_hat
             row["mistakes_frac"] = clean_recovery_mistakes(res.b_rounded, data.labels, m)
-            row["delta_m"] = theory_delta_m(l1_budget(cfg.k), lam, cfg.k, 1.0, m)
+            row["delta_m"] = theory_delta_m(l1_budget(cfg.k), lam, cfg.k, m)
             row["kkt_feasible"] = certify_at_true_support(data, res.b_rounded, lam)[-1]
         elif method == "lasso":
             theta = lasso(data, lam)
@@ -323,26 +319,14 @@ def _plots(agg: list[dict], cells: list[dict], cfg: ExperimentConfig,
     return paths
 
 
-def _env_workers(value: str) -> int:
-    """Parse INVEX_THREADS: a positive integer, or a ValueError naming it."""
-    try:
-        workers = int(value)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ValueError(f"INVEX_THREADS must be a positive integer, got {value!r}")
-    return workers
-
-
 def run_sweep(cfg: ExperimentConfig, workers: int | None = None) -> dict:
     """Execute the sweep; returns paths and the in-memory row list.
 
-    `workers` must be a positive integer; None reads INVEX_THREADS, else
+    `workers`, the process count, must be a positive integer; None means
     the CPU count.
     """
     if workers is None:
-        env = os.environ.get("INVEX_THREADS")
-        workers = _env_workers(env) if env else (os.cpu_count() or 1)
+        workers = os.cpu_count() or 1
     elif workers < 1:
         raise ValueError(f"workers must be a positive integer, got {workers!r}")
     cells = cfg.cells()   # rejects a bad grid before anything is written

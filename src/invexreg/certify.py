@@ -40,6 +40,8 @@ __all__ = [
 ]
 
 _TOL = 1e-8   # slack allowed on every dual and primal feasibility inequality
+_KAPPA = 0.5  # incoherence margin kappa of the primal-dual witness
+_MAX_REJECTS = 500   # draws per lifted matrix in `invexity_witness`
 
 
 class EmptySupport(ValueError):
@@ -90,8 +92,6 @@ class AssumptionReport:
     max_eig_SS: float
     incoherence: float
     kappa_implied: float
-    alpha1: float
-    alpha2: float
     pass_min_eig: bool
     pass_max_eig: bool
     pass_incoherence: bool
@@ -203,15 +203,14 @@ def kkt_residuals(cert: DualCertificate, data: Dataset, selection: np.ndarray,
 
 
 def assumption_check(data: Dataset, support: np.ndarray,
-                     selection: np.ndarray | None = None,
-                     alpha1: float = 1.0, alpha2: float = 1.0,
-                     kappa: float = 0.5) -> AssumptionReport:
+                     selection: np.ndarray | None = None) -> AssumptionReport:
     """Finite-sample spectrum and incoherence diagnostics.
 
     Uses the selected rows when a selection is given, otherwise the rows
-    labeled clean.  alpha1/alpha2/kappa are population quantities supplied
-    by configuration (defaults match identity covariance); estimates from
-    data are diagnostic only.
+    labeled clean.  The thresholds take the population constants as fixed:
+    eigenvalue bounds alpha1 = alpha2 = 1, since the generator's predictors
+    are standard Gaussian, and the witness's incoherence margin
+    kappa = `_KAPPA` (Wainwright 2009); estimates from data are diagnostic.
     """
     support = _as_rows(support, data.p, "support")
     if support.size == 0:
@@ -242,11 +241,9 @@ def assumption_check(data: Dataset, support: np.ndarray,
         max_eig_SS=max_eig,
         incoherence=incoherence,
         kappa_implied=1.0 - incoherence,
-        alpha1=alpha1,
-        alpha2=alpha2,
-        pass_min_eig=bool(min_eig >= 0.5 * alpha1),
-        pass_max_eig=bool(max_eig <= 1.5 * alpha2),
-        pass_incoherence=bool(incoherence <= 1.0 - 0.5 * kappa),
+        pass_min_eig=bool(min_eig >= 0.5),
+        pass_max_eig=bool(max_eig <= 1.5),
+        pass_incoherence=bool(incoherence <= 1.0 - 0.5 * _KAPPA),
     )
 
 
@@ -263,7 +260,7 @@ def _solve_on_support(SS: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def strict_dual_feasibility(data: Dataset, selection: np.ndarray,
                             th_S: np.ndarray, lam: float,
                             support: np.ndarray,
-                            kappa: float = 0.5) -> tuple[float, bool]:
+                            kappa: float = _KAPPA) -> tuple[float, bool]:
     """Off-support subgradient bound from the stationarity split.
 
     Computes the off-support subgradient implied by the selected rows'
@@ -328,8 +325,7 @@ def invexity_gap(data: Dataset, b: np.ndarray, V: np.ndarray,
     return gap, bilinear
 
 
-def invexity_witness(data: Dataset, trials: int, seed: int = 0,
-                     max_rejects: int = 500) -> tuple[float, float]:
+def invexity_witness(data: Dataset, trials: int, seed: int = 0) -> tuple[float, float]:
     """Sample feasible pairs and evaluate the invexity gap numerically.
 
     Returns (min gap, max |bilinear part|) over the trials, at lam = 1 and
@@ -348,7 +344,7 @@ def invexity_witness(data: Dataset, trials: int, seed: int = 0,
         return project_b(rng.uniform(-0.2, 1.2, size=n), bset)
 
     def sample_vartheta():
-        for _ in range(max_rejects):
+        for _ in range(_MAX_REJECTS):
             theta = rng.standard_normal(p)
             Q = rng.standard_normal((p + 1, 2))
             W = lift_parameter(theta) + rng.uniform(0.0, 0.5) * (Q @ Q.T)
@@ -356,7 +352,7 @@ def invexity_witness(data: Dataset, trials: int, seed: int = 0,
             if sample_losses(X, y, V).min() >= 0.05:
                 return V
         raise RejectionExhausted(
-            f"no feasible lifted matrix with losses >= 0.05 after {max_rejects} draws")
+            f"no feasible lifted matrix with losses >= 0.05 after {_MAX_REJECTS} draws")
 
     min_gap = np.inf
     bilinear_max = 0.0

@@ -43,7 +43,6 @@ def _build_parser() -> _Parser:
     g.add_argument("--outliers", type=int, default=0)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--sigma-e", type=float, default=0.1)
-    g.add_argument("--M", type=float, default=None, help="L1 budget (default 1.1k)")
     g.add_argument("--rho-min", type=float, default=0.0)
     g.add_argument("--max-resamples", type=int, default=100)
     g.add_argument("--out", required=True, help="output path prefix")
@@ -78,8 +77,7 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_gen(args) -> int:
-    M = args.M if args.M is not None else l1_budget(args.k)
-    gt = GroundTruthConfig(p=args.p, k=args.k, M=M, sigma_e=args.sigma_e)
+    gt = GroundTruthConfig(p=args.p, k=args.k, M=l1_budget(args.k), sigma_e=args.sigma_e)
     spec = GenSpec(ground_truth=gt, r=args.r, n_outliers=args.outliers,
                    seed=args.seed, max_resamples=args.max_resamples,
                    rho_min=args.rho_min)

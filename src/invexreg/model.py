@@ -88,8 +88,10 @@ class GroundTruthConfig:
 class Dataset:
     """Design matrix, responses and per-sample clean/outlier tags.
 
-    Every label is CLEAN or OUTLIER and r is an integer in [0, n], or
-    ValueError names the field."""
+    X, y and theta_star are finite, every label is CLEAN or OUTLIER and r
+    is the count of CLEAN labels, or ValueError names the field.  The
+    arrays are stored as read-only views, because fits and the trials of a
+    sweep share them; a caller's own arrays stay writable."""
 
     X: np.ndarray              # (n, p)
     y: np.ndarray              # (n,)
@@ -111,16 +113,20 @@ class Dataset:
         if unknown:
             raise ValueError(f"labels must be {CLEAN!r} or {OUTLIER!r}, got {sorted(unknown)!r}")
         _check_int("r", self.r, 0)
-        if self.r > X.shape[0]:
-            raise ValueError(f"r must lie in [0, n={X.shape[0]}], got {self.r}")
-        object.__setattr__(self, "X", X)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "labels", labels)
-        if self.theta_star is not None:
-            ts = np.asarray(self.theta_star, dtype=float)
+        n_clean = int(np.count_nonzero(labels == CLEAN))
+        if self.r != n_clean:
+            raise ValueError(f"r must equal the count of clean labels, {n_clean}, got {self.r}")
+        ts = self.theta_star
+        if ts is not None:
+            ts = np.asarray(ts, dtype=float)
             if ts.shape != (X.shape[1],):
                 raise ValueError("theta_star must have length p")
-            object.__setattr__(self, "theta_star", ts)
+        _check_finite(("X", X), ("y", y), ("theta_star", ts))
+        for name, arr in (("X", X), ("y", y), ("labels", labels), ("theta_star", ts)):
+            if arr is not None:
+                arr = arr.view()
+                arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def n(self) -> int:
@@ -290,7 +296,7 @@ def load_dataset(prefix: str | Path) -> Dataset:
         y=np.asarray(rows_y, dtype=float),
         labels=np.asarray(labels),
         theta_star=None if theta_star is None else np.asarray(theta_star, dtype=float),
-        r=int(meta.get("r") or 0),
+        r=meta.get("r"),
         rho=rho,
         meta={k: meta.get(k) for k in _META_KEYS},
     )

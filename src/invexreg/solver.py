@@ -78,7 +78,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Dataset, _check_finite, _check_int, _check_nonneg, lifted_gram
+from .model import Dataset, _check_int, _check_nonneg, lifted_gram
 # unused here; the benchmark's traces and tests/test_bench.py look them up on this module
 from .model import sample_losses  # noqa: F401
 from .projections import project_psd_corner, prox_entrywise_l1  # noqa: F401
@@ -161,7 +161,6 @@ def solve_invex(data: Dataset, cfg: SolverConfig) -> SolveResult:
     Converged means the kept set reached a fixed point.  The rounded
     selection is the last kept set solved on and theta_hat the solve on
     it.  The trace holds the objective at theta = 0 and after each round.
-    Non-finite X or y raise ValueError.
     """
     if cfg.m > data.n:
         raise InfeasibleM(f"m={cfg.m} exceeds n={data.n}")
@@ -184,11 +183,9 @@ class _Gram:
     w: np.ndarray
 
 
-def _gram(X, y, w=None):
+def _gram(X, w=None):
     """The carried Gram at 0/1 weights w (all ones by default), formed once
-    per fit from the rows w keeps, from X itself when it keeps them all;
-    non-finite X or y raise ValueError."""
-    _check_finite(("X", X), ("y", y))
+    per fit from the rows w keeps, from X itself when it keeps them all."""
     if w is None:
         w = np.ones(X.shape[0])
     A = X if w.all() else X[w > 0.0]
@@ -247,10 +244,9 @@ def _c_steps(X, y, w, keep, shift, rank_one):
     rounds, fixed, objectives): the last solve, the weights and Gram form
     it solved on, the rounds run, whether w is a fixed point, and the
     objective, the squared residuals the weights keep plus `_penalty`, at
-    theta = 0 and after each round's b-step.  Non-finite X or y raise
-    ValueError.
+    theta = 0 and after each round's b-step.
     """
-    gram, theta = _gram(X, y, w), np.zeros(X.shape[1])
+    gram, theta = _gram(X, w), np.zeros(X.shape[1])
     objectives = [float(w @ (y * y)) + _penalty(theta, shift, rank_one)]
     seen, w_next = {w.tobytes()}, w
     for rounds in range(1, _MAX_ROUNDS + 1):
@@ -492,8 +488,7 @@ def refit(data: Dataset, selection: np.ndarray, lam: float,
     completion when a few corrections of that pattern do not reach the
     minimizer.  With `support` (columns, read like the selection), the
     regression runs on those columns only and is zero-padded back to
-    length p.  A negative or non-finite lam, or non-finite X or y on the
-    selected rows and columns, raise ValueError.
+    length p.  A negative or non-finite lam raises ValueError.
     """
     rows = _as_rows(selection, data.n)
     if rows.size < 1:
@@ -501,7 +496,6 @@ def refit(data: Dataset, selection: np.ndarray, lam: float,
     cols = np.arange(data.p) if support is None else _as_rows(support, data.p, "support")
     Xs = data.X[rows][:, cols]
     ys = data.y[rows]
-    _check_finite(("X", Xs), ("y", ys))
     _check_nonneg("lam", lam)
 
     theta = _gram_solve(Xs.T @ Xs, Xs.T @ ys, np.zeros(cols.size),

@@ -429,6 +429,8 @@ def test_baselines_make_no_svd_call(monkeypatch):
 @pytest.mark.parametrize("where", ["y", "X"])
 @pytest.mark.parametrize("method", ["lasso", "adahuber", "trimmed", "invex"])
 def test_baselines_reject_non_finite_data(method, where):
+    """The fits do not scan their data: Dataset refuses a NaN or inf at
+    construction, so no fit can be handed one."""
     rng = np.random.default_rng(13)
     data = clean_data(rng)
     X, y = data.X.copy(), data.y.copy()
@@ -436,13 +438,12 @@ def test_baselines_reject_non_finite_data(method, where):
         y[3] = np.nan
     else:
         X[2, 1] = np.inf
-    bad = Dataset(X=X, y=y, labels=data.labels, theta_star=data.theta_star, r=data.r)
     run = {"lasso": lambda d: lasso(d, 0.5),
            "adahuber": lambda d: adaptive_huber_lasso(d, 0.5),
            "trimmed": lambda d: trimmed_lasso(d, 0.5, 3),
            "invex": lambda d: solve_invex(d, SolverConfig(m=d.n - 3, lam=0.5))}[method]
     with pytest.raises(ValueError, match=f"^{where} must be finite"):
-        run(bad)
+        run(Dataset(X=X, y=y, labels=data.labels, theta_star=data.theta_star, r=data.r))
 
 
 @pytest.mark.parametrize("kind", ["zero_one", "ones"])
@@ -453,11 +454,10 @@ def test_weighted_gram_matches_direct_product(kind):
     rng = np.random.default_rng(18)
     n, p = 60, 7
     X = rng.standard_normal((n, p))
-    y = rng.standard_normal(n)
     w = np.ones(n)
     if kind == "zero_one":
         w[rng.random(n) < 0.3] = 0.0
-    gram = _gram(X, y)
+    gram = _gram(X)
     H = _weighted_gram(X, gram, w)
     H_direct = X.T @ (w[:, None] * X)
     assert np.array_equal(H, H.T)
@@ -488,8 +488,8 @@ def gram_updates(monkeypatch, completion_runs):
     real_gram, real_weighted = solver._gram, solver._weighted_gram
     real_stage = baselines._huber_stage
 
-    def spy_gram(X, y, w=None):
-        grams.append(real_gram(X, y, w))
+    def spy_gram(X, w=None):
+        grams.append(real_gram(X, w))
         return grams[-1]
 
     class Rows(np.ndarray):

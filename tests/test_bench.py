@@ -369,13 +369,6 @@ def test_memoized_dataset_is_read_only(tmp_path, generate_calls):
             arr[0] = arr[1]
 
 
-@pytest.mark.parametrize("bad", ["two", "0", "-3", "1.5"])
-def test_run_sweep_rejects_bad_invex_threads(tmp_path, monkeypatch, bad):
-    monkeypatch.setenv("INVEX_THREADS", bad)
-    with pytest.raises(ValueError, match=f"INVEX_THREADS.*{bad}"):
-        run_sweep(tiny_cfg(tmp_path))
-
-
 @pytest.mark.parametrize("bad", [0, -4])
 def test_run_sweep_rejects_bad_worker_count(tmp_path, bad):
     cfg = tiny_cfg(tmp_path)
@@ -431,6 +424,10 @@ def test_cli_pipeline(tmp_path):
              "--seed", "1", "--rho-min", "5", "--max-resamples", "500",
              "--sigma-e", "0.05", "--out", ds)
     assert r.returncode == 0, r.stderr
+    # the L1 budget is the sweep's rule, l1_budget(k), not a flag
+    r = _cli("gen", "--p", "4", "--k", "2", "--r", "4", "--M", "3",
+             "--out", str(tmp_path / "ds_M"))
+    assert r.returncode == 1 and "unrecognized arguments: --M" in r.stderr
     r = _cli("solve", "--data", ds, "--m", "4", "--lam", "1.18",
              "--out", str(tmp_path / "res.json"))
     assert r.returncode == 0, r.stderr
@@ -449,6 +446,7 @@ def test_cli_pipeline(tmp_path):
     assert cert["dual_certificate"]["feasible"] is True
     assert cert["kkt_report"]["second_eig"] > 0
     assert set(cert["strict_dual"]) == {"omega_bar_inf", "pass"}
+    assert not {"alpha1", "alpha2"} & set(cert["assumption_report"])
     # the assumption constants are the library defaults, not flags
     for flag in ("--kappa", "--alpha1", "--alpha2"):
         r = _cli("certify", "--data", ds, "--result", str(tmp_path / "res.json"),
@@ -474,6 +472,25 @@ def test_cli_pipeline(tmp_path):
              "--out", str(tmp_path / "cert_old.json"))
     assert r.returncode == 0, r.stderr
     assert (tmp_path / "cert_old.json").read_bytes() == (tmp_path / "cert.json").read_bytes()
+
+
+def test_cli_refuses_a_dataset_with_a_nan(tmp_path):
+    """A NaN in X is refused when the dataset loads, naming X, even on a row
+    that the result does not select."""
+    gt = GroundTruthConfig(p=4, k=2, M=2.2, sigma_e=0.05)
+    csv_path, _ = save_dataset(generate(GenSpec(ground_truth=gt, r=4, n_outliers=4,
+                                                seed=0)), tmp_path / "ds")
+    rows = csv_path.read_text().splitlines()
+    cells = rows[-1].split(",")   # the last row, which the result does not select
+    cells[1] = "nan"
+    rows[-1] = ",".join(cells)
+    csv_path.write_text("\n".join(rows) + "\n")
+    (tmp_path / "res.json").write_text(json.dumps(
+        {"b_rounded": [1.0] * 4 + [0.0] * 4, "config": {"lam": 1.18}}))
+    for args in (("solve", "--m", "4"), ("certify", "--result", str(tmp_path / "res.json"))):
+        r = _cli(*args, "--data", str(tmp_path / "ds"), "--out", str(tmp_path / "out.json"))
+        assert r.returncode == 2
+        assert "ValueError: X must be finite" in r.stderr
 
 
 @pytest.mark.parametrize("pick", ["solver", "worst_outlier"])

@@ -256,7 +256,7 @@ def test_invexity_rejection_exhausted():
     data = Dataset(X=np.zeros((3, 2)), y=np.zeros(3),
                    labels=np.array([CLEAN] * 3), r=3)
     with pytest.raises(RejectionExhausted):
-        invexity_witness(data, trials=1, seed=0, max_rejects=20)
+        invexity_witness(data, trials=1, seed=0)
 
 
 def test_nonconvexity_witness_signs():

@@ -63,6 +63,24 @@ def test_model_and_projections_import_nothing_from_the_package():
         assert inside == [], name
 
 
+def test_package_reads_no_environment_variable():
+    """Every setting is an argument, so a run depends only on its call or
+    command line; neither an import nor an attribute chain may reach
+    os.environ, os.getenv or os.putenv."""
+    banned = {"environ", "getenv", "putenv"}
+    paths = sorted(SRC.glob("*.py"))
+    assert paths
+    found = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module == "os":
+                found += [(path.name, a.name) for a in node.names if a.name in banned]
+            elif isinstance(node, ast.Attribute) and node.attr in banned \
+                    and isinstance(node.value, ast.Name) and node.value.id == "os":
+                found.append((path.name, node.lineno))
+    assert found == []
+
+
 def _private(dotted: str) -> bool:
     """A dotted name passes through a private module or attribute: a part
     that starts with '_' and is not a dunder such as __version__."""

@@ -28,8 +28,8 @@ def test_jaccard_disjoint_and_empty():
 def test_jaccard_zero_tol():
     a = np.array([1e-9, 1.0])
     b = np.array([0.0, 1.0])
-    assert support_jaccard(a, b) == 1.0            # below default tolerance
-    assert support_jaccard(a, b, zero_tol=1e-12) == 0.5
+    assert support_jaccard(a, b) == 1.0            # below the tolerance
+    assert support_jaccard(np.array([1e-5, 1.0]), b) == 0.5   # above it
 
 
 def test_jaccard_symmetric_and_permutation_invariant():
@@ -66,18 +66,18 @@ def test_mistakes_requires_exact_m():
 
 
 def test_delta_m_direct_substitution():
-    assert abs(theory_delta_m(1.0, 10.0, 4, 1.0, 100) - 1.2) <= 1e-12
+    assert abs(theory_delta_m(1.0, 10.0, 4, 100) - 1.2) <= 1e-12
 
 
 def test_delta_m_scaling():
     # with lam proportional to sqrt(m), quadrupling m halves the bound
-    d1 = theory_delta_m(1.0, np.sqrt(100.0), 4, 1.0, 100)
-    d2 = theory_delta_m(1.0, np.sqrt(400.0), 4, 1.0, 400)
+    d1 = theory_delta_m(1.0, np.sqrt(100.0), 4, 100)
+    d2 = theory_delta_m(1.0, np.sqrt(400.0), 4, 400)
     assert abs(d1 - 2.0 * d2) <= 1e-12
     # vanishing bound at fixed lam as m grows
-    assert theory_delta_m(1.0, 5.0, 4, 1.0, 10**9) < 1e-6
+    assert theory_delta_m(1.0, 5.0, 4, 10**9) < 1e-6
 
 
 def test_delta_m_validates():
     with pytest.raises(ValueError):
-        theory_delta_m(0.0, 1.0, 1, 1.0, 1)
+        theory_delta_m(0.0, 1.0, 1, 1)

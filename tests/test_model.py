@@ -179,12 +179,45 @@ def test_dataset_rejects_an_unknown_label(tmp_path):
         load_dataset(tmp_path / "ds")
 
 
-@pytest.mark.parametrize("r, match", [(4, "r must lie in \\[0, n=3\\], got 4"),
+@pytest.mark.parametrize("r, match", [(4, "r must equal the count of clean labels, 3, got 4"),
                                       (-1, "r must be an integer >= 0, got -1"),
                                       (1.5, "r must be an integer >= 0, got 1.5")])
 def test_dataset_rejects_a_clean_count_outside_0_to_n(r, match):
     with pytest.raises(ValueError, match=match):
         Dataset(X=np.zeros((3, 2)), y=np.zeros(3), labels=np.array([CLEAN] * 3), r=r)
+
+
+def test_dataset_r_is_the_count_of_clean_labels(tmp_path):
+    """An r of 0 over clean labels, or a sidecar with no r, would make the
+    sidecar's clean count disagree with the labels."""
+    with pytest.raises(ValueError, match="r must equal the count of clean labels, 2, got 0"):
+        Dataset(X=np.zeros((3, 1)), y=np.zeros(3), labels=np.array([CLEAN] * 2 + [OUTLIER]))
+    _, json_path = nine_row_dataset(tmp_path)
+    meta = json.loads(json_path.read_text())
+    del meta["r"]
+    json_path.write_text(json.dumps(meta))
+    with pytest.raises(ValueError, match="r must be an integer >= 0, got None"):
+        load_dataset(tmp_path / "ds")
+
+
+def test_dataset_rejects_non_finite_data_and_stores_read_only_views():
+    """Every fit, the certificate and the metrics read these arrays, so a
+    NaN or inf is refused once, here, with the field's name."""
+    X, y, theta_star = np.ones((3, 2)), np.ones(3), np.ones(2)
+    for name in ("X", "y", "theta_star"):
+        for bad in (np.nan, np.inf):
+            arrays = {"X": X.copy(), "y": y.copy(), "theta_star": theta_star.copy()}
+            arrays[name].flat[-1] = bad
+            with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                Dataset(labels=np.array([CLEAN] * 3), r=3, **arrays)
+    labels = np.array([CLEAN] * 3)
+    data = Dataset(X=X, y=y, labels=labels, theta_star=theta_star, r=3)
+    for mine, stored in ((X, data.X), (y, data.y), (labels, data.labels),
+                         (theta_star, data.theta_star)):
+        assert np.shares_memory(mine, stored)
+        with pytest.raises(ValueError, match="read-only"):
+            stored[0] = stored[1]
+        mine[0] = mine[1]
 
 
 def test_load_dataset_rejects_a_sidecar_n_that_is_not_the_row_count(tmp_path):

@@ -150,7 +150,8 @@ def test_refit_names_a_malformed_support(support, match):
 @pytest.mark.parametrize("where", ["X", "y", "lam", "negative lam"])
 def test_refit_rejects_non_finite_input(where):
     """A negative lam makes the refit unbounded below, so it is refused
-    like a non-finite one."""
+    like a non-finite one. A non-finite X or y is refused by Dataset
+    before refit can see it."""
     rng = np.random.default_rng(17)
     data = all_clean_dataset(rng, 30, 5, np.array([1.0, -0.5, 0.0, 0.25, 0.0]))
     X, y = data.X.copy(), data.y.copy()
@@ -161,23 +162,8 @@ def test_refit_rejects_non_finite_input(where):
         y[3] = np.nan
     else:
         lam = np.inf if where == "lam" else -1.0
-    bad = Dataset(X=X, y=y, labels=data.labels, r=data.r)
     with pytest.raises(ValueError, match=f"^{where.split()[-1]} must be finite"):
-        refit(bad, np.ones(data.n), lam)
-
-
-def test_refit_checks_only_the_selected_rows_and_columns():
-    rng = np.random.default_rng(18)
-    data = all_clean_dataset(rng, 12, 3, np.array([0.5, 0.0, -1.0]))
-    X, y = data.X.copy(), data.y.copy()
-    X[0, 0] = np.inf   # unselected row
-    X[5, 1] = np.nan   # column outside the support
-    y[0] = np.nan
-    bad = Dataset(X=X, y=y, labels=data.labels, r=data.r)
-    rows = np.arange(1, data.n)
-    got = refit(bad, rows, 0.3, support=np.array([0, 2]))
-    want = refit(data, rows, 0.3, support=np.array([0, 2]))
-    assert np.array_equal(got, want)
+        refit(Dataset(X=X, y=y, labels=data.labels, r=data.r), np.ones(data.n), lam)
 
 
 @pytest.mark.parametrize("support", [np.array([-1]), np.array([0, 3])])
