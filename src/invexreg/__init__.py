@@ -20,8 +20,8 @@ from .model import (Dataset, GroundTruthConfig, lift_parameter, lift_sample,
                     load_dataset, objective, sample_losses, save_dataset,
                     squared_loss)
 from .oracle import OracleResult, enumerate_best_subset, grid_search_theta
-from .projections import BFeasibleSet, project_b, project_psd_corner, prox_entrywise_l1
-from .solver import SolveResult, SolverConfig, grad_vartheta, refit, solve_invex
+from .projections import BFeasibleSet, project_b, project_psd_corner
+from .solver import SolveResult, SolverConfig, refit, solve_invex
 
 __version__ = "0.1.0"
 
@@ -30,11 +30,11 @@ __all__ = [
     "DualCertificate", "ExperimentConfig", "GenSpec", "GroundTruthConfig",
     "KKTReport", "OracleResult", "SolveResult", "SolverConfig", "adaptive_huber_lasso",
     "assumption_check", "build_duals", "clean_recovery_mistakes",
-    "enumerate_best_subset", "generate", "grad_vartheta", "grid_search_theta", "invexity_gap",
+    "enumerate_best_subset", "generate", "grid_search_theta", "invexity_gap",
     "invexity_witness", "kkt_residuals", "lasso", "lift_parameter", "lift_sample",
     "load_dataset", "nonconvexity_witness",
     "norm_error", "objective", "project_b", "project_psd_corner",
-    "prox_entrywise_l1", "refit", "run_sweep", "sample_losses",
+    "refit", "run_sweep", "sample_losses",
     "save_dataset", "solve_invex", "squared_loss", "strict_dual_feasibility",
     "support_jaccard", "theory_delta_m", "trimmed_lasso",
 ]

@@ -83,9 +83,20 @@ def lasso(data: Dataset, lam: float) -> np.ndarray:
     return _lasso_solve(_gram(X).H, X.T @ y, np.full(p, lam), np.zeros(p))
 
 
+def _median(a) -> np.float64:
+    """numpy's median of a non-empty finite 1-d array, bit for bit, without
+    its NaN check, whose first call in a process imports numpy.ma.  Like
+    numpy, it takes the mean of the middle slice of a partition, which also
+    makes a middle -0.0 come back as +0.0."""
+    n = a.size
+    k = n // 2
+    part = np.partition(a, k if n % 2 else (k - 1, k))
+    return np.mean(part[k - 1 + n % 2:k + 1])
+
+
 def _mad_scale(resid) -> float:
-    med = np.median(resid)
-    return 1.4826 * float(np.median(np.abs(resid - med)))
+    med = _median(resid)
+    return 1.4826 * float(_median(np.abs(resid - med)))
 
 
 def _huber_stage(X, y, gram, theta, delta, lam_j):

@@ -10,8 +10,11 @@ seed, not on m or the method, so the trials that share one generate it
 once per process per sweep.  Wall-clock timings go to a separate
 timings.csv because the result files are byte-reproducible; a trial's
 wall_ms includes generation only when it is the first in its process to
-need that dataset.  `certify_at_true_support` is the one
-certificate recipe, for the `kkt_feasible` column and `invexreg certify`.
+need that dataset, and the first generation in a process also imports
+numpy.random.  No trial pays any other first-use import
+(tests/test_dependencies.py checks this).  `certify_at_true_support` is
+the one certificate recipe, for the `kkt_feasible` column and `invexreg
+certify`.
 """
 
 from __future__ import annotations
@@ -213,7 +216,9 @@ def run_trial(cfg: ExperimentConfig, cell: dict, seed: int, method: str) -> tupl
 
     Trials that share (config, r, n_outliers, seed) share one dataset,
     generated by the first of them in each process during a sweep, so only
-    that trial's wall seconds include generation."""
+    that trial's wall seconds include generation (and, for the process's
+    first dataset, the import of numpy.random).  No method imports a module
+    on its first trial."""
     t0 = time.perf_counter()
     row = dict.fromkeys(RESULT_COLUMNS)
     row.update(method=method, p=cfg.p, k=cfg.k, m=cell["m"], r=cell["r"],
@@ -322,12 +327,14 @@ def _plots(agg: list[dict], cells: list[dict], cfg: ExperimentConfig,
 def run_sweep(cfg: ExperimentConfig, workers: int | None = None) -> dict:
     """Execute the sweep; returns paths and the in-memory row list.
 
-    `workers`, the process count, must be a positive integer; None means
-    the CPU count.
+    `workers`, the process count, must be a positive integer (a Python or
+    numpy integer, not a bool), or ValueError is raised before anything is
+    written; None means the CPU count.
     """
     if workers is None:
         workers = os.cpu_count() or 1
-    elif workers < 1:
+    elif isinstance(workers, bool) or not isinstance(workers, (int, np.integer)) \
+            or workers < 1:
         raise ValueError(f"workers must be a positive integer, got {workers!r}")
     cells = cfg.cells()   # rejects a bad grid before anything is written
     outdir = Path(cfg.output_dir)

@@ -60,13 +60,12 @@ def _build_parser() -> _Parser:
     c.add_argument("--result", required=True, help="solve result JSON")
     c.add_argument("--out", required=True)
 
-    o = sub.add_parser("oracle", help="enumerate the best subset (tiny instances)")
+    o = sub.add_parser("oracle", help="enumerate the best size-m subset of a tiny "
+                                      "instance: writes J*, its refit and objective")
     o.add_argument("--data", required=True)
     o.add_argument("--m", type=int, required=True)
     o.add_argument("--lam", type=float, required=True)
     o.add_argument("--cap", type=int, default=100_000)
-    o.add_argument("--table", action="store_true",
-                   help="include per-subset objectives")
     o.add_argument("--out", required=True)
 
     w = sub.add_parser("sweep", help="run an experiment sweep from a config")
@@ -124,8 +123,7 @@ def _cmd_certify(args) -> int:
 
 def _cmd_oracle(args) -> int:
     data = load_dataset(args.data)
-    res = enumerate_best_subset(data, args.m, args.lam, cap=args.cap,
-                                keep_table=args.table)
+    res = enumerate_best_subset(data, args.m, args.lam, cap=args.cap)
     _write_json(args.out, res)
     print(f"wrote {args.out} (J*={list(res.J_star)}, objective={res.objective:.6g})")
     return 0

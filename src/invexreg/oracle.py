@@ -29,7 +29,6 @@ class OracleResult:
     J_star: tuple[int, ...]
     theta_under: np.ndarray          # the refit on J_star
     objective: float
-    per_subset_objectives: list[tuple[tuple[int, ...], float]] | None = None
 
 
 def subset_objective(data: Dataset, rows: np.ndarray, theta: np.ndarray,
@@ -43,8 +42,8 @@ def subset_objective(data: Dataset, rows: np.ndarray, theta: np.ndarray,
     return float(res @ res + lam * (np.abs(theta).sum() + 1.0) ** 2)
 
 
-def enumerate_best_subset(data: Dataset, m: int, lam: float, cap: int = 100_000,
-                          keep_table: bool = False) -> OracleResult:
+def enumerate_best_subset(data: Dataset, m: int, lam: float,
+                          cap: int = 100_000) -> OracleResult:
     """Solve the subset-selection regression exactly by enumeration.
 
     The inner regression is convex, so one `refit` per subset solves it.
@@ -58,18 +57,14 @@ def enumerate_best_subset(data: Dataset, m: int, lam: float, cap: int = 100_000,
     if total > cap:
         raise CombinatorialBlowup(f"C({n},{m}) = {total} exceeds cap {cap}")
     best = None
-    table = [] if keep_table else None
     for J in combinations(range(n), m):
         rows = np.asarray(J, dtype=int)
         theta = refit(data, rows, lam)
         obj = subset_objective(data, rows, theta, lam)
-        if table is not None:
-            table.append((J, obj))
         if best is None or obj < best[1] - 1e-12:
             best = (J, obj, theta)
     J_star, objective, theta = best
-    return OracleResult(J_star=tuple(J_star), theta_under=theta,
-                        objective=objective, per_subset_objectives=table)
+    return OracleResult(J_star=tuple(J_star), theta_under=theta, objective=objective)
 
 
 def grid_search_theta(data: Dataset, rows: np.ndarray, lam: float,

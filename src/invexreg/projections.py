@@ -1,7 +1,7 @@
 """Euclidean projections and proximal operators for the lifted feasible set.
 
 Three pieces: projection onto the box-with-minimum-sum polytope for the
-selection weights, an alternating-projection feasibility operator for the
+selection weights, a one-shift feasibility repair for the
 PSD-with-fixed-corner matrix set, and the entrywise soft-threshold prox.
 Matrices are plain float arrays; `project_psd_corner` returns one that is
 feasible in the sense of `model`: symmetric PSD with V[-1, -1] == 1.
@@ -61,7 +61,6 @@ def project_b(v: np.ndarray, bset: BFeasibleSet) -> np.ndarray:
     return np.ones_like(v)  # beyond the last breakpoint everything saturates
 
 
-_REPAIR_ROUNDS = 200   # rounds of the alternating repair
 _REPAIR_TOL = 1e-9     # eigenvalue violation the repair accepts
 
 
@@ -71,14 +70,11 @@ def project_psd_corner(Mtx: np.ndarray) -> np.ndarray:
     Symmetrizes the input and pins the corner entry, then tests feasibility
     with a Cholesky factorization of S + tol I, tol = `_REPAIR_TOL`.  When
     that succeeds (minimum eigenvalue above -tol) S is returned as is, with
-    no eigendecomposition.  Only when it fails does the repair run:
-    alternate eigenvalue clipping with pinning the corner until the
-    remaining eigenvalue violation is within tol (or `_REPAIR_ROUNDS` run
-    out).  Alternating projections stall sublinearly when the limit touches
-    the cone boundary tangentially, so any leftover violation eps is
-    removed exactly by the feasible map S -> (S + eps I) / (1 + eps), which
-    keeps the corner at 1.  The result is a feasibility operator, not the
-    exact joint projection.
+    no eigendecomposition.  When it fails, one `eigvalsh` gives
+    eps = -lambda_min(S) and S is shifted by the feasible map
+    S -> (S + eps I) / (1 + eps), which makes the minimum eigenvalue zero and
+    keeps the corner at 1.  The result is a feasible point, not the
+    Euclidean projection: an indefinite input comes back shifted and scaled.
     """
     S = np.asarray(Mtx, dtype=float)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
@@ -92,22 +88,9 @@ def project_psd_corner(Mtx: np.ndarray) -> np.ndarray:
         return S
     except np.linalg.LinAlgError:
         pass
-    w0 = None
-    for _ in range(_REPAIR_ROUNDS):
-        w, U = np.linalg.eigh(S)
-        w0 = w[0]
-        if w0 >= -_REPAIR_TOL:
-            break
-        S = (U * np.maximum(w, 0.0)) @ U.T
-        S = 0.5 * (S + S.T)
-        S[-1, -1] = 1.0
-        w0 = None
-    if w0 is None:
-        w0 = float(np.linalg.eigvalsh(S)[0])
-    if w0 < 0.0:
-        eps = -w0
-        S = (S + eps * np.eye(S.shape[0])) / (1.0 + eps)
-        S[-1, -1] = 1.0
+    eps = -float(np.linalg.eigvalsh(S)[0])
+    S = (S + eps * np.eye(S.shape[0])) / (1.0 + eps)
+    S[-1, -1] = 1.0
     return S
 
 

@@ -123,6 +123,17 @@ def test_adahuber_sane_on_clean_data():
     assert err_h <= 2.0 * err_l + 1e-6
 
 
+def test_median_matches_numpy_bit_for_bit():
+    """The MAD scale's median is np.median's, sign of zero included."""
+    rng = np.random.default_rng(12)
+    arrays = [np.array([1.0, -0.0, 0.0, 2.0, -3.0]), np.array([-0.0, 0.0, -0.0, 0.0])]
+    for n in [*range(1, 41), 1106, 1107]:
+        a = rng.standard_normal(n)
+        arrays += [a, np.abs(a), rng.integers(-2, 3, n).astype(float)]  # the last has ties
+    for a in arrays:
+        assert baselines._median(a).tobytes() == np.median(a).tobytes(), a.size
+
+
 def test_trimmed_zero_trim_is_lasso():
     rng = np.random.default_rng(7)
     data = clean_data(rng)

@@ -175,7 +175,7 @@ def test_config_json_round_trip(tmp_path):
 def test_run_sweep_outputs_and_determinism(tmp_path):
     cfg_a = tiny_cfg(tmp_path, output_dir=str(tmp_path / "a"))
     cfg_b = tiny_cfg(tmp_path, output_dir=str(tmp_path / "b"))
-    out_a = run_sweep(cfg_a, workers=2)
+    out_a = run_sweep(cfg_a, workers=np.int64(2))  # a numpy integer is a count too
     out_b = run_sweep(cfg_b, workers=1)  # different scheduling, same bytes
     res_a = (tmp_path / "a" / "results.csv").read_bytes()
     res_b = (tmp_path / "b" / "results.csv").read_bytes()
@@ -369,10 +369,11 @@ def test_memoized_dataset_is_read_only(tmp_path, generate_calls):
             arr[0] = arr[1]
 
 
-@pytest.mark.parametrize("bad", [0, -4])
+@pytest.mark.parametrize("bad", [0, -4, 2.5, True, "2"])
 def test_run_sweep_rejects_bad_worker_count(tmp_path, bad):
     cfg = tiny_cfg(tmp_path)
-    with pytest.raises(ValueError, match=f"workers.*{bad}"):
+    msg = f"workers must be a positive integer, got {bad!r}"
+    with pytest.raises(ValueError, match=re.escape(msg)):
         run_sweep(cfg, workers=bad)
     assert not (tmp_path / "out").exists()
 
@@ -395,6 +396,11 @@ def test_cli_usage_and_errors(tmp_path):
              "--lam", "1.0", "--cap", "3", "--out", str(tmp_path / "o.json"))
     assert r.returncode == 2
     assert "CombinatorialBlowup" in r.stderr
+    # the oracle writes no per-subset table
+    r = _cli("oracle", "--data", str(tmp_path / "ds"), "--m", "5", "--lam", "1.0",
+             "--table", "--out", str(tmp_path / "o.json"))
+    assert r.returncode == 1
+    assert "unrecognized arguments: --table" in r.stderr
     # a bad SolverConfig field is a runtime error that names the field, with
     # or without --lam (without it, lam is derived from m)
     for lam_args in ((), ("--lam", "1.0")):

@@ -299,7 +299,7 @@ def results():
     return {"SolveResult": res, "DualCertificate": cert, "KKTReport": rep,
             "AssumptionReport": assumption_check(data, support,
                                                  selection=res.b_rounded),
-            "OracleResult": enumerate_best_subset(data, 4, 1.18, keep_table=True)}
+            "OracleResult": enumerate_best_subset(data, 4, 1.18)}
 
 
 @pytest.mark.parametrize("name", ["SolveResult", "DualCertificate", "KKTReport",

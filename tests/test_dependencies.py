@@ -48,6 +48,27 @@ def test_importing_the_package_loads_no_process_pool():
     assert r.stdout.strip() == "[]"
 
 
+def test_a_trial_imports_no_module():
+    """A module a trial imports on first use is paid inside that trial's wall,
+    once in every pool worker.  Generating a process's first dataset imports
+    numpy.random; after that no trial of any method may import anything
+    (np.median's NaN check, for one, imports numpy.ma)."""
+    code = ("import sys\n"
+            "from invexreg import bench\n"
+            "cfg = bench.ExperimentConfig(p=6, k=2, clean_count_rule=24, outlier_rule='half', "
+            "C_values=(0.4, 0.8), c_lambda=0.1, seeds=(0, 1), sigma_e=0.1, "
+            "max_resamples=500)\n"
+            "cell = cfg.cells()[0]\n"
+            "bench._dataset(cfg, cell['r'], cell['n_outliers'], 0)\n"
+            "before = set(sys.modules)\n"
+            "rows = [bench.run_trial(cfg, cell, 0, method)[0] for method in bench.METHODS]\n"
+            "print([row['error'] for row in rows if row['error']])\n"
+            "print(sorted(set(sys.modules) - before))\n")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines() == ["[]", "[]"]
+
+
 def test_model_and_projections_import_nothing_from_the_package():
     """Every other module imports `model`, so it must stay a leaf; the
     projections are pure numpy."""

@@ -78,14 +78,6 @@ def test_combinatorial_blowup():
         enumerate_best_subset(data, 4, 1.0, cap=10)
 
 
-def test_per_subset_table():
-    data = tiny_instance(4)
-    res = enumerate_best_subset(data, 4, 1.0, keep_table=True)
-    assert len(res.per_subset_objectives) == 70  # C(8, 4)
-    best = min(v for _, v in res.per_subset_objectives)
-    assert abs(best - res.objective) <= 1e-12
-
-
 def test_grid_oracle_agrees_with_refit_at_p2():
     rng = np.random.default_rng(5)
     X = rng.standard_normal((6, 2))

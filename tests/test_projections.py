@@ -102,27 +102,54 @@ def test_psd_corner_already_feasible():
     assert np.abs(V - V0).max() <= 1e-9
 
 
-def test_psd_corner_feasible_input_skips_eigh(monkeypatch):
+@pytest.fixture
+def eig_calls(monkeypatch):
+    """Count the `eigh` and `eigvalsh` calls, by name."""
     calls = []
-    eigh = np.linalg.eigh
+    for name in ("eigh", "eigvalsh"):
+        def counting(a, *args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+            calls.append(_name)
+            return _fn(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counting)
+    return calls
 
-    def counting_eigh(a, *args, **kwargs):
-        calls.append(1)
-        return eigh(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+def test_psd_corner_feasible_input_skips_eigh(eig_calls):
     rng = np.random.default_rng(6)
     W = rng.standard_normal((6, 3))
     V0 = W @ W.T
     V0 /= V0[-1, -1]  # PSD, rank 3, corner exactly 1
     V = project_psd_corner(V0)
     assert np.array_equal(V, 0.5 * (V0 + V0.T))
-    assert calls == []
+    assert eig_calls == []
     S = rng.standard_normal((6, 6))
     V = project_psd_corner(S + S.T)  # indefinite: the repair still runs
-    assert calls
+    assert eig_calls == ["eigvalsh"]
     assert V[-1, -1] == 1.0
     assert np.linalg.eigvalsh(V)[0] >= -1e-9
+
+
+def test_psd_corner_repair_is_one_exact_shift(eig_calls):
+    """An infeasible S' (symmetrized, corner pinned) comes back as
+    (S' + eps I) / (1 + eps) with eps = -lambda_min(S') and the corner
+    pinned, after one eigvalsh and no eigh."""
+    rng = np.random.default_rng(7)
+    repaired = 0
+    for _ in range(40):
+        q = int(rng.integers(1, 15))
+        S = rng.standard_normal((q + 1, q + 1))
+        S1 = 0.5 * (S + S.T)
+        S1[-1, -1] = 1.0
+        eps = -np.linalg.eigvalsh(S1)[0]
+        if eps <= 1e-9:  # feasible: returned as is, as tested above
+            continue
+        repaired += 1
+        want = (S1 + eps * np.eye(q + 1)) / (1.0 + eps)
+        want[-1, -1] = 1.0
+        del eig_calls[:]
+        assert np.array_equal(project_psd_corner(S), want)
+        assert eig_calls == ["eigvalsh"]
+    assert repaired >= 30
 
 
 def test_psd_corner_negative_identity():
