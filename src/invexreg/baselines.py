@@ -8,19 +8,19 @@ comparison curves, not reference implementations.
 All three solve lasso problems on the Gram form: a quadratic
 theta^T H theta - 2 c^T theta, so every step costs a p x p product instead
 of two n x p ones (the covariance update of Friedman, Hastie & Tibshirani
-2010).  Each fit checks X and y and forms its Gram once
-(`solver._gram`), and then carries it from solve to solve as the pair
-(H, w): H = X^T diag(w) X at the 0/1 sample weights w it was last formed
-at.  A solve at new weights w' updates H by `solver._weighted_gram`,
-which touches only the rows whose weight changed, and c = X^T (w' y) is
-formed directly, one n x p product that cannot drift.
+2010).  The lasso solves on X^T X itself.  The other two fits carry one
+Gram from solve to solve, `solver._Gram`: H = X^T diag(w) X at the 0/1
+sample weights w it was last formed at, from H = 0 at w = 0.  A solve at
+new weights w' updates H by `_Gram.at`, which touches only the rows whose
+weight changed, and c = X^T (w' y) is formed directly, one n x p product
+that cannot drift.
 
 The trimmed lasso is sparse LTS (Alfons, Croux & Gelper 2013): the
 C-steps of `solver._c_steps`, the loop the invex solver runs, with the
 lasso's penalty, keeping n - trim_count rows from all n.  Its first round
-solves on X^T X itself, and each later round touches only the rows that
-swapped in or out of the kept set, a median of 36 of the 1107 on the
-fig2_p100 seed-0 cells, where every round drops 369 (the C-step updates of
+adds every row to the empty Gram, and each later round touches only the
+rows that swapped in or out of the kept set, a median of 36 of the 1107 on
+the fig2_p100 seed-0 cells, where every round drops 369 (the C-step updates of
 FAST-LTS, Rousseeuw & Van Driessen 2006).  Every update adds or subtracts
 a product A^T A, so the carried H stays exactly symmetric, and it stays
 within about 1e-15 relative of X^T W X formed from every row.
@@ -64,7 +64,7 @@ import numpy as np
 
 from . import solver
 from .model import Dataset, _check_int, _check_nonneg
-from .solver import _c_steps, _gram, _gram_solve, _weighted_gram
+from .solver import _Gram, _c_steps, _gram_solve
 
 __all__ = ["lasso", "adaptive_huber_lasso", "trimmed_lasso"]
 
@@ -80,7 +80,7 @@ def lasso(data: Dataset, lam: float) -> np.ndarray:
     A lam that is not finite and >= 0 raises ValueError."""
     _check_nonneg("lam", lam)
     X, y, p = data.X, data.y, data.p
-    return _lasso_solve(_gram(X).H, X.T @ y, np.full(p, lam), np.zeros(p))
+    return _lasso_solve(X.T @ X, X.T @ y, np.full(p, lam), np.zeros(p))
 
 
 def _median(a) -> np.float64:
@@ -107,7 +107,7 @@ def _huber_stage(X, y, gram, theta, delta, lam_j):
     Each round splits the rows at theta into Q (|r| <= delta) and O, with
     signs s_O.  With that partition fixed F is the lasso on
     H = X_Q^T X_Q and c = X_Q^T y_Q + delta X_O^T s_O.  H is the carried
-    `gram` at weights 1 on Q and 0 on O: `_weighted_gram` touches only the
+    `gram` at weights 1 on Q and 0 on O: `gram.at` touches only the
     rows that changed branch since the fit's previous solve, in this stage
     or an earlier one.  c is formed directly, X^T (w y + delta s) with s
     zero on Q.  `_lasso_solve` solves it exactly, warm from theta.  A
@@ -134,7 +134,7 @@ def _huber_stage(X, y, gram, theta, delta, lam_j):
     s, f = signs_beyond_delta(r), objective(theta, r)
     for _ in range(solver._MAX_ROUNDS):
         w = (s == 0.0).astype(float)
-        H, c = _weighted_gram(X, gram, w), X.T @ (w * y + delta * s)
+        H, c = gram.at(w), X.T @ (w * y + delta * s)
         theta_new = _lasso_solve(H, c, lam_j, theta)
         r_new = y - X @ theta_new
         s_new = signs_beyond_delta(r_new)
@@ -180,9 +180,9 @@ def adaptive_huber_lasso(data: Dataset, lam: float) -> np.ndarray:
     """
     _check_nonneg("lam", lam)
     X, y = data.X, data.y
-    gram = _gram(X)
+    gram = _Gram(X)
     lam_j = np.full(X.shape[1], float(lam))
-    theta = _lasso_solve(gram.H, X.T @ y, lam_j, np.zeros(X.shape[1]))
+    theta = _lasso_solve(gram.at(np.ones(data.n)), X.T @ y, lam_j, np.zeros(data.p))
 
     delta = None
     theta1 = theta

@@ -301,9 +301,9 @@ def strict_dual_feasibility(data: Dataset, selection: np.ndarray,
 
 
 def invexity_gap(data: Dataset, b: np.ndarray, V: np.ndarray,
-                 bb: np.ndarray, Vb: np.ndarray,
-                 lam: float = 1.0) -> tuple[float, float]:
-    """First-order gap of the weighted lifted objective at one pair.
+                 bb: np.ndarray, Vb: np.ndarray) -> tuple[float, float]:
+    """First-order gap of the weighted lifted objective, at lam = 1, at one
+    pair.
 
     Uses the kernel that rescales the weight displacement by the ratio of
     lifted losses at the two matrices.  Returns (gap, bilinear) where
@@ -318,9 +318,9 @@ def invexity_gap(data: Dataset, b: np.ndarray, V: np.ndarray,
     dV = V - Vb
     Gb = lifted_gram(X, y, bb)
     bilinear = float(b @ lv - bb @ lvb - eta_b @ lvb - (dV * Gb).sum())
-    grad_pen = Gb + lam * np.sign(Vb)
-    gap = float(b @ lv + lam * np.abs(V).sum()
-                - bb @ lvb - lam * np.abs(Vb).sum()
+    grad_pen = Gb + np.sign(Vb)
+    gap = float(b @ lv + np.abs(V).sum()
+                - bb @ lvb - np.abs(Vb).sum()
                 - eta_b @ lvb - (dV * grad_pen).sum())
     return gap, bilinear
 
@@ -328,10 +328,10 @@ def invexity_gap(data: Dataset, b: np.ndarray, V: np.ndarray,
 def invexity_witness(data: Dataset, trials: int, seed: int = 0) -> tuple[float, float]:
     """Sample feasible pairs and evaluate the invexity gap numerically.
 
-    Returns (min gap, max |bilinear part|) over the trials, at lam = 1 and
-    weights b with sum b >= n // 2 + 1.  Matrices with any lifted loss
-    below 0.05 are rejected since the displacement kernel divides by those
-    losses.
+    Returns (min gap, max |bilinear part|) of `invexity_gap` over the
+    trials, at weights b with sum b >= n // 2 + 1.  Matrices with any
+    lifted loss below 0.05 are rejected since the displacement kernel
+    divides by those losses.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -358,7 +358,7 @@ def invexity_witness(data: Dataset, trials: int, seed: int = 0) -> tuple[float, 
     bilinear_max = 0.0
     for _ in range(trials):
         gap, bilinear = invexity_gap(data, sample_b(), sample_vartheta(),
-                                     sample_b(), sample_vartheta(), lam=1.0)
+                                     sample_b(), sample_vartheta())
         min_gap = min(min_gap, gap)
         bilinear_max = max(bilinear_max, abs(bilinear))
     return min_gap, bilinear_max

@@ -50,9 +50,8 @@ def _build_parser() -> _Parser:
     s = sub.add_parser("solve", help="solve the relaxation on a dataset")
     s.add_argument("--data", required=True, help="dataset path prefix")
     s.add_argument("--m", type=int, required=True)
-    s.add_argument("--lam", type=float, default=None)
-    s.add_argument("--c-lambda", type=float, default=0.05,
-                   help="used as c*sqrt(m ln p) when --lam is not given")
+    s.add_argument("--lam", type=float, default=None,
+                   help="default: the sweep's lambda for m, c_lambda sqrt(m ln p)")
     s.add_argument("--out", required=True)
 
     c = sub.add_parser("certify", help="build duals and evaluate KKT residuals")
@@ -90,7 +89,7 @@ def _cmd_solve(args) -> int:
     data = load_dataset(args.data)
     lam = args.lam
     if lam is None and args.m > 0:  # SolverConfig reports a bad m
-        lam = lambda_from_m(args.m, data.p, args.c_lambda)
+        lam = lambda_from_m(args.m, data.p, ExperimentConfig.c_lambda)
     cfg = SolverConfig(m=args.m, lam=lam)
     res = solve_invex(data, cfg)
     _write_json(args.out, res)

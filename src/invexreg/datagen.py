@@ -75,7 +75,7 @@ def _draw_theta_star(gt: GroundTruthConfig, rng) -> tuple[np.ndarray, bool]:
 def _draw_clean(rng, gt: GroundTruthConfig, count: int, theta_star: np.ndarray):
     """count rows of Gaussian predictors and responses y = X theta* + e."""
     X = rng.standard_normal((count, gt.p))
-    e = rng.normal(0.0, gt.sigma_e, size=count) if gt.sigma_e > 0 else np.zeros(count)
+    e = rng.normal(0.0, gt.sigma_e, size=count)
     y = X @ theta_star + e
     return X, y
 
@@ -113,7 +113,7 @@ def generate(spec: GenSpec) -> Dataset:
     if spec.n_outliers > 0:
         for attempt in range(spec.max_resamples + 1):
             gaps = (yo - Xo @ theta_star) ** 2 - max_clean
-            bad = gaps < spec.rho_min if spec.rho_min > 0 else gaps <= 0.0
+            bad = (gaps <= 0.0) | (gaps < spec.rho_min)
             if not bad.any():
                 break
             if attempt == spec.max_resamples:

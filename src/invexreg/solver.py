@@ -28,12 +28,12 @@ round is a cycle, and the loop stops there unconverged, as at the round
 cap `_MAX_ROUNDS`.  The objective, the kept rows' squared residuals plus
 the penalty, does not rise from round to round beyond the solve's
 tolerance: the solve lowers it on the kept set and the b-step at the
-solved theta.  The loop carries one Gram (`_Gram`): formed once from the
-rows the start weights keep, then updated by only the rows that swapped
-in or out (`_weighted_gram`), and c is formed directly, one n x p product
-that cannot drift.  `solve_invex` starts from the b-step at theta = 0,
-keeps m rows with the refit's penalty, and returns the last round's solve
-as theta_hat, on the kept set it returns.
+solved theta.  The loop carries one Gram, `_Gram`, which starts empty:
+its first update adds the rows the start weights keep, and each later one
+touches only the rows that swapped in or out (`_Gram.at`).  c is formed
+directly, one n x p product that cannot drift.  `solve_invex` starts from
+the b-step at theta = 0, keeps m rows with the refit's penalty, and
+returns the last round's solve as theta_hat, on the kept set it returns.
 
 The refit is exact on a sign pattern.  With the signs s of theta on its
 nonzeros A, f(theta) = theta^T H theta - 2 c^T theta
@@ -175,42 +175,32 @@ def solve_invex(data: Dataset, cfg: SolverConfig) -> SolveResult:
     )
 
 
-@dataclass(eq=False)
 class _Gram:
     """A fit's Gram, carried from solve to solve: H = X^T diag(w) X and the
-    0/1 sample weights w it was last formed at."""
-    H: np.ndarray
-    w: np.ndarray
+    0/1 sample weights w it was last formed at, from H = 0 at w = 0."""
 
+    def __init__(self, X):
+        self.X = X
+        self.H, self.w = np.zeros((X.shape[1],) * 2), np.zeros(X.shape[0])
 
-def _gram(X, w=None):
-    """The carried Gram at 0/1 weights w (all ones by default), formed once
-    per fit from the rows w keeps, from X itself when it keeps them all."""
-    if w is None:
-        w = np.ones(X.shape[0])
-    A = X if w.all() else X[w > 0.0]
-    return _Gram(A.T @ A, w)
+    def at(self, w):
+        """H at the 0/1 weights w, updated in place.
 
-
-def _weighted_gram(X, gram, w):
-    """X^T W X, W = diag(w) for 0/1 weights w, updated in place from the
-    carried `gram`.
-
-    Only the rows D whose weight differs from `gram.w`, the weights the
-    Gram was last formed at, are touched: with A = X[D], the rows that
-    dropped out are downdated, H - A^T A, and those that joined updated,
-    H + A^T A.  A product of a matrix with its own transpose keeps an
-    exactly symmetric H exactly symmetric: `eigvalsh` reads one triangle of
-    it and `np.linalg.solve` reads both.  `gram` then holds the new pair
-    (H, w).  With no weight changed the Gram is returned as it is.
-    """
-    d = gram.w - w
-    for D in (np.flatnonzero(d > 0), np.flatnonzero(d < 0)):
-        if D.size:
-            A = X[D]
-            gram.H = gram.H - A.T @ A if d[D[0]] > 0 else gram.H + A.T @ A
-    gram.w = w
-    return gram.H
+        Only the rows D whose weight differs from the stored w are touched:
+        with A = X[D], the rows that dropped out are downdated, H - A^T A,
+        and those that joined updated, H + A^T A, so the first call forms H
+        from the rows w keeps.  A product of a matrix with its own transpose
+        keeps an exactly symmetric H exactly symmetric: `eigvalsh` reads one
+        triangle of it and `np.linalg.solve` reads both.  The Gram then
+        stands at w.  With no weight changed H is returned as it is.
+        """
+        d = self.w - w
+        for D in (np.flatnonzero(d > 0), np.flatnonzero(d < 0)):
+            if D.size:
+                A = self.X[D]
+                self.H = self.H - A.T @ A if d[D[0]] > 0 else self.H + A.T @ A
+        self.w = w
+        return self.H
 
 
 def _keep_smallest(r, keep):
@@ -239,19 +229,19 @@ def _c_steps(X, y, w, keep, shift, rank_one):
     theta, with the penalty terms shift and rank_one, and then keeps the
     `keep` rows of smallest |y - X theta| (`_keep_smallest`).
     It stops when the new kept set is w, a fixed point, or one kept in an
-    earlier round, a cycle.  One `_Gram` is carried: formed at the start
-    weights and updated by the rows that swap.  Returns (theta, w, H, c,
-    rounds, fixed, objectives): the last solve, the weights and Gram form
-    it solved on, the rounds run, whether w is a fixed point, and the
-    objective, the squared residuals the weights keep plus `_penalty`, at
-    theta = 0 and after each round's b-step.
+    earlier round, a cycle.  One `_Gram` is carried: its first round adds
+    the rows the start weights keep, and each later one the rows that swap.
+    Returns (theta, w, H, c, rounds, fixed, objectives): the last solve, the
+    weights and Gram form it solved on, the rounds run, whether w is a fixed
+    point, and the objective, the squared residuals the weights keep plus
+    `_penalty`, at theta = 0 and after each round's b-step.
     """
-    gram, theta = _gram(X, w), np.zeros(X.shape[1])
+    gram, theta = _Gram(X), np.zeros(X.shape[1])
     objectives = [float(w @ (y * y)) + _penalty(theta, shift, rank_one)]
     seen, w_next = {w.tobytes()}, w
     for rounds in range(1, _MAX_ROUNDS + 1):
         w = w_next
-        H, c = _weighted_gram(X, gram, w), X.T @ (w * y)
+        H, c = gram.at(w), X.T @ (w * y)
         theta = _gram_solve(H, c, theta, shift, rank_one)
         r = y - X @ theta
         w_next = _keep_smallest(r, keep)

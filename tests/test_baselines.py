@@ -12,7 +12,7 @@ from invexreg.bench import (ExperimentConfig, certify_at_true_support, l1_budget
                             lambda_from_m)
 from invexreg.datagen import GenSpec, generate
 from invexreg.model import CLEAN, OUTLIER, Dataset, GroundTruthConfig
-from invexreg.solver import SolverConfig, _gram, _weighted_gram, refit, solve_invex
+from invexreg.solver import SolverConfig, _Gram, refit, solve_invex
 
 
 def clean_data(rng, n=30, p=4, theta=None, sigma_e=0.1):
@@ -358,7 +358,7 @@ def test_lasso_from_random_start_matches_coordinate_descent(n, p, solve_path,
         assert completion_runs == [0]
 
 
-def test_cold_lasso_is_exact_without_fista(completion_runs):
+def test_cold_lasso_is_exact_without_the_completion(completion_runs):
     """From theta = 0 with n > p, the sign-pattern solve finds the lasso
     minimizer; the completion does not run."""
     rng = np.random.default_rng(19)
@@ -459,59 +459,59 @@ def test_baselines_reject_non_finite_data(method, where):
 
 @pytest.mark.parametrize("kind", ["zero_one", "ones"])
 def test_weighted_gram_matches_direct_product(kind):
-    """The Gram downdated from X^T X over the rows with w = 0 equals
-    X^T W X formed from every row, and is exactly symmetric; with all
-    weights 1 it is X^T X itself.  The carried pair is then (H, w)."""
+    """The carried Gram starts empty, and at all weights 1 it is X^T X
+    itself, bit for bit.  Downdated from there over the rows with w = 0 it
+    equals X^T W X formed from every row, and is exactly symmetric.  The
+    Gram then stands at (H, w)."""
     rng = np.random.default_rng(18)
     n, p = 60, 7
     X = rng.standard_normal((n, p))
     w = np.ones(n)
     if kind == "zero_one":
         w[rng.random(n) < 0.3] = 0.0
-    gram = _gram(X)
-    H = _weighted_gram(X, gram, w)
+    gram = _Gram(X)
+    assert not gram.H.any() and not gram.w.any() and gram.H.shape == (p, p)
+    assert np.array_equal(gram.at(np.ones(n)), X.T @ X)
+    H = gram.at(w)
     H_direct = X.T @ (w[:, None] * X)
     assert np.array_equal(H, H.T)
     assert np.abs(H - H_direct).max() <= 1e-12 * np.abs(H_direct).max()
     assert gram.H is H and gram.w is w
-    if kind == "ones":
-        assert np.array_equal(H, X.T @ X)
 
 
 def test_trimmed_first_round_is_lasso(lasso_solves):
-    """The first trimmed round drops no row, so it solves on X^T X itself and
-    returns the lasso estimate bit for bit."""
+    """The first trimmed round drops no row, so the empty Gram with every
+    row added is X^T X bit for bit, and the round returns the lasso estimate
+    bit for bit."""
     data = generate(GenSpec(
         ground_truth=GroundTruthConfig(p=8, k=3, M=2.2, sigma_e=0.1),
         r=40, n_outliers=20, seed=15))
     trimmed_lasso(data, 0.6, 20)
     assert len(lasso_solves) >= 2
+    assert np.array_equal(lasso_solves[0]["H"], data.X.T @ data.X)
     assert np.array_equal(lasso_solves[0]["theta"], lasso(data, 0.6))
 
 
 @pytest.fixture
 def gram_updates(monkeypatch, completion_runs):
     """Record, per Gram-form solve (`spy_on_gram_solves`), also the weights
-    the fit's carried Gram stands at, the indices of the rows
-    `_weighted_gram` read from X since the previous solve, and the current
-    Huber scale (None outside a Huber stage)."""
+    the fit's carried Gram stands at, the indices of the rows `_Gram.at`
+    read from X since the previous solve, and the current Huber scale
+    (None outside a Huber stage)."""
     grams, touched, stage = [], [], {"delta": None}
-    real_gram, real_weighted = solver._gram, solver._weighted_gram
+    real_init = solver._Gram.__init__
     real_stage = baselines._huber_stage
 
-    def spy_gram(X, w=None):
-        grams.append(real_gram(X, w))
-        return grams[-1]
-
     class Rows(np.ndarray):
-        """X as `_weighted_gram` sees it: each row index read is recorded,
-        and the rows come back as a plain array."""
+        """X as `_Gram.at` sees it: each row index read is recorded, and the
+        rows come back as a plain array."""
         def __getitem__(self, rows):
             touched.extend(np.asarray(rows).tolist())
             return np.asarray(self)[rows]
 
-    def spy_weighted(X, gram, w):
-        return real_weighted(X.view(Rows), gram, w)
+    def spy_init(gram, X):
+        real_init(gram, X.view(Rows))
+        grams.append(gram)
 
     def spy_stage(X, y, gram, theta, delta, lam_j):
         stage["delta"] = delta
@@ -523,9 +523,7 @@ def gram_updates(monkeypatch, completion_runs):
         touched.clear()
         return {"w": gram.w, "rows": rows, "delta": stage["delta"]}
 
-    for module in (baselines, solver):
-        monkeypatch.setattr(module, "_gram", spy_gram)
-        monkeypatch.setattr(module, "_weighted_gram", spy_weighted)
+    monkeypatch.setattr(solver._Gram, "__init__", spy_init)
     monkeypatch.setattr(baselines, "_huber_stage", spy_stage)
     return spy_on_gram_solves(monkeypatch, completion_runs, context)
 
@@ -539,13 +537,15 @@ def test_warm_adahuber_passes_multiply_only_the_downweighted_rows(gram_updates):
     round's weights are 0/1, every weight-0 row lies beyond delta at the
     round's start and every weight-1 row within it, and the round touches
     exactly the rows whose weight changed since the previous solve, in all
-    far fewer than it gives weight 0.  The cold stage-0 fit touches no row."""
+    far fewer than it gives weight 0.  The cold stage-0 fit starts the
+    empty Gram at weight 1 everywhere, so it touches every row once."""
     data = generate(GenSpec(
         ground_truth=GroundTruthConfig(p=8, k=3, M=2.2, sigma_e=0.1),
         r=40, n_outliers=20, seed=15))
     adaptive_huber_lasso(data, 0.6)
     first, rounds = gram_updates[0], gram_updates[1:]
-    assert first["delta"] is None and np.all(first["w"] == 1.0) and first["rows"] == []
+    assert first["delta"] is None and np.all(first["w"] == 1.0)
+    assert first["rows"] == list(range(data.n))
     assert len(rounds) >= 3
     w_prev, touched, dropped = first["w"], 0, 0
     for solve in rounds:
@@ -559,15 +559,16 @@ def test_warm_adahuber_passes_multiply_only_the_downweighted_rows(gram_updates):
 
 
 def test_trimmed_rounds_touch_only_the_rows_that_swap(gram_updates):
-    """The first trimmed round keeps every row and touches none; each later
-    round updates the carried Gram by exactly the rows that swapped into or
-    out of the kept set since the previous round, in all fewer than it
-    drops."""
+    """The first trimmed round keeps every row and adds each to the empty
+    Gram once; each later round updates the carried Gram by exactly the rows
+    that swapped into or out of the kept set since the previous round, in
+    all fewer than it drops."""
     data = generate(GenSpec(
         ground_truth=GroundTruthConfig(p=8, k=3, M=2.2, sigma_e=0.1),
         r=40, n_outliers=20, seed=15))
     trimmed_lasso(data, 0.6, 20)
-    assert np.all(gram_updates[0]["w"] == 1.0) and gram_updates[0]["rows"] == []
+    assert np.all(gram_updates[0]["w"] == 1.0)
+    assert gram_updates[0]["rows"] == list(range(data.n))
     assert len(gram_updates) >= 3
     touched = 0
     for previous, solve in zip(gram_updates, gram_updates[1:]):
@@ -681,7 +682,7 @@ def test_warm_start_with_opposite_signs_matches_coordinate_descent(n, p):
     assert np.abs(th_f - th_c).max() <= 1e-8
 
 
-def test_warm_start_missing_nonzeros_adds_them_without_fista(completion_runs):
+def test_warm_start_missing_nonzeros_adds_them_without_the_completion(completion_runs):
     """A start whose zeros hide true nonzeros reaches the minimizer by adding
     the coordinates that violate the stop rule, with no completion run."""
     _, X, y, sw, cw = weighted_problem(40, 6)
@@ -738,7 +739,7 @@ def test_completion_exchanges_a_dependent_column_along_the_null_direction(
 
 
 @pytest.mark.parametrize("method", ["adahuber", "trimmed"])
-def test_warm_solves_mostly_skip_fista_and_pass_the_stop_rule(lasso_solves, method):
+def test_warm_solves_mostly_skip_the_completion_and_pass_the_stop_rule(lasso_solves, method):
     """Warm-started solves run the completion less often than they are made,
     and every theta returned, by either path, meets the stop rule of the
     system it solved."""
@@ -796,9 +797,9 @@ def huber_lasso_residual(X, y, theta, delta, lam_j):
 
 
 def test_exact_huber_stages_are_stationary(monkeypatch):
-    """On a fixture where 50 IRLS passes did not settle a stage six times,
-    every finite Newton stage ends without a warning, at a theta that is
-    stationary for its Huber-lasso objective within the lasso's stop rule."""
+    """On a small fixture, 8 outliers among 33 rows, every finite Newton
+    stage ends without a warning, at a theta that is stationary for its
+    Huber-lasso objective within the lasso's stop rule."""
     data = generate(GenSpec(
         ground_truth=GroundTruthConfig(p=5, k=2, M=2.2, sigma_e=0.1),
         r=25, n_outliers=8, seed=0))
@@ -823,11 +824,11 @@ def test_exact_huber_stages_are_stationary(monkeypatch):
 
 def test_huber_stage_damps_a_newton_step_that_does_not_lower_the_objective(
         lasso_solves, completion_runs):
-    """A fixture where undamped finite Newton cycles between partitions (and
-    IRLS hits its pass cap): some round's solution does not lower the
-    objective, so the next round starts a halved step towards it, and every
-    stage still settles with no warning and no completion run.  The Huber scale
-    itself cycles here and hits its round cap, which is its own warning."""
+    """A fixture where undamped finite Newton cycles between partitions:
+    some round's solution does not lower the objective, so the next round
+    starts a halved step towards it, and every stage still settles with no
+    warning and no completion run.  The Huber scale itself cycles here and
+    hits its round cap, which is its own warning."""
     data = generate(GenSpec(
         ground_truth=GroundTruthConfig(p=8, k=2, M=2.2, sigma_e=0.1),
         r=25, n_outliers=8, seed=14))

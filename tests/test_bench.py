@@ -1,9 +1,12 @@
+import csv
+import dataclasses
 import importlib
 import json
 import math
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -424,6 +427,21 @@ def test_cli_usage_and_errors(tmp_path):
     assert "workers must be a positive integer, got -4" in r.stderr
 
 
+def test_cli_solve_without_lam_uses_the_sweeps_lambda(tmp_path):
+    """Without --lam, solve takes the lambda a sweep gives the same m, and
+    its constant is not a flag."""
+    ds = str(tmp_path / "ds")
+    r = _cli("gen", "--p", "4", "--k", "2", "--r", "6", "--outliers", "4", "--out", ds)
+    assert r.returncode == 0, r.stderr
+    r = _cli("solve", "--data", ds, "--m", "5", "--c-lambda", "0.1",
+             "--out", str(tmp_path / "flag.json"))
+    assert r.returncode == 1 and "unrecognized arguments: --c-lambda" in r.stderr
+    r = _cli("solve", "--data", ds, "--m", "5", "--out", str(tmp_path / "res.json"))
+    assert r.returncode == 0, r.stderr
+    lam = json.loads((tmp_path / "res.json").read_text())["config"]["lam"]
+    assert lam == lambda_from_m(5, 4, ExperimentConfig().c_lambda)
+
+
 def test_cli_pipeline(tmp_path):
     ds = str(tmp_path / "ds")
     r = _cli("gen", "--p", "4", "--k", "2", "--r", "4", "--outliers", "4",
@@ -533,3 +551,44 @@ def test_benchmark_trace_targets_resolve(monkeypatch):
     for t in workloads.TRACE_TARGETS:
         assert callable(getattr(importlib.import_module(t.module), t.attr, None)), t
 
+
+
+def _read_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def _same_cell(got, pinned):
+    """Integers and strings exactly, floats within 1e-12 relative; an empty
+    cell is a string."""
+    try:
+        int(pinned)
+        return got == pinned
+    except ValueError:
+        pass
+    try:
+        return math.isclose(float(got), float(pinned), rel_tol=1e-12, abs_tol=0.0)
+    except ValueError:
+        return got == pinned
+
+
+@pytest.mark.parametrize("config", ["fig2_p50", "fig2_p100", "proportions_p30"])
+def test_grid_sweep_matches_its_pin(tmp_path, config):
+    """Each configs/ grid, all four methods at one worker, reproduces the
+    results.csv pinned in tests/data (recorded at commit d68e64b) row by
+    row, as `_same_cell` compares cells.  The only warning a grid may raise
+    is adahuber's scale cap."""
+    root = Path(__file__).resolve().parent
+    cfg = ExperimentConfig.from_json(root.parent / "configs" / f"{config}.json")
+    cfg = dataclasses.replace(cfg, output_dir=str(tmp_path / "sweep"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = run_sweep(cfg, workers=1)
+    assert {str(w.message) for w in caught} <= {
+        "adaptive Huber lasso: the Huber scale did not settle in 12 rounds; using the last one"}
+    want = _read_rows(root / "data" / f"grid_pin_{config}.csv")
+    got = _read_rows(out["results_csv"])
+    assert got[0] == want[0] and len(got) == len(want)
+    for row_got, row_want in zip(got[1:], want[1:]):
+        for column, a, b in zip(want[0], row_got, row_want, strict=True):
+            assert _same_cell(a, b), (row_want[:7], column, a, b)

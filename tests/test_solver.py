@@ -524,7 +524,7 @@ def fig2_p50_refit_problem():
     return Xs.T @ Xs, Xs.T @ data.y[res.selection], res.config.lam, res.theta_hat
 
 
-def test_sign_pattern_refit_matches_a_forced_fista_refit(monkeypatch, completion_runs):
+def test_sign_pattern_refit_matches_a_forced_completion_refit(monkeypatch, completion_runs):
     """The sign-pattern refit from a warm start with the wrong zeros and the
     completion, forced by switching the sign-pattern solve off, reach the
     same minimizer."""
