@@ -73,9 +73,9 @@ def lambda_from_m(m: int, p: int, c_lambda: float) -> float:
 class ExperimentConfig:
     """p >= 2, k >= 1, max_resamples >= 0 and each seed >= 0 are integers,
     clean_count_rule is "theory" or an integer >= 1, outlier_rule is
-    "half" or proportions in (0, 1), c_lambda, sigma_e and rho_min are
-    finite reals >= 0, the C values are finite, and seeds, methods,
-    C_values and the proportions are non-empty with no repeats, or
+    "half" or proportions in (0, 1), c_lambda is finite and > 0, sigma_e
+    and rho_min are finite reals >= 0, the C values are finite, and seeds,
+    methods, C_values and the proportions are non-empty with no repeats, or
     ValueError names the field.  `cells` also rejects a C value whose m
     exceeds r, and two cells with the same m and outlier count, whose
     trials `_aggregate` would pool."""
@@ -98,6 +98,8 @@ class ExperimentConfig:
             _check_int(name, getattr(self, name), low)
         for name in ("c_lambda", "sigma_e", "rho_min"):
             _check_nonneg(name, getattr(self, name))
+        if self.c_lambda == 0:
+            raise ValueError(f"c_lambda must be > 0, got {self.c_lambda!r}")
         for seed in self.seeds:
             _check_int("seeds", seed, 0)
         if self.clean_count_rule != "theory":

@@ -123,7 +123,7 @@ def build_duals(data: Dataset, selection: np.ndarray, theta_under: np.ndarray,
     vu = lift_parameter(theta_under)
     losses = sample_losses(X_sub, data.y, vu)
     lo = float(losses[rows].max()) if rows.size else 0.0
-    hi = float(losses[unsel_mask].min()) if unsel_mask.any() else np.inf
+    hi = float(losses[unsel_mask].min(initial=np.inf))
     interval_ok = lo <= hi + _TOL
     nu = 0.5 * (lo + hi) if np.isfinite(hi) else lo
 

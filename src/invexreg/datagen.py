@@ -5,7 +5,7 @@ every clean sample's loss by a strictly positive margin; the generator
 enforces this by resampling offending outliers.  `generate` is the one
 entry point: the dataset it returns holds theta* (`theta_star`, with
 `meta["theta_rescaled"]`), the clean and outlier rows (`clean_mask`,
-`outlier_mask`) and the realized loss gap (`rho`).
+`outlier_mask`) and `rho`, the smallest loss gap the margin loop accepted.
 """
 
 from __future__ import annotations
@@ -89,52 +89,36 @@ def _draw_outliers(rng, spec: GenSpec, count: int):
     return X, y
 
 
-def _loss_gap(X, y, clean, out, theta_star: np.ndarray) -> float:
-    """min over outliers of loss minus max over clean of loss, at theta_star;
-    +inf when either class is empty (nothing to separate)."""
-    res = y - X @ theta_star
-    losses = res * res
-    if not clean.any() or not out.any():
-        return np.inf
-    return float(losses[out].min() - losses[clean].max())
-
-
 def generate(spec: GenSpec) -> Dataset:
-    """Full dataset: clean + outliers, margin-enforced, shuffled, labeled."""
+    """Full dataset: clean + outliers, margin-enforced, shuffled, labeled.
+    rho is the smallest outlier loss minus the largest clean loss, at theta*,
+    in the margin round that accepted every outlier; +inf with no outliers."""
     rngs = _rngs(spec)
     gt = spec.ground_truth
     theta_star, rescaled = _draw_theta_star(gt, rngs["theta"])
 
     Xc, yc = _draw_clean(rngs["clean"], gt, spec.r, theta_star)
-    clean_losses = (yc - Xc @ theta_star) ** 2
-    max_clean = clean_losses.max()
+    max_clean = ((yc - Xc @ theta_star) ** 2).max()
 
     Xo, yo = _draw_outliers(rngs["outliers"], spec, spec.n_outliers)
-    if spec.n_outliers > 0:
-        for attempt in range(spec.max_resamples + 1):
-            gaps = (yo - Xo @ theta_star) ** 2 - max_clean
-            bad = (gaps <= 0.0) | (gaps < spec.rho_min)
-            if not bad.any():
-                break
-            if attempt == spec.max_resamples:
-                raise ResampleExhausted(
-                    f"{int(bad.sum())} outliers still violate the loss-gap margin "
-                    f"after {spec.max_resamples} resampling rounds")
-            Xb, yb = _draw_outliers(rngs["outliers"], spec, int(bad.sum()))
-            Xo[bad], yo[bad] = Xb, yb
+    for attempt in range(spec.max_resamples + 1):
+        gaps = (yo - Xo @ theta_star) ** 2 - max_clean
+        bad = (gaps <= 0.0) | (gaps < spec.rho_min)
+        if not bad.any():
+            break
+        if attempt == spec.max_resamples:
+            raise ResampleExhausted(
+                f"{int(bad.sum())} outliers still violate the loss-gap margin "
+                f"after {spec.max_resamples} resampling rounds")
+        Xb, yb = _draw_outliers(rngs["outliers"], spec, int(bad.sum()))
+        Xo[bad], yo[bad] = Xb, yb
+    rho = float(gaps.min(initial=np.inf))
 
-    X = np.vstack([Xc, Xo]) if spec.n_outliers > 0 else Xc
-    y = np.concatenate([yc, yo]) if spec.n_outliers > 0 else yc
-    # the dtype fits the longest label present: <U5 with no outliers, else <U7
-    kinds = [CLEAN, OUTLIER] if spec.n_outliers > 0 else [CLEAN]
-    labels = np.repeat(kinds, [spec.r, spec.n_outliers][:len(kinds)])
-
+    X, y = np.vstack([Xc, Xo]), np.concatenate([yc, yo])
+    labels = np.array([CLEAN] * spec.r + [OUTLIER] * spec.n_outliers)
     perm = rngs["shuffle"].permutation(spec.r + spec.n_outliers)
     X, y, labels = X[perm], y[perm], labels[perm]
 
-    rho = _loss_gap(X, y, labels == CLEAN, labels == OUTLIER, theta_star)
-    if spec.n_outliers > 0 and rho <= 0:
-        raise ResampleExhausted("generated dataset violates the loss-gap margin")
     meta = {"p": gt.p, "k": gt.k, "M": gt.M, "sigma_e": gt.sigma_e,
             "seed": spec.seed, "theta_rescaled": rescaled}
     return Dataset(X=X, y=y, labels=labels, theta_star=theta_star, r=spec.r,

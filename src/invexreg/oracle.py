@@ -78,11 +78,7 @@ def grid_search_theta(data: Dataset, rows: np.ndarray, lam: float,
         raise ValueError("grid oracle only supports p <= 2")
     rows = _as_rows(rows, data.n)
     grid = np.arange(-radius, radius + step, step)
-    if data.p == 1:
-        TH = grid[None, :]
-    else:
-        G1, G2 = np.meshgrid(grid, grid, indexing="ij")
-        TH = np.stack([G1.ravel(), G2.ravel()])
+    TH = np.stack([G.ravel() for G in np.meshgrid(*[grid] * data.p, indexing="ij")])
     R = data.y[rows][:, None] - data.X[rows] @ TH
     obj = (R * R).sum(axis=0) + lam * (np.abs(TH).sum(axis=0) + 1.0) ** 2
     i = int(obj.argmin())

@@ -83,6 +83,7 @@ def test_config_validation(tmp_path):
     ("c_lambda", -0.1, "c_lambda must be finite and >= 0, got -0.1"),
     ("c_lambda", "0.05", "c_lambda must be finite and >= 0, got '0.05'"),
     ("c_lambda", True, "c_lambda must be finite and >= 0, got True"),
+    ("c_lambda", 0.0, "c_lambda must be > 0, got 0.0"),
     ("sigma_e", math.nan, "sigma_e must be finite and >= 0, got nan"),
     ("rho_min", math.inf, "rho_min must be finite and >= 0, got inf"),
     ("seeds", (0.5, 1.9), "seeds must be an integer >= 0, got 0.5"),
@@ -137,6 +138,8 @@ def test_cli_sweep_rejects_a_float_count(tmp_path):
     ("seeds", [], "seeds must not be empty"),
     ("seeds", [0, 0], "seeds must not repeat a value"),
     ("C_values", [400.0], "C_values: C=400.0 gives m=inf > r=24"),
+    # at lambda = 0 every invex trial would record an error
+    ("c_lambda", 0, "c_lambda must be > 0, got 0"),
     # a config that is not a JSON object (field None: the value is the whole file)
     (None, [1, 2], "config must be a JSON object, got list"),
     (None, "abc", "config must be a JSON object, got str"),
@@ -542,6 +545,41 @@ def test_cli_certify_verdict_is_the_sweep_verdict(tmp_path, pick):
     assert verdict is (pick == "solver")
 
 
+def _gen_and_solve(tmp_path, lam):
+    ds = str(tmp_path / "ds")
+    r = _cli("gen", "--p", "4", "--k", "2", "--r", "4", "--outliers", "4", "--seed", "1",
+             "--rho-min", "5", "--max-resamples", "500", "--sigma-e", "0.05", "--out", ds)
+    assert r.returncode == 0, r.stderr
+    r = _cli("solve", "--data", ds, "--m", "4", "--lam", lam,
+             "--out", str(tmp_path / "res.json"))
+    assert r.returncode == 0, r.stderr
+    return ds
+
+
+def test_cli_certify_records_why_a_zero_lam_has_no_strict_dual(tmp_path):
+    """A result solved at lam = 0 still certifies; its strict dual check
+    records the reason it cannot run."""
+    ds = _gen_and_solve(tmp_path, "0")
+    r = _cli("certify", "--data", ds, "--result", str(tmp_path / "res.json"),
+             "--out", str(tmp_path / "cert.json"))
+    assert r.returncode == 0, r.stderr
+    cert = json.loads((tmp_path / "cert.json").read_text())
+    assert cert["strict_dual"] == {"error": "lam must be positive"}
+
+
+def test_cli_certify_needs_theta_star(tmp_path):
+    ds = _gen_and_solve(tmp_path, "1.18")
+    sidecar = tmp_path / "ds.json"
+    meta = json.loads(sidecar.read_text())
+    meta["theta_star"] = None
+    sidecar.write_text(json.dumps(meta))
+    r = _cli("certify", "--data", ds, "--result", str(tmp_path / "res.json"),
+             "--out", str(tmp_path / "cert.json"))
+    assert r.returncode == 2
+    assert "certification needs theta_star in the dataset sidecar" in r.stderr
+    assert not (tmp_path / "cert.json").exists()
+
+
 def test_benchmark_trace_targets_resolve(monkeypatch):
     """Every name the benchmark's traced run wraps is still a callable where
     it looks it up, so a refactor cannot break `--trace 1` unseen."""
@@ -592,3 +630,22 @@ def test_grid_sweep_matches_its_pin(tmp_path, config):
     for row_got, row_want in zip(got[1:], want[1:]):
         for column, a, b in zip(want[0], row_got, row_want, strict=True):
             assert _same_cell(a, b), (row_want[:7], column, a, b)
+
+
+def test_grid_datasets_match_their_rho_pin():
+    """Every dataset of the configs/ grids, generated as a sweep generates
+    it, has the loss gap pinned in tests/data/rho_pin.csv (recorded at
+    commit da429fc), within 1e-12 relative."""
+    root = Path(__file__).resolve().parent
+    rows = _read_rows(root / "data" / "rho_pin.csv")
+    assert rows[0] == ["config", "n_outliers", "seed", "rho"]
+    pinned = {(c, int(n), int(s)): float(rho) for c, n, s, rho in rows[1:]}
+    got = {}
+    for config in ("fig2_p50", "fig2_p100", "proportions_p30"):
+        cfg = ExperimentConfig.from_json(root.parent / "configs" / f"{config}.json")
+        for n_outliers in {c["n_outliers"] for c in cfg.cells()}:
+            for seed in cfg.seeds:
+                got[config, n_outliers, seed] = bench._dataset(cfg, cfg.r, n_outliers, seed).rho
+    assert got.keys() == pinned.keys()
+    for key, rho in pinned.items():
+        assert math.isclose(got[key], rho, rel_tol=1e-12, abs_tol=0.0), key

@@ -126,8 +126,11 @@ def test_generate_deterministic():
 
 
 def test_generate_margin_holds():
-    for seed in range(5):
-        data = generate(make_spec(seed=seed))
+    """rho is the gap recomputed from the shuffled rows exactly, also when
+    rho_min forces resampling rounds."""
+    specs = [make_spec(seed=seed) for seed in range(5)]
+    for spec in specs + [make_spec(seed=2, rho_min=3.0, max_resamples=500)]:
+        data = generate(spec)
         assert data.rho > 0.0
         loss = (data.y - data.X @ data.theta_star) ** 2
         assert loss[data.outlier_mask].min() - loss[data.clean_mask].max() == data.rho
