@@ -83,7 +83,6 @@ def test_config_validation(tmp_path):
     ("c_lambda", -0.1, "c_lambda must be finite and >= 0, got -0.1"),
     ("c_lambda", "0.05", "c_lambda must be finite and >= 0, got '0.05'"),
     ("c_lambda", True, "c_lambda must be finite and >= 0, got True"),
-    ("c_lambda", 0.0, "c_lambda must be > 0, got 0.0"),
     ("sigma_e", math.nan, "sigma_e must be finite and >= 0, got nan"),
     ("rho_min", math.inf, "rho_min must be finite and >= 0, got inf"),
     ("seeds", (0.5, 1.9), "seeds must be an integer >= 0, got 0.5"),
@@ -93,6 +92,7 @@ def test_config_validation(tmp_path):
     ("clean_count_rule", True, "clean_count_rule must be an integer >= 1, got True"),
     ("clean_count_rule", 0, "clean_count_rule must be an integer >= 1, got 0"),
     ("clean_count_rule", "24", "clean_count_rule must be an integer >= 1, got '24'"),
+    ("c_lambda", 0.0, "c_lambda must be > 0, got 0.0"),
 ])
 def test_config_rejects_a_bad_numeric_field_by_name(tmp_path, field, value, match):
     with pytest.raises(ValueError, match=re.escape(match)):
@@ -138,13 +138,13 @@ def test_cli_sweep_rejects_a_float_count(tmp_path):
     ("seeds", [], "seeds must not be empty"),
     ("seeds", [0, 0], "seeds must not repeat a value"),
     ("C_values", [400.0], "C_values: C=400.0 gives m=inf > r=24"),
-    # at lambda = 0 every invex trial would record an error
-    ("c_lambda", 0, "c_lambda must be > 0, got 0"),
     # a config that is not a JSON object (field None: the value is the whole file)
     (None, [1, 2], "config must be a JSON object, got list"),
     (None, "abc", "config must be a JSON object, got str"),
     (None, 3, "config must be a JSON object, got int"),
     (None, None, "config must be a JSON object, got NoneType"),
+    # at lambda = 0 every invex trial would record an error
+    ("c_lambda", 0, "c_lambda must be > 0, got 0"),
 ])
 def test_cli_sweep_rejects_a_grid_it_cannot_run(tmp_path, capsys, field, value, match):
     """An empty, non-finite or repeated grid would fail after writing
