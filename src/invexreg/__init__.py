@@ -16,9 +16,8 @@ from .certify import (AssumptionReport, DualCertificate, KKTReport,
 from .datagen import GenSpec, generate
 from .metrics import (clean_recovery_mistakes, norm_error, support_jaccard,
                       theory_delta_m)
-from .model import (Dataset, GroundTruthConfig, lift_parameter, lift_sample,
-                    load_dataset, objective, sample_losses, save_dataset,
-                    squared_loss)
+from .model import (Dataset, lift_parameter, lift_sample, load_dataset, objective,
+                    sample_losses, save_dataset, squared_loss)
 from .oracle import OracleResult, enumerate_best_subset, grid_search_theta
 from .projections import BFeasibleSet, project_b, project_psd_corner
 from .solver import SolveResult, SolverConfig, refit, solve_invex
@@ -27,7 +26,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AssumptionReport", "BFeasibleSet", "Dataset",
-    "DualCertificate", "ExperimentConfig", "GenSpec", "GroundTruthConfig",
+    "DualCertificate", "ExperimentConfig", "GenSpec",
     "KKTReport", "OracleResult", "SolveResult", "SolverConfig", "adaptive_huber_lasso",
     "assumption_check", "build_duals", "clean_recovery_mistakes",
     "enumerate_best_subset", "generate", "grid_search_theta", "invexity_gap",

@@ -34,12 +34,11 @@ from .baselines import adaptive_huber_lasso, lasso, trimmed_lasso
 from .certify import build_duals, kkt_residuals
 from .datagen import GenSpec, generate
 from .metrics import clean_recovery_mistakes, norm_error, support_jaccard, theory_delta_m
-from .model import (Dataset, GroundTruthConfig, _check_int, _check_nonneg, _write_json,
-                    lift_parameter)
+from .model import Dataset, _check_int, _check_nonneg, _write_json, lift_parameter
 from .solver import SolverConfig, refit, solve_invex
 from .svgplot import write_line_plot
 
-__all__ = ["ExperimentConfig", "run_sweep", "clean_count_theory", "l1_budget", "m_from_C",
+__all__ = ["ExperimentConfig", "run_sweep", "clean_count_theory", "m_from_C",
            "lambda_from_m", "certify_at_true_support", "RESULT_COLUMNS"]
 
 RESULT_COLUMNS = ["method", "p", "k", "m", "r", "n_outliers", "seed",
@@ -52,11 +51,6 @@ METHODS = ("invex", "lasso", "adahuber", "trimmed")
 def clean_count_theory(p: int) -> int:
     """ceil(1.1 * 10^1.5 * ln(p)^2), the clean-sample count rule."""
     return math.ceil(1.1 * 10 ** 1.5 * math.log(p) ** 2)
-
-
-def l1_budget(k: int) -> float:
-    """1.1 k, the L1 budget M of theta* (`GroundTruthConfig.M`)."""
-    return 1.1 * k
 
 
 def m_from_C(C: float, p: int) -> int:
@@ -77,8 +71,9 @@ class ExperimentConfig:
     and rho_min are finite reals >= 0, the C values are finite, and seeds,
     methods, C_values and the proportions are non-empty with no repeats, or
     ValueError names the field.  `cells` also rejects a C value whose m
-    exceeds r, and two cells with the same m and outlier count, whose
-    trials `_aggregate` would pool."""
+    exceeds r, a second C value in a proportions grid, which runs one m,
+    and two cells with the same m and outlier count, whose trials
+    `_aggregate` would pool."""
 
     p: int = 50
     k: int = 4
@@ -144,19 +139,17 @@ class ExperimentConfig:
                 raise ValueError(f"C_values: C={C} gives m={m} > r={r}")
             return m
 
-        out = []
+        ms = [budget(C) for C in self.C_values]
         if self.outlier_rule == "half":
-            n_out = math.ceil(r / 2)
-            for C in self.C_values:
-                m = budget(C)
-                out.append({"m": m, "r": r, "n_outliers": n_out,
-                            "x": float(m), "xlabel": "m"})
+            out = [{"m": m, "r": r, "n_outliers": math.ceil(r / 2),
+                    "x": float(m), "xlabel": "m"} for m in ms]
         else:
-            m = budget(max(self.C_values))
-            for prop in self.outlier_rule:
-                n_out = math.ceil(prop / (1.0 - prop) * r)
-                out.append({"m": m, "r": r, "n_outliers": n_out,
-                            "x": float(prop), "xlabel": "outlier proportion"})
+            if len(ms) > 1:
+                raise ValueError(f"C_values: a proportions grid takes one C value, "
+                                 f"got {list(self.C_values)!r}")
+            out = [{"m": ms[0], "r": r, "n_outliers": math.ceil(prop / (1.0 - prop) * r),
+                    "x": float(prop), "xlabel": "outlier proportion"}
+                   for prop in self.outlier_rule]
         field = "C_values" if self.outlier_rule == "half" else "outlier_rule"
         _check_listed(field, [(c["m"], c["n_outliers"]) for c in out],
                       "give two cells the same (m, n_outliers)")
@@ -207,10 +200,9 @@ def _dataset(cfg: ExperimentConfig, r: int, n_outliers: int, seed: int) -> Datas
     too.  A failed generation raises and is not cached.  With more seeds
     than `maxsize` the (cell, seed, method) task order still shares each
     dataset across the methods of one (cell, seed)."""
-    gt = GroundTruthConfig(p=cfg.p, k=cfg.k, M=l1_budget(cfg.k), sigma_e=cfg.sigma_e)
-    spec = GenSpec(ground_truth=gt, r=r, n_outliers=n_outliers, seed=seed,
-                   max_resamples=cfg.max_resamples, rho_min=cfg.rho_min)
-    return generate(spec)
+    return generate(GenSpec(p=cfg.p, k=cfg.k, r=r, n_outliers=n_outliers, seed=seed,
+                            sigma_e=cfg.sigma_e, max_resamples=cfg.max_resamples,
+                            rho_min=cfg.rho_min))
 
 
 def run_trial(cfg: ExperimentConfig, cell: dict, seed: int, method: str) -> tuple[dict, float]:
@@ -234,7 +226,7 @@ def run_trial(cfg: ExperimentConfig, cell: dict, seed: int, method: str) -> tupl
             res = solve_invex(data, scfg)
             theta = res.theta_hat
             row["mistakes_frac"] = clean_recovery_mistakes(res.b_rounded, data.labels, m)
-            row["delta_m"] = theory_delta_m(l1_budget(cfg.k), lam, cfg.k, m)
+            row["delta_m"] = theory_delta_m(data.meta["M"], lam, cfg.k, m)
             row["kkt_feasible"] = certify_at_true_support(data, res.b_rounded, lam)[-1]
         elif method == "lasso":
             theta = lasso(data, lam)

@@ -16,10 +16,9 @@ import sys
 import numpy as np
 
 from . import certify as cert_mod
-from .bench import (ExperimentConfig, certify_at_true_support, l1_budget, lambda_from_m,
-                    run_sweep)
+from .bench import ExperimentConfig, certify_at_true_support, lambda_from_m, run_sweep
 from .datagen import GenSpec, generate
-from .model import GroundTruthConfig, _write_json, load_dataset, save_dataset
+from .model import _write_json, load_dataset, save_dataset
 from .oracle import enumerate_best_subset
 from .solver import SolverConfig, solve_invex
 
@@ -75,10 +74,9 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_gen(args) -> int:
-    gt = GroundTruthConfig(p=args.p, k=args.k, M=l1_budget(args.k), sigma_e=args.sigma_e)
-    spec = GenSpec(ground_truth=gt, r=args.r, n_outliers=args.outliers,
-                   seed=args.seed, max_resamples=args.max_resamples,
-                   rho_min=args.rho_min)
+    spec = GenSpec(p=args.p, k=args.k, r=args.r, n_outliers=args.outliers,
+                   seed=args.seed, sigma_e=args.sigma_e,
+                   max_resamples=args.max_resamples, rho_min=args.rho_min)
     data = generate(spec)
     csv_path, json_path = save_dataset(data, args.out)
     print(f"wrote {csv_path} and {json_path} (n={data.n}, rho={data.rho})")

@@ -28,7 +28,6 @@ __all__ = [
     "CLEAN",
     "OUTLIER",
     "Dataset",
-    "GroundTruthConfig",
     "squared_loss",
     "lift_sample",
     "lift_parameter",
@@ -65,40 +64,18 @@ def _check_finite(*named) -> None:
 
 
 @dataclass(frozen=True, eq=False)
-class GroundTruthConfig:
-    """Parameters of the clean generative model.
-
-    k >= 1 and p >= k are integers, M and sigma_e finite and >= 0.
-    The predictors are standard Gaussian.
-    """
-
-    p: int
-    k: int
-    M: float
-    sigma_e: float = 0.1
-
-    def __post_init__(self):
-        _check_int("k", self.k, 1)
-        _check_int("p", self.p, self.k)
-        _check_nonneg("M", self.M)
-        _check_nonneg("sigma_e", self.sigma_e)
-
-
-@dataclass(frozen=True, eq=False)
 class Dataset:
     """Design matrix, responses and per-sample clean/outlier tags.
 
-    X, y and theta_star are finite, every label is CLEAN or OUTLIER and r
-    is the count of CLEAN labels, or ValueError names the field.  The
-    arrays are stored as read-only views, because fits and the trials of a
-    sweep share them; a caller's own arrays stay writable."""
+    X, y and theta_star are finite and every label is CLEAN or OUTLIER, or
+    ValueError names the field.  The arrays are stored as read-only views,
+    because fits and the trials of a sweep share them; a caller's own
+    arrays stay writable.  `r` and `rho` are computed from the arrays."""
 
     X: np.ndarray              # (n, p)
     y: np.ndarray              # (n,)
     labels: np.ndarray         # (n,) strings, CLEAN or OUTLIER
     theta_star: np.ndarray | None = None
-    r: int = 0                 # number of clean samples
-    rho: float | None = None   # realized loss gap, > 0 (inf if no outliers)
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -112,10 +89,6 @@ class Dataset:
         unknown = set(labels.tolist()) - {CLEAN, OUTLIER}
         if unknown:
             raise ValueError(f"labels must be {CLEAN!r} or {OUTLIER!r}, got {sorted(unknown)!r}")
-        _check_int("r", self.r, 0)
-        n_clean = int(np.count_nonzero(labels == CLEAN))
-        if self.r != n_clean:
-            raise ValueError(f"r must equal the count of clean labels, {n_clean}, got {self.r}")
         ts = self.theta_star
         if ts is not None:
             ts = np.asarray(ts, dtype=float)
@@ -135,6 +108,21 @@ class Dataset:
     @property
     def p(self) -> int:
         return self.X.shape[1]
+
+    @property
+    def r(self) -> int:
+        """The number of clean samples."""
+        return int(np.count_nonzero(self.labels == CLEAN))
+
+    @property
+    def rho(self) -> float | None:
+        """The loss gap at theta*: the smallest outlier loss minus the
+        largest clean loss, +inf with no outliers, None without theta*."""
+        if self.theta_star is None:
+            return None
+        loss = (self.y - self.X @ self.theta_star) ** 2
+        return float(loss[self.outlier_mask].min(initial=np.inf)
+                     - loss[self.clean_mask].max(initial=-np.inf))
 
     @property
     def clean_mask(self) -> np.ndarray:
@@ -260,8 +248,8 @@ def save_dataset(data: Dataset, prefix: str | Path) -> tuple[Path, Path]:
     meta["p"] = p
     meta["n"] = data.n
     meta["r"] = data.r
-    meta["rho"] = None if data.rho is None else (
-        "inf" if np.isinf(data.rho) else float(data.rho))
+    rho = data.rho
+    meta["rho"] = "inf" if rho == np.inf else rho
     meta["theta_star"] = (None if data.theta_star is None
                           else [float(v) for v in data.theta_star])
     _write_json(json_path, meta)
@@ -269,8 +257,11 @@ def save_dataset(data: Dataset, prefix: str | Path) -> tuple[Path, Path]:
 
 
 def load_dataset(prefix: str | Path) -> Dataset:
-    """Read back a dataset written by save_dataset; a sidecar n other than
-    the CSV's row count raises ValueError naming n."""
+    """Read back a dataset written by save_dataset.  A CSV row whose field
+    count is not the header's raises ValueError naming its line, and a
+    sidecar n or r other than the CSV's row or clean-label count raises
+    ValueError naming n or r.  The sidecar's rho is not read: `Dataset.rho`
+    recomputes it."""
     prefix = Path(prefix)
     csv_path = prefix.with_suffix(".csv")
     json_path = prefix.with_suffix(".json")
@@ -280,23 +271,23 @@ def load_dataset(prefix: str | Path) -> Dataset:
     with open(csv_path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
-        p = len(header) - 2
         for row in reader:
+            if len(row) != len(header):
+                raise ValueError(f"{csv_path} line {reader.line_num}: {len(row)} fields, "
+                                 f"the header has {len(header)}")
             rows_y.append(float(row[0]))
-            rows_x.append([float(v) for v in row[1:1 + p]])
+            rows_x.append([float(v) for v in row[1:-1]])
             labels.append(row[-1])
     if meta.get("n") is not None and meta["n"] != len(rows_y):
         raise ValueError(f"n: the sidecar says {meta['n']}, the CSV has {len(rows_y)} rows")
-    rho = meta.get("rho")
-    if rho == "inf":
-        rho = np.inf
     theta_star = meta.get("theta_star")
-    return Dataset(
+    data = Dataset(
         X=np.asarray(rows_x, dtype=float),
         y=np.asarray(rows_y, dtype=float),
         labels=np.asarray(labels),
         theta_star=None if theta_star is None else np.asarray(theta_star, dtype=float),
-        r=meta.get("r"),
-        rho=rho,
         meta={k: meta.get(k) for k in _META_KEYS},
     )
+    if meta.get("r") is not None and meta["r"] != data.r:
+        raise ValueError(f"r: the sidecar says {meta['r']}, the CSV has {data.r} clean rows")
+    return data

@@ -14,8 +14,7 @@ from invexreg.certify import (assumption_check, build_duals, invexity_witness,
                               kkt_residuals, nonconvexity_witness,
                               strict_dual_feasibility)
 from invexreg.datagen import GenSpec, generate
-from invexreg.model import (GroundTruthConfig, lift_parameter, lift_sample,
-                            squared_loss)
+from invexreg.model import lift_parameter, lift_sample, squared_loss
 from invexreg.oracle import enumerate_best_subset, subset_objective
 from invexreg.projections import BFeasibleSet, project_b, project_psd_corner
 from invexreg.solver import SolverConfig, refit, solve_invex
@@ -32,14 +31,12 @@ def report(num, name, ok, detail=""):
 
 
 def tiny_instance(seed):
-    gt = GroundTruthConfig(p=4, k=2, M=2.2, sigma_e=0.05)
-    return generate(GenSpec(ground_truth=gt, r=4, n_outliers=4, seed=seed,
+    return generate(GenSpec(p=4, k=2, r=4, n_outliers=4, seed=seed, sigma_e=0.05,
                             rho_min=5.0, max_resamples=500))
 
 
 def mid_instance(seed):
-    gt = GroundTruthConfig(p=20, k=3, M=3.3, sigma_e=0.1)
-    return generate(GenSpec(ground_truth=gt, r=60, n_outliers=30, seed=seed,
+    return generate(GenSpec(p=20, k=3, r=60, n_outliers=30, seed=seed, sigma_e=0.1,
                             rho_min=1.0, max_resamples=500))
 
 
@@ -76,7 +73,7 @@ def test_acceptance_03_nonconvexity_witness():
     from invexreg.model import CLEAN, Dataset
     X = rng.standard_normal((12, 5))
     y = rng.standard_normal(12)
-    data = Dataset(X=X, y=y, labels=np.array([CLEAN] * 12), r=12)
+    data = Dataset(X=X, y=y, labels=np.array([CLEAN] * 12))
     g_pos, g_neg = nonconvexity_witness(data)
     dt = time.time() - t0
     report(3, "non-convexity witness signs",
@@ -262,8 +259,7 @@ def test_acceptance_09_assumption_diagnostics():
     t0 = time.time()
     hits = 0
     for seed in range(100):
-        gt = GroundTruthConfig(p=50, k=4, M=4.4, sigma_e=0.1)
-        spec = GenSpec(ground_truth=gt, r=500, n_outliers=0, seed=seed)
+        spec = GenSpec(p=50, k=4, r=500, n_outliers=0, seed=seed, sigma_e=0.1)
         data = generate(spec)
         support = np.flatnonzero(np.abs(data.theta_star) > 0)
         rep = assumption_check(data, support)

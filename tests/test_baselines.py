@@ -8,10 +8,9 @@ import pytest
 
 from invexreg import baselines, solver
 from invexreg.baselines import _lasso_solve, adaptive_huber_lasso, lasso, trimmed_lasso
-from invexreg.bench import (ExperimentConfig, certify_at_true_support, l1_budget,
-                            lambda_from_m)
+from invexreg.bench import ExperimentConfig, certify_at_true_support, lambda_from_m
 from invexreg.datagen import GenSpec, generate
-from invexreg.model import CLEAN, OUTLIER, Dataset, GroundTruthConfig
+from invexreg.model import CLEAN, OUTLIER, Dataset
 from invexreg.solver import SolverConfig, _Gram, refit, solve_invex
 
 
@@ -19,7 +18,7 @@ def clean_data(rng, n=30, p=4, theta=None, sigma_e=0.1):
     theta = np.array([1.0, -0.5, 0.0, 0.25]) if theta is None else theta
     X = rng.standard_normal((n, p))
     y = X @ theta + sigma_e * rng.standard_normal(n)
-    return Dataset(X=X, y=y, labels=np.array([CLEAN] * n), theta_star=theta, r=n)
+    return Dataset(X=X, y=y, labels=np.array([CLEAN] * n), theta_star=theta)
 
 
 def _lasso_cd(X, y, lam, iters=20000, tol=1e-12, sample_weights=None,
@@ -89,7 +88,7 @@ def grossly_corrupted():
     data = clean_data(np.random.default_rng(5), n=40)
     y = data.y.copy()
     y[0] = 1e6
-    return Dataset(X=data.X, y=y, labels=data.labels, theta_star=data.theta_star, r=data.r)
+    return Dataset(X=data.X, y=y, labels=data.labels, theta_star=data.theta_star)
 
 
 def test_adahuber_bounded_under_gross_corruption():
@@ -148,17 +147,14 @@ def test_trimmed_drops_gross_outlier():
     y = data.y.copy()
     y[5] += 50.0
     labels = np.where(np.arange(data.n) == 5, OUTLIER, CLEAN)
-    corrupted = Dataset(X=data.X, y=y, labels=labels,
-                        theta_star=data.theta_star, r=24)
+    corrupted = Dataset(X=data.X, y=y, labels=labels, theta_star=data.theta_star)
     theta, kept = trimmed_lasso(corrupted, 0.5, 1)
     assert not kept[5]
     assert kept.sum() == 24
 
 
 def test_trimmed_kept_size_invariant():
-    data = generate(GenSpec(
-        ground_truth=GroundTruthConfig(p=5, k=2, M=2.2, sigma_e=0.1),
-        r=30, n_outliers=10, seed=9))
+    data = generate(GenSpec(p=5, k=2, r=30, n_outliers=10, seed=9, sigma_e=0.1))
     theta, kept = trimmed_lasso(data, 0.8, 10)
     assert kept.sum() == data.n - 10
 
@@ -219,9 +215,7 @@ def test_one_round_cap_stops_huber_stages_and_both_c_step_loops(monkeypatch,
     goes on with its last iterate; invex stops unconverged after one round,
     and the trimmed lasso warns."""
     monkeypatch.setattr(solver, "_MAX_ROUNDS", 1)
-    data = generate(GenSpec(
-        ground_truth=GroundTruthConfig(p=8, k=3, M=2.2, sigma_e=0.1),
-        r=40, n_outliers=20, seed=15))
+    data = generate(GenSpec(p=8, k=3, r=40, n_outliers=20, seed=15, sigma_e=0.1))
     stages, real = [], baselines._huber_stage
     monkeypatch.setattr(baselines, "_huber_stage",
                         lambda *args: stages.append(args) or real(*args))
@@ -246,9 +240,7 @@ def test_trimmed_validates_trim_count():
 
 
 def test_baselines_deterministic():
-    data = generate(GenSpec(
-        ground_truth=GroundTruthConfig(p=5, k=2, M=2.2, sigma_e=0.1),
-        r=25, n_outliers=8, seed=11))
+    data = generate(GenSpec(p=5, k=2, r=25, n_outliers=8, seed=11, sigma_e=0.1))
     lam = 0.6
     assert np.array_equal(lasso(data, lam), lasso(data, lam))
     # the Huber scale cycles on this fixture and hits its round cap
@@ -405,9 +397,7 @@ def test_repeated_solves_start_from_the_previous_theta(lasso_solves, method):
     """The first lasso solve starts cold; every later one (each adahuber
     Huber-stage round after stage 0, each trimmed round after the first)
     starts from the theta the previous solve returned."""
-    data = generate(GenSpec(
-        ground_truth=GroundTruthConfig(p=8, k=3, M=2.2, sigma_e=0.1),
-        r=40, n_outliers=20, seed=15))
+    data = generate(GenSpec(p=8, k=3, r=40, n_outliers=20, seed=15, sigma_e=0.1))
     lam = 0.6
     if method == "adahuber":
         adaptive_huber_lasso(data, lam)
@@ -427,9 +417,7 @@ def test_baselines_make_no_svd_call(monkeypatch):
     private = getattr(np.linalg, "_linalg", None) or np.linalg.linalg
     for module in (np.linalg, private):
         monkeypatch.setattr(module, "svd", no_svd)
-    data = generate(GenSpec(
-        ground_truth=GroundTruthConfig(p=5, k=2, M=2.2, sigma_e=0.1),
-        r=25, n_outliers=8, seed=11))
+    data = generate(GenSpec(p=5, k=2, r=25, n_outliers=8, seed=11, sigma_e=0.1))
     lasso(data, 0.6)
     with pytest.warns(UserWarning, match="did not settle"):
         adaptive_huber_lasso(data, 0.6)
@@ -454,7 +442,7 @@ def test_baselines_reject_non_finite_data(method, where):
            "trimmed": lambda d: trimmed_lasso(d, 0.5, 3),
            "invex": lambda d: solve_invex(d, SolverConfig(m=d.n - 3, lam=0.5))}[method]
     with pytest.raises(ValueError, match=f"^{where} must be finite"):
-        run(Dataset(X=X, y=y, labels=data.labels, theta_star=data.theta_star, r=data.r))
+        run(Dataset(X=X, y=y, labels=data.labels, theta_star=data.theta_star))
 
 
 @pytest.mark.parametrize("kind", ["zero_one", "ones"])
@@ -483,9 +471,7 @@ def test_trimmed_first_round_is_lasso(lasso_solves):
     """The first trimmed round drops no row, so the empty Gram with every
     row added is X^T X bit for bit, and the round returns the lasso estimate
     bit for bit."""
-    data = generate(GenSpec(
-        ground_truth=GroundTruthConfig(p=8, k=3, M=2.2, sigma_e=0.1),
-        r=40, n_outliers=20, seed=15))
+    data = generate(GenSpec(p=8, k=3, r=40, n_outliers=20, seed=15, sigma_e=0.1))
     trimmed_lasso(data, 0.6, 20)
     assert len(lasso_solves) >= 2
     assert np.array_equal(lasso_solves[0]["H"], data.X.T @ data.X)
@@ -539,9 +525,7 @@ def test_warm_adahuber_passes_multiply_only_the_downweighted_rows(gram_updates):
     exactly the rows whose weight changed since the previous solve, in all
     far fewer than it gives weight 0.  The cold stage-0 fit starts the
     empty Gram at weight 1 everywhere, so it touches every row once."""
-    data = generate(GenSpec(
-        ground_truth=GroundTruthConfig(p=8, k=3, M=2.2, sigma_e=0.1),
-        r=40, n_outliers=20, seed=15))
+    data = generate(GenSpec(p=8, k=3, r=40, n_outliers=20, seed=15, sigma_e=0.1))
     adaptive_huber_lasso(data, 0.6)
     first, rounds = gram_updates[0], gram_updates[1:]
     assert first["delta"] is None and np.all(first["w"] == 1.0)
@@ -563,9 +547,7 @@ def test_trimmed_rounds_touch_only_the_rows_that_swap(gram_updates):
     Gram once; each later round updates the carried Gram by exactly the rows
     that swapped into or out of the kept set since the previous round, in
     all fewer than it drops."""
-    data = generate(GenSpec(
-        ground_truth=GroundTruthConfig(p=8, k=3, M=2.2, sigma_e=0.1),
-        r=40, n_outliers=20, seed=15))
+    data = generate(GenSpec(p=8, k=3, r=40, n_outliers=20, seed=15, sigma_e=0.1))
     trimmed_lasso(data, 0.6, 20)
     assert np.all(gram_updates[0]["w"] == 1.0)
     assert gram_updates[0]["rows"] == list(range(data.n))
@@ -587,9 +569,7 @@ def test_carried_gram_matches_the_direct_product_after_every_round(gram_updates,
     plus delta X^T s in a Huber round, formed directly, and the returned
     theta meets the solve's stop rule, for the fit's penalty, on that
     directly formed (H, c)."""
-    data = generate(GenSpec(
-        ground_truth=GroundTruthConfig(p=30, k=5, M=2.2, sigma_e=0.1),
-        r=200, n_outliers=100, seed=3))
+    data = generate(GenSpec(p=30, k=5, r=200, n_outliers=100, seed=3, sigma_e=0.1))
     X, y = data.X, data.y
     if method == "adahuber":
         adaptive_huber_lasso(data, 2.0)
@@ -622,10 +602,10 @@ def test_baselines_pinned_output_fig2_p100_seed0():
     want = json.loads((root / "data" / "baseline_pin_fig2_p100_seed0.json").read_text())
     cfg = ExperimentConfig.from_json(root.parent / want["config"])
     cell = next(c for c in cfg.cells() if c["m"] == want["m"])
-    gt = GroundTruthConfig(p=cfg.p, k=cfg.k, M=l1_budget(cfg.k), sigma_e=cfg.sigma_e)
-    data = generate(GenSpec(ground_truth=gt, r=cell["r"],
+    data = generate(GenSpec(p=cfg.p, k=cfg.k, r=cell["r"],
                             n_outliers=cell["n_outliers"], seed=want["seed"],
-                            max_resamples=cfg.max_resamples, rho_min=cfg.rho_min))
+                            sigma_e=cfg.sigma_e, max_resamples=cfg.max_resamples,
+                            rho_min=cfg.rho_min))
     lam = lambda_from_m(want["m"], cfg.p, cfg.c_lambda)
     assert np.array_equal(lasso(data, lam), np.array(want["lasso"]))
     got = {"adahuber": adaptive_huber_lasso(data, lam)}
@@ -743,9 +723,7 @@ def test_warm_solves_mostly_skip_the_completion_and_pass_the_stop_rule(lasso_sol
     """Warm-started solves run the completion less often than they are made,
     and every theta returned, by either path, meets the stop rule of the
     system it solved."""
-    data = generate(GenSpec(
-        ground_truth=GroundTruthConfig(p=8, k=3, M=2.2, sigma_e=0.1),
-        r=40, n_outliers=20, seed=15))
+    data = generate(GenSpec(p=8, k=3, r=40, n_outliers=20, seed=15, sigma_e=0.1))
     lam = 0.6
     if method == "adahuber":
         adaptive_huber_lasso(data, lam)
@@ -764,9 +742,7 @@ def test_every_l1_solve_stops_at_the_one_bound(lasso_solves):
     C-steps and the certificate's refit all stop by one rule: every theta
     `solver._gram_solve` returns has a largest `solver._l1_residual` of at
     most max(`solver._BOUND`, `solver._ROUNDOFF` ||c||_inf)."""
-    data = generate(GenSpec(
-        ground_truth=GroundTruthConfig(p=8, k=3, M=2.2, sigma_e=0.1),
-        r=40, n_outliers=20, seed=15))
+    data = generate(GenSpec(p=8, k=3, r=40, n_outliers=20, seed=15, sigma_e=0.1))
     lam = 0.6
     counts = [0]
     lasso(data, lam)
@@ -800,9 +776,7 @@ def test_exact_huber_stages_are_stationary(monkeypatch):
     """On a small fixture, 8 outliers among 33 rows, every finite Newton
     stage ends without a warning, at a theta that is stationary for its
     Huber-lasso objective within the lasso's stop rule."""
-    data = generate(GenSpec(
-        ground_truth=GroundTruthConfig(p=5, k=2, M=2.2, sigma_e=0.1),
-        r=25, n_outliers=8, seed=0))
+    data = generate(GenSpec(p=5, k=2, r=25, n_outliers=8, seed=0, sigma_e=0.1))
     lam = 2.0
     stages = []
     real = baselines._huber_stage
@@ -829,9 +803,7 @@ def test_huber_stage_damps_a_newton_step_that_does_not_lower_the_objective(
     starts a halved step towards it, and every stage still settles with no
     warning and no completion run.  The Huber scale itself cycles here and
     hits its round cap, which is its own warning."""
-    data = generate(GenSpec(
-        ground_truth=GroundTruthConfig(p=8, k=2, M=2.2, sigma_e=0.1),
-        r=25, n_outliers=8, seed=14))
+    data = generate(GenSpec(p=8, k=2, r=25, n_outliers=8, seed=14, sigma_e=0.1))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         theta = adaptive_huber_lasso(data, 10.0)
@@ -853,9 +825,7 @@ def test_huber_stage_damps_a_newton_step_that_does_not_lower_the_objective(
 
 
 def test_adahuber_warns_when_the_huber_scale_hits_its_round_cap():
-    data = generate(GenSpec(
-        ground_truth=GroundTruthConfig(p=5, k=2, M=2.2, sigma_e=0.1),
-        r=25, n_outliers=8, seed=11))
+    data = generate(GenSpec(p=5, k=2, r=25, n_outliers=8, seed=11, sigma_e=0.1))
     with pytest.warns(UserWarning, match="scale did not settle in 12 rounds"):
         theta = adaptive_huber_lasso(data, 0.6)
     assert np.all(np.isfinite(theta))

@@ -14,11 +14,9 @@ import pytest
 
 from invexreg import bench, cli
 from invexreg.bench import (ExperimentConfig, RESULT_COLUMNS, certify_at_true_support,
-                            clean_count_theory, l1_budget, lambda_from_m, m_from_C,
-                            run_sweep)
+                            clean_count_theory, lambda_from_m, m_from_C, run_sweep)
 from invexreg.datagen import GenSpec, generate
-from invexreg.model import (CLEAN, OUTLIER, Dataset, GroundTruthConfig, load_dataset,
-                            save_dataset)
+from invexreg.model import CLEAN, OUTLIER, Dataset, load_dataset, save_dataset
 from invexreg.solver import SolverConfig, solve_invex
 
 
@@ -26,7 +24,7 @@ def test_count_rules():
     assert clean_count_theory(50) == 533
     assert m_from_C(1.5, 50) == 484
     assert m_from_C(0.5, 50) == 49
-    assert l1_budget(4) == 1.1 * 4
+    assert GenSpec(p=50, k=4, r=1, n_outliers=0).M == 1.1 * 4
     lam = lambda_from_m(484, 50, 0.05)
     assert abs(lam - 0.05 * np.sqrt(484 * np.log(50))) <= 1e-12
 
@@ -93,10 +91,12 @@ def test_config_validation(tmp_path):
     ("clean_count_rule", 0, "clean_count_rule must be an integer >= 1, got 0"),
     ("clean_count_rule", "24", "clean_count_rule must be an integer >= 1, got '24'"),
     ("c_lambda", 0.0, "c_lambda must be > 0, got 0.0"),
+    # a proportions grid runs one m, and tiny_cfg has two C values
+    ("outlier_rule", (0.2, 0.3), "C_values: a proportions grid takes one C value, got [0.4, 0.8]"),
 ])
 def test_config_rejects_a_bad_numeric_field_by_name(tmp_path, field, value, match):
     with pytest.raises(ValueError, match=re.escape(match)):
-        tiny_cfg(tmp_path, **{field: value})
+        tiny_cfg(tmp_path, **{field: value}).cells()
 
 
 @pytest.mark.parametrize("outlier_rule", ["half", (0.2, 0.3)])
@@ -145,6 +145,9 @@ def test_cli_sweep_rejects_a_float_count(tmp_path):
     (None, None, "config must be a JSON object, got NoneType"),
     # at lambda = 0 every invex trial would record an error
     ("c_lambda", 0, "c_lambda must be > 0, got 0"),
+    # a dict value sets several fields: a proportions grid runs one m
+    ("C_values", {"outlier_rule": [0.2, 0.3], "C_values": [0.4, 0.8]},
+     "C_values: a proportions grid takes one C value, got [0.4, 0.8]"),
 ])
 def test_cli_sweep_rejects_a_grid_it_cannot_run(tmp_path, capsys, field, value, match):
     """An empty, non-finite or repeated grid would fail after writing
@@ -152,7 +155,8 @@ def test_cli_sweep_rejects_a_grid_it_cannot_run(tmp_path, capsys, field, value, 
     names the field and exits 2 before it writes anything."""
     raw = value if field is None else {
         "p": 6, "k": 2, "clean_count_rule": 24, "C_values": [0.4], "seeds": [0],
-        "methods": ["lasso"], "output_dir": str(tmp_path / "sw"), field: value}
+        "methods": ["lasso"], "output_dir": str(tmp_path / "sw"),
+        **(value if isinstance(value, dict) else {field: value})}
     (tmp_path / "cfg.json").write_text(json.dumps(raw))
     assert cli.main(["sweep", "--config", str(tmp_path / "cfg.json"), "--workers", "1"]) == 2
     assert f"error: ValueError: {match}" in capsys.readouterr().err
@@ -239,7 +243,7 @@ SIDECAR = """{
   "n": 2,
   "p": 1,
   "r": 1,
-  "rho": "inf",
+  "rho": 6.1875,
   "seed": 7,
   "sigma_e": 0.0,
   "theta_star": [
@@ -252,14 +256,15 @@ SIDECAR = """{
 def test_sweep_meta_and_sidecar_keep_their_bytes(tmp_path, monkeypatch):
     """`sweep_meta.json` and a dataset's JSON sidecar, both written by the
     one JSON writer `model._write_json`, hold the bytes pinned above,
-    recorded when each file had its own `json.dump`."""
+    recorded when each file had its own `json.dump`.  The sidecar's rho is
+    the gap the example's arrays give, (3 - 0.5)^2 - (0.5 - 0.25)^2."""
     monkeypatch.chdir(tmp_path)
     run_sweep(tiny_cfg(tmp_path, outlier_rule=(0.2,), C_values=(0.4,), methods=("lasso",),
                        seeds=(0,), output_dir="sw"), workers=1)
     assert (tmp_path / "sw" / "sweep_meta.json").read_text() == SWEEP_META
     data = Dataset(X=np.array([[1.0], [2.0]]), y=np.array([0.5, 3.0]),
-                   labels=np.array([CLEAN, OUTLIER]), theta_star=np.array([0.25]), r=1,
-                   rho=np.inf, meta={"p": 1, "k": 1, "M": 1.1, "sigma_e": 0.0, "seed": 7})
+                   labels=np.array([CLEAN, OUTLIER]), theta_star=np.array([0.25]),
+                   meta={"p": 1, "k": 1, "M": 1.1, "sigma_e": 0.0, "seed": 7})
     _, sidecar = save_dataset(data, tmp_path / "ds")
     assert sidecar.read_text() == SIDECAR
 
@@ -320,7 +325,8 @@ def generate_calls(monkeypatch):
     ((0.2, 0.3), 4),       # one per (proportion, seed)
 ])
 def test_run_sweep_generates_each_dataset_once(tmp_path, generate_calls, rule, expected):
-    cfg = tiny_cfg(tmp_path, outlier_rule=rule, C_values=(0.4, 0.8))
+    cfg = tiny_cfg(tmp_path, outlier_rule=rule,
+                   C_values=(0.4, 0.8) if rule == "half" else (0.8,))
     assert len(cfg.cells()) * len(cfg.seeds) * len(cfg.methods) == 8
     run_sweep(cfg, workers=1)
     assert len(generate_calls) == expected
@@ -337,9 +343,9 @@ def test_run_sweep_retries_a_failed_generation(tmp_path, generate_calls):
 
 
 def _spec(cfg, cell, seed):
-    gt = GroundTruthConfig(p=cfg.p, k=cfg.k, M=l1_budget(cfg.k), sigma_e=cfg.sigma_e)
-    return GenSpec(ground_truth=gt, r=cell["r"], n_outliers=cell["n_outliers"],
-                   seed=seed, max_resamples=cfg.max_resamples, rho_min=cfg.rho_min)
+    return GenSpec(p=cfg.p, k=cfg.k, r=cell["r"], n_outliers=cell["n_outliers"],
+                   seed=seed, sigma_e=cfg.sigma_e, max_resamples=cfg.max_resamples,
+                   rho_min=cfg.rho_min)
 
 
 @pytest.mark.parametrize("field, value", [("sigma_e", 0.3), ("rho_min", 1.0), ("k", 3)])
@@ -451,7 +457,7 @@ def test_cli_pipeline(tmp_path):
              "--seed", "1", "--rho-min", "5", "--max-resamples", "500",
              "--sigma-e", "0.05", "--out", ds)
     assert r.returncode == 0, r.stderr
-    # the L1 budget is the sweep's rule, l1_budget(k), not a flag
+    # the L1 budget is the generator's rule, GenSpec.M = 1.1 k, not a flag
     r = _cli("gen", "--p", "4", "--k", "2", "--r", "4", "--M", "3",
              "--out", str(tmp_path / "ds_M"))
     assert r.returncode == 1 and "unrecognized arguments: --M" in r.stderr
@@ -504,9 +510,8 @@ def test_cli_pipeline(tmp_path):
 def test_cli_refuses_a_dataset_with_a_nan(tmp_path):
     """A NaN in X is refused when the dataset loads, naming X, even on a row
     that the result does not select."""
-    gt = GroundTruthConfig(p=4, k=2, M=2.2, sigma_e=0.05)
-    csv_path, _ = save_dataset(generate(GenSpec(ground_truth=gt, r=4, n_outliers=4,
-                                                seed=0)), tmp_path / "ds")
+    csv_path, _ = save_dataset(generate(GenSpec(p=4, k=2, r=4, n_outliers=4, seed=0,
+                                                sigma_e=0.05)), tmp_path / "ds")
     rows = csv_path.read_text().splitlines()
     cells = rows[-1].split(",")   # the last row, which the result does not select
     cells[1] = "nan"
@@ -524,8 +529,7 @@ def test_cli_refuses_a_dataset_with_a_nan(tmp_path):
 def test_cli_certify_verdict_is_the_sweep_verdict(tmp_path, pick):
     """`invexreg certify` writes the verdict the sweep's kkt_feasible column
     takes from the same recipe, passing or failing."""
-    gt = GroundTruthConfig(p=4, k=2, M=2.2, sigma_e=0.05)
-    save_dataset(generate(GenSpec(ground_truth=gt, r=4, n_outliers=4, seed=0,
+    save_dataset(generate(GenSpec(p=4, k=2, r=4, n_outliers=4, seed=0, sigma_e=0.05,
                                   rho_min=5.0, max_resamples=500)), tmp_path / "ds")
     data = load_dataset(tmp_path / "ds")
     lam = 1.18
@@ -632,10 +636,11 @@ def test_grid_sweep_matches_its_pin(tmp_path, config):
             assert _same_cell(a, b), (row_want[:7], column, a, b)
 
 
-def test_grid_datasets_match_their_rho_pin():
+def test_grid_datasets_match_their_rho_pin(tmp_path):
     """Every dataset of the configs/ grids, generated as a sweep generates
     it, has the loss gap pinned in tests/data/rho_pin.csv (recorded at
-    commit da429fc), within 1e-12 relative."""
+    commit da429fc), within 1e-12 relative.  One dataset per config, saved
+    and loaded back, keeps its arrays, r and rho bit for bit."""
     root = Path(__file__).resolve().parent
     rows = _read_rows(root / "data" / "rho_pin.csv")
     assert rows[0] == ["config", "n_outliers", "seed", "rho"]
@@ -645,7 +650,14 @@ def test_grid_datasets_match_their_rho_pin():
         cfg = ExperimentConfig.from_json(root.parent / "configs" / f"{config}.json")
         for n_outliers in {c["n_outliers"] for c in cfg.cells()}:
             for seed in cfg.seeds:
-                got[config, n_outliers, seed] = bench._dataset(cfg, cfg.r, n_outliers, seed).rho
+                data = bench._dataset(cfg, cfg.r, n_outliers, seed)
+                got[config, n_outliers, seed] = data.rho
+        save_dataset(data, tmp_path / config)
+        back = load_dataset(tmp_path / config)
+        for name in ("X", "y", "labels", "theta_star"):
+            mine, read = getattr(data, name), getattr(back, name)
+            assert np.array_equal(mine, read) and mine.dtype == read.dtype, (config, name)
+        assert back.r == data.r == cfg.r and back.rho == data.rho
     assert got.keys() == pinned.keys()
     for key, rho in pinned.items():
         assert math.isclose(got[key], rho, rel_tol=1e-12, abs_tol=0.0), key

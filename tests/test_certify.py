@@ -11,16 +11,15 @@ from invexreg.certify import (AllZeroColumn, EmptySupport, RejectionExhausted,
                               nonconvexity_witness, strict_dual_feasibility,
                               _curvature_gap)
 from invexreg.datagen import GenSpec, generate
-from invexreg.model import (CLEAN, OUTLIER, Dataset, GroundTruthConfig,
-                            lift_parameter, sample_losses, to_jsonable)
+from invexreg.model import (CLEAN, OUTLIER, Dataset, lift_parameter, sample_losses,
+                            to_jsonable)
 from invexreg.oracle import enumerate_best_subset
 from invexreg.projections import BFeasibleSet, project_b
 from invexreg.solver import SolverConfig, refit, solve_invex
 
 
 def tiny_instance(seed, sigma_e=0.05):
-    gt = GroundTruthConfig(p=4, k=2, M=2.2, sigma_e=sigma_e)
-    spec = GenSpec(ground_truth=gt, r=4, n_outliers=4, seed=seed,
+    spec = GenSpec(p=4, k=2, r=4, n_outliers=4, seed=seed, sigma_e=sigma_e,
                    rho_min=5.0, max_resamples=500)
     return generate(spec)
 
@@ -41,7 +40,7 @@ def test_duals_noiseless_all_clean_selection():
     yo = np.array([4.0, 4.5, 5.0])
     data = Dataset(X=np.vstack([Xc, Xo]), y=np.concatenate([yc, yo]),
                    labels=np.array([CLEAN] * 5 + [OUTLIER] * 3),
-                   theta_star=theta, r=5)
+                   theta_star=theta)
     support = np.array([0, 1])
     sel = np.zeros(8)
     sel[:5] = 1.0
@@ -165,7 +164,7 @@ def test_assumption_check_identity_covariance():
     rng = np.random.default_rng(3)
     X = rng.standard_normal((10000, 10))
     data = Dataset(X=X, y=np.zeros(10000),
-                   labels=np.array([CLEAN] * 10000), r=10000)
+                   labels=np.array([CLEAN] * 10000))
     rep = assumption_check(data, support=np.array([0, 3, 7]))
     assert 0.9 <= rep.min_eig_SS <= 1.1
     assert rep.incoherence <= 0.2
@@ -175,7 +174,7 @@ def test_assumption_check_identity_covariance():
 
 def test_assumption_check_degenerate_rows():
     X = np.ones((20, 4))
-    data = Dataset(X=X, y=np.zeros(20), labels=np.array([CLEAN] * 20), r=20)
+    data = Dataset(X=X, y=np.zeros(20), labels=np.array([CLEAN] * 20))
     with pytest.raises(SingularSubmatrix):
         assumption_check(data, support=np.array([0, 1]))
 
@@ -183,7 +182,7 @@ def test_assumption_check_degenerate_rows():
 def test_assumption_check_full_support_no_complement():
     rng = np.random.default_rng(4)
     X = rng.standard_normal((500, 3))
-    data = Dataset(X=X, y=np.zeros(500), labels=np.array([CLEAN] * 500), r=500)
+    data = Dataset(X=X, y=np.zeros(500), labels=np.array([CLEAN] * 500))
     rep = assumption_check(data, support=np.arange(3))
     assert rep.incoherence == 0.0
 
@@ -209,7 +208,7 @@ def test_strict_dual_noiseless_bounded_by_incoherence():
     theta[:k] = [0.9, -0.6]
     X = rng.standard_normal((n, p))
     y = X @ theta  # no noise
-    data = Dataset(X=X, y=y, labels=np.array([CLEAN] * n), theta_star=theta, r=n)
+    data = Dataset(X=X, y=y, labels=np.array([CLEAN] * n), theta_star=theta)
     lam = 0.8
     support = np.arange(k)
     th_S = refit(data, np.ones(n), lam, support=support)[support]
@@ -228,7 +227,7 @@ def test_strict_dual_tiny_lambda_fails():
 
 def test_strict_dual_requires_theta_star():
     data = tiny_instance(4)
-    stripped = Dataset(X=data.X, y=data.y, labels=data.labels, r=data.r)
+    stripped = Dataset(X=data.X, y=data.y, labels=data.labels)
     with pytest.raises(ValueError):
         strict_dual_feasibility(stripped, np.ones(data.n), np.zeros(2), 1.0,
                                 np.array([0, 1]))
@@ -254,7 +253,7 @@ def test_invexity_gap_zero_for_equal_pair():
 def test_invexity_rejection_exhausted():
     # a zero sample keeps one lifted loss at zero for every matrix
     data = Dataset(X=np.zeros((3, 2)), y=np.zeros(3),
-                   labels=np.array([CLEAN] * 3), r=3)
+                   labels=np.array([CLEAN] * 3))
     with pytest.raises(RejectionExhausted):
         invexity_witness(data, trials=1, seed=0)
 
@@ -277,7 +276,7 @@ def test_curvature_gap_vanishes_at_equal_displacement():
 
 def test_nonconvexity_all_zero_column():
     data = Dataset(X=np.zeros((4, 2)), y=np.ones(4),
-                   labels=np.array([CLEAN] * 4), r=4)
+                   labels=np.array([CLEAN] * 4))
     with pytest.raises(AllZeroColumn):
         nonconvexity_witness(data)
 

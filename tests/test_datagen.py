@@ -8,12 +8,11 @@ import pytest
 from invexreg import datagen
 from invexreg.cli import main
 from invexreg.datagen import GenSpec, ResampleExhausted, generate
-from invexreg.model import CLEAN, OUTLIER, GroundTruthConfig, load_dataset, save_dataset
+from invexreg.model import CLEAN, OUTLIER, load_dataset, save_dataset
 
 
-def make_spec(p=10, k=3, r=40, n_out=20, seed=0, sigma_e=0.1, M=None, **kw):
-    gt = GroundTruthConfig(p=p, k=k, M=(1.1 * k if M is None else M), sigma_e=sigma_e)
-    return GenSpec(ground_truth=gt, r=r, n_outliers=n_out, seed=seed, **kw)
+def make_spec(p=10, k=3, r=40, n_out=20, seed=0, sigma_e=0.1, **kw):
+    return GenSpec(p=p, k=k, r=r, n_outliers=n_out, seed=seed, sigma_e=sigma_e, **kw)
 
 
 def test_theta_star_sparsity_and_magnitudes():
@@ -22,24 +21,19 @@ def test_theta_star_sparsity_and_magnitudes():
     nz = np.abs(theta) > 0
     assert nz.sum() == 4
     mags = np.abs(theta[nz])
-    assert np.all((mags >= 0.1) & (mags <= 1.1))
-    assert not data.meta["theta_rescaled"]
+    assert np.all((mags >= 0.1) & (mags < 1.1))
+    assert data.meta["M"] == make_spec(k=4).M == 1.1 * 4
+    assert np.abs(theta).sum() < data.meta["M"]
 
 
 def test_theta_star_dense_at_k_equals_p():
-    theta = generate(make_spec(p=5, k=5, M=5.5)).theta_star
+    theta = generate(make_spec(p=5, k=5)).theta_star
     assert np.all(np.abs(theta) > 0)
 
 
 def test_theta_star_deterministic():
     spec = make_spec(seed=42)
     assert np.array_equal(generate(spec).theta_star, generate(spec).theta_star)
-
-
-def test_theta_star_rescaled_to_budget():
-    data = generate(make_spec(p=10, k=4, M=0.2))
-    assert abs(np.abs(data.theta_star).sum() - 0.2) <= 1e-12
-    assert data.meta["theta_rescaled"]
 
 
 def test_clean_noiseless():
@@ -126,8 +120,8 @@ def test_generate_deterministic():
 
 
 def test_generate_margin_holds():
-    """rho is the gap recomputed from the shuffled rows exactly, also when
-    rho_min forces resampling rounds."""
+    """rho, the smallest outlier loss minus the largest clean loss at
+    theta*, is positive, also when rho_min forces resampling rounds."""
     specs = [make_spec(seed=seed) for seed in range(5)]
     for spec in specs + [make_spec(seed=2, rho_min=3.0, max_resamples=500)]:
         data = generate(spec)
@@ -169,14 +163,14 @@ def test_genspec_validation():
     ({"k": 2.0}, "k must be an integer >= 1, got 2.0"),
     ({"k": True}, "k must be an integer >= 1, got True"),
     ({"k": 5}, "p must be an integer >= 5, got 4"),
-    ({"M": math.nan}, "M must be finite and >= 0, got nan"),
-    ({"M": -1.0}, "M must be finite and >= 0, got -1.0"),
+    ({"p": True}, "p must be an integer >= 2, got True"),
+    ({"sigma_e": math.inf}, "sigma_e must be finite and >= 0, got inf"),
     ({"sigma_e": math.nan}, "sigma_e must be finite and >= 0, got nan"),
     ({"sigma_e": -0.1}, "sigma_e must be finite and >= 0, got -0.1"),
 ])
 def test_ground_truth_rejects_a_bad_field_by_name(kw, match):
     with pytest.raises(ValueError, match=re.escape(match)):
-        GroundTruthConfig(**{"p": 4, "k": 2, "M": 2.2, **kw})
+        make_spec(**{"p": 4, "k": 2, **kw})
 
 
 @pytest.mark.parametrize("kw, match", [
@@ -206,7 +200,7 @@ def test_sidecar_has_no_sigma_and_old_sidecars_load(tmp_path):
     _, json_path = save_dataset(data, tmp_path / "ds")
     meta = json.loads(json_path.read_text())
     assert "sigma" not in meta and meta["sigma_e"] == 0.1
-    meta["sigma"] = 1.0  # a sidecar written while GroundTruthConfig had sigma
+    meta["sigma"] = 1.0  # a sidecar written while the generator's spec had sigma
     json_path.write_text(json.dumps(meta))
     back = load_dataset(tmp_path / "ds")
     assert np.array_equal(back.X, data.X) and np.array_equal(back.y, data.y)

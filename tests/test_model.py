@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -76,7 +77,7 @@ def _tiny_dataset(rng, n=5, p=3):
     X = rng.standard_normal((n, p))
     y = rng.standard_normal(n)
     labels = np.array([CLEAN] * n)
-    return Dataset(X=X, y=y, labels=labels, r=n)
+    return Dataset(X=X, y=y, labels=labels)
 
 
 def test_objective_zero_weight():
@@ -163,7 +164,7 @@ def test_dataset_invariants():
 def nine_row_dataset(tmp_path):
     """A 9-row dataset, 6 clean and 3 outliers, saved under tmp_path/ds."""
     data = Dataset(X=np.arange(18.0).reshape(9, 2), y=np.arange(9.0),
-                   labels=np.array([CLEAN] * 6 + [OUTLIER] * 3), r=6)
+                   labels=np.array([CLEAN] * 6 + [OUTLIER] * 3))
     return save_dataset(data, tmp_path / "ds")
 
 
@@ -179,25 +180,52 @@ def test_dataset_rejects_an_unknown_label(tmp_path):
         load_dataset(tmp_path / "ds")
 
 
-@pytest.mark.parametrize("r, match", [(4, "r must equal the count of clean labels, 3, got 4"),
-                                      (-1, "r must be an integer >= 0, got -1"),
-                                      (1.5, "r must be an integer >= 0, got 1.5")])
-def test_dataset_rejects_a_clean_count_outside_0_to_n(r, match):
-    with pytest.raises(ValueError, match=match):
-        Dataset(X=np.zeros((3, 2)), y=np.zeros(3), labels=np.array([CLEAN] * 3), r=r)
-
-
 def test_dataset_r_is_the_count_of_clean_labels(tmp_path):
-    """An r of 0 over clean labels, or a sidecar with no r, would make the
-    sidecar's clean count disagree with the labels."""
-    with pytest.raises(ValueError, match="r must equal the count of clean labels, 2, got 0"):
-        Dataset(X=np.zeros((3, 1)), y=np.zeros(3), labels=np.array([CLEAN] * 2 + [OUTLIER]))
+    """r is computed from the labels, so a sidecar without r loads with it."""
+    assert Dataset(X=np.zeros((3, 1)), y=np.zeros(3),
+                   labels=np.array([CLEAN] * 2 + [OUTLIER])).r == 2
     _, json_path = nine_row_dataset(tmp_path)
     meta = json.loads(json_path.read_text())
+    assert meta["r"] == 6
     del meta["r"]
     json_path.write_text(json.dumps(meta))
-    with pytest.raises(ValueError, match="r must be an integer >= 0, got None"):
+    assert load_dataset(tmp_path / "ds").r == 6
+
+
+@pytest.mark.parametrize("r", [5, 7])
+def test_load_dataset_rejects_a_sidecar_r_that_is_not_the_clean_count(tmp_path, r):
+    _, json_path = nine_row_dataset(tmp_path)
+    meta = json.loads(json_path.read_text())
+    meta["r"] = r
+    json_path.write_text(json.dumps(meta))
+    with pytest.raises(ValueError, match=f"r: the sidecar says {r}, the CSV has 6 clean rows"):
         load_dataset(tmp_path / "ds")
+
+
+def test_load_dataset_names_the_csv_line_of_a_short_row(tmp_path):
+    """A row with a missing value would read its label as a number."""
+    csv_path, _ = nine_row_dataset(tmp_path)
+    rows = csv_path.read_text().splitlines()
+    fields = rows[2].split(",")   # the second data row: y, x1, x2, label
+    rows[2] = ",".join(fields[:2] + fields[3:])
+    csv_path.write_text("\n".join(rows) + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"{csv_path} line 3: 3 fields, "
+                                                   f"the header has 4")):
+        load_dataset(tmp_path / "ds")
+
+
+@pytest.mark.parametrize("rho", [-5.0, "abc"])
+def test_load_dataset_recomputes_rho_over_the_sidecar(tmp_path, rho):
+    """rho is computed from the arrays and theta*, so an edited sidecar rho
+    is not read."""
+    data = Dataset(X=np.array([[1.0], [2.0]]), y=np.array([0.5, 3.0]),
+                   labels=np.array([CLEAN, OUTLIER]), theta_star=np.array([0.25]))
+    _, json_path = save_dataset(data, tmp_path / "ds")
+    meta = json.loads(json_path.read_text())
+    assert meta["rho"] == data.rho == 6.1875
+    meta["rho"] = rho
+    json_path.write_text(json.dumps(meta))
+    assert load_dataset(tmp_path / "ds").rho == 6.1875
 
 
 def test_dataset_rejects_non_finite_data_and_stores_read_only_views():
@@ -209,9 +237,9 @@ def test_dataset_rejects_non_finite_data_and_stores_read_only_views():
             arrays = {"X": X.copy(), "y": y.copy(), "theta_star": theta_star.copy()}
             arrays[name].flat[-1] = bad
             with pytest.raises(ValueError, match=f"^{name} must be finite"):
-                Dataset(labels=np.array([CLEAN] * 3), r=3, **arrays)
+                Dataset(labels=np.array([CLEAN] * 3), **arrays)
     labels = np.array([CLEAN] * 3)
-    data = Dataset(X=X, y=y, labels=labels, theta_star=theta_star, r=3)
+    data = Dataset(X=X, y=y, labels=labels, theta_star=theta_star)
     for mine, stored in ((X, data.X), (y, data.y), (labels, data.labels),
                          (theta_star, data.theta_star)):
         assert np.shares_memory(mine, stored)
@@ -223,7 +251,7 @@ def test_dataset_rejects_non_finite_data_and_stores_read_only_views():
 def test_load_dataset_rejects_a_sidecar_n_that_is_not_the_row_count(tmp_path):
     _, json_path = nine_row_dataset(tmp_path)
     meta = json.loads(json_path.read_text())
-    meta.update(n=99, r=50)
+    meta.update(n=99)
     json_path.write_text(json.dumps(meta))
     with pytest.raises(ValueError, match="n: the sidecar says 99, the CSV has 9 rows"):
         load_dataset(tmp_path / "ds")
@@ -235,7 +263,6 @@ def test_dataset_csv_round_trip(tmp_path):
     y = rng.standard_normal(6)
     labels = np.array([CLEAN, OUTLIER, CLEAN, CLEAN, OUTLIER, CLEAN])
     data = Dataset(X=X, y=y, labels=labels, theta_star=rng.standard_normal(3),
-                   r=4, rho=0.25,
                    meta={"p": 3, "k": 2, "M": 2.2, "sigma_e": 0.1, "seed": 29})
     save_dataset(data, tmp_path / "ds")
     back = load_dataset(tmp_path / "ds")
@@ -243,12 +270,21 @@ def test_dataset_csv_round_trip(tmp_path):
     assert np.array_equal(back.y, data.y)
     assert np.array_equal(back.labels, data.labels)
     assert np.array_equal(back.theta_star, data.theta_star)
-    assert back.r == 4 and back.rho == 0.25
+    assert back.r == data.r == 4 and back.rho == data.rho
+    loss = (y - X @ data.theta_star) ** 2
+    assert data.rho == loss[labels == OUTLIER].min() - loss[labels == CLEAN].max()
     assert back.meta["seed"] == 29
 
 
 def test_dataset_infinite_rho_round_trip(tmp_path):
+    """With no outliers rho is +inf, written "inf"; without theta* it is None."""
     data = Dataset(X=np.zeros((2, 1)), y=np.zeros(2),
-                   labels=np.array([CLEAN, CLEAN]), r=2, rho=np.inf)
-    save_dataset(data, tmp_path / "ds")
-    assert np.isinf(load_dataset(tmp_path / "ds").rho)
+                   labels=np.array([CLEAN, CLEAN]), theta_star=np.zeros(1))
+    assert data.rho == np.inf
+    _, json_path = save_dataset(data, tmp_path / "ds")
+    assert json.loads(json_path.read_text())["rho"] == "inf"
+    assert load_dataset(tmp_path / "ds").rho == np.inf
+    data = Dataset(X=data.X, y=data.y, labels=data.labels)
+    _, json_path = save_dataset(data, tmp_path / "ds")
+    assert json.loads(json_path.read_text())["rho"] is None
+    assert data.rho is None and load_dataset(tmp_path / "ds").rho is None

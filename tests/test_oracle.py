@@ -4,15 +4,14 @@ import numpy as np
 import pytest
 
 from invexreg.datagen import GenSpec, generate
-from invexreg.model import CLEAN, OUTLIER, Dataset, GroundTruthConfig, to_jsonable
+from invexreg.model import CLEAN, OUTLIER, Dataset, to_jsonable
 from invexreg.oracle import (CombinatorialBlowup, enumerate_best_subset,
                              grid_search_theta, subset_objective)
 from invexreg.solver import SolverConfig, refit, solve_invex
 
 
 def tiny_instance(seed):
-    gt = GroundTruthConfig(p=4, k=2, M=2.2, sigma_e=0.05)
-    spec = GenSpec(ground_truth=gt, r=4, n_outliers=4, seed=seed,
+    spec = GenSpec(p=4, k=2, r=4, n_outliers=4, seed=seed, sigma_e=0.05,
                    rho_min=5.0, max_resamples=500)
     return generate(spec)
 
@@ -32,7 +31,7 @@ def test_gross_outlier_excluded():
     theta = np.array([1.0, -1.0])
     y = X @ theta
     y[3] += 100.0  # gross outlier
-    data = Dataset(X=X, y=y, labels=np.array([CLEAN] * 3 + [OUTLIER]), r=3)
+    data = Dataset(X=X, y=y, labels=np.array([CLEAN] * 3 + [OUTLIER]))
     res = enumerate_best_subset(data, 2, 0.1)
     assert 3 not in res.J_star
 
@@ -66,8 +65,7 @@ def test_duplicate_of_selected_clean_never_hurts():
     X2 = np.vstack([data.X, data.X[dup]])
     y2 = np.append(data.y, data.y[dup])
     labels2 = np.append(data.labels, data.labels[dup])
-    bigger = Dataset(X=X2, y=y2, labels=labels2, r=data.r + 1,
-                     theta_star=data.theta_star)
+    bigger = Dataset(X=X2, y=y2, labels=labels2, theta_star=data.theta_star)
     res2 = enumerate_best_subset(bigger, 4, lam)
     assert res2.objective <= base.objective + 1e-9
 
@@ -83,7 +81,7 @@ def test_grid_oracle_agrees_with_refit_at_p2():
     X = rng.standard_normal((6, 2))
     theta = np.array([0.8, -0.4])
     y = X @ theta + 0.05 * rng.standard_normal(6)
-    data = Dataset(X=X, y=y, labels=np.array([CLEAN] * 6), r=6)
+    data = Dataset(X=X, y=y, labels=np.array([CLEAN] * 6))
     lam = 0.7
     rows = np.arange(6)
     th_grid, obj_grid = grid_search_theta(data, rows, lam, radius=2.0)
@@ -111,7 +109,7 @@ def _p2_instance():
     rng = np.random.default_rng(5)
     X = rng.standard_normal((6, 2))
     y = X @ np.array([0.8, -0.4]) + 0.05 * rng.standard_normal(6)
-    return Dataset(X=X, y=y, labels=np.array([CLEAN] * 6), r=6)
+    return Dataset(X=X, y=y, labels=np.array([CLEAN] * 6))
 
 
 # each reads its rows argument the way refit and the certificate do

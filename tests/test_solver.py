@@ -8,12 +8,11 @@ import numpy as np
 import pytest
 
 from invexreg import solver
-from invexreg.bench import ExperimentConfig, l1_budget, lambda_from_m
+from invexreg.bench import ExperimentConfig, lambda_from_m
 from invexreg.certify import build_duals
 from invexreg.datagen import GenSpec, generate
-from invexreg.model import (CLEAN, Dataset, GroundTruthConfig, lift_parameter,
-                            lift_sample, lifted_gram, objective, sample_losses,
-                            to_jsonable)
+from invexreg.model import (CLEAN, Dataset, lift_parameter, lift_sample, lifted_gram,
+                            objective, sample_losses, to_jsonable)
 from invexreg.oracle import subset_objective
 from invexreg.solver import InfeasibleM, SolverConfig, grad_vartheta, refit, solve_invex
 
@@ -21,12 +20,11 @@ from invexreg.solver import InfeasibleM, SolverConfig, grad_vartheta, refit, sol
 def all_clean_dataset(rng, n, p, theta, sigma_e=0.0):
     X = rng.standard_normal((n, p))
     y = X @ theta + sigma_e * rng.standard_normal(n)
-    return Dataset(X=X, y=y, labels=np.array([CLEAN] * n), theta_star=theta, r=n)
+    return Dataset(X=X, y=y, labels=np.array([CLEAN] * n), theta_star=theta)
 
 
 def tiny_instance(seed, sigma_e=0.05, rho_min=5.0):
-    gt = GroundTruthConfig(p=4, k=2, M=2.2, sigma_e=sigma_e)
-    spec = GenSpec(ground_truth=gt, r=4, n_outliers=4, seed=seed,
+    spec = GenSpec(p=4, k=2, r=4, n_outliers=4, seed=seed, sigma_e=sigma_e,
                    rho_min=rho_min, max_resamples=500)
     return generate(spec)
 
@@ -117,7 +115,7 @@ def test_refit_support_restriction_zero_pads():
 
 def two_row_dataset():
     return Dataset(X=np.array([[1.0], [2.0]]), y=np.array([1.0, 50.0]),
-                   labels=np.array([CLEAN] * 2), r=2)
+                   labels=np.array([CLEAN] * 2))
 
 
 def test_refit_index_array_is_not_a_mask():
@@ -163,7 +161,7 @@ def test_refit_rejects_non_finite_input(where):
     else:
         lam = np.inf if where == "lam" else -1.0
     with pytest.raises(ValueError, match=f"^{where.split()[-1]} must be finite"):
-        refit(Dataset(X=X, y=y, labels=data.labels, r=data.r), np.ones(data.n), lam)
+        refit(Dataset(X=X, y=y, labels=data.labels), np.ones(data.n), lam)
 
 
 @pytest.mark.parametrize("support", [np.array([-1]), np.array([0, 3])])
@@ -206,10 +204,10 @@ def test_solve_monotone_trace_and_feasible_iterates():
 def test_selection_takes_the_m_smallest_losses_ties_to_the_smallest_index():
     """With X = 0 every theta gives the losses y_i^2, so the selection is
     the b-step's rule alone."""
-    flat = Dataset(X=np.zeros((4, 2)), y=np.ones(4), labels=np.array([CLEAN] * 4), r=4)
+    flat = Dataset(X=np.zeros((4, 2)), y=np.ones(4), labels=np.array([CLEAN] * 4))
     assert solve_invex(flat, SolverConfig(m=2, lam=0.1)).selection.tolist() == [0, 1]
     ds = Dataset(X=np.zeros((3, 1)), y=np.sqrt(np.array([5.0, 1.0, 3.0])),
-                 labels=np.array([CLEAN] * 3), r=3)
+                 labels=np.array([CLEAN] * 3))
     res = solve_invex(ds, SolverConfig(m=2, lam=0.1))
     assert res.b_rounded.tolist() == [0.0, 1.0, 1.0]
     assert solve_invex(ds, SolverConfig(m=3, lam=0.1)).b_rounded.sum() == 3
@@ -281,10 +279,10 @@ def _solve_cell(config, m, seed, n_outliers=None):
     cfg = ExperimentConfig.from_json(Path(__file__).resolve().parent.parent / config)
     cell = next(c for c in cfg.cells() if c["m"] == m
                 and n_outliers in (None, c["n_outliers"]))
-    gt = GroundTruthConfig(p=cfg.p, k=cfg.k, M=l1_budget(cfg.k), sigma_e=cfg.sigma_e)
-    data = generate(GenSpec(ground_truth=gt, r=cell["r"],
+    data = generate(GenSpec(p=cfg.p, k=cfg.k, r=cell["r"],
                             n_outliers=cell["n_outliers"], seed=seed,
-                            max_resamples=cfg.max_resamples, rho_min=cfg.rho_min))
+                            sigma_e=cfg.sigma_e, max_resamples=cfg.max_resamples,
+                            rho_min=cfg.rho_min))
     lam = lambda_from_m(m, cfg.p, cfg.c_lambda)
     return data, solve_invex(data, SolverConfig(m=m, lam=lam))
 
@@ -340,8 +338,7 @@ def test_solve_stops_at_the_first_repeated_kept_set(monkeypatch, cell):
 
 
 def mid_instance(seed):
-    gt = GroundTruthConfig(p=20, k=3, M=3.3, sigma_e=0.1)
-    return generate(GenSpec(ground_truth=gt, r=60, n_outliers=30, seed=seed,
+    return generate(GenSpec(p=20, k=3, r=60, n_outliers=30, seed=seed, sigma_e=0.1,
                             rho_min=1.0, max_resamples=500))
 
 
@@ -396,7 +393,7 @@ def near_collinear_instance():
     data = mid_instance(2)
     X = data.X.copy()
     X[:, 1] = X[:, 0] + 1e-4 * X[:, 1]
-    return Dataset(X=X, y=data.y, labels=data.labels, theta_star=data.theta_star, r=data.r)
+    return Dataset(X=X, y=data.y, labels=data.labels, theta_star=data.theta_star)
 
 
 # (21, 0.0): least squares on m = p + 1 rows, whose first full solve passes
@@ -418,14 +415,12 @@ def test_near_collinear_recipe_solves_exactly(p):
     and lam from 0 to 100, on three seeds: every solve, whichever refits
     reach the completion, ends without a warning, and the dual record
     certifies it."""
-    gt = GroundTruthConfig(p=p, k=2, M=2.2, sigma_e=0.1)
     for seed in range(3):
-        data = generate(GenSpec(ground_truth=gt, r=3 * p, n_outliers=2 * p, seed=seed,
+        data = generate(GenSpec(p=p, k=2, r=3 * p, n_outliers=2 * p, seed=seed,
                                 rho_min=1.0, max_resamples=500))
         X = data.X.copy()
         X[:, 1] = X[:, 0] + 1e-4 * X[:, 1]
-        data = Dataset(X=X, y=data.y, labels=data.labels, theta_star=data.theta_star,
-                       r=data.r)
+        data = Dataset(X=X, y=data.y, labels=data.labels, theta_star=data.theta_star)
         for m, lam in itertools.product((p // 2, p + 1, 2 * p), (0.0, 0.01, 1.0, 100.0)):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
