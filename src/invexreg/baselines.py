@@ -2,8 +2,8 @@
 and a trimmed robust-lasso proxy.
 
 The adaptive and trimmed variants approximate the published methods they
-stand in for (documented as *-proxy in benchmark output); they exist as
-comparison curves, not reference implementations.
+stand in for (labelled *-proxy in the sweep plots by `bench.METHODS`);
+they exist as comparison curves, not reference implementations.
 
 All three solve lasso problems on the Gram form: a quadratic
 theta^T H theta - 2 c^T theta, so every step costs a p x p product instead

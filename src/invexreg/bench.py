@@ -14,7 +14,7 @@ need that dataset, and the first generation in a process also imports
 numpy.random.  No trial pays any other first-use import
 (tests/test_dependencies.py checks this).  `certify_at_true_support` is
 the one certificate recipe, for the `kkt_feasible` column and `invexreg
-certify`.
+certify`.  A method is one entry of `METHODS`: its plot label and its fit.
 """
 
 from __future__ import annotations
@@ -45,7 +45,29 @@ RESULT_COLUMNS = ["method", "p", "k", "m", "r", "n_outliers", "seed",
                   "mistakes_frac", "jaccard", "norm_error", "delta_m",
                   "kkt_feasible", "error"]
 
-METHODS = ("invex", "lasso", "adahuber", "trimmed")
+
+def _fit_invex(data: Dataset, cell: dict, lam: float) -> tuple:
+    m = cell["m"]
+    res = solve_invex(data, SolverConfig(m=m, lam=lam))
+    return res.theta_hat, {
+        "mistakes_frac": clean_recovery_mistakes(res.b_rounded, data.labels, m),
+        "delta_m": theory_delta_m(data.meta["M"], lam, data.meta["k"], m),
+        "kkt_feasible": certify_at_true_support(data, res.b_rounded, lam)[-1]}
+
+
+# name -> (plot label, fit).  A fit takes (data, cell, lam) and returns theta
+# and the result columns only that method fills.  The fits look the solvers
+# up in this module at each call, so a traced run sees them, and a pool
+# worker looks a fit up by its name, so no callable is pickled.
+METHODS = {
+    "invex": ("invex", _fit_invex),
+    "lasso": ("lasso", lambda data, cell, lam: (lasso(data, lam), {})),
+    "adahuber": ("adahuber-proxy",
+                 lambda data, cell, lam: (adaptive_huber_lasso(data, lam), {})),
+    # told the cell's true outlier count
+    "trimmed": ("trimmed-proxy",
+                lambda data, cell, lam: (trimmed_lasso(data, lam, cell["n_outliers"])[0], {})),
+}
 
 
 def clean_count_theory(p: int) -> int:
@@ -67,9 +89,10 @@ def lambda_from_m(m: int, p: int, c_lambda: float) -> float:
 class ExperimentConfig:
     """p >= 2, k >= 1, max_resamples >= 0 and each seed >= 0 are integers,
     clean_count_rule is "theory" or an integer >= 1, outlier_rule is
-    "half" or proportions in (0, 1), c_lambda is finite and > 0, sigma_e
-    and rho_min are finite reals >= 0, the C values are finite, and seeds,
-    methods, C_values and the proportions are non-empty with no repeats, or
+    "half" or a list of proportions in (0, 1), c_lambda is finite and > 0,
+    sigma_e and rho_min are finite reals >= 0, the C values are finite,
+    methods are keys of `METHODS`, and seeds, methods, C_values and the
+    proportions are non-empty lists (or tuples) with no repeats, or
     ValueError names the field.  `cells` also rejects a C value whose m
     exceeds r, a second C value in a proportions grid, which runs one m,
     and two cells with the same m and outlier count, whose trials
@@ -81,7 +104,7 @@ class ExperimentConfig:
     outlier_rule: str | tuple = "half"       # "half" or proportions of n
     C_values: tuple = (0.5, 0.7, 0.9, 1.1, 1.3, 1.5)
     c_lambda: float = 0.05
-    methods: tuple = METHODS
+    methods: tuple = tuple(METHODS)
     seeds: tuple = (0, 1, 2, 3, 4)
     sigma_e: float = 0.1
     rho_min: float = 0.0
@@ -95,15 +118,19 @@ class ExperimentConfig:
             _check_nonneg(name, getattr(self, name))
         if self.c_lambda == 0:
             raise ValueError(f"c_lambda must be > 0, got {self.c_lambda!r}")
+        for name in ("seeds", "methods", "C_values"):
+            if not isinstance(getattr(self, name), (list, tuple)):
+                raise ValueError(f"{name} must be a list, got {getattr(self, name)!r}")
         for seed in self.seeds:
             _check_int("seeds", seed, 0)
         if self.clean_count_rule != "theory":
             _check_int("clean_count_rule", self.clean_count_rule, 1)
         unknown = set(self.methods) - set(METHODS)
         if unknown:
-            raise ValueError(f"unknown methods: {sorted(unknown)}")
+            raise ValueError(f"unknown methods: {sorted(unknown)}, "
+                             f"known: {list(METHODS)}")
         if self.outlier_rule != "half":
-            if isinstance(self.outlier_rule, str):
+            if not isinstance(self.outlier_rule, (list, tuple)):
                 raise ValueError(f'outlier_rule must be "half" or proportions, '
                                  f'got {self.outlier_rule!r}')
             props = tuple(float(x) for x in self.outlier_rule)
@@ -219,25 +246,10 @@ def run_trial(cfg: ExperimentConfig, cell: dict, seed: int, method: str) -> tupl
                n_outliers=cell["n_outliers"], seed=seed, error="")
     try:
         data = _dataset(cfg, cell["r"], cell["n_outliers"], seed)
-        m = cell["m"]
-        lam = lambda_from_m(m, cfg.p, cfg.c_lambda)
-        if method == "invex":
-            scfg = SolverConfig(m=m, lam=lam)
-            res = solve_invex(data, scfg)
-            theta = res.theta_hat
-            row["mistakes_frac"] = clean_recovery_mistakes(res.b_rounded, data.labels, m)
-            row["delta_m"] = theory_delta_m(data.meta["M"], lam, cfg.k, m)
-            row["kkt_feasible"] = certify_at_true_support(data, res.b_rounded, lam)[-1]
-        elif method == "lasso":
-            theta = lasso(data, lam)
-        elif method == "adahuber":
-            theta = adaptive_huber_lasso(data, lam)
-        elif method == "trimmed":
-            theta, _ = trimmed_lasso(data, lam, cell["n_outliers"])
-        else:
-            raise ValueError(f"unknown method {method}")
-        row["jaccard"] = support_jaccard(theta, data.theta_star)
-        row["norm_error"] = norm_error(theta, data.theta_star)
+        _, fit = METHODS[method]
+        theta, extra = fit(data, cell, lambda_from_m(cell["m"], cfg.p, cfg.c_lambda))
+        row.update(extra, jaccard=support_jaccard(theta, data.theta_star),
+                   norm_error=norm_error(theta, data.theta_star))
     except Exception as exc:  # record, never abort the sweep
         row["error"] = f"{type(exc).__name__}: {exc}"
     return row, time.perf_counter() - t0
@@ -310,8 +322,7 @@ def _plots(agg: list[dict], cells: list[dict], cfg: ExperimentConfig,
         series = []
         for method in cfg.methods:
             xs, ys = curve(method, key)
-            label = method if method in ("invex", "lasso") else f"{method}-proxy"
-            series.append((label, xs, ys))
+            series.append((METHODS[method][0], xs, ys))
         paths.append(write_line_plot(
             outdir / f"{key}_vs_{suffix}.svg",
             f"{ylabel} (p={cfg.p}, k={cfg.k})", xlabel, ylabel, series))
@@ -323,10 +334,12 @@ def run_sweep(cfg: ExperimentConfig, workers: int | None = None) -> dict:
 
     `workers`, the process count, must be a positive integer (a Python or
     numpy integer, not a bool), or ValueError is raised before anything is
-    written; None means the CPU count.
+    written; None means the CPUs this process may run on (its affinity
+    set where the OS has one, else the CPU count).
     """
     if workers is None:
-        workers = os.cpu_count() or 1
+        workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                   else os.cpu_count() or 1)
     elif isinstance(workers, bool) or not isinstance(workers, (int, np.integer)) \
             or workers < 1:
         raise ValueError(f"workers must be a positive integer, got {workers!r}")

@@ -3,6 +3,7 @@ import dataclasses
 import importlib
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -148,6 +149,11 @@ def test_cli_sweep_rejects_a_float_count(tmp_path):
     # a dict value sets several fields: a proportions grid runs one m
     ("C_values", {"outlier_rule": [0.2, 0.3], "C_values": [0.4, 0.8]},
      "C_values: a proportions grid takes one C value, got [0.4, 0.8]"),
+    # a scalar or a string where a list goes is named, not iterated
+    ("seeds", 3, "seeds must be a list, got 3"),
+    ("C_values", 1.5, "C_values must be a list, got 1.5"),
+    ("outlier_rule", 0.3, 'outlier_rule must be "half" or proportions, got 0.3'),
+    ("methods", "invex", "methods must be a list, got 'invex'"),
 ])
 def test_cli_sweep_rejects_a_grid_it_cannot_run(tmp_path, capsys, field, value, match):
     """An empty, non-finite or repeated grid would fail after writing
@@ -182,6 +188,13 @@ def test_config_json_round_trip(tmp_path):
             ExperimentConfig.from_json(path)
 
 
+def legend_labels(svg_path) -> list[str]:
+    """The series labels of a plot's legend, in drawing order (the axis tick
+    labels carry a text-anchor, the legend's do not)."""
+    return re.findall(r'<text x="[^"]*" y="[^"]*" font-family="sans-serif" '
+                      r'font-size="12">([^<]*)</text>', svg_path.read_text())
+
+
 def test_run_sweep_outputs_and_determinism(tmp_path):
     cfg_a = tiny_cfg(tmp_path, output_dir=str(tmp_path / "a"))
     cfg_b = tiny_cfg(tmp_path, output_dir=str(tmp_path / "b"))
@@ -195,6 +208,8 @@ def test_run_sweep_outputs_and_determinism(tmp_path):
     assert agg_a == agg_b
     for name in ("mistakes_vs_m.svg", "jaccard_vs_m.svg", "norm_error_vs_m.svg"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    for name in ("jaccard_vs_m.svg", "norm_error_vs_m.svg"):
+        assert legend_labels(tmp_path / "a" / name) == ["invex", "lasso"]
     # schema and content sanity
     header = res_a.decode().splitlines()[0].split(",")
     assert header == RESULT_COLUMNS
@@ -281,6 +296,9 @@ def test_run_sweep_baselines_deterministic_across_workers(tmp_path):
     assert all(not r["error"] for r in out["rows"])
     for name in ("results.csv", "aggregate.csv"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    for name in ("jaccard_vs_m.svg", "norm_error_vs_m.svg"):
+        assert legend_labels(tmp_path / "b" / name) == ["lasso", "adahuber-proxy",
+                                                        "trimmed-proxy"]
 
 
 def test_run_sweep_invex_deterministic_across_workers(tmp_path):
@@ -388,6 +406,22 @@ def test_run_sweep_rejects_bad_worker_count(tmp_path, bad):
     with pytest.raises(ValueError, match=re.escape(msg)):
         run_sweep(cfg, workers=bad)
     assert not (tmp_path / "out").exists()
+
+
+def test_run_sweep_default_workers_follow_cpu_affinity(tmp_path, monkeypatch):
+    """Pinned to one CPU, a sweep with no worker count runs in-process
+    rather than starting a pool of os.cpu_count() workers."""
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    out = run_sweep(tiny_cfg(tmp_path), workers=None)
+    assert len(out["rows"]) == 2 * 2 * 2
+    assert all(not r["error"] for r in out["rows"])
 
 
 def _cli(*args):
