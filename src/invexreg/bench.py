@@ -50,7 +50,7 @@ def _fit_invex(data: Dataset, cell: dict, lam: float) -> tuple:
     m = cell["m"]
     res = solve_invex(data, SolverConfig(m=m, lam=lam))
     return res.theta_hat, {
-        "mistakes_frac": clean_recovery_mistakes(res.b_rounded, data.labels, m),
+        "mistakes_frac": clean_recovery_mistakes(res.b_rounded, data.outlier, m),
         "delta_m": theory_delta_m(data.meta["M"], lam, data.meta["k"], m),
         "kkt_feasible": certify_at_true_support(data, res.b_rounded, lam)[-1]}
 
@@ -87,14 +87,15 @@ def lambda_from_m(m: int, p: int, c_lambda: float) -> float:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """p >= 2, k >= 1, max_resamples >= 0 and each seed >= 0 are integers,
+    """p >= 2 (ln p must be positive) and each seed >= 0 are integers,
     clean_count_rule is "theory" or an integer >= 1, outlier_rule is
     "half" or a list of proportions in (0, 1), c_lambda is finite and > 0,
-    sigma_e and rho_min are finite reals >= 0, the C values are finite,
-    methods are keys of `METHODS`, and seeds, methods, C_values and the
-    proportions are non-empty lists (or tuples) with no repeats, or
-    ValueError names the field.  `cells` also rejects a C value whose m
-    exceeds r, a second C value in a proportions grid, which runs one m,
+    the C values are finite, methods are keys of `METHODS`, and seeds,
+    methods, C_values and the proportions are non-empty lists (or tuples)
+    with no repeats, or ValueError names the field.  The generator fields
+    k, sigma_e, rho_min and max_resamples, and p >= k, are checked by the
+    `GenSpec` that `gen_spec` builds.  `cells` also rejects a C value whose
+    m exceeds r, a second C value in a proportions grid, which runs one m,
     and two cells with the same m and outlier count, whose trials
     `_aggregate` would pool."""
 
@@ -112,10 +113,9 @@ class ExperimentConfig:
     output_dir: str = "sweep_out"
 
     def __post_init__(self):
-        for name, low in (("p", 2), ("k", 1), ("max_resamples", 0)):
-            _check_int(name, getattr(self, name), low)
-        for name in ("c_lambda", "sigma_e", "rho_min"):
-            _check_nonneg(name, getattr(self, name))
+        _check_int("p", self.p, 2)
+        self.gen_spec(r=1, n_outliers=0, seed=0)   # checks the generator fields
+        _check_nonneg("c_lambda", self.c_lambda)
         if self.c_lambda == 0:
             raise ValueError(f"c_lambda must be > 0, got {self.c_lambda!r}")
         for name in ("seeds", "methods", "C_values"):
@@ -146,6 +146,12 @@ class ExperimentConfig:
         object.__setattr__(self, "methods", tuple(self.methods))
         for name in ("seeds", "methods", "C_values"):
             _check_listed(name, getattr(self, name))
+
+    def gen_spec(self, r: int, n_outliers: int, seed: int) -> GenSpec:
+        """The generator spec of one trial's dataset."""
+        return GenSpec(p=self.p, k=self.k, r=r, n_outliers=n_outliers, seed=seed,
+                       sigma_e=self.sigma_e, max_resamples=self.max_resamples,
+                       rho_min=self.rho_min)
 
     @property
     def r(self) -> int:
@@ -227,9 +233,7 @@ def _dataset(cfg: ExperimentConfig, r: int, n_outliers: int, seed: int) -> Datas
     too.  A failed generation raises and is not cached.  With more seeds
     than `maxsize` the (cell, seed, method) task order still shares each
     dataset across the methods of one (cell, seed)."""
-    return generate(GenSpec(p=cfg.p, k=cfg.k, r=r, n_outliers=n_outliers, seed=seed,
-                            sigma_e=cfg.sigma_e, max_resamples=cfg.max_resamples,
-                            rho_min=cfg.rho_min))
+    return generate(cfg.gen_spec(r, n_outliers, seed))
 
 
 def run_trial(cfg: ExperimentConfig, cell: dict, seed: int, method: str) -> tuple[dict, float]:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CLEAN, Dataset, _check_nonneg, lift_parameter, lifted_gram, sample_losses
+from .model import Dataset, _check_nonneg, lift_parameter, lifted_gram, sample_losses
 from .projections import BFeasibleSet, project_b
 from .solver import _as_rows, _rank_one_dual, _recover_subgradient
 
@@ -207,16 +207,16 @@ def assumption_check(data: Dataset, support: np.ndarray,
     """Finite-sample spectrum and incoherence diagnostics.
 
     Uses the selected rows when a selection is given, otherwise the rows
-    labeled clean.  The thresholds take the population constants as fixed:
-    eigenvalue bounds alpha1 = alpha2 = 1, since the generator's predictors
-    are standard Gaussian, and the witness's incoherence margin
+    not in `data.outlier`.  The thresholds take the population constants as
+    fixed: eigenvalue bounds alpha1 = alpha2 = 1, since the generator's
+    predictors are standard Gaussian, and the witness's incoherence margin
     kappa = `_KAPPA` (Wainwright 2009); estimates from data are diagnostic.
     """
     support = _as_rows(support, data.p, "support")
     if support.size == 0:
         raise EmptySupport("assumption check needs a nonempty support")
     if selection is None:
-        rows = np.flatnonzero(data.labels == CLEAN)
+        rows = np.flatnonzero(~data.outlier)
     else:
         rows = _as_rows(selection, data.n)
     if rows.size == 0:

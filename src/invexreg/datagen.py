@@ -4,9 +4,9 @@ An outlier is a sample whose squared loss at the true parameter exceeds
 every clean sample's loss by a strictly positive margin; the generator
 enforces this by resampling offending outliers.  `generate` is the one
 entry point and `GenSpec` its one spec: the dataset it returns holds
-theta* (`theta_star`, with L1 norm below `GenSpec.M`), the clean and
-outlier rows (`clean_mask`, `outlier_mask`), and `Dataset.r` and
-`Dataset.rho`, computed from those arrays.
+theta* (`theta_star`, with L1 norm below `GenSpec.M`), the outlier rows
+(`Dataset.outlier`), and `Dataset.r` and `Dataset.rho`, computed from
+those arrays.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CLEAN, OUTLIER, Dataset, _check_int, _check_nonneg
+from .model import Dataset, _check_int, _check_nonneg
 
 __all__ = ["GenSpec", "ResampleExhausted", "generate"]
 
@@ -101,7 +101,7 @@ def _draw_outliers(rng, spec: GenSpec, count: int):
 
 
 def generate(spec: GenSpec) -> Dataset:
-    """Full dataset: clean + outliers, margin-enforced, shuffled, labeled.
+    """Full dataset: clean + outliers, margin-enforced, shuffled, masked.
     Every outlier is redrawn until its loss at theta* exceeds the largest
     clean loss by more than 0 and by at least rho_min.  The dataset's
     `rho`, recomputed from the shuffled rows, is the smallest gap of the
@@ -126,11 +126,9 @@ def generate(spec: GenSpec) -> Dataset:
         Xb, yb = _draw_outliers(rngs["outliers"], spec, int(bad.sum()))
         Xo[bad], yo[bad] = Xb, yb
 
-    X, y = np.vstack([Xc, Xo]), np.concatenate([yc, yo])
-    labels = np.array([CLEAN] * spec.r + [OUTLIER] * spec.n_outliers)
+    # row i of the shuffled set is row perm[i] of clean-then-outliers
     perm = rngs["shuffle"].permutation(spec.r + spec.n_outliers)
-    X, y, labels = X[perm], y[perm], labels[perm]
+    X, y = np.vstack([Xc, Xo])[perm], np.concatenate([yc, yo])[perm]
 
-    meta = {"p": spec.p, "k": spec.k, "M": spec.M, "sigma_e": spec.sigma_e,
-            "seed": spec.seed}
-    return Dataset(X=X, y=y, labels=labels, theta_star=theta_star, meta=meta)
+    meta = {"k": spec.k, "M": spec.M, "sigma_e": spec.sigma_e, "seed": spec.seed}
+    return Dataset(X=X, y=y, outlier=perm >= spec.r, theta_star=theta_star, meta=meta)

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import OUTLIER
-
 __all__ = ["support_jaccard", "norm_error", "clean_recovery_mistakes",
            "theory_delta_m"]
 
@@ -35,14 +33,19 @@ def norm_error(theta_hat: np.ndarray, theta_star: np.ndarray) -> float:
     return float(np.linalg.norm(theta_hat - theta_star))
 
 
-def clean_recovery_mistakes(b_rounded: np.ndarray, labels: np.ndarray,
+def clean_recovery_mistakes(b_rounded: np.ndarray, outlier: np.ndarray,
                             m: int) -> float:
-    """Fraction of the m selected samples that are labeled outliers."""
+    """Fraction of the m selected samples that are outliers.  `outlier` is
+    a bool mask as long as b_rounded, or ValueError names it."""
     b_rounded = np.asarray(b_rounded)
+    outlier = np.asarray(outlier)
+    if outlier.dtype != bool or outlier.shape != b_rounded.shape:
+        raise ValueError(f"outlier must be a bool array of length {b_rounded.size}, "
+                         f"got {outlier.dtype} of shape {outlier.shape}")
     sel = np.flatnonzero(b_rounded > 0.5)
     if sel.size != m:
         raise ValueError(f"selection has {sel.size} ones, expected m={m}")
-    return float(np.count_nonzero(np.asarray(labels)[sel] == OUTLIER) / m)
+    return float(np.count_nonzero(outlier[sel]) / m)
 
 
 def theory_delta_m(M: float, lam: float, k: int, m: int) -> float:

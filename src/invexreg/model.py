@@ -65,37 +65,35 @@ def _check_finite(*named) -> None:
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Design matrix, responses and per-sample clean/outlier tags.
+    """Design matrix, responses and the per-sample outlier mask.
 
-    X, y and theta_star are finite and every label is CLEAN or OUTLIER, or
-    ValueError names the field.  The arrays are stored as read-only views,
-    because fits and the trials of a sweep share them; a caller's own
-    arrays stay writable.  `r` and `rho` are computed from the arrays."""
+    X, y and theta_star are finite and `outlier` is a bool array of length
+    n, or ValueError names the field.  The arrays are stored as read-only
+    views, because fits and the trials of a sweep share them; a caller's
+    own arrays stay writable.  `r` and `rho` are computed from the arrays."""
 
     X: np.ndarray              # (n, p)
     y: np.ndarray              # (n,)
-    labels: np.ndarray         # (n,) strings, CLEAN or OUTLIER
+    outlier: np.ndarray        # (n,) bool, True on the outlier rows
     theta_star: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         X = np.asarray(self.X, dtype=float)
         y = np.asarray(self.y, dtype=float)
-        labels = np.asarray(self.labels)
+        outlier = np.asarray(self.outlier)
         if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
             raise ValueError("X must be (n, p) and y (n,) with matching n")
-        if labels.shape[0] != X.shape[0]:
-            raise ValueError("labels length must equal n")
-        unknown = set(labels.tolist()) - {CLEAN, OUTLIER}
-        if unknown:
-            raise ValueError(f"labels must be {CLEAN!r} or {OUTLIER!r}, got {sorted(unknown)!r}")
+        if outlier.dtype != bool or outlier.shape != y.shape:
+            raise ValueError(f"outlier must be a bool array of length n={y.size}, "
+                             f"got {outlier.dtype} of shape {outlier.shape}")
         ts = self.theta_star
         if ts is not None:
             ts = np.asarray(ts, dtype=float)
             if ts.shape != (X.shape[1],):
                 raise ValueError("theta_star must have length p")
         _check_finite(("X", X), ("y", y), ("theta_star", ts))
-        for name, arr in (("X", X), ("y", y), ("labels", labels), ("theta_star", ts)):
+        for name, arr in (("X", X), ("y", y), ("outlier", outlier), ("theta_star", ts)):
             if arr is not None:
                 arr = arr.view()
                 arr.flags.writeable = False
@@ -112,7 +110,7 @@ class Dataset:
     @property
     def r(self) -> int:
         """The number of clean samples."""
-        return int(np.count_nonzero(self.labels == CLEAN))
+        return int(np.count_nonzero(~self.outlier))
 
     @property
     def rho(self) -> float | None:
@@ -121,16 +119,8 @@ class Dataset:
         if self.theta_star is None:
             return None
         loss = (self.y - self.X @ self.theta_star) ** 2
-        return float(loss[self.outlier_mask].min(initial=np.inf)
-                     - loss[self.clean_mask].max(initial=-np.inf))
-
-    @property
-    def clean_mask(self) -> np.ndarray:
-        return self.labels == CLEAN
-
-    @property
-    def outlier_mask(self) -> np.ndarray:
-        return self.labels == OUTLIER
+        return float(loss[self.outlier].min(initial=np.inf)
+                     - loss[~self.outlier].max(initial=-np.inf))
 
 
 def squared_loss(x: np.ndarray, y: float, theta: np.ndarray) -> float:
@@ -227,7 +217,7 @@ def _write_json(path: str | Path, obj) -> None:
 # ---------------------------------------------------------------------------
 # Dataset serialization: CSV with header y,x1,...,xp,label plus a JSON sidecar.
 
-_META_KEYS = ("p", "k", "M", "sigma_e", "seed")
+_META_KEYS = ("k", "M", "sigma_e", "seed")
 
 
 def save_dataset(data: Dataset, prefix: str | Path) -> tuple[Path, Path]:
@@ -243,7 +233,7 @@ def save_dataset(data: Dataset, prefix: str | Path) -> tuple[Path, Path]:
         for i in range(data.n):
             w.writerow([repr(float(data.y[i]))]
                        + [repr(float(v)) for v in data.X[i]]
-                       + [str(data.labels[i])])
+                       + [OUTLIER if data.outlier[i] else CLEAN])
     meta = {k: data.meta.get(k) for k in _META_KEYS}
     meta["p"] = p
     meta["n"] = data.n
@@ -258,16 +248,16 @@ def save_dataset(data: Dataset, prefix: str | Path) -> tuple[Path, Path]:
 
 def load_dataset(prefix: str | Path) -> Dataset:
     """Read back a dataset written by save_dataset.  A CSV row whose field
-    count is not the header's raises ValueError naming its line, and a
-    sidecar n or r other than the CSV's row or clean-label count raises
-    ValueError naming n or r.  The sidecar's rho is not read: `Dataset.rho`
-    recomputes it."""
+    count is not the header's, or whose label is not CLEAN or OUTLIER,
+    raises ValueError naming its line, and a sidecar n, r or p other than
+    the CSV's row, clean-row or column count raises ValueError naming n, r
+    or p.  The sidecar's rho is not read: `Dataset.rho` recomputes it."""
     prefix = Path(prefix)
     csv_path = prefix.with_suffix(".csv")
     json_path = prefix.with_suffix(".json")
     with open(json_path) as fh:
         meta = json.load(fh)
-    rows_y, rows_x, labels = [], [], []
+    rows_y, rows_x, outlier = [], [], []
     with open(csv_path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
@@ -275,19 +265,22 @@ def load_dataset(prefix: str | Path) -> Dataset:
             if len(row) != len(header):
                 raise ValueError(f"{csv_path} line {reader.line_num}: {len(row)} fields, "
                                  f"the header has {len(header)}")
+            if row[-1] not in (CLEAN, OUTLIER):
+                raise ValueError(f"{csv_path} line {reader.line_num}: label {row[-1]!r}, "
+                                 f"expected {CLEAN!r} or {OUTLIER!r}")
             rows_y.append(float(row[0]))
             rows_x.append([float(v) for v in row[1:-1]])
-            labels.append(row[-1])
-    if meta.get("n") is not None and meta["n"] != len(rows_y):
-        raise ValueError(f"n: the sidecar says {meta['n']}, the CSV has {len(rows_y)} rows")
+            outlier.append(row[-1] == OUTLIER)
+    counts = {"n": (len(rows_y), "rows"), "r": (outlier.count(False), "clean rows"),
+              "p": (len(header) - 2, "columns")}
+    for key, (count, what) in counts.items():
+        if meta.get(key) is not None and meta[key] != count:
+            raise ValueError(f"{key}: the sidecar says {meta[key]!r}, the CSV has {count} {what}")
     theta_star = meta.get("theta_star")
-    data = Dataset(
+    return Dataset(
         X=np.asarray(rows_x, dtype=float),
         y=np.asarray(rows_y, dtype=float),
-        labels=np.asarray(labels),
+        outlier=np.asarray(outlier, dtype=bool),
         theta_star=None if theta_star is None else np.asarray(theta_star, dtype=float),
         meta={k: meta.get(k) for k in _META_KEYS},
     )
-    if meta.get("r") is not None and meta["r"] != data.r:
-        raise ValueError(f"r: the sidecar says {meta['r']}, the CSV has {data.r} clean rows")
-    return data

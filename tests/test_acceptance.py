@@ -70,10 +70,10 @@ def test_acceptance_02_invexity_certificate():
 def test_acceptance_03_nonconvexity_witness():
     t0 = time.time()
     rng = np.random.default_rng(3)
-    from invexreg.model import CLEAN, Dataset
+    from invexreg.model import Dataset
     X = rng.standard_normal((12, 5))
     y = rng.standard_normal(12)
-    data = Dataset(X=X, y=y, labels=np.array([CLEAN] * 12))
+    data = Dataset(X=X, y=y, outlier=np.zeros(12, dtype=bool))
     g_pos, g_neg = nonconvexity_witness(data)
     dt = time.time() - t0
     report(3, "non-convexity witness signs",

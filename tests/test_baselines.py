@@ -10,7 +10,7 @@ from invexreg import baselines, solver
 from invexreg.baselines import _lasso_solve, adaptive_huber_lasso, lasso, trimmed_lasso
 from invexreg.bench import ExperimentConfig, certify_at_true_support, lambda_from_m
 from invexreg.datagen import GenSpec, generate
-from invexreg.model import CLEAN, OUTLIER, Dataset
+from invexreg.model import Dataset
 from invexreg.solver import SolverConfig, _Gram, refit, solve_invex
 
 
@@ -18,7 +18,7 @@ def clean_data(rng, n=30, p=4, theta=None, sigma_e=0.1):
     theta = np.array([1.0, -0.5, 0.0, 0.25]) if theta is None else theta
     X = rng.standard_normal((n, p))
     y = X @ theta + sigma_e * rng.standard_normal(n)
-    return Dataset(X=X, y=y, labels=np.array([CLEAN] * n), theta_star=theta)
+    return Dataset(X=X, y=y, outlier=np.zeros(n, dtype=bool), theta_star=theta)
 
 
 def _lasso_cd(X, y, lam, iters=20000, tol=1e-12, sample_weights=None,
@@ -88,7 +88,7 @@ def grossly_corrupted():
     data = clean_data(np.random.default_rng(5), n=40)
     y = data.y.copy()
     y[0] = 1e6
-    return Dataset(X=data.X, y=y, labels=data.labels, theta_star=data.theta_star)
+    return Dataset(X=data.X, y=y, outlier=data.outlier, theta_star=data.theta_star)
 
 
 def test_adahuber_bounded_under_gross_corruption():
@@ -146,8 +146,8 @@ def test_trimmed_drops_gross_outlier():
     data = clean_data(rng, n=25)
     y = data.y.copy()
     y[5] += 50.0
-    labels = np.where(np.arange(data.n) == 5, OUTLIER, CLEAN)
-    corrupted = Dataset(X=data.X, y=y, labels=labels, theta_star=data.theta_star)
+    corrupted = Dataset(X=data.X, y=y, outlier=np.arange(data.n) == 5,
+                        theta_star=data.theta_star)
     theta, kept = trimmed_lasso(corrupted, 0.5, 1)
     assert not kept[5]
     assert kept.sum() == 24
@@ -442,7 +442,7 @@ def test_baselines_reject_non_finite_data(method, where):
            "trimmed": lambda d: trimmed_lasso(d, 0.5, 3),
            "invex": lambda d: solve_invex(d, SolverConfig(m=d.n - 3, lam=0.5))}[method]
     with pytest.raises(ValueError, match=f"^{where} must be finite"):
-        run(Dataset(X=X, y=y, labels=data.labels, theta_star=data.theta_star))
+        run(Dataset(X=X, y=y, outlier=data.outlier, theta_star=data.theta_star))
 
 
 @pytest.mark.parametrize("kind", ["zero_one", "ones"])

@@ -17,7 +17,7 @@ from invexreg import bench, cli
 from invexreg.bench import (ExperimentConfig, RESULT_COLUMNS, certify_at_true_support,
                             clean_count_theory, lambda_from_m, m_from_C, run_sweep)
 from invexreg.datagen import GenSpec, generate
-from invexreg.model import CLEAN, OUTLIER, Dataset, load_dataset, save_dataset
+from invexreg.model import Dataset, load_dataset, save_dataset
 from invexreg.solver import SolverConfig, solve_invex
 
 
@@ -94,6 +94,8 @@ def test_config_validation(tmp_path):
     ("c_lambda", 0.0, "c_lambda must be > 0, got 0.0"),
     # a proportions grid runs one m, and tiny_cfg has two C values
     ("outlier_rule", (0.2, 0.3), "C_values: a proportions grid takes one C value, got [0.4, 0.8]"),
+    # every trial's GenSpec would raise this, recorded as an error row
+    ("k", 7, "p must be an integer >= 7, got 6"),
 ])
 def test_config_rejects_a_bad_numeric_field_by_name(tmp_path, field, value, match):
     with pytest.raises(ValueError, match=re.escape(match)):
@@ -154,6 +156,7 @@ def test_cli_sweep_rejects_a_float_count(tmp_path):
     ("C_values", 1.5, "C_values must be a list, got 1.5"),
     ("outlier_rule", 0.3, 'outlier_rule must be "half" or proportions, got 0.3'),
     ("methods", "invex", "methods must be a list, got 'invex'"),
+    ("k", 7, "p must be an integer >= 7, got 6"),
 ])
 def test_cli_sweep_rejects_a_grid_it_cannot_run(tmp_path, capsys, field, value, match):
     """An empty, non-finite or repeated grid would fail after writing
@@ -278,7 +281,7 @@ def test_sweep_meta_and_sidecar_keep_their_bytes(tmp_path, monkeypatch):
                        seeds=(0,), output_dir="sw"), workers=1)
     assert (tmp_path / "sw" / "sweep_meta.json").read_text() == SWEEP_META
     data = Dataset(X=np.array([[1.0], [2.0]]), y=np.array([0.5, 3.0]),
-                   labels=np.array([CLEAN, OUTLIER]), theta_star=np.array([0.25]),
+                   outlier=np.array([False, True]), theta_star=np.array([0.25]),
                    meta={"p": 1, "k": 1, "M": 1.1, "sigma_e": 0.0, "seed": 7})
     _, sidecar = save_dataset(data, tmp_path / "ds")
     assert sidecar.read_text() == SIDECAR
@@ -379,7 +382,7 @@ def test_run_trial_dataset_follows_every_generation_field(tmp_path, generate_cal
         assert not row["error"]
         data = bench._dataset(cfg, cell["r"], cell["n_outliers"], 0)
         fresh = generate(_spec(cfg, cell, 0))
-        for name in ("X", "y", "labels", "theta_star"):
+        for name in ("X", "y", "outlier", "theta_star"):
             assert np.array_equal(getattr(data, name), getattr(fresh, name)), name
         assert data.rho == fresh.rho
         datasets.append(data)
@@ -394,7 +397,7 @@ def test_memoized_dataset_is_read_only(tmp_path, generate_calls):
     cell = cfg.cells()[0]
     data = bench._dataset(cfg, cell["r"], cell["n_outliers"], 0)
     assert bench._dataset(cfg, cell["r"], cell["n_outliers"], 0) is data
-    for arr in (data.X, data.y, data.labels, data.theta_star):
+    for arr in (data.X, data.y, data.outlier, data.theta_star):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = arr[1]
 
@@ -571,7 +574,7 @@ def test_cli_certify_verdict_is_the_sweep_verdict(tmp_path, pick):
         sel = solve_invex(data, SolverConfig(m=4, lam=lam)).b_rounded
     else:  # three clean rows and the worst outlier: the nu-interval is empty
         sel = np.zeros(data.n)
-        sel[np.flatnonzero(data.clean_mask)[:3]] = 1.0
+        sel[np.flatnonzero(~data.outlier)[:3]] = 1.0
         sel[np.argmax((data.y - data.X @ data.theta_star) ** 2)] = 1.0
     (tmp_path / "res.json").write_text(json.dumps(
         {"b_rounded": sel.tolist(), "config": {"lam": lam}}))
@@ -670,6 +673,26 @@ def test_grid_sweep_matches_its_pin(tmp_path, config):
             assert _same_cell(a, b), (row_want[:7], column, a, b)
 
 
+def test_gen_matches_its_pin(tmp_path):
+    """`invexreg gen` writes the CSV and sidecar pinned in tests/data
+    (recorded at commit 04a0bac): the header, labels, keys and integers
+    exactly, floats within 1e-12 relative, since BLAS can round y and rho
+    differently on another host."""
+    pins = Path(__file__).resolve().parent / "data"
+    assert cli.main(["gen", "--p", "6", "--k", "2", "--r", "10", "--outliers", "5",
+                     "--seed", "3", "--out", str(tmp_path / "gen_pin_p6")]) == 0
+    got, want = _read_rows(tmp_path / "gen_pin_p6.csv"), _read_rows(pins / "gen_pin_p6.csv")
+    assert got[0] == want[0] and len(got) == len(want)
+    for row_got, row_want in zip(got[1:], want[1:]):
+        for column, a, b in zip(want[0], row_got, row_want, strict=True):
+            assert _same_cell(a, b), (column, a, b)
+    got, want = (json.loads((root / "gen_pin_p6.json").read_text()) for root in (tmp_path, pins))
+    assert got.keys() == want.keys()
+    for key in want:
+        a, b = (v if isinstance(v, list) else [v] for v in (got[key], want[key]))
+        assert len(a) == len(b) and all(map(_same_cell, map(str, a), map(str, b))), key
+
+
 def test_grid_datasets_match_their_rho_pin(tmp_path):
     """Every dataset of the configs/ grids, generated as a sweep generates
     it, has the loss gap pinned in tests/data/rho_pin.csv (recorded at
@@ -688,7 +711,7 @@ def test_grid_datasets_match_their_rho_pin(tmp_path):
                 got[config, n_outliers, seed] = data.rho
         save_dataset(data, tmp_path / config)
         back = load_dataset(tmp_path / config)
-        for name in ("X", "y", "labels", "theta_star"):
+        for name in ("X", "y", "outlier", "theta_star"):
             mine, read = getattr(data, name), getattr(back, name)
             assert np.array_equal(mine, read) and mine.dtype == read.dtype, (config, name)
         assert back.r == data.r == cfg.r and back.rho == data.rho

@@ -11,8 +11,7 @@ from invexreg.certify import (AllZeroColumn, EmptySupport, RejectionExhausted,
                               nonconvexity_witness, strict_dual_feasibility,
                               _curvature_gap)
 from invexreg.datagen import GenSpec, generate
-from invexreg.model import (CLEAN, OUTLIER, Dataset, lift_parameter, sample_losses,
-                            to_jsonable)
+from invexreg.model import Dataset, lift_parameter, sample_losses, to_jsonable
 from invexreg.oracle import enumerate_best_subset
 from invexreg.projections import BFeasibleSet, project_b
 from invexreg.solver import SolverConfig, refit, solve_invex
@@ -39,7 +38,7 @@ def test_duals_noiseless_all_clean_selection():
     Xo = rng.uniform(0, 1, (3, p))
     yo = np.array([4.0, 4.5, 5.0])
     data = Dataset(X=np.vstack([Xc, Xo]), y=np.concatenate([yc, yo]),
-                   labels=np.array([CLEAN] * 5 + [OUTLIER] * 3),
+                   outlier=np.array([False] * 5 + [True] * 3),
                    theta_star=theta)
     support = np.array([0, 1])
     sel = np.zeros(8)
@@ -59,7 +58,7 @@ def test_duals_selecting_worst_outlier_is_infeasible():
     support = np.flatnonzero(np.abs(data.theta_star) > 0)
     losses = (data.y - data.X @ data.theta_star) ** 2
     worst = int(np.argmax(losses))
-    clean = list(np.flatnonzero(data.clean_mask))[:3]
+    clean = list(np.flatnonzero(~data.outlier))[:3]
     sel = np.zeros(data.n)
     sel[clean] = 1.0
     sel[worst] = 1.0
@@ -164,7 +163,7 @@ def test_assumption_check_identity_covariance():
     rng = np.random.default_rng(3)
     X = rng.standard_normal((10000, 10))
     data = Dataset(X=X, y=np.zeros(10000),
-                   labels=np.array([CLEAN] * 10000))
+                   outlier=np.zeros(10000, dtype=bool))
     rep = assumption_check(data, support=np.array([0, 3, 7]))
     assert 0.9 <= rep.min_eig_SS <= 1.1
     assert rep.incoherence <= 0.2
@@ -174,7 +173,7 @@ def test_assumption_check_identity_covariance():
 
 def test_assumption_check_degenerate_rows():
     X = np.ones((20, 4))
-    data = Dataset(X=X, y=np.zeros(20), labels=np.array([CLEAN] * 20))
+    data = Dataset(X=X, y=np.zeros(20), outlier=np.zeros(20, dtype=bool))
     with pytest.raises(SingularSubmatrix):
         assumption_check(data, support=np.array([0, 1]))
 
@@ -182,7 +181,7 @@ def test_assumption_check_degenerate_rows():
 def test_assumption_check_full_support_no_complement():
     rng = np.random.default_rng(4)
     X = rng.standard_normal((500, 3))
-    data = Dataset(X=X, y=np.zeros(500), labels=np.array([CLEAN] * 500))
+    data = Dataset(X=X, y=np.zeros(500), outlier=np.zeros(500, dtype=bool))
     rep = assumption_check(data, support=np.arange(3))
     assert rep.incoherence == 0.0
 
@@ -208,7 +207,7 @@ def test_strict_dual_noiseless_bounded_by_incoherence():
     theta[:k] = [0.9, -0.6]
     X = rng.standard_normal((n, p))
     y = X @ theta  # no noise
-    data = Dataset(X=X, y=y, labels=np.array([CLEAN] * n), theta_star=theta)
+    data = Dataset(X=X, y=y, outlier=np.zeros(n, dtype=bool), theta_star=theta)
     lam = 0.8
     support = np.arange(k)
     th_S = refit(data, np.ones(n), lam, support=support)[support]
@@ -227,7 +226,7 @@ def test_strict_dual_tiny_lambda_fails():
 
 def test_strict_dual_requires_theta_star():
     data = tiny_instance(4)
-    stripped = Dataset(X=data.X, y=data.y, labels=data.labels)
+    stripped = Dataset(X=data.X, y=data.y, outlier=data.outlier)
     with pytest.raises(ValueError):
         strict_dual_feasibility(stripped, np.ones(data.n), np.zeros(2), 1.0,
                                 np.array([0, 1]))
@@ -253,7 +252,7 @@ def test_invexity_gap_zero_for_equal_pair():
 def test_invexity_rejection_exhausted():
     # a zero sample keeps one lifted loss at zero for every matrix
     data = Dataset(X=np.zeros((3, 2)), y=np.zeros(3),
-                   labels=np.array([CLEAN] * 3))
+                   outlier=np.zeros(3, dtype=bool))
     with pytest.raises(RejectionExhausted):
         invexity_witness(data, trials=1, seed=0)
 
@@ -276,7 +275,7 @@ def test_curvature_gap_vanishes_at_equal_displacement():
 
 def test_nonconvexity_all_zero_column():
     data = Dataset(X=np.zeros((4, 2)), y=np.ones(4),
-                   labels=np.array([CLEAN] * 4))
+                   outlier=np.zeros(4, dtype=bool))
     with pytest.raises(AllZeroColumn):
         nonconvexity_witness(data)
 

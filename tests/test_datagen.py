@@ -8,7 +8,7 @@ import pytest
 from invexreg import datagen
 from invexreg.cli import main
 from invexreg.datagen import GenSpec, ResampleExhausted, generate
-from invexreg.model import CLEAN, OUTLIER, load_dataset, save_dataset
+from invexreg.model import load_dataset, save_dataset
 
 
 def make_spec(p=10, k=3, r=40, n_out=20, seed=0, sigma_e=0.1, **kw):
@@ -38,20 +38,20 @@ def test_theta_star_deterministic():
 
 def test_clean_noiseless():
     data = generate(make_spec(sigma_e=0.0))
-    clean = data.clean_mask
+    clean = ~data.outlier
     assert np.array_equal(data.y[clean], data.X[clean] @ data.theta_star)
 
 
 def test_clean_sample_covariance_close_to_identity():
     data = generate(make_spec(p=5, k=2, r=10000, n_out=0, seed=3))
-    X = data.X[data.clean_mask]
+    X = data.X[~data.outlier]
     cov = X.T @ X / X.shape[0]
     assert np.linalg.norm(cov - np.eye(5), 2) < 0.1
 
 
 def test_clean_noise_scale():
     data = generate(make_spec(r=800, sigma_e=0.3))
-    clean = data.clean_mask
+    clean = ~data.outlier
     emp = np.std(data.y[clean] - data.X[clean] @ data.theta_star)
     assert abs(emp - 0.3) <= 0.2 * 0.3
 
@@ -60,14 +60,14 @@ def test_outliers_degenerate_ranges(monkeypatch):
     monkeypatch.setattr(datagen, "_OUTLIER_PREDICTOR_RANGE", (0.0, 0.0))
     monkeypatch.setattr(datagen, "_OUTLIER_RESPONSE_RANGE", (5.0, 5.0))
     data = generate(make_spec())
-    out = data.outlier_mask
+    out = data.outlier
     assert out.sum() == 20
     assert np.all(data.X[out] == 0.0) and np.all(data.y[out] == 5.0)
 
 
 def test_outliers_default_ranges():
     data = generate(make_spec(seed=9))
-    X, y = data.X[data.outlier_mask], data.y[data.outlier_mask]
+    X, y = data.X[data.outlier], data.y[data.outlier]
     assert X.shape == (20, 10)
     assert X.min() >= 0.0 and X.max() <= 1.0
     assert y.min() >= 0.0 and y.max() <= 5.0
@@ -75,7 +75,7 @@ def test_outliers_default_ranges():
 
 def test_outliers_empty():
     data = generate(make_spec(n_out=0))
-    assert not data.outlier_mask.any() and data.X.shape == (40, 10)
+    assert not data.outlier.any() and data.X.shape == (40, 10)
 
 
 def test_rho_gap_hand_example(monkeypatch):
@@ -100,14 +100,8 @@ def test_rho_gap_detects_duplicated_clean(monkeypatch):
 def test_generate_no_outliers():
     """With one class there is nothing to separate: the gap is +inf."""
     data = generate(make_spec(n_out=0))
-    assert np.all(data.labels == CLEAN)
+    assert not data.outlier.any()
     assert data.rho == np.inf
-
-
-@pytest.mark.parametrize("n_out, dtype", [(0, "<U5"), (20, "<U7")])
-def test_generate_labels_are_as_wide_as_the_longest_label(n_out, dtype):
-    """The label array's width is part of a dataset's bytes."""
-    assert generate(make_spec(n_out=n_out)).labels.dtype.str == dtype
 
 
 def test_generate_deterministic():
@@ -115,7 +109,7 @@ def test_generate_deterministic():
     a, b = generate(spec), generate(spec)
     assert np.array_equal(a.X, b.X)
     assert np.array_equal(a.y, b.y)
-    assert np.array_equal(a.labels, b.labels)
+    assert np.array_equal(a.outlier, b.outlier)
     assert a.rho == b.rho
 
 
@@ -127,7 +121,7 @@ def test_generate_margin_holds():
         data = generate(spec)
         assert data.rho > 0.0
         loss = (data.y - data.X @ data.theta_star) ** 2
-        assert loss[data.outlier_mask].min() - loss[data.clean_mask].max() == data.rho
+        assert loss[data.outlier].min() - loss[~data.outlier].max() == data.rho
 
 
 def test_generate_rho_min_enforced():
@@ -140,7 +134,7 @@ def test_generate_counts_and_theta_consistency():
     row counts."""
     data = generate(make_spec(r=30, n_out=12, seed=5))
     assert data.n == 42 and data.r == 30
-    assert int((data.labels == OUTLIER).sum()) == 12
+    assert np.count_nonzero(data.outlier) == 12
     assert np.array_equal(data.theta_star, generate(make_spec(r=5, n_out=0, seed=5)).theta_star)
 
 

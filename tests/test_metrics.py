@@ -3,7 +3,6 @@ import pytest
 
 from invexreg.metrics import (clean_recovery_mistakes, norm_error,
                               support_jaccard, theory_delta_m)
-from invexreg.model import CLEAN, OUTLIER
 
 
 def test_jaccard_identical_supports():
@@ -52,17 +51,24 @@ def test_norm_error():
 
 
 def test_mistakes_fraction():
-    labels = np.array([CLEAN, CLEAN, OUTLIER, OUTLIER])
-    assert clean_recovery_mistakes(np.array([1, 1, 0, 0]), labels, 2) == 0.0
-    assert clean_recovery_mistakes(np.array([0, 0, 1, 1]), labels, 2) == 1.0
-    labels = np.array([CLEAN, CLEAN, OUTLIER, OUTLIER, CLEAN, OUTLIER])
-    assert clean_recovery_mistakes(np.array([1, 1, 1, 1, 0, 0]), labels, 4) == 0.5
+    outlier = np.array([False, False, True, True])
+    assert clean_recovery_mistakes(np.array([1, 1, 0, 0]), outlier, 2) == 0.0
+    assert clean_recovery_mistakes(np.array([0, 0, 1, 1]), outlier, 2) == 1.0
+    outlier = np.array([False, False, True, True, False, True])
+    assert clean_recovery_mistakes(np.array([1, 1, 1, 1, 0, 0]), outlier, 4) == 0.5
 
 
 def test_mistakes_requires_exact_m():
-    labels = np.array([CLEAN, OUTLIER])
     with pytest.raises(ValueError):
-        clean_recovery_mistakes(np.array([1, 1]), labels, 1)
+        clean_recovery_mistakes(np.array([1, 1]), np.array([False, True]), 1)
+
+
+@pytest.mark.parametrize("outlier", [np.array(["clean", "outlier"]),   # every row truthy
+                                     np.array([0, 1]),
+                                     np.array([False, True, False])])
+def test_mistakes_rejects_an_outlier_that_is_not_a_bool_mask(outlier):
+    with pytest.raises(ValueError, match="^outlier must be a bool array of length 2"):
+        clean_recovery_mistakes(np.array([1, 0]), outlier, 1)
 
 
 def test_delta_m_direct_substitution():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from invexreg.model import (CLEAN, OUTLIER, Dataset, lift_parameter, lift_sample,
+from invexreg.model import (OUTLIER, Dataset, lift_parameter, lift_sample,
                             lifted_gram, load_dataset, objective, sample_losses,
                             save_dataset, squared_loss)
 
@@ -76,8 +76,7 @@ def test_lift_parameter_spectrum():
 def _tiny_dataset(rng, n=5, p=3):
     X = rng.standard_normal((n, p))
     y = rng.standard_normal(n)
-    labels = np.array([CLEAN] * n)
-    return Dataset(X=X, y=y, labels=labels)
+    return Dataset(X=X, y=y, outlier=np.zeros(n, dtype=bool))
 
 
 def test_objective_zero_weight():
@@ -155,35 +154,48 @@ def test_lifted_gram_is_symmetric_adjoint_of_sample_losses(weights):
 
 def test_dataset_invariants():
     with pytest.raises(ValueError):
-        Dataset(X=np.zeros((3, 2)), y=np.zeros(4), labels=np.array(["clean"] * 3))
+        Dataset(X=np.zeros((3, 2)), y=np.zeros(4), outlier=np.zeros(3, dtype=bool))
     with pytest.raises(ValueError):
-        Dataset(X=np.zeros((3, 2)), y=np.zeros(3), labels=np.array(["clean"] * 3),
+        Dataset(X=np.zeros((3, 2)), y=np.zeros(3), outlier=np.zeros(3, dtype=bool),
                 theta_star=np.zeros(5))
 
 
 def nine_row_dataset(tmp_path):
     """A 9-row dataset, 6 clean and 3 outliers, saved under tmp_path/ds."""
     data = Dataset(X=np.arange(18.0).reshape(9, 2), y=np.arange(9.0),
-                   labels=np.array([CLEAN] * 6 + [OUTLIER] * 3))
+                   outlier=np.array([False] * 6 + [True] * 3))
     return save_dataset(data, tmp_path / "ds")
 
 
 def test_dataset_rejects_an_unknown_label(tmp_path):
     """A misspelled label would read as neither clean nor outlier, so every
-    outlier count and the mistakes fraction would read 0."""
-    with pytest.raises(ValueError, match="labels must be 'clean' or 'outlier', "
-                                         "got \\['outlire'\\]"):
-        Dataset(X=np.zeros((2, 1)), y=np.zeros(2), labels=np.array([CLEAN, "outlire"]))
+    outlier count and the mistakes fraction would read 0.  The first
+    outlier is the seventh data row, line 8 of the CSV."""
     csv_path, _ = nine_row_dataset(tmp_path)
     csv_path.write_text(csv_path.read_text().replace(OUTLIER, "outlire"))
-    with pytest.raises(ValueError, match="labels must be"):
+    with pytest.raises(ValueError, match=re.escape(
+            f"{csv_path} line 8: label 'outlire', expected 'clean' or 'outlier'")):
         load_dataset(tmp_path / "ds")
 
 
+@pytest.mark.parametrize("outlier", [
+    np.array([0, 1, 0]),                            # an int 0/1 mask
+    np.array(["clean", "outlier", "clean"]),        # the old label strings
+    np.zeros(2, dtype=bool),                        # too short
+    np.zeros((3, 1), dtype=bool),                   # not one-dimensional
+])
+def test_dataset_rejects_an_outlier_that_is_not_a_bool_mask(outlier):
+    """A string or int array would index rows or count as truthy, so only a
+    bool array of length n is a mask."""
+    with pytest.raises(ValueError, match="^outlier must be a bool array of length n=3"):
+        Dataset(X=np.zeros((3, 1)), y=np.zeros(3), outlier=outlier)
+
+
 def test_dataset_r_is_the_count_of_clean_labels(tmp_path):
-    """r is computed from the labels, so a sidecar without r loads with it."""
+    """r is computed from the outlier mask, so a sidecar without r loads
+    with it."""
     assert Dataset(X=np.zeros((3, 1)), y=np.zeros(3),
-                   labels=np.array([CLEAN] * 2 + [OUTLIER])).r == 2
+                   outlier=np.array([False] * 2 + [True])).r == 2
     _, json_path = nine_row_dataset(tmp_path)
     meta = json.loads(json_path.read_text())
     assert meta["r"] == 6
@@ -219,7 +231,7 @@ def test_load_dataset_recomputes_rho_over_the_sidecar(tmp_path, rho):
     """rho is computed from the arrays and theta*, so an edited sidecar rho
     is not read."""
     data = Dataset(X=np.array([[1.0], [2.0]]), y=np.array([0.5, 3.0]),
-                   labels=np.array([CLEAN, OUTLIER]), theta_star=np.array([0.25]))
+                   outlier=np.array([False, True]), theta_star=np.array([0.25]))
     _, json_path = save_dataset(data, tmp_path / "ds")
     meta = json.loads(json_path.read_text())
     assert meta["rho"] == data.rho == 6.1875
@@ -237,10 +249,10 @@ def test_dataset_rejects_non_finite_data_and_stores_read_only_views():
             arrays = {"X": X.copy(), "y": y.copy(), "theta_star": theta_star.copy()}
             arrays[name].flat[-1] = bad
             with pytest.raises(ValueError, match=f"^{name} must be finite"):
-                Dataset(labels=np.array([CLEAN] * 3), **arrays)
-    labels = np.array([CLEAN] * 3)
-    data = Dataset(X=X, y=y, labels=labels, theta_star=theta_star)
-    for mine, stored in ((X, data.X), (y, data.y), (labels, data.labels),
+                Dataset(outlier=np.zeros(3, dtype=bool), **arrays)
+    outlier = np.zeros(3, dtype=bool)
+    data = Dataset(X=X, y=y, outlier=outlier, theta_star=theta_star)
+    for mine, stored in ((X, data.X), (y, data.y), (outlier, data.outlier),
                          (theta_star, data.theta_star)):
         assert np.shares_memory(mine, stored)
         with pytest.raises(ValueError, match="read-only"):
@@ -257,34 +269,50 @@ def test_load_dataset_rejects_a_sidecar_n_that_is_not_the_row_count(tmp_path):
         load_dataset(tmp_path / "ds")
 
 
+@pytest.mark.parametrize("key, value, match", [
+    # a string count is named as a string, not read as the CSV's count
+    ("n", "9", "n: the sidecar says '9', the CSV has 9 rows"),
+    ("p", 99, "p: the sidecar says 99, the CSV has 2 columns"),
+])
+def test_load_dataset_rejects_a_sidecar_count_that_is_not_the_csv_count(tmp_path, key,
+                                                                         value, match):
+    _, json_path = nine_row_dataset(tmp_path)
+    meta = json.loads(json_path.read_text())
+    meta[key] = value
+    json_path.write_text(json.dumps(meta))
+    with pytest.raises(ValueError, match=re.escape(match)):
+        load_dataset(tmp_path / "ds")
+
+
 def test_dataset_csv_round_trip(tmp_path):
     rng = np.random.default_rng(29)
     X = rng.standard_normal((6, 3))
     y = rng.standard_normal(6)
-    labels = np.array([CLEAN, OUTLIER, CLEAN, CLEAN, OUTLIER, CLEAN])
-    data = Dataset(X=X, y=y, labels=labels, theta_star=rng.standard_normal(3),
+    outlier = np.array([False, True, False, False, True, False])
+    data = Dataset(X=X, y=y, outlier=outlier, theta_star=rng.standard_normal(3),
                    meta={"p": 3, "k": 2, "M": 2.2, "sigma_e": 0.1, "seed": 29})
     save_dataset(data, tmp_path / "ds")
     back = load_dataset(tmp_path / "ds")
     assert np.array_equal(back.X, data.X)          # repr round-trips floats
     assert np.array_equal(back.y, data.y)
-    assert np.array_equal(back.labels, data.labels)
+    assert np.array_equal(back.outlier, data.outlier)
     assert np.array_equal(back.theta_star, data.theta_star)
     assert back.r == data.r == 4 and back.rho == data.rho
     loss = (y - X @ data.theta_star) ** 2
-    assert data.rho == loss[labels == OUTLIER].min() - loss[labels == CLEAN].max()
-    assert back.meta["seed"] == 29
+    assert data.rho == loss[outlier].min() - loss[~outlier].max()
+    # p is the CSV's column count, not a meta entry
+    assert back.meta == {"k": 2, "M": 2.2, "sigma_e": 0.1, "seed": 29}
 
 
 def test_dataset_infinite_rho_round_trip(tmp_path):
     """With no outliers rho is +inf, written "inf"; without theta* it is None."""
     data = Dataset(X=np.zeros((2, 1)), y=np.zeros(2),
-                   labels=np.array([CLEAN, CLEAN]), theta_star=np.zeros(1))
+                   outlier=np.zeros(2, dtype=bool), theta_star=np.zeros(1))
     assert data.rho == np.inf
     _, json_path = save_dataset(data, tmp_path / "ds")
     assert json.loads(json_path.read_text())["rho"] == "inf"
     assert load_dataset(tmp_path / "ds").rho == np.inf
-    data = Dataset(X=data.X, y=data.y, labels=data.labels)
+    data = Dataset(X=data.X, y=data.y, outlier=data.outlier)
     _, json_path = save_dataset(data, tmp_path / "ds")
     assert json.loads(json_path.read_text())["rho"] is None
     assert data.rho is None and load_dataset(tmp_path / "ds").rho is None

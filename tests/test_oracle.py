@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from invexreg.datagen import GenSpec, generate
-from invexreg.model import CLEAN, OUTLIER, Dataset, to_jsonable
+from invexreg.model import Dataset, to_jsonable
 from invexreg.oracle import (CombinatorialBlowup, enumerate_best_subset,
                              grid_search_theta, subset_objective)
 from invexreg.solver import SolverConfig, refit, solve_invex
@@ -31,7 +31,7 @@ def test_gross_outlier_excluded():
     theta = np.array([1.0, -1.0])
     y = X @ theta
     y[3] += 100.0  # gross outlier
-    data = Dataset(X=X, y=y, labels=np.array([CLEAN] * 3 + [OUTLIER]))
+    data = Dataset(X=X, y=y, outlier=np.array([False] * 3 + [True]))
     res = enumerate_best_subset(data, 2, 0.1)
     assert 3 not in res.J_star
 
@@ -40,7 +40,7 @@ def test_oracle_matches_solver_on_separated_instance():
     data = tiny_instance(0)
     lam = 1.18
     orc = enumerate_best_subset(data, 4, lam)
-    clean = set(np.flatnonzero(data.clean_mask))
+    clean = set(np.flatnonzero(~data.outlier))
     assert set(orc.J_star) <= clean
     res = solve_invex(data, SolverConfig(m=4, lam=lam))
     assert tuple(sorted(res.selection)) == orc.J_star
@@ -64,8 +64,8 @@ def test_duplicate_of_selected_clean_never_hurts():
     dup = base.J_star[0]
     X2 = np.vstack([data.X, data.X[dup]])
     y2 = np.append(data.y, data.y[dup])
-    labels2 = np.append(data.labels, data.labels[dup])
-    bigger = Dataset(X=X2, y=y2, labels=labels2, theta_star=data.theta_star)
+    outlier2 = np.append(data.outlier, data.outlier[dup])
+    bigger = Dataset(X=X2, y=y2, outlier=outlier2, theta_star=data.theta_star)
     res2 = enumerate_best_subset(bigger, 4, lam)
     assert res2.objective <= base.objective + 1e-9
 
@@ -81,7 +81,7 @@ def test_grid_oracle_agrees_with_refit_at_p2():
     X = rng.standard_normal((6, 2))
     theta = np.array([0.8, -0.4])
     y = X @ theta + 0.05 * rng.standard_normal(6)
-    data = Dataset(X=X, y=y, labels=np.array([CLEAN] * 6))
+    data = Dataset(X=X, y=y, outlier=np.zeros(6, dtype=bool))
     lam = 0.7
     rows = np.arange(6)
     th_grid, obj_grid = grid_search_theta(data, rows, lam, radius=2.0)
@@ -109,7 +109,7 @@ def _p2_instance():
     rng = np.random.default_rng(5)
     X = rng.standard_normal((6, 2))
     y = X @ np.array([0.8, -0.4]) + 0.05 * rng.standard_normal(6)
-    return Dataset(X=X, y=y, labels=np.array([CLEAN] * 6))
+    return Dataset(X=X, y=y, outlier=np.zeros(6, dtype=bool))
 
 
 # each reads its rows argument the way refit and the certificate do

@@ -11,7 +11,7 @@ from invexreg import solver
 from invexreg.bench import ExperimentConfig, lambda_from_m
 from invexreg.certify import build_duals
 from invexreg.datagen import GenSpec, generate
-from invexreg.model import (CLEAN, Dataset, lift_parameter, lift_sample, lifted_gram,
+from invexreg.model import (Dataset, lift_parameter, lift_sample, lifted_gram,
                             objective, sample_losses, to_jsonable)
 from invexreg.oracle import subset_objective
 from invexreg.solver import InfeasibleM, SolverConfig, grad_vartheta, refit, solve_invex
@@ -20,7 +20,7 @@ from invexreg.solver import InfeasibleM, SolverConfig, grad_vartheta, refit, sol
 def all_clean_dataset(rng, n, p, theta, sigma_e=0.0):
     X = rng.standard_normal((n, p))
     y = X @ theta + sigma_e * rng.standard_normal(n)
-    return Dataset(X=X, y=y, labels=np.array([CLEAN] * n), theta_star=theta)
+    return Dataset(X=X, y=y, outlier=np.zeros(n, dtype=bool), theta_star=theta)
 
 
 def tiny_instance(seed, sigma_e=0.05, rho_min=5.0):
@@ -115,7 +115,7 @@ def test_refit_support_restriction_zero_pads():
 
 def two_row_dataset():
     return Dataset(X=np.array([[1.0], [2.0]]), y=np.array([1.0, 50.0]),
-                   labels=np.array([CLEAN] * 2))
+                   outlier=np.zeros(2, dtype=bool))
 
 
 def test_refit_index_array_is_not_a_mask():
@@ -161,7 +161,7 @@ def test_refit_rejects_non_finite_input(where):
     else:
         lam = np.inf if where == "lam" else -1.0
     with pytest.raises(ValueError, match=f"^{where.split()[-1]} must be finite"):
-        refit(Dataset(X=X, y=y, labels=data.labels), np.ones(data.n), lam)
+        refit(Dataset(X=X, y=y, outlier=data.outlier), np.ones(data.n), lam)
 
 
 @pytest.mark.parametrize("support", [np.array([-1]), np.array([0, 3])])
@@ -204,10 +204,10 @@ def test_solve_monotone_trace_and_feasible_iterates():
 def test_selection_takes_the_m_smallest_losses_ties_to_the_smallest_index():
     """With X = 0 every theta gives the losses y_i^2, so the selection is
     the b-step's rule alone."""
-    flat = Dataset(X=np.zeros((4, 2)), y=np.ones(4), labels=np.array([CLEAN] * 4))
+    flat = Dataset(X=np.zeros((4, 2)), y=np.ones(4), outlier=np.zeros(4, dtype=bool))
     assert solve_invex(flat, SolverConfig(m=2, lam=0.1)).selection.tolist() == [0, 1]
     ds = Dataset(X=np.zeros((3, 1)), y=np.sqrt(np.array([5.0, 1.0, 3.0])),
-                 labels=np.array([CLEAN] * 3))
+                 outlier=np.zeros(3, dtype=bool))
     res = solve_invex(ds, SolverConfig(m=2, lam=0.1))
     assert res.b_rounded.tolist() == [0.0, 1.0, 1.0]
     assert solve_invex(ds, SolverConfig(m=3, lam=0.1)).b_rounded.sum() == 3
@@ -393,7 +393,7 @@ def near_collinear_instance():
     data = mid_instance(2)
     X = data.X.copy()
     X[:, 1] = X[:, 0] + 1e-4 * X[:, 1]
-    return Dataset(X=X, y=data.y, labels=data.labels, theta_star=data.theta_star)
+    return Dataset(X=X, y=data.y, outlier=data.outlier, theta_star=data.theta_star)
 
 
 # (21, 0.0): least squares on m = p + 1 rows, whose first full solve passes
@@ -420,7 +420,7 @@ def test_near_collinear_recipe_solves_exactly(p):
                                 rho_min=1.0, max_resamples=500))
         X = data.X.copy()
         X[:, 1] = X[:, 0] + 1e-4 * X[:, 1]
-        data = Dataset(X=X, y=data.y, labels=data.labels, theta_star=data.theta_star)
+        data = Dataset(X=X, y=data.y, outlier=data.outlier, theta_star=data.theta_star)
         for m, lam in itertools.product((p // 2, p + 1, 2 * p), (0.0, 0.01, 1.0, 100.0)):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
